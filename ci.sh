@@ -62,11 +62,14 @@ HDIDX_BENCH_SAMPLES=3 HDIDX_BENCH_WARMUP_MS=1 HDIDX_BENCH_TARGET_MS=0.05 \
 # supported lanes) — same assertions, different dispatch — and a serve
 # smoke run under each must produce byte-identical latency digests. A
 # digest that moves with the lane width would mean the SIMD kernels are
-# not bit-exact replays of the scalar arithmetic.
+# not bit-exact replays of the scalar arithmetic. The vamsplit k-NN tests
+# run the best-first search on the dispatched ISA, so its gathered SIMD
+# path is checked bit for bit against the scan under both modes.
 echo "==> simd dispatch identity (HDIDX_SIMD=scalar vs auto)"
 for simd_mode in scalar auto; do
   HDIDX_SIMD="${simd_mode}" cargo test -q --offline -p hdidx-core \
     -- simd soup knn
+  HDIDX_SIMD="${simd_mode}" cargo test -q --offline -p hdidx-vamsplit -- knn
   HDIDX_SIMD="${simd_mode}" cargo test -q --offline --test simd_dispatch
 done
 
@@ -178,5 +181,14 @@ HDIDX_BENCH_OUT="$PWD/target/bench-smoke" \
 echo "==> recovery_sweep --smoke (recovery + scrub throughput)"
 HDIDX_BENCH_OUT="$PWD/target/bench-smoke" \
   cargo run -q --release -p hdidx-bench --bin recovery_sweep --offline -- --smoke
+
+# End-to-end benchmark smoke leg: every workload of the e2e benchmark at
+# half size, one round, all answer checks on. Among them, serve-mixed
+# re-checks the seeks charged to each k-NN request against leaf counts
+# from the scan's ball radii, so an index k-NN path that returned another
+# radius would fail here. The run only reads e2ebench/; its build output
+# goes to e2ebench/target.
+echo "==> e2e --smoke (end-to-end benchmark, every workload, all checks)"
+cargo run -q --release --offline --manifest-path e2ebench/Cargo.toml -- --smoke
 
 echo "CI green."

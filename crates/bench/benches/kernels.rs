@@ -7,15 +7,21 @@
 //! kernel: median/p95/min/mean ns and throughput).
 
 use hdidx_check::bench::{black_box, BenchSuite};
-use hdidx_core::knn::{scan_knn_radius, scan_knn_with};
+use hdidx_core::knn::{scan_knn_radius, scan_knn_radius_with, scan_knn_with};
 use hdidx_core::rng::{seeded, Rng};
 use hdidx_core::{simd, Dataset, LeafSoup};
+use hdidx_datagen::{NamedDataset, Workload};
 use hdidx_pool::Pool;
+use hdidx_serve::knn::knn_radius_with;
 use hdidx_vamsplit::bulkload::bulk_load;
 use hdidx_vamsplit::kdtree::bulk_load_midsplit;
-use hdidx_vamsplit::query::{count_sphere_intersections, knn};
+use hdidx_vamsplit::query::{count_sphere_intersections, knn, knn_gated, knn_with};
 use hdidx_vamsplit::split::partition_by_rank;
 use hdidx_vamsplit::topology::{PageConfig, Topology};
+use hdidx_vamsplit::tree::RTree;
+
+/// Density-biased centers per sweep of the swept k-NN rows.
+const KNN_SWEEP_QUERIES: usize = 32;
 
 fn random_dataset(n: usize, dim: usize, seed: u64) -> Dataset {
     let mut rng = seeded(seed);
@@ -66,30 +72,144 @@ fn bench_midsplit(suite: &mut BenchSuite) {
     });
 }
 
+/// Distance bit patterns of a k-NN answer (ids may differ on exact ties
+/// between the scan and the tree search; distances never do).
+fn dist_bits(nn: &[(f64, u32)]) -> Vec<u64> {
+    nn.iter().map(|&(d, _)| d.to_bits()).collect()
+}
+
+/// Asserts, before any timing, that for every center and every supported
+/// ISA the scan reproduces the scalar scan bit for bit (ids included), the
+/// best-first tree search reproduces its distances bit for bit, and the
+/// served search reproduces its radius bit for bit.
+fn assert_knn_identity(
+    data: &Dataset,
+    tree: &RTree,
+    soup: &LeafSoup,
+    centers: &[Vec<f32>],
+    k: usize,
+) {
+    for q in centers {
+        let scalar = scan_knn_with(simd::Isa::Scalar, data, q, k).unwrap();
+        let radius = scalar.last().unwrap().0;
+        for isa in simd::supported() {
+            let scan = scan_knn_with(isa, data, q, k).unwrap();
+            assert_eq!(
+                scan, scalar,
+                "{isa} k-NN scan must be byte-identical to scalar"
+            );
+            let tree_nn = knn_with(isa, tree, data, q, k).unwrap().neighbors;
+            assert_eq!(dist_bits(&tree_nn), dist_bits(&scalar), "{isa} tree k-NN");
+            let (served, _) = knn_radius_with(isa, tree, soup, data, q, k).unwrap();
+            assert_eq!(served.to_bits(), radius.to_bits(), "{isa} served k-NN");
+        }
+    }
+}
+
+/// Median share of `soup`'s leaves that the served search's gate counts
+/// at the first heap fill, over `centers` — where a shape sits against
+/// `hdidx_serve::knn::SCAN_FALLBACK_SHARE`.
+fn median_gate_share(
+    data: &Dataset,
+    tree: &RTree,
+    soup: &LeafSoup,
+    centers: &[Vec<f32>],
+    k: usize,
+) -> f64 {
+    let isa = simd::active();
+    let mut shares: Vec<f64> = centers
+        .iter()
+        .map(|q| {
+            let mut counted = soup.len() as u64;
+            knn_gated(isa, tree, data, q, k, |bound| {
+                counted = soup.count_intersecting_with(isa, q, bound);
+                true
+            })
+            .unwrap();
+            counted as f64 / soup.len() as f64
+        })
+        .collect();
+    shares.sort_by(f64::total_cmp);
+    shares[shares.len() / 2]
+}
+
+/// One sweep of exact 21-NN over [`KNN_SWEEP_QUERIES`] density-biased
+/// centers three ways: the linear scan per ISA, best-first through the
+/// index (`knn_tree`), and the served search that gates between them
+/// (`knn_served`).
+fn bench_knn_sweep(suite: &mut BenchSuite, data: &Dataset, page_bytes: usize) {
+    let (n, dim) = (data.len(), data.dim());
+    let topo = Topology::new(dim, n, &PageConfig::with_page_bytes(page_bytes)).unwrap();
+    let tree = bulk_load(data, &topo).unwrap();
+    let soup = LeafSoup::from_rects(dim, &tree.leaf_rects()).unwrap();
+    let centers: Vec<Vec<f32>> = Workload::density_biased(data, KNN_SWEEP_QUERIES, 21, 1)
+        .unwrap()
+        .queries
+        .into_iter()
+        .map(|q| q.center)
+        .collect();
+    assert_knn_identity(data, &tree, &soup, &centers, 21);
+    let tag = format!("{n}x{dim}/k21/{KNN_SWEEP_QUERIES}q");
+    eprintln!(
+        "{tag}: {} leaves, median gate share {:.2}",
+        soup.len(),
+        median_gate_share(data, &tree, &soup, &centers, 21)
+    );
+    suite.bench(&format!("knn_tree/{tag}"), || {
+        centers
+            .iter()
+            .map(|q| knn(black_box(&tree), data, q, 21).unwrap().radius())
+            .sum::<f64>()
+    });
+    let isa = simd::active();
+    suite.bench(&format!("knn_served/{tag}"), || {
+        centers
+            .iter()
+            .map(|q| {
+                knn_radius_with(isa, black_box(&tree), &soup, data, q, 21)
+                    .unwrap()
+                    .0
+            })
+            .sum::<f64>()
+    });
+    for isa in simd::supported() {
+        suite.bench(&format!("knn_scan/{tag}/{isa}"), || {
+            centers
+                .iter()
+                .map(|q| scan_knn_radius_with(isa, black_box(data), q, 21).unwrap())
+                .sum::<f64>()
+        });
+    }
+}
+
+/// Exact k-NN on four shapes; together the rows set
+/// `hdidx_serve::knn::SCAN_FALLBACK_SHARE`. The clustered 6674x48 shape
+/// is the quarter of TEXTURE48 the end-to-end `serve-mixed` workload
+/// serves; its bound prunes to a few leaves and the index wins. Uniform
+/// 50000x10 and 50000x12 straddle the fallback share: the index still
+/// wins at 10 dimensions and loses at 12. Uniform 50000x16 times one
+/// center, as its rows always have; no index prunes there.
 fn bench_knn(suite: &mut BenchSuite) {
+    let texture = NamedDataset::Texture48;
+    let data = texture.spec_scaled(0.25).generate().unwrap();
+    bench_knn_sweep(suite, &data, texture.page_bytes());
+    for dim in [10, 12] {
+        let data = random_dataset(50_000, dim, 4);
+        bench_knn_sweep(suite, &data, PageConfig::DEFAULT.page_bytes);
+    }
+
     let data = random_dataset(50_000, 16, 4);
     let topo = Topology::new(16, 50_000, &PageConfig::DEFAULT).unwrap();
     let tree = bulk_load(&data, &topo).unwrap();
+    let soup = LeafSoup::from_rects(16, &tree.leaf_rects()).unwrap();
     let q: Vec<f32> = data.point(17).to_vec();
-    // Identity first: every supported ISA must reproduce the scalar scan
-    // bit for bit — distances compared by bit pattern, not approximately.
-    let knn_bits = |isa| -> Vec<(u64, u32)> {
-        scan_knn_with(isa, &data, &q, 21)
-            .unwrap()
-            .iter()
-            .map(|&(d, id)| (d.to_bits(), id))
-            .collect()
-    };
-    let scalar_nn = knn_bits(simd::Isa::Scalar);
-    for isa in simd::supported() {
-        assert_eq!(
-            knn_bits(isa),
-            scalar_nn,
-            "{isa} k-NN scan must be byte-identical to scalar"
-        );
-    }
+    assert_knn_identity(&data, &tree, &soup, std::slice::from_ref(&q), 21);
     suite.bench("knn_tree/50000x16/k21", || {
         knn(black_box(&tree), &data, &q, 21).unwrap()
+    });
+    let isa = simd::active();
+    suite.bench("knn_served/50000x16/k21", || {
+        knn_radius_with(isa, black_box(&tree), &soup, &data, &q, 21).unwrap()
     });
     for isa in simd::supported() {
         suite.bench(&format!("knn_scan/50000x16/k21/{isa}"), || {

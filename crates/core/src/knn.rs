@@ -1,12 +1,13 @@
-//! Exact k-nearest-neighbor scan over a [`Dataset`].
+//! Exact k-nearest-neighbor search kernels over a [`Dataset`].
 //!
 //! Ground truth for query radii: the paper computes the k-NN sphere of each
 //! query point with a full scan of the dataset (§4.2) and feeds the radius
-//! to every predictor. Index-based k-NN lives in `hdidx-vamsplit`; this
-//! linear scan is index-free and so belongs to the kernel crate, where both
-//! the workload generator and the search tests can reach it.
+//! to every predictor. Both that linear scan and the best-first index
+//! search in `hdidx-vamsplit` keep their k best candidates in one pruned
+//! accumulator, [`KBest`], so the two searches share a single heap, a
+//! single early-abandon distance chain and a single SIMD group path.
 
-use crate::dataset::Dataset;
+use crate::dataset::{dist2, Dataset};
 use crate::error::{Error, Result};
 use crate::simd::{self, Isa};
 use hdidx_pool::Pool;
@@ -62,15 +63,225 @@ fn dist2_below(p: &[f32], q: &[f32], bound: f64) -> Option<f64> {
     Some(acc)
 }
 
+/// The pruned k-best accumulator behind every exact k-NN search: a
+/// max-heap of the `k` best `(dist², id)` candidates seen so far plus the
+/// live bound — the k-th best `dist²` once the heap is full, `+∞` before.
+///
+/// The first `k` candidates offered enter unconditionally, with their
+/// full distances (`+∞` and NaN included). After that a candidate enters
+/// exactly when its fully accumulated `d2` satisfies `!(d2 >= bound)`,
+/// evicting the current worst. Distances are accumulated by the early-abandon
+/// [`dist2_below`] chain, or — at `isa.lanes() > 1` — by the SIMD group
+/// kernel (`simd::knn_group_below`) over groups of `isa.lanes()` candidates: every
+/// lane accumulates its full-precision `f64` chain against the bound held
+/// at group entry, then the surviving lanes are re-validated in candidate
+/// order against the *live* bound before insertion. Because per-point
+/// distances are bit-identical across ISAs and the bound only shrinks,
+/// every insert/skip decision — and therefore every reported neighbor and
+/// distance bit — matches the scalar path for any ISA and any grouping.
+///
+/// Two feeds share that logic: [`KBest::offer_rows`] reads every row
+/// straight from the dataset's row-major storage (the linear scan), and
+/// [`KBest::offer_ids`] copies each group of gathered rows into a scratch
+/// buffer first (an index leaf's entries).
+#[derive(Debug)]
+pub struct KBest {
+    isa: Isa,
+    k: usize,
+    heap: BinaryHeap<Candidate>,
+    bound: f64,
+    /// Scratch rows for the gathered SIMD path (`isa.lanes() × dim`).
+    gather: Vec<f32>,
+}
+
+impl KBest {
+    /// An empty accumulator keeping the `k` best candidates, dispatching
+    /// its group kernel to `isa`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k == 0` or `isa` is not supported by this CPU/build.
+    #[must_use]
+    pub fn new(isa: Isa, k: usize) -> KBest {
+        assert!(k > 0, "KBest needs k > 0");
+        assert!(
+            isa.is_supported(),
+            "ISA {isa} requested but not supported by this CPU/build"
+        );
+        KBest {
+            isa,
+            k,
+            heap: BinaryHeap::with_capacity(k),
+            bound: f64::INFINITY,
+            gather: Vec::new(),
+        }
+    }
+
+    /// The live pruning bound: the k-th best `dist²` once [`KBest::is_full`],
+    /// `+∞` before. A region whose MINDIST² exceeds it cannot hold a
+    /// candidate that would enter.
+    #[inline]
+    #[must_use]
+    pub fn bound(&self) -> f64 {
+        self.bound
+    }
+
+    /// Whether `k` candidates have been kept (the bound is the k-th best
+    /// `d²`).
+    #[inline]
+    #[must_use]
+    pub fn is_full(&self) -> bool {
+        self.heap.len() == self.k
+    }
+
+    /// Offers a candidate with its fully accumulated `d2`.
+    #[inline]
+    fn insert(&mut self, dist2: f64, id: u32) {
+        if self.heap.len() == self.k {
+            *self.heap.peek_mut().expect("k > 0") = Candidate { dist2, id };
+        } else {
+            self.heap.push(Candidate { dist2, id });
+            if self.heap.len() < self.k {
+                return;
+            }
+        }
+        self.bound = self.heap.peek().expect("k > 0").dist2;
+    }
+
+    /// Enters candidates `0..count` of a feed unconditionally, with their
+    /// full distances, until the heap is full; returns how many it took.
+    /// `point(i)` gives candidate `i`'s row and id.
+    #[inline]
+    fn fill<'d>(
+        &mut self,
+        count: usize,
+        point: impl Fn(usize) -> (&'d [f32], u32),
+        q: &[f32],
+    ) -> usize {
+        let take = (self.k - self.heap.len()).min(count);
+        for i in 0..take {
+            let (p, id) = point(i);
+            self.insert(dist2(p, q), id);
+        }
+        take
+    }
+
+    /// Inserts the group lanes `mask` kept, re-validating each in lane
+    /// order against the live bound (it may have shrunk on an earlier lane
+    /// of this very group). `!(d2 >= b)` is the exact `dist2_below`
+    /// `Some`-condition, NaN included.
+    #[inline]
+    fn insert_group(&mut self, mask: u32, d2s: &[f64], id_of: impl Fn(usize) -> u32) {
+        for (lane, &d2) in d2s.iter().enumerate() {
+            #[allow(clippy::neg_cmp_op_on_partial_ord)]
+            if mask & (1 << lane) != 0 && !(d2 >= self.bound) {
+                self.insert(d2, id_of(lane));
+            }
+        }
+    }
+
+    /// Offers every dataset point in id order, read in place from the
+    /// row-major storage (no copy) — the linear scan's feed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `q.len() != data.dim()` on a SIMD path.
+    pub fn offer_rows(&mut self, data: &Dataset, q: &[f32]) {
+        let lanes = self.isa.lanes();
+        let n = data.len();
+        let mut id = self.fill(n, |id| (data.point(id), id as u32), q);
+        if lanes > 1 {
+            let mut d2s = [0.0f64; simd::MAX_LANES];
+            while id + lanes <= n {
+                // The group predicate uses the bound at group entry; a lane
+                // the mask rejects has full d2 >= entry bound >= live
+                // bound, so the scalar path would skip it too.
+                let mask =
+                    simd::knn_group_below(self.isa, data.rows(id, lanes), q, self.bound, &mut d2s);
+                if mask != 0 {
+                    self.insert_group(mask, &d2s[..lanes], |lane| (id + lane) as u32);
+                }
+                id += lanes;
+            }
+        }
+        // Scalar path and the sub-group tail.
+        for id in id..n {
+            if let Some(d2) = dist2_below(data.point(id), q, self.bound) {
+                self.insert(d2, id as u32);
+            }
+        }
+    }
+
+    /// Offers the dataset points `ids` (an index leaf's entries, in any
+    /// order). On a SIMD path each group of `isa.lanes()` rows is copied
+    /// into a reused scratch buffer and run through the same group kernel
+    /// as [`KBest::offer_rows`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if an id is out of range or `q.len() != data.dim()` on a
+    /// SIMD path.
+    pub fn offer_ids(&mut self, data: &Dataset, ids: &[u32], q: &[f32]) {
+        let lanes = self.isa.lanes();
+        let filled = self.fill(ids.len(), |i| (data.point(ids[i] as usize), ids[i]), q);
+        let ids = &ids[filled..];
+        let mut tail = ids;
+        if lanes > 1 && ids.len() >= lanes {
+            let dim = data.dim();
+            // Taken out of `self` so the buffer can be read while the
+            // heap is updated; handed back below, so it is allocated once.
+            let mut rows = std::mem::take(&mut self.gather);
+            rows.resize(lanes * dim, 0.0);
+            let mut d2s = [0.0f64; simd::MAX_LANES];
+            let groups = ids.chunks_exact(lanes);
+            tail = groups.remainder();
+            for group in groups {
+                for (row, &id) in rows.chunks_exact_mut(dim).zip(group) {
+                    row.copy_from_slice(data.point(id as usize));
+                }
+                let mask = simd::knn_group_below(self.isa, &rows, q, self.bound, &mut d2s);
+                if mask != 0 {
+                    self.insert_group(mask, &d2s[..lanes], |lane| group[lane]);
+                }
+            }
+            self.gather = rows;
+        }
+        for &id in tail {
+            if let Some(d2) = dist2_below(data.point(id as usize), q, self.bound) {
+                self.insert(d2, id);
+            }
+        }
+    }
+
+    /// The kept candidates as `(distance, id)` pairs in ascending distance
+    /// order, ties broken by id.
+    #[must_use]
+    pub fn into_sorted(self) -> Vec<(f64, u32)> {
+        // `into_sorted_vec` already yields ascending (dist2, id) order —
+        // the heap's `Ord` — and `sqrt` is monotone, so no re-sort is
+        // needed.
+        let out: Vec<(f64, u32)> = self
+            .heap
+            .into_sorted_vec()
+            .into_iter()
+            .map(|c| (c.dist2.sqrt(), c.id))
+            .collect();
+        debug_assert!(out
+            .windows(2)
+            .all(|w| w[0].0.total_cmp(&w[1].0).then(w[0].1.cmp(&w[1].1)) != Ordering::Greater));
+        out
+    }
+}
+
 /// Exact k-NN by linear scan, returning `(distance, id)` pairs in ascending
 /// distance order (ties broken by id). Returns fewer than `k` pairs only if
 /// the dataset is smaller than `k`.
 ///
-/// The scan is blocked: after the heap fills, each candidate distance is
-/// accumulated in [`DIM_TILE`]-dimension tiles and abandoned as soon as the
-/// partial sum reaches the current k-th distance ([`dist2_below`]), which
-/// skips most of the per-point work in high dimensions without changing a
-/// single reported neighbor or distance bit.
+/// The scan feeds every point through a [`KBest`]: once the heap fills,
+/// each candidate distance is accumulated in [`DIM_TILE`]-dimension tiles
+/// and abandoned as soon as the partial sum reaches the current k-th
+/// distance, which skips most of the per-point work in high dimensions
+/// without changing a single reported neighbor or distance bit.
 ///
 /// # Errors
 ///
@@ -82,15 +293,8 @@ pub fn scan_knn(data: &Dataset, q: &[f32], k: usize) -> Result<Vec<(f64, u32)>> 
 }
 
 /// [`scan_knn`] pinned to one SIMD ISA — the entry point identity tests
-/// and per-ISA bench rows use.
-///
-/// The SIMD paths scan `isa.lanes()` candidates per group: every lane
-/// accumulates its full-precision `f64` distance chain (the exact
-/// [`dist2_below`] order) against the bound held at group entry, then the
-/// surviving lanes are re-validated in id order against the *live* bound
-/// before insertion. Because per-point distances are bit-identical and the
-/// bound only shrinks, the insert/skip decisions — and therefore every
-/// reported neighbor and distance bit — match the scalar scan exactly.
+/// and per-ISA bench rows use. The rows are read in place, in id order
+/// ([`KBest::offer_rows`]).
 ///
 /// # Errors
 ///
@@ -112,72 +316,9 @@ pub fn scan_knn_with(isa: Isa, data: &Dataset, q: &[f32], k: usize) -> Result<Ve
     if data.is_empty() {
         return Err(Error::EmptyInput("dataset for scan_knn"));
     }
-    let n = data.len();
-    let mut best: BinaryHeap<Candidate> = BinaryHeap::with_capacity(k + 1);
-    // Fill phase: the first k points enter unconditionally, with full
-    // distances.
-    let filled = k.min(n);
-    for id in 0..filled {
-        best.push(Candidate {
-            dist2: data.dist2_to(id, q),
-            id: id as u32,
-        });
-    }
-    // Scan phase: prune against the live k-th distance. `bound` tracks
-    // `best.peek()` exactly (updated on every insertion), so the
-    // insert/skip decisions match the unpruned scan bit for bit.
-    let mut bound = best.peek().expect("k > 0").dist2;
-    let mut id = filled;
-    let lanes = isa.lanes();
-    if lanes > 1 {
-        let mut d2s = [0.0f64; simd::MAX_LANES];
-        while id + lanes <= n {
-            // The group predicate uses the bound at group entry; a lane the
-            // mask rejects has full d2 >= entry bound >= live bound, so the
-            // scalar scan would skip it too.
-            let mask = simd::knn_group_below(isa, data.rows(id, lanes), q, bound, &mut d2s);
-            if mask != 0 {
-                for (lane, &d2) in d2s.iter().enumerate().take(lanes) {
-                    // Re-validate against the live bound (it may have shrunk
-                    // on an earlier lane of this very group). `!(d2 >= b)` is
-                    // the exact `dist2_below` Some-condition, NaN included.
-                    #[allow(clippy::neg_cmp_op_on_partial_ord)]
-                    if mask & (1 << lane) != 0 && !(d2 >= bound) {
-                        best.pop();
-                        best.push(Candidate {
-                            dist2: d2,
-                            id: (id + lane) as u32,
-                        });
-                        bound = best.peek().expect("non-empty").dist2;
-                    }
-                }
-            }
-            id += lanes;
-        }
-    }
-    // Scalar path and the sub-group tail.
-    for id in id..n {
-        if let Some(d2) = dist2_below(data.point(id), q, bound) {
-            best.pop();
-            best.push(Candidate {
-                dist2: d2,
-                id: id as u32,
-            });
-            bound = best.peek().expect("non-empty").dist2;
-        }
-    }
-    // `into_sorted_vec` already yields ascending (dist2, id) order — the
-    // heap's `Ord` — and `sqrt` is monotone, so no re-sort is needed on
-    // this hot ground-truth path.
-    let out: Vec<(f64, u32)> = best
-        .into_sorted_vec()
-        .into_iter()
-        .map(|c| (c.dist2.sqrt(), c.id))
-        .collect();
-    debug_assert!(out
-        .windows(2)
-        .all(|w| w[0].0.total_cmp(&w[1].0).then(w[0].1.cmp(&w[1].1)) != Ordering::Greater));
-    Ok(out)
+    let mut best = KBest::new(isa, k);
+    best.offer_rows(data, q);
+    Ok(best.into_sorted())
 }
 
 /// Exact k-NN radii for the dataset points at `ids`, fanned out over
@@ -200,8 +341,21 @@ pub fn scan_knn_radii(data: &Dataset, ids: &[u32], k: usize, pool: &Pool) -> Res
 ///
 /// Same conditions as [`scan_knn`].
 pub fn scan_knn_radius(data: &Dataset, q: &[f32], k: usize) -> Result<f64> {
-    let nn = scan_knn(data, q, k)?;
-    Ok(nn.last().map(|&(d, _)| d).unwrap_or(0.0))
+    scan_knn_radius_with(simd::active(), data, q, k)
+}
+
+/// [`scan_knn_radius`] pinned to one SIMD ISA.
+///
+/// # Errors
+///
+/// Same conditions as [`scan_knn`].
+///
+/// # Panics
+///
+/// Panics if `isa` is not supported by this CPU/build.
+pub fn scan_knn_radius_with(isa: Isa, data: &Dataset, q: &[f32], k: usize) -> Result<f64> {
+    let nn = scan_knn_with(isa, data, q, k)?;
+    Ok(nn.last().map_or(0.0, |&(d, _)| d))
 }
 
 #[cfg(test)]
@@ -287,6 +441,64 @@ mod tests {
                 .collect();
             all.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
             assert_eq!(nn, all[..9].to_vec(), "dim {dim}");
+        }
+    }
+
+    #[test]
+    fn gathered_feed_matches_the_scan_at_every_isa() {
+        // Ids offered shuffled, in uneven chunks, through the gathered
+        // path must keep exactly the scan's neighbors.
+        let mut rng = crate::rng::seeded(31);
+        use crate::rng::Rng;
+        for &dim in &[1usize, 9, 48] {
+            let n = 257;
+            let data =
+                Dataset::from_flat(dim, (0..n * dim).map(|_| rng.gen::<f32>()).collect()).unwrap();
+            let q: Vec<f32> = (0..dim).map(|_| rng.gen::<f32>()).collect();
+            let mut ids: Vec<u32> = (0..n as u32).collect();
+            for i in (1..n).rev() {
+                ids.swap(i, rng.gen_range(0..=i));
+            }
+            for k in [1usize, 21, n + 3] {
+                let want = scan_knn_with(Isa::Scalar, &data, &q, k).unwrap();
+                for isa in simd::supported() {
+                    let mut best = KBest::new(isa, k);
+                    for chunk in ids.chunks(7) {
+                        best.offer_ids(&data, chunk, &q);
+                    }
+                    assert_eq!(best.into_sorted(), want, "dim {dim} k {k} {isa}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn non_finite_distances_still_fill_the_heap() {
+        // The first k candidates enter whatever their distance, so an
+        // infinite coordinate in the data or the query never shortens the
+        // answer below k pairs — on the scan and the gathered feed alike.
+        let inf = f32::INFINITY;
+        let data = Dataset::from_flat(1, vec![0.0, inf, 1.0, inf, 2.0, -inf, 3.0]).unwrap();
+        let ids: Vec<u32> = (0..7).rev().collect();
+        for isa in simd::supported() {
+            let nn = scan_knn_with(isa, &data, &[0.0], 7).unwrap();
+            assert_eq!(nn.len(), 7, "{isa}");
+            assert_eq!(nn[3].0, 3.0, "{isa}");
+            assert!(nn[4..].iter().all(|&(d, _)| d == f64::INFINITY), "{isa}");
+            assert_eq!(
+                scan_knn_radius_with(isa, &data, &[0.0], 6).unwrap(),
+                f64::INFINITY,
+                "{isa}"
+            );
+            let finite = line_data();
+            let far = scan_knn_with(isa, &finite, &[inf], 3).unwrap();
+            assert_eq!(far.len(), 3, "{isa}");
+            assert!(far.iter().all(|&(d, _)| d == f64::INFINITY), "{isa}");
+            let mut best = KBest::new(isa, 6);
+            best.offer_ids(&data, &ids, &[0.0]);
+            let gathered = best.into_sorted();
+            assert_eq!(gathered.len(), 6, "{isa}");
+            assert_eq!(gathered[5].0, f64::INFINITY, "{isa}");
         }
     }
 

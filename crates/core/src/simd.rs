@@ -2,7 +2,7 @@
 //!
 //! The predictors and the serve path spend their CPU time in two inner
 //! loops: MINDIST² accumulation over [`crate::LeafSoup`] stripes and the
-//! early-abandon point-distance kernel behind [`crate::knn::scan_knn`].
+//! early-abandon point-distance kernel behind [`crate::knn::KBest`].
 //! This module gives both explicit `core::arch` lanes (SSE2 and AVX2 on
 //! `x86_64`, detected at runtime; a portable scalar fallback everywhere
 //! else) with **zero external dependencies**.
@@ -311,7 +311,7 @@ pub(crate) fn soup_count_chunk(
     }
 }
 
-/// Early-abandon batched point distance for [`crate::knn::scan_knn`]:
+/// Early-abandon batched point distance for [`crate::knn::KBest`]:
 /// `rows` holds `isa.lanes()` consecutive row-major points, lane `l`
 /// owning `rows[l * dim ..][..dim]`. Accumulates every lane's squared
 /// distance to `q` in ascending dimension order (the exact
@@ -341,7 +341,7 @@ pub(crate) fn knn_group_below(
     #[cfg(target_arch = "x86_64")]
     {
         match isa {
-            Isa::Scalar => unreachable!("scalar dispatch handled by scan_knn"),
+            Isa::Scalar => unreachable!("scalar dispatch handled by KBest"),
             // SAFETY: support asserted above; the length check bounds
             // every `l * dim + j` load.
             Isa::Sse2 => unsafe { x86::knn2_below_sse2(rows, q, bound, out) },

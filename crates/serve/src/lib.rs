@@ -13,6 +13,10 @@
 //!   request batches over the worker [`hdidx_pool::Pool`] with per-query
 //!   panic isolation, and composes latency from the disk cost model —
 //!   queueing delay included — rather than measuring wall clocks.
+//! * [`knn`] — the k-NN request path: best-first search through the
+//!   index, falling back to the linear scan when the bound at the first
+//!   heap fill still reaches more than [`knn::SCAN_FALLBACK_SHARE`] of the
+//!   leaves; either route returns the scan's radius bit for bit.
 //! * [`latency`] — exact-sample tail accounting ([`LatencyRecorder`]):
 //!   nearest-rank p50/p95/p99/max via [`hdidx_check::stats`], plus an
 //!   FNV-1a digest of the sample stream so byte-identity across thread
@@ -40,6 +44,7 @@
 //! request stream, never of scheduling.
 
 pub mod admission;
+pub mod knn;
 pub mod latency;
 pub mod loadgen;
 pub mod maintain;

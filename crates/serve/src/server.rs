@@ -5,7 +5,9 @@
 //!
 //! A [`Server`] owns the bulk-loaded index (leaf boxes flattened into a
 //! [`LeafSoup`] for the blocked counting kernels) plus the grown upper
-//! tree of the paper's sampled cost predictor. Requests arrive in batches;
+//! tree of the paper's sampled cost predictor. A k-NN request finds its
+//! radius through that index, or through the linear scan when the index
+//! cannot prune ([`crate::knn`]). Requests arrive in batches;
 //! each admitted batch fans out over the [`Pool`] with per-query panic
 //! isolation ([`Pool::par_map_isolated`]), then a single-threaded
 //! accounting pass advances simulated time. Nothing about latency or fault
@@ -50,12 +52,12 @@
 //! Healthy → Degraded → ReadOnly health machine gating admission.
 
 use crate::admission::{AdmissionControl, LaneState};
+use crate::knn::knn_radius_with;
 use crate::latency::{LatencyRecorder, LatencySummary};
 use crate::maintain::{HealthState, Maintenance, MaintenanceReport};
 use crate::overload::OverloadPolicy;
 use crate::request::{Query, QueryClass, Request};
-use hdidx_core::knn::scan_knn_radius;
-use hdidx_core::{Dataset, Error, LeafSoup, Result};
+use hdidx_core::{simd, Dataset, Error, LeafSoup, Result};
 use hdidx_diskio::breaker::CircuitBreaker;
 use hdidx_diskio::disk::Disk;
 use hdidx_diskio::external::{build_on_disk, ExternalConfig};
@@ -394,6 +396,26 @@ impl<'a> Server<'a> {
         &self.tree
     }
 
+    /// Radius of the exact k-NN sphere of `center`, searched through the
+    /// server's index with the linear-scan fallback of
+    /// [`crate::knn::knn_radius_with`]. Bit-identical to
+    /// [`hdidx_core::knn::scan_knn_radius`].
+    ///
+    /// # Errors
+    ///
+    /// A wrong-length `center` or `k == 0`.
+    pub fn knn_radius(&self, center: &[f32], k: usize) -> Result<f64> {
+        knn_radius_with(
+            simd::active(),
+            &self.tree,
+            &self.leaf_soup,
+            self.data,
+            center,
+            k,
+        )
+        .map(|(r, _)| r)
+    }
+
     /// I/O consumed building the index (including build-phase faults).
     #[must_use]
     pub fn build_io(&self) -> IoStats {
@@ -637,7 +659,7 @@ impl<'a> Server<'a> {
                 let leaves = self.leaf_soup.count_intersecting(center, radius * radius);
                 self.run_disk_query(req, cfg, leaves, deadline_s)
             }
-            Query::Knn { center, k } => match scan_knn_radius(self.data, center, *k) {
+            Query::Knn { center, k } => match self.knn_radius(center, *k) {
                 Ok(r) => {
                     let leaves = self.leaf_soup.count_intersecting(center, r * r);
                     self.run_disk_query(req, cfg, leaves, deadline_s)

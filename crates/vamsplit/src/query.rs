@@ -3,6 +3,8 @@
 //! sphere/leaf intersection counting the prediction model is built on.
 
 use crate::tree::{NodeKind, RTree};
+use hdidx_core::knn::KBest;
+use hdidx_core::simd::{self, Isa};
 use hdidx_core::{Dataset, Error, HyperRect, Result};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -40,26 +42,6 @@ impl KnnResult {
     }
 }
 
-/// Max-heap entry for the current k best candidates.
-#[derive(Debug, PartialEq)]
-struct Candidate {
-    dist2: f64,
-    id: u32,
-}
-impl Eq for Candidate {}
-impl Ord for Candidate {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.dist2
-            .total_cmp(&other.dist2)
-            .then(self.id.cmp(&other.id))
-    }
-}
-impl PartialOrd for Candidate {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
 /// Min-heap entry (via reversed ordering) for the node frontier.
 #[derive(Debug, PartialEq)]
 struct Frontier {
@@ -90,6 +72,55 @@ impl PartialOrd for Frontier {
 /// Returns [`Error::DimensionMismatch`] if `q` has the wrong length and
 /// [`Error::InvalidParameter`] if `k == 0`.
 pub fn knn(tree: &RTree, data: &Dataset, q: &[f32], k: usize) -> Result<KnnResult> {
+    knn_with(simd::active(), tree, data, q, k)
+}
+
+/// [`knn`] pinned to one SIMD ISA. Every ISA returns the same neighbors,
+/// distance bits and [`AccessStats`].
+///
+/// # Errors
+///
+/// Same conditions as [`knn`].
+///
+/// # Panics
+///
+/// Panics if `isa` is not supported by this CPU/build.
+pub fn knn_with(isa: Isa, tree: &RTree, data: &Dataset, q: &[f32], k: usize) -> Result<KnnResult> {
+    let res = knn_gated(isa, tree, data, q, k, |_| true)?;
+    Ok(res.expect("a gate that always continues never abandons"))
+}
+
+/// Best-first k-NN with a one-shot gate. Once the candidate heap first
+/// fills — after the leaf that filled it — `gate` receives the live bound
+/// (the k-th best squared distance so far, an upper bound on the final
+/// one); returning `false` abandons the search with `Ok(None)`. A
+/// search over fewer than `k` points never consults the gate.
+///
+/// The candidates live in one [`KBest`], fed each visited leaf's entries
+/// through its gathered path. Until the heap fills every child is
+/// queued; after, a child is queued when its MINDIST² is at most the
+/// bound, and the search stops at the first queued node whose MINDIST²
+/// exceeds it. Every distance carries the linear scan's exact `f64` add
+/// chain, and MINDIST² is never above a contained point's distance²
+/// (rounding is monotone), so the reported distances equal
+/// [`scan_knn`]'s bit for bit; on exact distance ties the ids kept may
+/// differ.
+///
+/// # Errors
+///
+/// Same conditions as [`knn`].
+///
+/// # Panics
+///
+/// Panics if `isa` is not supported by this CPU/build.
+pub fn knn_gated(
+    isa: Isa,
+    tree: &RTree,
+    data: &Dataset,
+    q: &[f32],
+    k: usize,
+    gate: impl FnOnce(f64) -> bool,
+) -> Result<Option<KnnResult>> {
     if q.len() != tree.dim() {
         return Err(Error::DimensionMismatch {
             expected: tree.dim(),
@@ -100,14 +131,15 @@ pub fn knn(tree: &RTree, data: &Dataset, q: &[f32], k: usize) -> Result<KnnResul
         return Err(Error::invalid("k", "k must be positive"));
     }
     let mut stats = AccessStats::default();
-    let mut best: BinaryHeap<Candidate> = BinaryHeap::with_capacity(k + 1);
+    let mut best = KBest::new(isa, k);
+    let mut gate = Some(gate);
     let mut frontier: BinaryHeap<Frontier> = BinaryHeap::new();
     frontier.push(Frontier {
         mindist2: tree.root().rect.mindist2(q),
         node: 0,
     });
     while let Some(Frontier { mindist2, node }) = frontier.pop() {
-        if best.len() == k && mindist2 > best.peek().expect("k > 0").dist2 {
+        if mindist2 > best.bound() {
             break;
         }
         let n = &tree.nodes()[node as usize];
@@ -116,7 +148,7 @@ pub fn knn(tree: &RTree, data: &Dataset, q: &[f32], k: usize) -> Result<KnnResul
                 stats.dir_accesses += 1;
                 for &c in children {
                     let md = tree.nodes()[c as usize].rect.mindist2(q);
-                    if best.len() < k || md <= best.peek().expect("non-empty").dist2 {
+                    if !best.is_full() || md <= best.bound() {
                         frontier.push(Frontier {
                             mindist2: md,
                             node: c,
@@ -126,25 +158,21 @@ pub fn knn(tree: &RTree, data: &Dataset, q: &[f32], k: usize) -> Result<KnnResul
             }
             NodeKind::Leaf { .. } => {
                 stats.leaf_accesses += 1;
-                for &id in tree.leaf_entries(n) {
-                    let d2 = data.dist2_to(id as usize, q);
-                    if best.len() < k {
-                        best.push(Candidate { dist2: d2, id });
-                    } else if d2 < best.peek().expect("non-empty").dist2 {
-                        best.pop();
-                        best.push(Candidate { dist2: d2, id });
+                best.offer_ids(data, tree.leaf_entries(n), q);
+                if best.is_full() {
+                    if let Some(gate) = gate.take() {
+                        if !gate(best.bound()) {
+                            return Ok(None);
+                        }
                     }
                 }
             }
         }
     }
-    let mut neighbors: Vec<(f64, u32)> = best
-        .into_sorted_vec()
-        .into_iter()
-        .map(|c| (c.dist2.sqrt(), c.id))
-        .collect();
-    neighbors.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    Ok(KnnResult { neighbors, stats })
+    Ok(Some(KnnResult {
+        neighbors: best.into_sorted(),
+        stats,
+    }))
 }
 
 /// Counts the pages a range (ball) query touches: every node whose MBR
@@ -263,7 +291,7 @@ mod tests {
             let truth = scan_knn(&data, &q, 7).unwrap();
             assert_eq!(res.neighbors.len(), 7);
             for (a, b) in res.neighbors.iter().zip(truth.iter()) {
-                assert!((a.0 - b.0).abs() < 1e-9, "{} vs {}", a.0, b.0);
+                assert_eq!(a.0.to_bits(), b.0.to_bits(), "{} vs {}", a.0, b.0);
             }
             assert!(res.stats.leaf_accesses >= 1);
             assert!(res.stats.dir_accesses >= 1);
