@@ -15,8 +15,10 @@ cargo clippy -q --offline --workspace -- -D warnings
 echo "==> cargo build --release --offline --workspace"
 cargo build --release --offline --workspace
 
-# The parallel layer guarantees thread-count-independent results, so the
-# whole suite must pass both forced-serial and with the default pool.
+# Two call sites still run on threads (the k-NN radius set-up and serve's
+# batch execution), and their results must not depend on the thread
+# count, so the whole suite must pass both forced-serial and with the
+# default pool.
 echo "==> cargo test -q --offline --workspace (HDIDX_THREADS=1)"
 HDIDX_THREADS=1 cargo test -q --offline --workspace
 
@@ -45,17 +47,25 @@ cargo run -q --release -p hdidx-bench --bin fault_sweep --offline -- --smoke
 echo "==> cargo bench --no-run --offline (bench targets must compile)"
 cargo bench --no-run --offline
 
-# SoA kernel smoke leg: one tiny shape through the kernels bench in
-# soup_smoke mode. The run asserts — before any timing — that the AoS
-# loop, the scalar SoA kernel and the batched SoA kernel return
-# byte-identical counts at 1/2/8 threads, so every CI pass re-proves the
-# bit-identity contract. Results go to a scratch dir so the committed
-# BENCH_kernels.json baseline is never clobbered by smoke-grade numbers.
+# Bench smoke legs. The kernels bench in soup_smoke mode runs one tiny
+# shape and asserts — before any timing — that the AoS loop and, for
+# every supported ISA, the single-query and batched SoA kernels return
+# byte-identical counts. The parallel suite asserts that the k-NN radii
+# and the serve report are identical at 1/2/4 threads before it times
+# them. Both re-prove their identity contracts on every CI pass. Results
+# go to a scratch dir so the committed BENCH_kernels.json and
+# BENCH_parallel.json baselines are never clobbered by smoke-grade
+# numbers.
 echo "==> kernels bench soup_smoke (SoA/AoS count identity)"
 mkdir -p target/bench-smoke
 HDIDX_BENCH_SAMPLES=3 HDIDX_BENCH_WARMUP_MS=1 HDIDX_BENCH_TARGET_MS=0.05 \
   HDIDX_BENCH_OUT="$PWD/target/bench-smoke" \
   cargo bench -q --offline -p hdidx-bench --bench kernels -- soup_smoke
+
+echo "==> parallel bench (k-NN radius and serve identity at 1/2/4 threads)"
+HDIDX_BENCH_SAMPLES=3 HDIDX_BENCH_WARMUP_MS=1 HDIDX_BENCH_TARGET_MS=0.05 \
+  HDIDX_BENCH_OUT="$PWD/target/bench-smoke" \
+  cargo bench -q --offline -p hdidx-bench --bench parallel
 
 # SIMD dispatch-identity leg: the kernel tests must pass with the ISA
 # pinned to the portable scalar path and with auto-detection (the widest

@@ -14,8 +14,8 @@
 //! implementation demonstrates: it predicts sphere-page layouts decently
 //! but has no handle on rectangle pages.
 
-use hdidx_core::rng::{sample_without_replacement, seeded};
 use hdidx_core::{Dataset, Error, Result};
+use hdidx_rand::{sample_without_replacement, seeded};
 use hdidx_vamsplit::sstree::Sphere;
 
 /// An empirical distance distribution `F(x) = P(d(A, B) <= x)` estimated
@@ -76,8 +76,8 @@ pub fn predict_ball_pages(dist: &DistanceDistribution, pages: &[Sphere], r_q: f6
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hdidx_core::rng::seeded as seed_rng;
-    use hdidx_core::rng::Rng;
+    use hdidx_rand::seeded as seed_rng;
+    use hdidx_rand::Rng;
     use hdidx_vamsplit::sstree::SsLeafLayout;
     use hdidx_vamsplit::topology::Topology;
 

@@ -150,8 +150,8 @@ pub fn predict_fractal(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hdidx_core::rng::Rng;
-    use hdidx_core::rng::{seeded, standard_normal};
+    use hdidx_rand::Rng;
+    use hdidx_rand::{seeded, standard_normal};
 
     fn uniform_data(n: usize, dim: usize, seed: u64) -> Dataset {
         let mut rng = seeded(seed);

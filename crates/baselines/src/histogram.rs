@@ -177,8 +177,8 @@ impl GridHistogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hdidx_core::rng::seeded;
-    use hdidx_core::rng::Rng;
+    use hdidx_rand::seeded;
+    use hdidx_rand::Rng;
 
     fn uniform_data(n: usize, dim: usize, seed: u64) -> Dataset {
         let mut rng = seeded(seed);

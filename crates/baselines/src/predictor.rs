@@ -284,7 +284,7 @@ pub fn by_name(name: &str, cfg: &PredictorConfig) -> Option<Box<dyn Predictor>> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hdidx_core::rng::{seeded, Rng};
+    use hdidx_rand::{seeded, Rng};
 
     fn uniform_data(n: usize, dim: usize, seed: u64) -> Dataset {
         let mut rng = seeded(seed);

@@ -8,10 +8,9 @@
 
 use hdidx_check::bench::{black_box, BenchSuite};
 use hdidx_core::knn::{scan_knn_radius, scan_knn_radius_with, scan_knn_with};
-use hdidx_core::rng::{seeded, Rng};
 use hdidx_core::{simd, Dataset, LeafSoup};
 use hdidx_datagen::{NamedDataset, Workload};
-use hdidx_pool::Pool;
+use hdidx_rand::{seeded, Rng};
 use hdidx_serve::knn::knn_radius_with;
 use hdidx_vamsplit::bulkload::bulk_load;
 use hdidx_vamsplit::kdtree::bulk_load_midsplit;
@@ -259,10 +258,9 @@ const BATCH_PIN_SLACK: f64 = 1.25;
 const PIN_ROUNDS: usize = 12;
 
 /// Asserts the AoS loop and — for **every supported ISA** — the
-/// single-query and batched SoA kernels all agree on every query (batch
-/// at several thread counts), then times the AoS-vs-SoA matchup per ISA
-/// on this shape. Identity first: a speedup bought with a different count
-/// would be meaningless. With `pin_batch` a paired head-to-head must also
+/// single-query and batched SoA kernels all agree on every query, then
+/// times the AoS-vs-SoA matchup per ISA on this shape. Identity first: a
+/// speedup bought with a different count would be meaningless. With `pin_batch` a paired head-to-head must also
 /// satisfy batch ≤ single-query (the PR-5 baseline regressed this at
 /// large leaf counts).
 fn run_soup_shape(
@@ -291,14 +289,8 @@ fn run_soup_shape(
             .map(|(c, r)| soup.count_intersecting_with(isa, c, r * r))
             .collect();
         assert_eq!(aos, single, "{isa} SoA must be byte-identical to AoS");
-        for t in [1usize, 2, 8] {
-            let batch =
-                soup.count_batch_with(isa, &Pool::new(t), &queries, |q| (q.0.as_slice(), q.1));
-            assert_eq!(
-                aos, batch,
-                "batched {isa} SoA must be byte-identical at t={t}"
-            );
-        }
+        let batch = soup.count_batch_with(isa, &queries, |q| (q.0.as_slice(), q.1));
+        assert_eq!(aos, batch, "batched {isa} SoA must be byte-identical");
     }
 
     let tag = format!("{prefix}{}x{dim}", pages.len());
@@ -308,7 +300,6 @@ fn run_soup_shape(
             .map(|(c, r)| count_sphere_intersections(black_box(&pages), c, *r))
             .sum::<u64>()
     });
-    let serial = Pool::serial();
     for isa in simd::supported() {
         suite.bench(&format!("soa_count/{tag}/{isa}"), || {
             queries
@@ -318,7 +309,7 @@ fn run_soup_shape(
         });
         suite.bench(&format!("soa_count_batch/{tag}/{isa}"), || {
             black_box(&soup)
-                .count_batch_with(isa, &serial, &queries, |q| (q.0.as_slice(), q.1))
+                .count_batch_with(isa, &queries, |q| (q.0.as_slice(), q.1))
                 .iter()
                 .sum::<u64>()
         });
@@ -336,7 +327,7 @@ fn run_soup_shape(
                 black_box(s);
                 let t = std::time::Instant::now();
                 let b: u64 = black_box(&soup)
-                    .count_batch_with(isa, &serial, &queries, |q| (q.0.as_slice(), q.1))
+                    .count_batch_with(isa, &queries, |q| (q.0.as_slice(), q.1))
                     .iter()
                     .sum();
                 let batch_t = t.elapsed().as_secs_f64();
@@ -367,7 +358,7 @@ fn bench_soup(suite: &mut BenchSuite) {
 
 /// Tiny CI leg (`cargo bench --bench kernels -- soup_smoke`): one small
 /// shape that exercises the full identity assertion (AoS == per-ISA SoA ==
-/// batched SoA at 1/2/8 threads) before a single fast timing pass, so
+/// per-ISA batched SoA) before a single fast timing pass, so
 /// every CI run proves the bit-identity contract without paying for the
 /// large benchmark datasets. No batch pin here: smoke timing budgets are
 /// too noisy to compare medians meaningfully.

@@ -9,10 +9,10 @@
 use hdidx_bench::table::{pct, Table};
 use hdidx_bench::{ExpArgs, ExperimentContext};
 use hdidx_core::knn::scan_knn_radius;
-use hdidx_core::rng::seeded;
-use hdidx_core::rng::Rng;
 use hdidx_datagen::registry::NamedDataset;
 use hdidx_model::{hupper, QueryBall, Resampled, ResampledParams};
+use hdidx_rand::seeded;
+use hdidx_rand::Rng;
 use hdidx_vamsplit::query::count_sphere_intersections;
 
 fn main() {

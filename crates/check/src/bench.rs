@@ -276,12 +276,15 @@ impl BenchSuite {
             .as_deref()
             .map(|isa| format!(",\"isa\":\"{}\"", json_escape(isa)))
             .unwrap_or_default();
+        // The hardware thread count, so a thread-scaling row can be read
+        // against the cores it ran on.
+        let nproc = std::thread::available_parallelism().map_or(1, usize::from);
         let mut out = String::new();
         for r in &self.results {
             out.push_str(&format!(
                 "{{\"suite\":\"{}\",\"name\":\"{}\",\"median_ns\":{:.1},\"p95_ns\":{:.1},\
                  \"min_ns\":{:.1},\"mean_ns\":{:.1},\"throughput_per_s\":{:.3},\
-                 \"samples\":{},\"iters_per_sample\":{}{}}}\n",
+                 \"samples\":{},\"iters_per_sample\":{}{},\"nproc\":{}}}\n",
                 json_escape(&self.suite),
                 json_escape(&r.name),
                 r.median_ns,
@@ -292,6 +295,7 @@ impl BenchSuite {
                 r.samples,
                 r.iters_per_sample,
                 isa_field,
+                nproc,
             ));
         }
         let mut file = std::fs::File::create(&path)
@@ -389,6 +393,10 @@ mod tests {
                 .lines()
                 .all(|l| l.contains("\"isa\":\"testisa (forced)\"")),
             "every row must carry the isa field: {written}"
+        );
+        assert!(
+            written.lines().all(|l| l.contains(",\"nproc\":")),
+            "every row must carry the nproc field: {written}"
         );
         std::env::remove_var("HDIDX_BENCH_OUT");
     }

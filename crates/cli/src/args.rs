@@ -2,8 +2,9 @@
 //!
 //! Flag conventions, shared by every data command: `--seed` (RNG seed),
 //! `--m` (memory budget in points), `--h-upper` (upper-tree height),
-//! `--threads` (worker threads; 1 forces serial, absent = available
-//! parallelism / `HDIDX_THREADS`), `--predictor` (a name from the
+//! `--threads` (worker threads for the query-radius set-up and serve's
+//! batch execution; 1 forces serial, absent = available parallelism /
+//! `HDIDX_THREADS`), `--predictor` (a name from the
 //! `hdidx_baselines::PREDICTOR_NAMES` registry).
 
 use hdidx_baselines::PREDICTOR_NAMES;
@@ -339,9 +340,12 @@ drive the healthy/degraded/read-only health state shown in the report
 (degraded halves the admission budget; read-only refuses disk-backed
 classes).
 
-`--threads 1` forces serial execution; omitting --threads uses the
-HDIDX_THREADS environment variable or the machine's available
-parallelism. Results are identical for any thread count.
+`--threads N` sets the worker threads of the two parallel steps: the
+query-radius set-up (one k-NN scan per query) and serve's batch
+execution. Everything else runs serially. `--threads 1` forces serial
+execution; omitting --threads uses the HDIDX_THREADS environment
+variable or the machine's available parallelism. Results are identical
+for any thread count.
 
 `--simd` pins the geometry-kernel ISA: `scalar`, `sse2`, `avx2`, or
 `auto` (detect the best supported, rejecting nothing). The flag

@@ -427,8 +427,8 @@ mod tests {
     fn pruned_scan_matches_exhaustive_distances() {
         // The early-exit kernel must reproduce the unpruned scan bit for
         // bit, including in dimensions beyond one DIM_TILE.
-        let mut rng = crate::rng::seeded(99);
-        use crate::rng::Rng;
+        let mut rng = hdidx_rand::seeded(99);
+        use hdidx_rand::Rng;
         for &dim in &[3usize, 8, 19, 64] {
             let n = 400;
             let data =
@@ -448,8 +448,8 @@ mod tests {
     fn gathered_feed_matches_the_scan_at_every_isa() {
         // Ids offered shuffled, in uneven chunks, through the gathered
         // path must keep exactly the scan's neighbors.
-        let mut rng = crate::rng::seeded(31);
-        use crate::rng::Rng;
+        let mut rng = hdidx_rand::seeded(31);
+        use hdidx_rand::Rng;
         for &dim in &[1usize, 9, 48] {
             let n = 257;
             let data =
@@ -504,8 +504,8 @@ mod tests {
 
     #[test]
     fn batch_radii_match_serial_at_any_thread_count() {
-        let mut rng = crate::rng::seeded(7);
-        use crate::rng::Rng;
+        let mut rng = hdidx_rand::seeded(7);
+        use hdidx_rand::Rng;
         let data = Dataset::from_flat(5, (0..300 * 5).map(|_| rng.gen::<f32>()).collect()).unwrap();
         let ids: Vec<u32> = (0..40).map(|i| i * 7).collect();
         let expect: Vec<f64> = ids

@@ -18,9 +18,7 @@
 //! * [`simd`] — runtime-dispatched SSE2/AVX2 lanes for the counting and
 //!   k-NN kernels (scalar fallback elsewhere), byte-identical to the
 //!   scalar path by construction,
-//! * per-dimension statistics ([`stats`]) used by the maximum-variance split,
-//! * a small deterministic RNG wrapper ([`rng`]) so that every experiment in
-//!   the repository is reproducible from a seed.
+//! * per-dimension statistics ([`stats`]) used by the maximum-variance split.
 //!
 //! All distance arithmetic accumulates in `f64` even though coordinates are
 //! stored as `f32`; in 60+ dimensions the squared-distance accumulation error
@@ -31,7 +29,6 @@ pub mod dataset;
 pub mod error;
 pub mod knn;
 pub mod rect;
-pub mod rng;
 pub mod simd;
 pub mod soup;
 pub mod stats;

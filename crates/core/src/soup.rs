@@ -19,14 +19,14 @@
 //! * [`DIM_TILE`] (8) — dimensions are consumed in tiles; after each tile
 //!   the kernel early-exits the whole block once every accumulator already
 //!   exceeds `r²` (the decision is monotone, see below).
-//! * [`QUERY_BLOCK`] (16) — [`LeafSoup::count_batch`] fans query blocks
-//!   out over an `hdidx-pool` [`Pool`], extracting the per-query
-//!   `(center, r²)` pairs **once per block**. Within a block the SIMD
-//!   paths run leaf-group-major with queries inner (a group's stripe
-//!   bytes stay in L1 across the whole query block); the scalar path runs
-//!   each query's blocked sweep query-major — leaf-major ordering bought
-//!   it nothing once the early exit shrank a block's footprint, and at
-//!   thousands of leaves it made batch slower than single-query.
+//! * [`QUERY_BLOCK`] (16) — [`LeafSoup::count_batch`] walks the queries
+//!   in blocks, extracting the per-query `(center, r²)` pairs **once per
+//!   block**. Within a block the SIMD paths run leaf-group-major with
+//!   queries inner (a group's stripe bytes stay in L1 across the whole
+//!   query block); the scalar path runs each query's blocked sweep
+//!   query-major — leaf-major ordering bought it nothing once the early
+//!   exit shrank a block's footprint, and at thousands of leaves it made
+//!   batch slower than single-query.
 //! * [`LANE_PAD`] (16) — every stripe is padded to a multiple of 16 lanes
 //!   with sentinel bounds (`lo = hi = +∞`), so the SIMD kernels
 //!   ([`crate::simd`]) never need a remainder loop: a full-width group
@@ -51,8 +51,7 @@
 //! (see [`crate::simd`]) — so counts from every ISA are **byte-identical**
 //! to counting `HyperRect::intersects_sphere` over the same rectangles. A
 //! contract pinned by `tests/soup_kernels.rs` and `tests/simd_dispatch.rs`
-//! and asserted by the `kernels`/`parallel` bench suites before any
-//! timing.
+//! and asserted by the `kernels` bench suite before any timing.
 
 use crate::error::{Error, Result};
 use crate::rect::HyperRect;
@@ -227,18 +226,20 @@ impl LeafSoup {
     /// comparison is `MINDIST² <= radius * radius`, matching
     /// [`HyperRect::intersects_sphere`]).
     ///
-    /// Queries are processed in [`QUERY_BLOCK`]-sized blocks fanned out
-    /// over `pool`, with the `(center, r²)` keys extracted once per block.
-    /// The SIMD paths run leaf-group-major with queries inner, so each
-    /// group's stripe bytes are reused by the whole block from L1; the
-    /// scalar path runs each query's blocked sweep. Results are in query
-    /// order and identical for any thread count.
-    pub fn count_batch<Q, F>(&self, pool: &Pool, queries: &[Q], key: F) -> Vec<u64>
+    /// Queries are processed in order, in [`QUERY_BLOCK`]-sized blocks,
+    /// with the `(center, r²)` keys extracted once per block. The SIMD
+    /// paths run leaf-group-major with queries inner, so each group's
+    /// stripe bytes are reused by the whole block from L1; the scalar path
+    /// runs each query's blocked sweep.
+    ///
+    /// Counting runs on the calling thread; `_pool` is ignored (threads
+    /// did not pay here, see DESIGN §5b). It stays in the signature only
+    /// because `e2ebench/` calls it; other callers pass [`Pool::serial`].
+    pub fn count_batch<Q, F>(&self, _pool: &Pool, queries: &[Q], key: F) -> Vec<u64>
     where
-        Q: Sync,
-        F: Fn(&Q) -> (&[f32], f64) + Sync,
+        F: Fn(&Q) -> (&[f32], f64),
     {
-        self.count_batch_with(simd::active(), pool, queries, key)
+        self.count_batch_with(simd::active(), queries, key)
     }
 
     /// [`LeafSoup::count_batch`] pinned to one ISA.
@@ -246,14 +247,15 @@ impl LeafSoup {
     /// # Panics
     ///
     /// Panics if `isa` is not supported by this CPU/build.
-    pub fn count_batch_with<Q, F>(&self, isa: Isa, pool: &Pool, queries: &[Q], key: F) -> Vec<u64>
+    pub fn count_batch_with<Q, F>(&self, isa: Isa, queries: &[Q], key: F) -> Vec<u64>
     where
-        Q: Sync,
-        F: Fn(&Q) -> (&[f32], f64) + Sync,
+        F: Fn(&Q) -> (&[f32], f64),
     {
-        pool.par_flat_chunks(queries, QUERY_BLOCK, |_, chunk| {
-            self.count_chunk_with(isa, chunk, &key)
-        })
+        let mut counts = Vec::with_capacity(queries.len());
+        for chunk in queries.chunks(QUERY_BLOCK) {
+            counts.extend(self.count_chunk_with(isa, chunk, &key));
+        }
+        counts
     }
 
     /// Counts one query block: keys hoisted once, then leaf-major with
@@ -357,7 +359,7 @@ impl LeafSoup {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rng::{seeded, Rng};
+    use hdidx_rand::{seeded, Rng};
 
     /// Random rectangles, including degenerate (point) ones.
     fn random_rects(n: usize, dim: usize, seed: u64) -> Vec<HyperRect> {
@@ -417,7 +419,7 @@ mod tests {
         assert!(soup.is_empty());
         assert_eq!(soup.count_intersecting(&[0.0, 0.0, 0.0], 10.0), 0);
         let queries = [(vec![0.0f32, 0.0, 0.0], 1.0f64)];
-        let out = soup.count_batch(&Pool::serial(), &queries, |q| (q.0.as_slice(), q.1));
+        let out = soup.count_batch_with(simd::active(), &queries, |q| (q.0.as_slice(), q.1));
         assert_eq!(out, vec![0]);
     }
 
@@ -444,7 +446,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_scalar_at_any_thread_count() {
+    fn batch_matches_single_query_counts() {
         let rects = random_rects(333, 6, 7);
         let soup = LeafSoup::from_rects(6, &rects).unwrap();
         let mut rng = seeded(8);
@@ -459,10 +461,8 @@ mod tests {
             .iter()
             .map(|(c, r)| soup.count_intersecting(c, r * r))
             .collect();
-        for threads in [1usize, 2, 8] {
-            let got = soup.count_batch(&Pool::new(threads), &queries, |q| (q.0.as_slice(), q.1));
-            assert_eq!(got, expect, "threads = {threads}");
-        }
+        let got = soup.count_batch_with(simd::active(), &queries, |q| (q.0.as_slice(), q.1));
+        assert_eq!(got, expect);
     }
 
     #[test]

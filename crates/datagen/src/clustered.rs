@@ -8,9 +8,9 @@
 //! exactly the structure the paper's sampling argument relies on
 //! ("sampling ... preserves clusters", §2.4).
 
-use hdidx_core::rng::Rng;
-use hdidx_core::rng::{seeded, standard_normal};
 use hdidx_core::{Dataset, Error, Result};
+use hdidx_rand::Rng;
+use hdidx_rand::{seeded, standard_normal};
 
 /// Parameters of the clustered generator.
 #[derive(Debug, Clone, PartialEq)]

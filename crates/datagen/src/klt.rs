@@ -188,8 +188,8 @@ fn jacobi_eigen(a: &mut [f64], d: usize) -> (Vec<f64>, Vec<f64>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hdidx_core::rng::{seeded, standard_normal};
     use hdidx_core::stats::dim_stats;
+    use hdidx_rand::{seeded, standard_normal};
 
     /// Correlated 2-d Gaussian: y = x + small noise.
     fn correlated_2d(n: usize, seed: u64) -> Dataset {

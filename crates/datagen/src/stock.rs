@@ -9,8 +9,8 @@
 //! the paper reports that the fractal baseline becomes inapplicable while
 //! sampling still predicts within −8 % … +0.7 %.
 
-use hdidx_core::rng::{seeded, standard_normal};
 use hdidx_core::{Dataset, Error, Result};
+use hdidx_rand::{seeded, standard_normal};
 
 /// Parameters of the stock-series generator.
 #[derive(Debug, Clone, PartialEq)]

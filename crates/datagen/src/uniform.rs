@@ -4,9 +4,9 @@
 //! predictor's in-page-uniformity assumption holds exactly and the relative
 //! errors collapse to −0.5 % … −3 %.
 
-use hdidx_core::rng::seeded;
-use hdidx_core::rng::Rng;
 use hdidx_core::{Dataset, Error, Result};
+use hdidx_rand::seeded;
+use hdidx_rand::Rng;
 
 /// Parameters of the uniform generator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -11,12 +11,13 @@
 //! blocked early-exit kernel of `hdidx_core::knn`; queries are independent
 //! and fan out over the workspace [`Pool`] (order-preserving, so the
 //! workload is identical for any thread count, and `--threads` /
-//! `HDIDX_THREADS` steer it like every other hot path).
+//! `HDIDX_THREADS` steer it). This is one of the two places the workspace
+//! runs on threads; see DESIGN §5b.
 
 use hdidx_core::knn::scan_knn_radii;
-use hdidx_core::rng::{sample_without_replacement, seeded};
 use hdidx_core::{Dataset, Error, Result};
 use hdidx_pool::Pool;
+use hdidx_rand::{sample_without_replacement, seeded};
 
 /// One ball query: a center (a dataset point) and its exact k-NN radius.
 #[derive(Debug, Clone, PartialEq)]

@@ -477,8 +477,8 @@ fn median3(a: f32, b: f32, c: f32) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hdidx_core::rng::seeded;
-    use hdidx_core::rng::Rng;
+    use hdidx_rand::seeded;
+    use hdidx_rand::Rng;
     use hdidx_vamsplit::bulkload::bulk_load;
 
     fn random_dataset(n: usize, dim: usize, seed: u64) -> Dataset {

@@ -147,8 +147,8 @@ pub fn measure_on_disk_in(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hdidx_core::rng::seeded;
-    use hdidx_core::rng::Rng;
+    use hdidx_rand::seeded;
+    use hdidx_rand::Rng;
 
     fn random_dataset(n: usize, dim: usize, seed: u64) -> Dataset {
         let mut rng = seeded(seed);

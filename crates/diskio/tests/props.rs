@@ -3,8 +3,8 @@
 //! own `hdidx-check` harness.
 
 use hdidx_check::{check, prop_assert, prop_assert_eq, prop_assume, Config, Verdict};
-use hdidx_core::rng::Rng;
 use hdidx_diskio::{Disk, IoStats};
+use hdidx_rand::Rng;
 
 #[test]
 fn transfers_never_exceed_requested_pages_and_seeks_bound_accesses() {

@@ -11,11 +11,11 @@ use crate::compensation::growth_factor;
 use crate::predictor::Predictor;
 use crate::scan::faulted_scan;
 use crate::{Prediction, QueryBall};
-use hdidx_core::rng::{bernoulli_sample, seeded};
 use hdidx_core::{Dataset, Error, LeafSoup, Result};
 use hdidx_diskio::IoStats;
 use hdidx_faults::FaultConfig;
 use hdidx_pool::Pool;
+use hdidx_rand::{bernoulli_sample, seeded};
 use hdidx_vamsplit::bulkload::bulk_load_scaled;
 use hdidx_vamsplit::topology::Topology;
 
@@ -63,13 +63,18 @@ impl Basic {
         &self.params
     }
 
-    /// Runs the prediction (same as the trait's `predict`; kept inherent
+    /// Runs the basic model (same as the trait's `predict`; kept inherent
     /// for symmetry with [`crate::Cutoff::run`] and
     /// [`crate::Resampled::run`]).
     ///
+    /// The reported I/O is one sequential scan of the dataset (the sample
+    /// is collected during a scan); memory is assumed unlimited (§3).
+    ///
     /// # Errors
     ///
-    /// Propagates any sampling or bulk-load failure.
+    /// Propagates compensation-domain violations (`ζ ≤ 1/C`), topology and
+    /// sampling errors. A sample that comes back empty is reported as
+    /// [`Error::EmptyInput`].
     pub fn run(
         &self,
         data: &Dataset,
@@ -93,26 +98,6 @@ impl Predictor for Basic {
     ) -> Result<Prediction> {
         self.run(data, topo, queries)
     }
-}
-
-/// Runs the basic model.
-///
-/// The reported I/O is one sequential scan of the dataset (the sample is
-/// collected during a scan); memory is assumed unlimited (§3). Query
-/// counting fans out over the current [`Pool`].
-///
-/// # Errors
-///
-/// Propagates compensation-domain violations (`ζ ≤ 1/C`), topology and
-/// sampling errors. A sample that comes back empty is reported as
-/// [`Error::EmptyInput`].
-pub fn predict_basic(
-    data: &Dataset,
-    topo: &Topology,
-    queries: &[QueryBall],
-    params: &BasicParams,
-) -> Result<Prediction> {
-    predict_basic_impl(data, topo, queries, params, None)
 }
 
 fn predict_basic_impl(
@@ -164,9 +149,9 @@ fn predict_basic_impl(
     }
     // Flatten the grown pages into the SoA soup and count all query
     // spheres through the blocked batch kernel (byte-identical to the
-    // per-rect scalar path, at any thread count).
+    // per-rect scalar path).
     let soup = LeafSoup::from_rects(topo.dim(), &pages)?;
-    let per_query = soup.count_batch(&Pool::current(), queries, |q| {
+    let per_query = soup.count_batch(&Pool::serial(), queries, |q| {
         (q.center.as_slice(), q.radius)
     });
     Ok(Prediction {
@@ -180,8 +165,8 @@ fn predict_basic_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hdidx_core::rng::seeded as seed_rng;
-    use hdidx_core::rng::Rng;
+    use hdidx_rand::seeded as seed_rng;
+    use hdidx_rand::Rng;
     use hdidx_vamsplit::bulkload::bulk_load;
     use hdidx_vamsplit::query::knn;
 
@@ -209,16 +194,12 @@ mod tests {
         let data = random_dataset(3000, 6, 71);
         let topo = Topology::from_capacities(6, 3000, 20, 8).unwrap();
         let (balls, measured) = workload(&data, &topo, 30, 11);
-        let p = predict_basic(
-            &data,
-            &topo,
-            &balls,
-            &BasicParams {
-                zeta: 1.0,
-                compensate: true,
-                seed: 1,
-            },
-        )
+        let p = Basic::new(BasicParams {
+            zeta: 1.0,
+            compensate: true,
+            seed: 1,
+        })
+        .run(&data, &topo, &balls)
         .unwrap();
         // ζ = 1 rebuilds the identical tree: prediction == measurement.
         assert!(
@@ -234,27 +215,19 @@ mod tests {
         let topo = Topology::from_capacities(6, 4000, 20, 8).unwrap();
         let (balls, measured) = workload(&data, &topo, 40, 11);
         let zeta = 0.3;
-        let raw = predict_basic(
-            &data,
-            &topo,
-            &balls,
-            &BasicParams {
-                zeta,
-                compensate: false,
-                seed: 2,
-            },
-        )
+        let raw = Basic::new(BasicParams {
+            zeta,
+            compensate: false,
+            seed: 2,
+        })
+        .run(&data, &topo, &balls)
         .unwrap();
-        let comp = predict_basic(
-            &data,
-            &topo,
-            &balls,
-            &BasicParams {
-                zeta,
-                compensate: true,
-                seed: 2,
-            },
-        )
+        let comp = Basic::new(BasicParams {
+            zeta,
+            compensate: true,
+            seed: 2,
+        })
+        .run(&data, &topo, &balls)
         .unwrap();
         // Shrunken pages under-count; growing them must increase the
         // prediction and move it toward the measurement (Figure 2).
@@ -271,16 +244,12 @@ mod tests {
     fn io_is_one_scan() {
         let data = random_dataset(1000, 4, 73);
         let topo = Topology::from_capacities(4, 1000, 10, 5).unwrap();
-        let p = predict_basic(
-            &data,
-            &topo,
-            &[],
-            &BasicParams {
-                zeta: 0.5,
-                compensate: true,
-                seed: 3,
-            },
-        )
+        let p = Basic::new(BasicParams {
+            zeta: 0.5,
+            compensate: true,
+            seed: 3,
+        })
+        .run(&data, &topo, &[])
         .unwrap();
         assert_eq!(p.io, IoStats::run(100));
         assert!(p.predicted_leaf_pages > 0);
@@ -297,7 +266,7 @@ mod tests {
             compensate: true,
             seed: 5,
         };
-        let plain = predict_basic(&data, &topo, &balls, &params).unwrap();
+        let plain = Basic::new(params).run(&data, &topo, &balls).unwrap();
         let zero = Basic::new(params)
             .with_faults(Some(FaultConfig::disabled(3)))
             .run(&data, &topo, &balls)
@@ -327,16 +296,12 @@ mod tests {
         let data = random_dataset(1000, 4, 74);
         let topo = Topology::from_capacities(4, 1000, 10, 5).unwrap();
         for bad in [0.0, -0.1, 1.5, 0.05 /* <= 1/C = 0.1 */] {
-            let r = predict_basic(
-                &data,
-                &topo,
-                &[],
-                &BasicParams {
-                    zeta: bad,
-                    compensate: true,
-                    seed: 0,
-                },
-            );
+            let r = Basic::new(BasicParams {
+                zeta: bad,
+                compensate: true,
+                seed: 0,
+            })
+            .run(&data, &topo, &[]);
             assert!(r.is_err(), "zeta = {bad} accepted");
         }
     }

@@ -156,8 +156,8 @@ mod tests {
     /// expected extent ratio of a ζ-subsample matches the formula.
     #[test]
     fn monte_carlo_extent_ratio() {
-        use hdidx_core::rng::seeded;
-        use hdidx_core::rng::Rng;
+        use hdidx_rand::seeded;
+        use hdidx_rand::Rng;
         let mut rng = seeded(123);
         let c = 64usize;
         let zeta = 0.25;

@@ -13,11 +13,11 @@ use crate::predictor::Predictor;
 use crate::scan::faulted_scan;
 use crate::upper::{build_upper_phase, build_upper_phase_from_sample, UpperPhase};
 use crate::{DegradedReport, Prediction, QueryBall};
-use hdidx_core::rng::{sample_without_replacement, seeded};
 use hdidx_core::{Dataset, Error, HyperRect, LeafSoup, Result};
 use hdidx_diskio::IoStats;
 use hdidx_faults::FaultConfig;
 use hdidx_pool::Pool;
+use hdidx_rand::{sample_without_replacement, seeded};
 use hdidx_vamsplit::topology::Topology;
 
 /// Parameters of the cutoff predictor.
@@ -82,8 +82,7 @@ impl Cutoff {
     ///
     /// I/O charged (Eq. 3): `q` random reads for the query points plus one
     /// sequential scan of the dataset (which also collects the `M`
-    /// sample). Query counting fans out over the current [`Pool`];
-    /// results are identical for any thread count.
+    /// sample).
     ///
     /// # Errors
     ///
@@ -116,7 +115,7 @@ impl Cutoff {
         // SoA soup + blocked batch counting (byte-identical to the scalar
         // per-rect path).
         let soup = LeafSoup::from_rects(topo.dim(), &pages)?;
-        let per_query = soup.count_batch(&Pool::current(), queries, |q| {
+        let per_query = soup.count_batch(&Pool::serial(), queries, |q| {
             (q.center.as_slice(), q.radius)
         });
         Ok(CutoffPrediction {
@@ -202,24 +201,6 @@ impl Predictor for Cutoff {
     }
 }
 
-/// Runs the cutoff predictor for `queries`.
-///
-/// **Deprecated in favor of [`Cutoff`]** (`Cutoff::new(params).run(…)`),
-/// which also implements the unified [`Predictor`] trait; this free
-/// function remains as a thin compatibility wrapper.
-///
-/// # Errors
-///
-/// Propagates upper-phase errors (infeasible `h_upper`, sample too small).
-pub fn predict_cutoff(
-    data: &Dataset,
-    topo: &Topology,
-    queries: &[QueryBall],
-    params: &CutoffParams,
-) -> Result<CutoffPrediction> {
-    Cutoff::new(*params).run(data, topo, queries)
-}
-
 /// Replays the bulk loader's splits geometrically inside `rect` (full-scale
 /// point count `n_full` at full-tree `level`), pushing the synthetic
 /// data-page boxes.
@@ -270,8 +251,8 @@ fn split_box(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hdidx_core::rng::seeded;
-    use hdidx_core::rng::Rng;
+    use hdidx_rand::seeded;
+    use hdidx_rand::Rng;
 
     fn random_dataset(n: usize, dim: usize, seed: u64) -> Dataset {
         let mut rng = seeded(seed);
@@ -282,16 +263,12 @@ mod tests {
     fn synthesized_page_count_matches_topology() {
         let data = random_dataset(5000, 4, 81);
         let topo = Topology::from_capacities(4, 5000, 10, 5).unwrap();
-        let p = predict_cutoff(
-            &data,
-            &topo,
-            &[],
-            &CutoffParams {
-                m: 1000,
-                h_upper: 2,
-                seed: 1,
-            },
-        )
+        let p = Cutoff::new(CutoffParams {
+            m: 1000,
+            h_upper: 2,
+            seed: 1,
+        })
+        .run(&data, &topo, &[])
         .unwrap();
         let expect = topo.leaf_pages() as usize;
         let got = p.prediction.predicted_leaf_pages;
@@ -344,16 +321,12 @@ mod tests {
             QueryBall::new(center.clone(), 0.2),
             QueryBall::new(center, 0.8),
         ];
-        let p = predict_cutoff(
-            &data,
-            &topo,
-            &queries,
-            &CutoffParams {
-                m: 600,
-                h_upper: 2,
-                seed: 2,
-            },
-        )
+        let p = Cutoff::new(CutoffParams {
+            m: 600,
+            h_upper: 2,
+            seed: 2,
+        })
+        .run(&data, &topo, &queries)
         .unwrap();
         let pq = &p.prediction.per_query;
         assert!(pq[0] <= pq[1] && pq[1] <= pq[2], "{pq:?}");
@@ -412,16 +385,12 @@ mod tests {
             .collect();
         let mut ios = Vec::new();
         for h in [2, 3] {
-            let p = predict_cutoff(
-                &data,
-                &topo,
-                &queries,
-                &CutoffParams {
-                    m: 600,
-                    h_upper: h,
-                    seed: 3,
-                },
-            )
+            let p = Cutoff::new(CutoffParams {
+                m: 600,
+                h_upper: h,
+                seed: 3,
+            })
+            .run(&data, &topo, &queries)
             .unwrap();
             ios.push(p.prediction.io);
         }

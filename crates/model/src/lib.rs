@@ -35,14 +35,10 @@
 //! Every estimator is also exposed through the unified
 //! [`predictor::Predictor`] trait ([`Basic`], [`Cutoff`], [`Resampled`]
 //! here; the prior-art baselines in `hdidx-baselines`), so comparison
-//! experiments iterate over `&[&dyn Predictor]`. The free functions
-//! ([`predict_basic`], [`predict_cutoff`], [`predict_resampled`]) remain as
-//! thin compatibility wrappers around the trait implementations.
+//! experiments iterate over `&[&dyn Predictor]`.
 //!
-//! Predictors are **deterministic for any thread count**: the parallel hot
-//! paths (per-query sphere counting, the resampled predictor's lower-tree
-//! builds) go through `hdidx-pool`, whose order-preserving combinators make
-//! the output independent of scheduling.
+//! Predictors run serially on the calling thread, so their output is a
+//! function of the inputs and the seed alone.
 //!
 //! [`IoStats`]: hdidx_diskio::IoStats
 
@@ -57,12 +53,12 @@ mod scan;
 pub mod structures;
 pub mod upper;
 
-pub use basic::{predict_basic, Basic, BasicParams};
+pub use basic::{Basic, BasicParams};
 pub use cost::CostInputs;
-pub use cutoff::{predict_cutoff, Cutoff, CutoffParams};
+pub use cutoff::{Cutoff, CutoffParams};
 pub use hupper::{h_upper_bounds, recommended_h_upper};
 pub use predictor::Predictor;
-pub use resampled::{predict_resampled, Resampled, ResampledParams};
+pub use resampled::{Resampled, ResampledParams};
 
 use hdidx_diskio::IoStats;
 

@@ -23,8 +23,7 @@ use hdidx_vamsplit::topology::Topology;
 ///
 /// Implementations must be **deterministic**: the same inputs (including
 /// any seed carried in the implementing struct) must yield the same
-/// [`Prediction`] for any thread count — parallel implementations go
-/// through [`hdidx_pool::Pool`], whose combinators preserve order.
+/// [`Prediction`].
 pub trait Predictor {
     /// Stable lower-case identifier (`"cutoff"`, `"resampled"`,
     /// `"uniform"`, …) used by CLI flags and experiment tables.
@@ -59,7 +58,7 @@ mod tests {
     use crate::basic::{Basic, BasicParams};
     use crate::cutoff::{Cutoff, CutoffParams};
     use crate::resampled::{Resampled, ResampledParams};
-    use hdidx_core::rng::{seeded, Rng};
+    use hdidx_rand::{seeded, Rng};
 
     fn random_dataset(n: usize, dim: usize, seed: u64) -> Dataset {
         let mut rng = seeded(seed);
@@ -102,7 +101,7 @@ mod tests {
     }
 
     #[test]
-    fn trait_predictions_match_legacy_functions() {
+    fn trait_predict_matches_inherent_run() {
         let data = random_dataset(4_000, 4, 12);
         let topo = Topology::from_capacities(4, 4_000, 10, 5).unwrap();
         let queries = vec![QueryBall::new(data.point(3).to_vec(), 0.2)];
@@ -112,9 +111,9 @@ mod tests {
             seed: 9,
         };
         let via_trait = Cutoff::new(params).predict(&data, &topo, &queries).unwrap();
-        let via_fn = crate::predict_cutoff(&data, &topo, &queries, &params).unwrap();
-        assert_eq!(via_trait.per_query, via_fn.prediction.per_query);
-        assert_eq!(via_trait.io, via_fn.prediction.io);
+        let via_run = Cutoff::new(params).run(&data, &topo, &queries).unwrap();
+        assert_eq!(via_trait.per_query, via_run.prediction.per_query);
+        assert_eq!(via_trait.io, via_run.prediction.io);
         let rparams = ResampledParams {
             m: 800,
             h_upper: 2,
@@ -123,8 +122,8 @@ mod tests {
         let via_trait = Resampled::new(rparams)
             .predict(&data, &topo, &queries)
             .unwrap();
-        let via_fn = crate::predict_resampled(&data, &topo, &queries, &rparams).unwrap();
-        assert_eq!(via_trait.per_query, via_fn.prediction.per_query);
-        assert_eq!(via_trait.io, via_fn.prediction.io);
+        let via_run = Resampled::new(rparams).run(&data, &topo, &queries).unwrap();
+        assert_eq!(via_trait.per_query, via_run.prediction.per_query);
+        assert_eq!(via_trait.io, via_run.prediction.io);
     }
 }

@@ -21,12 +21,12 @@ use crate::hupper::sigma_lower;
 use crate::predictor::Predictor;
 use crate::upper::build_upper_phase;
 use crate::{DegradedReport, Prediction, QueryBall};
-use hdidx_core::rng::{bernoulli_sample, seeded};
 use hdidx_core::{Dataset, HyperRect, LeafSoup, Result};
 use hdidx_diskio::{Disk, DiskOptions, IoStats};
 use hdidx_faults::{FaultConfig, FaultEvent, FaultPhase};
 use hdidx_pool::Pool;
-use hdidx_vamsplit::bulkload::bulk_load_subtree_with;
+use hdidx_rand::{bernoulli_sample, seeded};
+use hdidx_vamsplit::bulkload::bulk_load_subtree;
 use hdidx_vamsplit::topology::Topology;
 
 /// Parameters of the resampled predictor.
@@ -93,11 +93,6 @@ impl Resampled {
     /// (`sigma_upper`, `sigma_lower`, `k`) alongside the generic
     /// [`Prediction`].
     ///
-    /// The `k` in-memory lower-tree builds and the per-query sphere
-    /// counting fan out over the current [`Pool`]; the I/O charging
-    /// replays the paper's sequential access pattern unchanged, so the
-    /// result — counts *and* I/O bill — is identical for any thread count.
-    ///
     /// # Errors
     ///
     /// Propagates upper-phase errors and the §4.5 feasibility violations
@@ -126,26 +121,6 @@ impl Predictor for Resampled {
     ) -> Result<Prediction> {
         Ok(self.run(data, topo, queries)?.prediction)
     }
-}
-
-/// Runs the resampled predictor for `queries`.
-///
-/// **Deprecated in favor of [`Resampled`]** (`Resampled::new(params)
-/// .run(…)`), which also implements the unified [`Predictor`] trait; this
-/// free function remains as a thin compatibility wrapper.
-///
-/// # Errors
-///
-/// Propagates upper-phase errors and the §4.5 feasibility violations
-/// (e.g. `σ_lower · C_eff,data ≤ 1`, which surfaces as a compensation
-/// domain error advising a taller upper tree).
-pub fn predict_resampled(
-    data: &Dataset,
-    topo: &Topology,
-    queries: &[QueryBall],
-    params: &ResampledParams,
-) -> Result<ResampledPrediction> {
-    predict_resampled_impl(data, topo, queries, params, None)
 }
 
 use crate::access_lost;
@@ -207,7 +182,6 @@ fn predict_resampled_impl(
     // flush each box's chunk-batch to its area (Figure 8).
     let mut chunk_batches: Vec<Vec<u32>> = vec![Vec::new(); k];
     let mut area_cursor: Vec<u64> = vec![0; k];
-    let mut chunk_count = 0usize;
     let mut span_start = 0u64;
     let mut idx = 0usize;
     while idx < resample.len() {
@@ -232,7 +206,6 @@ fn predict_resampled_impl(
             }
         }
         idx = chunk_end_idx;
-        chunk_count += 1;
         // Flush this chunk's batches: one run per receiving area.
         for (bi, batch) in chunk_batches.iter_mut().enumerate() {
             if batch.is_empty() {
@@ -257,74 +230,43 @@ fn predict_resampled_impl(
             batch.clear();
         }
     }
-    let _ = chunk_count;
 
     // ---- Steps 8–11: build each lower tree in memory -------------------
-    // The disk charging replays the sequential area read-back; the
-    // in-memory builds are independent per area and fan out over the pool
-    // (sharing its budget with the nested bulk-load parallelism). Flattening
-    // in area order keeps the page list identical to the serial path.
-    // Degraded areas fall back to the cutoff extrapolation of their
-    // (evolved) leaf box instead of a lower-tree build.
-    let mut tasks: Vec<(Vec<u32>, f64)> = Vec::new();
-    // Per area: `None` = empty (no pages), `Some(None)` = degraded
-    // fallback, `Some(Some(t))` = task index `t` in `tasks`.
-    let mut area_plan: Vec<Option<Option<usize>>> = vec![None; k];
-    for (bi, ids) in assigned.iter().enumerate() {
+    // Each area is read back (one sequential run) and its lower tree built
+    // in area order. Degraded areas fall back to the cutoff extrapolation
+    // of their (evolved) leaf box instead of a lower-tree build.
+    let mut pages: Vec<HyperRect> = Vec::new();
+    let mut leaves_degraded = 0usize;
+    let mut covered_points = 0usize;
+    let mut total_points = 0usize;
+    for (bi, ids) in assigned.into_iter().enumerate() {
+        total_points += ids.len();
         if ids.is_empty() {
             continue;
         }
-        // Read the area back (one sequential run).
         let used_pages = (ids.len() as u64).div_ceil(b);
         if access_lost(disk.access(&areas, (bi as u64) * area_pages, used_pages))? {
             degraded[bi] = true;
         }
         if degraded[bi] {
-            area_plan[bi] = Some(None);
+            // Cutoff fallback: replay the splits geometrically inside
+            // the evolved leaf box, sized by the upper-phase estimate
+            // of the full-scale point count below this leaf.
+            leaves_degraded += 1;
+            let n_full = (up.leaf_samples[bi].len() as f64 / up.sigma_upper).max(2.0);
+            synthesize_pages(&boxes[bi], up.leaf_level, n_full, topo, &mut pages);
             continue;
         }
+        covered_points += ids.len();
         // Unbiased estimate of the full-scale point count below this upper
         // leaf: the area's sample count scaled back by sigma_lower (exact
         // when sigma_lower = 1).
         let n_full = (ids.len() as f64 / s_lower).max(2.0);
-        area_plan[bi] = Some(Some(tasks.len()));
-        tasks.push((ids.clone(), n_full));
-    }
-    let pool = Pool::current();
-    let mut built = pool
-        .par_map_vec(tasks, |(ids, n_full)| -> Result<Vec<HyperRect>> {
-            let lower = bulk_load_subtree_with(&pool, data, ids, topo, n_full, up.leaf_level)?;
-            let mut grown = Vec::with_capacity(lower.num_leaves());
-            for leaf in lower.leaves() {
-                grown.push(leaf.rect.scaled_about_center(leaf_factor)?);
-            }
-            Ok(grown)
-        })
-        .into_iter();
-    let mut pages: Vec<HyperRect> = Vec::new();
-    let mut leaves_degraded = 0usize;
-    let mut covered_points = 0usize;
-    let mut total_points = 0usize;
-    for (bi, plan) in area_plan.iter().enumerate() {
-        total_points += assigned[bi].len();
-        match plan {
-            None => {}
-            Some(None) => {
-                // Cutoff fallback: replay the splits geometrically inside
-                // the evolved leaf box, sized by the upper-phase estimate
-                // of the full-scale point count below this leaf.
-                leaves_degraded += 1;
-                let n_full = (up.leaf_samples[bi].len() as f64 / up.sigma_upper).max(2.0);
-                synthesize_pages(&boxes[bi], up.leaf_level, n_full, topo, &mut pages);
-            }
-            Some(Some(_)) => {
-                covered_points += assigned[bi].len();
-                let group = built.next().expect("one build result per task")?;
-                pages.extend(group);
-            }
+        let lower = bulk_load_subtree(data, ids, topo, n_full, up.leaf_level)?;
+        for leaf in lower.leaves() {
+            pages.push(leaf.rect.scaled_about_center(leaf_factor)?);
         }
     }
-    debug_assert!(built.next().is_none());
     let coverage_fraction = if total_points == 0 {
         1.0
     } else {
@@ -335,7 +277,9 @@ fn predict_resampled_impl(
     // are flattened into one SoA soup and counted through the blocked
     // batch kernel (byte-identical to the scalar per-rect path).
     let soup = LeafSoup::from_rects(topo.dim(), &pages)?;
-    let per_query = soup.count_batch(&pool, queries, |q| (q.center.as_slice(), q.radius));
+    let per_query = soup.count_batch(&Pool::serial(), queries, |q| {
+        (q.center.as_slice(), q.radius)
+    });
     let fault_trace = disk.fault_trace().to_vec();
     Ok(ResampledPrediction {
         prediction: Prediction {
@@ -376,8 +320,8 @@ fn assign_to_box(boxes: &mut [HyperRect], p: &[f32]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hdidx_core::rng::seeded as seed_rng;
-    use hdidx_core::rng::Rng;
+    use hdidx_rand::seeded as seed_rng;
+    use hdidx_rand::Rng;
     use hdidx_vamsplit::bulkload::bulk_load;
     use hdidx_vamsplit::query::knn;
 
@@ -421,16 +365,12 @@ mod tests {
         let topo = Topology::from_capacities(6, 20_000, 20, 10).unwrap();
         assert_eq!(topo.height(), 4);
         let (balls, measured) = ground_truth(&data, &topo, 40, 11);
-        let p = predict_resampled(
-            &data,
-            &topo,
-            &balls,
-            &ResampledParams {
-                m: 2_000,
-                h_upper: 2,
-                seed: 5,
-            },
-        )
+        let p = Resampled::new(ResampledParams {
+            m: 2_000,
+            h_upper: 2,
+            seed: 5,
+        })
+        .run(&data, &topo, &balls)
         .unwrap();
         let err = p.prediction.relative_error(measured);
         assert!(
@@ -444,16 +384,12 @@ mod tests {
     fn sigma_values_follow_topology() {
         let data = random_dataset(20_000, 6, 92);
         let topo = Topology::from_capacities(6, 20_000, 20, 10).unwrap();
-        let p = predict_resampled(
-            &data,
-            &topo,
-            &[],
-            &ResampledParams {
-                m: 2_000,
-                h_upper: 2,
-                seed: 6,
-            },
-        )
+        let p = Resampled::new(ResampledParams {
+            m: 2_000,
+            h_upper: 2,
+            seed: 6,
+        })
+        .run(&data, &topo, &[])
         .unwrap();
         assert!((p.sigma_upper - 0.1).abs() < 1e-12);
         assert_eq!(p.k, topo.upper_leaf_count(2) as usize);
@@ -469,16 +405,12 @@ mod tests {
         let topo = Topology::from_capacities(4, 30_000, 10, 5).unwrap();
         assert!(topo.height() >= 4);
         let io_of = |h: usize| {
-            predict_resampled(
-                &data,
-                &topo,
-                &[],
-                &ResampledParams {
-                    m: 1_500,
-                    h_upper: h,
-                    seed: 7,
-                },
-            )
+            Resampled::new(ResampledParams {
+                m: 1_500,
+                h_upper: h,
+                seed: 7,
+            })
+            .run(&data, &topo, &[])
             .unwrap()
             .prediction
             .io
@@ -495,16 +427,12 @@ mod tests {
     fn predicted_page_count_tracks_topology_at_sigma_one() {
         let data = random_dataset(20_000, 6, 94);
         let topo = Topology::from_capacities(6, 20_000, 20, 10).unwrap();
-        let p = predict_resampled(
-            &data,
-            &topo,
-            &[],
-            &ResampledParams {
-                m: 2_000,
-                h_upper: 2,
-                seed: 8,
-            },
-        )
+        let p = Resampled::new(ResampledParams {
+            m: 2_000,
+            h_upper: 2,
+            seed: 8,
+        })
+        .run(&data, &topo, &[])
         .unwrap();
         assert_eq!(p.sigma_lower, 1.0);
         let expect = topo.leaf_pages() as f64;
@@ -521,16 +449,12 @@ mod tests {
         let topo = Topology::from_capacities(4, 8_000, 10, 5).unwrap();
         let balls = vec![QueryBall::new(data.point(3).to_vec(), 0.2)];
         let run = |seed| {
-            predict_resampled(
-                &data,
-                &topo,
-                &balls,
-                &ResampledParams {
-                    m: 800,
-                    h_upper: 2,
-                    seed,
-                },
-            )
+            Resampled::new(ResampledParams {
+                m: 800,
+                h_upper: 2,
+                seed,
+            })
+            .run(&data, &topo, &balls)
             .unwrap()
             .prediction
             .per_query

@@ -11,9 +11,9 @@
 
 use crate::compensation::growth_factor;
 use crate::{Prediction, QueryBall};
-use hdidx_core::rng::{bernoulli_sample, seeded};
 use hdidx_core::{Dataset, Error, Result};
 use hdidx_diskio::IoStats;
+use hdidx_rand::{bernoulli_sample, seeded};
 use hdidx_vamsplit::sstree::SsLeafLayout;
 use hdidx_vamsplit::topology::Topology;
 
@@ -26,7 +26,7 @@ pub use crate::basic::BasicParams;
 ///
 /// # Errors
 ///
-/// Same domain as [`crate::predict_basic`].
+/// Same domain as [`crate::Basic`].
 pub fn predict_basic_sstree(
     data: &Dataset,
     topo: &Topology,
@@ -95,8 +95,8 @@ pub fn measure_sstree(data: &Dataset, topo: &Topology, queries: &[QueryBall]) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hdidx_core::rng::seeded as seed_rng;
-    use hdidx_core::rng::Rng;
+    use hdidx_rand::seeded as seed_rng;
+    use hdidx_rand::Rng;
 
     fn random_dataset(n: usize, dim: usize, seed: u64) -> Dataset {
         let mut rng = seed_rng(seed);

@@ -8,8 +8,8 @@
 //! `δ(pts(height − h_upper + 1), σ_upper)`.
 
 use crate::compensation::growth_factor;
-use hdidx_core::rng::{sample_without_replacement, seeded};
 use hdidx_core::{Dataset, Error, HyperRect, LeafSoup, Result};
+use hdidx_rand::{sample_without_replacement, seeded};
 use hdidx_vamsplit::bulkload::bulk_load_upper;
 use hdidx_vamsplit::topology::Topology;
 use hdidx_vamsplit::tree::RTree;
@@ -129,8 +129,8 @@ pub fn build_upper_phase_from_sample(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hdidx_core::rng::seeded as seed_rng;
-    use hdidx_core::rng::Rng;
+    use hdidx_rand::seeded as seed_rng;
+    use hdidx_rand::Rng;
 
     fn random_dataset(n: usize, dim: usize, seed: u64) -> Dataset {
         let mut rng = seed_rng(seed);

@@ -3,9 +3,9 @@
 //! workspace's own `hdidx-check` harness.
 
 use hdidx_check::{check, prop_assert, prop_assert_eq, prop_assume, Config, Verdict};
-use hdidx_core::rng::Rng;
 use hdidx_model::cost::CostInputs;
 use hdidx_model::hupper::{h_upper_bounds, recommended_h_upper, sigma_lower, sigma_upper};
+use hdidx_rand::Rng;
 use hdidx_vamsplit::topology::Topology;
 
 #[test]

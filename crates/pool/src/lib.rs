@@ -1,35 +1,40 @@
 //! # hdidx-pool
 //!
-//! A scoped, zero-dependency parallel execution layer for the workspace:
-//! order-preserving [`Pool::par_map`] / [`Pool::par_chunks`] over slices, a
-//! budgeted recursive [`Pool::join`] for fork–join tree builds, and a
-//! process-wide thread-count configuration with an `HDIDX_THREADS`
-//! environment override.
+//! A scoped, zero-dependency parallel map for the workspace: the
+//! order-preserving [`Pool::par_map`], its panic-isolating twin
+//! [`Pool::par_map_isolated`], and a process-wide thread-count
+//! configuration with an `HDIDX_THREADS` environment override.
+//!
+//! Threads are kept only where a `BENCH_parallel.json` row shows they pay.
+//! Two call sites use the pool:
+//!
+//! * `hdidx_core::knn::scan_knn_radii` maps query ids to their k-NN radii
+//!   (the query-radius set-up of every workload);
+//! * `hdidx_serve::Server::run` executes each admitted batch through
+//!   [`Pool::par_map_isolated`], whose per-query panic isolation serving
+//!   depends on.
+//!
+//! Everything else — bulk loading, lower-tree builds, batch counting —
+//! runs serially on the caller, and nothing calls the pool from inside a
+//! pool worker.
 //!
 //! ## The determinism contract
 //!
-//! Every primitive in this crate is **guaranteed deterministic**: for a
-//! fixed input and a pure work function, the result is byte-identical for
-//! any thread count, including 1. This holds by construction —
-//!
-//! * `par_map`/`par_chunks` partition the input into contiguous index
-//!   ranges and concatenate the per-range results *in input order*; the
-//!   thread count only decides which OS thread executes a range, never
-//!   which range exists or where its output lands;
-//! * `join` runs both closures exactly once and returns their results in
-//!   positional order, whether or not the second closure was offloaded;
-//! * no primitive exposes completion order, thread ids, or any other
-//!   scheduling artifact to the work function.
+//! For a fixed input and a pure work function, the result is
+//! byte-identical for any thread count, including 1. `par_map` partitions
+//! the input into contiguous index ranges and concatenates the per-range
+//! results *in input order*; the thread count only decides which OS thread
+//! executes a range, never which range exists or where its output lands.
+//! No call exposes completion order, thread ids, or any other scheduling
+//! artifact to the work function.
 //!
 //! Work functions must hold up their end: they may not communicate through
 //! shared mutable state whose final value depends on interleaving. For
 //! *randomized* parallel work, derive one independent PRNG stream per work
 //! item with [`derive_seed`] (SplitMix64 seed derivation, identical to
-//! `hdidx_rand::derive_seed`) instead of sharing a sequential stream —
-//! shared streams would make output depend on scheduling. The workspace
-//! pins the contract in `tests/parallel_determinism.rs`: bulk-loaded tree
-//! topology, grown-leaf MBRs and per-query access counts are asserted
-//! byte-identical for 1, 2 and 8 threads.
+//! `hdidx_rand::derive_seed`) instead of sharing a sequential stream.
+//! `tests/parallel_determinism.rs` pins the contract at 1, 2 and 8
+//! threads.
 //!
 //! ## Thread-count resolution
 //!
@@ -42,33 +47,18 @@
 //! A pool of 1 thread executes everything inline on the caller — the
 //! serial path, with no thread spawned anywhere.
 //!
-//! ## Budgeting
-//!
-//! A [`Pool`] owns a spare-thread budget of `threads - 1`. Nested
-//! primitives (a `par_map` inside a `join` arm, recursive `join`s in a
-//! tree build) draw from the shared budget and degrade to inline execution
-//! when it is exhausted, so a build tree of depth `d` never oversubscribes
-//! the machine with `2^d` threads. Budget, like scheduling, never affects
-//! results — only where they are computed.
-//!
 //! ## Panics
 //!
-//! Panics in work functions propagate to the caller of the primitive
-//! (after all sibling threads of the scope have finished), preserving the
-//! panic payload — the same observable behavior as the serial path.
-//!
-//! When one item's failure must not take down the whole batch, the
-//! *isolated* variants ([`Pool::par_map_isolated`],
-//! [`Pool::par_map_vec_isolated`]) catch the panic of each work item
-//! individually and return per-item `Result<R, WorkerPanic>` — panic
-//! isolation for fault-tolerant pipelines. Isolation keeps the
-//! determinism contract: which items panic is a property of the items,
-//! not of scheduling, so the `Ok`/`Err` pattern is identical for any
-//! thread count.
+//! Panics in `par_map` work functions propagate to the caller (after all
+//! sibling threads of the scope have finished), preserving the panic
+//! payload — the same observable behavior as the serial path.
+//! [`Pool::par_map_isolated`] instead catches the panic of each work item
+//! and returns per-item `Result<R, WorkerPanic>`. Which items panic is a
+//! property of the items, not of scheduling, so the `Ok`/`Err` pattern is
+//! identical for any thread count.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Process-wide thread-count override: 0 = unset (fall back to the
 /// environment / hardware), otherwise the configured count.
@@ -122,25 +112,22 @@ pub fn derive_seed(base: u64, index: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A scoped thread pool: a thread count plus a shared spare-thread budget.
+/// A scoped thread pool: just a thread count.
 ///
-/// Cheap to clone (clones share the budget). No threads are kept alive
-/// between operations — every primitive uses [`std::thread::scope`], so
-/// borrowed data flows into work functions without `'static` bounds.
-#[derive(Debug, Clone)]
+/// No threads are kept alive between operations — every call opens a
+/// [`std::thread::scope`], so borrowed data flows into work functions
+/// without `'static` bounds.
+#[derive(Debug, Clone, Copy)]
 pub struct Pool {
     threads: usize,
-    spare: Arc<AtomicIsize>,
 }
 
 impl Pool {
     /// A pool of exactly `threads` threads (clamped to at least 1).
     #[must_use]
     pub fn new(threads: usize) -> Pool {
-        let threads = threads.max(1);
         Pool {
-            threads,
-            spare: Arc::new(AtomicIsize::new(threads as isize - 1)),
+            threads: threads.max(1),
         }
     }
 
@@ -151,7 +138,7 @@ impl Pool {
         Pool::new(configured_threads())
     }
 
-    /// The always-inline pool: every primitive runs serially.
+    /// The always-inline pool: every call runs serially.
     #[must_use]
     pub fn serial() -> Pool {
         Pool::new(1)
@@ -169,71 +156,13 @@ impl Pool {
         self.threads <= 1
     }
 
-    /// Reserves up to `want` spare threads, returning how many were
-    /// granted (possibly 0).
-    fn reserve(&self, want: usize) -> usize {
-        if want == 0 || self.threads <= 1 {
-            return 0;
-        }
-        let mut cur = self.spare.load(Ordering::Acquire);
-        loop {
-            let take = want.min(cur.max(0) as usize);
-            if take == 0 {
-                return 0;
-            }
-            match self.spare.compare_exchange_weak(
-                cur,
-                cur - take as isize,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return take,
-                Err(now) => cur = now,
-            }
-        }
-    }
-
-    fn release(&self, n: usize) {
-        if n > 0 {
-            self.spare.fetch_add(n as isize, Ordering::Release);
-        }
-    }
-
-    /// Runs both closures and returns their results positionally. When a
-    /// spare thread is available `fb` runs on it while `fa` runs on the
-    /// caller; otherwise both run inline, `fa` first. Panics from either
-    /// closure propagate.
-    pub fn join<RA, RB>(
-        &self,
-        fa: impl FnOnce() -> RA + Send,
-        fb: impl FnOnce() -> RB + Send,
-    ) -> (RA, RB)
-    where
-        RA: Send,
-        RB: Send,
-    {
-        if self.reserve(1) == 0 {
-            return (fa(), fb());
-        }
-        let guard = BudgetGuard { pool: self, n: 1 };
-        let (ra, rb) = std::thread::scope(|s| {
-            let hb = s.spawn(fb);
-            let ra = fa();
-            (ra, hb.join())
-        });
-        drop(guard);
-        match rb {
-            Ok(rb) => (ra, rb),
-            Err(payload) => resume_unwind(payload),
-        }
-    }
-
     /// Maps `f` over `items`, preserving order: `out[i] == f(&items[i])`.
     ///
-    /// The slice is split into contiguous ranges, one per granted worker
-    /// (the caller processes the first range itself); per-range outputs
-    /// are concatenated in input order. Panics in `f` propagate after the
-    /// scope's sibling threads finish.
+    /// The slice is split into contiguous ranges, one per thread, up to
+    /// `threads - 1` scoped workers plus the caller, which processes the
+    /// first range itself. Per-range outputs are concatenated in input
+    /// order. Panics in `f` propagate after the scope's sibling threads
+    /// finish.
     pub fn par_map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,
@@ -244,16 +173,8 @@ impl Pool {
         if n <= 1 || self.threads <= 1 {
             return items.iter().map(f).collect();
         }
-        let extra = self.reserve((self.threads - 1).min(n - 1));
-        if extra == 0 {
-            return items.iter().map(f).collect();
-        }
-        let guard = BudgetGuard {
-            pool: self,
-            n: extra,
-        };
-        let chunk = n.div_ceil(extra + 1);
-        let mut parts: Vec<Vec<R>> = Vec::with_capacity(extra + 1);
+        let chunk = n.div_ceil(self.threads.min(n));
+        let mut parts: Vec<Vec<R>> = Vec::with_capacity(self.threads);
         std::thread::scope(|s| {
             let mut ranges = items.chunks(chunk);
             let own = ranges.next().expect("n >= 1");
@@ -271,100 +192,7 @@ impl Pool {
                 }
             }
         });
-        drop(guard);
         parts.into_iter().flatten().collect()
-    }
-
-    /// Like [`Pool::par_map`] but consumes the items, so the work function
-    /// can take ownership (e.g. mutate-in-place subtree builds).
-    pub fn par_map_vec<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(T) -> R + Sync,
-    {
-        let n = items.len();
-        if n <= 1 || self.threads <= 1 {
-            return items.into_iter().map(f).collect();
-        }
-        let extra = self.reserve((self.threads - 1).min(n - 1));
-        if extra == 0 {
-            return items.into_iter().map(f).collect();
-        }
-        let guard = BudgetGuard {
-            pool: self,
-            n: extra,
-        };
-        let chunk = n.div_ceil(extra + 1);
-        // Split into owned contiguous segments, preserving order.
-        let mut segments: Vec<Vec<T>> = Vec::with_capacity(extra + 1);
-        let mut rest = items;
-        while rest.len() > chunk {
-            let tail = rest.split_off(chunk);
-            segments.push(rest);
-            rest = tail;
-        }
-        segments.push(rest);
-        let mut parts: Vec<Vec<R>> = Vec::with_capacity(segments.len());
-        std::thread::scope(|s| {
-            let mut segs = segments.into_iter();
-            let own = segs.next().expect("n >= 1");
-            let handles: Vec<_> = segs
-                .map(|seg| {
-                    let f = &f;
-                    s.spawn(move || seg.into_iter().map(f).collect::<Vec<R>>())
-                })
-                .collect();
-            parts.push(own.into_iter().map(&f).collect());
-            for h in handles {
-                match h.join() {
-                    Ok(v) => parts.push(v),
-                    Err(payload) => resume_unwind(payload),
-                }
-            }
-        });
-        drop(guard);
-        parts.into_iter().flatten().collect()
-    }
-
-    /// Maps `f` over fixed-size chunks of `items` (the last chunk may be
-    /// short): `out[c] == f(c, &items[c*size..])`. Chunk indices are
-    /// stable, so `f` can derive per-chunk seeds from them.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_size == 0`. Panics in `f` propagate.
-    pub fn par_chunks<T, R, F>(&self, items: &[T], chunk_size: usize, f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &[T]) -> R + Sync,
-    {
-        assert!(chunk_size > 0, "par_chunks requires a positive chunk size");
-        let chunks: Vec<(usize, &[T])> = items.chunks(chunk_size).enumerate().collect();
-        self.par_map(&chunks, |&(i, chunk)| f(i, chunk))
-    }
-
-    /// Maps `f` over fixed-size chunks of `items` and concatenates the
-    /// per-chunk output vectors in input order — the batch wiring for
-    /// kernels that produce one result per item but want to process items
-    /// in cache-sized blocks (e.g. the tiled sphere counting of
-    /// `hdidx_core::LeafSoup::count_batch`). `f` receives the stable chunk
-    /// index alongside the chunk, so it can derive per-chunk seeds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_size == 0`. Panics in `f` propagate.
-    pub fn par_flat_chunks<T, R, F>(&self, items: &[T], chunk_size: usize, f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &[T]) -> Vec<R> + Sync,
-    {
-        self.par_chunks(items, chunk_size, f)
-            .into_iter()
-            .flatten()
-            .collect()
     }
 
     /// Like [`Pool::par_map`], but a panicking work item yields a per-item
@@ -377,19 +205,6 @@ impl Pool {
         F: Fn(&T) -> R + Sync,
     {
         self.par_map(items, |item| {
-            catch_unwind(AssertUnwindSafe(|| f(item))).map_err(WorkerPanic::from_payload)
-        })
-    }
-
-    /// Like [`Pool::par_map_vec`], but with per-item panic isolation (see
-    /// [`Pool::par_map_isolated`]).
-    pub fn par_map_vec_isolated<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<Result<R, WorkerPanic>>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(T) -> R + Sync,
-    {
-        self.par_map_vec(items, |item| {
             catch_unwind(AssertUnwindSafe(|| f(item))).map_err(WorkerPanic::from_payload)
         })
     }
@@ -426,18 +241,6 @@ impl std::fmt::Display for WorkerPanic {
 
 impl std::error::Error for WorkerPanic {}
 
-/// Returns reserved budget on drop, so panics cannot leak it.
-struct BudgetGuard<'a> {
-    pool: &'a Pool,
-    n: usize,
-}
-
-impl Drop for BudgetGuard<'_> {
-    fn drop(&mut self) {
-        self.pool.release(self.n);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -453,61 +256,6 @@ mod tests {
     }
 
     #[test]
-    fn par_map_vec_consumes_and_preserves_order() {
-        let items: Vec<String> = (0..257).map(|i| i.to_string()).collect();
-        let expect = items.clone();
-        let out = Pool::new(4).par_map_vec(items, |s| s);
-        assert_eq!(out, expect);
-    }
-
-    #[test]
-    fn par_chunks_sees_stable_indices_and_contents() {
-        let items: Vec<u32> = (0..103).collect();
-        let pool = Pool::new(5);
-        let out = pool.par_chunks(&items, 10, |i, chunk| (i, chunk.to_vec()));
-        assert_eq!(out.len(), 11);
-        for (i, chunk) in &out {
-            let start = i * 10;
-            let expect: Vec<u32> = (start as u32..(start + chunk.len()) as u32).collect();
-            assert_eq!(chunk, &expect);
-        }
-        assert_eq!(out[10].1.len(), 3);
-    }
-
-    #[test]
-    fn par_flat_chunks_preserves_item_order() {
-        let items: Vec<u32> = (0..103).collect();
-        let expect: Vec<u32> = items.iter().map(|x| x * 3).collect();
-        for t in [1, 2, 5, 8] {
-            let pool = Pool::new(t);
-            let out = pool.par_flat_chunks(&items, 10, |i, chunk| {
-                // The stable chunk index addresses the original slice.
-                assert_eq!(chunk[0], (i * 10) as u32);
-                chunk.iter().map(|x| x * 3).collect()
-            });
-            assert_eq!(out, expect, "t={t}");
-        }
-    }
-
-    #[test]
-    fn join_returns_positionally_and_nests() {
-        let pool = Pool::new(4);
-        let (a, (b, c)) = pool.join(|| 1, || pool.join(|| 2, || 3));
-        assert_eq!((a, b, c), (1, 2, 3));
-        let serial = Pool::serial();
-        assert_eq!(serial.join(|| "x", || "y"), ("x", "y"));
-    }
-
-    #[test]
-    fn budget_is_restored_after_use() {
-        let pool = Pool::new(3);
-        for _ in 0..10 {
-            let _ = pool.par_map(&[1, 2, 3, 4, 5], |x| x + 1);
-        }
-        assert_eq!(pool.spare.load(Ordering::Acquire), 2);
-    }
-
-    #[test]
     fn par_map_panic_propagates() {
         let pool = Pool::new(4);
         let items: Vec<u32> = (0..100).collect();
@@ -518,16 +266,6 @@ mod tests {
             })
         });
         assert!(result.is_err());
-        // Budget restored even after the panic (guard ran).
-        assert_eq!(pool.spare.load(Ordering::Acquire), 3);
-    }
-
-    #[test]
-    fn join_panic_propagates_from_spawned_side() {
-        let pool = Pool::new(2);
-        let result = std::panic::catch_unwind(|| pool.join(|| 1, || panic!("offloaded panic")));
-        assert!(result.is_err());
-        assert_eq!(pool.spare.load(Ordering::Acquire), 1);
     }
 
     #[test]
@@ -552,15 +290,7 @@ mod tests {
                 x * 2
             });
             assert_eq!(out, expect, "t={t}");
-            // Budget restored despite the caught panics.
-            assert_eq!(pool.spare.load(Ordering::Acquire), t as isize - 1);
         }
-        let owned: Vec<u32> = items.clone();
-        let out = Pool::new(4).par_map_vec_isolated(owned, |x| {
-            assert!(x % 31 != 5, "boom at {x}");
-            x * 2
-        });
-        assert_eq!(out, expect);
     }
 
     #[test]

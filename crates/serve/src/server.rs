@@ -980,8 +980,8 @@ mod tests {
     use crate::maintain::{CleanSource, ScrubSource, SliceOutcome};
     use crate::overload::{Deadlines, LanePolicy};
     use crate::request::MixSpec;
-    use hdidx_core::rng::{seeded, Rng};
     use hdidx_diskio::BreakerConfig;
+    use hdidx_rand::{seeded, Rng};
 
     fn random_dataset(n: usize, dim: usize, seed: u64) -> Dataset {
         let mut rng = seeded(seed);

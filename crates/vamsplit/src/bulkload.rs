@@ -23,32 +23,14 @@
 //! capacity(level-1)` full-scale points), translated proportionally into
 //! sample coordinates when `n_sample != n_full`.
 //!
-//! ## Parallel construction
-//!
-//! After a node's point set has been partitioned into groups, the group
-//! subtrees are **independent**: they read disjoint id segments and write
-//! disjoint arena regions. Large segments are therefore built concurrently
-//! through [`hdidx_pool::Pool`] — each group builds into its own local
-//! arena, and the arenas are merged in group order with index fix-ups,
-//! which reproduces exactly the pre-order layout of the serial builder.
-//! Results are **byte-identical for any thread count** (the workspace
-//! determinism contract; pinned by `tests/parallel_determinism.rs`). The
-//! split decisions themselves are pure functions of the point set, so no
-//! PRNG is consumed during construction; a future randomized split step
-//! must derive one stream per subtree via `hdidx_pool::derive_seed`
-//! instead of sharing a sequential stream.
+//! Construction is serial. The split decisions are pure functions of the
+//! point set, so no PRNG is consumed while building.
 
 use crate::split::partition_by_rank;
 use crate::topology::Topology;
 use crate::tree::{Node, NodeKind, RTree};
 use hdidx_core::stats::max_variance_dim;
 use hdidx_core::{Dataset, Error, HyperRect, Result};
-use hdidx_pool::Pool;
-
-/// Segments below this size are always built serially: the merge and
-/// spawn overhead would dwarf the split work. Purely an execution
-/// threshold — it never affects the produced tree.
-const PAR_MIN_POINTS: usize = 4096;
 
 /// Builds the full index over all points of `data`.
 ///
@@ -73,18 +55,8 @@ const PAR_MIN_POINTS: usize = 4096;
 /// Propagates topology/shape errors; rejects a dataset whose cardinality or
 /// dimensionality disagrees with `topo`.
 pub fn bulk_load(data: &Dataset, topo: &Topology) -> Result<RTree> {
-    bulk_load_with(&Pool::current(), data, topo)
-}
-
-/// [`bulk_load`] on an explicit [`Pool`] (callers that already hold one
-/// share its thread budget; `Pool::serial()` forces the serial path).
-///
-/// # Errors
-///
-/// Same as [`bulk_load`].
-pub fn bulk_load_with(pool: &Pool, data: &Dataset, topo: &Topology) -> Result<RTree> {
     let ids: Vec<u32> = (0..data.len() as u32).collect();
-    build_tree(pool, data, ids, topo, topo.n() as f64, topo.height(), 1)
+    build_tree(data, ids, topo, topo.n() as f64, topo.height(), 1)
 }
 
 /// Builds a §3 mini-index on `sample_ids`, replicating the topology of the
@@ -99,15 +71,7 @@ pub fn bulk_load_scaled(
     topo: &Topology,
     n_full: f64,
 ) -> Result<RTree> {
-    build_tree(
-        &Pool::current(),
-        data,
-        sample_ids,
-        topo,
-        n_full,
-        topo.height(),
-        1,
-    )
+    build_tree(data, sample_ids, topo, n_full, topo.height(), 1)
 }
 
 /// Builds the §4.2 upper tree of height `h_upper` on `sample_ids`. Its
@@ -130,15 +94,7 @@ pub fn bulk_load_upper(
         ));
     }
     let stop = topo.upper_leaf_level(h_upper);
-    build_tree(
-        &Pool::current(),
-        data,
-        sample_ids,
-        topo,
-        topo.n() as f64,
-        topo.height(),
-        stop,
-    )
+    build_tree(data, sample_ids, topo, topo.n() as f64, topo.height(), stop)
 }
 
 /// Builds a §4.4 lower tree: root at full-tree level `root_level`, leaves at
@@ -155,30 +111,13 @@ pub fn bulk_load_subtree(
     n_full: f64,
     root_level: usize,
 ) -> Result<RTree> {
-    bulk_load_subtree_with(&Pool::current(), data, sample_ids, topo, n_full, root_level)
-}
-
-/// [`bulk_load_subtree`] on an explicit [`Pool`] (the resampled predictor
-/// builds many lower trees concurrently and shares one budget).
-///
-/// # Errors
-///
-/// Same as [`bulk_load_subtree`].
-pub fn bulk_load_subtree_with(
-    pool: &Pool,
-    data: &Dataset,
-    sample_ids: Vec<u32>,
-    topo: &Topology,
-    n_full: f64,
-    root_level: usize,
-) -> Result<RTree> {
     if root_level == 0 || root_level > topo.height() {
         return Err(Error::invalid(
             "root_level",
             format!("must lie in 1..={}, got {root_level}", topo.height()),
         ));
     }
-    build_tree(pool, data, sample_ids, topo, n_full, root_level, 1)
+    build_tree(data, sample_ids, topo, n_full, root_level, 1)
 }
 
 struct Builder<'a> {
@@ -190,7 +129,6 @@ struct Builder<'a> {
 }
 
 fn build_tree(
-    pool: &Pool,
     data: &Dataset,
     ids: Vec<u32>,
     topo: &Topology,
@@ -215,111 +153,17 @@ fn build_tree(
             "stop level {stop_level} incompatible with root level {root_level}"
         )));
     }
-    let (nodes, ids) = build_segment(pool, data, topo, ids, root_level, stop_level, n_full);
-    debug_assert!(!nodes.is_empty());
-    RTree::from_arenas(data.dim(), root_level, stop_level, nodes, ids)
-}
-
-/// Builds the subtree over `ids` rooted at `level` into a **local** arena
-/// (root at index 0, leaf entry ranges relative to the returned id
-/// vector). Large segments fan their groups out over `pool`; the merged
-/// arena is identical to what the serial [`Builder`] produces, because
-/// the serial builder lays subtrees out contiguously in pre-order — the
-/// exact layout the group-order merge reconstructs.
-fn build_segment(
-    pool: &Pool,
-    data: &Dataset,
-    topo: &Topology,
-    mut ids: Vec<u32>,
-    level: usize,
-    stop_level: usize,
-    n_full: f64,
-) -> (Vec<Node>, Vec<u32>) {
-    if ids.is_empty() {
-        return (Vec::new(), ids);
-    }
-    if pool.is_serial() || level == stop_level || ids.len() < PAR_MIN_POINTS {
-        let n = ids.len();
-        let mut b = Builder {
-            data,
-            topo,
-            stop_level,
-            nodes: Vec::new(),
-            ids,
-        };
-        let root = b.build_node(0, n, level, n_full);
-        debug_assert_eq!(root, Some(0));
-        let Builder { nodes, ids, .. } = b;
-        return (nodes, ids);
-    }
-    // Partition this node's point set exactly as the serial builder would.
-    let fanout = topo.fanout_for(level, n_full);
-    let len = ids.len();
-    let mut groups = Vec::with_capacity(fanout);
-    partition_groups(
+    let n = ids.len();
+    let mut b = Builder {
         data,
         topo,
-        &mut ids,
-        0,
-        len,
-        level,
-        fanout,
-        n_full,
-        &mut groups,
-    );
-    // Hand each group its own id segment and build the child subtrees
-    // concurrently. Empty groups (sparse samples) stay in the list so the
-    // merge sees them in order and skips them like the serial path does.
-    let inputs: Vec<(Vec<u32>, f64)> = groups
-        .iter()
-        .map(|&(start, end, g_full)| (ids[start..end].to_vec(), g_full))
-        .collect();
-    let built = pool.par_map_vec(inputs, |(seg, g_full)| {
-        build_segment(pool, data, topo, seg, level - 1, stop_level, g_full)
-    });
-    // Merge the local arenas in group order behind a fresh root node.
-    let mut nodes = vec![Node {
-        level: level as u32,
-        rect: HyperRect::point(data.point(ids[0] as usize)),
-        kind: NodeKind::Leaf { entries: 0..0 },
-    }];
-    let mut ids_out: Vec<u32> = Vec::with_capacity(ids.len());
-    let mut children = Vec::new();
-    let mut rect: Option<HyperRect> = None;
-    for (sub_nodes, sub_ids) in built {
-        if sub_nodes.is_empty() {
-            continue;
-        }
-        let node_off = nodes.len() as u32;
-        let ids_off = ids_out.len() as u32;
-        children.push(node_off);
-        let child_rect = &sub_nodes[0].rect;
-        match rect.as_mut() {
-            Some(r) => r.expand_to_rect(child_rect),
-            None => rect = Some(child_rect.clone()),
-        }
-        for mut nd in sub_nodes {
-            match &mut nd.kind {
-                NodeKind::Inner { children } => {
-                    for c in children.iter_mut() {
-                        *c += node_off;
-                    }
-                }
-                NodeKind::Leaf { entries } => {
-                    *entries = entries.start + ids_off..entries.end + ids_off;
-                }
-            }
-            nodes.push(nd);
-        }
-        ids_out.extend_from_slice(&sub_ids);
-    }
-    // Invariant: `partition_groups` covers the segment exactly, and this
-    // segment is non-empty (checked at entry), so at least one group — and
-    // therefore one merged child arena — is non-empty and `rect` is set.
-    debug_assert!(!children.is_empty(), "non-empty segment yields a child");
-    nodes[0].rect = rect.expect("at least one child");
-    nodes[0].kind = NodeKind::Inner { children };
-    (nodes, ids_out)
+        stop_level,
+        nodes: Vec::new(),
+        ids,
+    };
+    let root = b.build_node(0, n, root_level, n_full);
+    debug_assert_eq!(root, Some(0));
+    RTree::from_arenas(data.dim(), root_level, stop_level, b.nodes, b.ids)
 }
 
 impl<'a> Builder<'a> {
@@ -351,17 +195,7 @@ impl<'a> Builder<'a> {
         }
         let fanout = self.topo.fanout_for(level, n_full);
         let mut groups = Vec::with_capacity(fanout);
-        partition_groups(
-            self.data,
-            self.topo,
-            &mut self.ids,
-            start,
-            end,
-            level,
-            fanout,
-            n_full,
-            &mut groups,
-        );
+        self.partition_groups(start, end, level, fanout, n_full, &mut groups);
         let mut children = Vec::with_capacity(groups.len());
         let mut rect: Option<HyperRect> = None;
         for (g_start, g_end, g_full) in groups {
@@ -382,79 +216,55 @@ impl<'a> Builder<'a> {
         node.kind = NodeKind::Inner { children };
         Some(my_index)
     }
-}
 
-/// Splits `ids[start..end]` into `fanout` groups by recursive binary
-/// maximum-variance splits, appending `(start, end, n_full)` triples
-/// (possibly empty ranges) to `out`. Shared verbatim by the serial
-/// [`Builder`] and the parallel [`build_segment`] path so both produce
-/// the same permutation.
-#[allow(clippy::too_many_arguments)]
-fn partition_groups(
-    data: &Dataset,
-    topo: &Topology,
-    ids: &mut [u32],
-    start: usize,
-    end: usize,
-    level: usize,
-    fanout: usize,
-    n_full: f64,
-    out: &mut Vec<(usize, usize, f64)>,
-) {
-    if fanout <= 1 {
-        out.push((start, end, n_full));
-        return;
+    /// Splits `self.ids[start..end]` into `fanout` groups by recursive
+    /// binary maximum-variance splits, appending `(start, end, n_full)`
+    /// triples (possibly empty ranges) to `out`.
+    fn partition_groups(
+        &mut self,
+        start: usize,
+        end: usize,
+        level: usize,
+        fanout: usize,
+        n_full: f64,
+        out: &mut Vec<(usize, usize, f64)>,
+    ) {
+        if fanout <= 1 {
+            out.push((start, end, n_full));
+            return;
+        }
+        let child_cap = self.topo.subtree_capacity(level - 1);
+        let f_left = fanout / 2;
+        let left_full = (f_left as f64) * child_cap;
+        debug_assert!(left_full < n_full || end - start == 0);
+        let right_full = (n_full - left_full).max(1.0);
+        let len = end - start;
+        let rank = if len == 0 {
+            0
+        } else {
+            // Proportional translation of the full-scale split rank into
+            // sample coordinates; exact when the "sample" is the full data.
+            let r = ((len as f64) * left_full / n_full).round() as usize;
+            r.min(len)
+        };
+        if rank > 0 && rank < len {
+            // Invariant: 0 < rank < len implies the slice holds >= 2 points,
+            // so a maximum-variance dimension exists.
+            let ids = &mut self.ids[start..end];
+            let dim = max_variance_dim(self.data, ids).expect("non-empty");
+            partition_by_rank(self.data, ids, dim, rank);
+        }
+        self.partition_groups(start, start + rank, level, f_left, left_full, out);
+        self.partition_groups(start + rank, end, level, fanout - f_left, right_full, out);
     }
-    let child_cap = topo.subtree_capacity(level - 1);
-    let f_left = fanout / 2;
-    let left_full = (f_left as f64) * child_cap;
-    debug_assert!(left_full < n_full || end - start == 0);
-    let right_full = (n_full - left_full).max(1.0);
-    let len = end - start;
-    let rank = if len == 0 {
-        0
-    } else {
-        // Proportional translation of the full-scale split rank into
-        // sample coordinates; exact when the "sample" is the full data.
-        let r = ((len as f64) * left_full / n_full).round() as usize;
-        r.min(len)
-    };
-    if rank > 0 && rank < len {
-        // Invariant: 0 < rank < len implies the slice holds >= 2 points,
-        // so a maximum-variance dimension exists.
-        let dim = max_variance_dim(data, &ids[start..end]).expect("non-empty");
-        partition_by_rank(data, &mut ids[start..end], dim, rank);
-    }
-    partition_groups(
-        data,
-        topo,
-        ids,
-        start,
-        start + rank,
-        level,
-        f_left,
-        left_full,
-        out,
-    );
-    partition_groups(
-        data,
-        topo,
-        ids,
-        start + rank,
-        end,
-        level,
-        fanout - f_left,
-        right_full,
-        out,
-    );
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::topology::Topology;
-    use hdidx_core::rng::seeded;
-    use hdidx_core::rng::Rng;
+    use hdidx_rand::seeded;
+    use hdidx_rand::Rng;
 
     fn random_dataset(n: usize, dim: usize, seed: u64) -> Dataset {
         let mut rng = seeded(seed);
@@ -511,7 +321,7 @@ mod tests {
         let full = bulk_load(&data, &topo).unwrap();
         // 25% sample, same virtual full-scale cardinality.
         let mut rng = seeded(5);
-        let sample = hdidx_core::rng::bernoulli_sample(&mut rng, 2000, 0.25);
+        let sample = hdidx_rand::bernoulli_sample(&mut rng, 2000, 0.25);
         let mini = bulk_load_scaled(&data, sample, &topo, 2000.0).unwrap();
         mini.check_invariants().unwrap();
         assert_eq!(mini.height(), full.height());

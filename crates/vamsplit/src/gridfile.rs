@@ -177,8 +177,8 @@ fn cell_of(bounds: &[f32], x: f32) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hdidx_core::rng::Rng;
-    use hdidx_core::rng::{bernoulli_sample, seeded};
+    use hdidx_rand::Rng;
+    use hdidx_rand::{bernoulli_sample, seeded};
 
     fn random_dataset(n: usize, dim: usize, seed: u64) -> Dataset {
         let mut rng = seeded(seed);

@@ -186,8 +186,8 @@ mod tests {
     use crate::bulkload::bulk_load;
     use crate::query::{count_sphere_intersections, scan_knn};
     use crate::topology::Topology;
-    use hdidx_core::rng::seeded;
-    use hdidx_core::rng::Rng;
+    use hdidx_rand::seeded;
+    use hdidx_rand::Rng;
 
     fn random_dataset(n: usize, dim: usize, seed: u64) -> Dataset {
         let mut rng = seeded(seed);

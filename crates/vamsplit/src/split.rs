@@ -111,7 +111,7 @@ pub fn rank_property_holds(data: &Dataset, ids: &[u32], dim: usize, rank: usize)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hdidx_core::rng::Rng;
+    use hdidx_rand::Rng;
 
     fn dataset_from_column(vals: &[f32]) -> Dataset {
         Dataset::from_flat(1, vals.to_vec()).unwrap()
@@ -170,7 +170,7 @@ mod tests {
 
     #[test]
     fn randomized_ranks_on_random_data() {
-        let mut rng = hdidx_core::rng::seeded(99);
+        let mut rng = hdidx_rand::seeded(99);
         for trial in 0..50 {
             let n = rng.gen_range(2..400usize);
             let vals: Vec<f32> = (0..n)

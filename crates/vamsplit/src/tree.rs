@@ -50,8 +50,7 @@ impl Node {
 /// A bulk-loaded R-tree, mini-index, upper tree or lower tree.
 ///
 /// `PartialEq` compares the arenas directly, so equality means the trees
-/// are structurally byte-identical (same node order, same entry order) —
-/// the contract the parallel bulk loader is tested against.
+/// are structurally byte-identical (same node order, same entry order).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RTree {
     dim: usize,

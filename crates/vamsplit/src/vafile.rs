@@ -191,8 +191,8 @@ pub struct VaKnnResult {
 mod tests {
     use super::*;
     use crate::query::scan_knn;
-    use hdidx_core::rng::seeded;
-    use hdidx_core::rng::Rng;
+    use hdidx_rand::seeded;
+    use hdidx_rand::Rng;
 
     fn random_dataset(n: usize, dim: usize, seed: u64) -> Dataset {
         let mut rng = seeded(seed);

@@ -3,8 +3,8 @@
 //! root suite). Runs on the workspace's own `hdidx-check` harness.
 
 use hdidx_check::{check, prop_assert, prop_assert_eq, prop_assume, Config, Verdict};
-use hdidx_core::rng::{seeded, Rng};
 use hdidx_core::Dataset;
+use hdidx_rand::{seeded, Rng};
 use hdidx_vamsplit::kdtree::bulk_load_midsplit;
 use hdidx_vamsplit::mtree::MTree;
 use hdidx_vamsplit::sstree::SsLeafLayout;

@@ -1,8 +1,8 @@
 //! Cross-crate invariants: properties that tie two or more crates
 //! together and would not be visible from any single crate's unit tests.
 
-use hdidx_repro::core::rng::seeded;
-use hdidx_repro::core::rng::Rng;
+use hdidx_rand::seeded;
+use hdidx_rand::Rng;
 use hdidx_repro::core::Dataset;
 use hdidx_repro::diskio::external::{build_on_disk, ExternalConfig};
 use hdidx_repro::model::cost::CostInputs;
@@ -108,7 +108,7 @@ fn mini_index_structural_similarity_across_rates() {
     let fp = full.level_profile();
     let mut rng = seeded(27);
     for zeta in [0.1f64, 0.3, 0.6] {
-        let sample = hdidx_repro::core::rng::bernoulli_sample(&mut rng, 20_000, zeta);
+        let sample = hdidx_rand::bernoulli_sample(&mut rng, 20_000, zeta);
         let mini =
             hdidx_repro::vamsplit::bulkload::bulk_load_scaled(&data, sample, &topo, 20_000.0)
                 .unwrap();

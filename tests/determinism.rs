@@ -6,7 +6,7 @@
 
 use hdidx_datagen::clustered::{ClusteredSpec, Tail};
 use hdidx_datagen::uniform::UniformSpec;
-use hdidx_repro::core::rng::{bernoulli_sample, seeded};
+use hdidx_rand::{bernoulli_sample, seeded};
 
 /// Bit patterns of the dataset, so `-0.0` vs `0.0` and NaN payloads count
 /// as differences (plain `==` would hide them).

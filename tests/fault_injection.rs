@@ -17,7 +17,7 @@
 //!    region never fail under a burst-only plan.
 
 use hdidx_check::{check, prop_assert, Config, Verdict};
-use hdidx_repro::core::rng::{seeded, Rng};
+use hdidx_rand::{seeded, Rng};
 use hdidx_repro::core::Dataset;
 use hdidx_repro::diskio::external::{build_on_disk, ExternalConfig};
 use hdidx_repro::diskio::measure::measure_on_disk;

@@ -9,8 +9,8 @@
 //! process-global `simd::force` is never touched. Ids are not compared:
 //! on exact distance ties the two searches may keep different points.
 
+use hdidx_rand::{seeded, Rng};
 use hdidx_repro::core::knn::{scan_knn_radius, scan_knn_radius_with, scan_knn_with};
-use hdidx_repro::core::rng::{seeded, Rng};
 use hdidx_repro::core::simd;
 use hdidx_repro::core::{Dataset, LeafSoup};
 use hdidx_repro::datagen::{NamedDataset, Workload};

@@ -2,9 +2,9 @@
 //! model on its home structure, and the §4.7 sampling recipe applied to a
 //! metric tree.
 
+use hdidx_rand::Rng;
+use hdidx_rand::{bernoulli_sample, seeded};
 use hdidx_repro::baselines::distdist::{predict_ball_pages, DistanceDistribution};
-use hdidx_repro::core::rng::Rng;
-use hdidx_repro::core::rng::{bernoulli_sample, seeded};
 use hdidx_repro::core::Dataset;
 use hdidx_repro::datagen::clustered::{ClusteredSpec, Tail};
 use hdidx_repro::model::compensation::growth_factor;

@@ -1,18 +1,18 @@
 //! The parallel layer's central contract: **byte-identical results for
-//! any thread count**. Bulk-loaded trees, grown upper-leaf boxes and
-//! per-query predictions must not depend on how work was scheduled.
+//! any thread count**. Grown upper-leaf boxes and per-query predictions
+//! must not depend on the configured thread count, and `par_map` must not
+//! depend on how work was scheduled.
 //!
 //! Tests that vary the *global* thread configuration are confined to a
 //! single `#[test]` (the global setting is process-wide); everything
 //! else injects explicit `Pool`s.
 
 use hdidx_check::{check, prop_assert_eq, Config, Verdict};
-use hdidx_repro::core::rng::{seeded, Rng};
+use hdidx_rand::{seeded, Rng};
 use hdidx_repro::core::Dataset;
 use hdidx_repro::model::upper::build_upper_phase;
 use hdidx_repro::model::{Cutoff, CutoffParams, QueryBall, Resampled, ResampledParams};
 use hdidx_repro::pool::Pool;
-use hdidx_repro::vamsplit::bulkload::{bulk_load, bulk_load_with};
 use hdidx_repro::vamsplit::topology::{PageConfig, Topology};
 
 const THREAD_COUNTS: &[usize] = &[1, 2, 8];
@@ -26,23 +26,6 @@ fn clustered_dataset(n: usize, dim: usize, seed: u64) -> Dataset {
         })
         .collect();
     Dataset::from_flat(dim, data).unwrap()
-}
-
-/// Bulk loading with an explicit pool reproduces the serial arena layout
-/// exactly — node order, entry order, every MBR — for shapes both above
-/// and below the parallel-recursion threshold.
-#[test]
-fn bulk_load_is_byte_identical_for_any_thread_count() {
-    for &(n, dim) in &[(12_000usize, 8usize), (900, 4)] {
-        let data = clustered_dataset(n, dim, 41);
-        let topo = Topology::new(dim, n, &PageConfig::DEFAULT).unwrap();
-        let reference = bulk_load_with(&Pool::serial(), &data, &topo).unwrap();
-        assert_eq!(reference, bulk_load(&data, &topo).unwrap());
-        for &t in THREAD_COUNTS {
-            let tree = bulk_load_with(&Pool::new(t), &data, &topo).unwrap();
-            assert_eq!(reference, tree, "{n}x{dim} tree differs at t={t}");
-        }
-    }
 }
 
 /// The full prediction pipeline — upper phase (grown leaf MBRs), cutoff

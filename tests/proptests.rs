@@ -4,7 +4,7 @@
 //! is a seed, failures report the seed and shrink the input spec.
 
 use hdidx_check::{check, prop_assert, prop_assert_eq, prop_assume, Config, Verdict};
-use hdidx_repro::core::rng::{seeded, Rng};
+use hdidx_rand::{seeded, Rng};
 use hdidx_repro::core::{Dataset, HyperRect};
 use hdidx_repro::model::compensation::{delta, extent_shrinkage, growth_factor};
 use hdidx_repro::vamsplit::bulkload::{bulk_load, bulk_load_scaled};
@@ -176,7 +176,7 @@ fn mini_index_entries_are_the_sample() {
             let data = mixed_dataset(n, dim, seed);
             let topo = Topology::from_capacities(dim, n, 8, 4).unwrap();
             let mut rng = seeded(sseed);
-            let sample = hdidx_repro::core::rng::bernoulli_sample(&mut rng, n, zeta);
+            let sample = hdidx_rand::bernoulli_sample(&mut rng, n, zeta);
             prop_assume!(!sample.is_empty());
             let mini = bulk_load_scaled(&data, sample.clone(), &topo, n as f64).unwrap();
             mini.check_invariants().unwrap();

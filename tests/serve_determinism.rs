@@ -4,7 +4,7 @@
 //! fault plans and simulated time are pure functions of the request
 //! stream, never of scheduling.
 
-use hdidx_repro::core::rng::{seeded, Rng};
+use hdidx_rand::{seeded, Rng};
 use hdidx_repro::core::Dataset;
 use hdidx_repro::diskio::BreakerConfig;
 use hdidx_repro::faults::{FaultConfig, FaultPhase, RetryPolicy};

@@ -12,7 +12,7 @@
 //!    to a snapshot store, reopens after a drop, and loads back bitwise
 //!    identical (arena-for-arena) to what was built.
 
-use hdidx_repro::core::rng::{seeded, Rng};
+use hdidx_rand::{seeded, Rng};
 use hdidx_repro::core::Dataset;
 use hdidx_repro::diskio::external::{build_on_disk, build_on_disk_in, ExternalConfig};
 use hdidx_repro::diskio::measure::{measure_on_disk, measure_on_disk_in};
