@@ -16,7 +16,7 @@ echo "==> cargo build --release --offline --workspace"
 cargo build --release --offline --workspace
 
 # Two call sites still run on threads (the k-NN radius set-up and serve's
-# batch execution), and their results must not depend on the thread
+# execution pass), and their results must not depend on the thread
 # count, so the whole suite must pass both forced-serial and with the
 # default pool.
 echo "==> cargo test -q --offline --workspace (HDIDX_THREADS=1)"
@@ -85,9 +85,11 @@ done
 
 # Serving smoke legs: the open-loop serving subsystem end to end through
 # the CLI — once clean, once under a chaos fault seed with exponential
-# retry (so backoff is charged and admission control actually sheds) —
-# plus the sweep binary. Sweep output goes to the scratch dir so the
-# committed BENCH_serve.json baseline is never clobbered.
+# retry and one lane budget for every class (charged backoff inflates the
+# shadow-priced queue delays, so the lanes must shed: the leg fails on a
+# zero shed count) — plus the sweep binary. Sweep output goes to the
+# scratch dir so the committed BENCH_serve.json baseline is never
+# clobbered.
 echo "==> hdidx serve --smoke (clean + chaos fault seed)"
 cargo run -q --release -p hdidx-cli --offline -- generate \
   --dataset texture48 --scale 0.2 --out target/bench-smoke/t48.csv
@@ -96,7 +98,8 @@ cargo run -q --release -p hdidx-cli --offline -- serve \
 cargo run -q --release -p hdidx-cli --offline -- serve \
   --data target/bench-smoke/t48.csv --m 200 --smoke --seed 5 \
   --fault-seed 3 --fault-ppm 300000 --retry-policy exponential \
-  --fault-phase-scale build:0 --admission-budget 0.05
+  --fault-phase-scale build:0 --lanes 2 | tee target/bench-smoke/chaos_serve.txt
+grep -qE "shed: [1-9]" target/bench-smoke/chaos_serve.txt
 
 echo "==> serve_sweep --smoke (tail-latency experiment)"
 HDIDX_BENCH_OUT="$PWD/target/bench-smoke" \
@@ -131,10 +134,12 @@ cargo run -q --release -p hdidx-cli --offline -- serve \
   --only range | grep "class range" > target/bench-smoke/only.txt
 diff target/bench-smoke/lanes.txt target/bench-smoke/only.txt
 
-# Breaker chaos leg: the diskio breaker state machine under heavy fault
-# pressure, two independent seeds so a pass never hinges on one fault
-# pattern. The test asserts byte-identical transition trajectories at
-# 1/2/8 threads and that gating bounds charged backoff vs a bare store.
+# Breaker chaos leg: the diskio breaker state machine driven around a
+# heavily faulted simulated disk, two independent seeds so a pass never
+# hinges on one fault pattern. The test asserts that the breaker trips,
+# fails fast and recovers through half-open, that a replay reproduces the
+# transition trajectory and fault trace byte for byte, and that gating
+# bounds charged backoff vs a bare disk.
 for fault_seed in 5 11; do
   echo "==> breaker chaos (HDIDX_FAULT_SEED=${fault_seed})"
   HDIDX_FAULT_SEED="${fault_seed}" \

@@ -1,5 +1,5 @@
 //! Scaling suite for the two call sites that still use `hdidx-pool`:
-//! the k-NN radius set-up (`scan_knn_radii`) and serve's batch execution
+//! the k-NN radius set-up (`scan_knn_radii`) and serve's execution pass
 //! (`Server::run`), each timed at 1, 2 and 4 worker threads.
 //!
 //! Results go to `BENCH_parallel.json`; the speedup at `tN` is the `t1`

@@ -121,7 +121,6 @@ fn main() {
     let probe_cfg = ServeConfig {
         concurrency: 2,
         batch: 1,
-        admission_budget_s: f64::INFINITY,
         disk,
         ..ServeConfig::new()
     };
@@ -165,7 +164,6 @@ fn main() {
     let base_cfg = ServeConfig {
         concurrency,
         batch: 4,
-        admission_budget_s: f64::INFINITY,
         disk,
         ..ServeConfig::new()
     };

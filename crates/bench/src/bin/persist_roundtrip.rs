@@ -101,7 +101,6 @@ fn main() {
     let serve_cfg = ServeConfig {
         concurrency: 4,
         batch: 8,
-        admission_budget_s: f64::INFINITY,
         disk,
         ..ServeConfig::new()
     };

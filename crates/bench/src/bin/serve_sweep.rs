@@ -1,14 +1,17 @@
 //! **Serving sweep**: tail latency across (concurrency × batch) cells of
-//! the open-loop serving subsystem, plus one faulted cell with admission
-//! control engaged.
+//! the open-loop serving subsystem, plus one faulted cell shedding through
+//! admission lanes.
 //!
 //! Every cell serves the same deterministic request stream (COLOR64
 //! workload, bursty arrivals) through `hdidx-serve` and emits one
 //! JSON-lines row with exact nearest-rank p50/p95/p99/max latency, I/O
 //! cost, shed fraction, and the latency-stream digest. The clean cells
 //! show queueing collapse easing as slots are added; the faulted cell
-//! shows admission control trading shed load for a bounded tail under
-//! heavy fault-retry backoff.
+//! shows one lane budget for every class trading shed load for a bounded
+//! tail under heavy fault-retry backoff (charged backoff inflates the
+//! shadow-priced queue delays the lanes decide on). The sweep asserts the
+//! bound: the faulted cell's p99 must beat the same faulted stream served
+//! with no policy.
 //!
 //! Rows are printed to stdout **and** written to `BENCH_serve.json` in
 //! `HDIDX_BENCH_OUT` (default: current directory) so the artifact can be
@@ -20,7 +23,10 @@ use hdidx_diskio::DiskModel;
 use hdidx_faults::{FaultConfig, FaultPhase, RetryPolicy};
 use hdidx_model::hupper;
 use hdidx_pool::Pool;
-use hdidx_serve::{ArrivalModel, LoadGen, MixSpec, ServeConfig, ServeReport, Server};
+use hdidx_serve::{
+    ArrivalModel, LanePolicy, LoadGen, MixSpec, OverloadPolicy, QueryClass, ServeConfig,
+    ServeReport, Server,
+};
 use std::io::Write as _;
 
 /// One emitted sweep cell.
@@ -28,6 +34,9 @@ struct Row {
     concurrency: usize,
     batch: usize,
     fault_ppm: u32,
+    /// One lane budget for every class (`None` = no lanes; the field is
+    /// then left out of the row).
+    lane_budget_s: Option<f64>,
     report: ServeReport,
 }
 
@@ -37,8 +46,11 @@ impl Row {
             .report
             .summary
             .expect("every sweep cell executes requests");
+        let lanes = self
+            .lane_budget_s
+            .map_or(String::new(), |b| format!(",\"lane_budget_s\":{b}"));
         format!(
-            "{{\"concurrency\":{},\"batch\":{},\"fault_ppm\":{},\"arrivals\":\"{}\",\
+            "{{\"concurrency\":{},\"batch\":{},\"fault_ppm\":{}{lanes},\"arrivals\":\"{}\",\
              \"rate_per_s\":{},\"duration_s\":{},\"mix\":\"{mix}\",\"requests\":{},\
              \"executed\":{},\"shed_fraction\":{:.6},\"failed\":{},\
              \"p50_s\":{:.6},\"p95_s\":{:.6},\"p99_s\":{:.6},\"max_s\":{:.6},\"mean_s\":{:.6},\
@@ -119,7 +131,6 @@ fn main() {
         let cfg = ServeConfig {
             concurrency,
             batch,
-            admission_budget_s: f64::INFINITY,
             disk,
             ..ServeConfig::new()
         };
@@ -128,34 +139,63 @@ fn main() {
             concurrency,
             batch,
             fault_ppm: 0,
+            lane_budget_s: None,
             report,
         });
     }
     // Faulted cell: heavy transient faults with exponential backoff, build
-    // phase silenced so only serving degrades, and a tight admission
-    // budget so the controller must shed.
+    // phase silenced so only serving degrades, and one lane budget for
+    // every class, tight enough that the lanes must shed.
     let fault_ppm = 400_000;
     let fcfg = FaultConfig::disabled(args.seed)
         .with_rate_ppm(fault_ppm)
         .with_retry(RetryPolicy::Exponential)
         .with_phase_scale(FaultPhase::Build, 0);
     let faulted = Server::build(&ctx.data, &ctx.topo, m, args.seed, Some(fcfg)).expect("build");
-    let cfg = ServeConfig {
+    let lane_budget_s = 10.0;
+    let unshed_cfg = ServeConfig {
         concurrency: 2,
         batch: 4,
-        admission_budget_s: 0.5,
         disk,
         ..ServeConfig::new()
+    };
+    let cfg = ServeConfig {
+        overload: OverloadPolicy {
+            lanes: Some(LanePolicy {
+                budget_s: [lane_budget_s; QueryClass::COUNT],
+                window: LanePolicy::DEFAULT_WINDOW,
+            }),
+            ..OverloadPolicy::none()
+        },
+        ..unshed_cfg
     };
     let report = faulted.run(&requests, &cfg, &pool).expect("faulted serve");
     assert!(
         report.shed_fraction > 0.0,
         "the faulted cell must shed load (got {report:?})"
     );
+    // The bounded-tail claim: shedding must beat serving the same faulted
+    // stream with no policy at all.
+    let p99 = |r: &ServeReport| r.summary.map_or(f64::NAN, |s| s.p99_s);
+    let unshed = faulted
+        .run(&requests, &unshed_cfg, &pool)
+        .expect("unshed faulted serve");
+    assert!(
+        p99(&report) < p99(&unshed),
+        "lanes must bound the faulted tail: p99 {} vs {} with no policy",
+        p99(&report),
+        p99(&unshed)
+    );
+    println!(
+        "faulted stream with no policy: p99 {:.4} s, backoff {:.3} s",
+        p99(&unshed),
+        unshed.backoff_s
+    );
     rows.push(Row {
         concurrency: 2,
         batch: 4,
         fault_ppm,
+        lane_budget_s: Some(lane_budget_s),
         report,
     });
 
@@ -173,7 +213,7 @@ fn main() {
         .expect("write BENCH_serve.json");
     println!("\nwrote {} rows to {}", rows.len(), path.display());
 
-    // Narrative summary: queueing relief and the admission trade.
+    // Narrative summary: queueing relief and the shedding trade.
     let p99_of = |c: usize, b: usize| {
         rows.iter()
             .find(|r| r.concurrency == c && r.batch == b && r.fault_ppm == 0)
@@ -188,7 +228,8 @@ fn main() {
     );
     let f = rows.last().expect("faulted row");
     println!(
-        "faulted cell ({} ppm, budget 0.5 s): shed {:.1}%, p99 {:.4} s, backoff {:.3} s",
+        "faulted cell ({} ppm, lane budget {lane_budget_s} s): shed {:.1}%, p99 {:.4} s, \
+         backoff {:.3} s",
         f.fault_ppm,
         100.0 * f.report.shed_fraction,
         f.report.summary.map(|s| s.p99_s).unwrap_or(f64::NAN),

@@ -3,7 +3,7 @@
 //! Flag conventions, shared by every data command: `--seed` (RNG seed),
 //! `--m` (memory budget in points), `--h-upper` (upper-tree height),
 //! `--threads` (worker threads for the query-radius set-up and serve's
-//! batch execution; 1 forces serial, absent = available parallelism /
+//! execution pass; 1 forces serial, absent = available parallelism /
 //! `HDIDX_THREADS`), `--predictor` (a name from the
 //! `hdidx_baselines::PREDICTOR_NAMES` registry).
 
@@ -11,9 +11,7 @@ use hdidx_baselines::PREDICTOR_NAMES;
 use hdidx_core::simd::Choice as SimdChoice;
 use hdidx_diskio::BreakerConfig;
 use hdidx_faults::{FaultPhase, RetryPolicy};
-use hdidx_serve::{
-    AdmissionControl, ArrivalModel, Deadlines, LanePolicy, MixSpec, OverloadPolicy, QueryClass,
-};
+use hdidx_serve::{ArrivalModel, Deadlines, LanePolicy, MixSpec, OverloadPolicy, QueryClass};
 use hdidx_store::Durability;
 
 /// Storage backend selection for the commands that build an index
@@ -175,10 +173,6 @@ pub enum Command {
         concurrency: usize,
         /// Requests per dispatch batch.
         batch: usize,
-        /// Admission backoff budget in seconds (None = shedding disabled).
-        admission_budget: Option<f64>,
-        /// Sliding-window length of the admission controller.
-        admission_window: usize,
         /// Overload-control policy assembled from `--deadline`, `--lanes`,
         /// `--breaker` and `--hedge-ms` (all default off).
         overload: OverloadPolicy,
@@ -262,8 +256,7 @@ USAGE:
                  [--retry-policy fixed|exponential|budgeted] [--retry-budget B]
   hdidx serve    --data <csv> --m <points> [--rate 200] [--duration 10]
                  [--mix range:0.5,knn:0.3,predict:0.2] [--arrivals fixed|bursty]
-                 [--concurrency 4] [--batch 8] [--admission-budget S]
-                 [--admission-window 64] [--deadline SPEC] [--lanes SPEC]
+                 [--concurrency 4] [--batch 8] [--deadline SPEC] [--lanes SPEC]
                  [--breaker fails:window:cooldown[:probes]] [--hedge-ms MS]
                  [--only range|knn|predict] [--scrub-slice PAGES]
                  [--queries 500] [--k 21] [--page-bytes 8192] [--seed 42]
@@ -301,9 +294,6 @@ bursty` clumps arrivals without changing the mean rate), executes it in
 `--batch`-sized batches over `--concurrency` simulated service slots,
 and reports exact nearest-rank p50/p95/p99/max latency plus a digest of
 the per-query samples (byte-identical for any --threads).
-`--admission-budget S` sheds whole batches while the sliding window of
-charged fault-retry backoff exceeds S seconds (`--admission-window N`
-sizes that window); the report then includes the shed fraction.
 `--smoke` shrinks the defaults to CI scale.
 
 Overload control (every knob defaults off; with all of them off the
@@ -321,7 +311,9 @@ pairs where the budget bounds the class's mean shadow-priced queue
 delay in seconds (`0` closes the lane, `inf` or unnamed protects it).
 Low-priority lanes shed before protected ones ever queue: shedding is
 computed from a no-shed shadow pass, so decisions are identical at any
-thread count and monotone in the budget.
+thread count and monotone in the budget. The shadow pass prices charged
+fault-retry backoff, so a bare number (`--lanes 2`, one budget for every
+class) is also how a run sheds under fault pressure.
 
 `--breaker fails:window:cooldown[:probes]` trips a circuit breaker
 when `fails` disk-query failures land within `window` charged seconds;
@@ -337,12 +329,11 @@ digest can be compared against a stream that never offered the other
 classes). `--scrub-slice PAGES` enables idle-slot maintenance: scrub
 slices of that many pages run in the slot algebra's idle gaps and
 drive the healthy/degraded/read-only health state shown in the report
-(degraded halves the admission budget; read-only refuses disk-backed
-classes).
+(read-only refuses disk-backed classes; degraded is reported only).
 
 `--threads N` sets the worker threads of the two parallel steps: the
-query-radius set-up (one k-NN scan per query) and serve's batch
-execution. Everything else runs serially. `--threads 1` forces serial
+query-radius set-up (one k-NN scan per query) and serve's execution
+pass. Everything else runs serially. `--threads 1` forces serial
 execution; omitting --threads uses the HDIDX_THREADS environment
 variable or the machine's available parallelism. Results are identical
 for any thread count.
@@ -710,8 +701,6 @@ impl Cli {
                     "arrivals",
                     "concurrency",
                     "batch",
-                    "admission-budget",
-                    "admission-window",
                     "deadline",
                     "lanes",
                     "breaker",
@@ -754,15 +743,6 @@ impl Cli {
                 let batch: usize = opts.parse_or("batch", 8usize)?;
                 if batch == 0 {
                     return Err("option --batch: must be at least 1".to_string());
-                }
-                let admission_budget = match opts.get("admission-budget") {
-                    None => None,
-                    Some(_) => Some(parse_positive_or(&opts, "admission-budget", 1.0)?),
-                };
-                let admission_window: usize =
-                    opts.parse_or("admission-window", AdmissionControl::DEFAULT_WINDOW)?;
-                if admission_window == 0 {
-                    return Err("option --admission-window: must be at least 1".to_string());
                 }
                 let deadlines = match opts.get("deadline") {
                     None => Deadlines::none(),
@@ -815,8 +795,6 @@ impl Cli {
                     arrivals,
                     concurrency,
                     batch,
-                    admission_budget,
-                    admission_window,
                     overload,
                     only,
                     scrub_slice,
@@ -1188,7 +1166,7 @@ mod tests {
                 arrivals,
                 concurrency,
                 batch,
-                admission_budget,
+                overload,
                 queries,
                 k,
                 seed,
@@ -1201,7 +1179,7 @@ mod tests {
                 assert_eq!(arrivals, ArrivalModel::Fixed);
                 assert_eq!(concurrency, 4);
                 assert_eq!(batch, 8);
-                assert_eq!(admission_budget, None);
+                assert_eq!(overload.lanes, None, "nothing sheds by default");
                 assert_eq!(queries, 500);
                 assert_eq!(k, 21);
                 assert_eq!(seed, 42);
@@ -1228,7 +1206,7 @@ mod tests {
         }
         let cli = Cli::parse(&argv(
             "serve --data a.csv --m 400 --rate 50 --duration 2.5 --arrivals bursty \
-             --mix range:1.0 --concurrency 2 --batch 16 --admission-budget 0.25",
+             --mix range:1.0 --concurrency 2 --batch 16 --lanes 0.25",
         ))
         .unwrap();
         match cli.command {
@@ -1239,7 +1217,7 @@ mod tests {
                 arrivals,
                 concurrency,
                 batch,
-                admission_budget,
+                overload,
                 ..
             } => {
                 assert_eq!(rate, 50.0);
@@ -1248,7 +1226,10 @@ mod tests {
                 assert_eq!(arrivals, ArrivalModel::Bursty);
                 assert_eq!(concurrency, 2);
                 assert_eq!(batch, 16);
-                assert_eq!(admission_budget, Some(0.25));
+                let lanes = overload.lanes.expect("a bare --lanes budget");
+                for c in QueryClass::ALL {
+                    assert_eq!(lanes.get(c), 0.25);
+                }
             }
             other => panic!("wrong command: {other:?}"),
         }
@@ -1259,18 +1240,16 @@ mod tests {
         let cli = Cli::parse(&argv(
             "serve --data a.csv --m 400 --deadline range:0.1,knn:0.2 \
              --lanes predict:0,knn:0.5 --breaker 3:0.5:1:2 --hedge-ms 50 \
-             --only range --admission-window 16 --scrub-slice 8",
+             --only range --scrub-slice 8",
         ))
         .unwrap();
         match cli.command {
             Command::Serve {
-                admission_window,
                 overload,
                 only,
                 scrub_slice,
                 ..
             } => {
-                assert_eq!(admission_window, 16);
                 assert_eq!(overload.deadlines.get(QueryClass::Range), 0.1);
                 assert_eq!(overload.deadlines.get(QueryClass::Knn), 0.2);
                 assert!(overload.deadlines.get(QueryClass::Predict).is_infinite());
@@ -1291,13 +1270,11 @@ mod tests {
         let cli = Cli::parse(&argv("serve --data a.csv --m 400")).unwrap();
         match cli.command {
             Command::Serve {
-                admission_window,
                 overload,
                 only,
                 scrub_slice,
                 ..
             } => {
-                assert_eq!(admission_window, AdmissionControl::DEFAULT_WINDOW);
                 assert!(overload.is_noop());
                 assert_eq!(only, None);
                 assert_eq!(scrub_slice, None);
@@ -1323,7 +1300,6 @@ mod tests {
             "serve --data a.csv --m 10 --hedge-ms 0",
             "serve --data a.csv --m 10 --hedge-ms -5",
             "serve --data a.csv --m 10 --only scan",
-            "serve --data a.csv --m 10 --admission-window 0",
             "serve --data a.csv --m 10 --scrub-slice 0",
             // Overload flags are serve-only.
             "measure --data a.csv --m 10 --deadline 0.1",
@@ -1352,7 +1328,7 @@ mod tests {
             // Degenerate serving knobs.
             "serve --data a.csv --m 10 --concurrency 0",
             "serve --data a.csv --m 10 --batch 0",
-            "serve --data a.csv --m 10 --admission-budget 0",
+            "serve --data a.csv --m 10 --lanes -1",
             "serve --data a.csv --m 10 --threads 0",
             "serve --data a.csv --m 10 --arrivals sinusoidal",
             // Required options and unknown flags still enforced.

@@ -162,8 +162,6 @@ pub fn execute_with_status(cli: &Cli) -> Result<(String, i32), String> {
             arrivals,
             concurrency,
             batch,
-            admission_budget,
-            admission_window,
             overload,
             only,
             scrub_slice,
@@ -192,8 +190,6 @@ pub fn execute_with_status(cli: &Cli) -> Result<(String, i32), String> {
                 arrivals: *arrivals,
                 concurrency: *concurrency,
                 batch: *batch,
-                admission_budget: *admission_budget,
-                admission_window: *admission_window,
                 overload: *overload,
                 only: *only,
                 scrub_slice: *scrub_slice,
@@ -668,8 +664,6 @@ struct ServeArgs<'a> {
     arrivals: ArrivalModel,
     concurrency: usize,
     batch: usize,
-    admission_budget: Option<f64>,
-    admission_window: usize,
     overload: OverloadPolicy,
     only: Option<QueryClass>,
     scrub_slice: Option<u64>,
@@ -749,8 +743,6 @@ fn serve(args: &ServeArgs<'_>) -> Result<String, String> {
     let cfg = ServeConfig {
         concurrency: args.concurrency,
         batch: args.batch,
-        admission_budget_s: args.admission_budget.unwrap_or(f64::INFINITY),
-        admission_window: args.admission_window,
         overload: args.overload,
         disk,
     };
@@ -1118,7 +1110,7 @@ mod tests {
         let cmd = format!(
             "serve --data {} --m 200 --smoke --seed 5 --fault-seed 3 --fault-ppm 300000 \
              --retry-policy exponential --fault-phase-scale build:0 \
-             --admission-budget 0.05 --threads 2",
+             --lanes 2 --threads 2",
             csv.display()
         );
         let a = run(&cmd).unwrap();
@@ -1132,7 +1124,10 @@ mod tests {
             .and_then(|s| s.split('%').next())
             .and_then(|s| s.parse().ok())
             .unwrap_or_else(|| panic!("no shed percentage in: {a}"));
-        assert!(shed_pct > 0.0, "budget 50 ms must shed under faults: {a}");
+        assert!(
+            shed_pct > 0.0,
+            "a 2 s lane budget must shed under faults: {a}"
+        );
         assert!(a.contains("charged backoff:"), "{a}");
         std::fs::remove_file(&csv).ok();
     }

@@ -8,22 +8,17 @@
 //! * **Closed** — operations flow; failures enter a sliding window of
 //!   charged timestamps. When `failure_threshold` failures land within
 //!   `window_s` charged seconds, the breaker opens.
-//! * **Open** — operations fail fast (no inner I/O, nothing charged —
-//!   that is the point: a broken store must not let callers burn retry
-//!   backoff). After `open_s` charged seconds the breaker half-opens.
-//! * **Half-open** — the next `probes` operations run against the inner
-//!   store. All succeed → closed (window cleared); any failure → open
-//!   again with a fresh cooldown.
+//! * **Open** — operations fail fast (no I/O, nothing charged — that is
+//!   the point: a broken store must not let callers burn retry backoff).
+//!   After `open_s` charged seconds the breaker half-opens.
+//! * **Half-open** — the next `probes` operations run against the store.
+//!   All succeed → closed (window cleared); any failure → open again with
+//!   a fresh cooldown.
 //!
-//! [`CircuitBreaker`] is the bare state machine (the serving loop drives
-//! one directly from its slot algebra); [`BreakerStore`] wraps any
-//! `&mut dyn PageStore`, clocking the machine with the inner store's
-//! charged cost, and optionally hedges straggling reads against a second
-//! store (a snapshot-generation replica).
+//! [`CircuitBreaker`] is the bare state machine: the caller clocks it and
+//! reports each operation's outcome (the serving loop drives one directly
+//! from its slot algebra).
 
-use crate::disk::FileHandle;
-use crate::model::{DiskModel, IoStats};
-use crate::store::PageStore;
 use hdidx_core::{Error, Result};
 use std::collections::VecDeque;
 
@@ -294,255 +289,6 @@ impl CircuitBreaker {
             });
         }
         h
-    }
-}
-
-fn stats_delta(before: IoStats, after: IoStats) -> IoStats {
-    IoStats {
-        seeks: after.seeks - before.seeks,
-        transfers: after.transfers - before.transfers,
-        retries: after.retries - before.retries,
-        backoff: after.backoff - before.backoff,
-        reads: after.reads - before.reads,
-        writes: after.writes - before.writes,
-    }
-}
-
-/// Tallies of a [`BreakerStore`]'s hedging activity.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct HedgeStats {
-    /// Reads re-issued against the secondary store.
-    pub hedged_reads: u64,
-    /// Hedged reads whose secondary attempt succeeded after a primary
-    /// failure (the hedge rescued the read).
-    pub rescues: u64,
-}
-
-/// A [`PageStore`] wrapper gating every page access through a
-/// [`CircuitBreaker`], clocked by the inner store's charged cost, with
-/// optional **hedged reads**: when a read's charged cost exceeds the hedge
-/// delay (a straggler — retry storms inflate charged cost) or the read
-/// fails outright, the same `read_pages` is re-issued against a secondary
-/// store — typically the latest snapshot generation — and **both attempts
-/// stay charged** ([`PageStore::stats`] sums the two stores).
-///
-/// The wrapper gates reads and writes; `alloc`/`sync` pass through
-/// ungated (refusing allocation never protects anything). Fast-failed
-/// operations return [`Error::StoreFailure`] and charge nothing.
-pub struct BreakerStore<'a> {
-    inner: &'a mut dyn PageStore,
-    secondary: Option<&'a mut dyn PageStore>,
-    hedge_s: f64,
-    breaker: CircuitBreaker,
-    disk: DiskModel,
-    clock_s: f64,
-    hedges: HedgeStats,
-}
-
-impl<'a> BreakerStore<'a> {
-    /// Wraps `inner` with a breaker under `cfg`, pricing charged time with
-    /// `disk`. No hedging.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`BreakerConfig::validate`].
-    pub fn new(
-        inner: &'a mut dyn PageStore,
-        cfg: BreakerConfig,
-        disk: DiskModel,
-    ) -> Result<BreakerStore<'a>> {
-        Ok(BreakerStore {
-            inner,
-            secondary: None,
-            hedge_s: f64::INFINITY,
-            breaker: CircuitBreaker::new(cfg)?,
-            disk,
-            clock_s: 0.0,
-            hedges: HedgeStats::default(),
-        })
-    }
-
-    /// Adds a hedge target: reads whose charged cost exceeds `hedge_s`
-    /// seconds (or that fail) are re-issued against `secondary`, which
-    /// must expose the same page layout (a snapshot-generation replica).
-    ///
-    /// # Errors
-    ///
-    /// Rejects a non-positive or NaN hedge delay.
-    pub fn with_hedge(
-        mut self,
-        secondary: &'a mut dyn PageStore,
-        hedge_s: f64,
-    ) -> Result<BreakerStore<'a>> {
-        if hedge_s.is_nan() || hedge_s <= 0.0 {
-            return Err(Error::invalid(
-                "hedge",
-                format!("hedge delay must be positive seconds, got {hedge_s}"),
-            ));
-        }
-        self.secondary = Some(secondary);
-        self.hedge_s = hedge_s;
-        Ok(self)
-    }
-
-    /// The breaker state machine (read access for reporting).
-    #[must_use]
-    pub fn breaker(&self) -> &CircuitBreaker {
-        &self.breaker
-    }
-
-    /// Hedging tallies.
-    #[must_use]
-    pub fn hedge_stats(&self) -> HedgeStats {
-        self.hedges
-    }
-
-    /// The monotone charged-time clock driving the breaker.
-    #[must_use]
-    pub fn clock_s(&self) -> f64 {
-        self.clock_s
-    }
-
-    /// Credits externally charged simulated time to the breaker clock
-    /// (monotone: earlier times are ignored). Fast-failed operations
-    /// charge nothing, so with every access refused the inner store's
-    /// bill — and therefore the clock — would freeze and an open breaker
-    /// could never cool down; callers account the simulated time their
-    /// other work charges (the serving loop feeds its slot algebra in the
-    /// same way).
-    pub fn advance_clock(&mut self, now_s: f64) {
-        if now_s > self.clock_s {
-            self.clock_s = now_s;
-        }
-    }
-
-    fn tick(&mut self) {
-        let now = self.disk.cost_seconds(self.inner.stats());
-        if now > self.clock_s {
-            self.clock_s = now;
-        }
-    }
-
-    fn fast_fail(op: &'static str) -> Error {
-        Error::StoreFailure {
-            op,
-            detail: "circuit breaker open: failing fast".to_string(),
-        }
-    }
-}
-
-impl PageStore for BreakerStore<'_> {
-    fn backend(&self) -> &'static str {
-        "breaker"
-    }
-
-    fn alloc(&mut self, pages: u64) -> Result<FileHandle> {
-        self.inner.alloc(pages)
-    }
-
-    fn read_pages(
-        &mut self,
-        file: &FileHandle,
-        first_page: u64,
-        n_pages: u64,
-        buf: &mut [u8],
-    ) -> Result<()> {
-        self.tick();
-        if !self.breaker.allow(self.clock_s) {
-            return Err(Self::fast_fail("read_pages"));
-        }
-        let before = self.inner.stats();
-        let primary = self.inner.read_pages(file, first_page, n_pages, buf);
-        let burned = self
-            .disk
-            .cost_seconds(stats_delta(before, self.inner.stats()));
-        self.tick();
-        match primary {
-            Ok(()) if burned <= self.hedge_s => {
-                self.breaker.on_success(self.clock_s);
-                Ok(())
-            }
-            outcome => {
-                // A straggler or a failure: charge a hedged attempt
-                // against the snapshot replica when one is configured.
-                if outcome.is_err() {
-                    self.breaker.on_failure(self.clock_s);
-                } else {
-                    self.breaker.on_success(self.clock_s);
-                }
-                let Some(secondary) = self.secondary.as_deref_mut() else {
-                    return outcome;
-                };
-                self.hedges.hedged_reads += 1;
-                match outcome {
-                    Ok(()) => {
-                        // The primary answer stands; the hedge is charged
-                        // pattern-only so a diverging or failing replica
-                        // can never clobber the caller's buffer.
-                        let _ = secondary.read_pages(file, first_page, n_pages, &mut []);
-                        Ok(())
-                    }
-                    Err(e) => match secondary.read_pages(file, first_page, n_pages, buf) {
-                        Ok(()) => {
-                            self.hedges.rescues += 1;
-                            Ok(())
-                        }
-                        Err(_) => Err(e),
-                    },
-                }
-            }
-        }
-    }
-
-    fn write_pages(
-        &mut self,
-        file: &FileHandle,
-        first_page: u64,
-        n_pages: u64,
-        data: &[u8],
-    ) -> Result<()> {
-        self.tick();
-        if !self.breaker.allow(self.clock_s) {
-            return Err(Self::fast_fail("write_pages"));
-        }
-        let out = self.inner.write_pages(file, first_page, n_pages, data);
-        self.tick();
-        match &out {
-            Ok(()) => self.breaker.on_success(self.clock_s),
-            Err(_) => self.breaker.on_failure(self.clock_s),
-        }
-        out
-    }
-
-    fn sync(&mut self) -> Result<()> {
-        self.inner.sync()
-    }
-
-    fn pages(&self) -> u64 {
-        self.inner.pages()
-    }
-
-    fn stats(&self) -> IoStats {
-        let mut total = self.inner.stats();
-        if let Some(sec) = self.secondary.as_deref() {
-            total += sec.stats();
-        }
-        total
-    }
-
-    fn reset_stats(&mut self) {
-        self.inner.reset_stats();
-        if let Some(sec) = self.secondary.as_deref_mut() {
-            sec.reset_stats();
-        }
-    }
-
-    fn charge(&mut self, io: IoStats) {
-        self.inner.charge(io);
-    }
-
-    fn fault_trace(&self) -> &[hdidx_faults::FaultEvent] {
-        self.inner.fault_trace()
     }
 }
 

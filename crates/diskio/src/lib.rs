@@ -28,10 +28,8 @@
 //!   configures fault injection, retry policy and phase/stream
 //!   derivation for any backend,
 //! * [`breaker`] — a deterministic circuit breaker over charged time:
-//!   the bare [`breaker::CircuitBreaker`] state machine plus
-//!   [`breaker::BreakerStore`], a [`store::PageStore`] wrapper that fails
-//!   fast while tripped and can hedge straggling reads against a snapshot
-//!   replica, charging both attempts.
+//!   the [`breaker::CircuitBreaker`] state machine the serving loop
+//!   clocks with simulated time and drives around its disk queries.
 //!
 //! Bytes are kept in RAM (only the *access pattern* determines cost), but
 //! the algorithms really execute the external-memory logic — pass structure,
@@ -47,7 +45,7 @@ pub mod measure;
 pub mod model;
 pub mod store;
 
-pub use breaker::{BreakerConfig, BreakerState, BreakerStore, CircuitBreaker, HedgeStats};
+pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use disk::{Disk, FileHandle};
 pub use external::{build_on_disk, build_on_disk_in};
 pub use measure::{measure_on_disk, measure_on_disk_in, OnDiskMeasurement};

@@ -1,7 +1,8 @@
-//! Breaker chaos contract: under a seeded fault storm the [`BreakerStore`]
-//! trips, fails fast while open, recovers through half-open probes — and
-//! the whole trajectory (transitions, charged stats, fault trace) is
-//! **byte-identical** when replayed, for any `HDIDX_FAULT_SEED`.
+//! Breaker chaos contract: under a seeded fault storm a [`CircuitBreaker`]
+//! driven around [`Disk::access`] trips, fails fast while open, recovers
+//! through half-open probes — and the whole trajectory (transitions,
+//! charged stats, fault trace) is **byte-identical** when replayed, for
+//! any `HDIDX_FAULT_SEED`.
 //!
 //! The CI breaker-chaos leg runs this file under two different fault
 //! seeds; the assertions hold for every seed because the drive loop keeps
@@ -9,7 +10,7 @@
 //! probes.
 
 use hdidx_diskio::{
-    BreakerConfig, BreakerState, BreakerStore, Disk, DiskModel, DiskOptions, PageStore,
+    BreakerConfig, BreakerState, CircuitBreaker, Disk, DiskModel, DiskOptions, FileHandle,
 };
 use hdidx_faults::{FaultConfig, RetryPolicy, ENV_FAULT_SEED};
 
@@ -20,7 +21,44 @@ fn fault_seed() -> u64 {
         .unwrap_or(5)
 }
 
-/// One full drive: a read loop against a heavily faulted simulated disk
+/// What one gated access did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Outcome {
+    Served,
+    Failed,
+    /// Refused by the open breaker: no I/O, nothing charged.
+    Refused,
+}
+
+/// One page access behind the breaker. The breaker clock is a monotone
+/// envelope of the disk's charged cost and of any idle time the caller
+/// credits to `clock_s`.
+fn gated_access(
+    disk: &mut Disk,
+    breaker: &mut CircuitBreaker,
+    clock_s: &mut f64,
+    file: &FileHandle,
+    page: u64,
+) -> Outcome {
+    let tick = |disk: &Disk, clock_s: &mut f64| {
+        *clock_s = clock_s.max(DiskModel::PAPER.cost_seconds(disk.stats()));
+    };
+    tick(disk, clock_s);
+    if !breaker.allow(*clock_s) {
+        return Outcome::Refused;
+    }
+    let out = disk.access(file, page, 1);
+    tick(disk, clock_s);
+    if out.is_ok() {
+        breaker.on_success(*clock_s);
+        Outcome::Served
+    } else {
+        breaker.on_failure(*clock_s);
+        Outcome::Failed
+    }
+}
+
+/// One full drive: an access loop against a heavily faulted simulated disk
 /// behind a breaker, advancing the charged clock through cooldowns until
 /// the breaker has both tripped and recovered. Returns the observable
 /// trajectory.
@@ -38,41 +76,41 @@ fn drive(seed: u64) -> (Vec<(u64, &'static str)>, u64, u64, u64, String) {
         open_s: 0.5,
         probes: 1,
     };
-    let mut store = BreakerStore::new(&mut disk, cfg, DiskModel::PAPER).unwrap();
-    let file = store.alloc(8).unwrap();
+    let mut breaker = CircuitBreaker::new(cfg).unwrap();
+    let mut clock_s = 0.0f64;
+    let file = disk.alloc(8).unwrap();
     let mut fast_fails = 0u64;
     let mut failures = 0u64;
     let mut successes = 0u64;
     for i in 0..400u64 {
-        match store.read_pages(&file, i % 8, 1, &mut []) {
-            Ok(()) => successes += 1,
-            Err(e) => {
-                if e.to_string().contains("circuit breaker open") {
-                    fast_fails += 1;
-                    // Model idle simulated time passing while the store is
-                    // refused: credit one cooldown so the breaker can
-                    // half-open and probe the (still seeded) fault stream.
-                    let next = store.clock_s() + cfg.open_s;
-                    store.advance_clock(next);
-                } else {
-                    failures += 1;
-                }
+        match gated_access(&mut disk, &mut breaker, &mut clock_s, &file, i % 8) {
+            Outcome::Served => successes += 1,
+            Outcome::Failed => failures += 1,
+            Outcome::Refused => {
+                fast_fails += 1;
+                // Model idle simulated time passing while the disk is
+                // refused: credit one cooldown so the breaker can
+                // half-open and probe the (still seeded) fault stream.
+                clock_s += cfg.open_s;
             }
         }
     }
-    let transitions: Vec<(u64, &'static str)> = store
-        .breaker()
+    let transitions: Vec<(u64, &'static str)> = breaker
         .transitions()
         .iter()
         .map(|&(t, s)| (t.to_bits(), s.as_str()))
         .collect();
-    let digest = store.breaker().transitions_digest();
-    let trips = store.breaker().trips();
-    let trace = format!("{:?}", store.fault_trace());
-    assert_eq!(store.breaker().fast_fails(), fast_fails);
-    assert!(successes > 0, "seed {seed}: some reads must survive");
+    let trace = format!("{:?}", disk.fault_trace());
+    assert_eq!(breaker.fast_fails(), fast_fails);
+    assert!(successes > 0, "seed {seed}: some accesses must survive");
     assert!(failures > 0, "seed {seed}: retry exhaustion must occur");
-    (transitions, digest, trips, fast_fails, trace)
+    (
+        transitions,
+        breaker.transitions_digest(),
+        breaker.trips(),
+        fast_fails,
+        trace,
+    )
 }
 
 #[test]
@@ -118,7 +156,7 @@ fn breaker_off_burns_backoff_that_fast_fail_avoids() {
     let fcfg = FaultConfig::disabled(seed)
         .with_rate_ppm(900_000)
         .with_retry(RetryPolicy::Exponential);
-    // Bare store: every access burns the full retry ladder.
+    // Bare disk: every access burns the full retry ladder.
     let mut bare = Disk::with_options(&DiskOptions::new().fault_plan(Some(fcfg)));
     let file = bare.alloc(8).unwrap();
     for i in 0..200u64 {
@@ -126,36 +164,30 @@ fn breaker_off_burns_backoff_that_fast_fail_avoids() {
     }
     let bare_backoff = bare.stats().backoff;
 
-    // Same storm behind a breaker: open stretches skip the inner store
-    // entirely, so the charged backoff is strictly bounded below bare.
+    // Same storm behind a breaker: open stretches skip the disk entirely,
+    // so the charged backoff is strictly bounded below bare.
     let mut disk = Disk::with_options(&DiskOptions::new().fault_plan(Some(fcfg)));
-    let mut store = BreakerStore::new(
-        &mut disk,
-        BreakerConfig {
-            failure_threshold: 3,
-            window_s: 5.0,
-            open_s: 0.5,
-            probes: 1,
-        },
-        DiskModel::PAPER,
-    )
+    let mut breaker = CircuitBreaker::new(BreakerConfig {
+        failure_threshold: 3,
+        window_s: 5.0,
+        open_s: 0.5,
+        probes: 1,
+    })
     .unwrap();
-    let file = store.alloc(8).unwrap();
+    let mut clock_s = 0.0f64;
+    let file = disk.alloc(8).unwrap();
     for i in 0..200u64 {
-        if let Err(e) = store.read_pages(&file, i % 8, 1, &mut []) {
-            // Credit idle cooldown time only while refused: advancing the
-            // clock on *real* failures too would vault every cooldown and
-            // turn each read into a half-open probe, gating nothing.
-            if e.to_string().contains("circuit breaker open") {
-                let next = store.clock_s() + 0.5;
-                store.advance_clock(next);
-            }
+        // Credit idle cooldown time only while refused: advancing the
+        // clock on *real* failures too would vault every cooldown and turn
+        // each access into a half-open probe, gating nothing.
+        if gated_access(&mut disk, &mut breaker, &mut clock_s, &file, i % 8) == Outcome::Refused {
+            clock_s += 0.5;
         }
     }
-    let gated_backoff = store.stats().backoff;
+    let gated_backoff = disk.stats().backoff;
     assert!(
-        store.breaker().fast_fails() > 0,
-        "seed {seed}: open stretches must refuse reads"
+        breaker.fast_fails() > 0,
+        "seed {seed}: open stretches must refuse accesses"
     );
     assert!(
         gated_backoff < bare_backoff,

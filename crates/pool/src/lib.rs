@@ -10,9 +10,9 @@
 //!
 //! * `hdidx_core::knn::scan_knn_radii` maps query ids to their k-NN radii
 //!   (the query-radius set-up of every workload);
-//! * `hdidx_serve::Server::run` executes each admitted batch through
-//!   [`Pool::par_map_isolated`], whose per-query panic isolation serving
-//!   depends on.
+//! * `hdidx_serve::Server::run` executes the whole offered stream in one
+//!   [`Pool::par_map_isolated`] call per run, whose per-query panic
+//!   isolation serving depends on.
 //!
 //! Everything else — bulk loading, lower-tree builds, batch counting —
 //! runs serially on the caller, and nothing calls the pool from inside a

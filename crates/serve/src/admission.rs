@@ -1,158 +1,17 @@
-//! Backoff-budget admission control and per-class admission lanes.
+//! Per-class admission lanes: the one mechanism that sheds offered load.
 //!
-//! The server charges every retry backoff it performs (in simulated
-//! seconds) into a sliding window. When the window's total charged backoff
-//! exceeds the configured budget, the controller sheds the next batch
-//! instead of admitting it — the standard load-shedding move: under fault
-//! pressure it is better to refuse work outright than to queue it behind
-//! retries and blow the tail.
-//!
-//! Shedding also *drains* part of the window, so pressure ages out and the
-//! server recovers once faults subside instead of shedding forever. All
+//! Every offered request is priced by a no-shedding shadow pass of the
+//! slot algebra, and its shadow queue delay is charged into its class's
+//! sliding window. Service times come from `DiskModel::cost_seconds`, so
+//! charged fault-retry backoff and retry seeks raise lane pressure under
+//! every retry policy: fault pressure sheds through the lanes. All
 //! decisions are functions of the request stream and fault plan only —
-//! never of wall-clock time or thread scheduling — so shed decisions are
-//! deterministic and thread-count independent.
-//!
-//! # Caveat: only backoff-charging retry policies create pressure
-//!
-//! The window accumulates **charged backoff seconds**. Under
-//! `RetryPolicy::Exponential` and `RetryPolicy::Budgeted` every retry
-//! charges seek-denominated backoff, so fault pressure is visible here.
-//! `RetryPolicy::Fixed` retries charge *no* backoff at all — under it the
-//! window stays at zero and this controller never sheds, no matter how
-//! hard the fault storm. Pair `Fixed` with per-class [lanes] or deadlines
-//! (`crate::OverloadPolicy`) if shedding is still wanted.
-//!
-//! [lanes]: LaneState
+//! never of wall-clock time or thread scheduling.
 
 use crate::overload::LanePolicy;
 use crate::request::QueryClass;
-use hdidx_core::{Error, Result};
+use hdidx_core::Result;
 use std::collections::VecDeque;
-
-/// Sliding-window admission controller.
-#[derive(Debug, Clone)]
-pub struct AdmissionControl {
-    /// Backoff budget in simulated seconds; `f64::INFINITY` disables
-    /// shedding entirely.
-    budget_s: f64,
-    /// Budget multiplier applied while the store health is degraded
-    /// (1.0 = healthy). See [`AdmissionControl::set_budget_scale`].
-    budget_scale: f64,
-    /// Number of most-recent backoff charges the window retains.
-    window_cap: usize,
-    /// Most recent charged backoffs, oldest first.
-    window: VecDeque<f64>,
-    admitted: u64,
-    shed: u64,
-}
-
-impl AdmissionControl {
-    /// Default sliding-window length (most-recent backoff charges kept).
-    pub const DEFAULT_WINDOW: usize = 64;
-
-    /// Controller with the given window budget (seconds) and the default
-    /// window length ([`AdmissionControl::DEFAULT_WINDOW`]). Pass
-    /// `f64::INFINITY` to disable shedding.
-    #[must_use]
-    pub fn new(budget_s: f64) -> Self {
-        AdmissionControl::with_window(budget_s, AdmissionControl::DEFAULT_WINDOW)
-            .expect("default window is valid")
-    }
-
-    /// Controller with an explicit sliding-window length.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::InvalidParameter`] when `window` is zero — a zero-length
-    /// window can hold no pressure and would silently disable shedding.
-    pub fn with_window(budget_s: f64, window: usize) -> Result<Self> {
-        if window == 0 {
-            return Err(Error::invalid(
-                "admission-window",
-                "window must be at least 1 charge",
-            ));
-        }
-        Ok(AdmissionControl {
-            budget_s,
-            budget_scale: 1.0,
-            window_cap: window,
-            window: VecDeque::with_capacity(window),
-            admitted: 0,
-            shed: 0,
-        })
-    }
-
-    /// Current charged backoff in the window, in seconds.
-    #[must_use]
-    pub fn window_backoff_s(&self) -> f64 {
-        self.window.iter().sum()
-    }
-
-    /// Scales the effective budget (e.g. `0.5` while the store health is
-    /// degraded, `1.0` when healthy). Applies to subsequent decisions only,
-    /// so the scale trajectory is part of the deterministic replay.
-    pub fn set_budget_scale(&mut self, scale: f64) {
-        self.budget_scale = scale;
-    }
-
-    /// Decides whether to admit a batch of `size` requests. On shed, the
-    /// batch is counted and the oldest half-window of charges is drained so
-    /// the server can recover once pressure subsides.
-    pub fn admit_batch(&mut self, size: usize) -> bool {
-        let budget = self.budget_s * self.budget_scale;
-        if budget.is_finite() && self.window_backoff_s() > budget {
-            self.shed += size as u64;
-            // Drain the older half of the window; repeated sheds therefore
-            // clear pressure in O(log) batches rather than shedding forever.
-            let drain = self.window.len().div_ceil(2);
-            self.window.drain(..drain);
-            false
-        } else {
-            self.admitted += size as u64;
-            true
-        }
-    }
-
-    /// Charges the backoff incurred by one executed request into the
-    /// sliding window (zero charges are kept too: they age out old
-    /// pressure as healthy requests flow).
-    pub fn observe(&mut self, backoff_s: f64) {
-        if self.window.len() == self.window_cap {
-            self.window.pop_front();
-        }
-        self.window.push_back(backoff_s);
-    }
-
-    /// Counts requests refused outside the batch decision (health gating,
-    /// lane shedding surfaced through this controller's totals).
-    pub fn count_shed(&mut self, n: u64) {
-        self.shed += n;
-    }
-
-    /// Requests admitted so far.
-    #[must_use]
-    pub fn admitted(&self) -> u64 {
-        self.admitted
-    }
-
-    /// Requests shed so far.
-    #[must_use]
-    pub fn shed(&self) -> u64 {
-        self.shed
-    }
-
-    /// Fraction of offered requests shed (0 when nothing was offered).
-    #[must_use]
-    pub fn shed_fraction(&self) -> f64 {
-        let total = self.admitted + self.shed;
-        if total == 0 {
-            0.0
-        } else {
-            self.shed as f64 / total as f64
-        }
-    }
-}
 
 /// Per-class admission lanes over **shadow queue delays**.
 ///
@@ -172,8 +31,6 @@ impl AdmissionControl {
 pub struct LaneState {
     policy: LanePolicy,
     windows: [VecDeque<f64>; QueryClass::COUNT],
-    shed: [u64; QueryClass::COUNT],
-    admitted: [u64; QueryClass::COUNT],
 }
 
 impl LaneState {
@@ -181,14 +38,12 @@ impl LaneState {
     ///
     /// # Errors
     ///
-    /// [`Error::InvalidParameter`] from [`LanePolicy::validate`].
+    /// [`hdidx_core::Error::InvalidParameter`] from [`LanePolicy::validate`].
     pub fn new(policy: LanePolicy) -> Result<LaneState> {
         policy.validate()?;
         Ok(LaneState {
             policy,
             windows: std::array::from_fn(|_| VecDeque::with_capacity(policy.window)),
-            shed: [0; QueryClass::COUNT],
-            admitted: [0; QueryClass::COUNT],
         })
     }
 
@@ -201,7 +56,7 @@ impl LaneState {
         }
         self.windows[i].push_back(shadow_delay_s);
         let budget = self.policy.get(class);
-        let admit = if budget.is_infinite() {
+        if budget.is_infinite() {
             true
         } else if budget <= 0.0 {
             false
@@ -209,119 +64,13 @@ impl LaneState {
             let w = &self.windows[i];
             let mean = w.iter().sum::<f64>() / w.len() as f64;
             mean <= budget
-        };
-        if admit {
-            self.admitted[i] += 1;
-        } else {
-            self.shed[i] += 1;
         }
-        admit
-    }
-
-    /// Requests shed per class, indexed by [`QueryClass::index`].
-    #[must_use]
-    pub fn shed_by_class(&self) -> [u64; QueryClass::COUNT] {
-        self.shed
-    }
-
-    /// Total requests shed by the lanes.
-    #[must_use]
-    pub fn shed_total(&self) -> u64 {
-        self.shed.iter().sum()
-    }
-
-    /// Total requests admitted by the lanes.
-    #[must_use]
-    pub fn admitted_total(&self) -> u64 {
-        self.admitted.iter().sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn infinite_budget_never_sheds() {
-        let mut ac = AdmissionControl::new(f64::INFINITY);
-        for _ in 0..1000 {
-            assert!(ac.admit_batch(4));
-            ac.observe(1e9);
-        }
-        assert_eq!(ac.shed(), 0);
-        assert_eq!(ac.admitted(), 4000);
-        assert_eq!(ac.shed_fraction(), 0.0);
-    }
-
-    #[test]
-    fn sheds_over_budget_and_recovers_by_draining() {
-        let mut ac = AdmissionControl::new(1.0);
-        assert!(ac.admit_batch(8), "empty window admits");
-        ac.observe(0.7);
-        ac.observe(0.7);
-        // Window now holds 1.4 s > 1.0 s budget.
-        assert!(!ac.admit_batch(8));
-        assert_eq!(ac.shed(), 8);
-        // The shed drained half the window (0.7 s <= budget) -> admits again.
-        assert!(ac.admit_batch(8));
-        assert_eq!(ac.admitted(), 16);
-        let expect = 8.0 / 24.0;
-        assert!((ac.shed_fraction() - expect).abs() < 1e-12);
-    }
-
-    #[test]
-    fn healthy_traffic_ages_out_old_pressure() {
-        let mut ac = AdmissionControl::new(0.5);
-        ac.observe(10.0);
-        assert!(!ac.admit_batch(1), "pressure sheds");
-        // After the shed drain the window is empty; zero-backoff charges
-        // from healthy requests keep it clean.
-        for _ in 0..AdmissionControl::DEFAULT_WINDOW {
-            assert!(ac.admit_batch(1));
-            ac.observe(0.0);
-        }
-        assert!(ac.window_backoff_s().abs() < 1e-12);
-    }
-
-    #[test]
-    fn window_is_bounded_and_configurable() {
-        let mut ac = AdmissionControl::new(f64::INFINITY);
-        for _ in 0..(AdmissionControl::DEFAULT_WINDOW * 3) {
-            ac.observe(0.25);
-        }
-        let expect = AdmissionControl::DEFAULT_WINDOW as f64 * 0.25;
-        assert!((ac.window_backoff_s() - expect).abs() < 1e-9);
-
-        let mut ac = AdmissionControl::with_window(f64::INFINITY, 4).unwrap();
-        for _ in 0..100 {
-            ac.observe(0.25);
-        }
-        assert!((ac.window_backoff_s() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn zero_window_is_rejected() {
-        let e = AdmissionControl::with_window(1.0, 0)
-            .unwrap_err()
-            .to_string();
-        assert!(e.contains("window"), "{e}");
-        // A 1-charge window is legal (tightest possible controller).
-        let mut ac = AdmissionControl::with_window(0.5, 1).unwrap();
-        ac.observe(0.7);
-        assert!(!ac.admit_batch(1));
-    }
-
-    #[test]
-    fn degraded_scale_halves_the_effective_budget() {
-        let mut ac = AdmissionControl::new(1.0);
-        ac.observe(0.7);
-        assert!(ac.admit_batch(1), "0.7 under the 1.0 budget");
-        ac.set_budget_scale(0.5);
-        assert!(!ac.admit_batch(1), "0.7 over the 0.5 effective budget");
-        ac.set_budget_scale(1.0);
-        // The shed drained the window; pressure is gone either way.
-        assert!(ac.admit_batch(1));
-    }
 
     #[test]
     fn lanes_shed_by_window_mean_and_respect_protection() {
@@ -339,9 +88,6 @@ mod tests {
         assert!(lanes.admit(QueryClass::Knn, 0.0), "mean 0.5 <= 0.5");
         // Closed lane: always sheds, even at zero pressure.
         assert!(!lanes.admit(QueryClass::Predict, 0.0));
-        assert_eq!(lanes.shed_by_class(), [0, 2, 1]);
-        assert_eq!(lanes.shed_total(), 3);
-        assert_eq!(lanes.admitted_total(), 3);
     }
 
     #[test]

@@ -9,10 +9,10 @@
 //!   a seeded stream ([`LoadGen`], fixed-rate Poisson or bursty
 //!   hyperexponential interarrivals).
 //! * [`server`] — the [`Server`]: owns the bulk-loaded index (flattened
-//!   into the SoA counting soup) plus the grown upper tree, executes
-//!   request batches over the worker [`hdidx_pool::Pool`] with per-query
-//!   panic isolation, and composes latency from the disk cost model —
-//!   queueing delay included — rather than measuring wall clocks.
+//!   into the SoA counting soup) plus the grown upper tree, executes the
+//!   offered stream in one pass over the worker [`hdidx_pool::Pool`] with
+//!   per-query panic isolation, and composes latency from the disk cost
+//!   model — queueing delay included — rather than measuring wall clocks.
 //! * [`knn`] — the k-NN request path: best-first search through the
 //!   index, falling back to the linear scan when the bound at the first
 //!   heap fill still reaches more than [`knn::SCAN_FALLBACK_SHARE`] of the
@@ -21,11 +21,11 @@
 //!   nearest-rank p50/p95/p99/max via [`hdidx_check::stats`], plus an
 //!   FNV-1a digest of the sample stream so byte-identity across thread
 //!   counts is checkable from CLI output.
-//! * [`admission`] — backoff-budget load shedding ([`AdmissionControl`]):
-//!   when a sliding window of charged fault-retry backoff exceeds its
-//!   budget, whole batches are refused and counted instead of queued —
-//!   plus per-class admission lanes ([`admission::LaneState`]) shedding on
-//!   shadow-priced queue delays.
+//! * [`admission`] — per-class admission lanes ([`admission::LaneState`]),
+//!   the one load-shedding mechanism: a class sheds when the sliding-window
+//!   mean of its shadow-priced queue delays exceeds its budget. Charged
+//!   fault-retry backoff is part of every shadow service time, so fault
+//!   pressure sheds through the lanes too.
 //! * [`overload`] — the deterministic overload-control policy
 //!   ([`OverloadPolicy`]): per-class deadlines on charged service cost,
 //!   lane budgets, circuit-breaker gating, and hedged replays. Every knob
@@ -33,7 +33,8 @@
 //!   digests bit for bit.
 //! * [`maintain`] — idle-slot maintenance ([`Maintenance`]): incremental
 //!   scrub slices run in the slot algebra's idle gaps and drive the
-//!   Healthy → Degraded → ReadOnly health machine gating admission.
+//!   Healthy → Degraded → ReadOnly health machine; ReadOnly refuses the
+//!   disk-backed classes.
 //!
 //! The crate inherits the workspace determinism contract: with a fixed
 //! data seed, load seed, and fault seed, a serving run produces
@@ -52,7 +53,6 @@ pub mod overload;
 pub mod request;
 pub mod server;
 
-pub use admission::AdmissionControl;
 pub use latency::{LatencyRecorder, LatencySummary};
 pub use loadgen::{ArrivalModel, LoadGen};
 pub use maintain::{

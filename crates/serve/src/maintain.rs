@@ -12,12 +12,11 @@
 //! stream, the scrub schedule — and every health transition — replays
 //! byte-identically at any thread count.
 //!
-//! Health drives admission:
+//! Health gates the disk-backed classes:
 //!
 //! * [`HealthState::Healthy`] — serve everything;
 //! * [`HealthState::Degraded`] — corruption was found (repaired or not
-//!   yet re-verified); the legacy backoff-budget admission runs at half
-//!   budget, predictions keep serving from memory;
+//!   yet re-verified); a reported state only, everything still serves;
 //! * [`HealthState::ReadOnly`] — pages were quarantined (data loss): the
 //!   disk-backed classes (range, k-NN) are refused, predictions still
 //!   serve. Sticky — a quarantined page never un-loses its bytes, so

@@ -7,12 +7,14 @@
 //! [`LeafSoup`] for the blocked counting kernels) plus the grown upper
 //! tree of the paper's sampled cost predictor. A k-NN request finds its
 //! radius through that index, or through the linear scan when the index
-//! cannot prune ([`crate::knn`]). Requests arrive in batches;
-//! each admitted batch fans out over the [`Pool`] with per-query panic
-//! isolation ([`Pool::par_map_isolated`]), then a single-threaded
-//! accounting pass advances simulated time. Nothing about latency or fault
-//! injection depends on which OS thread ran a query, so the whole run is
-//! byte-identical at any `HDIDX_THREADS`.
+//! cannot prune ([`crate::knn`]). The whole offered stream executes in
+//! one pass over the [`Pool`] with per-query panic isolation
+//! ([`Pool::par_map_isolated`]); executing a request is pure, so the
+//! lanes' shadow pass and the single-threaded accounting pass (which
+//! batches the admitted requests and advances simulated time) both read
+//! those results. Nothing about latency or fault injection depends on
+//! which OS thread ran a query, so the whole run is byte-identical at any
+//! `HDIDX_THREADS`.
 //!
 //! # Simulated time
 //!
@@ -49,9 +51,10 @@
 //!
 //! [`Maintenance`] rides in the same loop: idle gaps in the slot algebra
 //! run incremental scrub slices, whose findings drive the
-//! Healthy → Degraded → ReadOnly health machine gating admission.
+//! Healthy → Degraded → ReadOnly health machine; a read-only store refuses
+//! the disk-backed classes.
 
-use crate::admission::{AdmissionControl, LaneState};
+use crate::admission::LaneState;
 use crate::knn::knn_radius_with;
 use crate::latency::{LatencyRecorder, LatencySummary};
 use crate::maintain::{HealthState, Maintenance, MaintenanceReport};
@@ -88,11 +91,6 @@ pub struct ServeConfig {
     pub concurrency: usize,
     /// Requests dispatched per batch.
     pub batch: usize,
-    /// Admission backoff budget in simulated seconds
-    /// (`f64::INFINITY` disables shedding).
-    pub admission_budget_s: f64,
-    /// Sliding-window length of the backoff-budget admission controller.
-    pub admission_window: usize,
     /// Overload-control policy (defaults to [`OverloadPolicy::none`]).
     pub overload: OverloadPolicy,
     /// Disk cost model that converts I/O counts into seconds.
@@ -100,23 +98,20 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// Default knobs: 4 slots, batches of 8, shedding disabled, no
-    /// overload policy, the paper's disk.
+    /// Default knobs: 4 slots, batches of 8, no overload policy (so
+    /// nothing sheds), the paper's disk.
     #[must_use]
     pub fn new() -> ServeConfig {
         ServeConfig {
             concurrency: 4,
             batch: 8,
-            admission_budget_s: f64::INFINITY,
-            admission_window: AdmissionControl::DEFAULT_WINDOW,
             overload: OverloadPolicy::none(),
             disk: DiskModel::PAPER,
         }
     }
 
     /// Checks the knobs: at least one slot, at least one request per
-    /// batch, a positive admission budget, a non-empty admission window,
-    /// and a valid overload policy.
+    /// batch, and a valid overload policy.
     ///
     /// # Errors
     ///
@@ -127,21 +122,6 @@ impl ServeConfig {
         }
         if self.batch == 0 {
             return Err(Error::invalid("batch", "must be at least 1"));
-        }
-        if self.admission_budget_s.is_nan() || self.admission_budget_s <= 0.0 {
-            return Err(Error::invalid(
-                "admission-budget",
-                format!(
-                    "must be positive (or infinite to disable), got {}",
-                    self.admission_budget_s
-                ),
-            ));
-        }
-        if self.admission_window == 0 {
-            return Err(Error::invalid(
-                "admission-window",
-                "window must be at least 1 charge",
-            ));
         }
         self.overload.validate()
     }
@@ -204,7 +184,7 @@ pub struct ClassStats {
     pub class: QueryClass,
     /// Requests of this class admitted and executed.
     pub executed: u64,
-    /// Requests of this class shed (lanes, batch admission, or health).
+    /// Requests of this class shed (lanes or read-only health).
     pub shed: u64,
     /// Executed requests of this class that failed.
     pub failed: u64,
@@ -238,7 +218,7 @@ pub struct ServeReport {
     pub total: u64,
     /// Requests admitted and executed.
     pub executed: u64,
-    /// Requests shed (admission budget, lanes, or read-only health).
+    /// Requests shed (lanes or read-only health).
     pub shed: u64,
     /// Executed requests that failed (retry exhaustion, worker panic, or
     /// breaker fast-fail).
@@ -317,20 +297,7 @@ impl<'a> Server<'a> {
         let mut cfg = ExternalConfig::with_mem_points(m)?;
         cfg.faults = faults;
         let built = build_on_disk(data, topo, &cfg)?;
-        let leaf_soup = LeafSoup::from_rects(topo.dim(), &built.tree.leaf_rects())?;
-        let h_upper = recommended_h_upper(topo, m)?;
-        let up = build_upper_phase(data, topo, m, h_upper, seed)?;
-        let predict_soup = up.grown_soup()?;
-        let height = built.tree.height();
-        Ok(Server {
-            data,
-            tree: built.tree,
-            leaf_soup,
-            predict_soup,
-            build_io: built.io,
-            faults,
-            height,
-        })
+        Server::from_tree(data, topo, built.tree, m, seed, faults, built.io, None)
     }
 
     /// Adopts an already-built `tree` — e.g. one loaded back from a
@@ -731,9 +698,9 @@ impl<'a> Server<'a> {
 
     /// [`Server::run`] with an idle-slot [`Maintenance`] scheduler: idle
     /// gaps in the slot algebra run scrub slices, and the resulting
-    /// [`HealthState`] gates admission — Degraded halves the backoff
-    /// budget, ReadOnly refuses the disk-backed classes while predictions
-    /// keep serving from memory.
+    /// [`HealthState`] is reported. A ReadOnly store refuses the
+    /// disk-backed classes while predictions keep serving from memory;
+    /// Degraded changes no decision.
     ///
     /// # Errors
     ///
@@ -747,38 +714,42 @@ impl<'a> Server<'a> {
         mut maint: Option<&mut Maintenance>,
     ) -> Result<ServeReport> {
         cfg.validate()?;
-        let mut admission =
-            AdmissionControl::with_window(cfg.admission_budget_s, cfg.admission_window)?;
         let mut breaker = match cfg.overload.breaker {
             Some(bcfg) => Some(CircuitBreaker::new(bcfg)?),
             None => None,
         };
 
+        // One execution pass over the offered stream. `execute` is pure,
+        // so a request's result never depends on whether the lanes, health
+        // or the breaker later refuse it; the shadow pass and the
+        // accounting loop below both read these results.
+        let results: Vec<ExecResult> = pool
+            .par_map_isolated(requests, |r| self.execute(r, cfg))
+            .into_iter()
+            .map(|r| r.unwrap_or_else(|_| ExecResult::failed()))
+            .collect();
+
         // Lane admission runs before batching, on the shadow-priced offered
         // stream; the admitted sub-stream is then re-chunked into batches.
-        // With lanes off, the admitted stream IS the offered stream and no
-        // shadow pass runs (the zero-overload path stays byte-identical).
+        // With lanes off, the admitted stream IS the offered stream.
         let mut class_shed = [0u64; QueryClass::COUNT];
-        let (admitted_idx, precomputed) = if let Some(policy) = cfg.overload.lanes {
-            let results: Vec<ExecResult> = pool
-                .par_map_isolated(requests, |r| self.execute(r, cfg))
-                .into_iter()
-                .map(|r| r.unwrap_or_else(|_| ExecResult::failed()))
-                .collect();
-            let delays = self.shadow_delays(requests, &results, cfg);
-            let mut lanes = LaneState::new(policy)?;
-            let mut idx = Vec::with_capacity(requests.len());
-            for (i, req) in requests.iter().enumerate() {
-                if lanes.admit(QueryClass::of(&req.query), delays[i]) {
-                    idx.push(i);
-                }
+        let admitted: Vec<usize> = match cfg.overload.lanes {
+            Some(policy) => {
+                let delays = self.shadow_delays(requests, &results, cfg);
+                let mut lanes = LaneState::new(policy)?;
+                (0..requests.len())
+                    .filter(|&i| {
+                        let class = QueryClass::of(&requests[i].query);
+                        let admit = lanes.admit(class, delays[i]);
+                        if !admit {
+                            class_shed[class.index()] += 1;
+                        }
+                        admit
+                    })
+                    .collect()
             }
-            class_shed = lanes.shed_by_class();
-            (idx, Some(results))
-        } else {
-            ((0..requests.len()).collect::<Vec<_>>(), None)
+            None => (0..requests.len()).collect(),
         };
-        let lane_shed: u64 = class_shed.iter().sum();
 
         let mut recorder = LatencyRecorder::new();
         let mut class_rec: [LatencyRecorder; QueryClass::COUNT] = Default::default();
@@ -795,43 +766,13 @@ impl<'a> Server<'a> {
         let mut degraded_count = 0u64;
         let mut coverage_sum = 0.0f64;
         let mut predict_executed = 0u64;
-        let mut health_refused = 0u64;
         let mut makespan_s = 0.0f64;
         // The breaker clock: a monotone envelope of the slot times the
         // sequential accounting pass touches. Monotone because breaker
         // state must never move backwards in time even though slots do.
         let mut clock_s = 0.0f64;
 
-        for batch in admitted_idx.chunks(cfg.batch) {
-            // Health gates admission: a degraded store halves the backoff
-            // budget for subsequent batches.
-            if let Some(m) = maint.as_deref() {
-                admission.set_budget_scale(match m.health() {
-                    HealthState::Degraded => 0.5,
-                    _ => 1.0,
-                });
-            }
-            // The admission decision precedes execution and depends only
-            // on the window state left by earlier batches — deterministic
-            // because batches are accounted in arrival order.
-            if !admission.admit_batch(batch.len()) {
-                for &i in batch {
-                    class_shed[QueryClass::of(&requests[i].query).index()] += 1;
-                }
-                continue;
-            }
-            let results: Vec<ExecResult> = match &precomputed {
-                Some(all) => batch.iter().map(|&i| all[i]).collect(),
-                // Without lanes the admitted indices are contiguous, so the
-                // batch is a subslice of the offered stream.
-                None => {
-                    let reqs = &requests[batch[0]..batch[0] + batch.len()];
-                    pool.par_map_isolated(reqs, |req| self.execute(req, cfg))
-                        .into_iter()
-                        .map(|r| r.unwrap_or_else(|_| ExecResult::failed()))
-                        .collect()
-                }
-            };
+        for batch in admitted.chunks(cfg.batch) {
             // Single-threaded time accounting: dispatch the batch to the
             // earliest-free slot (lowest index on ties) once its last
             // request has arrived.
@@ -850,14 +791,13 @@ impl<'a> Server<'a> {
             }
             let health = maint.as_deref().map(Maintenance::health);
             let mut t = dispatch;
-            for (&i, res) in batch.iter().zip(results) {
-                let req = &requests[i];
+            for &i in batch {
+                let (req, res) = (&requests[i], &results[i]);
                 let class = QueryClass::of(&req.query);
                 let ci = class.index();
                 // A read-only store refuses the disk-backed classes;
                 // predictions keep serving from memory.
                 if health == Some(HealthState::ReadOnly) && class != QueryClass::Predict {
-                    health_refused += 1;
                     class_shed[ci] += 1;
                     continue;
                 }
@@ -865,21 +805,19 @@ impl<'a> Server<'a> {
                 clock_s = clock_s.max(t);
                 if let Some(b) = breaker.as_mut() {
                     if class != QueryClass::Predict && !b.allow(clock_s) {
-                        // Fail fast: the precomputed result is discarded,
+                        // Fail fast: the executed result is discarded,
                         // nothing is charged, the refusal is immediate.
                         recorder.record(t - req.arrival_s);
                         class_rec[ci].record(t - req.arrival_s);
                         class_executed[ci] += 1;
                         failed += 1;
                         class_failed[ci] += 1;
-                        admission.observe(0.0);
                         continue;
                     }
                 }
                 t += res.service_s;
                 recorder.record(t - req.arrival_s);
                 class_rec[ci].record(t - req.arrival_s);
-                admission.observe(res.io.backoff as f64 * cfg.disk.t_seek_s);
                 io += res.io;
                 class_executed[ci] += 1;
                 if !res.ok {
@@ -929,10 +867,12 @@ impl<'a> Server<'a> {
             summary: class_rec[i].summary(),
             digest: class_rec[i].digest(),
         });
+        let total = requests.len() as u64;
+        let shed: u64 = class_shed.iter().sum();
         Ok(ServeReport {
-            total: requests.len() as u64,
-            executed: admission.admitted() - health_refused,
-            shed: admission.shed() + lane_shed + health_refused,
+            total,
+            executed: class_executed.iter().sum(),
+            shed,
             failed,
             summary: recorder.summary(),
             digest: recorder.digest(),
@@ -940,13 +880,10 @@ impl<'a> Server<'a> {
             io,
             backoff_s: io.backoff as f64 * cfg.disk.t_seek_s,
             makespan_s,
-            shed_fraction: {
-                let total = requests.len() as u64;
-                if total == 0 {
-                    0.0
-                } else {
-                    (admission.shed() + lane_shed + health_refused) as f64 / total as f64
-                }
+            shed_fraction: if total == 0 {
+                0.0
+            } else {
+                shed as f64 / total as f64
             },
             by_class,
             deadline_cut,
@@ -1087,8 +1024,12 @@ mod tests {
             .with_phase_scale(FaultPhase::Build, 0);
         let server = Server::build(&data, &topo, 400, 7, Some(fcfg)).unwrap();
         let reqs = stream(&data, 9);
+        // One lane budget for every class: charged backoff inflates the
+        // shadow service times, so the fault storm sheds through the lanes.
+        let mut overload = OverloadPolicy::none();
+        overload.lanes = Some(LanePolicy::parse("2").unwrap());
         let cfg = ServeConfig {
-            admission_budget_s: 0.05,
+            overload,
             ..ServeConfig::new()
         };
         let pool = Pool::serial();
@@ -1097,7 +1038,10 @@ mod tests {
         assert_eq!(a, b, "faulted serving must be reproducible");
         assert!(a.io.retries > 0, "fault rate must trigger retries");
         assert!(a.backoff_s > 0.0);
-        assert!(a.shed > 0, "budget 50 ms must shed under this fault rate");
+        assert!(
+            a.shed > 0,
+            "a 2 s lane budget must shed under this fault rate"
+        );
         assert!(a.shed_fraction > 0.0);
         assert_eq!(a.executed + a.shed, a.total);
         // Shed requests record no latency.
@@ -1120,18 +1064,6 @@ mod tests {
         }));
         assert!(bad(ServeConfig {
             batch: 0,
-            ..ServeConfig::new()
-        }));
-        assert!(bad(ServeConfig {
-            admission_budget_s: 0.0,
-            ..ServeConfig::new()
-        }));
-        assert!(bad(ServeConfig {
-            admission_budget_s: f64::NAN,
-            ..ServeConfig::new()
-        }));
-        assert!(bad(ServeConfig {
-            admission_window: 0,
             ..ServeConfig::new()
         }));
         let mut overload = OverloadPolicy::none();

@@ -100,8 +100,9 @@ fn clean_serving_is_byte_identical_for_any_thread_count() {
     }
 }
 
-/// Faulted serving with an exponential-backoff retry policy and a tight
-/// admission budget sheds load — and still reproduces bitwise at every
+/// Faulted serving with an exponential-backoff retry policy and one tight
+/// lane budget for every class sheds load (charged backoff inflates the
+/// shadow-priced queue delays) — and still reproduces bitwise at every
 /// thread count, because per-request fault plans derive from request ids.
 #[test]
 fn faulted_serving_is_byte_identical_and_sheds() {
@@ -120,14 +121,16 @@ fn faulted_serving_is_byte_identical_and_sheds() {
         seed: 13,
     };
     let requests = gen.requests(&balls, &MixSpec::default(), 5).unwrap();
+    let mut overload = OverloadPolicy::none();
+    overload.lanes = Some(LanePolicy::parse("2").unwrap());
     let cfg = ServeConfig {
         concurrency: 2,
         batch: 4,
-        admission_budget_s: 0.05,
+        overload,
         ..ServeConfig::new()
     };
     let reference = server.run(&requests, &cfg, &Pool::serial()).unwrap();
-    assert!(reference.shed > 0, "tight budget must shed load");
+    assert!(reference.shed > 0, "a 2 s lane budget must shed load");
     assert!(reference.io.retries > 0, "faults must force retries");
     assert!(
         reference.backoff_s > 0.0,
@@ -196,8 +199,8 @@ fn zero_overload_serving_reproduces_the_pre_overload_digests() {
         assert_eq!(report.samples.len(), n, "{label}: pinned sample count");
     }
 
-    // The faulted fixture with a tight admission budget: shed decisions
-    // and charged backoff are pinned too.
+    // The faulted fixture with no policy: charged backoff and the retry
+    // failures are pinned too, and nothing sheds.
     let fdata = clustered_dataset(3_000, 4, 62);
     let fballs = candidates(&fdata, 20);
     let fcfg = FaultConfig::disabled(9)
@@ -215,16 +218,16 @@ fn zero_overload_serving_reproduces_the_pre_overload_digests() {
     let cfg = ServeConfig {
         concurrency: 2,
         batch: 4,
-        admission_budget_s: 0.05,
         ..ServeConfig::new()
     };
     let report = fserver.run(&requests, &cfg, &Pool::serial()).unwrap();
-    assert_eq!(report.digest, 0xfdcd3d7cac98b5d1, "faulted: pinned digest");
-    assert_eq!(report.shed, 143, "faulted: pinned shed count");
-    assert_eq!(report.executed, 56, "faulted: pinned executed count");
+    assert_eq!(report.digest, 0x228ce84d6843212a, "faulted: pinned digest");
+    assert_eq!(report.shed, 0, "faulted: pinned shed count");
+    assert_eq!(report.executed, 199, "faulted: pinned executed count");
+    assert_eq!(report.failed, 118, "faulted: pinned failed count");
     assert_eq!(
         report.backoff_s.to_bits(),
-        0x402afae147ae147b,
+        0x40441d70a3d70a3e,
         "faulted: pinned backoff"
     );
 }
