@@ -1,46 +1,67 @@
 //! Hand-rolled argument parsing (no external CLI dependency).
 //!
-//! Flag conventions, shared by every data command: `--seed` (RNG seed),
-//! `--m` (memory budget in points), `--h-upper` (upper-tree height),
-//! `--threads` (worker threads for the query-radius set-up and serve's
-//! execution pass; 1 forces serial, absent = available parallelism /
-//! `HDIDX_THREADS`), `--predictor` (a name from the
-//! `hdidx_baselines::PREDICTOR_NAMES` registry).
+//! The four run commands (`predict`, `compare`, `measure`, `serve`)
+//! share one flag set, parsed once into a [`RunArgs`]: the dataset, the
+//! query workload, and the fault configuration, which comes from flags
+//! only and is resolved here. `measure` and `serve` add the storage
+//! flags ([`StoreSpec`]). The process-wide `--threads` (worker threads
+//! for the query-radius set-up and serve's execution pass; 1 forces
+//! serial, absent = available parallelism / `HDIDX_THREADS`) and
+//! `--simd` live on [`Cli`].
 
 use hdidx_baselines::PREDICTOR_NAMES;
 use hdidx_core::simd::Choice as SimdChoice;
 use hdidx_diskio::BreakerConfig;
-use hdidx_faults::{FaultPhase, RetryPolicy};
+use hdidx_faults::{BurstConfig, FaultConfig, FaultPhase, RetryPolicy};
 use hdidx_serve::{ArrivalModel, Deadlines, LanePolicy, MixSpec, OverloadPolicy, QueryClass};
 use hdidx_store::Durability;
-
-/// Storage backend selection for the commands that build an index
-/// (`measure`, `serve`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backend {
-    /// The simulated disk: access-pattern accounting only, no bytes.
-    Sim,
-    /// The file-backed page store: same charged accounting, plus real
-    /// pages, checksums, a WAL, and an index snapshot under `--store`.
-    File,
-}
-
-impl Backend {
-    /// The stable name (`"sim"` / `"file"`).
-    #[must_use]
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            Backend::Sim => "sim",
-            Backend::File => "file",
-        }
-    }
-}
+use std::path::PathBuf;
 
 /// A parsed invocation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Cli {
     /// Subcommand.
     pub command: Command,
+    /// Worker threads (None = available parallelism, 1 = serial).
+    pub threads: Option<usize>,
+    /// Kernel ISA override (None = `HDIDX_SIMD` or auto-detect).
+    pub simd: Option<SimdChoice>,
+}
+
+/// The configuration every run command shares.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RunArgs {
+    /// CSV path.
+    pub data: String,
+    /// Page size in bytes.
+    pub page_bytes: usize,
+    /// Memory budget in points.
+    pub m: usize,
+    /// Number of queries (for `serve`, the candidate pool of query balls).
+    pub queries: usize,
+    /// Neighbor count.
+    pub k: usize,
+    /// RNG seed.
+    pub seed: u64,
+    /// Fault injection resolved from the fault and retry flags (None
+    /// without `--fault-seed`).
+    pub faults: Option<FaultConfig>,
+}
+
+/// Storage backend shared by `measure` and `serve`: which page store
+/// runs the build.
+#[derive(Debug, Clone, PartialEq)]
+pub enum StoreSpec {
+    /// The simulated disk: access-pattern accounting only, no bytes.
+    Sim,
+    /// The file-backed page store: same charged accounting, plus real
+    /// pages, checksums, a WAL, and an index snapshot.
+    File {
+        /// Store directory (`--store`).
+        dir: PathBuf,
+        /// WAL durability mode.
+        durability: Durability,
+    },
 }
 
 /// The subcommands.
@@ -55,157 +76,53 @@ pub enum Command {
     },
     /// Predict page accesses without building the index.
     Predict {
-        /// CSV path.
-        data: String,
-        /// Page size in bytes.
-        page_bytes: usize,
-        /// Memory budget in points.
-        m: usize,
+        /// Shared run configuration.
+        run: RunArgs,
         /// Registered predictor name (see `PREDICTOR_NAMES`).
         predictor: String,
-        /// Number of queries.
-        queries: usize,
-        /// Neighbor count.
-        k: usize,
         /// Explicit upper-tree height (None = recommended).
         h_upper: Option<usize>,
         /// Sampling fraction for the basic method (None = M/N).
         zeta: Option<f64>,
-        /// RNG seed.
-        seed: u64,
-        /// Worker threads (None = available parallelism, 1 = serial).
-        threads: Option<usize>,
-        /// Fault-injection seed (None = `HDIDX_FAULT_SEED` or no faults).
-        fault_seed: Option<u64>,
-        /// Fault rate override in ppm (transient; torn/spikes at half).
-        fault_ppm: Option<u32>,
-        /// Retry/backoff policy override (None = `HDIDX_RETRY_POLICY` /
-        /// `HDIDX_RETRY_BUDGET` or the fixed default).
-        retry: Option<RetryPolicy>,
-        /// Per-phase fault-rate percentages in `FaultPhase::ALL` order
-        /// (None = 100 % everywhere).
-        fault_phase_scale: Option<[u16; 3]>,
-        /// Kernel ISA override (None = `HDIDX_SIMD` or auto-detect).
-        simd: Option<SimdChoice>,
     },
     /// Run every predictor plus the measured ground truth in one report.
     Compare {
-        /// CSV path.
-        data: String,
-        /// Page size in bytes.
-        page_bytes: usize,
-        /// Memory budget in points.
-        m: usize,
-        /// Number of queries.
-        queries: usize,
-        /// Neighbor count.
-        k: usize,
-        /// RNG seed.
-        seed: u64,
-        /// Worker threads (None = available parallelism, 1 = serial).
-        threads: Option<usize>,
-        /// Fault-injection seed (None = `HDIDX_FAULT_SEED` or no faults).
-        fault_seed: Option<u64>,
-        /// Fault rate override in ppm (transient; torn/spikes at half).
-        fault_ppm: Option<u32>,
-        /// Retry/backoff policy override (None = `HDIDX_RETRY_POLICY` /
-        /// `HDIDX_RETRY_BUDGET` or the fixed default).
-        retry: Option<RetryPolicy>,
-        /// Per-phase fault-rate percentages in `FaultPhase::ALL` order
-        /// (None = 100 % everywhere).
-        fault_phase_scale: Option<[u16; 3]>,
-        /// Kernel ISA override (None = `HDIDX_SIMD` or auto-detect).
-        simd: Option<SimdChoice>,
+        /// Shared run configuration.
+        run: RunArgs,
     },
     /// Build the index (simulated on-disk) and measure ground truth.
     Measure {
-        /// CSV path.
-        data: String,
-        /// Page size in bytes.
-        page_bytes: usize,
-        /// Memory budget in points.
-        m: usize,
-        /// Number of queries.
-        queries: usize,
-        /// Neighbor count.
-        k: usize,
-        /// RNG seed.
-        seed: u64,
-        /// Worker threads (None = available parallelism, 1 = serial).
-        threads: Option<usize>,
-        /// Fault-injection seed (None = `HDIDX_FAULT_SEED` or no faults).
-        fault_seed: Option<u64>,
-        /// Fault rate override in ppm (transient; torn/spikes at half).
-        fault_ppm: Option<u32>,
-        /// Retry/backoff policy override (None = `HDIDX_RETRY_POLICY` /
-        /// `HDIDX_RETRY_BUDGET` or the fixed default).
-        retry: Option<RetryPolicy>,
-        /// Per-phase fault-rate percentages in `FaultPhase::ALL` order
-        /// (None = 100 % everywhere).
-        fault_phase_scale: Option<[u16; 3]>,
+        /// Shared run configuration.
+        run: RunArgs,
         /// Storage backend the build runs against.
-        backend: Backend,
-        /// Store directory (file backend only).
-        store_dir: Option<String>,
-        /// WAL durability mode (file backend only).
-        durability: Durability,
-        /// Kernel ISA override (None = `HDIDX_SIMD` or auto-detect).
-        simd: Option<SimdChoice>,
+        store: StoreSpec,
     },
     /// Serve an open-loop query stream against a built index and report
     /// tail latency.
     Serve {
-        /// CSV path.
-        data: String,
-        /// Page size in bytes.
-        page_bytes: usize,
-        /// Memory budget in points.
-        m: usize,
-        /// Mean arrival rate, requests per simulated second.
-        rate: f64,
-        /// Arrival window length in simulated seconds.
-        duration: f64,
+        /// Shared run configuration.
+        run: RunArgs,
+        /// Storage backend the build runs against.
+        store: StoreSpec,
+        /// Arrival rate in requests per second.
+        rate_per_s: f64,
+        /// Simulated stream length in seconds.
+        duration_s: f64,
+        /// Arrival process (the stream is seeded with `--seed`).
+        arrivals: ArrivalModel,
         /// Read mix over range/knn/predict.
         mix: MixSpec,
-        /// Interarrival model.
-        arrivals: ArrivalModel,
         /// Simulated service slots.
         concurrency: usize,
-        /// Requests per dispatch batch.
+        /// Requests per execution batch.
         batch: usize,
-        /// Overload-control policy assembled from `--deadline`, `--lanes`,
+        /// The overload policy assembled from `--deadline`, `--lanes`,
         /// `--breaker` and `--hedge-ms` (all default off).
         overload: OverloadPolicy,
         /// Serve only this query class (physically filter the stream).
         only: Option<QueryClass>,
         /// Idle-slot scrub slice size in pages (None = maintenance off).
         scrub_slice: Option<u64>,
-        /// Number of candidate query balls in the workload pool.
-        queries: usize,
-        /// Neighbor count for workload radii and k-NN requests.
-        k: usize,
-        /// RNG seed.
-        seed: u64,
-        /// Worker threads (None = available parallelism, 1 = serial).
-        threads: Option<usize>,
-        /// Fault-injection seed (None = `HDIDX_FAULT_SEED` or no faults).
-        fault_seed: Option<u64>,
-        /// Fault rate override in ppm (transient; torn/spikes at half).
-        fault_ppm: Option<u32>,
-        /// Retry/backoff policy override (None = `HDIDX_RETRY_POLICY` /
-        /// `HDIDX_RETRY_BUDGET` or the fixed default).
-        retry: Option<RetryPolicy>,
-        /// Per-phase fault-rate percentages in `FaultPhase::ALL` order
-        /// (None = 100 % everywhere).
-        fault_phase_scale: Option<[u16; 3]>,
-        /// Storage backend the build runs against.
-        backend: Backend,
-        /// Store directory (file backend only).
-        store_dir: Option<String>,
-        /// WAL durability mode (file backend only).
-        durability: Durability,
-        /// Kernel ISA override (None = `HDIDX_SIMD` or auto-detect).
-        simd: Option<SimdChoice>,
     },
     /// Verify and repair an existing snapshot store offline.
     Scrub {
@@ -235,37 +152,29 @@ hdidx — sampling-based index cost prediction (Lang & Singh, SIGMOD 2001)
 
 USAGE:
   hdidx info     --data <csv> [--page-bytes 8192]
-  hdidx predict  --data <csv> --m <points>
+  hdidx predict  --data <csv> --m <points> [run flags]
                  [--predictor resampled|cutoff|basic|uniform|fractal|histogram|distdist]
-                 [--queries 500] [--k 21] [--h-upper N] [--zeta F]
-                 [--page-bytes 8192] [--seed 42] [--threads N]
-                 [--simd auto|scalar|sse2|avx2]
-                 [--fault-seed S] [--fault-ppm P] [--fault-phase-scale SPEC]
-                 [--retry-policy fixed|exponential|budgeted] [--retry-budget B]
-  hdidx measure  --data <csv> --m <points> [--queries 500] [--k 21]
-                 [--page-bytes 8192] [--seed 42] [--threads N]
-                 [--simd auto|scalar|sse2|avx2]
-                 [--backend sim|file] [--store <dir>]
-                 [--durability per-batch|every-N|none]
-                 [--fault-seed S] [--fault-ppm P] [--fault-phase-scale SPEC]
-                 [--retry-policy fixed|exponential|budgeted] [--retry-budget B]
-  hdidx compare  --data <csv> --m <points> [--queries 500] [--k 21]
-                 [--page-bytes 8192] [--seed 42] [--threads N]
-                 [--simd auto|scalar|sse2|avx2]
-                 [--fault-seed S] [--fault-ppm P] [--fault-phase-scale SPEC]
-                 [--retry-policy fixed|exponential|budgeted] [--retry-budget B]
-  hdidx serve    --data <csv> --m <points> [--rate 200] [--duration 10]
+                 [--h-upper N] [--zeta F]
+  hdidx compare  --data <csv> --m <points> [run flags]
+  hdidx measure  --data <csv> --m <points> [run flags] [store flags]
+  hdidx serve    --data <csv> --m <points> [run flags] [store flags]
+                 [--rate 200] [--duration 10]
                  [--mix range:0.5,knn:0.3,predict:0.2] [--arrivals fixed|bursty]
                  [--concurrency 4] [--batch 8] [--deadline SPEC] [--lanes SPEC]
                  [--breaker fails:window:cooldown[:probes]] [--hedge-ms MS]
-                 [--only range|knn|predict] [--scrub-slice PAGES]
-                 [--queries 500] [--k 21] [--page-bytes 8192] [--seed 42]
-                 [--threads N] [--simd auto|scalar|sse2|avx2] [--smoke]
-                 [--backend sim|file] [--store <dir>]
-                 [--durability per-batch|every-N|none]
-                 [fault/retry flags as above]
+                 [--only range|knn|predict] [--scrub-slice PAGES] [--smoke]
   hdidx scrub    --store <dir> [--durability per-batch|every-N|none]
   hdidx generate --dataset <name> [--scale 1.0] --out <csv>
+
+Run flags (predict, compare, measure, serve):
+  [--queries 500] [--k 21] [--page-bytes 8192] [--seed 42]
+  [--threads N] [--simd auto|scalar|sse2|avx2]
+  [--fault-seed S] [--fault-ppm P] [--fault-burst-ppm P]
+  [--fault-phase-scale SPEC]
+  [--retry-policy fixed|exponential|budgeted] [--retry-budget B]
+
+Store flags (measure, serve):
+  [--backend sim|file] [--store <dir>] [--durability per-batch|every-N|none]
 
 `--backend file` runs the build against the file-backed page store
 under `--store <dir>` (required): after the build, the index is
@@ -349,12 +258,11 @@ A fixed ISA the CPU does not support is rejected at startup.
 `--fault-seed S` injects deterministic I/O faults (transient failures,
 torn reads, latency spikes) into the simulated disk; `--fault-ppm P`
 scales the transient rate in parts per million (default 2000; torn and
-spikes run at half that). Omitting --fault-seed falls back to the
-HDIDX_FAULT_SEED / HDIDX_FAULT_PPM environment variables; without
-either, no faults are injected. The same fault seed reproduces the
-identical fault trace, retry counts, and degraded output.
-HDIDX_FAULT_BURST_PPM additionally enables correlated fault bursts over
-seeded bad page regions at the given per-attempt rate.
+spikes run at half that). `--fault-burst-ppm P` adds correlated fault
+bursts over seeded bad page regions at the given per-attempt rate.
+Without --fault-seed no faults are injected, and the other fault and
+retry flags are checked but have no effect. The same fault seed
+reproduces the identical fault trace, retry counts, and degraded output.
 
 `--fault-phase-scale` rescales the fault rates per pipeline phase, as a
 comma-separated list of `phase:pct` pairs over the phases `build`,
@@ -369,10 +277,33 @@ immediately (default), `exponential` charges 2^attempt (+ deterministic
 jitter) seek-equivalents of backoff into the I/O bill, and `budgeted`
 follows the exponential schedule but gives up once a per-access backoff
 budget (`--retry-budget`, default 64 seek-equivalents) would be
-overdrawn. `--retry-budget` alone implies the budgeted policy. Explicit
-flags override the HDIDX_RETRY_POLICY / HDIDX_RETRY_BUDGET environment
-variables, which override the fixed default.
+overdrawn. `--retry-budget` alone implies the budgeted policy.
 ";
+
+/// The flags every run command accepts.
+const RUN_FLAGS: &[&str] = &[
+    "data",
+    "page-bytes",
+    "m",
+    "queries",
+    "k",
+    "seed",
+    "threads",
+    "simd",
+    "fault-seed",
+    "fault-ppm",
+    "fault-burst-ppm",
+    "fault-phase-scale",
+    "retry-policy",
+    "retry-budget",
+];
+
+/// The storage flags `measure` and `serve` add.
+const STORE_FLAGS: &[&str] = &["backend", "store", "durability"];
+
+/// Transient fault rate (ppm) a bare `--fault-seed` injects: low enough
+/// that bounded retry absorbs essentially every fault.
+const DEFAULT_FAULT_PPM: u32 = 2_000;
 
 struct Opts {
     pairs: Vec<(String, String)>,
@@ -422,12 +353,7 @@ impl Opts {
     }
 
     fn parse_or<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("option --{key}: cannot parse `{v}`")),
-        }
+        Ok(self.parse_opt(key)?.unwrap_or(default))
     }
 
     fn parse_opt<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String> {
@@ -440,9 +366,22 @@ impl Opts {
         }
     }
 
-    fn reject_unknown(&self, known: &[&str]) -> Result<(), String> {
+    /// Parses option `key` through `parse` (None when absent), prefixing
+    /// any error with the option name.
+    fn parse_with<T, E: std::fmt::Display>(
+        &self,
+        key: &str,
+        parse: impl FnOnce(&str) -> Result<T, E>,
+    ) -> Result<Option<T>, String> {
+        self.get(key)
+            .map(|v| parse(v).map_err(|e| format!("option --{key}: {e}")))
+            .transpose()
+    }
+
+    /// Rejects any option outside the given flag lists.
+    fn reject_unknown(&self, known: &[&[&str]]) -> Result<(), String> {
         for k in self.pairs.iter().map(|(k, _)| k).chain(&self.flags) {
-            if !known.contains(&k.as_str()) {
+            if !known.iter().any(|list| list.contains(&k.as_str())) {
                 return Err(format!("unknown option --{k}"));
             }
         }
@@ -450,23 +389,66 @@ impl Opts {
     }
 }
 
-fn parse_retry(opts: &Opts) -> Result<Option<RetryPolicy>, String> {
-    let budget: Option<u32> = opts.parse_opt("retry-budget")?;
-    match opts.get("retry-policy") {
-        Some(name) => RetryPolicy::parse(name, budget)
-            .map(Some)
-            .map_err(|e| format!("option --retry-policy: {e}")),
-        // A budget alone implies the budgeted policy (mirrors the
-        // HDIDX_RETRY_BUDGET environment variable).
-        None => Ok(budget.map(|budget_seeks| RetryPolicy::Budgeted { budget_seeks })),
+impl RunArgs {
+    /// Parses the shared run flags; `queries` and `k` are the command's
+    /// defaults (`serve --smoke` shrinks them).
+    fn parse(opts: &Opts, queries: usize, k: usize) -> Result<RunArgs, String> {
+        Ok(RunArgs {
+            data: opts.required("data")?,
+            page_bytes: opts.parse_or("page-bytes", 8192usize)?,
+            m: opts
+                .parse_opt("m")?
+                .ok_or("missing required option --m".to_string())?,
+            queries: opts.parse_or("queries", queries)?,
+            k: opts.parse_or("k", k)?,
+            seed: opts.parse_or("seed", 42u64)?,
+            faults: parse_faults(opts)?,
+        })
     }
 }
 
-fn parse_phase_scale(opts: &Opts) -> Result<Option<[u16; 3]>, String> {
-    let Some(spec) = opts.get("fault-phase-scale") else {
-        return Ok(None);
-    };
+/// Resolves the fault and retry flags into one configuration.
+/// `--fault-seed` alone decides whether faults are injected, at
+/// [`DEFAULT_FAULT_PPM`] unless `--fault-ppm` overrides it;
+/// `--fault-burst-ppm` layers correlated bursts on top; the retry policy
+/// defaults to fixed; `--fault-phase-scale` then rescales the rates per
+/// pipeline phase (build / query / predict), letting fault pressure be
+/// steered at the predictors' sampled I/O while the build and
+/// measurement run clean (or vice versa). Every value is checked even
+/// without a seed.
+fn parse_faults(opts: &Opts) -> Result<Option<FaultConfig>, String> {
+    let seed: Option<u64> = opts.parse_opt("fault-seed")?;
+    let ppm: u32 = opts.parse_or("fault-ppm", DEFAULT_FAULT_PPM)?;
+    let burst_ppm: Option<u32> = opts.parse_opt("fault-burst-ppm")?;
+    let retry = parse_retry(opts)?;
+    let phase_scale_pct = parse_phase_scale(opts)?;
+    Ok(seed.map(|seed| FaultConfig {
+        phase_scale_pct,
+        ..FaultConfig::disabled(seed)
+            .with_rate_ppm(ppm)
+            .with_burst(burst_ppm.map(BurstConfig::with_fault_ppm))
+            .with_retry(retry)
+    }))
+}
+
+fn parse_retry(opts: &Opts) -> Result<RetryPolicy, String> {
+    let budget: Option<u32> = opts.parse_opt("retry-budget")?;
+    // A budget alone implies the budgeted policy.
+    let implied = budget.map_or(RetryPolicy::Fixed, |budget_seeks| RetryPolicy::Budgeted {
+        budget_seeks,
+    });
+    Ok(opts
+        .parse_with("retry-policy", |name| RetryPolicy::parse(name, budget))?
+        .unwrap_or(implied))
+}
+
+/// Per-phase fault-rate percentages in `FaultPhase::ALL` order (100 for
+/// every phase the flag leaves unnamed).
+fn parse_phase_scale(opts: &Opts) -> Result<[u16; 3], String> {
     let mut scale = [100u16; 3];
+    let Some(spec) = opts.get("fault-phase-scale") else {
+        return Ok(scale);
+    };
     for part in spec.split(',') {
         let (name, pct) = part.split_once(':').ok_or_else(|| {
             format!("option --fault-phase-scale: expected phase:pct, got `{part}`")
@@ -484,47 +466,35 @@ fn parse_phase_scale(opts: &Opts) -> Result<Option<[u16; 3]>, String> {
             .parse()
             .map_err(|_| format!("option --fault-phase-scale: cannot parse percentage `{pct}`"))?;
     }
-    Ok(Some(scale))
+    Ok(scale)
 }
 
-/// Parses `--backend` / `--store` / `--durability` as a unit: the file
-/// backend requires a store directory; the store and durability flags
-/// are meaningless on the simulated backend and rejected there.
-fn parse_backend(opts: &Opts) -> Result<(Backend, Option<String>, Durability), String> {
-    let backend = match opts.get("backend") {
-        None | Some("sim") => Backend::Sim,
-        Some("file") => Backend::File,
-        Some(other) => {
-            return Err(format!(
+fn parse_durability(opts: &Opts) -> Result<Durability, String> {
+    Ok(opts
+        .parse_with("durability", Durability::parse)?
+        .unwrap_or(Durability::PerBatch))
+}
+
+impl StoreSpec {
+    /// Parses `--backend` / `--store` / `--durability` as a unit: the file
+    /// backend requires a store directory; the store and durability flags
+    /// are meaningless on the simulated backend and rejected there.
+    fn parse(opts: &Opts) -> Result<StoreSpec, String> {
+        match (opts.get("backend"), opts.get("store")) {
+            (None | Some("sim"), Some(_)) => Err("option --store requires --backend file".into()),
+            (None | Some("sim"), None) if opts.get("durability").is_some() => {
+                Err("option --durability requires --backend file".into())
+            }
+            (None | Some("sim"), None) => Ok(StoreSpec::Sim),
+            (Some("file"), Some(dir)) => Ok(StoreSpec::File {
+                dir: PathBuf::from(dir),
+                durability: parse_durability(opts)?,
+            }),
+            (Some("file"), None) => Err("option --backend file requires --store <dir>".into()),
+            (Some(other), _) => Err(format!(
                 "option --backend: unknown backend `{other}` (expected sim or file)"
-            ))
+            )),
         }
-    };
-    let store_dir = opts.get("store").map(str::to_string);
-    let durability = match opts.get("durability") {
-        None => Durability::PerBatch,
-        Some(s) => Durability::parse(s).map_err(|e| format!("option --durability: {e}"))?,
-    };
-    match backend {
-        Backend::File if store_dir.is_none() => {
-            Err("option --backend file requires --store <dir>".to_string())
-        }
-        Backend::Sim if store_dir.is_some() => {
-            Err("option --store requires --backend file".to_string())
-        }
-        Backend::Sim if opts.get("durability").is_some() => {
-            Err("option --durability requires --backend file".to_string())
-        }
-        _ => Ok((backend, store_dir, durability)),
-    }
-}
-
-fn parse_simd(opts: &Opts) -> Result<Option<SimdChoice>, String> {
-    match opts.get("simd") {
-        None => Ok(None),
-        Some(s) => SimdChoice::parse(s)
-            .map(Some)
-            .map_err(|e| format!("option --simd: {e}")),
     }
 }
 
@@ -548,6 +518,81 @@ fn parse_positive_or(opts: &Opts, key: &str, default: f64) -> Result<f64, String
     Ok(v)
 }
 
+/// Parses the `serve` command: the run and store flags plus the load,
+/// serving and overload knobs.
+fn parse_serve(opts: &Opts) -> Result<Command, String> {
+    opts.reject_unknown(&[
+        RUN_FLAGS,
+        STORE_FLAGS,
+        &[
+            "rate",
+            "duration",
+            "mix",
+            "arrivals",
+            "concurrency",
+            "batch",
+            "deadline",
+            "lanes",
+            "breaker",
+            "hedge-ms",
+            "only",
+            "scrub-slice",
+            "smoke",
+        ],
+    ])?;
+    let store = StoreSpec::parse(opts)?;
+    // --smoke shrinks the open-loop window to CI scale while keeping
+    // every knob overridable.
+    let smoke = opts.has_flag("smoke");
+    let mix = opts.parse_with("mix", MixSpec::parse)?.unwrap_or_default();
+    let arrivals = opts
+        .parse_with("arrivals", ArrivalModel::parse)?
+        .unwrap_or(ArrivalModel::Fixed);
+    let concurrency: usize = opts.parse_or("concurrency", 4usize)?;
+    if concurrency == 0 {
+        return Err("option --concurrency: must be at least 1".to_string());
+    }
+    let batch: usize = opts.parse_or("batch", 8usize)?;
+    if batch == 0 {
+        return Err("option --batch: must be at least 1".to_string());
+    }
+    let hedge_s = match opts.get("hedge-ms") {
+        None => f64::INFINITY,
+        Some(_) => parse_positive_or(opts, "hedge-ms", 50.0)? / 1000.0,
+    };
+    let overload = OverloadPolicy {
+        deadlines: opts
+            .parse_with("deadline", Deadlines::parse)?
+            .unwrap_or_else(Deadlines::none),
+        lanes: opts.parse_with("lanes", LanePolicy::parse)?,
+        breaker: opts.parse_with("breaker", BreakerConfig::parse)?,
+        hedge_s,
+    };
+    overload.validate().map_err(|e| e.to_string())?;
+    let only = opts.parse_with("only", QueryClass::parse)?;
+    let scrub_slice: Option<u64> = opts.parse_opt("scrub-slice")?;
+    if scrub_slice == Some(0) {
+        return Err("option --scrub-slice: must be at least 1 page".to_string());
+    }
+    Ok(Command::Serve {
+        run: if smoke {
+            RunArgs::parse(opts, 24, 5)?
+        } else {
+            RunArgs::parse(opts, 500, 21)?
+        },
+        store,
+        rate_per_s: parse_positive_or(opts, "rate", if smoke { 80.0 } else { 200.0 })?,
+        duration_s: parse_positive_or(opts, "duration", if smoke { 1.0 } else { 10.0 })?,
+        arrivals,
+        mix,
+        concurrency,
+        batch,
+        overload,
+        only,
+        scrub_slice,
+    })
+}
+
 impl Cli {
     /// Parses `argv` (without the program name).
     ///
@@ -559,37 +604,22 @@ impl Cli {
         let Some(cmd) = argv.first() else {
             return Ok(Cli {
                 command: Command::Help,
+                threads: None,
+                simd: None,
             });
         };
         let opts = Opts::parse(&argv[1..], &["smoke"])?;
         let command = match cmd.as_str() {
             "help" | "--help" | "-h" => Command::Help,
             "info" => {
-                opts.reject_unknown(&["data", "page-bytes"])?;
+                opts.reject_unknown(&[&["data", "page-bytes"]])?;
                 Command::Info {
                     data: opts.required("data")?,
                     page_bytes: opts.parse_or("page-bytes", 8192usize)?,
                 }
             }
             "predict" => {
-                opts.reject_unknown(&[
-                    "data",
-                    "page-bytes",
-                    "m",
-                    "predictor",
-                    "queries",
-                    "k",
-                    "h-upper",
-                    "zeta",
-                    "seed",
-                    "threads",
-                    "fault-seed",
-                    "fault-ppm",
-                    "fault-phase-scale",
-                    "retry-policy",
-                    "retry-budget",
-                    "simd",
-                ])?;
+                opts.reject_unknown(&[RUN_FLAGS, &["predictor", "h-upper", "zeta"]])?;
                 let predictor = opts.get("predictor").unwrap_or("resampled").to_string();
                 if !PREDICTOR_NAMES.contains(&predictor.as_str()) {
                     return Err(format!(
@@ -598,235 +628,35 @@ impl Cli {
                     ));
                 }
                 Command::Predict {
-                    data: opts.required("data")?,
-                    page_bytes: opts.parse_or("page-bytes", 8192usize)?,
-                    m: opts
-                        .parse_opt("m")?
-                        .ok_or("missing required option --m".to_string())?,
+                    run: RunArgs::parse(&opts, 500, 21)?,
                     predictor,
-                    queries: opts.parse_or("queries", 500usize)?,
-                    k: opts.parse_or("k", 21usize)?,
                     h_upper: opts.parse_opt("h-upper")?,
                     zeta: opts.parse_opt("zeta")?,
-                    seed: opts.parse_or("seed", 42u64)?,
-                    threads: parse_threads(&opts)?,
-                    fault_seed: opts.parse_opt("fault-seed")?,
-                    fault_ppm: opts.parse_opt("fault-ppm")?,
-                    retry: parse_retry(&opts)?,
-                    fault_phase_scale: parse_phase_scale(&opts)?,
-                    simd: parse_simd(&opts)?,
                 }
             }
             "compare" => {
-                opts.reject_unknown(&[
-                    "data",
-                    "page-bytes",
-                    "m",
-                    "queries",
-                    "k",
-                    "seed",
-                    "threads",
-                    "fault-seed",
-                    "fault-ppm",
-                    "fault-phase-scale",
-                    "retry-policy",
-                    "retry-budget",
-                    "simd",
-                ])?;
+                opts.reject_unknown(&[RUN_FLAGS])?;
                 Command::Compare {
-                    data: opts.required("data")?,
-                    page_bytes: opts.parse_or("page-bytes", 8192usize)?,
-                    m: opts
-                        .parse_opt("m")?
-                        .ok_or("missing required option --m".to_string())?,
-                    queries: opts.parse_or("queries", 500usize)?,
-                    k: opts.parse_or("k", 21usize)?,
-                    seed: opts.parse_or("seed", 42u64)?,
-                    threads: parse_threads(&opts)?,
-                    fault_seed: opts.parse_opt("fault-seed")?,
-                    fault_ppm: opts.parse_opt("fault-ppm")?,
-                    retry: parse_retry(&opts)?,
-                    fault_phase_scale: parse_phase_scale(&opts)?,
-                    simd: parse_simd(&opts)?,
+                    run: RunArgs::parse(&opts, 500, 21)?,
                 }
             }
             "measure" => {
-                opts.reject_unknown(&[
-                    "data",
-                    "page-bytes",
-                    "m",
-                    "queries",
-                    "k",
-                    "seed",
-                    "threads",
-                    "fault-seed",
-                    "fault-ppm",
-                    "fault-phase-scale",
-                    "retry-policy",
-                    "retry-budget",
-                    "backend",
-                    "store",
-                    "durability",
-                    "simd",
-                ])?;
-                let (backend, store_dir, durability) = parse_backend(&opts)?;
+                opts.reject_unknown(&[RUN_FLAGS, STORE_FLAGS])?;
                 Command::Measure {
-                    data: opts.required("data")?,
-                    page_bytes: opts.parse_or("page-bytes", 8192usize)?,
-                    m: opts
-                        .parse_opt("m")?
-                        .ok_or("missing required option --m".to_string())?,
-                    queries: opts.parse_or("queries", 500usize)?,
-                    k: opts.parse_or("k", 21usize)?,
-                    seed: opts.parse_or("seed", 42u64)?,
-                    threads: parse_threads(&opts)?,
-                    fault_seed: opts.parse_opt("fault-seed")?,
-                    fault_ppm: opts.parse_opt("fault-ppm")?,
-                    retry: parse_retry(&opts)?,
-                    fault_phase_scale: parse_phase_scale(&opts)?,
-                    backend,
-                    store_dir,
-                    durability,
-                    simd: parse_simd(&opts)?,
+                    store: StoreSpec::parse(&opts)?,
+                    run: RunArgs::parse(&opts, 500, 21)?,
                 }
             }
-            "serve" => {
-                opts.reject_unknown(&[
-                    "data",
-                    "page-bytes",
-                    "m",
-                    "rate",
-                    "duration",
-                    "mix",
-                    "arrivals",
-                    "concurrency",
-                    "batch",
-                    "deadline",
-                    "lanes",
-                    "breaker",
-                    "hedge-ms",
-                    "only",
-                    "scrub-slice",
-                    "queries",
-                    "k",
-                    "seed",
-                    "threads",
-                    "fault-seed",
-                    "fault-ppm",
-                    "fault-phase-scale",
-                    "retry-policy",
-                    "retry-budget",
-                    "smoke",
-                    "backend",
-                    "store",
-                    "durability",
-                    "simd",
-                ])?;
-                let (backend, store_dir, durability) = parse_backend(&opts)?;
-                // --smoke shrinks the open-loop window to CI scale while
-                // keeping every knob overridable.
-                let smoke = opts.has_flag("smoke");
-                let mix = match opts.get("mix") {
-                    None => MixSpec::default(),
-                    Some(spec) => MixSpec::parse(spec).map_err(|e| format!("option --mix: {e}"))?,
-                };
-                let arrivals = match opts.get("arrivals") {
-                    None => ArrivalModel::Fixed,
-                    Some(name) => {
-                        ArrivalModel::parse(name).map_err(|e| format!("option --arrivals: {e}"))?
-                    }
-                };
-                let concurrency: usize = opts.parse_or("concurrency", 4usize)?;
-                if concurrency == 0 {
-                    return Err("option --concurrency: must be at least 1".to_string());
-                }
-                let batch: usize = opts.parse_or("batch", 8usize)?;
-                if batch == 0 {
-                    return Err("option --batch: must be at least 1".to_string());
-                }
-                let deadlines = match opts.get("deadline") {
-                    None => Deadlines::none(),
-                    Some(spec) => {
-                        Deadlines::parse(spec).map_err(|e| format!("option --deadline: {e}"))?
-                    }
-                };
-                let lanes = match opts.get("lanes") {
-                    None => None,
-                    Some(spec) => {
-                        Some(LanePolicy::parse(spec).map_err(|e| format!("option --lanes: {e}"))?)
-                    }
-                };
-                let breaker = match opts.get("breaker") {
-                    None => None,
-                    Some(spec) => Some(
-                        BreakerConfig::parse(spec).map_err(|e| format!("option --breaker: {e}"))?,
-                    ),
-                };
-                let hedge_s = match opts.get("hedge-ms") {
-                    None => f64::INFINITY,
-                    Some(_) => parse_positive_or(&opts, "hedge-ms", 50.0)? / 1000.0,
-                };
-                let overload = OverloadPolicy {
-                    deadlines,
-                    lanes,
-                    breaker,
-                    hedge_s,
-                };
-                overload.validate().map_err(|e| e.to_string())?;
-                let only = match opts.get("only") {
-                    None => None,
-                    Some(name) => {
-                        Some(QueryClass::parse(name).map_err(|e| format!("option --only: {e}"))?)
-                    }
-                };
-                let scrub_slice: Option<u64> = opts.parse_opt("scrub-slice")?;
-                if scrub_slice == Some(0) {
-                    return Err("option --scrub-slice: must be at least 1 page".to_string());
-                }
-                Command::Serve {
-                    data: opts.required("data")?,
-                    page_bytes: opts.parse_or("page-bytes", 8192usize)?,
-                    m: opts
-                        .parse_opt("m")?
-                        .ok_or("missing required option --m".to_string())?,
-                    rate: parse_positive_or(&opts, "rate", if smoke { 80.0 } else { 200.0 })?,
-                    duration: parse_positive_or(&opts, "duration", if smoke { 1.0 } else { 10.0 })?,
-                    mix,
-                    arrivals,
-                    concurrency,
-                    batch,
-                    overload,
-                    only,
-                    scrub_slice,
-                    queries: opts.parse_or("queries", if smoke { 24usize } else { 500 })?,
-                    k: opts.parse_or("k", if smoke { 5usize } else { 21 })?,
-                    seed: opts.parse_or("seed", 42u64)?,
-                    threads: parse_threads(&opts)?,
-                    fault_seed: opts.parse_opt("fault-seed")?,
-                    fault_ppm: opts.parse_opt("fault-ppm")?,
-                    retry: parse_retry(&opts)?,
-                    fault_phase_scale: parse_phase_scale(&opts)?,
-                    backend,
-                    store_dir,
-                    durability,
-                    simd: parse_simd(&opts)?,
-                }
-            }
+            "serve" => parse_serve(&opts)?,
             "scrub" => {
-                opts.reject_unknown(&["store", "durability"])?;
-                let durability = match opts.get("durability") {
-                    None => Durability::PerBatch,
-                    Some(s) => {
-                        Durability::parse(s).map_err(|e| format!("option --durability: {e}"))?
-                    }
-                };
+                opts.reject_unknown(&[&["store", "durability"]])?;
                 Command::Scrub {
                     store_dir: opts.required("store")?,
-                    durability,
+                    durability: parse_durability(&opts)?,
                 }
             }
             "generate" => {
-                opts.reject_unknown(&["dataset", "scale", "out"])?;
+                opts.reject_unknown(&[&["dataset", "scale", "out"]])?;
                 Command::Generate {
                     dataset: opts.required("dataset")?,
                     scale: opts.parse_or("scale", 1.0f64)?,
@@ -835,7 +665,11 @@ impl Cli {
             }
             other => return Err(format!("unknown command `{other}`\n{USAGE}")),
         };
-        Ok(Cli { command })
+        Ok(Cli {
+            command,
+            threads: parse_threads(&opts)?,
+            simd: opts.parse_with("simd", SimdChoice::parse)?,
+        })
     }
 }
 
@@ -847,61 +681,92 @@ mod tests {
         s.split_whitespace().map(str::to_string).collect()
     }
 
+    fn parse(s: &str) -> Command {
+        Cli::parse(&argv(s)).unwrap().command
+    }
+
+    /// The shared run configuration of a run command.
+    fn run_of(s: &str) -> RunArgs {
+        match parse(s) {
+            Command::Predict { run, .. }
+            | Command::Compare { run }
+            | Command::Measure { run, .. }
+            | Command::Serve { run, .. } => run,
+            other => panic!("not a run command: {other:?}"),
+        }
+    }
+
+    fn faults_of(s: &str) -> FaultConfig {
+        run_of(s)
+            .faults
+            .unwrap_or_else(|| panic!("no faults resolved: {s}"))
+    }
+
     #[test]
     fn parses_predict_with_defaults() {
         let cli = Cli::parse(&argv("predict --data a.csv --m 1000")).unwrap();
-        match cli.command {
+        assert_eq!(cli.threads, None);
+        assert_eq!(cli.simd, None);
+        assert_eq!(
+            cli.command,
             Command::Predict {
-                data,
-                page_bytes,
-                m,
-                predictor,
-                queries,
-                k,
-                h_upper,
-                zeta,
-                seed,
-                threads,
-                fault_seed,
-                fault_ppm,
-                retry,
-                fault_phase_scale,
-                simd,
-            } => {
-                assert_eq!(data, "a.csv");
-                assert_eq!(page_bytes, 8192);
-                assert_eq!(m, 1000);
-                assert_eq!(predictor, "resampled");
-                assert_eq!(queries, 500);
-                assert_eq!(k, 21);
-                assert_eq!(h_upper, None);
-                assert_eq!(zeta, None);
-                assert_eq!(seed, 42);
-                assert_eq!(threads, None);
-                assert_eq!(fault_seed, None);
-                assert_eq!(fault_ppm, None);
-                assert_eq!(retry, None);
-                assert_eq!(fault_phase_scale, None);
-                assert_eq!(simd, None);
+                run: RunArgs {
+                    data: "a.csv".into(),
+                    page_bytes: 8192,
+                    m: 1000,
+                    queries: 500,
+                    k: 21,
+                    seed: 42,
+                    faults: None,
+                },
+                predictor: "resampled".into(),
+                h_upper: None,
+                zeta: None,
             }
-            other => panic!("wrong command: {other:?}"),
+        );
+    }
+
+    #[test]
+    fn every_run_command_shares_the_run_flags() {
+        let flags = "--data d.csv --m 300 --queries 10 --k 5 --seed 7 --page-bytes 4096";
+        let expect = RunArgs {
+            data: "d.csv".into(),
+            page_bytes: 4096,
+            m: 300,
+            queries: 10,
+            k: 5,
+            seed: 7,
+            faults: None,
+        };
+        // Every run command defaults to 500 queries, k = 21, 8 KiB pages
+        // and seed 42 (`serve --smoke` alone shrinks them).
+        let defaults = RunArgs {
+            data: "d.csv".into(),
+            page_bytes: 8192,
+            m: 100,
+            queries: 500,
+            k: 21,
+            seed: 42,
+            faults: None,
+        };
+        for cmd in ["predict", "compare", "measure", "serve"] {
+            assert_eq!(
+                run_of(&format!("{cmd} --data d.csv --m 100")),
+                defaults,
+                "{cmd}"
+            );
+            assert_eq!(run_of(&format!("{cmd} {flags}")), expect, "{cmd}");
+            let cli = Cli::parse(&argv(&format!("{cmd} {flags} --threads 3"))).unwrap();
+            assert_eq!(cli.threads, Some(3), "{cmd}");
         }
     }
 
     #[test]
     fn parses_simd_flag() {
         let cli = Cli::parse(&argv("predict --data a.csv --m 10 --simd scalar")).unwrap();
-        match cli.command {
-            Command::Predict { simd, .. } => {
-                assert_eq!(simd, Some(SimdChoice::Fixed(hdidx_core::Isa::Scalar)));
-            }
-            other => panic!("wrong command: {other:?}"),
-        }
+        assert_eq!(cli.simd, Some(SimdChoice::Fixed(hdidx_core::Isa::Scalar)));
         let cli = Cli::parse(&argv("serve --data a.csv --m 10 --simd auto")).unwrap();
-        match cli.command {
-            Command::Serve { simd, .. } => assert_eq!(simd, Some(SimdChoice::Auto)),
-            other => panic!("wrong command: {other:?}"),
-        }
+        assert_eq!(cli.simd, Some(SimdChoice::Auto));
         let err = Cli::parse(&argv("measure --data a.csv --m 10 --simd avx512")).unwrap_err();
         assert!(err.contains("option --simd"), "{err}");
         // info/generate/scrub take no --simd.
@@ -915,22 +780,17 @@ mod tests {
              --seed 7 --threads 2",
         ))
         .unwrap();
+        assert_eq!(cli.threads, Some(2));
         match cli.command {
             Command::Predict {
+                run,
                 predictor,
                 zeta,
-                queries,
-                k,
-                seed,
-                threads,
                 ..
             } => {
                 assert_eq!(predictor, "basic");
                 assert_eq!(zeta, Some(0.3));
-                assert_eq!(queries, 10);
-                assert_eq!(k, 5);
-                assert_eq!(seed, 7);
-                assert_eq!(threads, Some(2));
+                assert_eq!((run.queries, run.k, run.seed), (10, 5, 7));
             }
             other => panic!("wrong command: {other:?}"),
         }
@@ -939,11 +799,7 @@ mod tests {
     #[test]
     fn every_registry_name_parses() {
         for &name in PREDICTOR_NAMES {
-            let cli = Cli::parse(&argv(&format!(
-                "predict --data a.csv --m 10 --predictor {name}"
-            )))
-            .unwrap();
-            match cli.command {
+            match parse(&format!("predict --data a.csv --m 10 --predictor {name}")) {
                 Command::Predict { predictor, .. } => assert_eq!(predictor, name),
                 other => panic!("wrong command: {other:?}"),
             }
@@ -952,56 +808,46 @@ mod tests {
 
     #[test]
     fn parses_fault_flags() {
-        let cli = Cli::parse(&argv(
-            "measure --data d.csv --m 100 --fault-seed 7 --fault-ppm 20000",
-        ))
-        .unwrap();
-        match cli.command {
-            Command::Measure {
-                fault_seed,
-                fault_ppm,
-                ..
-            } => {
-                assert_eq!(fault_seed, Some(7));
-                assert_eq!(fault_ppm, Some(20_000));
-            }
-            other => panic!("wrong command: {other:?}"),
+        // A bare seed injects at the default low-pressure rate.
+        assert_eq!(
+            faults_of("compare --data d.csv --m 100 --fault-seed 1"),
+            FaultConfig::disabled(1).with_rate_ppm(2_000)
+        );
+        let f = faults_of("measure --data d.csv --m 100 --fault-seed 7 --fault-ppm 20000");
+        assert_eq!(f, FaultConfig::disabled(7).with_rate_ppm(20_000));
+        let f = faults_of("serve --data d.csv --m 100 --fault-seed 7 --fault-burst-ppm 50000");
+        assert_eq!(f.burst, Some(BurstConfig::with_fault_ppm(50_000)));
+        assert_eq!(f.transient_ppm, 2_000);
+        // Without a seed nothing is injected, but every value is checked.
+        let run = run_of("predict --data a.csv --m 10 --fault-ppm 5000 --fault-burst-ppm 9");
+        assert_eq!(run.faults, None);
+        let bad = [
+            "predict --data a.csv --m 10 --fault-seed x",
+            "compare --data a.csv --m 10 --fault-ppm -1",
+            "measure --data a.csv --m 10 --fault-burst-ppm lots",
+            // info/generate take no fault flags.
+            "info --data a.csv --fault-seed 1",
+            "info --data a.csv --fault-burst-ppm 1",
+        ];
+        for args in bad {
+            assert!(Cli::parse(&argv(args)).is_err(), "should reject: {args}");
         }
-        assert!(Cli::parse(&argv("predict --data a.csv --m 10 --fault-seed x")).is_err());
-        assert!(Cli::parse(&argv("compare --data a.csv --m 10 --fault-ppm -1")).is_err());
-        // info/generate take no fault flags.
-        assert!(Cli::parse(&argv("info --data a.csv --fault-seed 1")).is_err());
     }
 
     #[test]
     fn parses_retry_flags() {
-        let cli = Cli::parse(&argv(
-            "measure --data d.csv --m 100 --retry-policy exponential",
-        ))
-        .unwrap();
-        match cli.command {
-            Command::Measure { retry, .. } => assert_eq!(retry, Some(RetryPolicy::Exponential)),
-            other => panic!("wrong command: {other:?}"),
-        }
+        let f = faults_of("measure --data d.csv --m 100 --fault-seed 1 --retry-policy exponential");
+        assert_eq!(f.retry, RetryPolicy::Exponential);
         // A budget alone implies the budgeted policy; alongside a policy
         // name it configures that policy.
-        let cli = Cli::parse(&argv("compare --data d.csv --m 100 --retry-budget 9")).unwrap();
-        match cli.command {
-            Command::Compare { retry, .. } => {
-                assert_eq!(retry, Some(RetryPolicy::Budgeted { budget_seeks: 9 }));
-            }
-            other => panic!("wrong command: {other:?}"),
-        }
-        let cli = Cli::parse(&argv(
-            "predict --data d.csv --m 100 --retry-policy budgeted --retry-budget 17",
-        ))
-        .unwrap();
-        match cli.command {
-            Command::Predict { retry, .. } => {
-                assert_eq!(retry, Some(RetryPolicy::Budgeted { budget_seeks: 17 }));
-            }
-            other => panic!("wrong command: {other:?}"),
-        }
+        let f = faults_of("compare --data d.csv --m 100 --fault-seed 1 --retry-budget 9");
+        assert_eq!(f.retry, RetryPolicy::Budgeted { budget_seeks: 9 });
+        let f = faults_of(
+            "predict --data d.csv --m 100 --fault-seed 1 --retry-policy budgeted --retry-budget 17",
+        );
+        assert_eq!(f.retry, RetryPolicy::Budgeted { budget_seeks: 17 });
+        let f = faults_of("predict --data d.csv --m 100 --fault-seed 1");
+        assert_eq!(f.retry, RetryPolicy::Fixed);
         assert!(Cli::parse(&argv("predict --data d.csv --m 1 --retry-policy bogus")).is_err());
         assert!(Cli::parse(&argv("predict --data d.csv --m 1 --retry-budget x")).is_err());
         // info/generate take no retry flags.
@@ -1011,26 +857,13 @@ mod tests {
     #[test]
     fn parses_phase_scale() {
         // Named phases are set, unnamed phases default to 100.
-        let cli = Cli::parse(&argv(
-            "compare --data d.csv --m 100 --fault-phase-scale build:5,predict:300",
-        ))
-        .unwrap();
-        match cli.command {
-            Command::Compare {
-                fault_phase_scale, ..
-            } => assert_eq!(fault_phase_scale, Some([5, 100, 300])),
-            other => panic!("wrong command: {other:?}"),
-        }
-        let cli = Cli::parse(&argv(
-            "predict --data d.csv --m 100 --fault-phase-scale query:0",
-        ))
-        .unwrap();
-        match cli.command {
-            Command::Predict {
-                fault_phase_scale, ..
-            } => assert_eq!(fault_phase_scale, Some([100, 0, 100])),
-            other => panic!("wrong command: {other:?}"),
-        }
+        let f = faults_of(
+            "compare --data d.csv --m 100 --fault-seed 3 --fault-phase-scale build:5,predict:300",
+        );
+        assert_eq!(f.phase_scale_pct, [5, 100, 300]);
+        let f =
+            faults_of("predict --data d.csv --m 100 --fault-seed 3 --fault-phase-scale query:0");
+        assert_eq!(f.phase_scale_pct, [100, 0, 100]);
         let bad = [
             "measure --data d.csv --m 1 --fault-phase-scale flush:50",
             "measure --data d.csv --m 1 --fault-phase-scale build",
@@ -1045,53 +878,37 @@ mod tests {
 
     #[test]
     fn parses_backend_flags() {
-        // Default: the simulated backend, no store directory.
-        let cli = Cli::parse(&argv("measure --data d.csv --m 100")).unwrap();
-        match cli.command {
-            Command::Measure {
-                backend,
-                store_dir,
-                durability,
-                ..
-            } => {
-                assert_eq!(backend, Backend::Sim);
-                assert_eq!(store_dir, None);
-                assert_eq!(durability, Durability::PerBatch);
-            }
+        let store_of = |s: &str| match parse(s) {
+            Command::Measure { store, .. } | Command::Serve { store, .. } => store,
             other => panic!("wrong command: {other:?}"),
-        }
-        let cli = Cli::parse(&argv(
-            "measure --data d.csv --m 100 --backend file --store /tmp/st --durability every-8",
-        ))
-        .unwrap();
-        match cli.command {
-            Command::Measure {
-                backend,
-                store_dir,
-                durability,
-                ..
-            } => {
-                assert_eq!(backend, Backend::File);
-                assert_eq!(store_dir.as_deref(), Some("/tmp/st"));
-                assert_eq!(durability, Durability::EveryN(8));
+        };
+        // Default: the simulated backend.
+        assert_eq!(store_of("measure --data d.csv --m 100"), StoreSpec::Sim);
+        assert_eq!(
+            store_of(
+                "measure --data d.csv --m 100 --backend file --store /tmp/st --durability every-8"
+            ),
+            StoreSpec::File {
+                dir: "/tmp/st".into(),
+                durability: Durability::EveryN(8),
             }
-            other => panic!("wrong command: {other:?}"),
-        }
-        let cli = Cli::parse(&argv(
-            "serve --data d.csv --m 100 --smoke --backend file --store s --durability none",
-        ))
-        .unwrap();
-        match cli.command {
-            Command::Serve {
-                backend,
-                durability,
-                ..
-            } => {
-                assert_eq!(backend, Backend::File);
-                assert_eq!(durability, Durability::None);
+        );
+        assert_eq!(
+            store_of(
+                "serve --data d.csv --m 100 --smoke --backend file --store s --durability none"
+            ),
+            StoreSpec::File {
+                dir: "s".into(),
+                durability: Durability::None,
             }
-            other => panic!("wrong command: {other:?}"),
-        }
+        );
+        assert_eq!(
+            store_of("measure --data d.csv --m 100 --backend file --store s"),
+            StoreSpec::File {
+                dir: "s".into(),
+                durability: Durability::PerBatch,
+            }
+        );
         let bad = [
             // The file backend needs a store; sim rejects store/durability.
             "measure --data d.csv --m 10 --backend file",
@@ -1113,17 +930,15 @@ mod tests {
 
     #[test]
     fn parses_scrub() {
-        let cli = Cli::parse(&argv("scrub --store /tmp/st")).unwrap();
         assert_eq!(
-            cli.command,
+            parse("scrub --store /tmp/st"),
             Command::Scrub {
                 store_dir: "/tmp/st".into(),
                 durability: Durability::PerBatch,
             }
         );
-        let cli = Cli::parse(&argv("scrub --store s --durability every-4")).unwrap();
         assert_eq!(
-            cli.command,
+            parse("scrub --store s --durability every-4"),
             Command::Scrub {
                 store_dir: "s".into(),
                 durability: Durability::EveryN(4),
@@ -1135,6 +950,7 @@ mod tests {
             "scrub --store s --durability fsync", // unknown mode
             "scrub --store s --backend file",     // no backend flag here
             "scrub --store s --data d.csv",       // no data flag either
+            "scrub --store s --threads 2",        // nor threads
         ];
         for args in bad {
             assert!(Cli::parse(&argv(args)).is_err(), "should reject: {args}");
@@ -1152,80 +968,71 @@ mod tests {
         assert!(Cli::parse(&argv("measure --data a.csv --m 10 --threads zero")).is_err());
         assert!(Cli::parse(&argv("frobnicate")).is_err());
         assert!(Cli::parse(&argv("info --data a.csv extra")).is_err());
+        // Predictor-only flags stay predictor-only.
+        assert!(Cli::parse(&argv("compare --data a.csv --m 10 --zeta 0.5")).is_err());
+        assert!(Cli::parse(&argv("measure --data a.csv --m 10 --h-upper 2")).is_err());
     }
 
     #[test]
     fn parses_serve_with_defaults_and_smoke() {
-        let cli = Cli::parse(&argv("serve --data a.csv --m 400")).unwrap();
-        match cli.command {
+        match parse("serve --data a.csv --m 400") {
             Command::Serve {
-                data,
-                rate,
-                duration,
-                mix,
+                run,
+                rate_per_s,
+                duration_s,
                 arrivals,
+                mix,
                 concurrency,
                 batch,
                 overload,
-                queries,
-                k,
-                seed,
                 ..
             } => {
-                assert_eq!(data, "a.csv");
-                assert_eq!(rate, 200.0);
-                assert_eq!(duration, 10.0);
-                assert_eq!(mix, MixSpec::default());
+                assert_eq!(run.data, "a.csv");
+                assert_eq!((run.queries, run.k, run.seed), (500, 21, 42));
+                assert_eq!((rate_per_s, duration_s), (200.0, 10.0));
                 assert_eq!(arrivals, ArrivalModel::Fixed);
-                assert_eq!(concurrency, 4);
-                assert_eq!(batch, 8);
-                assert_eq!(overload.lanes, None, "nothing sheds by default");
-                assert_eq!(queries, 500);
-                assert_eq!(k, 21);
-                assert_eq!(seed, 42);
+                assert_eq!(mix, MixSpec::default());
+                assert_eq!((concurrency, batch), (4, 8));
+                assert_eq!(overload, OverloadPolicy::none(), "nothing sheds by default");
             }
             other => panic!("wrong command: {other:?}"),
         }
         // --smoke is a bare flag (no value) shrinking the defaults but
         // keeping explicit overrides.
-        let cli = Cli::parse(&argv("serve --data a.csv --m 400 --smoke --k 3")).unwrap();
-        match cli.command {
+        match parse("serve --data a.csv --m 400 --smoke --k 3") {
             Command::Serve {
-                rate,
-                duration,
-                queries,
-                k,
+                run,
+                rate_per_s,
+                duration_s,
                 ..
             } => {
-                assert_eq!(rate, 80.0);
-                assert_eq!(duration, 1.0);
-                assert_eq!(queries, 24);
-                assert_eq!(k, 3);
+                assert_eq!((rate_per_s, duration_s), (80.0, 1.0));
+                assert_eq!(run.queries, 24);
+                assert_eq!(run.k, 3);
             }
             other => panic!("wrong command: {other:?}"),
         }
-        let cli = Cli::parse(&argv(
+        match parse(
             "serve --data a.csv --m 400 --rate 50 --duration 2.5 --arrivals bursty \
-             --mix range:1.0 --concurrency 2 --batch 16 --lanes 0.25",
-        ))
-        .unwrap();
-        match cli.command {
+             --mix range:1.0 --concurrency 2 --batch 16 --lanes 0.25 --page-bytes 4096 \
+             --seed 9",
+        ) {
             Command::Serve {
-                rate,
-                duration,
-                mix,
+                run,
+                rate_per_s,
+                duration_s,
                 arrivals,
+                mix,
                 concurrency,
                 batch,
                 overload,
                 ..
             } => {
-                assert_eq!(rate, 50.0);
-                assert_eq!(duration, 2.5);
-                assert_eq!(mix.range, 1.0);
+                assert_eq!((run.page_bytes, run.seed), (4096, 9));
+                assert_eq!((rate_per_s, duration_s), (50.0, 2.5));
                 assert_eq!(arrivals, ArrivalModel::Bursty);
-                assert_eq!(concurrency, 2);
-                assert_eq!(batch, 16);
+                assert_eq!(mix.range, 1.0);
+                assert_eq!((concurrency, batch), (2, 16));
                 let lanes = overload.lanes.expect("a bare --lanes budget");
                 for c in QueryClass::ALL {
                     assert_eq!(lanes.get(c), 0.25);
@@ -1237,13 +1044,11 @@ mod tests {
 
     #[test]
     fn parses_serve_overload_flags() {
-        let cli = Cli::parse(&argv(
+        match parse(
             "serve --data a.csv --m 400 --deadline range:0.1,knn:0.2 \
              --lanes predict:0,knn:0.5 --breaker 3:0.5:1:2 --hedge-ms 50 \
              --only range --scrub-slice 8",
-        ))
-        .unwrap();
-        match cli.command {
+        ) {
             Command::Serve {
                 overload,
                 only,
@@ -1267,8 +1072,7 @@ mod tests {
             other => panic!("wrong command: {other:?}"),
         }
         // Defaults: every knob off.
-        let cli = Cli::parse(&argv("serve --data a.csv --m 400")).unwrap();
-        match cli.command {
+        match parse("serve --data a.csv --m 400") {
             Command::Serve {
                 overload,
                 only,
@@ -1282,8 +1086,7 @@ mod tests {
             other => panic!("wrong command: {other:?}"),
         }
         // A bare number deadlines every class; `inf` spells protection.
-        let cli = Cli::parse(&argv("serve --data a.csv --m 400 --deadline 0.25")).unwrap();
-        match cli.command {
+        match parse("serve --data a.csv --m 400 --deadline 0.25") {
             Command::Serve { overload, .. } => {
                 for c in QueryClass::ALL {
                     assert_eq!(overload.deadlines.get(c), 0.25);
@@ -1359,25 +1162,28 @@ mod tests {
 
     #[test]
     fn parses_generate_and_measure() {
-        let cli = Cli::parse(&argv(
-            "generate --dataset texture60 --scale 0.1 --out o.csv",
-        ))
-        .unwrap();
         assert_eq!(
-            cli.command,
+            parse("generate --dataset texture60 --scale 0.1 --out o.csv"),
             Command::Generate {
                 dataset: "texture60".into(),
                 scale: 0.1,
                 out: "o.csv".into()
             }
         );
-        let cli = Cli::parse(&argv("measure --data d.csv --m 100")).unwrap();
-        match cli.command {
-            Command::Measure { m, queries, .. } => {
-                assert_eq!(m, 100);
-                assert_eq!(queries, 500);
+        assert_eq!(
+            parse("measure --data d.csv --m 100"),
+            Command::Measure {
+                run: RunArgs {
+                    data: "d.csv".into(),
+                    page_bytes: 8192,
+                    m: 100,
+                    queries: 500,
+                    k: 21,
+                    seed: 42,
+                    faults: None,
+                },
+                store: StoreSpec::Sim,
             }
-            other => panic!("wrong command: {other:?}"),
-        }
+        );
     }
 }

@@ -1,7 +1,7 @@
 //! Command implementations, returning their report as a `String` so they
 //! are testable without capturing stdout.
 
-use crate::args::{Backend, Cli, Command};
+use crate::args::{Cli, Command, RunArgs, StoreSpec};
 use crate::csvio;
 use hdidx_baselines::{by_name, PredictorConfig, PREDICTOR_NAMES};
 use hdidx_core::Dataset;
@@ -10,11 +10,10 @@ use hdidx_datagen::workload::Workload;
 use hdidx_diskio::external::{build_on_disk_in, ExternalConfig};
 use hdidx_diskio::measure::{measure_on_disk, measure_on_disk_in};
 use hdidx_diskio::{DiskModel, DiskOptions, IoStats};
-use hdidx_faults::{FaultConfig, FaultPhase, RetryPolicy};
+use hdidx_faults::{FaultConfig, FaultPhase};
 use hdidx_model::{hupper, Prediction, QueryBall};
 use hdidx_serve::{
-    ArrivalModel, CleanSource, LoadGen, Maintenance, MixSpec, OverloadPolicy, QueryClass,
-    ServeConfig, Server, StoreScrubSource,
+    CleanSource, LoadGen, Maintenance, MixSpec, QueryClass, ServeConfig, Server, StoreScrubSource,
 };
 use hdidx_store::{scrub_store_in, Durability, FileStore, OsFs, ScrubReport, SnapshotSet};
 use hdidx_vamsplit::topology::{PageConfig, Topology};
@@ -40,18 +39,26 @@ pub fn execute(cli: &Cli) -> Result<String, String> {
 /// store fell back to an older generation). Hard errors stay on the
 /// `Err` path (exit 1).
 ///
+/// `--threads` and `--simd` are applied first, for the whole process.
+/// Results are identical for any thread count and any ISA; both only
+/// change wall-clock time. A fixed ISA the CPU does not support is a
+/// startup error.
+///
 /// # Errors
 ///
 /// Human-readable message for any failure.
 pub fn execute_with_status(cli: &Cli) -> Result<(String, i32), String> {
-    if let Command::Scrub {
-        store_dir,
-        durability,
-    } = &cli.command
-    {
-        return scrub(Path::new(store_dir), *durability);
+    if let Some(t) = cli.threads {
+        hdidx_pool::set_threads(t);
+    }
+    if let Some(choice) = cli.simd {
+        hdidx_core::simd::force(choice).map_err(|e| format!("option --simd: {e}"))?;
     }
     let report = match &cli.command {
+        Command::Scrub {
+            store_dir,
+            durability,
+        } => return scrub(Path::new(store_dir), *durability),
         Command::Help => Ok(crate::args::USAGE.to_string()),
         Command::Info { data, page_bytes } => info(Path::new(data), *page_bytes),
         Command::Generate {
@@ -59,245 +66,65 @@ pub fn execute_with_status(cli: &Cli) -> Result<(String, i32), String> {
             scale,
             out,
         } => generate(dataset, *scale, Path::new(out)),
-        Command::Scrub { .. } => unreachable!("handled above"),
         Command::Predict {
-            data,
-            page_bytes,
-            m,
+            run,
             predictor,
-            queries,
-            k,
             h_upper,
             zeta,
-            seed,
-            threads,
-            fault_seed,
-            fault_ppm,
-            retry,
-            fault_phase_scale,
-            simd,
-        } => {
-            apply_threads(*threads);
-            apply_simd(*simd)?;
-            predict(
-                Path::new(data),
-                *page_bytes,
-                *m,
-                predictor,
-                *queries,
-                *k,
-                *h_upper,
-                *zeta,
-                *seed,
-                resolve_faults(*fault_seed, *fault_ppm, *retry, *fault_phase_scale),
-            )
-        }
-        Command::Measure {
-            data,
-            page_bytes,
-            m,
-            queries,
-            k,
-            seed,
-            threads,
-            fault_seed,
-            fault_ppm,
-            retry,
-            fault_phase_scale,
-            backend,
-            store_dir,
-            durability,
-            simd,
-        } => {
-            apply_threads(*threads);
-            apply_simd(*simd)?;
-            measure(
-                Path::new(data),
-                *page_bytes,
-                *m,
-                *queries,
-                *k,
-                *seed,
-                resolve_faults(*fault_seed, *fault_ppm, *retry, *fault_phase_scale),
-                &StoreSpec {
-                    backend: *backend,
-                    store_dir: store_dir.clone(),
-                    durability: *durability,
-                },
-            )
-        }
-        Command::Compare {
-            data,
-            page_bytes,
-            m,
-            queries,
-            k,
-            seed,
-            threads,
-            fault_seed,
-            fault_ppm,
-            retry,
-            fault_phase_scale,
-            simd,
-        } => {
-            apply_threads(*threads);
-            apply_simd(*simd)?;
-            compare(
-                Path::new(data),
-                *page_bytes,
-                *m,
-                *queries,
-                *k,
-                *seed,
-                resolve_faults(*fault_seed, *fault_ppm, *retry, *fault_phase_scale),
-            )
-        }
+        } => predict(run, predictor, *h_upper, *zeta),
+        Command::Compare { run } => compare(run),
+        Command::Measure { run, store } => measure(run, store),
         Command::Serve {
-            data,
-            page_bytes,
-            m,
-            rate,
-            duration,
-            mix,
+            run,
+            store,
+            rate_per_s,
+            duration_s,
             arrivals,
+            mix,
             concurrency,
             batch,
             overload,
             only,
             scrub_slice,
-            queries,
-            k,
-            seed,
-            threads,
-            fault_seed,
-            fault_ppm,
-            retry,
-            fault_phase_scale,
-            backend,
-            store_dir,
-            durability,
-            simd,
         } => {
-            apply_threads(*threads);
-            apply_simd(*simd)?;
-            serve(&ServeArgs {
-                data: Path::new(data),
-                page_bytes: *page_bytes,
-                m: *m,
-                rate: *rate,
-                duration: *duration,
-                mix: *mix,
-                arrivals: *arrivals,
+            let load = LoadGen {
+                rate_per_s: *rate_per_s,
+                duration_s: *duration_s,
+                model: *arrivals,
+                seed: run.seed,
+            };
+            let serving = ServeConfig {
                 concurrency: *concurrency,
                 batch: *batch,
                 overload: *overload,
-                only: *only,
-                scrub_slice: *scrub_slice,
-                queries: *queries,
-                k: *k,
-                seed: *seed,
-                faults: resolve_faults(*fault_seed, *fault_ppm, *retry, *fault_phase_scale),
-                store: StoreSpec {
-                    backend: *backend,
-                    store_dir: store_dir.clone(),
-                    durability: *durability,
-                },
-            })
+                disk: DiskModel::paper_with_page_bytes(run.page_bytes),
+            };
+            serve(run, store, &load, mix, &serving, *only, *scrub_slice)
         }
     };
     report.map(|r| (r, 0))
 }
 
-/// Resolves the fault-injection configuration: explicit `--fault-seed`
-/// wins (at the default 2000 ppm rate unless `--fault-ppm` overrides it);
-/// otherwise the `HDIDX_FAULT_SEED` / `HDIDX_FAULT_PPM` environment
-/// variables; otherwise no injection. The retry policy follows the same
-/// precedence independently: explicit `--retry-policy` / `--retry-budget`
-/// beat `HDIDX_RETRY_POLICY` / `HDIDX_RETRY_BUDGET`, which beat the fixed
-/// default; `HDIDX_FAULT_BURST_PPM` attaches bursts in either case.
-/// `--fault-phase-scale` then rescales the resolved rates per pipeline
-/// phase (build / query / predict), letting fault pressure be steered at
-/// the predictors' sampled I/O while the build and measurement run clean
-/// (or vice versa).
-fn resolve_faults(
-    fault_seed: Option<u64>,
-    fault_ppm: Option<u32>,
-    retry: Option<RetryPolicy>,
-    fault_phase_scale: Option<[u16; 3]>,
-) -> Option<FaultConfig> {
-    let base = match fault_seed {
-        Some(seed) => {
-            let mut cfg = FaultConfig::disabled(seed)
-                .with_rate_ppm(2_000)
-                .with_burst(FaultConfig::burst_from_env());
-            if let Some(r) = RetryPolicy::from_env() {
-                cfg = cfg.with_retry(r);
-            }
-            cfg
-        }
-        None => FaultConfig::from_env()?,
-    };
-    let base = match fault_ppm {
-        Some(ppm) => base.with_rate_ppm(ppm),
-        None => base,
-    };
-    let base = match retry {
-        Some(r) => base.with_retry(r),
-        None => base,
-    };
-    Some(match fault_phase_scale {
-        Some(scale) => FaultPhase::ALL
-            .iter()
-            .zip(scale)
-            .fold(base, |cfg, (&phase, pct)| cfg.with_phase_scale(phase, pct)),
-        None => base,
-    })
-}
-
-/// Applies `--threads` for this process. Results are identical for any
-/// thread count; this only changes wall-clock time.
-fn apply_threads(threads: Option<usize>) {
-    if let Some(t) = threads {
-        hdidx_pool::set_threads(t);
-    }
-}
-
-/// Applies `--simd` for this process: pins the geometry-kernel ISA for
-/// every subsequent dispatch (overriding `HDIDX_SIMD` and detection).
-/// Results are byte-identical for any ISA; this only changes wall-clock
-/// time. A fixed ISA the CPU does not support is a startup error.
-fn apply_simd(choice: Option<hdidx_core::simd::Choice>) -> Result<(), String> {
-    match choice {
-        Some(c) => hdidx_core::simd::force(c).map_err(|e| format!("option --simd: {e}")),
-        None => Ok(()),
-    }
-}
-
-/// Storage-backend selection shared by `measure` and `serve`: which
-/// [`PageStore`] implementor runs the build, and (for the file backend)
-/// where on disk it lives and how eagerly its WAL reaches the platter.
-struct StoreSpec {
-    backend: Backend,
-    store_dir: Option<String>,
+/// Opens a fresh file store under `<root>/scratch` (cleared first) for
+/// the build, injecting the run's faults into the build phase.
+fn scratch_store(
+    root: &Path,
     durability: Durability,
-}
-
-impl StoreSpec {
-    /// The `--store` root. Parsing guarantees it for `--backend file`.
-    fn root(&self) -> Result<&Path, String> {
-        self.store_dir
-            .as_deref()
-            .map(Path::new)
-            .ok_or_else(|| "--backend file requires --store <dir>".to_string())
+    faults: Option<FaultConfig>,
+) -> Result<FileStore, String> {
+    let scratch = root.join("scratch");
+    if scratch.exists() {
+        std::fs::remove_dir_all(&scratch)
+            .map_err(|e| format!("cannot clear {}: {e}", scratch.display()))?;
     }
-}
-
-/// Clears `dir` so a fresh store can claim it.
-fn clear_dir(dir: &Path) -> Result<(), String> {
-    if dir.exists() {
-        std::fs::remove_dir_all(dir).map_err(|e| format!("cannot clear {}: {e}", dir.display()))?;
-    }
-    Ok(())
+    FileStore::open(
+        &scratch,
+        durability,
+        &DiskOptions::new()
+            .fault_plan(faults)
+            .phase(FaultPhase::Build),
+    )
+    .map_err(|e| e.to_string())
 }
 
 /// Publishes `tree` as a fresh snapshot generation under
@@ -307,7 +134,7 @@ fn clear_dir(dir: &Path) -> Result<(), String> {
 /// publish, so a crashed run always leaves the previous generation
 /// loadable. Returns the loaded tree, the I/O charged by the reopen (so
 /// callers can bill it as build I/O), the scrub report of the served
-/// generation, and the human-readable persist/scrub/reopen report
+/// generation, and the human-readable backend/persist/scrub/reopen report
 /// comparing charged-model seconds with wall-clock seconds.
 fn persist_and_reopen(
     store_root: &Path,
@@ -339,7 +166,7 @@ fn persist_and_reopen(
         return Err("reopened index differs from the tree that was persisted".to_string());
     }
 
-    let mut report = String::new();
+    let mut report = format!("backend: file (store {})\n", store_root.display());
     let _ = writeln!(
         report,
         "persist: generation {generation}, durability {durability}, charged {:.3} s, wall {:.3} s",
@@ -418,6 +245,33 @@ fn load(data: &Path, page_bytes: usize) -> Result<(Dataset, Topology), String> {
     Ok((dataset, topo))
 }
 
+/// Loads the run's dataset and draws its density-biased query workload.
+fn load_run(run: &RunArgs) -> Result<(Dataset, Topology, Workload), String> {
+    let (dataset, topo) = load(Path::new(&run.data), run.page_bytes)?;
+    let workload = Workload::density_biased(&dataset, run.queries, run.k, run.seed)
+        .map_err(|e| e.to_string())?;
+    Ok((dataset, topo, workload))
+}
+
+fn balls(workload: &Workload) -> Vec<QueryBall> {
+    workload
+        .queries
+        .iter()
+        .map(|q| QueryBall::new(q.center.clone(), q.radius))
+        .collect()
+}
+
+fn centers(workload: &Workload) -> Vec<Vec<f32>> {
+    workload.queries.iter().map(|q| q.center.clone()).collect()
+}
+
+/// The on-disk build configuration: the run's memory budget and faults.
+fn external_config(run: &RunArgs) -> Result<ExternalConfig, String> {
+    let mut cfg = ExternalConfig::with_mem_points(run.m).map_err(|e| e.to_string())?;
+    cfg.faults = run.faults;
+    Ok(cfg)
+}
+
 fn info(data: &Path, page_bytes: usize) -> Result<String, String> {
     let (dataset, topo) = load(data, page_bytes)?;
     let mut out = String::new();
@@ -491,70 +345,51 @@ fn describe(name: &str, cfg: &PredictorConfig) -> String {
 
 /// Builds the shared predictor configuration from CLI options, resolving
 /// the upper-tree height only when `name` actually needs one.
-#[allow(clippy::too_many_arguments)]
 fn resolve_config(
     name: &str,
+    run: &RunArgs,
     dataset: &Dataset,
     topo: &Topology,
-    m: usize,
-    k: usize,
     h_upper: Option<usize>,
     zeta: Option<f64>,
-    seed: u64,
-    faults: Option<FaultConfig>,
 ) -> Result<PredictorConfig, String> {
     let needs_h = matches!(name, "cutoff" | "resampled");
     let h = match (h_upper, needs_h) {
         (Some(h), _) => h,
-        (None, true) => hupper::recommended_h_upper(topo, m).map_err(|e| e.to_string())?,
+        (None, true) => hupper::recommended_h_upper(topo, run.m).map_err(|e| e.to_string())?,
         (None, false) => PredictorConfig::default().h_upper,
     };
     Ok(PredictorConfig {
-        m,
+        m: run.m,
         h_upper: h,
-        seed,
-        zeta: zeta.unwrap_or((m as f64 / dataset.len() as f64).min(1.0)),
-        knn_k: k,
-        faults,
+        seed: run.seed,
+        zeta: zeta.unwrap_or((run.m as f64 / dataset.len() as f64).min(1.0)),
+        knn_k: run.k,
+        faults: run.faults,
         ..PredictorConfig::default()
     })
 }
 
-#[allow(clippy::too_many_arguments)]
 fn predict(
-    data: &Path,
-    page_bytes: usize,
-    m: usize,
+    run: &RunArgs,
     predictor: &str,
-    queries: usize,
-    k: usize,
     h_upper: Option<usize>,
     zeta: Option<f64>,
-    seed: u64,
-    faults: Option<FaultConfig>,
 ) -> Result<String, String> {
-    let (dataset, topo) = load(data, page_bytes)?;
-    let workload =
-        Workload::density_biased(&dataset, queries, k, seed).map_err(|e| e.to_string())?;
-    let balls: Vec<QueryBall> = workload
-        .queries
-        .iter()
-        .map(|q| QueryBall::new(q.center.clone(), q.radius))
-        .collect();
-    let disk = DiskModel::paper_with_page_bytes(page_bytes);
-    let cfg = resolve_config(
-        predictor, &dataset, &topo, m, k, h_upper, zeta, seed, faults,
-    )?;
+    let (dataset, topo, workload) = load_run(run)?;
+    let disk = DiskModel::paper_with_page_bytes(run.page_bytes);
+    let cfg = resolve_config(predictor, run, &dataset, &topo, h_upper, zeta)?;
     let model =
         by_name(predictor, &cfg).ok_or_else(|| format!("unknown predictor `{predictor}`"))?;
     let prediction = model
-        .predict(&dataset, &topo, &balls)
+        .predict(&dataset, &topo, &balls(&workload))
         .map_err(|e| e.to_string())?;
     let mut out = String::new();
     let _ = writeln!(out, "predictor: {}", describe(predictor, &cfg));
     let _ = writeln!(
         out,
-        "predicted leaf accesses per {k}-NN query: {:.1} (of {} pages)",
+        "predicted leaf accesses per {}-NN query: {:.1} (of {} pages)",
+        run.k,
         prediction.avg_leaf_accesses(),
         topo.leaf_pages()
     );
@@ -564,7 +399,7 @@ fn predict(
         prediction.io,
         disk.cost_seconds(prediction.io)
     );
-    if faults.is_some() {
+    if run.faults.is_some() {
         let d = &prediction.degraded;
         let _ = writeln!(
             out,
@@ -579,54 +414,30 @@ fn predict(
     Ok(out)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn measure(
-    data: &Path,
-    page_bytes: usize,
-    m: usize,
-    queries: usize,
-    k: usize,
-    seed: u64,
-    faults: Option<FaultConfig>,
-    store: &StoreSpec,
-) -> Result<String, String> {
-    let (dataset, topo) = load(data, page_bytes)?;
-    let workload =
-        Workload::density_biased(&dataset, queries, k, seed).map_err(|e| e.to_string())?;
-    let centers: Vec<Vec<f32>> = workload.queries.iter().map(|q| q.center.clone()).collect();
-    let mut cfg = ExternalConfig::with_mem_points(m).map_err(|e| e.to_string())?;
-    cfg.faults = faults;
-    let disk = DiskModel::paper_with_page_bytes(page_bytes);
-    let (measured, backend_report) = match store.backend {
-        Backend::Sim => (
-            measure_on_disk(&dataset, &topo, &centers, k, &cfg).map_err(|e| e.to_string())?,
+fn measure(run: &RunArgs, store: &StoreSpec) -> Result<String, String> {
+    let (dataset, topo, workload) = load_run(run)?;
+    let centers = centers(&workload);
+    let cfg = external_config(run)?;
+    let disk = DiskModel::paper_with_page_bytes(run.page_bytes);
+    let (measured, backend_report) = match store {
+        StoreSpec::Sim => (
+            measure_on_disk(&dataset, &topo, &centers, run.k, &cfg).map_err(|e| e.to_string())?,
             None,
         ),
-        Backend::File => {
-            let root = store.root()?;
-            let scratch = root.join("scratch");
-            clear_dir(&scratch)?;
-            let mut fs = FileStore::open(
-                &scratch,
-                store.durability,
-                &DiskOptions::new()
-                    .fault_plan(cfg.faults)
-                    .phase(FaultPhase::Build),
-            )
-            .map_err(|e| e.to_string())?;
-            let measured = measure_on_disk_in(&mut fs, &dataset, &topo, &centers, k, &cfg)
+        StoreSpec::File { dir, durability } => {
+            let mut fs = scratch_store(dir, *durability, run.faults)?;
+            let measured = measure_on_disk_in(&mut fs, &dataset, &topo, &centers, run.k, &cfg)
                 .map_err(|e| e.to_string())?;
             drop(fs);
-            let (_, _, _, _, lines) =
-                persist_and_reopen(root, store.durability, &measured.tree, &disk)?;
-            let report = format!("backend: file (store {})\n{lines}", root.display());
+            let (_, _, _, _, report) = persist_and_reopen(dir, *durability, &measured.tree, &disk)?;
             (measured, Some(report))
         }
     };
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "measured leaf accesses per {k}-NN query: {:.1} (of {} pages)",
+        "measured leaf accesses per {}-NN query: {:.1} (of {} pages)",
+        run.k,
         measured.avg_leaf_accesses(),
         topo.leaf_pages()
     );
@@ -638,7 +449,7 @@ fn measure(
         disk.cost_seconds(measured.total_io())
     );
     let _ = writeln!(out, "simd: {}", hdidx_core::simd::describe());
-    if faults.is_some() {
+    if run.faults.is_some() {
         let _ = writeln!(
             out,
             "injected faults: {} ({} retried)",
@@ -652,104 +463,58 @@ fn measure(
     Ok(out)
 }
 
-/// Bundled `serve` inputs (the command has too many knobs for a flat
-/// argument list to stay readable).
-struct ServeArgs<'a> {
-    data: &'a Path,
-    page_bytes: usize,
-    m: usize,
-    rate: f64,
-    duration: f64,
-    mix: MixSpec,
-    arrivals: ArrivalModel,
-    concurrency: usize,
-    batch: usize,
-    overload: OverloadPolicy,
+fn serve(
+    run: &RunArgs,
+    store: &StoreSpec,
+    load: &LoadGen,
+    mix: &MixSpec,
+    serving: &ServeConfig,
     only: Option<QueryClass>,
     scrub_slice: Option<u64>,
-    queries: usize,
-    k: usize,
-    seed: u64,
-    faults: Option<FaultConfig>,
-    store: StoreSpec,
-}
-
-fn serve(args: &ServeArgs<'_>) -> Result<String, String> {
-    let (dataset, topo) = load(args.data, args.page_bytes)?;
-    let workload = Workload::density_biased(&dataset, args.queries, args.k, args.seed)
-        .map_err(|e| e.to_string())?;
-    let candidates: Vec<QueryBall> = workload
-        .queries
-        .iter()
-        .map(|q| QueryBall::new(q.center.clone(), q.radius))
-        .collect();
-    let disk = DiskModel::paper_with_page_bytes(args.page_bytes);
-    let (server, backend_report, store_gen_dir) = match args.store.backend {
-        Backend::Sim => (
-            Server::build(&dataset, &topo, args.m, args.seed, args.faults)
+) -> Result<String, String> {
+    let (dataset, topo, workload) = load_run(run)?;
+    let (server, backend_report, store_gen_dir) = match store {
+        StoreSpec::Sim => (
+            Server::build(&dataset, &topo, run.m, run.seed, run.faults)
                 .map_err(|e| e.to_string())?,
             None,
             None,
         ),
-        Backend::File => {
-            let root = args.store.root()?;
-            let scratch = root.join("scratch");
-            clear_dir(&scratch)?;
-            let mut cfg = ExternalConfig::with_mem_points(args.m).map_err(|e| e.to_string())?;
-            cfg.faults = args.faults;
-            let mut fs = FileStore::open(
-                &scratch,
-                args.store.durability,
-                &DiskOptions::new()
-                    .fault_plan(args.faults)
-                    .phase(FaultPhase::Build),
-            )
-            .map_err(|e| e.to_string())?;
-            let built =
-                build_on_disk_in(&mut fs, &dataset, &topo, &cfg).map_err(|e| e.to_string())?;
+        StoreSpec::File { dir, durability } => {
+            let mut fs = scratch_store(dir, *durability, run.faults)?;
+            let built = build_on_disk_in(&mut fs, &dataset, &topo, &external_config(run)?)
+                .map_err(|e| e.to_string())?;
             drop(fs);
-            let (loaded, reopen_io, scrub_report, generation, lines) =
-                persist_and_reopen(root, args.store.durability, &built.tree, &disk)?;
+            let (loaded, reopen_io, scrub_report, generation, report) =
+                persist_and_reopen(dir, *durability, &built.tree, &serving.disk)?;
             let server = Server::from_tree(
                 &dataset,
                 &topo,
                 loaded,
-                args.m,
-                args.seed,
-                args.faults,
+                run.m,
+                run.seed,
+                run.faults,
                 built.io + reopen_io,
                 Some(&scrub_report),
             )
             .map_err(|e| e.to_string())?;
-            let report = format!("backend: file (store {})\n{lines}", root.display());
-            let gen_dir = root.join("index").join(format!("gen-{generation:08}"));
+            let gen_dir = dir.join("index").join(format!("gen-{generation:08}"));
             (server, Some(report), Some(gen_dir))
         }
     };
-    let mut requests = LoadGen {
-        rate_per_s: args.rate,
-        duration_s: args.duration,
-        model: args.arrivals,
-        seed: args.seed,
-    }
-    .requests(&candidates, &args.mix, args.k)
-    .map_err(|e| e.to_string())?;
+    let mut requests = load
+        .requests(&balls(&workload), mix, run.k)
+        .map_err(|e| e.to_string())?;
     // --only physically drops the other classes from the offered stream;
     // surviving requests keep their arrival ids (and so their fault
     // streams), making the filtered run comparable against a laned one.
-    if let Some(class) = args.only {
+    if let Some(class) = only {
         requests.retain(|r| QueryClass::of(&r.query) == class);
     }
-    let cfg = ServeConfig {
-        concurrency: args.concurrency,
-        batch: args.batch,
-        overload: args.overload,
-        disk,
-    };
     // --scrub-slice turns on idle-slot maintenance: the simulated backend
     // scrubs an always-clean source sized like the index; the file backend
     // scrubs the snapshot generation it is serving.
-    let mut maint = match args.scrub_slice {
+    let mut maint = match scrub_slice {
         None => None,
         Some(slice_pages) => {
             let source: Box<dyn hdidx_serve::ScrubSource> = match &store_gen_dir {
@@ -764,7 +529,7 @@ fn serve(args: &ServeArgs<'_>) -> Result<String, String> {
     let report = server
         .run_with_maintenance(
             &requests,
-            &cfg,
+            serving,
             &hdidx_pool::Pool::current(),
             maint.as_mut(),
         )
@@ -772,12 +537,11 @@ fn serve(args: &ServeArgs<'_>) -> Result<String, String> {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "serving {} requests ({} arrivals at {} req/s for {} s, mix {})",
+        "serving {} requests ({} arrivals at {} req/s for {} s, mix {mix})",
         report.total,
-        args.arrivals.as_str(),
-        args.rate,
-        args.duration,
-        args.mix
+        load.model.as_str(),
+        load.rate_per_s,
+        load.duration_s,
     );
     let _ = writeln!(
         out,
@@ -817,7 +581,7 @@ fn serve(args: &ServeArgs<'_>) -> Result<String, String> {
             cs.class, cs.executed, cs.shed, cs.failed, cs.deadline_cut, cs.digest
         );
     }
-    if !args.overload.is_noop() {
+    if !serving.overload.is_noop() {
         let _ = writeln!(
             out,
             "overload: deadline cut {} | hedged {} (wins {}) | degraded predicts {} \
@@ -853,30 +617,19 @@ fn serve(args: &ServeArgs<'_>) -> Result<String, String> {
     Ok(out)
 }
 
-fn compare(
-    data: &Path,
-    page_bytes: usize,
-    m: usize,
-    queries: usize,
-    k: usize,
-    seed: u64,
-    faults: Option<FaultConfig>,
-) -> Result<String, String> {
-    let (dataset, topo) = load(data, page_bytes)?;
-    let workload =
-        Workload::density_biased(&dataset, queries, k, seed).map_err(|e| e.to_string())?;
-    let balls: Vec<QueryBall> = workload
-        .queries
-        .iter()
-        .map(|q| QueryBall::new(q.center.clone(), q.radius))
-        .collect();
-    let centers: Vec<Vec<f32>> = workload.queries.iter().map(|q| q.center.clone()).collect();
-    let mut ext = ExternalConfig::with_mem_points(m).map_err(|e| e.to_string())?;
-    ext.faults = faults;
-    let measured =
-        measure_on_disk(&dataset, &topo, &centers, k, &ext).map_err(|e| e.to_string())?;
+fn compare(run: &RunArgs) -> Result<String, String> {
+    let (dataset, topo, workload) = load_run(run)?;
+    let balls = balls(&workload);
+    let measured = measure_on_disk(
+        &dataset,
+        &topo,
+        &centers(&workload),
+        run.k,
+        &external_config(run)?,
+    )
+    .map_err(|e| e.to_string())?;
     let truth = measured.avg_leaf_accesses();
-    let disk = DiskModel::paper_with_page_bytes(page_bytes);
+    let disk = DiskModel::paper_with_page_bytes(run.page_bytes);
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -910,14 +663,13 @@ fn compare(
         }
     };
     for &name in PREDICTOR_NAMES {
-        let result = resolve_config(name, &dataset, &topo, m, k, None, None, seed, faults)
-            .and_then(|cfg| {
-                by_name(name, &cfg)
-                    .expect("registry covers every PREDICTOR_NAMES entry")
-                    .predict(&dataset, &topo, &balls)
-                    .map(|p| (p, cfg))
-                    .map_err(|e| e.to_string())
-            });
+        let result = resolve_config(name, run, &dataset, &topo, None, None).and_then(|cfg| {
+            by_name(name, &cfg)
+                .expect("registry covers every PREDICTOR_NAMES entry")
+                .predict(&dataset, &topo, &balls)
+                .map(|p| (p, cfg))
+                .map_err(|e| e.to_string())
+        });
         match result {
             Ok((p, cfg)) => line(&describe(name, &cfg), Ok(p)),
             Err(e) => line(name, Err(e)),
@@ -1022,15 +774,69 @@ mod tests {
         ))
         .unwrap();
         assert!(out.contains("injected faults:"), "{out}");
-        // Without fault flags (and without the env variables) the lines
-        // stay absent.
-        if hdidx_faults::FaultConfig::from_env().is_none() {
+        // Without fault flags the lines stay absent.
+        let out = run(&format!(
+            "predict --data {} --m 200 --queries 10 --k 5",
+            csv.display()
+        ))
+        .unwrap();
+        assert!(!out.contains("fault degradation"), "{out}");
+        let out = run(&format!(
+            "measure --data {} --m 200 --queries 10 --k 5",
+            csv.display()
+        ))
+        .unwrap();
+        assert!(!out.contains("injected faults"), "{out}");
+        std::fs::remove_file(&csv).ok();
+    }
+
+    #[test]
+    fn faulted_runs_succeed_and_serve_is_thread_invariant() {
+        // Low-pressure chaos at the default 2000 ppm under two seeds, and a
+        // burst-heavy case absorbed by exponential backoff: every run
+        // command must succeed, and serve must reproduce byte for byte at
+        // any thread count.
+        let csv = temp_csv("faulted_table.csv");
+        run(&format!(
+            "generate --dataset texture48 --scale 0.2 --out {}",
+            csv.display()
+        ))
+        .unwrap();
+        let cases = [
+            "--fault-seed 1",
+            "--fault-seed 20250807",
+            "--fault-seed 7 --fault-burst-ppm 50000 --retry-policy exponential",
+        ];
+        for faults in cases {
             let out = run(&format!(
-                "predict --data {} --m 200 --queries 10 --k 5",
+                "predict --data {} --m 200 --queries 10 --k 5 {faults}",
                 csv.display()
             ))
-            .unwrap();
-            assert!(!out.contains("fault degradation"), "{out}");
+            .unwrap_or_else(|e| panic!("predict {faults}: {e}"));
+            assert!(out.contains("fault degradation:"), "{faults}: {out}");
+            let out = run(&format!(
+                "measure --data {} --m 200 --queries 10 --k 5 {faults}",
+                csv.display()
+            ))
+            .unwrap_or_else(|e| panic!("measure {faults}: {e}"));
+            assert!(out.contains("injected faults:"), "{faults}: {out}");
+            let out = run(&format!(
+                "compare --data {} --m 200 --queries 10 --k 5 {faults}",
+                csv.display()
+            ))
+            .unwrap_or_else(|e| panic!("compare {faults}: {e}"));
+            assert!(out.contains("measured"), "{faults}: {out}");
+            let serve = |threads: usize| {
+                run(&format!(
+                    "serve --data {} --m 200 --smoke --seed 5 {faults} --threads {threads}",
+                    csv.display()
+                ))
+                .unwrap_or_else(|e| panic!("serve {faults} --threads {threads}: {e}"))
+            };
+            let out1 = serve(1);
+            assert!(out1.contains("latency digest:"), "{faults}: {out1}");
+            assert_eq!(out1, serve(2), "{faults}: 1 vs 2 threads");
+            assert_eq!(out1, serve(8), "{faults}: 1 vs 8 threads");
         }
         std::fs::remove_file(&csv).ok();
     }

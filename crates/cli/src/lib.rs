@@ -6,11 +6,15 @@
 //!
 //! ```text
 //! hdidx info    --data points.csv [--page-bytes 8192]
-//! hdidx predict --data points.csv --m 10000 [--method resampled|cutoff|basic]
-//!               [--queries 500] [--k 21] [--h-upper N] [--zeta F] [--seed S]
-//! hdidx measure --data points.csv --m 10000 [--queries 500] [--k 21]
+//! hdidx predict --data points.csv --m 10000 [--predictor resampled|cutoff|basic|...]
+//!               [--h-upper N] [--zeta F] [run flags]
+//! hdidx measure --data points.csv --m 10000 [run flags] [--backend sim|file]
 //! hdidx generate --dataset texture60 --scale 0.1 --out points.csv
 //! ```
+//!
+//! The run flags (`--queries`, `--k`, `--seed`, `--threads`, `--simd`
+//! and the fault/retry flags) are shared by `predict`, `compare`,
+//! `measure` and `serve`; see [`args::USAGE`].
 
 pub mod args;
 pub mod commands;

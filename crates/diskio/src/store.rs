@@ -26,20 +26,20 @@
 use crate::disk::{Disk, FileHandle};
 use crate::model::IoStats;
 use hdidx_core::{Error, Result};
-use hdidx_faults::{FaultConfig, FaultEvent, FaultPhase, FaultPlan, RetryPolicy};
+use hdidx_faults::{FaultConfig, FaultEvent, FaultPhase, FaultPlan};
 
-/// Builder for a configured disk/store: fault injection, retry policy,
-/// phase specialization and stream derivation in one value, replacing the
-/// former by-hand `FaultPlan::new(cfg.for_phase(..)
-/// .derived(..))` call chains (and the env-var sprawl around them).
+/// Builder for a configured disk/store: fault injection, phase
+/// specialization and stream derivation in one value, replacing the
+/// former by-hand `FaultPlan::new(cfg.for_phase(..).derived(..))` call
+/// chains. The retry policy rides inside the [`FaultConfig`]
+/// ([`FaultConfig::with_retry`]).
 ///
 /// Resolution order, applied by [`DiskOptions::resolved_config`]:
 ///
 /// 1. the explicit [`FaultConfig`] (or none — an unconfigured options
 ///    value yields an ideal device),
-/// 2. the [`RetryPolicy`] override, if any,
-/// 3. [`FaultConfig::for_phase`] specialization, if a phase is set,
-/// 4. [`FaultConfig::derived`] stream derivation, if a stream is set —
+/// 2. [`FaultConfig::for_phase`] specialization, if a phase is set,
+/// 3. [`FaultConfig::derived`] stream derivation, if a stream is set —
 ///    e.g. a per-request id, so per-request plans stay decorrelated.
 ///
 /// The value is `Copy`, so deriving a per-request variant is one call:
@@ -51,9 +51,11 @@ use hdidx_faults::{FaultConfig, FaultEvent, FaultPhase, FaultPlan, RetryPolicy};
 /// use hdidx_diskio::{Disk, DiskOptions};
 /// use hdidx_faults::{FaultConfig, FaultPhase, RetryPolicy};
 ///
+/// let faults = FaultConfig::disabled(7)
+///     .with_rate_ppm(1_000)
+///     .with_retry(RetryPolicy::Exponential);
 /// let opts = DiskOptions::new()
-///     .fault_plan(Some(FaultConfig::disabled(7).with_rate_ppm(1_000)))
-///     .retry_policy(RetryPolicy::Exponential)
+///     .fault_plan(Some(faults))
 ///     .phase(FaultPhase::Query);
 /// let mut disk = Disk::with_options(&opts.derived(42));
 /// let f = disk.alloc(4).unwrap();
@@ -62,7 +64,6 @@ use hdidx_faults::{FaultConfig, FaultEvent, FaultPhase, FaultPlan, RetryPolicy};
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DiskOptions {
     faults: Option<FaultConfig>,
-    retry: Option<RetryPolicy>,
     phase: Option<FaultPhase>,
     stream: Option<u64>,
 }
@@ -74,27 +75,10 @@ impl DiskOptions {
         DiskOptions::default()
     }
 
-    /// Options configured from the `HDIDX_FAULT_*` / `HDIDX_RETRY_*`
-    /// environment variables ([`FaultConfig::from_env`]) — the one
-    /// sanctioned env-var entry point; everything else goes through the
-    /// builder.
-    #[must_use]
-    pub fn from_env() -> DiskOptions {
-        DiskOptions::new().fault_plan(FaultConfig::from_env())
-    }
-
     /// Sets (or clears) the fault-injection configuration.
     #[must_use]
     pub fn fault_plan(mut self, faults: Option<FaultConfig>) -> DiskOptions {
         self.faults = faults;
-        self
-    }
-
-    /// Overrides the retry/backoff policy of the fault configuration (a
-    /// no-op on an ideal device).
-    #[must_use]
-    pub fn retry_policy(mut self, retry: RetryPolicy) -> DiskOptions {
-        self.retry = Some(retry);
         self
     }
 
@@ -119,9 +103,6 @@ impl DiskOptions {
     #[must_use]
     pub fn resolved_config(&self) -> Option<FaultConfig> {
         let mut cfg = self.faults?;
-        if let Some(retry) = self.retry {
-            cfg = cfg.with_retry(retry);
-        }
         if let Some(phase) = self.phase {
             cfg = cfg.for_phase(phase);
         }
@@ -349,19 +330,18 @@ impl PageStore for Disk {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hdidx_faults::RetryPolicy;
 
     #[test]
     fn options_resolve_like_the_manual_call_chain() {
-        let fcfg = FaultConfig::disabled(11).with_rate_ppm(250_000);
+        let fcfg = FaultConfig::disabled(11)
+            .with_rate_ppm(250_000)
+            .with_retry(RetryPolicy::Exponential);
         let opts = DiskOptions::new()
             .fault_plan(Some(fcfg))
-            .retry_policy(RetryPolicy::Exponential)
             .phase(FaultPhase::Query)
             .derived(42);
-        let expect = fcfg
-            .with_retry(RetryPolicy::Exponential)
-            .for_phase(FaultPhase::Query)
-            .derived(42);
+        let expect = fcfg.for_phase(FaultPhase::Query).derived(42);
         assert_eq!(opts.resolved_config(), Some(expect));
         assert_eq!(DiskOptions::new().resolved_config(), None);
         assert!(DiskOptions::new().resolved_plan().is_none());

@@ -12,10 +12,10 @@
 use hdidx_diskio::{
     BreakerConfig, BreakerState, CircuitBreaker, Disk, DiskModel, DiskOptions, FileHandle,
 };
-use hdidx_faults::{FaultConfig, RetryPolicy, ENV_FAULT_SEED};
+use hdidx_faults::{FaultConfig, RetryPolicy};
 
 fn fault_seed() -> u64 {
-    std::env::var(ENV_FAULT_SEED)
+    std::env::var("HDIDX_FAULT_SEED")
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(5)

@@ -78,27 +78,6 @@ pub const PPM_SCALE: u32 = 1_000_000;
 /// Default bound on attempts per access (1 initial + 3 retries).
 pub const DEFAULT_MAX_ATTEMPTS: u32 = 4;
 
-/// Environment variable holding the fault seed; set by the CI chaos leg.
-pub const ENV_FAULT_SEED: &str = "HDIDX_FAULT_SEED";
-
-/// Environment variable scaling the fault rates (parts per million applied
-/// to transient faults; torn/spike run at half that). Optional.
-pub const ENV_FAULT_PPM: &str = "HDIDX_FAULT_PPM";
-
-/// Environment variable enabling the correlated burst model: its value is
-/// the per-attempt fault probability (ppm) for accesses overlapping a bad
-/// region, with the default region geometry. Optional.
-pub const ENV_FAULT_BURST_PPM: &str = "HDIDX_FAULT_BURST_PPM";
-
-/// Environment variable selecting the retry/backoff policy by name
-/// (`fixed` | `exponential` | `budgeted`). Optional.
-pub const ENV_RETRY_POLICY: &str = "HDIDX_RETRY_POLICY";
-
-/// Environment variable setting the per-access backoff budget in
-/// seek-equivalents. Implies the budgeted policy when `HDIDX_RETRY_POLICY`
-/// is unset. Optional.
-pub const ENV_RETRY_BUDGET: &str = "HDIDX_RETRY_BUDGET";
-
 /// Default per-access backoff budget (seek-equivalents) of
 /// [`RetryPolicy::Budgeted`] when no explicit budget is given.
 pub const DEFAULT_RETRY_BUDGET: u32 = 64;
@@ -193,20 +172,6 @@ impl RetryPolicy {
         }
     }
 
-    /// Reads `HDIDX_RETRY_POLICY` / `HDIDX_RETRY_BUDGET`: a policy name
-    /// selects the policy (an unparsable name is ignored), a budget alone
-    /// implies the budgeted policy, neither yields `None`.
-    #[must_use]
-    pub fn from_env() -> Option<RetryPolicy> {
-        let budget: Option<u32> = std::env::var(ENV_RETRY_BUDGET)
-            .ok()
-            .and_then(|v| v.trim().parse().ok());
-        match std::env::var(ENV_RETRY_POLICY) {
-            Ok(name) => RetryPolicy::parse(name.trim(), budget).ok(),
-            Err(_) => budget.map(|budget_seeks| RetryPolicy::Budgeted { budget_seeks }),
-        }
-    }
-
     /// Seek-equivalents charged for the retry following attempt `attempt`
     /// of access `access`. A pure function of `(seed, access, attempt)` —
     /// the same determinism contract as the fault decisions themselves.
@@ -281,7 +246,7 @@ impl BurstConfig {
     pub const DEFAULT_MAX_REGION_PAGES: u64 = 32;
 
     /// The default geometry at the given per-attempt fault probability
-    /// (what `HDIDX_FAULT_BURST_PPM` installs).
+    /// (what the CLI's `--fault-burst-ppm` installs).
     #[must_use]
     pub fn with_fault_ppm(fault_ppm: u32) -> BurstConfig {
         BurstConfig {
@@ -431,40 +396,6 @@ impl FaultConfig {
         self.torn_ppm = ppm / 2;
         self.spike_ppm = ppm / 2;
         self
-    }
-
-    /// Reads the ambient chaos configuration: `HDIDX_FAULT_SEED` selects
-    /// the seed (absent → `None`, no injection); `HDIDX_FAULT_PPM`
-    /// optionally overrides the default low-pressure rate (2000 ppm
-    /// transient, half that for torn/spikes — low enough that bounded
-    /// retry absorbs essentially every fault, so a full test suite stays
-    /// green while still exercising the injection paths).
-    #[must_use]
-    pub fn from_env() -> Option<FaultConfig> {
-        let seed: u64 = std::env::var(ENV_FAULT_SEED).ok()?.trim().parse().ok()?;
-        let ppm: u32 = std::env::var(ENV_FAULT_PPM)
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-            .unwrap_or(2_000);
-        let mut cfg = FaultConfig::disabled(seed)
-            .with_rate_ppm(ppm)
-            .with_burst(Self::burst_from_env());
-        if let Some(retry) = RetryPolicy::from_env() {
-            cfg.retry = retry;
-        }
-        Some(cfg)
-    }
-
-    /// Reads `HDIDX_FAULT_BURST_PPM`: a parsable value installs the default
-    /// burst geometry at that per-attempt fault probability.
-    #[must_use]
-    pub fn burst_from_env() -> Option<BurstConfig> {
-        let ppm: u32 = std::env::var(ENV_FAULT_BURST_PPM)
-            .ok()?
-            .trim()
-            .parse()
-            .ok()?;
-        Some(BurstConfig::with_fault_ppm(ppm))
     }
 
     /// Attaches (or clears) the correlated burst model.
@@ -853,7 +784,7 @@ mod tests {
     }
 
     #[test]
-    fn config_presets_and_env() {
+    fn config_presets() {
         assert!(FaultConfig::disabled(0).is_zero());
         assert!(!FaultConfig::chaos(0).is_zero());
         let c = FaultConfig::disabled(1).with_rate_ppm(10_000);
@@ -867,12 +798,6 @@ mod tests {
                 .transient_ppm,
             PPM_SCALE
         );
-        // Env readout is covered by the chaos CI leg; here we only assert
-        // the absent-variable contract (unset in the unit-test process is
-        // not guaranteed, so probe only when it is unset).
-        if std::env::var(ENV_FAULT_SEED).is_err() {
-            assert!(FaultConfig::from_env().is_none());
-        }
     }
 
     #[test]

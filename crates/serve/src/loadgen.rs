@@ -17,7 +17,7 @@
 //!   clumping arrivals into bursts (squared coefficient of variation ≈ 2.1
 //!   vs 1 for Poisson).
 
-use crate::request::{MixSpec, Query, Request};
+use crate::request::{MixSpec, Query, QueryClass, Request};
 use hdidx_core::{Error, Result};
 use hdidx_model::QueryBall;
 use hdidx_rand::{derive_seed, seeded, Rng};
@@ -170,15 +170,15 @@ impl LoadGen {
             let class = mix.pick(rng.gen_f64());
             let ball = &candidates[rng.gen_range(0..candidates.len())];
             let query = match class {
-                "range" => Query::Range {
+                QueryClass::Range => Query::Range {
                     center: ball.center.clone(),
                     radius: ball.radius,
                 },
-                "knn" => Query::Knn {
+                QueryClass::Knn => Query::Knn {
                     center: ball.center.clone(),
                     k,
                 },
-                _ => Query::Predict {
+                QueryClass::Predict => Query::Predict {
                     center: ball.center.clone(),
                     radius: ball.radius,
                 },
@@ -276,11 +276,15 @@ mod tests {
         for (i, r) in reqs.iter().enumerate() {
             assert_eq!(r.id, i as u64);
         }
-        let count = |class: &str| reqs.iter().filter(|r| r.query.class() == class).count();
+        let count = |class| {
+            reqs.iter()
+                .filter(|r| QueryClass::of(&r.query) == class)
+                .count()
+        };
         let n = reqs.len() as f64;
-        assert!((count("range") as f64 / n - 0.5).abs() < 0.1);
-        assert!((count("knn") as f64 / n - 0.3).abs() < 0.1);
-        assert!((count("predict") as f64 / n - 0.2).abs() < 0.1);
+        assert!((count(QueryClass::Range) as f64 / n - 0.5).abs() < 0.1);
+        assert!((count(QueryClass::Knn) as f64 / n - 0.3).abs() < 0.1);
+        assert!((count(QueryClass::Predict) as f64 / n - 0.2).abs() < 0.1);
         // Every knn request carries the configured k.
         assert!(reqs.iter().all(|r| match &r.query {
             Query::Knn { k, .. } => *k == 7,

@@ -33,14 +33,6 @@ pub enum Query {
     },
 }
 
-impl Query {
-    /// Stable class name (`"range"`, `"knn"`, `"predict"`).
-    #[must_use]
-    pub fn class(&self) -> &'static str {
-        QueryClass::of(self).as_str()
-    }
-}
-
 /// The three query classes as a dense index — the unit overload policy
 /// (deadlines, admission lanes, per-class latency accounting) is keyed by.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -166,7 +158,7 @@ impl MixSpec {
             knn: 0.0,
             predict: 0.0,
         };
-        let mut seen = [false; 3];
+        let mut seen = [false; QueryClass::COUNT];
         for (i, part) in spec.split(',').enumerate() {
             let field = i + 1;
             let (name, frac) = part.split_once(':').ok_or_else(|| {
@@ -175,27 +167,15 @@ impl MixSpec {
                     format!("field {field}: expected class:fraction, got `{part}`"),
                 )
             })?;
-            let idx = match name {
-                "range" => 0,
-                "knn" => 1,
-                "predict" => 2,
-                other => {
-                    return Err(Error::invalid(
-                        "mix",
-                        format!(
-                            "field {field}: unknown class `{other}` \
-                             (expected range, knn, predict)"
-                        ),
-                    ))
-                }
-            };
-            if seen[idx] {
+            let class = QueryClass::parse(name)
+                .map_err(|e| Error::invalid("mix", format!("field {field}: {e}")))?;
+            if seen[class.index()] {
                 return Err(Error::invalid(
                     "mix",
                     format!("field {field}: class `{name}` given twice"),
                 ));
             }
-            seen[idx] = true;
+            seen[class.index()] = true;
             let value: f64 = frac.parse().map_err(|_| {
                 Error::invalid(
                     "mix",
@@ -208,10 +188,10 @@ impl MixSpec {
                     format!("field {field}: fraction `{frac}` must lie in [0, 1]"),
                 ));
             }
-            match idx {
-                0 => mix.range = value,
-                1 => mix.knn = value,
-                _ => mix.predict = value,
+            match class {
+                QueryClass::Range => mix.range = value,
+                QueryClass::Knn => mix.knn = value,
+                QueryClass::Predict => mix.predict = value,
             }
         }
         mix.validate()?;
@@ -250,13 +230,13 @@ impl MixSpec {
     /// fraction: `[0, range)` → range, `[range, range+knn)` → k-NN, the
     /// rest → predict.
     #[must_use]
-    pub fn pick(&self, u: f64) -> &'static str {
+    pub fn pick(&self, u: f64) -> QueryClass {
         if u < self.range {
-            "range"
+            QueryClass::Range
         } else if u < self.range + self.knn {
-            "knn"
+            QueryClass::Knn
         } else {
-            "predict"
+            QueryClass::Predict
         }
     }
 }
@@ -323,18 +303,18 @@ mod tests {
     #[test]
     fn pick_follows_cumulative_fractions() {
         let mix = MixSpec::default();
-        assert_eq!(mix.pick(0.0), "range");
-        assert_eq!(mix.pick(0.49), "range");
-        assert_eq!(mix.pick(0.5), "knn");
-        assert_eq!(mix.pick(0.79), "knn");
-        assert_eq!(mix.pick(0.8), "predict");
-        assert_eq!(mix.pick(0.999), "predict");
+        assert_eq!(mix.pick(0.0), QueryClass::Range);
+        assert_eq!(mix.pick(0.49), QueryClass::Range);
+        assert_eq!(mix.pick(0.5), QueryClass::Knn);
+        assert_eq!(mix.pick(0.79), QueryClass::Knn);
+        assert_eq!(mix.pick(0.8), QueryClass::Predict);
+        assert_eq!(mix.pick(0.999), QueryClass::Predict);
         let all_knn = MixSpec {
             range: 0.0,
             knn: 1.0,
             predict: 0.0,
         };
-        assert_eq!(all_knn.pick(0.0), "knn");
+        assert_eq!(all_knn.pick(0.0), QueryClass::Knn);
     }
 
     #[test]
@@ -349,31 +329,23 @@ mod tests {
     }
 
     #[test]
-    fn query_class_names_are_stable() {
+    fn query_class_of_maps_each_variant() {
         let c = vec![0.0f32];
-        assert_eq!(
+        let queries = [
             Query::Range {
                 center: c.clone(),
-                radius: 1.0
-            }
-            .class(),
-            "range"
-        );
-        assert_eq!(
+                radius: 1.0,
+            },
             Query::Knn {
                 center: c.clone(),
-                k: 3
-            }
-            .class(),
-            "knn"
-        );
-        assert_eq!(
+                k: 3,
+            },
             Query::Predict {
                 center: c,
-                radius: 1.0
-            }
-            .class(),
-            "predict"
-        );
+                radius: 1.0,
+            },
+        ];
+        let classes: Vec<QueryClass> = queries.iter().map(QueryClass::of).collect();
+        assert_eq!(classes, QueryClass::ALL);
     }
 }

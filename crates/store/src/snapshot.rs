@@ -120,8 +120,9 @@ struct Cursor<'a> {
 impl<'a> Cursor<'a> {
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
         let s = self
-            .bytes
-            .get(self.at..self.at + n)
+            .at
+            .checked_add(n)
+            .and_then(|end| self.bytes.get(self.at..end))
             .ok_or_else(|| Error::StoreFailure {
                 op: "snapshot decode",
                 detail: format!("truncated at byte {} of {}", self.at, self.bytes.len()),
@@ -130,12 +131,19 @@ impl<'a> Cursor<'a> {
         Ok(s)
     }
 
-    fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+    /// `n` little-endian 4-byte words, taken before anything is
+    /// allocated so a corrupt count can never size an allocation past
+    /// the arena.
+    fn words<T>(&mut self, n: usize, decode: fn([u8; 4]) -> T) -> Result<Vec<T>> {
+        let bytes = self.take(n.saturating_mul(4))?;
+        Ok(bytes
+            .chunks_exact(4)
+            .map(|c| decode(c.try_into().unwrap()))
+            .collect())
     }
 
-    fn f32(&mut self) -> Result<f32> {
-        Ok(f32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+    fn u32(&mut self) -> Result<u32> {
+        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 
     fn u8(&mut self) -> Result<u8> {
@@ -143,19 +151,22 @@ impl<'a> Cursor<'a> {
     }
 }
 
+/// Smallest encoded node record at dimensionality `dim`: level, both
+/// corners, tag, and a leaf's 8-byte entry range or an inner node's
+/// (at least 4-byte) child list.
+fn min_node_bytes(dim: u64) -> Option<u64> {
+    dim.checked_mul(8)?.checked_add(9)
+}
+
+/// Decodes `num_nodes` node records; the caller has checked that that
+/// many records of `dim` dimensions fit in `bytes`.
 fn decode_nodes(bytes: &[u8], dim: usize, num_nodes: usize) -> Result<Vec<Node>> {
     let mut cur = Cursor { bytes, at: 0 };
     let mut nodes = Vec::with_capacity(num_nodes);
     for _ in 0..num_nodes {
         let level = cur.u32()?;
-        let mut lo = Vec::with_capacity(dim);
-        let mut hi = Vec::with_capacity(dim);
-        for _ in 0..dim {
-            lo.push(cur.f32()?);
-        }
-        for _ in 0..dim {
-            hi.push(cur.f32()?);
-        }
+        let lo = cur.words(dim, f32::from_le_bytes)?;
+        let hi = cur.words(dim, f32::from_le_bytes)?;
         let rect = HyperRect::new(lo, hi)?;
         let kind = match cur.u8()? {
             0 => NodeKind::Leaf {
@@ -163,11 +174,9 @@ fn decode_nodes(bytes: &[u8], dim: usize, num_nodes: usize) -> Result<Vec<Node>>
             },
             1 => {
                 let count = cur.u32()? as usize;
-                let mut children = Vec::with_capacity(count);
-                for _ in 0..count {
-                    children.push(cur.u32()?);
+                NodeKind::Inner {
+                    children: cur.words(count, u32::from_le_bytes)?,
                 }
-                NodeKind::Inner { children }
             }
             tag => {
                 return Err(Error::StoreFailure {
@@ -267,42 +276,65 @@ pub fn load_index(store: &mut dyn PageStore) -> Result<(RTree, FileHandle)> {
             detail: format!("unsupported version {}", word(1)),
         });
     }
-    let dim = word(2) as usize;
-    let root_level = word(3) as usize;
-    let leaf_level = word(4) as usize;
-    let num_nodes = word(5) as usize;
-    let num_entries = word(6) as usize;
-    let entry_pages = word(7);
-    let node_pages = word(8);
-    let entry_len = word(9) as usize;
-    let node_len = word(10) as usize;
-    if entry_len != num_entries * 4 || entry_len > entry_pages as usize * PAYLOAD_BYTES {
-        return Err(Error::StoreFailure {
-            op: "snapshot superblock",
-            detail: format!("entry arena: {num_entries} entries in {entry_len} bytes"),
-        });
+    // Every word is checked before it sizes anything: the regions must
+    // lie inside the store, each arena inside its region, and the node
+    // records inside the node arena.
+    let bad = |detail: String| Error::StoreFailure {
+        op: "snapshot superblock",
+        detail,
+    };
+    let region_bytes = |pages: u64| {
+        usize::try_from(pages)
+            .ok()
+            .and_then(|p| p.checked_mul(PAYLOAD_BYTES))
+    };
+    let (dim, num_nodes, num_entries) = (word(2), word(5), word(6));
+    let (entry_pages, node_pages) = (word(7), word(8));
+    let (entry_len, node_len) = (word(9), word(10));
+    let total = entry_pages
+        .checked_add(node_pages)
+        .and_then(|pages| pages.checked_add(1))
+        .filter(|&total| total <= store.pages())
+        .ok_or_else(|| {
+            bad(format!(
+                "{entry_pages} entry + {node_pages} node pages overrun a {}-page store",
+                store.pages()
+            ))
+        })?;
+    let entry_bytes = region_bytes(entry_pages)
+        .filter(|&cap| num_entries.checked_mul(4) == Some(entry_len) && entry_len <= cap as u64)
+        .ok_or_else(|| {
+            bad(format!(
+                "entry arena: {num_entries} entries in {entry_len} bytes"
+            ))
+        })?;
+    let node_bytes = region_bytes(node_pages)
+        .filter(|&cap| node_len <= cap as u64)
+        .ok_or_else(|| {
+            bad(format!(
+                "node arena: {node_len} bytes in {node_pages} pages"
+            ))
+        })?;
+    if min_node_bytes(dim)
+        .and_then(|rec| rec.checked_mul(num_nodes))
+        .is_none_or(|need| need > node_len)
+    {
+        return Err(bad(format!(
+            "node arena: {num_nodes} nodes of {dim} dims do not fit in {node_len} bytes"
+        )));
     }
-    if node_len > node_pages as usize * PAYLOAD_BYTES {
-        return Err(Error::StoreFailure {
-            op: "snapshot superblock",
-            detail: format!("node arena: {node_len} bytes in {node_pages} pages"),
-        });
-    }
-    let total = 1 + entry_pages + node_pages;
     let f = FileHandle::from_raw(0, total);
 
-    let mut buf = vec![0u8; entry_pages as usize * PAYLOAD_BYTES];
+    let mut buf = vec![0u8; entry_bytes];
     store.read_pages(&f, 1, entry_pages, &mut buf)?;
-    let entries: Vec<u32> = buf[..entry_len]
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-        .collect();
+    let entries = Cursor { bytes: &buf, at: 0 }.words(num_entries as usize, u32::from_le_bytes)?;
 
-    let mut buf = vec![0u8; node_pages as usize * PAYLOAD_BYTES];
+    let mut buf = vec![0u8; node_bytes];
     store.read_pages(&f, 1 + entry_pages, node_pages, &mut buf)?;
-    let nodes = decode_nodes(&buf[..node_len], dim, num_nodes)?;
+    let nodes = decode_nodes(&buf[..node_len as usize], dim as usize, num_nodes as usize)?;
+    let (root_level, leaf_level) = (word(3) as usize, word(4) as usize);
 
-    let tree = RTree::from_arenas(dim, root_level, leaf_level, nodes, entries)?;
+    let tree = RTree::from_arenas(dim as usize, root_level, leaf_level, nodes, entries)?;
     tree.check_invariants()?;
     Ok((tree, f))
 }
@@ -702,6 +734,39 @@ mod tests {
             "{err}"
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn crafted_superblocks_fail_without_panicking_or_allocating() {
+        // Each case overwrites one word of a valid superblock with a value
+        // that once overflowed an offset or sized an allocation.
+        let cases: [(usize, u64); 4] = [
+            (6, u64::MAX),      // num_entries: the entry-length product
+            (7, (1 << 62) - 1), // entry_pages: the region byte size
+            (5, (1 << 63) - 1), // num_nodes: the node-arena capacity
+            (2, 1 << 40),       // dim: the corner vectors
+        ];
+        for (word, value) in cases {
+            let fs = Arc::new(InjectedFs::clean());
+            let dir = PathBuf::from("/crafted");
+            let open = || {
+                FileStore::open_in(fs.clone(), &dir, Durability::PerBatch, &DiskOptions::new())
+                    .unwrap()
+            };
+            let mut st = open();
+            let f = persist_index(&mut st, &sample_tree()).unwrap();
+            let mut sb = vec![0u8; PAYLOAD_BYTES];
+            st.read_pages(&f, 0, 1, &mut sb).unwrap();
+            sb[word * 8..word * 8 + 8].copy_from_slice(&value.to_le_bytes());
+            st.write_pages(&f, 0, 1, &sb).unwrap();
+            st.sync().unwrap();
+            drop(st);
+            let err = load_index(&mut open()).unwrap_err();
+            assert!(
+                matches!(err, Error::StoreFailure { .. }),
+                "word {word} = {value:#x}: {err}"
+            );
+        }
     }
 
     #[test]
