@@ -12,6 +12,13 @@ cargo fmt --all -- --check
 echo "==> cargo clippy -q --offline --workspace -- -D warnings"
 cargo clippy -q --offline --workspace -- -D warnings
 
+# The end-to-end benchmark (e2ebench/) is a workspace of its own, so the
+# workspace legs above never reach it: format, lint and unit-test it here.
+# Its build output goes to e2ebench/target.
+echo "==> e2ebench: cargo fmt --check, clippy -D warnings"
+cargo fmt --manifest-path e2ebench/Cargo.toml --all -- --check
+cargo clippy -q --offline --manifest-path e2ebench/Cargo.toml -- -D warnings
+
 echo "==> cargo build --release --offline --workspace"
 cargo build --release --offline --workspace
 
@@ -183,6 +190,9 @@ HDIDX_BENCH_OUT="$PWD/target/bench-smoke" \
 echo "==> recovery_sweep --smoke (recovery + scrub throughput)"
 HDIDX_BENCH_OUT="$PWD/target/bench-smoke" \
   cargo run -q --release -p hdidx-bench --bin recovery_sweep --offline -- --smoke
+
+echo "==> e2ebench: cargo test"
+cargo test -q --offline --manifest-path e2ebench/Cargo.toml
 
 # End-to-end benchmark smoke leg: every workload of the e2e benchmark at
 # half size, one round, all answer checks on. Among them, serve-mixed

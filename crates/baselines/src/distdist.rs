@@ -15,7 +15,7 @@
 //! but has no handle on rectangle pages.
 
 use hdidx_core::{Dataset, Error, Result};
-use hdidx_rand::{sample_without_replacement, seeded};
+use hdidx_rand::{seeded, Rng};
 use hdidx_vamsplit::sstree::Sphere;
 
 /// An empirical distance distribution `F(x) = P(d(A, B) <= x)` estimated
@@ -41,14 +41,10 @@ impl DistanceDistribution {
         }
         let mut rng = seeded(seed);
         let mut samples = Vec::with_capacity(pairs);
-        // Draw 2·pairs indices in one pass, pair them up.
         let n = data.len();
         for _ in 0..pairs {
-            let picks = sample_without_replacement(&mut rng, n, 2);
-            samples.push(
-                data.dist2_to(picks[0] as usize, data.point(picks[1] as usize))
-                    .sqrt(),
-            );
+            let (a, b) = random_pair(&mut rng, n);
+            samples.push(data.dist2_to(a, data.point(b)).sqrt());
         }
         samples.sort_by(f64::total_cmp);
         Ok(DistanceDistribution { samples })
@@ -73,6 +69,17 @@ pub fn predict_ball_pages(dist: &DistanceDistribution, pages: &[Sphere], r_q: f6
     sum.max(1.0)
 }
 
+/// Two distinct ids from `0..n` (`n >= 2`), the smaller first: Floyd's
+/// algorithm for k = 2. It consumes the same two draws as
+/// `sample_without_replacement(rng, n, 2)` and returns the same ids,
+/// without that function's `n`-bit set, which would cost `O(n)` per pair.
+fn random_pair<R: Rng>(rng: &mut R, n: usize) -> (usize, usize) {
+    let a = rng.gen_range(0..=n - 2);
+    let b = rng.gen_range(0..=n - 1);
+    let b = if b == a { n - 1 } else { b };
+    (a.min(b), a.max(b))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -84,6 +91,19 @@ mod tests {
     fn uniform_data(n: usize, dim: usize, seed: u64) -> Dataset {
         let mut rng = seed_rng(seed);
         Dataset::from_flat(dim, (0..n * dim).map(|_| rng.gen::<f32>()).collect()).unwrap()
+    }
+
+    #[test]
+    fn random_pair_is_floyd_for_two() {
+        for n in [2usize, 3, 5, 64, 1_000, 100_000] {
+            for seed in 0..300u64 {
+                let (mut a, mut b) = (seed_rng(seed), seed_rng(seed));
+                let (i, j) = random_pair(&mut a, n);
+                let floyd = hdidx_rand::sample_without_replacement(&mut b, n, 2);
+                assert_eq!([i as u32, j as u32], floyd[..], "n = {n}, seed = {seed}");
+                assert_eq!(a, b, "stream position, n = {n}, seed = {seed}");
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Micro-benchmarks for the hot kernels underneath every experiment:
 //! MINDIST, quickselect partitioning, bulk loading, k-NN search,
-//! sphere/leaf intersection counting, and the fractal estimator.
+//! sphere/leaf intersection counting, the fractal estimator, and the
+//! layers of the resampled prediction (MBR growth, the memory sample and
+//! the whole prediction).
 //!
 //! Runs on the workspace's own `hdidx-check` bench runner; results are
 //! printed and written to `BENCH_kernels.json` (one JSON object per
@@ -10,7 +12,9 @@ use hdidx_check::bench::{black_box, BenchSuite};
 use hdidx_core::knn::{scan_knn_radius, scan_knn_radius_with, scan_knn_with};
 use hdidx_core::{simd, Dataset, LeafSoup};
 use hdidx_datagen::{NamedDataset, Workload};
-use hdidx_rand::{seeded, Rng};
+use hdidx_model::hupper::recommended_h_upper;
+use hdidx_model::{Predictor, QueryBall, Resampled, ResampledParams};
+use hdidx_rand::{sample_without_replacement, seeded, Rng};
 use hdidx_serve::knn::knn_radius_with;
 use hdidx_vamsplit::bulkload::bulk_load;
 use hdidx_vamsplit::kdtree::bulk_load_midsplit;
@@ -373,6 +377,44 @@ fn bench_fractal(suite: &mut BenchSuite) {
     });
 }
 
+/// The resampled prediction at the end-to-end `predict` workload's shape
+/// (a tenth of TEXTURE48, 2669x48; M = 1,250; 500 density-biased k = 21
+/// balls), and the layers beneath it: the memory sample of M ids, and
+/// `mbr_of` over one 40-point leaf and over the whole 1,250-point slice.
+fn bench_resampled(suite: &mut BenchSuite) {
+    let texture = NamedDataset::Texture48;
+    let data = texture.spec_scaled(0.1).generate().unwrap();
+    let (n, dim, m) = (data.len(), data.dim(), 1_250);
+    let topo = Topology::new(dim, n, &PageConfig::with_page_bytes(texture.page_bytes())).unwrap();
+    let ids = sample_without_replacement(&mut seeded(1), n, m);
+    let leaf = &ids[..40];
+    suite.bench(&format!("mbr_of/{}x{dim}", leaf.len()), || {
+        data.mbr_of(black_box(leaf)).unwrap()
+    });
+    suite.bench(&format!("mbr_of/{m}x{dim}"), || {
+        data.mbr_of(black_box(&ids)).unwrap()
+    });
+    suite.bench(&format!("sample_without_replacement/{m}of{n}"), || {
+        sample_without_replacement(&mut seeded(black_box(7)), n, m)
+    });
+    let balls: Vec<QueryBall> = Workload::density_biased(&data, 500, 21, 1)
+        .unwrap()
+        .queries
+        .into_iter()
+        .map(|q| QueryBall::new(q.center, q.radius))
+        .collect();
+    let params = ResampledParams {
+        m,
+        h_upper: recommended_h_upper(&topo, m).unwrap(),
+        seed: 1,
+    };
+    suite.bench(&format!("resampled_predict/{n}x{dim}"), || {
+        Resampled::new(params)
+            .predict(black_box(&data), &topo, &balls)
+            .unwrap()
+    });
+}
+
 fn main() {
     let mut suite = BenchSuite::new("kernels");
     suite.set_isa(&simd::describe());
@@ -389,5 +431,6 @@ fn main() {
     bench_intersections(&mut suite);
     bench_soup(&mut suite);
     bench_fractal(&mut suite);
+    bench_resampled(&mut suite);
     suite.finish();
 }

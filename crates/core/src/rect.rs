@@ -133,37 +133,32 @@ impl HyperRect {
 
     /// Grows the rectangle to include point `p`.
     ///
+    /// Each bound is rewritten in select form, `lo = if x < lo { x } else
+    /// { lo }`: the same comparison as a conditional store (a NaN on either
+    /// side, or a zero of the other sign, compares false and leaves the
+    /// bound as it was), but branch-free, so the loop vectorizes to packed
+    /// `min`/`max`. Every MBR in the workspace is grown through here or
+    /// [`HyperRect::expand_to_rect`].
+    ///
     /// # Panics
     ///
     /// Debug-asserts matching dimensionality.
     #[inline]
     pub fn expand_to_point(&mut self, p: &[f32]) {
         debug_assert_eq!(p.len(), self.dim());
-        for ((lo, hi), &x) in self.lo.iter_mut().zip(self.hi.iter_mut()).zip(p) {
-            if x < *lo {
-                *lo = x;
-            }
-            if x > *hi {
-                *hi = x;
-            }
-        }
+        grow_bounds(&mut self.lo, &mut self.hi, p, p);
     }
 
-    /// Grows the rectangle to include another rectangle.
+    /// Grows the rectangle to include another rectangle (select form, as
+    /// [`HyperRect::expand_to_point`]).
     ///
     /// # Panics
     ///
     /// Debug-asserts matching dimensionality.
+    #[inline]
     pub fn expand_to_rect(&mut self, other: &HyperRect) {
         debug_assert_eq!(other.dim(), self.dim());
-        for j in 0..self.dim() {
-            if other.lo[j] < self.lo[j] {
-                self.lo[j] = other.lo[j];
-            }
-            if other.hi[j] > self.hi[j] {
-                self.hi[j] = other.hi[j];
-            }
-        }
+        grow_bounds(&mut self.lo, &mut self.hi, &other.lo, &other.hi);
     }
 
     /// Whether the rectangle contains point `p` (closed bounds).
@@ -304,9 +299,139 @@ impl HyperRect {
     }
 }
 
+/// Lowers each `lo[j]` to `add_lo[j]` and raises each `hi[j]` to
+/// `add_hi[j]` where they compare beyond it. Written as selects over
+/// zipped slices, not conditional stores, so LLVM emits `minps`/`maxps`
+/// (whose operand order matches `x < lo ? x : lo` exactly, NaN included).
+#[inline]
+fn grow_bounds(lo: &mut [f32], hi: &mut [f32], add_lo: &[f32], add_hi: &[f32]) {
+    for (lo, &x) in lo.iter_mut().zip(add_lo) {
+        *lo = if x < *lo { x } else { *lo };
+    }
+    for (hi, &x) in hi.iter_mut().zip(add_hi) {
+        *hi = if x > *hi { x } else { *hi };
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Dataset;
+    use hdidx_check::{check, prop_assert_eq, prop_assume, Config, Verdict};
+    use hdidx_rand::Rng;
+
+    /// The conditional-store growth that the select form replaced: the
+    /// oracle [`HyperRect::expand_to_point`] is pinned against.
+    fn expand_to_point_branchy(r: &mut HyperRect, p: &[f32]) {
+        for ((lo, hi), &x) in r.lo.iter_mut().zip(r.hi.iter_mut()).zip(p) {
+            if x < *lo {
+                *lo = x;
+            }
+            if x > *hi {
+                *hi = x;
+            }
+        }
+    }
+
+    /// The conditional-store oracle of [`HyperRect::expand_to_rect`].
+    fn expand_to_rect_branchy(r: &mut HyperRect, other: &HyperRect) {
+        for j in 0..r.dim() {
+            if other.lo[j] < r.lo[j] {
+                r.lo[j] = other.lo[j];
+            }
+            if other.hi[j] > r.hi[j] {
+                r.hi[j] = other.hi[j];
+            }
+        }
+    }
+
+    /// Bounds as bit patterns, so NaN and the sign of zero compare too.
+    fn bits(r: &HyperRect) -> (Vec<u32>, Vec<u32>) {
+        (
+            r.lo.iter().map(|x| x.to_bits()).collect(),
+            r.hi.iter().map(|x| x.to_bits()).collect(),
+        )
+    }
+
+    /// A coordinate that lands on the comparison's edge cases often: NaN,
+    /// both zeros, both infinities and a repeated value (equal bounds),
+    /// besides ordinary floats.
+    fn edgy_coord(rng: &mut impl Rng) -> f32 {
+        match rng.gen_range(0..12u32) {
+            0 => f32::NAN,
+            1 => -0.0,
+            2 => 0.0,
+            3 => f32::INFINITY,
+            4 => f32::NEG_INFINITY,
+            5 => 1.0,
+            _ => rng.gen_range(-4.0..4.0f32),
+        }
+    }
+
+    #[test]
+    fn select_form_growth_matches_branchy_bitwise() {
+        check(
+            "select_form_growth_matches_branchy_bitwise",
+            &Config::with_cases(256),
+            |rng| {
+                let dim = rng.gen_range(1..20usize);
+                let n = rng.gen_range(1..24usize);
+                (
+                    dim,
+                    (0..n * dim).map(|_| edgy_coord(rng)).collect::<Vec<f32>>(),
+                )
+            },
+            |(dim, coords)| {
+                let dim = *dim;
+                prop_assume!(dim >= 1 && coords.len() >= dim);
+                let points: Vec<&[f32]> = coords.chunks_exact(dim).collect();
+                // Point growth, checked after every point.
+                let mut fast = HyperRect::point(points[0]);
+                let mut slow = fast.clone();
+                for p in &points[1..] {
+                    fast.expand_to_point(p);
+                    expand_to_point_branchy(&mut slow, p);
+                    prop_assert_eq!(bits(&fast), bits(&slow));
+                }
+                // Rect growth by consecutive point pairs taken as (lo, hi),
+                // unordered bounds included.
+                let mut fast = HyperRect::point(points[0]);
+                let mut slow = fast.clone();
+                for pair in points.windows(2) {
+                    let other = HyperRect {
+                        lo: pair[0].to_vec(),
+                        hi: pair[1].to_vec(),
+                    };
+                    fast.expand_to_rect(&other);
+                    expand_to_rect_branchy(&mut slow, &other);
+                    prop_assert_eq!(bits(&fast), bits(&slow));
+                }
+                // MBR of an id subset in reverse order.
+                let data = Dataset::from_flat(dim, coords[..points.len() * dim].to_vec()).unwrap();
+                let ids: Vec<u32> = (0..points.len() as u32).rev().step_by(2).collect();
+                let mut slow = HyperRect::point(data.point(ids[0] as usize));
+                for &id in &ids[1..] {
+                    expand_to_point_branchy(&mut slow, data.point(id as usize));
+                }
+                prop_assert_eq!(bits(&data.mbr_of(&ids).unwrap()), bits(&slow));
+                Verdict::Pass
+            },
+        );
+    }
+
+    #[test]
+    fn select_form_growth_keeps_signed_zero_and_nan_bounds() {
+        // Equal-comparing zeros never replace a bound; a NaN coordinate
+        // never enters one; a NaN bound is never replaced.
+        let mut r = HyperRect::point(&[0.0, -0.0, f32::NAN]);
+        r.expand_to_point(&[-0.0, 0.0, 5.0]);
+        assert_eq!(r.lo()[0].to_bits(), 0.0f32.to_bits());
+        assert_eq!(r.hi()[1].to_bits(), (-0.0f32).to_bits());
+        assert!(r.lo()[2].is_nan() && r.hi()[2].is_nan());
+        r.expand_to_point(&[f32::NAN, f32::NEG_INFINITY, 1.0]);
+        assert_eq!(r.lo()[0].to_bits(), 0.0f32.to_bits());
+        assert_eq!(r.lo()[1], f32::NEG_INFINITY);
+    }
 
     fn unit2() -> HyperRect {
         HyperRect::new(vec![0.0, 0.0], vec![1.0, 1.0]).unwrap()

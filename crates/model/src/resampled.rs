@@ -300,14 +300,24 @@ fn predict_resampled_impl(
 
 /// Figure 6: route a point to the box containing it, or to the nearest box
 /// by MINDIST, growing that box to cover the point.
+///
+/// Containment is tested first, box by box: a box contains `p` when no
+/// dimension has `x < lo` or `x > hi`, which is exactly `mindist2 == 0`
+/// (a NaN coordinate compares neither way, so it counts as inside). Only
+/// an uncontained point sums ordered MINDISTs, skipping every box whose
+/// partial sum already exceeds the best so far; the first index wins
+/// ties, as in a plain argmin.
 fn assign_to_box(boxes: &mut [HyperRect], p: &[f32]) -> usize {
+    if let Some(i) = boxes.iter().position(|b| covers(b, p)) {
+        return i; // containing box: no adjustment needed
+    }
     let mut best = 0usize;
     let mut best_d = f64::INFINITY;
     for (i, b) in boxes.iter().enumerate() {
-        let d = b.mindist2(p);
-        if d == 0.0 {
-            return i; // containing box: no adjustment needed
+        if b.mindist2_exceeds(p, best_d) {
+            continue;
         }
+        let d = b.mindist2(p);
         if d < best_d {
             best_d = d;
             best = i;
@@ -315,6 +325,19 @@ fn assign_to_box(boxes: &mut [HyperRect], p: &[f32]) -> usize {
     }
     boxes[best].expand_to_point(p);
     best
+}
+
+/// Whether no coordinate of `p` lies below or above `b`: a non-short-
+/// circuit fold, so the per-dimension tests vectorize.
+#[inline]
+fn covers(b: &HyperRect, p: &[f32]) -> bool {
+    let outside = b
+        .lo()
+        .iter()
+        .zip(b.hi())
+        .zip(p)
+        .fold(false, |out, ((&lo, &hi), &x)| out | (x < lo) | (x > hi));
+    !outside
 }
 
 #[cfg(test)]
@@ -341,6 +364,125 @@ mod tests {
             balls.push(QueryBall::new(center, res.radius()));
         }
         (balls, total as f64 / q as f64)
+    }
+
+    /// The `assign_to_box` that summed an ordered MINDIST for every box
+    /// until one came out zero: the oracle the containment-first form is
+    /// pinned against.
+    fn assign_to_box_reference(boxes: &mut [HyperRect], p: &[f32]) -> usize {
+        let mut best = 0usize;
+        let mut best_d = f64::INFINITY;
+        for (i, b) in boxes.iter().enumerate() {
+            let d = b.mindist2(p);
+            if d == 0.0 {
+                return i;
+            }
+            if d < best_d {
+                best_d = d;
+                best = i;
+            }
+        }
+        boxes[best].expand_to_point(p);
+        best
+    }
+
+    fn rect_bits(boxes: &[HyperRect]) -> Vec<u32> {
+        boxes
+            .iter()
+            .flat_map(|b| b.lo().iter().chain(b.hi()).map(|x| x.to_bits()))
+            .collect()
+    }
+
+    /// A coordinate on a small integer grid (so boxes share faces and
+    /// MINDISTs tie exactly), or one of NaN, ±0.0 and ±∞.
+    fn grid_coord(rng: &mut impl Rng) -> f32 {
+        match rng.gen_range(0..16u32) {
+            0 => f32::NAN,
+            1 => -0.0,
+            2 => f32::INFINITY,
+            3 => f32::NEG_INFINITY,
+            4..=9 => rng.gen_range(-3..=3i32) as f32,
+            _ => rng.gen_range(-3.0..3.0f32),
+        }
+    }
+
+    #[test]
+    fn containment_first_assignment_matches_reference_bitwise() {
+        use hdidx_check::{check, prop_assert_eq, prop_assume, Config, Verdict};
+        // Input: (k, dim, seed). Boxes: random, degenerate (one point) and
+        // grown from two grid points, so faces coincide and MINDISTs tie.
+        // Points: grid points, box-face points and random points.
+        check(
+            "containment_first_assignment_matches_reference_bitwise",
+            &Config::with_cases(192),
+            |rng| {
+                (
+                    rng.gen_range(1..7usize),
+                    rng.gen_range(1..9usize),
+                    rng.gen::<u64>(),
+                )
+            },
+            |&(k, dim, seed)| {
+                prop_assume!(k >= 1 && dim >= 1);
+                let mut rng = seed_rng(seed);
+                let mut boxes: Vec<HyperRect> = (0..k)
+                    .map(|_| {
+                        let a: Vec<f32> = (0..dim).map(|_| grid_coord(&mut rng)).collect();
+                        let mut b = HyperRect::point(&a);
+                        if rng.gen_bool(0.7) {
+                            let c: Vec<f32> = (0..dim).map(|_| grid_coord(&mut rng)).collect();
+                            b.expand_to_point(&c);
+                        }
+                        b
+                    })
+                    .collect();
+                let mut reference = boxes.clone();
+                for step in 0..40 {
+                    let p: Vec<f32> = if rng.gen_bool(0.25) {
+                        // A point on a face of some box.
+                        let b = &boxes[rng.gen_range(0..k)];
+                        (0..dim)
+                            .map(|j| match rng.gen_range(0..3u32) {
+                                0 => b.lo()[j],
+                                1 => b.hi()[j],
+                                _ => grid_coord(&mut rng),
+                            })
+                            .collect()
+                    } else {
+                        (0..dim).map(|_| grid_coord(&mut rng)).collect()
+                    };
+                    let got = assign_to_box(&mut boxes, &p);
+                    let want = assign_to_box_reference(&mut reference, &p);
+                    prop_assert_eq!((step, got), (step, want));
+                    prop_assert_eq!(rect_bits(&boxes), rect_bits(&reference));
+                }
+                Verdict::Pass
+            },
+        );
+    }
+
+    #[test]
+    fn assign_breaks_exact_mindist_ties_to_the_first_box() {
+        let mut boxes = vec![
+            HyperRect::new(vec![0.0], vec![1.0]).unwrap(),
+            HyperRect::new(vec![3.0], vec![4.0]).unwrap(),
+            HyperRect::new(vec![2.0], vec![2.0]).unwrap(),
+        ];
+        // 1.5 from box 0 and box 2 alike (MINDIST 0.25): box 0 wins.
+        assert_eq!(assign_to_box(&mut boxes, &[1.5]), 0);
+        assert_eq!(boxes[0].hi()[0], 1.5);
+        // NaN lies in every box under `mindist2 == 0`: the first one.
+        assert_eq!(assign_to_box(&mut boxes, &[f32::NAN]), 0);
+        // +inf: every MINDIST is inf, none beats the initial best.
+        assert_eq!(assign_to_box(&mut boxes, &[f32::INFINITY]), 0);
+        assert_eq!(boxes[0].hi()[0], f32::INFINITY);
+        // Single box: always box 0.
+        let mut one = vec![HyperRect::point(&[0.0, 0.0])];
+        assert_eq!(assign_to_box(&mut one, &[-1.0, 5.0]), 0);
+        assert_eq!(
+            (one[0].lo(), one[0].hi()),
+            (&[-1.0f32, 0.0][..], &[0.0f32, 5.0][..])
+        );
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Statistical sampling primitives used by the prediction pipeline:
 //! Gaussian variates, Bernoulli scan samples (the paper's ζ-sampling),
-//! Floyd's sampling without replacement (density-biased query draws) and
-//! reservoir sampling (single-pass fixed-size samples for streaming
-//! inputs).
+//! Floyd's sampling without replacement (memory samples and
+//! density-biased query draws) and reservoir sampling (single-pass
+//! fixed-size samples for streaming inputs).
 
 use crate::traits::Rng;
 
@@ -55,19 +55,39 @@ pub fn bernoulli_sample<R: Rng>(rng: &mut R, n: usize, fraction: f64) -> Vec<u32
 }
 
 /// Samples exactly `k` distinct ids from `0..n` uniformly at random
-/// (Floyd's algorithm), returned in ascending order. Used to pick the
+/// (Floyd's algorithm), returned in ascending order. `k > n` is clamped
+/// to `n`.
+///
+/// The prediction pipeline draws its fixed-size samples here: the
+/// upper-phase and cutoff memory samples of `M` points, and the
 /// density-biased query points (reading q random records from the file,
-/// paper Eq. 2). `k > n` is clamped to `n`.
+/// paper Eq. 2).
+///
+/// Draw `j` picks `t` in `0..=j` and takes `j` itself when `t` is already
+/// chosen. The chosen ids are marked in a bitset of `n` bits and read
+/// back word by word, which yields them in ascending order with no sort.
+/// A call costs `O(n / 64 + k)`, so many tiny samples from a large `n`
+/// are better drawn another way.
 pub fn sample_without_replacement<R: Rng>(rng: &mut R, n: usize, k: usize) -> Vec<u32> {
     let k = k.min(n);
-    let mut chosen = std::collections::BTreeSet::new();
+    let mut chosen = vec![0u64; n.div_ceil(64)];
     for j in (n - k)..n {
-        let t = rng.gen_range(0..=j) as u32;
-        if !chosen.insert(t) {
-            chosen.insert(j as u32);
+        let t = rng.gen_range(0..=j);
+        let t = if (chosen[t / 64] >> (t % 64)) & 1 == 0 {
+            t
+        } else {
+            j
+        };
+        chosen[t / 64] |= 1 << (t % 64);
+    }
+    let mut ids = Vec::with_capacity(k);
+    for (w, mut word) in chosen.into_iter().enumerate() {
+        while word != 0 {
+            ids.push((w * 64) as u32 + word.trailing_zeros());
+            word &= word - 1;
         }
     }
-    chosen.into_iter().collect()
+    ids
 }
 
 /// Reservoir sample (Algorithm R) of `k` items from an iterator of
@@ -179,6 +199,48 @@ mod tests {
         // k > n clamps.
         let s = sample_without_replacement(&mut rng, 5, 10);
         assert_eq!(s, vec![0, 1, 2, 3, 4]);
+    }
+
+    /// The `BTreeSet` form of Floyd's algorithm that the bitset replaced:
+    /// the oracle [`sample_without_replacement`] is pinned against.
+    fn sample_without_replacement_btree<R: Rng>(rng: &mut R, n: usize, k: usize) -> Vec<u32> {
+        let k = k.min(n);
+        let mut chosen = std::collections::BTreeSet::new();
+        for j in (n - k)..n {
+            let t = rng.gen_range(0..=j) as u32;
+            if !chosen.insert(t) {
+                chosen.insert(j as u32);
+            }
+        }
+        chosen.into_iter().collect()
+    }
+
+    #[test]
+    fn bitset_floyd_matches_btree_reference() {
+        let mut shapes: Vec<(usize, usize, u64)> = Vec::new();
+        // Word-boundary sizes (n mod 64 in {0, 1, 63}) with k = 0, 1,
+        // half, n - 1, n and k > n.
+        for n in [0usize, 1, 63, 64, 65, 127, 128, 129, 2_669] {
+            for k in [0, 1, n / 2, n.saturating_sub(1), n, n + 7] {
+                shapes.push((n, k, 0x5EED ^ ((n as u64) << 8) ^ k as u64));
+            }
+        }
+        // Random shapes, and the predictor's 1,250-of-2,669 draw.
+        let mut r = seeded(99);
+        for seed in 0..200u64 {
+            let n = r.gen_range(0..3_000usize);
+            let k = r.gen_range(0..=n + 10);
+            shapes.push((n, k, seed));
+            shapes.push((2_669, 1_250, seed));
+        }
+        for (n, k, seed) in shapes {
+            let (mut a, mut b) = (seeded(seed), seeded(seed));
+            let fast = sample_without_replacement(&mut a, n, k);
+            let slow = sample_without_replacement_btree(&mut b, n, k);
+            assert_eq!(fast, slow, "n = {n}, k = {k}, seed = {seed}");
+            // The same draws were consumed, so the streams stay aligned.
+            assert_eq!(a, b, "stream position, n = {n}, k = {k}, seed = {seed}");
+        }
     }
 
     #[test]
