@@ -68,11 +68,13 @@ HDIDX_BENCH_SAMPLES=3 HDIDX_BENCH_WARMUP_MS=1 HDIDX_BENCH_TARGET_MS=0.05 \
 # digest that moves with the lane width would mean the SIMD kernels are
 # not bit-exact replays of the scalar arithmetic. The vamsplit k-NN tests
 # run the best-first search on the dispatched ISA, so its gathered SIMD
-# path is checked bit for bit against the scan under both modes.
+# path is checked bit for bit against the scan under both modes. The
+# stats tests pin the tiled max-variance moments kernel to the scalar
+# reference loops at every supported ISA.
 echo "==> simd dispatch identity (HDIDX_SIMD=scalar vs auto)"
 for simd_mode in scalar auto; do
   HDIDX_SIMD="${simd_mode}" cargo test -q --offline -p hdidx-core \
-    -- simd soup knn
+    -- simd soup knn stats
   HDIDX_SIMD="${simd_mode}" cargo test -q --offline -p hdidx-vamsplit -- knn
   HDIDX_SIMD="${simd_mode}" cargo test -q --offline --test simd_dispatch
 done
@@ -118,6 +120,21 @@ cargo run -q --release -p hdidx-cli --offline -- serve \
   --data target/bench-smoke/t48.csv --m 200 --smoke --seed 5 \
   --simd auto | grep "latency digest" > target/bench-smoke/simd_auto.txt
 diff target/bench-smoke/simd_scalar.txt target/bench-smoke/simd_auto.txt
+
+# The same identity one layer down: `predict` runs the resampled upper and
+# lower bulk loads and `measure` the external build, every split choosing
+# its dimension with the dispatched moments kernel, so their reports
+# (pages, seeks, transfers, charged seconds) must not move with the ISA.
+# Only the `simd:` provenance line may differ.
+echo "==> hdidx predict/measure: --simd scalar == --simd auto (report identity)"
+for cmd in predict measure; do
+  for simd_mode in scalar auto; do
+    cargo run -q --release -p hdidx-cli --offline -- "${cmd}" \
+      --data target/bench-smoke/t48.csv --m 200 --simd "${simd_mode}" \
+      | grep -v "^simd:" > "target/bench-smoke/${cmd}_${simd_mode}.txt"
+  done
+  diff "target/bench-smoke/${cmd}_scalar.txt" "target/bench-smoke/${cmd}_auto.txt"
+done
 
 echo "==> hdidx serve: closed lanes == filtered stream (class digest identity)"
 cargo run -q --release -p hdidx-cli --offline -- serve \

@@ -1,8 +1,8 @@
 //! Micro-benchmarks for the hot kernels underneath every experiment:
 //! MINDIST, quickselect partitioning, bulk loading, k-NN search,
 //! sphere/leaf intersection counting, the fractal estimator, and the
-//! layers of the resampled prediction (MBR growth, the memory sample and
-//! the whole prediction).
+//! layers of the resampled prediction (MBR growth, the memory sample, the
+//! max-variance split choice per ISA and the whole prediction).
 //!
 //! Runs on the workspace's own `hdidx-check` bench runner; results are
 //! printed and written to `BENCH_kernels.json` (one JSON object per
@@ -10,6 +10,7 @@
 
 use hdidx_check::bench::{black_box, BenchSuite};
 use hdidx_core::knn::{scan_knn_radius, scan_knn_radius_with, scan_knn_with};
+use hdidx_core::stats::{dim_stats_with, max_variance_dim_with};
 use hdidx_core::{simd, Dataset, LeafSoup};
 use hdidx_datagen::{NamedDataset, Workload};
 use hdidx_model::hupper::recommended_h_upper;
@@ -397,6 +398,31 @@ fn bench_resampled(suite: &mut BenchSuite) {
     suite.bench(&format!("sample_without_replacement/{m}of{n}"), || {
         sample_without_replacement(&mut seeded(black_box(7)), n, m)
     });
+    // The max-variance split choice of every bulk-load split, over the
+    // memory sample and over the whole dataset, once per ISA; each ISA
+    // must return the scalar moment bits and dimension before it is timed.
+    let all: Vec<u32> = (0..n as u32).collect();
+    for subset in [&ids[..], &all[..]] {
+        let stats_bits = |isa| {
+            let s = dim_stats_with(isa, &data, subset).unwrap();
+            let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            (bits(&s.mean), bits(&s.variance))
+        };
+        let want = stats_bits(simd::Isa::Scalar);
+        let want_dim = max_variance_dim_with(simd::Isa::Scalar, &data, subset).unwrap();
+        for isa in simd::supported() {
+            assert_eq!(stats_bits(isa), want, "{isa} moments must be bit-identical");
+            assert_eq!(
+                max_variance_dim_with(isa, &data, subset).unwrap(),
+                want_dim,
+                "{isa} max-variance dimension"
+            );
+            suite.bench(
+                &format!("max_variance_dim/{}x{dim}/{isa}", subset.len()),
+                || max_variance_dim_with(isa, black_box(&data), subset).unwrap(),
+            );
+        }
+    }
     let balls: Vec<QueryBall> = Workload::density_biased(&data, 500, 21, 1)
         .unwrap()
         .queries

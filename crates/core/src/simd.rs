@@ -1,11 +1,12 @@
 //! Runtime-dispatched SIMD lanes for the hot geometry kernels.
 //!
-//! The predictors and the serve path spend their CPU time in two inner
-//! loops: MINDIST² accumulation over [`crate::LeafSoup`] stripes and the
-//! early-abandon point-distance kernel behind [`crate::knn::KBest`].
-//! This module gives both explicit `core::arch` lanes (SSE2 and AVX2 on
-//! `x86_64`, detected at runtime; a portable scalar fallback everywhere
-//! else) with **zero external dependencies**.
+//! The predictors and the serve path spend their CPU time in three inner
+//! loops: MINDIST² accumulation over [`crate::LeafSoup`] stripes, the
+//! early-abandon point-distance kernel behind [`crate::knn::KBest`], and
+//! the per-dimension moments behind every bulk-load split's choice of
+//! the maximum-variance dimension ([`crate::stats`]). This module gives
+//! them SSE2 and AVX2 paths on `x86_64` (detected at runtime; a portable
+//! scalar fallback everywhere else) with **zero external dependencies**.
 //!
 //! ## The identity argument (lanes across leaves, never across dims)
 //!
@@ -24,6 +25,24 @@
 //! Reducing across dimensions inside a register would re-associate the
 //! sum and break this contract, which is why no kernel here ever does it.
 //!
+//! ## The moments kernel (lanes across dims, never across points)
+//!
+//! The max-variance moments run on the opposite axis: lane `l` owns
+//! dimension `j + l` of a 16-, 8-, 4- or 1-wide dimension tile, and the
+//! points are the sequential axis. The exactness argument is the same one
+//! seen from the other side. Each dimension's mean and variance are two
+//! independent `f64` add chains over the points in `ids` order, so a lane
+//! replays its dimension's chain exactly — `f64::from` of an `f32` is
+//! exact, `mean /= n` and `dev * dev` are separate correctly rounded ops
+//! (Rust never contracts to FMA) — and no sum ever crosses lanes. What
+//! would break it is splitting one dimension's chain across points, which
+//! is why this kernel never does that. Its tile routine is plain safe
+//! Rust, compiled once at the SSE2 baseline and once inside an AVX2
+//! `#[target_feature]` wrapper, where a 16-dimension tile's accumulators
+//! fit in four `ymm` registers. Rust leaves the sign and payload of a
+//! NaN result unspecified, so both paths return NaN moments as
+//! [`f64::NAN`]; every moment is then bit-identical across ISAs.
+//!
 //! ## Dispatch
 //!
 //! The active ISA is resolved once and cached, with precedence
@@ -32,7 +51,8 @@
 //! `is_x86_feature_detected!`, else SSE2 on `x86_64` — it is baseline —
 //! else scalar). All `unsafe` is confined to `#[target_feature]` lane
 //! primitives in the private `x86` module; the blocked drivers in
-//! [`crate::soup`] and [`crate::knn`] are safe and shared by all ISAs.
+//! [`crate::soup`] and [`crate::knn`] and the moments tile routine in
+//! [`crate::stats`] are safe and shared by all ISAs.
 //! Every kernel also has a `*_with(isa, ..)` variant so tests and benches
 //! can pin an ISA without touching the process-global state.
 
@@ -355,6 +375,39 @@ pub(crate) fn knn_group_below(
     }
 }
 
+/// Per-dimension moments of the rows `ids` of the row-major `flat` buffer
+/// of `dim`-wide points: the register-tiled kernel behind
+/// [`crate::stats::dim_stats_with`], handing each dimension tile's means
+/// and variances to `sink` in ascending dimension order. SSE2 runs the
+/// baseline copy of the tile routine, AVX2 its `#[target_feature]` copy.
+///
+/// # Panics
+///
+/// Panics when `isa` is scalar (the scalar path lives in
+/// [`crate::stats`]) or unsupported, or when an id is out of range.
+pub(crate) fn moments(
+    isa: Isa,
+    flat: &[f32],
+    dim: usize,
+    ids: &[u32],
+    sink: impl FnMut(usize, &[f64], &[f64]),
+) {
+    assert!(
+        isa.is_supported(),
+        "ISA {isa} dispatched but not supported by this CPU/build"
+    );
+    match isa {
+        Isa::Scalar => unreachable!("scalar dispatch handled by stats"),
+        Isa::Sse2 => crate::stats::moments_tiled(flat, dim, ids, sink),
+        // SAFETY: AVX2 support was asserted above; the tile routine
+        // itself is safe, bounds-checked code.
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2 => unsafe { x86::moments_avx2(flat, dim, ids, sink) },
+        #[cfg(not(target_arch = "x86_64"))]
+        Isa::Avx2 => unreachable!("AVX2 dispatched on a non-x86_64 build"),
+    }
+}
+
 /// Shared stripe-geometry validation for the soup dispatchers.
 fn check_soup_dispatch(isa: Isa, lo: &[f32], hi: &[f32], stride: usize, valid: usize, dim: usize) {
     assert!(
@@ -674,6 +727,22 @@ mod x86 {
             }
             i += 8;
         }
+    }
+
+    /// The moments tile routine compiled for AVX2: a 16-dimension tile's
+    /// accumulators live in four `ymm` registers.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 must be available.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn moments_avx2(
+        flat: &[f32],
+        dim: usize,
+        ids: &[u32],
+        sink: impl FnMut(usize, &[f64], &[f64]),
+    ) {
+        crate::stats::moments_tiled(flat, dim, ids, sink);
     }
 
     /// Four candidate points against one query with early abandon.

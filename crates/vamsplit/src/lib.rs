@@ -26,10 +26,11 @@
 //!
 //! Two additional bulk-loaded structures ([`kdtree`], [`sstree`]) exercise
 //! the paper's §4.7 claim that the prediction technique applies to any
-//! fixed-capacity paged structure.
+//! fixed-capacity paged structure; [`mtree`] carries it to metric
+//! partitioning, and [`vafile`] is the scan-based negative control the
+//! paper excludes.
 
 pub mod bulkload;
-pub mod gridfile;
 pub mod kdtree;
 pub mod mtree;
 pub mod multistep;
