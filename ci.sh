@@ -38,6 +38,14 @@ cargo test -q --offline --workspace
 echo "==> fault_sweep --smoke (degradation-vs-accuracy experiment)"
 cargo run -q --release -p hdidx-bench --bin fault_sweep --offline -- --smoke
 
+# Paper-experiment smoke legs: the two ablations that count measured leaf
+# accesses with the predictors' SoA kernel, at a small scale.
+for exp in ablation_structures ablation_query_distribution; do
+  echo "==> ${exp} --scale 0.05 --queries 50 (experiment smoke)"
+  cargo run -q --release -p hdidx-bench --bin "${exp}" --offline -- \
+    --scale 0.05 --queries 50
+done
+
 echo "==> cargo bench --no-run --offline (bench targets must compile)"
 cargo bench --no-run --offline
 

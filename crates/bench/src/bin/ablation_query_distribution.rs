@@ -9,11 +9,11 @@
 use hdidx_bench::table::{pct, Table};
 use hdidx_bench::{ExpArgs, ExperimentContext};
 use hdidx_core::knn::scan_knn_radius;
+use hdidx_core::{simd, LeafSoup};
 use hdidx_datagen::registry::NamedDataset;
 use hdidx_model::{hupper, QueryBall, Resampled, ResampledParams};
 use hdidx_rand::seeded;
 use hdidx_rand::Rng;
-use hdidx_vamsplit::query::count_sphere_intersections;
 
 fn main() {
     let args = ExpArgs::parse(0.25, 100);
@@ -39,13 +39,13 @@ fn main() {
     }
 
     // Ground truth from the real index (sphere counting == optimal k-NN
-    // accesses).
+    // accesses), counted with the SoA kernel the predictors use.
     let measured_tree = ctx.measure(ctx.data.len()).expect("measure");
-    let pages = measured_tree.tree.leaf_rects();
+    let soup =
+        LeafSoup::from_rects(ctx.data.dim(), &measured_tree.tree.leaf_rects()).expect("leaf soup");
     let truth = |balls: &[QueryBall]| -> f64 {
-        balls
+        soup.count_batch_with(simd::active(), balls, |b| (b.center.as_slice(), b.radius))
             .iter()
-            .map(|b| count_sphere_intersections(&pages, &b.center, b.radius))
             .sum::<u64>() as f64
             / balls.len() as f64
     };

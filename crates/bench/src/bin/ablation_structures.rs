@@ -17,13 +17,13 @@
 
 use hdidx_bench::table::{pct, Table};
 use hdidx_bench::ExpArgs;
+use hdidx_core::{simd, HyperRect, LeafSoup};
 use hdidx_datagen::registry::NamedDataset;
 use hdidx_datagen::workload::Workload;
 use hdidx_model::structures::{measure_sstree, predict_basic_sstree};
 use hdidx_model::{Basic, BasicParams, QueryBall};
 use hdidx_vamsplit::bulkload::bulk_load;
 use hdidx_vamsplit::kdtree::bulk_load_midsplit;
-use hdidx_vamsplit::query::count_sphere_intersections;
 use hdidx_vamsplit::topology::{PageConfig, Topology};
 
 fn main() {
@@ -47,16 +47,19 @@ fn main() {
         seed: args.seed,
     };
     let avg = |v: &[u64]| v.iter().sum::<u64>() as f64 / v.len().max(1) as f64;
+    // Measured accesses: leaves each query sphere intersects, counted with
+    // the SoA kernel the predictors use.
+    let count = |pages: &[HyperRect]| -> Vec<u64> {
+        LeafSoup::from_rects(data.dim(), pages)
+            .expect("leaf soup")
+            .count_batch_with(simd::active(), &balls, |q| (q.center.as_slice(), q.radius))
+    };
 
     let mut table = Table::new(&["Structure", "Measured acc/query", "Predictor", "Rel. error"]);
 
     // VAMSplit R*-tree.
     let rtree = bulk_load(&data, &topo).expect("bulk load");
-    let pages = rtree.leaf_rects();
-    let measured_r: Vec<u64> = balls
-        .iter()
-        .map(|q| count_sphere_intersections(&pages, &q.center, q.radius))
-        .collect();
+    let measured_r = count(&rtree.leaf_rects());
     let pred = Basic::new(params)
         .run(&data, &topo, &balls)
         .expect("predict");
@@ -80,11 +83,7 @@ fn main() {
     // Mid-split k-d layout: measured accesses + the uniform baseline that
     // assumes exactly this layout.
     let kd = bulk_load_midsplit(&data, &topo).expect("midsplit");
-    let kd_pages = kd.leaf_rects();
-    let measured_k: Vec<u64> = balls
-        .iter()
-        .map(|q| count_sphere_intersections(&kd_pages, &q.center, q.radius))
-        .collect();
+    let measured_k = count(&kd.leaf_rects());
     let uni =
         hdidx_baselines::uniform::predict_uniform(&topo, workload.k).expect("uniform baseline");
     table.row(vec![

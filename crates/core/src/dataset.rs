@@ -132,25 +132,6 @@ impl Dataset {
         Ok(())
     }
 
-    /// Builds a new dataset containing the points at `ids`, in order.
-    ///
-    /// This is the gather primitive used for materializing samples and disk
-    /// areas.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any id is out of range.
-    pub fn gather(&self, ids: &[u32]) -> Dataset {
-        let mut data = Vec::with_capacity(ids.len() * self.dim);
-        for &id in ids {
-            data.extend_from_slice(self.point(id as usize));
-        }
-        Dataset {
-            dim: self.dim,
-            data,
-        }
-    }
-
     /// Projects the dataset onto its first `k` dimensions.
     ///
     /// Used by the Figure-14 experiment, where an index is built on a prefix
@@ -282,15 +263,6 @@ mod tests {
         );
         assert_eq!(d.len(), 1);
         assert_eq!(d.point(0), &[1.0, 2.0]);
-    }
-
-    #[test]
-    fn gather_reorders_points() {
-        let d = small();
-        let g = d.gather(&[2, 0]);
-        assert_eq!(g.len(), 2);
-        assert_eq!(g.point(0), &[-1.0, 3.0]);
-        assert_eq!(g.point(1), &[0.0, 0.0]);
     }
 
     #[test]

@@ -170,12 +170,6 @@ impl HyperRect {
             .all(|(j, &x)| x >= self.lo[j] && x <= self.hi[j])
     }
 
-    /// Whether two rectangles intersect (closed bounds).
-    pub fn intersects_rect(&self, other: &HyperRect) -> bool {
-        debug_assert_eq!(other.dim(), self.dim());
-        (0..self.dim()).all(|j| self.lo[j] <= other.hi[j] && other.lo[j] <= self.hi[j])
-    }
-
     /// MINDIST²: squared Euclidean distance from point `q` to the nearest
     /// point of the rectangle (0 if `q` lies inside). This is the classic
     /// R-tree lower bound used by best-first nearest-neighbor search and by
@@ -281,21 +275,6 @@ impl HyperRect {
         left.hi[dim] = at;
         right.lo[dim] = at;
         (left, right)
-    }
-
-    /// Squared distance from `q` to the farthest corner of the rectangle
-    /// (MAXDIST²). Used as a pruning upper bound.
-    pub fn maxdist2(&self, q: &[f32]) -> f64 {
-        debug_assert_eq!(q.len(), self.dim());
-        let mut acc = 0.0f64;
-        for ((&lo, &hi), &x) in self.lo.iter().zip(&self.hi).zip(q) {
-            let x = f64::from(x);
-            let dlo = (x - f64::from(lo)).abs();
-            let dhi = (x - f64::from(hi)).abs();
-            let d = dlo.max(dhi);
-            acc += d * d;
-        }
-        acc
     }
 }
 
@@ -494,13 +473,6 @@ mod tests {
     }
 
     #[test]
-    fn maxdist2_is_farthest_corner() {
-        let r = unit2();
-        assert_eq!(r.maxdist2(&[0.0, 0.0]), 2.0);
-        assert_eq!(r.maxdist2(&[0.5, 0.5]), 0.5);
-    }
-
-    #[test]
     fn sphere_intersection_boundary_cases() {
         let r = unit2();
         assert!(r.intersects_sphere(&[2.0, 1.0], 1.0)); // tangent
@@ -527,15 +499,6 @@ mod tests {
         let unit = unit2();
         assert!(!unit.mindist2_exceeds(&[2.0, 1.0], 1.0));
         assert!(unit.mindist2_exceeds(&[2.0, 1.0], 0.999));
-    }
-
-    #[test]
-    fn rect_intersection() {
-        let r = unit2();
-        let touching = HyperRect::new(vec![1.0, 0.0], vec![2.0, 1.0]).unwrap();
-        assert!(r.intersects_rect(&touching));
-        let disjoint = HyperRect::new(vec![1.1, 0.0], vec![2.0, 1.0]).unwrap();
-        assert!(!r.intersects_rect(&disjoint));
     }
 
     #[test]

@@ -139,6 +139,18 @@ mod tests {
             st.variance[0],
             st.variance[15]
         );
+        // The named analogs decay along the axes themselves, so the leading
+        // dimensions carry most of the variance without any rotation: the
+        // property Fig 14's prefix indexes rely on. (PCA's top-10 share is
+        // never below this axis-aligned one.)
+        let d = crate::registry::NamedDataset::Texture48
+            .spec_scaled(0.05)
+            .generate()
+            .unwrap();
+        let ids: Vec<u32> = (0..d.len() as u32).collect();
+        let var = dim_stats(&d, &ids).unwrap().variance;
+        let share = var[..10].iter().sum::<f64>() / var.iter().sum::<f64>();
+        assert!(share > 0.5, "leading-10 variance share {share}");
     }
 
     #[test]

@@ -25,7 +25,6 @@
 //! Everything is seeded; the same spec always yields the same bytes.
 
 pub mod clustered;
-pub mod klt;
 pub mod registry;
 pub mod stock;
 pub mod uniform;

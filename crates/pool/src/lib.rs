@@ -150,12 +150,6 @@ impl Pool {
         self.threads
     }
 
-    /// Whether this pool always executes inline.
-    #[must_use]
-    pub fn is_serial(&self) -> bool {
-        self.threads <= 1
-    }
-
     /// Maps `f` over `items`, preserving order: `out[i] == f(&items[i])`.
     ///
     /// The slice is split into contiguous ranges, one per thread, up to

@@ -67,32 +67,6 @@ impl Xoshiro256pp {
         self.s[3] = self.s[3].rotate_left(45);
         result
     }
-
-    /// The 2^128-step jump polynomial: advances this generator as if
-    /// `next` had been called 2^128 times. Splitting one seed into up to
-    /// 2^128 non-overlapping parallel streams (one `jump` per worker) is
-    /// how future multi-threaded dataset generation stays deterministic.
-    pub fn jump(&mut self) {
-        const JUMP: [u64; 4] = [
-            0x180e_c6d3_3cfd_0aba,
-            0xd5a6_1266_f0c9_392c,
-            0xa958_2618_e03f_c9aa,
-            0x39ab_dc45_29b1_661c,
-        ];
-        let mut acc = [0u64; 4];
-        for word in JUMP {
-            for bit in 0..64 {
-                if word & (1u64 << bit) != 0 {
-                    acc[0] ^= self.s[0];
-                    acc[1] ^= self.s[1];
-                    acc[2] ^= self.s[2];
-                    acc[3] ^= self.s[3];
-                }
-                self.next();
-            }
-        }
-        self.s = acc;
-    }
 }
 
 impl Rng for Xoshiro256pp {
@@ -125,16 +99,6 @@ mod tests {
             assert_eq!(x, b.next());
             assert_ne!(x, 0, "degenerate engine");
         }
-    }
-
-    #[test]
-    fn jump_leaves_disjoint_prefixes() {
-        let mut a = Xoshiro256pp::seed_from_u64(9);
-        let mut b = a.clone();
-        b.jump();
-        let pre: Vec<u64> = (0..64).map(|_| a.next_u64()).collect();
-        let post: Vec<u64> = (0..64).map(|_| b.next_u64()).collect();
-        assert_ne!(pre, post);
     }
 
     #[test]

@@ -26,13 +26,13 @@
 //!
 //! Two additional bulk-loaded structures ([`kdtree`], [`sstree`]) exercise
 //! the paper's §4.7 claim that the prediction technique applies to any
-//! fixed-capacity paged structure; [`mtree`] carries it to metric
-//! partitioning, and [`vafile`] is the scan-based negative control the
-//! paper excludes.
+//! fixed-capacity paged structure, and [`vafile`] is the scan-based
+//! negative control the paper excludes. [`multistep`] is the optimal
+//! multi-step search over a dimension-prefix index, the reference Fig 14's
+//! access counts are tested against.
 
 pub mod bulkload;
 pub mod kdtree;
-pub mod mtree;
 pub mod multistep;
 pub mod query;
 pub mod split;

@@ -206,41 +206,6 @@ pub fn range_accesses(tree: &RTree, center: &[f32], radius: f64) -> Result<Acces
     Ok(stats)
 }
 
-/// Collects the ids of all points within `radius` of `center` (closed ball).
-///
-/// # Errors
-///
-/// Returns [`Error::DimensionMismatch`] on a wrong-length center.
-pub fn range_query(tree: &RTree, data: &Dataset, center: &[f32], radius: f64) -> Result<Vec<u32>> {
-    if center.len() != tree.dim() {
-        return Err(Error::DimensionMismatch {
-            expected: tree.dim(),
-            actual: center.len(),
-        });
-    }
-    let r2 = radius * radius;
-    let mut out = Vec::new();
-    let mut stack = vec![0u32];
-    while let Some(node) = stack.pop() {
-        let n = &tree.nodes()[node as usize];
-        if !n.rect.intersects_sphere(center, radius) {
-            continue;
-        }
-        match &n.kind {
-            NodeKind::Inner { children } => stack.extend_from_slice(children),
-            NodeKind::Leaf { .. } => {
-                for &id in tree.leaf_entries(n) {
-                    if data.dist2_to(id as usize, center) <= r2 {
-                        out.push(id);
-                    }
-                }
-            }
-        }
-    }
-    out.sort_unstable();
-    Ok(out)
-}
-
 // Exact linear-scan k-NN (ground truth for query radii) lives in the kernel
 // crate; re-exported here because search tests and callers naturally look
 // for it next to the index-based `knn`.
@@ -251,10 +216,12 @@ pub use hdidx_core::knn::{scan_knn, scan_knn_radii, scan_knn_radius};
 /// predicted cost of a query is the count of (grown) mini-index leaf pages
 /// its k-NN sphere intersects.
 ///
-/// This is the scalar AoS reference path (kept exact and simple for tests
-/// and one-off counts); the predictors' hot loops flatten the page list
-/// into an [`hdidx_core::LeafSoup`] and run the blocked SoA batch kernel,
-/// which returns byte-identical counts.
+/// This is the scalar AoS reference path, kept exact and simple: the
+/// oracle the SoA kernels are tested against, the `aos_count` bench
+/// baseline, and the reference leaf counts `e2ebench`'s `serve-mixed`
+/// checks served page charges against. The predictors and experiments flatten
+/// the page list into an [`hdidx_core::LeafSoup`] and run the blocked SoA
+/// kernel, which returns byte-identical counts.
 pub fn count_sphere_intersections(pages: &[HyperRect], center: &[f32], radius: f64) -> u64 {
     pages
         .iter()
@@ -329,22 +296,6 @@ mod tests {
         let tree = tree_over(&data, 3, 2);
         assert!(knn(&tree, &data, &[0.5], 1).is_err());
         assert!(knn(&tree, &data, &[0.5, 0.5], 0).is_err());
-    }
-
-    #[test]
-    fn range_query_matches_scan() {
-        let data = random_dataset(600, 3, 17);
-        let tree = tree_over(&data, 8, 4);
-        let mut rng = seeded(18);
-        for _ in 0..10 {
-            let q: Vec<f32> = (0..3).map(|_| rng.gen::<f32>()).collect();
-            let radius = rng.gen::<f64>() * 0.5;
-            let got = range_query(&tree, &data, &q, radius).unwrap();
-            let expect: Vec<u32> = (0..data.len() as u32)
-                .filter(|&i| data.dist2_to(i as usize, &q) <= radius * radius)
-                .collect();
-            assert_eq!(got, expect);
-        }
     }
 
     #[test]

@@ -6,7 +6,6 @@ use hdidx_check::{check, prop_assert, prop_assert_eq, prop_assume, Config, Verdi
 use hdidx_core::Dataset;
 use hdidx_rand::{seeded, Rng};
 use hdidx_vamsplit::kdtree::bulk_load_midsplit;
-use hdidx_vamsplit::mtree::MTree;
 use hdidx_vamsplit::sstree::SsLeafLayout;
 use hdidx_vamsplit::topology::Topology;
 use hdidx_vamsplit::vafile::VaFile;
@@ -126,26 +125,6 @@ fn sstree_pages_cover_their_points() {
             for i in (0..n).step_by(7) {
                 prop_assert!(layout.count_intersections(data.point(i), 1e-6) >= 1);
             }
-            Verdict::Pass
-        },
-    );
-}
-
-#[test]
-fn mtree_invariants_on_random_data() {
-    check(
-        "mtree_invariants_on_random_data",
-        &Config::with_cases(48),
-        |rng| (rng.gen_range(0..300u64), rng.gen_range(30..400usize)),
-        |&(nseed, n)| {
-            prop_assume!(n >= 30);
-            let data = dataset(n, 3, nseed);
-            let tree = MTree::bulk_load(&data, 8, 4).unwrap();
-            tree.check_invariants(&data).unwrap();
-            // 1-NN of a stored point is itself at distance 0.
-            let q = data.point(n / 2).to_vec();
-            let res = tree.knn(&data, &q, 1).unwrap();
-            prop_assert_eq!(res.neighbors[0].0, 0.0);
             Verdict::Pass
         },
     );

@@ -8,7 +8,7 @@ use hdidx_rand::{seeded, Rng};
 use hdidx_repro::core::{Dataset, HyperRect};
 use hdidx_repro::model::compensation::{delta, extent_shrinkage, growth_factor};
 use hdidx_repro::vamsplit::bulkload::{bulk_load, bulk_load_scaled};
-use hdidx_repro::vamsplit::query::{knn, range_query, scan_knn};
+use hdidx_repro::vamsplit::query::{knn, scan_knn};
 use hdidx_repro::vamsplit::split::{partition_by_rank, rank_property_holds};
 use hdidx_repro::vamsplit::topology::Topology;
 
@@ -121,37 +121,6 @@ fn tree_knn_matches_scan_knn() {
             for (g, e) in got.neighbors.iter().zip(&expect) {
                 prop_assert!((g.0 - e.0).abs() < 1e-9, "{} vs {}", g.0, e.0);
             }
-            Verdict::Pass
-        },
-    );
-}
-
-#[test]
-fn range_query_matches_filter() {
-    check(
-        "range_query_matches_filter",
-        &Config::with_cases(64),
-        |rng| {
-            (
-                rng.gen_range(2..=300usize),
-                rng.gen_range(1..=3usize),
-                rng.next_u64(),
-                rng.gen_range(0.0..1.5f64),
-                rng.next_u64(),
-            )
-        },
-        |&(n, dim, seed, radius, qseed)| {
-            prop_assume!(n >= 2 && dim >= 1 && (0.0..1.5).contains(&radius));
-            let data = mixed_dataset(n, dim, seed);
-            let topo = Topology::from_capacities(dim, n, 5, 4).unwrap();
-            let tree = bulk_load(&data, &topo).unwrap();
-            let mut rng = seeded(qseed);
-            let q: Vec<f32> = (0..dim).map(|_| rng.gen::<f32>()).collect();
-            let got = range_query(&tree, &data, &q, radius).unwrap();
-            let expect: Vec<u32> = (0..data.len() as u32)
-                .filter(|&i| data.dist2_to(i as usize, &q) <= radius * radius)
-                .collect();
-            prop_assert_eq!(got, expect);
             Verdict::Pass
         },
     );
