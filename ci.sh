@@ -153,6 +153,28 @@ cargo run -q --release -p hdidx-cli --offline -- serve \
   --only range | grep "class range" > target/bench-smoke/only.txt
 diff target/bench-smoke/lanes.txt target/bench-smoke/only.txt
 
+# Zero-rate identity: a fault plan at rate 0 must reproduce the clean run.
+# `compare` bills the basic and cutoff scans through the one replayed I/O
+# path, and `serve` replays every disk-backed request through its
+# per-request plan, so both reports must match the fault-free ones byte
+# for byte once the fault provenance lines (if any) are dropped.
+echo "==> hdidx compare/serve: --fault-ppm 0 == no faults (zero-rate identity)"
+for cmd in compare serve; do
+  extra=""
+  if [ "${cmd}" = serve ]; then extra="--smoke --seed 5"; fi
+  # shellcheck disable=SC2086
+  cargo run -q --release -p hdidx-cli --offline -- "${cmd}" \
+    --data target/bench-smoke/t48.csv --m 200 ${extra} \
+    | grep -vE "^(fault degradation|injected faults):" \
+    > "target/bench-smoke/${cmd}_clean.txt"
+  # shellcheck disable=SC2086
+  cargo run -q --release -p hdidx-cli --offline -- "${cmd}" \
+    --data target/bench-smoke/t48.csv --m 200 ${extra} --fault-seed 3 --fault-ppm 0 \
+    | grep -vE "^(fault degradation|injected faults):" \
+    > "target/bench-smoke/${cmd}_zero_rate.txt"
+  diff "target/bench-smoke/${cmd}_clean.txt" "target/bench-smoke/${cmd}_zero_rate.txt"
+done
+
 # Breaker chaos leg: the diskio breaker state machine driven around a
 # heavily faulted simulated disk, two independent seeds so a pass never
 # hinges on one fault pattern. The test asserts that the breaker trips,

@@ -56,8 +56,7 @@ impl Row {
             "{{\"cell\":\"{}\",\"fault_ppm\":{},\"rate_per_s\":{:.4},\"mix\":\"{mix}\",\
              \"requests\":{},\"executed\":{},\"shed_fraction\":{:.6},\"failed\":{},\
              \"p50_s\":{:.6},\"p99_s\":{:.6},\"max_s\":{:.6},\
-             \"range_p99_s\":{:.6},\"deadline_cut\":{},\"hedged\":{},\"hedge_wins\":{},\
-             \"degraded_predicts\":{},\"backoff_s\":{:.6},\"makespan_s\":{:.6},\
+             \"range_p99_s\":{:.6},\"backoff_s\":{:.6},\"makespan_s\":{:.6},\
              \"breaker_trips\":{},\"breaker_fast_fails\":{},\"breaker_state\":\"{}\",\
              \"digest\":\"{:016x}\"}}",
             self.cell,
@@ -71,10 +70,6 @@ impl Row {
             s.map_or(f64::NAN, |s| s.p99_s),
             s.map_or(f64::NAN, |s| s.max_s),
             self.class_p99(QueryClass::Range),
-            self.report.deadline_cut,
-            self.report.hedged,
-            self.report.hedge_wins,
-            self.report.degraded.leaves_degraded,
             self.report.backoff_s,
             self.report.makespan_s,
             brk.map_or(0, |b| b.trips),

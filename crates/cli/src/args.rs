@@ -13,7 +13,7 @@ use hdidx_baselines::PREDICTOR_NAMES;
 use hdidx_core::simd::Choice as SimdChoice;
 use hdidx_diskio::BreakerConfig;
 use hdidx_faults::{BurstConfig, FaultConfig, FaultPhase, RetryPolicy};
-use hdidx_serve::{ArrivalModel, Deadlines, LanePolicy, MixSpec, OverloadPolicy, QueryClass};
+use hdidx_serve::{ArrivalModel, LanePolicy, MixSpec, OverloadPolicy, QueryClass};
 use hdidx_store::Durability;
 use std::path::PathBuf;
 
@@ -116,8 +116,8 @@ pub enum Command {
         concurrency: usize,
         /// Requests per execution batch.
         batch: usize,
-        /// The overload policy assembled from `--deadline`, `--lanes`,
-        /// `--breaker` and `--hedge-ms` (all default off).
+        /// The overload policy assembled from `--lanes` and `--breaker`
+        /// (both default off).
         overload: OverloadPolicy,
         /// Serve only this query class (physically filter the stream).
         only: Option<QueryClass>,
@@ -160,8 +160,8 @@ USAGE:
   hdidx serve    --data <csv> --m <points> [run flags] [store flags]
                  [--rate 200] [--duration 10]
                  [--mix range:0.5,knn:0.3,predict:0.2] [--arrivals fixed|bursty]
-                 [--concurrency 4] [--batch 8] [--deadline SPEC] [--lanes SPEC]
-                 [--breaker fails:window:cooldown[:probes]] [--hedge-ms MS]
+                 [--concurrency 4] [--batch 8] [--lanes SPEC]
+                 [--breaker fails:window:cooldown[:probes]]
                  [--only range|knn|predict] [--scrub-slice PAGES] [--smoke]
   hdidx scrub    --store <dir> [--durability per-batch|every-N|none]
   hdidx generate --dataset <name> [--scale 1.0] --out <csv>
@@ -205,15 +205,8 @@ and reports exact nearest-rank p50/p95/p99/max latency plus a digest of
 the per-query samples (byte-identical for any --threads).
 `--smoke` shrinks the defaults to CI scale.
 
-Overload control (every knob defaults off; with all of them off the
-run reproduces the policy-free digests bit for bit):
-
-`--deadline SPEC` caps each query's charged service cost: either one
-number of seconds for every class, or per-class `range:0.1,knn:inf`
-pairs (unnamed classes stay uncapped). A range/knn query over its
-deadline is cut off and counted in `deadline cut`; a predict query
-becomes disk-priced and answers from cutoff extrapolation over the
-prefix it scanned, reported as degraded coverage.
+Overload control (both knobs default off; with both off the run
+reproduces the policy-free digests bit for bit):
 
 `--lanes SPEC` gives each class its own admission lane: `class:budget`
 pairs where the budget bounds the class's mean shadow-priced queue
@@ -228,9 +221,7 @@ class) is also how a run sheds under fault pressure.
 when `fails` disk-query failures land within `window` charged seconds;
 while open, disk-backed queries fail fast (charging nothing) until
 `cooldown` elapses, then `probes` successes re-close it. Predicts keep
-serving from memory. `--hedge-ms MS` re-issues a faulted replay whose
-charged cost exceeds MS milliseconds against the snapshot generation's
-fault stream, adopting the earlier completion but charging both.
+serving from memory.
 
 `--only CLASS` physically filters the request stream to one class
 (request ids keep their arrival numbering, so a protected lane's
@@ -531,10 +522,8 @@ fn parse_serve(opts: &Opts) -> Result<Command, String> {
             "arrivals",
             "concurrency",
             "batch",
-            "deadline",
             "lanes",
             "breaker",
-            "hedge-ms",
             "only",
             "scrub-slice",
             "smoke",
@@ -556,17 +545,9 @@ fn parse_serve(opts: &Opts) -> Result<Command, String> {
     if batch == 0 {
         return Err("option --batch: must be at least 1".to_string());
     }
-    let hedge_s = match opts.get("hedge-ms") {
-        None => f64::INFINITY,
-        Some(_) => parse_positive_or(opts, "hedge-ms", 50.0)? / 1000.0,
-    };
     let overload = OverloadPolicy {
-        deadlines: opts
-            .parse_with("deadline", Deadlines::parse)?
-            .unwrap_or_else(Deadlines::none),
         lanes: opts.parse_with("lanes", LanePolicy::parse)?,
         breaker: opts.parse_with("breaker", BreakerConfig::parse)?,
-        hedge_s,
     };
     overload.validate().map_err(|e| e.to_string())?;
     let only = opts.parse_with("only", QueryClass::parse)?;
@@ -1045,9 +1026,8 @@ mod tests {
     #[test]
     fn parses_serve_overload_flags() {
         match parse(
-            "serve --data a.csv --m 400 --deadline range:0.1,knn:0.2 \
-             --lanes predict:0,knn:0.5 --breaker 3:0.5:1:2 --hedge-ms 50 \
-             --only range --scrub-slice 8",
+            "serve --data a.csv --m 400 --lanes predict:0,knn:0.5 \
+             --breaker 3:0.5:1:2 --only range --scrub-slice 8",
         ) {
             Command::Serve {
                 overload,
@@ -1055,9 +1035,6 @@ mod tests {
                 scrub_slice,
                 ..
             } => {
-                assert_eq!(overload.deadlines.get(QueryClass::Range), 0.1);
-                assert_eq!(overload.deadlines.get(QueryClass::Knn), 0.2);
-                assert!(overload.deadlines.get(QueryClass::Predict).is_infinite());
                 let lanes = overload.lanes.unwrap();
                 assert_eq!(lanes.get(QueryClass::Predict), 0.0);
                 assert_eq!(lanes.get(QueryClass::Knn), 0.5);
@@ -1065,7 +1042,6 @@ mod tests {
                 let breaker = overload.breaker.unwrap();
                 assert_eq!(breaker.failure_threshold, 3);
                 assert_eq!(breaker.probes, 2);
-                assert!((overload.hedge_s - 0.05).abs() < 1e-12);
                 assert_eq!(only, Some(QueryClass::Range));
                 assert_eq!(scrub_slice, Some(8));
             }
@@ -1079,33 +1055,20 @@ mod tests {
                 scrub_slice,
                 ..
             } => {
-                assert!(overload.is_noop());
+                assert_eq!(overload, OverloadPolicy::none());
                 assert_eq!(only, None);
                 assert_eq!(scrub_slice, None);
             }
             other => panic!("wrong command: {other:?}"),
         }
-        // A bare number deadlines every class; `inf` spells protection.
-        match parse("serve --data a.csv --m 400 --deadline 0.25") {
-            Command::Serve { overload, .. } => {
-                for c in QueryClass::ALL {
-                    assert_eq!(overload.deadlines.get(c), 0.25);
-                }
-            }
-            other => panic!("wrong command: {other:?}"),
-        }
         let bad = [
-            "serve --data a.csv --m 10 --deadline 0",
-            "serve --data a.csv --m 10 --deadline scan:1",
             "serve --data a.csv --m 10 --lanes range:-1",
             "serve --data a.csv --m 10 --breaker 0:0.5:1",
             "serve --data a.csv --m 10 --breaker 3:0.5",
-            "serve --data a.csv --m 10 --hedge-ms 0",
-            "serve --data a.csv --m 10 --hedge-ms -5",
             "serve --data a.csv --m 10 --only scan",
             "serve --data a.csv --m 10 --scrub-slice 0",
             // Overload flags are serve-only.
-            "measure --data a.csv --m 10 --deadline 0.1",
+            "measure --data a.csv --m 10 --breaker 3:0.5:1",
             "predict --data a.csv --m 10 --lanes range:1",
         ];
         for args in bad {
@@ -1151,6 +1114,12 @@ mod tests {
         assert!(e.contains("field 2"), "{e}");
         let e = Cli::parse(&argv("serve --data a.csv --m 10 --rate 0")).unwrap_err();
         assert!(e.contains("option --rate"), "{e}");
+        // Flags no serve knob reads are rejected, not silently ignored.
+        for (flag, value) in [("deadline", "0.5"), ("hedge-ms", "50")] {
+            let args = format!("serve --data a.csv --m 10 --{flag} {value}");
+            let e = Cli::parse(&argv(&args)).unwrap_err();
+            assert_eq!(e, format!("unknown option --{flag}"), "{args}");
+        }
     }
 
     #[test]

@@ -577,20 +577,8 @@ fn serve(
         };
         let _ = writeln!(
             out,
-            "class {:<7} n={} shed={} failed={} cut={} {tail} digest={:016x}",
-            cs.class, cs.executed, cs.shed, cs.failed, cs.deadline_cut, cs.digest
-        );
-    }
-    if !serving.overload.is_noop() {
-        let _ = writeln!(
-            out,
-            "overload: deadline cut {} | hedged {} (wins {}) | degraded predicts {} \
-             ({:.1}% coverage)",
-            report.deadline_cut,
-            report.hedged,
-            report.hedge_wins,
-            report.degraded.leaves_degraded,
-            100.0 * report.degraded.coverage_fraction
+            "class {:<7} n={} shed={} failed={} {tail} digest={:016x}",
+            cs.class, cs.executed, cs.shed, cs.failed, cs.digest
         );
     }
     if let Some(b) = report.breaker {
@@ -1143,19 +1131,18 @@ mod tests {
             csv.display()
         ))
         .unwrap();
-        // Full policy engaged: per-class rows, an overload summary, a
-        // breaker line, and a health line must all render.
+        // Full policy engaged: per-class rows, a breaker line, and a
+        // health line must all render.
         let out = run(&format!(
             "serve --data {} --m 200 --smoke --seed 5 --arrivals bursty \
-             --deadline 0.5 --lanes range:inf,knn:0.5,predict:0.5 \
-             --breaker 4:0.5:1 --hedge-ms 50 --scrub-slice 8 --threads 2",
+             --lanes range:inf,knn:0.5,predict:0.5 \
+             --breaker 4:0.5:1 --scrub-slice 8 --threads 2",
             csv.display()
         ))
         .unwrap();
         assert!(out.contains("class range"), "{out}");
         assert!(out.contains("class knn"), "{out}");
         assert!(out.contains("class predict"), "{out}");
-        assert!(out.contains("overload: deadline cut"), "{out}");
         assert!(out.contains("breaker: trips="), "{out}");
         assert!(out.contains("health: healthy"), "{out}");
 

@@ -18,7 +18,8 @@
 //! * [`simd`] — runtime-dispatched SSE2/AVX2 lanes for the counting and
 //!   k-NN kernels (scalar fallback elsewhere), byte-identical to the
 //!   scalar path by construction,
-//! * per-dimension statistics ([`stats`]) used by the maximum-variance split.
+//! * per-dimension statistics ([`stats`]) used by the maximum-variance split,
+//! * [`fnv1a`] — the one byte hash behind every checksum and digest.
 //!
 //! All distance arithmetic accumulates in `f64` even though coordinates are
 //! stored as `f32`; in 60+ dimensions the squared-distance accumulation error
@@ -27,6 +28,7 @@
 
 pub mod dataset;
 pub mod error;
+pub mod hash;
 pub mod knn;
 pub mod rect;
 pub mod simd;
@@ -35,6 +37,7 @@ pub mod stats;
 
 pub use dataset::Dataset;
 pub use error::{Error, Result};
+pub use hash::{fnv1a, FNV_OFFSET};
 pub use rect::HyperRect;
 pub use simd::Isa;
 pub use soup::LeafSoup;

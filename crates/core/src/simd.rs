@@ -262,10 +262,9 @@ pub fn describe() -> String {
 /// Counts stripe lanes `i < valid` whose MINDIST² to `center` is at most
 /// `r2`. `lo`/`hi` are the padded column-major stripes of a
 /// [`crate::LeafSoup`] (`lo[j * stride + i]`), `stride` a multiple of
-/// [`crate::soup::LANE_PAD`]. Lanes `>= valid` (sentinels or
-/// beyond-prefix leaves) never contribute to the count: the final group's
-/// movemask is masked down to the valid lanes, so even a non-finite `r2`
-/// cannot count a sentinel.
+/// [`crate::soup::LANE_PAD`]. Lanes `>= valid` (padding sentinels) never
+/// contribute to the count: the final group's movemask is masked down to
+/// the valid lanes, so even a non-finite `r2` cannot count a sentinel.
 ///
 /// # Panics
 ///

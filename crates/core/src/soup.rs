@@ -184,40 +184,10 @@ impl LeafSoup {
     pub fn count_intersecting_with(&self, isa: Isa, center: &[f32], r2: f64) -> u64 {
         debug_assert_eq!(center.len(), self.dim);
         match isa {
-            Isa::Scalar => self.count_range_scalar(self.len, center, r2),
+            Isa::Scalar => self.count_scalar(center, r2),
             _ => {
                 simd::soup_count_prefix(isa, &self.lo, &self.hi, self.stride, self.len, center, r2)
             }
-        }
-    }
-
-    /// Like [`LeafSoup::count_intersecting`], but only the first `limit`
-    /// stored rectangles participate — the kernel behind cutoff
-    /// extrapolation under deadline pressure: a scan cut off after
-    /// `limit` leaves counts the prefix and scales by the uncovered
-    /// fraction. With `limit >= len()` the count is byte-identical to the
-    /// full scan (same blocked accumulation, same early exit).
-    pub fn count_intersecting_prefix(&self, center: &[f32], r2: f64, limit: usize) -> u64 {
-        self.count_intersecting_prefix_with(simd::active(), center, r2, limit)
-    }
-
-    /// [`LeafSoup::count_intersecting_prefix`] pinned to one ISA.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `isa` is not supported by this CPU/build.
-    pub fn count_intersecting_prefix_with(
-        &self,
-        isa: Isa,
-        center: &[f32],
-        r2: f64,
-        limit: usize,
-    ) -> u64 {
-        debug_assert_eq!(center.len(), self.dim);
-        let lim = limit.min(self.len);
-        match isa {
-            Isa::Scalar => self.count_range_scalar(lim, center, r2),
-            _ => simd::soup_count_prefix(isa, &self.lo, &self.hi, self.stride, lim, center, r2),
         }
     }
 
@@ -284,7 +254,7 @@ impl LeafSoup {
             // batch throughput equal single-query by construction.
             Isa::Scalar => {
                 for (out, &(center, r2)) in counts.iter_mut().zip(&prepared) {
-                    *out = self.count_range_scalar(self.len, center, r2);
+                    *out = self.count_scalar(center, r2);
                 }
             }
             _ => simd::soup_count_chunk(
@@ -300,9 +270,9 @@ impl LeafSoup {
         counts
     }
 
-    /// Scalar prefix scan: [`LEAF_BLOCK`]-sized blocks over leaves
-    /// `[0, valid)`. This is the committed reference path every SIMD ISA
-    /// must match bit for bit.
+    /// Scalar scan: [`LEAF_BLOCK`]-sized blocks over every stored leaf.
+    /// This is the committed reference path every SIMD ISA must match bit
+    /// for bit.
     ///
     /// `inline(never)`: the single-query and batched entry points both
     /// land here, and letting LLVM inline (and re-optimize) a copy into
@@ -310,11 +280,11 @@ impl LeafSoup {
     /// ran ~10% slower, failing the bench's batch ≥ single pin. One
     /// out-of-line body makes the two paths the same machine code.
     #[inline(never)]
-    fn count_range_scalar(&self, valid: usize, center: &[f32], r2: f64) -> u64 {
+    fn count_scalar(&self, center: &[f32], r2: f64) -> u64 {
         let mut total = 0u64;
         let mut start = 0usize;
-        while start < valid {
-            let end = (start + LEAF_BLOCK).min(valid);
+        while start < self.len {
+            let end = (start + LEAF_BLOCK).min(self.len);
             total += self.count_block(start, end, center, r2);
             start = end;
         }
@@ -463,30 +433,6 @@ mod tests {
             .collect();
         let got = soup.count_batch_with(simd::active(), &queries, |q| (q.0.as_slice(), q.1));
         assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn prefix_count_matches_truncated_naive_and_full_scan() {
-        let rects = random_rects(200, 5, 77);
-        let soup = LeafSoup::from_rects(5, &rects).unwrap();
-        let mut rng = seeded(9);
-        for _ in 0..6 {
-            let c: Vec<f32> = (0..5).map(|_| rng.gen::<f32>() * 6.0 - 3.0).collect();
-            let r = rng.gen::<f64>() * 2.0;
-            // Prefix limits crossing block boundaries and the tail.
-            for limit in [0usize, 1, 63, 64, 65, 128, 199, 200, 5000] {
-                assert_eq!(
-                    soup.count_intersecting_prefix(&c, r * r, limit),
-                    naive_count(&rects[..limit.min(rects.len())], &c, r),
-                    "limit {limit}"
-                );
-            }
-            assert_eq!(
-                soup.count_intersecting_prefix(&c, r * r, usize::MAX),
-                soup.count_intersecting(&c, r * r),
-                "saturated prefix must be byte-identical to the full scan"
-            );
-        }
     }
 
     #[test]

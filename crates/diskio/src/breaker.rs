@@ -19,7 +19,7 @@
 //! reports each operation's outcome (the serving loop drives one directly
 //! from its slot algebra).
 
-use hdidx_core::{Error, Result};
+use hdidx_core::{fnv1a, Error, Result, FNV_OFFSET};
 use std::collections::VecDeque;
 
 /// Breaker tuning. All times are charged simulated seconds.
@@ -271,24 +271,14 @@ impl CircuitBreaker {
     /// tags) — the byte-identity check for breaker behavior.
     #[must_use]
     pub fn transitions_digest(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = FNV_OFFSET;
-        let mut eat = |byte: u8| {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(FNV_PRIME);
-        };
-        for &(t, s) in &self.transitions {
-            for b in t.to_bits().to_le_bytes() {
-                eat(b);
-            }
-            eat(match s {
+        self.transitions.iter().fold(FNV_OFFSET, |h, &(t, s)| {
+            let tag = match s {
                 BreakerState::Closed => 0,
                 BreakerState::Open => 1,
                 BreakerState::HalfOpen => 2,
-            });
-        }
-        h
+            };
+            fnv1a(fnv1a(h, &t.to_bits().to_le_bytes()), &[tag])
+        })
     }
 }
 

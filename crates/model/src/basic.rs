@@ -12,7 +12,6 @@ use crate::predictor::Predictor;
 use crate::scan::faulted_scan;
 use crate::{Prediction, QueryBall};
 use hdidx_core::{Dataset, Error, LeafSoup, Result};
-use hdidx_diskio::IoStats;
 use hdidx_faults::FaultConfig;
 use hdidx_pool::Pool;
 use hdidx_rand::{bernoulli_sample, seeded};
@@ -124,23 +123,14 @@ fn predict_basic_impl(
     if sample.is_empty() {
         return Err(Error::EmptyInput("Bernoulli sample"));
     }
-    // The one dataset scan. With faults it replays through the simulated
-    // disk in buffered chunks and drops the sampled points that lived on
-    // chunks whose retries exhausted; a zero-rate plan bills sequential
-    // chunks identically to `IoStats::run`, keeping the output
-    // bit-identical to the fault-free path.
+    // The one dataset scan, replayed through the simulated disk in
+    // buffered chunks. Under faults the sampled points that lived on
+    // chunks whose retries exhausted are dropped; without faults (or at a
+    // zero rate) the chunks bill exactly `IoStats::run` and every point
+    // survives.
     let scan_pages = (n as u64).div_ceil(topo.cap_data() as u64);
-    let (sample, io, degraded) = match faults {
-        None => (
-            sample,
-            IoStats::run(scan_pages),
-            crate::DegradedReport::default(),
-        ),
-        Some(fcfg) => {
-            let scan = faulted_scan(fcfg, scan_pages, 0)?;
-            scan.filter_sample(sample, topo.cap_data() as u64)?
-        }
-    };
+    let (sample, io, degraded) =
+        faulted_scan(faults, scan_pages, 0)?.filter_sample(sample, topo.cap_data() as u64)?;
     let mini = bulk_load_scaled(data, sample, topo, n as f64)?;
     let applied = if params.compensate { factor } else { 1.0 };
     let mut pages = Vec::with_capacity(mini.num_leaves());
@@ -165,6 +155,7 @@ fn predict_basic_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hdidx_diskio::IoStats;
     use hdidx_rand::seeded as seed_rng;
     use hdidx_rand::Rng;
     use hdidx_vamsplit::bulkload::bulk_load;

@@ -11,13 +11,12 @@
 
 use crate::predictor::Predictor;
 use crate::scan::faulted_scan;
-use crate::upper::{build_upper_phase, build_upper_phase_from_sample, UpperPhase};
-use crate::{DegradedReport, Prediction, QueryBall};
-use hdidx_core::{Dataset, Error, HyperRect, LeafSoup, Result};
+use crate::upper::{build_upper_phase_from_sample, draw_upper_sample};
+use crate::{Prediction, QueryBall};
+use hdidx_core::{Dataset, HyperRect, LeafSoup, Result};
 use hdidx_diskio::IoStats;
 use hdidx_faults::FaultConfig;
 use hdidx_pool::Pool;
-use hdidx_rand::{sample_without_replacement, seeded};
 use hdidx_vamsplit::topology::Topology;
 
 /// Parameters of the cutoff predictor.
@@ -96,14 +95,23 @@ impl Cutoff {
     ) -> Result<CutoffPrediction> {
         let params = &self.params;
         crate::validate_balls(queries, topo.dim())?;
-        let (up, io, degraded) = match self.faults {
-            None => {
-                let up = build_upper_phase(data, topo, params.m, params.h_upper, params.seed)?;
-                let io = self.analytic_io(topo, queries.len());
-                (up, io, DegradedReport::default())
-            }
-            Some(fcfg) => self.faulted_upper_phase(data, topo, queries.len(), fcfg)?,
-        };
+        // Draw the upper sample, then replay the Eq. 3 bill through the
+        // simulated disk: `q` random query-point reads and the chunked
+        // dataset scan. The upper tree is built from the sampled points
+        // that survived, at the proportionally reduced sampling rate (with
+        // no lost chunk, both are exactly `build_upper_phase`'s).
+        let (sample, sigma_full) = draw_upper_sample(data, topo, params.m, params.seed)?;
+        let scan_pages = (topo.n() as u64).div_ceil(topo.cap_data() as u64);
+        let (survivors, io, degraded) =
+            faulted_scan(self.faults, scan_pages, queries.len() as u64)?
+                .filter_sample(sample, topo.cap_data() as u64)?;
+        let up = build_upper_phase_from_sample(
+            data,
+            topo,
+            survivors,
+            sigma_full * degraded.coverage_fraction,
+            params.h_upper,
+        )?;
         // Synthesize the full-scale data-page layout below every grown leaf.
         let mut pages: Vec<HyperRect> = Vec::new();
         for (i, rect) in up.grown_leaves.iter().enumerate() {
@@ -133,45 +141,6 @@ impl Cutoff {
     fn analytic_io(&self, topo: &Topology, q: usize) -> IoStats {
         let scan_pages = (topo.n() as u64).div_ceil(topo.cap_data() as u64);
         IoStats::random(q as u64) + IoStats::run(scan_pages)
-    }
-
-    /// Mirrors [`build_upper_phase`]'s draw, then replays the analytic
-    /// I/O bill through the fault plan: `q` random query-point reads and
-    /// the chunked dataset scan. The upper tree is built from the sampled
-    /// points that survived, at the proportionally reduced sampling rate
-    /// (a zero-rate plan keeps both bit-identical to the fault-free path).
-    fn faulted_upper_phase(
-        &self,
-        data: &Dataset,
-        topo: &Topology,
-        q: usize,
-        fcfg: FaultConfig,
-    ) -> Result<(UpperPhase, IoStats, DegradedReport)> {
-        let params = &self.params;
-        if params.m == 0 {
-            return Err(Error::invalid("m", "memory must hold at least one point"));
-        }
-        let n = data.len();
-        if n != topo.n() {
-            return Err(Error::invalid(
-                "data",
-                format!("topology is for {} points, data has {n}", topo.n()),
-            ));
-        }
-        let mut rng = seeded(params.seed);
-        let sample = sample_without_replacement(&mut rng, n, params.m);
-        let sigma_full = (params.m as f64 / n as f64).min(1.0);
-        let scan_pages = (n as u64).div_ceil(topo.cap_data() as u64);
-        let scan = faulted_scan(fcfg, scan_pages, q as u64)?;
-        let (survivors, io, degraded) = scan.filter_sample(sample, topo.cap_data() as u64)?;
-        let up = build_upper_phase_from_sample(
-            data,
-            topo,
-            survivors,
-            sigma_full * degraded.coverage_fraction,
-            params.h_upper,
-        )?;
-        Ok((up, io, degraded))
     }
 }
 

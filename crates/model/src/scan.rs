@@ -1,17 +1,17 @@
-//! Fault-aware replay of the analytic predictors' I/O.
+//! The one I/O path of the analytic predictors.
 //!
-//! The basic and cutoff predictors bill closed-form I/O — one sequential
-//! scan (plus `q` random reads for cutoff) — without ever touching a
-//! [`Disk`]. Under a fault plan that bill is replayed through the
-//! simulated disk so injected faults, retries and backoff latency apply:
+//! The basic and cutoff predictors read the dataset once — one sequential
+//! scan (plus `q` random reads for cutoff) — and bill that I/O by
+//! replaying it through the simulated [`Disk`], with or without a fault
+//! plan. Under a plan, injected faults, retries and backoff latency apply:
 //! the scan runs in buffered chunks of [`SCAN_CHUNK_PAGES`] pages, and a
 //! chunk whose retries exhaust is *lost* — the sampled points living on it
 //! are dropped and the prediction proceeds from the surviving sample.
 //!
-//! A zero-rate plan is bit-identical to the closed form: sequential chunks
-//! merge into one run (`1` seek, `scan_pages` transfers) and the
-//! alternating-page query reads each cost one seek and one transfer,
-//! exactly [`IoStats::run`] + [`IoStats::random`].
+//! An ideal device (no plan) or a zero-rate plan bills exactly the closed
+//! form: sequential chunks merge into one run (`1` seek, `scan_pages`
+//! transfers) and the alternating-page query reads each cost one seek and
+//! one transfer, exactly [`IoStats::run`] + [`IoStats::random`].
 
 use crate::DegradedReport;
 use hdidx_core::{Error, Result};
@@ -23,7 +23,7 @@ use hdidx_faults::{FaultConfig, FaultPhase};
 /// pages' worth of sampled points.
 pub(crate) const SCAN_CHUNK_PAGES: u64 = 64;
 
-/// Outcome of replaying a predictor's scan under a fault plan.
+/// Outcome of replaying a predictor's scan.
 pub(crate) struct FaultedScan {
     io: IoStats,
     /// Per-chunk loss flags, chunk `c` covering pages
@@ -34,7 +34,7 @@ pub(crate) struct FaultedScan {
 
 /// Replays `query_reads` random single-page reads followed by a chunked
 /// sequential scan of `scan_pages` pages through a disk carrying the
-/// prediction-phase plan derived from `fcfg`.
+/// prediction-phase plan derived from `faults` (`None`: an ideal device).
 ///
 /// Lost query reads are tolerated silently (the query points are already
 /// in memory; only the charge is simulated) while lost scan chunks are
@@ -44,13 +44,13 @@ pub(crate) struct FaultedScan {
 ///
 /// Propagates non-fault disk errors (allocation/bounds).
 pub(crate) fn faulted_scan(
-    fcfg: FaultConfig,
+    faults: Option<FaultConfig>,
     scan_pages: u64,
     query_reads: u64,
 ) -> Result<FaultedScan> {
     let mut disk = Disk::with_options(
         &DiskOptions::new()
-            .fault_plan(Some(fcfg))
+            .fault_plan(faults)
             .phase(FaultPhase::Predict),
     );
     if query_reads > 0 {
@@ -119,14 +119,16 @@ mod tests {
 
     #[test]
     fn zero_rate_scan_bills_the_closed_form() {
-        let fcfg = FaultConfig::disabled(9);
-        let scan = faulted_scan(fcfg, 1000, 0).unwrap();
-        assert_eq!(scan.io, IoStats::run(1000));
-        let scan = faulted_scan(fcfg, 130, 7).unwrap();
-        assert_eq!(scan.io, IoStats::random(7) + IoStats::run(130));
-        let (survivors, _, degraded) = scan.filter_sample(vec![0, 5, 900], 8).unwrap();
-        assert_eq!(survivors, vec![0, 5, 900]);
-        assert_eq!(degraded, DegradedReport::default());
+        // An ideal device and a zero-rate plan both bill Eq. 3 exactly.
+        for faults in [None, Some(FaultConfig::disabled(9))] {
+            let scan = faulted_scan(faults, 1000, 0).unwrap();
+            assert_eq!(scan.io, IoStats::run(1000));
+            let scan = faulted_scan(faults, 130, 7).unwrap();
+            assert_eq!(scan.io, IoStats::random(7) + IoStats::run(130));
+            let (survivors, _, degraded) = scan.filter_sample(vec![0, 5, 900], 8).unwrap();
+            assert_eq!(survivors, vec![0, 5, 900]);
+            assert_eq!(degraded, DegradedReport::default());
+        }
     }
 
     #[test]

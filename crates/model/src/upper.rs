@@ -63,6 +63,22 @@ pub fn build_upper_phase(
     h_upper: usize,
     seed: u64,
 ) -> Result<UpperPhase> {
+    let (sample, sigma_upper) = draw_upper_sample(data, topo, m, seed)?;
+    build_upper_phase_from_sample(data, topo, sample, sigma_upper, h_upper)
+}
+
+/// Draws [`build_upper_phase`]'s exactly-`M` sample and its rate
+/// `σ_upper = min(M/N, 1)`, without building anything.
+///
+/// # Errors
+///
+/// Rejects `m == 0` and a `data` whose size does not match `topo`.
+pub(crate) fn draw_upper_sample(
+    data: &Dataset,
+    topo: &Topology,
+    m: usize,
+    seed: u64,
+) -> Result<(Vec<u32>, f64)> {
     if m == 0 {
         return Err(Error::invalid("m", "memory must hold at least one point"));
     }
@@ -75,16 +91,16 @@ pub fn build_upper_phase(
     }
     let mut rng = seeded(seed);
     let sample = sample_without_replacement(&mut rng, n, m);
-    let sigma_upper = (m as f64 / n as f64).min(1.0);
-    build_upper_phase_from_sample(data, topo, sample, sigma_upper, h_upper)
+    Ok((sample, (m as f64 / n as f64).min(1.0)))
 }
 
 /// Builds the grown upper tree from an already-drawn sample at an
 /// already-determined sampling rate.
 ///
-/// This is [`build_upper_phase`] minus the draw; fault-aware predictors
-/// use it to build from the subset of the sample that survived a fault
-/// plan, passing the correspondingly reduced `sigma_upper`. With the full
+/// This is [`build_upper_phase`] minus the draw (`draw_upper_sample`);
+/// fault-aware predictors use it to build from the subset of the sample
+/// that survived a fault plan, passing the correspondingly reduced
+/// `sigma_upper`. With the full
 /// sample and `σ = min(M/N, 1)` it is exactly `build_upper_phase`.
 ///
 /// # Errors

@@ -10,11 +10,7 @@
 //! a latency some request actually experienced.
 
 use hdidx_check::stats;
-
-/// FNV-1a 64-bit offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a 64-bit prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+use hdidx_core::{fnv1a, FNV_OFFSET};
 
 /// Exact-sample latency recorder for one serving run (or sweep cell).
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -63,14 +59,9 @@ impl LatencyRecorder {
     /// makes the determinism contract observable from CLI output alone.
     #[must_use]
     pub fn digest(&self) -> u64 {
-        let mut h = FNV_OFFSET;
-        for s in &self.samples {
-            for b in s.to_bits().to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-        }
-        h
+        self.samples
+            .iter()
+            .fold(FNV_OFFSET, |h, s| fnv1a(h, &s.to_bits().to_le_bytes()))
     }
 
     /// Number of recorded samples.

@@ -27,10 +27,9 @@
 //!   fault-retry backoff is part of every shadow service time, so fault
 //!   pressure sheds through the lanes too.
 //! * [`overload`] — the deterministic overload-control policy
-//!   ([`OverloadPolicy`]): per-class deadlines on charged service cost,
-//!   lane budgets, circuit-breaker gating, and hedged replays. Every knob
-//!   defaults off; the identity policy reproduces the pre-overload serve
-//!   digests bit for bit.
+//!   ([`OverloadPolicy`]): lane budgets and circuit-breaker gating. Both
+//!   knobs default off; the identity policy reproduces the pre-overload
+//!   serve digests bit for bit.
 //! * [`maintain`] — idle-slot maintenance ([`Maintenance`]): incremental
 //!   scrub slices run in the slot algebra's idle gaps and drive the
 //!   Healthy → Degraded → ReadOnly health machine; ReadOnly refuses the
@@ -41,7 +40,7 @@
 //! byte-identical per-query latency samples — and therefore identical
 //! percentiles, shed fractions, and digests — at any `HDIDX_THREADS`
 //! setting, because arrivals, fault plans, time accounting, and every
-//! overload decision (shed, cut, trip, hedge) are pure functions of the
+//! overload decision (shed, trip) are pure functions of the
 //! request stream, never of scheduling.
 
 pub mod admission;
@@ -59,6 +58,6 @@ pub use maintain::{
     CleanSource, HealthState, Maintenance, MaintenanceReport, ScrubSource, SliceOutcome,
     StoreScrubSource,
 };
-pub use overload::{Deadlines, LanePolicy, OverloadPolicy};
+pub use overload::{LanePolicy, OverloadPolicy};
 pub use request::{MixSpec, Query, QueryClass, Request};
 pub use server::{BreakerSummary, ClassStats, ServeConfig, ServeReport, Server};

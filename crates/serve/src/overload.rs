@@ -1,30 +1,29 @@
-//! The overload-control policy: per-class deadlines, admission lanes,
-//! breaker gating and hedged replays — all expressed in **charged
-//! simulated seconds**, so every decision is a pure, replayable function
-//! of the request stream and the fault seed.
+//! The overload-control policy: per-class admission lanes and breaker
+//! gating, both expressed in **charged simulated seconds**, so every
+//! decision is a pure, replayable function of the request stream and the
+//! fault seed.
 //!
 //! The policy is deliberately *opt-in per knob*: [`OverloadPolicy::none`]
-//! is the identity (no deadline, one implicit lane, no breaker, no
-//! hedging) and a server run under it is byte-identical to a server that
-//! predates the subsystem — the zero-overload digests are pinned by
-//! `tests/serve_determinism.rs`.
+//! is the identity (one implicit lane, no breaker) and a server run under
+//! it is byte-identical to a server that predates the subsystem — the
+//! zero-overload digests are pinned by `tests/serve_determinism.rs`.
 
 use crate::request::QueryClass;
 use hdidx_core::{Error, Result};
 use hdidx_diskio::breaker::BreakerConfig;
 use std::fmt;
 
-/// Parses one `class:value` list (`"0.5"` shorthand = every class).
-fn parse_per_class(
-    spec: &str,
-    what: &'static str,
-    default: f64,
-    parse_value: impl Fn(&str) -> Option<f64>,
-) -> Result<[f64; QueryClass::COUNT]> {
-    let mut out = [default; QueryClass::COUNT];
+/// Parses one `class:budget` lane list (`"0.5"` shorthand = every class;
+/// unnamed classes stay unbounded, `inf`/`none` spell unbounded).
+fn parse_budgets(spec: &str) -> Result<[f64; QueryClass::COUNT]> {
+    let parse_value = |s: &str| match s {
+        "inf" | "none" => Some(f64::INFINITY),
+        other => other.parse().ok(),
+    };
+    let mut out = [f64::INFINITY; QueryClass::COUNT];
     if !spec.contains(':') {
         let v = parse_value(spec)
-            .ok_or_else(|| Error::invalid(what, format!("cannot parse `{spec}`")))?;
+            .ok_or_else(|| Error::invalid("lanes", format!("cannot parse `{spec}`")))?;
         return Ok([v; QueryClass::COUNT]);
     }
     let mut seen = [false; QueryClass::COUNT];
@@ -32,128 +31,27 @@ fn parse_per_class(
         let field = i + 1;
         let (name, value) = part.split_once(':').ok_or_else(|| {
             Error::invalid(
-                what,
+                "lanes",
                 format!("field {field}: expected class:value, got `{part}`"),
             )
         })?;
         let class = QueryClass::parse(name)
-            .map_err(|e| Error::invalid(what, format!("field {field}: {e}")))?;
+            .map_err(|e| Error::invalid("lanes", format!("field {field}: {e}")))?;
         if seen[class.index()] {
             return Err(Error::invalid(
-                what,
+                "lanes",
                 format!("field {field}: class `{name}` given twice"),
             ));
         }
         seen[class.index()] = true;
         out[class.index()] = parse_value(value).ok_or_else(|| {
-            Error::invalid(what, format!("field {field}: cannot parse value `{value}`"))
+            Error::invalid(
+                "lanes",
+                format!("field {field}: cannot parse value `{value}`"),
+            )
         })?;
     }
     Ok(out)
-}
-
-fn parse_seconds(s: &str) -> Option<f64> {
-    match s {
-        "inf" | "none" => Some(f64::INFINITY),
-        other => other.parse().ok(),
-    }
-}
-
-/// Per-class deadlines on a query's **charged service cost** (including
-/// retry backoff), in simulated seconds. `INFINITY` disables the deadline
-/// for a class.
-///
-/// A range or k-NN query whose replay would exceed its deadline is cut
-/// off: the pages already replayed stay charged, the query counts as a
-/// deadline cut. A predict query is answered anyway — the prefix of the
-/// sample it managed to read is scaled up by the uncovered fraction
-/// (cutoff extrapolation, the same fallback PR 3's graceful degradation
-/// uses) and reported as degraded.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Deadlines {
-    /// Deadline per class, indexed by [`QueryClass::index`].
-    pub by_class: [f64; QueryClass::COUNT],
-}
-
-impl Deadlines {
-    /// No deadlines (every class unbounded).
-    #[must_use]
-    pub fn none() -> Deadlines {
-        Deadlines {
-            by_class: [f64::INFINITY; QueryClass::COUNT],
-        }
-    }
-
-    /// The same deadline for every class.
-    #[must_use]
-    pub fn all(seconds: f64) -> Deadlines {
-        Deadlines {
-            by_class: [seconds; QueryClass::COUNT],
-        }
-    }
-
-    /// The deadline for one class.
-    #[must_use]
-    pub fn get(&self, class: QueryClass) -> f64 {
-        self.by_class[class.index()]
-    }
-
-    /// Whether every class is unbounded.
-    #[must_use]
-    pub fn is_noop(&self) -> bool {
-        self.by_class.iter().all(|d| d.is_infinite())
-    }
-
-    /// Checks every deadline is positive (or infinite) and not NaN.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::InvalidParameter`] naming the offending class.
-    pub fn validate(&self) -> Result<()> {
-        for c in QueryClass::ALL {
-            let d = self.get(c);
-            if d.is_nan() || d <= 0.0 {
-                return Err(Error::invalid(
-                    "deadline",
-                    format!("deadline for `{c}` must be positive seconds, got {d}"),
-                ));
-            }
-        }
-        Ok(())
-    }
-
-    /// Parses `"0.5"` (every class) or `"range:0.5,knn:1"` (listed
-    /// classes; the rest stay unbounded). `inf`/`none` disable a class.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::InvalidParameter`] with a field-oriented message.
-    pub fn parse(spec: &str) -> Result<Deadlines> {
-        let d = Deadlines {
-            by_class: parse_per_class(spec, "deadline", f64::INFINITY, parse_seconds)?,
-        };
-        d.validate()?;
-        Ok(d)
-    }
-}
-
-impl fmt::Display for Deadlines {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut first = true;
-        for c in QueryClass::ALL {
-            if !first {
-                f.write_str(",")?;
-            }
-            first = false;
-            let d = self.get(c);
-            if d.is_infinite() {
-                write!(f, "{c}:inf")?;
-            } else {
-                write!(f, "{c}:{d}")?;
-            }
-        }
-        Ok(())
-    }
 }
 
 /// Per-class admission lanes: a sliding-window **queue-delay budget** per
@@ -221,7 +119,7 @@ impl LanePolicy {
     /// [`Error::InvalidParameter`] with a field-oriented message.
     pub fn parse(spec: &str) -> Result<LanePolicy> {
         let p = LanePolicy {
-            budget_s: parse_per_class(spec, "lanes", f64::INFINITY, parse_seconds)?,
+            budget_s: parse_budgets(spec)?,
             window: LanePolicy::DEFAULT_WINDOW,
         };
         p.validate()?;
@@ -250,41 +148,20 @@ impl fmt::Display for LanePolicy {
 
 /// The complete overload-control policy of one serving run. Every knob
 /// defaults to "off"; [`OverloadPolicy::none`] is the identity policy.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct OverloadPolicy {
-    /// Per-class service-cost deadlines.
-    pub deadlines: Deadlines,
     /// Admission lanes (`None` = one implicit lane, nothing shed).
     pub lanes: Option<LanePolicy>,
     /// Circuit breaker over the query replay path (`None` = disabled).
     pub breaker: Option<BreakerConfig>,
-    /// Hedge delay in simulated seconds: a faulted replay whose charged
-    /// cost exceeds this re-issues against the snapshot generation's
-    /// fault stream and both attempts stay charged (`INFINITY` = off).
-    pub hedge_s: f64,
 }
 
 impl OverloadPolicy {
-    /// The identity policy: no deadlines, no lanes, no breaker, no
-    /// hedging. A run under it reproduces the pre-overload serve digests
-    /// bit for bit.
+    /// The identity policy: no lanes, no breaker. A run under it
+    /// reproduces the pre-overload serve digests bit for bit.
     #[must_use]
     pub fn none() -> OverloadPolicy {
-        OverloadPolicy {
-            deadlines: Deadlines::none(),
-            lanes: None,
-            breaker: None,
-            hedge_s: f64::INFINITY,
-        }
-    }
-
-    /// Whether every knob is off.
-    #[must_use]
-    pub fn is_noop(&self) -> bool {
-        self.deadlines.is_noop()
-            && self.lanes.is_none()
-            && self.breaker.is_none()
-            && self.hedge_s.is_infinite()
+        OverloadPolicy::default()
     }
 
     /// Validates every configured knob.
@@ -293,26 +170,13 @@ impl OverloadPolicy {
     ///
     /// [`Error::InvalidParameter`] describing the first violation.
     pub fn validate(&self) -> Result<()> {
-        self.deadlines.validate()?;
         if let Some(lanes) = &self.lanes {
             lanes.validate()?;
         }
         if let Some(breaker) = &self.breaker {
             breaker.validate()?;
         }
-        if self.hedge_s.is_nan() || self.hedge_s <= 0.0 {
-            return Err(Error::invalid(
-                "hedge",
-                format!("hedge delay must be positive seconds, got {}", self.hedge_s),
-            ));
-        }
         Ok(())
-    }
-}
-
-impl Default for OverloadPolicy {
-    fn default() -> Self {
-        OverloadPolicy::none()
     }
 }
 
@@ -321,36 +185,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn the_identity_policy_is_noop_and_valid() {
+    fn the_identity_policy_is_valid() {
         let p = OverloadPolicy::none();
-        assert!(p.is_noop());
+        assert_eq!(p.lanes, None);
+        assert_eq!(p.breaker, None);
         p.validate().unwrap();
-        assert_eq!(p, OverloadPolicy::default());
-    }
-
-    #[test]
-    fn deadlines_parse_and_validate() {
-        let d = Deadlines::parse("0.5").unwrap();
-        assert_eq!(d, Deadlines::all(0.5));
-        assert!(!d.is_noop());
-        let d = Deadlines::parse("range:0.5,predict:0.1").unwrap();
-        assert_eq!(d.get(QueryClass::Range), 0.5);
-        assert!(d.get(QueryClass::Knn).is_infinite());
-        assert_eq!(d.get(QueryClass::Predict), 0.1);
-        assert!(Deadlines::parse("knn:inf").unwrap().is_noop());
-        for bad in [
-            "",
-            "range:0",
-            "range:-1",
-            "range:nan",
-            "scan:1",
-            "range:1,range:2",
-        ] {
-            assert!(Deadlines::parse(bad).is_err(), "`{bad}` must be rejected");
-        }
-        // Round-trips through Display.
-        let d = Deadlines::parse("range:0.5,knn:2").unwrap();
-        assert_eq!(Deadlines::parse(&d.to_string()).unwrap(), d);
     }
 
     #[test]
@@ -365,8 +204,20 @@ mod tests {
         assert_eq!(p.window, LanePolicy::DEFAULT_WINDOW);
         p.validate().unwrap();
         assert!(LanePolicy { window: 0, ..p }.validate().is_err());
-        assert!(LanePolicy::parse("knn:-0.5").is_err());
-        assert!(LanePolicy::parse("knn:nan").is_err());
+        assert!(LanePolicy::parse("knn:inf")
+            .unwrap()
+            .get(QueryClass::Knn)
+            .is_infinite());
+        for bad in [
+            "",
+            "knn:-0.5",
+            "knn:nan",
+            "range",
+            "scan:1",
+            "range:1,range:2",
+        ] {
+            assert!(LanePolicy::parse(bad).is_err(), "`{bad}` must be rejected");
+        }
         let p = LanePolicy::parse("range:1,knn:2,predict:3").unwrap();
         assert_eq!(LanePolicy::parse(&p.to_string()).unwrap(), p);
     }
@@ -374,14 +225,6 @@ mod tests {
     #[test]
     fn policy_validation_covers_every_knob() {
         let mut p = OverloadPolicy::none();
-        p.hedge_s = 0.0;
-        assert!(p.validate().is_err());
-        p.hedge_s = 0.002;
-        p.validate().unwrap();
-        assert!(!p.is_noop());
-        p.deadlines = Deadlines::all(-1.0);
-        assert!(p.validate().is_err());
-        p.deadlines = Deadlines::none();
         p.lanes = Some(LanePolicy {
             budget_s: [f64::NAN; 3],
             window: 4,

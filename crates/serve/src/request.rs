@@ -34,7 +34,7 @@ pub enum Query {
 }
 
 /// The three query classes as a dense index — the unit overload policy
-/// (deadlines, admission lanes, per-class latency accounting) is keyed by.
+/// (admission lanes, per-class latency accounting) is keyed by.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum QueryClass {
     /// Ball (range) queries.

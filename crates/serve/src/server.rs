@@ -29,14 +29,10 @@
 //!
 //! # Overload control
 //!
-//! The [`OverloadPolicy`] layers four deterministic mechanisms on top,
-//! every one off by default ([`OverloadPolicy::none`] runs byte-identical
-//! to a server that predates the subsystem):
+//! The [`OverloadPolicy`] layers two deterministic mechanisms on top,
+//! both off by default ([`OverloadPolicy::none`] runs byte-identical to a
+//! server that predates the subsystem):
 //!
-//! * **Deadlines** cap a query's charged *service* cost per class. A cut
-//!   range/k-NN query keeps what it already read charged; a cut predict
-//!   switches to the *priced* sample scan and answers from cutoff
-//!   extrapolation over the prefix it covered (degraded, never failed).
 //! * **Lanes** shed per class on a feed-forward pressure signal: a shadow
 //!   pass of the slot algebra over the *offered* stream prices every
 //!   request's queue delay, and a class whose sliding-window mean exceeds
@@ -45,9 +41,6 @@
 //! * **Breaker**: a [`CircuitBreaker`] clocked by the monotone envelope
 //!   of slot times gates the disk-backed classes; while open they fail
 //!   fast (charging nothing), while predictions keep serving from memory.
-//! * **Hedged replays**: a faulted replay straggling past the hedge delay
-//!   re-issues against a derived fault stream; both attempts stay
-//!   charged, the earlier completion wins.
 //!
 //! [`Maintenance`] rides in the same loop: idle gaps in the slot algebra
 //! run incremental scrub slices, whose findings drive the
@@ -70,19 +63,10 @@ use hdidx_diskio::BreakerState;
 use hdidx_faults::{FaultConfig, FaultPhase};
 use hdidx_model::hupper::recommended_h_upper;
 use hdidx_model::upper::build_upper_phase;
-use hdidx_model::DegradedReport;
 use hdidx_pool::Pool;
 use hdidx_store::ScrubReport;
 use hdidx_vamsplit::topology::Topology;
 use hdidx_vamsplit::tree::RTree;
-
-/// Stream offset separating a hedged replay's fault stream from every
-/// primary stream (request ids are dense from 0, far below this).
-const HEDGE_STREAM_OFFSET: u64 = 1 << 32;
-
-/// Entries per page of the priced predict sample scan (matches the soup
-/// kernels' block size).
-const PREDICT_SCAN_BLOCK: u64 = 64;
 
 /// Per-run serving knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -136,28 +120,13 @@ impl Default for ServeConfig {
 /// Outcome of executing one request (before time accounting).
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct ExecResult {
-    /// Leaf pages the query read (or, for a degraded predict, estimated).
+    /// The request's answer: leaf pages the query read, or for a predict
+    /// the sampled estimate of them.
     leaf_accesses: u64,
-    /// I/O charged, including fault retries, backoff and hedged attempts.
+    /// I/O charged, including fault retries and backoff.
     io: IoStats,
-    /// Simulated seconds the request occupies its slot. Equals
-    /// `disk.cost_seconds(io)` except for hedged replays, where the
-    /// earlier completion wins but both attempts' I/O stays charged.
-    service_s: f64,
     /// False when the query failed (exhausted retries or panicked).
     ok: bool,
-    /// True when a deadline cut the query short.
-    cut: bool,
-    /// True when a predict answered from cutoff extrapolation.
-    degraded: bool,
-    /// Fraction of the predict sample scanned (1.0 when not degraded).
-    coverage: f64,
-    /// True when a hedged replay was issued; `hedge_won` when the hedge's
-    /// completion was adopted.
-    hedged: bool,
-    hedge_won: bool,
-    /// True for classes that touch the page store (range, k-NN).
-    disk_backed: bool,
 }
 
 impl ExecResult {
@@ -165,15 +134,13 @@ impl ExecResult {
         ExecResult {
             leaf_accesses: 0,
             io: IoStats::default(),
-            service_s: 0.0,
             ok: false,
-            cut: false,
-            degraded: false,
-            coverage: 1.0,
-            hedged: false,
-            hedge_won: false,
-            disk_backed: false,
         }
+    }
+
+    /// Simulated seconds the request occupies its slot.
+    fn service_s(&self, disk: &DiskModel) -> f64 {
+        disk.cost_seconds(self.io)
     }
 }
 
@@ -188,10 +155,6 @@ pub struct ClassStats {
     pub shed: u64,
     /// Executed requests of this class that failed.
     pub failed: u64,
-    /// Executed requests cut short by their deadline.
-    pub deadline_cut: u64,
-    /// Executed requests answered from a degraded fallback.
-    pub degraded: u64,
     /// Percentile summary of this class's latency samples.
     pub summary: Option<LatencySummary>,
     /// FNV-1a digest of this class's latency sample stream.
@@ -239,15 +202,6 @@ pub struct ServeReport {
     pub digest: u64,
     /// Per-class accounting, indexed by [`QueryClass::index`].
     pub by_class: [ClassStats; QueryClass::COUNT],
-    /// Executed requests cut short by a deadline.
-    pub deadline_cut: u64,
-    /// Hedged replays issued / adopted.
-    pub hedged: u64,
-    /// Hedged replays whose completion won.
-    pub hedge_wins: u64,
-    /// Degradation summary over predict queries: fallback count plus mean
-    /// scan coverage (the PR 3 graceful-degradation shape).
-    pub degraded: DegradedReport,
     /// Breaker observables (`None` when no breaker was configured).
     pub breaker: Option<BreakerSummary>,
     /// Store health at the end of the run (`None` without maintenance).
@@ -394,266 +348,73 @@ impl<'a> Server<'a> {
     /// of (fault seed, stream), never of scheduling. Alternating between
     /// two non-adjacent pages makes each access cost exactly one seek and
     /// one transfer, identical to `IoStats::random`, while `Disk::access`
-    /// retry accounting applies unchanged. The replay stops early when the
-    /// accumulated charged cost crosses `deadline_s` (the crossing access
-    /// stays charged) or when an access exhausts its retries (the seeks
-    /// and backoff already burned stay charged).
+    /// retry accounting applies unchanged. The replay stops when an access
+    /// exhausts its retries (the seeks and backoff already burned stay
+    /// charged).
     ///
-    /// Returns the charged stats, completed-access count, success flag,
-    /// and whether the deadline cut the replay.
-    fn replay(
-        &self,
-        fcfg: &FaultConfig,
-        stream: u64,
-        pages: u64,
-        deadline_s: f64,
-        disk_model: &DiskModel,
-    ) -> (IoStats, u64, bool, bool) {
+    /// Returns the charged stats and the success flag.
+    fn replay(&self, fcfg: &FaultConfig, stream: u64, pages: u64) -> (IoStats, bool) {
         let mut disk = Disk::with_options(
             &DiskOptions::new()
                 .fault_plan(Some(*fcfg))
                 .phase(FaultPhase::Query)
                 .derived(stream),
         );
-        let file = match disk.alloc(4) {
-            Ok(f) => f,
-            Err(_) => return (IoStats::default(), 0, false, false),
+        let Ok(file) = disk.alloc(4) else {
+            return (IoStats::default(), false);
         };
         let mut flip = 0u64;
-        let mut done = 0u64;
-        let mut ok = true;
-        let mut cut = false;
         for _ in 0..pages {
             if disk.access(&file, flip, 1).is_err() {
-                ok = false;
-                break;
+                return (disk.stats(), false);
             }
             flip = 2 - flip;
-            done += 1;
-            if deadline_s.is_finite() && disk_model.cost_seconds(disk.stats()) > deadline_s {
-                cut = done < pages;
-                break;
-            }
         }
-        (disk.stats(), done, ok, cut)
+        (disk.stats(), true)
     }
 
-    /// Executes a disk-backed query of `pages` random accesses under the
-    /// class deadline and (on the faulted path) the hedge policy.
-    fn run_disk_query(
-        &self,
-        req: &Request,
-        cfg: &ServeConfig,
-        leaf_accesses: u64,
-        deadline_s: f64,
-    ) -> ExecResult {
+    /// Executes a disk-backed query reading `leaf_accesses` leaves plus
+    /// the directory descent, all random I/O: the closed form on a clean
+    /// server, a per-request fault replay on a faulted one.
+    fn run_disk_query(&self, req: &Request, leaf_accesses: u64) -> ExecResult {
         let pages = leaf_accesses + (self.height.saturating_sub(1)) as u64;
-        let Some(fcfg) = self.faults else {
-            // Clean path: every access costs exactly one seek + transfer,
-            // so the deadline translates to a whole-page allowance.
-            let per_page = cfg.disk.t_seek_s + cfg.disk.t_xfer_s();
-            let allowed = if deadline_s.is_finite() {
-                ((deadline_s / per_page).floor() as u64).min(pages)
-            } else {
-                pages
-            };
-            let io = IoStats::random(allowed);
-            return ExecResult {
-                leaf_accesses,
-                io,
-                service_s: cfg.disk.cost_seconds(io),
-                ok: true,
-                cut: allowed < pages,
-                degraded: false,
-                coverage: 1.0,
-                hedged: false,
-                hedge_won: false,
-                disk_backed: true,
-            };
-        };
-        let (pio, _, pok, pcut) = self.replay(&fcfg, req.id, pages, deadline_s, &cfg.disk);
-        let primary_s = cfg.disk.cost_seconds(pio);
-        let hedge_s = cfg.overload.hedge_s;
-        if hedge_s.is_infinite() || (pok && primary_s <= hedge_s) {
-            return ExecResult {
-                leaf_accesses,
-                io: pio,
-                service_s: primary_s,
-                ok: pok,
-                cut: pcut,
-                degraded: false,
-                coverage: 1.0,
-                hedged: false,
-                hedge_won: false,
-                disk_backed: true,
-            };
-        }
-        // The primary straggled past the hedge delay (or failed): re-issue
-        // against a derived stream — the snapshot generation's replica.
-        // Both attempts stay charged; the earlier completion wins.
-        let sec_deadline = if deadline_s.is_finite() {
-            (deadline_s - hedge_s).max(0.0)
-        } else {
-            deadline_s
-        };
-        let (sio, _, sok, scut) = self.replay(
-            &fcfg,
-            req.id + HEDGE_STREAM_OFFSET,
-            pages,
-            sec_deadline,
-            &cfg.disk,
-        );
-        let sec_total = hedge_s + cfg.disk.cost_seconds(sio);
-        let mut io = pio;
-        io += sio;
-        if pok && (primary_s <= sec_total || !sok) {
-            ExecResult {
-                leaf_accesses,
-                io,
-                service_s: primary_s,
-                ok: true,
-                cut: pcut,
-                degraded: false,
-                coverage: 1.0,
-                hedged: true,
-                hedge_won: false,
-                disk_backed: true,
-            }
-        } else if sok {
-            ExecResult {
-                leaf_accesses,
-                io,
-                service_s: sec_total,
-                ok: true,
-                cut: scut,
-                degraded: false,
-                coverage: 1.0,
-                hedged: true,
-                hedge_won: true,
-                disk_backed: true,
-            }
-        } else {
-            ExecResult {
-                leaf_accesses,
-                io,
-                service_s: primary_s.max(sec_total),
-                ok: false,
-                cut: pcut || scut,
-                degraded: false,
-                coverage: 1.0,
-                hedged: true,
-                hedge_won: false,
-                disk_backed: true,
-            }
-        }
-    }
-
-    /// Executes a predict under a **finite** deadline: the *priced* mode.
-    ///
-    /// Instead of the free in-memory count, the prediction charges the
-    /// sample-scan reads it models — `ceil(len / 64)` pages over the grown
-    /// upper soup. When the deadline (or a fault) cuts the scan, the
-    /// prefix actually covered is counted exactly and scaled by the
-    /// uncovered fraction — the same cutoff extrapolation PR 3's
-    /// degradation fallback uses — and the answer is degraded, never
-    /// failed: predictions are what keeps serving when the store cannot.
-    fn run_priced_predict(
-        &self,
-        req: &Request,
-        cfg: &ServeConfig,
-        center: &[f32],
-        r2: f64,
-        deadline_s: f64,
-    ) -> ExecResult {
-        let len = self.predict_soup.len() as u64;
-        let total_pages = len.div_ceil(PREDICT_SCAN_BLOCK);
-        let (io, done, cut) = match self.faults {
-            None => {
-                let per_page = cfg.disk.t_seek_s + cfg.disk.t_xfer_s();
-                let allowed = ((deadline_s / per_page).floor() as u64).min(total_pages);
-                (IoStats::random(allowed), allowed, allowed < total_pages)
-            }
-            Some(fcfg) => {
-                // A failed access is a cutoff too: the prediction answers
-                // from whatever prefix it covered.
-                let (io, done, ok, cut) =
-                    self.replay(&fcfg, req.id, total_pages, deadline_s, &cfg.disk);
-                (io, done, cut || !ok)
-            }
-        };
-        let (estimate, coverage, degraded) = if cut {
-            let scanned = (done * PREDICT_SCAN_BLOCK).min(len);
-            let prefix = self
-                .predict_soup
-                .count_intersecting_prefix(center, r2, scanned as usize);
-            let estimate = if scanned == 0 {
-                0
-            } else {
-                (prefix as f64 * len as f64 / scanned as f64).round() as u64
-            };
-            let coverage = if len == 0 {
-                1.0
-            } else {
-                scanned as f64 / len as f64
-            };
-            (estimate, coverage, true)
-        } else {
-            (self.predict_soup.count_intersecting(center, r2), 1.0, false)
+        let (io, ok) = match &self.faults {
+            None => (IoStats::random(pages), true),
+            Some(fcfg) => self.replay(fcfg, req.id, pages),
         };
         ExecResult {
-            leaf_accesses: estimate,
+            leaf_accesses,
             io,
-            service_s: cfg.disk.cost_seconds(io),
-            ok: true,
-            cut,
-            degraded,
-            coverage,
-            hedged: false,
-            hedge_won: false,
-            disk_backed: false,
+            ok,
         }
     }
 
     /// Executes one request: resolves its leaf-access count through the
     /// counting kernels, then charges the page accesses (directory descent
     /// plus leaves, all random I/O) — through a per-request fault plan when
-    /// faults are configured, under the class deadline and hedge policy
-    /// when one is set.
-    fn execute(&self, req: &Request, cfg: &ServeConfig) -> ExecResult {
-        let deadline_s = cfg.overload.deadlines.get(QueryClass::of(&req.query));
+    /// faults are configured.
+    fn execute(&self, req: &Request) -> ExecResult {
         match &req.query {
             Query::Range { center, radius } => {
                 let leaves = self.leaf_soup.count_intersecting(center, radius * radius);
-                self.run_disk_query(req, cfg, leaves, deadline_s)
+                self.run_disk_query(req, leaves)
             }
             Query::Knn { center, k } => match self.knn_radius(center, *k) {
                 Ok(r) => {
                     let leaves = self.leaf_soup.count_intersecting(center, r * r);
-                    self.run_disk_query(req, cfg, leaves, deadline_s)
+                    self.run_disk_query(req, leaves)
                 }
                 Err(_) => ExecResult::failed(),
             },
-            Query::Predict { center, radius } => {
-                let r2 = radius * radius;
-                if deadline_s.is_finite() {
-                    self.run_priced_predict(req, cfg, center, r2, deadline_s)
-                } else {
-                    // The paper's sampled estimate is entirely in-memory:
-                    // count against the grown upper leaves, charge no I/O.
-                    ExecResult {
-                        leaf_accesses: self.predict_soup.count_intersecting(center, r2),
-                        io: IoStats::default(),
-                        service_s: 0.0,
-                        ok: true,
-                        cut: false,
-                        degraded: false,
-                        coverage: 1.0,
-                        hedged: false,
-                        hedge_won: false,
-                        disk_backed: false,
-                    }
-                }
-            }
+            // The paper's sampled estimate is entirely in-memory: count
+            // against the grown upper leaves, charge no I/O.
+            Query::Predict { center, radius } => ExecResult {
+                leaf_accesses: self
+                    .predict_soup
+                    .count_intersecting(center, radius * radius),
+                io: IoStats::default(),
+                ok: true,
+            },
         }
     }
 
@@ -677,7 +438,7 @@ impl<'a> Server<'a> {
             let mut t = free_at[slot].max(ready);
             for (j, req) in batch.iter().enumerate() {
                 delays[base + j] = t - req.arrival_s;
-                t += results[base + j].service_s;
+                t += results[base + j].service_s(&cfg.disk);
             }
             free_at[slot] = t;
             base += batch.len();
@@ -724,7 +485,7 @@ impl<'a> Server<'a> {
         // or the breaker later refuse it; the shadow pass and the
         // accounting loop below both read these results.
         let results: Vec<ExecResult> = pool
-            .par_map_isolated(requests, |r| self.execute(r, cfg))
+            .par_map_isolated(requests, |r| self.execute(r))
             .into_iter()
             .map(|r| r.unwrap_or_else(|_| ExecResult::failed()))
             .collect();
@@ -755,17 +516,9 @@ impl<'a> Server<'a> {
         let mut class_rec: [LatencyRecorder; QueryClass::COUNT] = Default::default();
         let mut class_executed = [0u64; QueryClass::COUNT];
         let mut class_failed = [0u64; QueryClass::COUNT];
-        let mut class_cut = [0u64; QueryClass::COUNT];
-        let mut class_degraded = [0u64; QueryClass::COUNT];
         let mut free_at = vec![0.0f64; cfg.concurrency];
         let mut io = IoStats::default();
         let mut failed = 0u64;
-        let mut deadline_cut = 0u64;
-        let mut hedged = 0u64;
-        let mut hedge_wins = 0u64;
-        let mut degraded_count = 0u64;
-        let mut coverage_sum = 0.0f64;
-        let mut predict_executed = 0u64;
         let mut makespan_s = 0.0f64;
         // The breaker clock: a monotone envelope of the slot times the
         // sequential accounting pass touches. Monotone because breaker
@@ -815,7 +568,7 @@ impl<'a> Server<'a> {
                         continue;
                     }
                 }
-                t += res.service_s;
+                t += res.service_s(&cfg.disk);
                 recorder.record(t - req.arrival_s);
                 class_rec[ci].record(t - req.arrival_s);
                 io += res.io;
@@ -823,24 +576,6 @@ impl<'a> Server<'a> {
                 if !res.ok {
                     failed += 1;
                     class_failed[ci] += 1;
-                }
-                if res.cut {
-                    deadline_cut += 1;
-                    class_cut[ci] += 1;
-                }
-                if res.degraded {
-                    degraded_count += 1;
-                    class_degraded[ci] += 1;
-                }
-                if class == QueryClass::Predict {
-                    predict_executed += 1;
-                    coverage_sum += res.coverage;
-                }
-                if res.hedged {
-                    hedged += 1;
-                    if res.hedge_won {
-                        hedge_wins += 1;
-                    }
                 }
                 if let Some(b) = breaker.as_mut() {
                     if class != QueryClass::Predict {
@@ -862,8 +597,6 @@ impl<'a> Server<'a> {
             executed: class_executed[i],
             shed: class_shed[i],
             failed: class_failed[i],
-            deadline_cut: class_cut[i],
-            degraded: class_degraded[i],
             summary: class_rec[i].summary(),
             digest: class_rec[i].digest(),
         });
@@ -886,17 +619,6 @@ impl<'a> Server<'a> {
                 shed as f64 / total as f64
             },
             by_class,
-            deadline_cut,
-            hedged,
-            hedge_wins,
-            degraded: DegradedReport {
-                leaves_degraded: degraded_count as usize,
-                coverage_fraction: if predict_executed == 0 {
-                    1.0
-                } else {
-                    coverage_sum / predict_executed as f64
-                },
-            },
             breaker: breaker.map(|b| BreakerSummary {
                 trips: b.trips(),
                 fast_fails: b.fast_fails(),
@@ -915,7 +637,7 @@ mod tests {
     use super::*;
     use crate::loadgen::{ArrivalModel, LoadGen};
     use crate::maintain::{CleanSource, ScrubSource, SliceOutcome};
-    use crate::overload::{Deadlines, LanePolicy};
+    use crate::overload::LanePolicy;
     use crate::request::MixSpec;
     use hdidx_diskio::BreakerConfig;
     use hdidx_rand::{seeded, Rng};
@@ -965,10 +687,7 @@ mod tests {
         assert!(report.samples.iter().all(|&l| l >= 0.0));
         assert!(report.io.seeks > 0);
         assert_eq!(report.backoff_s, 0.0);
-        // The zero-policy run reports the new observables as all-quiet.
-        assert_eq!(report.deadline_cut, 0);
-        assert_eq!(report.hedged, 0);
-        assert_eq!(report.degraded, DegradedReport::default());
+        // The zero-policy run reports the overload observables as absent.
         assert_eq!(report.breaker, None);
         assert_eq!(report.health, None);
         assert_eq!(report.maintenance, None);
@@ -1067,51 +786,14 @@ mod tests {
             ..ServeConfig::new()
         }));
         let mut overload = OverloadPolicy::none();
-        overload.hedge_s = -1.0;
+        overload.lanes = Some(LanePolicy {
+            budget_s: [1.0; QueryClass::COUNT],
+            window: 0,
+        });
         assert!(bad(ServeConfig {
             overload,
             ..ServeConfig::new()
         }));
-    }
-
-    #[test]
-    fn deadlines_cut_disk_queries_and_degrade_predicts() {
-        let (data, topo) = fixture();
-        let server = Server::build(&data, &topo, 400, 7, None).unwrap();
-        let reqs = stream(&data, 7);
-        let pool = Pool::serial();
-        let base = server.run(&reqs, &ServeConfig::new(), &pool).unwrap();
-        // A deadline of ~3 page costs cuts everything that reads more.
-        let per_page = DiskModel::PAPER.t_seek_s + DiskModel::PAPER.t_xfer_s();
-        let mut overload = OverloadPolicy::none();
-        overload.deadlines = Deadlines::all(3.0 * per_page + 1e-9);
-        let cfg = ServeConfig {
-            overload,
-            ..ServeConfig::new()
-        };
-        let tight = server.run(&reqs, &cfg, &pool).unwrap();
-        assert!(tight.deadline_cut > 0, "tight deadline must cut queries");
-        assert_eq!(tight.failed, 0, "cuts are not failures");
-        assert!(
-            tight.io.transfers < base.io.transfers,
-            "cut queries charge less I/O"
-        );
-        assert!(
-            tight.makespan_s < base.makespan_s,
-            "bounded service bounds the makespan"
-        );
-        // Every predict ran priced: it charged I/O and possibly degraded.
-        let p = &tight.by_class[QueryClass::Predict.index()];
-        assert!(p.executed > 0);
-        assert_eq!(
-            tight.degraded.leaves_degraded as u64, p.degraded,
-            "degradation is a predict-class phenomenon"
-        );
-        if p.degraded > 0 {
-            assert!(tight.degraded.coverage_fraction < 1.0);
-        }
-        // Identical replay.
-        assert_eq!(tight, server.run(&reqs, &cfg, &pool).unwrap());
     }
 
     #[test]
@@ -1197,37 +879,6 @@ mod tests {
         // Predictions never route through the breaker.
         let p = QueryClass::Predict.index();
         assert_eq!(a.by_class[p].failed, 0);
-    }
-
-    #[test]
-    fn hedged_replays_bound_stragglers_and_charge_both_attempts() {
-        let (data, topo) = fixture();
-        let fcfg = FaultConfig::disabled(3)
-            .with_rate_ppm(400_000)
-            .with_retry(hdidx_faults::RetryPolicy::Exponential)
-            .with_phase_scale(FaultPhase::Build, 0);
-        let server = Server::build(&data, &topo, 400, 7, Some(fcfg)).unwrap();
-        let reqs = stream(&data, 9);
-        let pool = Pool::serial();
-        let base = server.run(&reqs, &ServeConfig::new(), &pool).unwrap();
-        let mut overload = OverloadPolicy::none();
-        overload.hedge_s = 0.05;
-        let cfg = ServeConfig {
-            overload,
-            ..ServeConfig::new()
-        };
-        let hedged = server.run(&reqs, &cfg, &pool).unwrap();
-        assert!(hedged.hedged > 0, "the storm must trigger hedges");
-        assert!(hedged.hedge_wins <= hedged.hedged);
-        assert!(
-            hedged.io.transfers > base.io.transfers,
-            "hedges charge both attempts"
-        );
-        assert!(
-            hedged.failed <= base.failed,
-            "a hedge can only rescue failures"
-        );
-        assert_eq!(hedged, server.run(&reqs, &cfg, &pool).unwrap());
     }
 
     #[test]

@@ -41,24 +41,6 @@ pub use wal::Wal;
 use hdidx_core::{Error, Result};
 use std::fmt;
 
-/// FNV-1a 64-bit offset basis.
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a 64-bit prime.
-pub(crate) const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a over a byte slice, seeded by `seed` (pass [`FNV_OFFSET`] for
-/// the plain hash). The same digest family the serving layer uses for
-/// latency streams, so checksums stay dependency-free.
-#[must_use]
-pub(crate) fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
-    let mut h = seed;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
 /// When the write-ahead log is fsynced.
 ///
 /// Every [`FileStore::write_pages`](hdidx_diskio::PageStore::write_pages)
@@ -151,12 +133,5 @@ mod tests {
         assert!(Durability::parse("every-0").is_err());
         assert!(Durability::parse("fsync").is_err());
         assert!(Durability::parse("every-").is_err());
-    }
-
-    #[test]
-    fn fnv_matches_reference_vectors() {
-        // Standard FNV-1a test vectors.
-        assert_eq!(fnv1a(FNV_OFFSET, b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(FNV_OFFSET, b"a"), 0xaf63_dc4c_8601_ec8c);
     }
 }

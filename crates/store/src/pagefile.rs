@@ -20,8 +20,8 @@
 //! `write(2)` into a detected error instead of silent corruption.
 
 use crate::inject::{OsFs, Vfs, VfsFile};
-use crate::{fnv1a, io_err, FNV_OFFSET};
-use hdidx_core::{Error, Result};
+use crate::io_err;
+use hdidx_core::{fnv1a, Error, Result, FNV_OFFSET};
 use std::path::Path;
 
 /// On-disk page size, fixed at the paper's 8 KiB.

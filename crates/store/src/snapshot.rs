@@ -62,8 +62,8 @@
 use crate::inject::{OsFs, Vfs};
 use crate::pagefile::PAYLOAD_BYTES;
 use crate::scrub::{scrub_store_in, ScrubReport};
-use crate::{fnv1a, Durability, FileStore, FNV_OFFSET};
-use hdidx_core::{Error, HyperRect, Result};
+use crate::{Durability, FileStore};
+use hdidx_core::{fnv1a, Error, HyperRect, Result, FNV_OFFSET};
 use hdidx_diskio::{DiskOptions, FileHandle, IoStats, PageStore};
 use hdidx_vamsplit::tree::{Node, NodeKind, RTree};
 use std::path::{Path, PathBuf};

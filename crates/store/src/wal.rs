@@ -33,8 +33,8 @@
 //! exactly the uncommitted tail, never a committed batch that was synced.
 
 use crate::inject::{OsFs, Vfs, VfsFile};
-use crate::{fnv1a, io_err, FNV_OFFSET};
-use hdidx_core::{Error, Result};
+use crate::io_err;
+use hdidx_core::{fnv1a, Error, Result, FNV_OFFSET};
 use std::path::Path;
 
 const REC_MAGIC: u64 = 0x4844_4958_5F57_414C; // "HDIX_WAL"

@@ -11,8 +11,7 @@ use hdidx_repro::faults::{FaultConfig, FaultPhase, RetryPolicy};
 use hdidx_repro::model::QueryBall;
 use hdidx_repro::pool::Pool;
 use hdidx_repro::serve::{
-    ArrivalModel, Deadlines, LanePolicy, LoadGen, MixSpec, OverloadPolicy, ServeConfig,
-    ServeReport, Server,
+    ArrivalModel, LanePolicy, LoadGen, MixSpec, OverloadPolicy, ServeConfig, ServeReport, Server,
 };
 use hdidx_repro::vamsplit::topology::Topology;
 
@@ -56,15 +55,9 @@ fn assert_reports_identical(a: &ServeReport, b: &ServeReport, label: &str) {
         b.makespan_s.to_bits(),
         "{label}: makespan"
     );
-    // Overload-layer observables: per-class stats, deadline cuts, hedges,
-    // degraded-predict coverage and the breaker trajectory must all replay.
+    // Overload-layer observables: per-class stats and the breaker
+    // trajectory must replay too.
     assert_eq!(a.by_class, b.by_class, "{label}: by_class");
-    assert_eq!(
-        (a.deadline_cut, a.hedged, a.hedge_wins),
-        (b.deadline_cut, b.hedged, b.hedge_wins),
-        "{label}: deadline/hedge counters"
-    );
-    assert_eq!(a.degraded, b.degraded, "{label}: degraded report");
     assert_eq!(a.breaker, b.breaker, "{label}: breaker summary");
     assert_eq!(a, b, "{label}: full report");
 }
@@ -161,8 +154,9 @@ fn zero_overload_serving_reproduces_the_pre_overload_digests() {
         batch: 4,
         ..ServeConfig::new()
     };
-    assert!(
-        cfg.overload.is_noop(),
+    assert_eq!(
+        cfg.overload,
+        OverloadPolicy::none(),
         "ServeConfig::new defaults to no policy"
     );
     // (model, pinned digest, pinned makespan bit pattern, sample count).
@@ -232,10 +226,9 @@ fn zero_overload_serving_reproduces_the_pre_overload_digests() {
     );
 }
 
-/// Every overload knob engaged at once — deadlines, lanes, breaker and
-/// hedging over a faulted server — still replays bitwise at every thread
-/// count, including the per-class stats, cut/hedge counters, degraded
-/// coverage and the breaker transition digest.
+/// Both overload knobs engaged at once — lanes and the breaker over a
+/// faulted server — still replay bitwise at every thread count, including
+/// the per-class stats and the breaker transition digest.
 #[test]
 fn overload_policy_decisions_are_byte_identical_for_any_thread_count() {
     let data = clustered_dataset(3_000, 4, 62);
@@ -254,7 +247,6 @@ fn overload_policy_decisions_are_byte_identical_for_any_thread_count() {
     };
     let requests = gen.requests(&balls, &MixSpec::default(), 5).unwrap();
     let overload = OverloadPolicy {
-        deadlines: Deadlines::parse("range:0.05,knn:0.08,predict:0.02").unwrap(),
         lanes: Some(LanePolicy {
             budget_s: [f64::INFINITY, 0.2, 0.1],
             window: 16,
@@ -265,7 +257,6 @@ fn overload_policy_decisions_are_byte_identical_for_any_thread_count() {
             open_s: 0.2,
             probes: 1,
         }),
-        hedge_s: 0.05,
     };
     overload.validate().unwrap();
     let cfg = ServeConfig {
@@ -277,13 +268,60 @@ fn overload_policy_decisions_are_byte_identical_for_any_thread_count() {
     let reference = server.run(&requests, &cfg, &Pool::serial()).unwrap();
     // The policy must actually bite on this stream, or the identity
     // assertions below prove nothing.
-    assert!(reference.deadline_cut > 0, "deadlines must cut queries");
     assert!(reference.shed > 0, "lanes must shed load");
     let brk = reference.breaker.expect("breaker summary present");
     assert!(brk.trips >= 1, "the fault storm must trip the breaker");
     for &t in THREAD_COUNTS {
         let report = server.run(&requests, &cfg, &Pool::new(t)).unwrap();
         assert_reports_identical(&reference, &report, &format!("overload t={t}"));
+    }
+}
+
+/// A zero-rate fault plan is the clean server: every replayed access
+/// costs one seek and one transfer and never fails, so the one fork left
+/// in the disk-backed request path (closed form vs per-request replay)
+/// must serve the same report — samples, digest, I/O, per-class stats and
+/// breaker trajectory — bare and with lanes and the breaker engaged.
+#[test]
+fn zero_rate_fault_plan_serves_the_clean_report() {
+    let data = clustered_dataset(3_000, 4, 61);
+    let topo = Topology::from_capacities(4, 3_000, 10, 5).unwrap();
+    let balls = candidates(&data, 20);
+    let clean = Server::build(&data, &topo, 500, 7, None).unwrap();
+    let zero = Server::build(&data, &topo, 500, 7, Some(FaultConfig::disabled(9))).unwrap();
+    let gen = LoadGen {
+        rate_per_s: 400.0,
+        duration_s: 0.5,
+        model: ArrivalModel::Bursty,
+        seed: 13,
+    };
+    let requests = gen.requests(&balls, &MixSpec::default(), 5).unwrap();
+    let bare = ServeConfig {
+        concurrency: 2,
+        batch: 4,
+        ..ServeConfig::new()
+    };
+    let gated = ServeConfig {
+        overload: OverloadPolicy {
+            lanes: Some(LanePolicy {
+                budget_s: [f64::INFINITY, 0.2, 0.1],
+                window: 16,
+            }),
+            breaker: Some(BreakerConfig {
+                failure_threshold: 2,
+                window_s: 5.0,
+                open_s: 0.2,
+                probes: 1,
+            }),
+        },
+        ..bare
+    };
+    for (label, cfg) in [("bare", bare), ("lanes+breaker", gated)] {
+        let reference = clean.run(&requests, &cfg, &Pool::serial()).unwrap();
+        assert!(reference.io.seeks > 0, "{label}: disk-backed queries ran");
+        let report = zero.run(&requests, &cfg, &Pool::serial()).unwrap();
+        assert_eq!(report.io.retries, 0, "{label}: a zero rate never retries");
+        assert_reports_identical(&reference, &report, &format!("zero-rate {label}"));
     }
 }
 

@@ -4,8 +4,8 @@
 //! distances, and radii, never approximate agreement. The shapes are
 //! chosen to cross every dispatch boundary: dimensions around the tile
 //! width (1, 3, 7, 9, 63, 64, 65), leaf counts around the lane-padding
-//! group width (0, 1, 15, 16, 17, 33, 100), prefix limits at 0, lane
-//! boundaries, `len`, and beyond, and k-NN radius pools of 1/2/8 threads.
+//! group width (0, 1, 15, 16, 17, 33, 100), and k-NN radius pools of
+//! 1/2/8 threads.
 //!
 //! These tests pin ISAs through the `*_with` entry points only — the
 //! process-global `simd::force` is never touched, so they cannot race
@@ -101,38 +101,9 @@ fn padding_sentinels_never_count_even_at_infinite_radius() {
                     "{isa} counted a padding sentinel at dim={dim} n={n}"
                 );
                 assert_eq!(
-                    soup.count_intersecting_prefix_with(isa, &center, f64::INFINITY, usize::MAX),
-                    n as u64
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn prefix_limits_identical_across_isas() {
-    let mut rng = seeded(0x93EF1);
-    let dim = 16usize;
-    let n = 70usize; // 4 full lane groups + a 6-leaf tail
-    let rects = random_rects(&mut rng, n, dim);
-    let soup = LeafSoup::from_rects(dim, &rects).unwrap();
-    // Limits at zero, inside/at/past each lane-group boundary, around the
-    // logical length, and saturating.
-    let limits = [0usize, 1, 15, 16, 17, 32, 33, 64, 69, 70, 71, usize::MAX];
-    for (center, radius) in random_queries(&mut rng, 8, dim) {
-        let r2 = radius * radius;
-        for &limit in &limits {
-            let scalar = soup.count_intersecting_prefix_with(simd::Isa::Scalar, &center, r2, limit);
-            let naive = rects[..limit.min(n)]
-                .iter()
-                .filter(|r| r.intersects_sphere(&center, radius))
-                .count() as u64;
-            assert_eq!(scalar, naive, "scalar prefix limit={limit}");
-            for isa in simd::supported() {
-                assert_eq!(
-                    soup.count_intersecting_prefix_with(isa, &center, r2, limit),
-                    scalar,
-                    "{isa} prefix count differs at limit={limit}"
+                    soup.count_batch_with(isa, &[center.as_slice()], |c| (*c, f64::INFINITY)),
+                    vec![n as u64],
+                    "{isa} batch counted a padding sentinel at dim={dim} n={n}"
                 );
             }
         }
