@@ -230,6 +230,28 @@ if [ "${scrub_code}" -ne 3 ]; then
 fi
 cargo run -q --release -p hdidx-cli --offline -- scrub --store "${FILE_STORE_DIR}"
 
+# Sim-vs-file serve identity: persisting the built tree, scrubbing it,
+# reopening it and serving the loaded copy must answer exactly like
+# serving the in-memory build, so the two reports match byte for byte
+# once the file backend's own provenance lines are dropped. Checked once
+# clean and once under the chaos fault seed with lanes and a breaker.
+# The store is a fresh subdirectory of the previous legs' tempdir.
+echo "==> hdidx serve: --backend sim == --backend file (persist/reopen identity)"
+chaos_flags="--fault-seed 3 --fault-ppm 300000 --retry-policy exponential \
+--fault-phase-scale build:0 --lanes 2 --breaker 4:0.5:1"
+for flags in "" "${chaos_flags}"; do
+  # shellcheck disable=SC2086
+  cargo run -q --release -p hdidx-cli --offline -- serve \
+    --data target/bench-smoke/t48.csv --m 200 --smoke --seed 5 ${flags} \
+    --backend sim > target/bench-smoke/serve_sim.txt
+  # shellcheck disable=SC2086
+  cargo run -q --release -p hdidx-cli --offline -- serve \
+    --data target/bench-smoke/t48.csv --m 200 --smoke --seed 5 ${flags} \
+    --backend file --store "${FILE_STORE_DIR}/identity" \
+    | grep -vE "^(backend|persist|scrub|reopen):" > target/bench-smoke/serve_file.txt
+  diff target/bench-smoke/serve_sim.txt target/bench-smoke/serve_file.txt
+done
+
 echo "==> persist_roundtrip --smoke (charged vs wall clock per durability mode)"
 HDIDX_BENCH_OUT="$PWD/target/bench-smoke" \
   cargo run -q --release -p hdidx-bench --bin persist_roundtrip --offline -- --smoke

@@ -121,8 +121,6 @@ pub enum Command {
         overload: OverloadPolicy,
         /// Serve only this query class (physically filter the stream).
         only: Option<QueryClass>,
-        /// Idle-slot scrub slice size in pages (None = maintenance off).
-        scrub_slice: Option<u64>,
     },
     /// Verify and repair an existing snapshot store offline.
     Scrub {
@@ -162,7 +160,7 @@ USAGE:
                  [--mix range:0.5,knn:0.3,predict:0.2] [--arrivals fixed|bursty]
                  [--concurrency 4] [--batch 8] [--lanes SPEC]
                  [--breaker fails:window:cooldown[:probes]]
-                 [--only range|knn|predict] [--scrub-slice PAGES] [--smoke]
+                 [--only range|knn|predict] [--smoke]
   hdidx scrub    --store <dir> [--durability per-batch|every-N|none]
   hdidx generate --dataset <name> [--scale 1.0] --out <csv>
 
@@ -226,10 +224,7 @@ serving from memory.
 `--only CLASS` physically filters the request stream to one class
 (request ids keep their arrival numbering, so a protected lane's
 digest can be compared against a stream that never offered the other
-classes). `--scrub-slice PAGES` enables idle-slot maintenance: scrub
-slices of that many pages run in the slot algebra's idle gaps and
-drive the healthy/degraded/read-only health state shown in the report
-(read-only refuses disk-backed classes; degraded is reported only).
+classes).
 
 `--threads N` sets the worker threads of the two parallel steps: the
 query-radius set-up (one k-NN scan per query) and serve's execution
@@ -440,6 +435,7 @@ fn parse_phase_scale(opts: &Opts) -> Result<[u16; 3], String> {
     let Some(spec) = opts.get("fault-phase-scale") else {
         return Ok(scale);
     };
+    let mut seen = [false; 3];
     for part in spec.split(',') {
         let (name, pct) = part.split_once(':').ok_or_else(|| {
             format!("option --fault-phase-scale: expected phase:pct, got `{part}`")
@@ -453,6 +449,12 @@ fn parse_phase_scale(opts: &Opts) -> Result<[u16; 3], String> {
                     FaultPhase::ALL.map(|p| p.as_str()).join(", ")
                 )
             })?;
+        if seen[idx] {
+            return Err(format!(
+                "option --fault-phase-scale: phase `{name}` given twice"
+            ));
+        }
+        seen[idx] = true;
         scale[idx] = pct
             .parse()
             .map_err(|_| format!("option --fault-phase-scale: cannot parse percentage `{pct}`"))?;
@@ -525,7 +527,6 @@ fn parse_serve(opts: &Opts) -> Result<Command, String> {
             "lanes",
             "breaker",
             "only",
-            "scrub-slice",
             "smoke",
         ],
     ])?;
@@ -551,10 +552,6 @@ fn parse_serve(opts: &Opts) -> Result<Command, String> {
     };
     overload.validate().map_err(|e| e.to_string())?;
     let only = opts.parse_with("only", QueryClass::parse)?;
-    let scrub_slice: Option<u64> = opts.parse_opt("scrub-slice")?;
-    if scrub_slice == Some(0) {
-        return Err("option --scrub-slice: must be at least 1 page".to_string());
-    }
     Ok(Command::Serve {
         run: if smoke {
             RunArgs::parse(opts, 24, 5)?
@@ -570,7 +567,6 @@ fn parse_serve(opts: &Opts) -> Result<Command, String> {
         batch,
         overload,
         only,
-        scrub_slice,
     })
 }
 
@@ -849,6 +845,8 @@ mod tests {
             "measure --data d.csv --m 1 --fault-phase-scale flush:50",
             "measure --data d.csv --m 1 --fault-phase-scale build",
             "measure --data d.csv --m 1 --fault-phase-scale build:lots",
+            // A repeated phase is a mistake, not "last one wins".
+            "compare --data d.csv --m 1 --fault-seed 3 --fault-phase-scale build:0,build:100",
             // info/generate take no phase-scale flag.
             "info --data d.csv --fault-phase-scale build:50",
         ];
@@ -1027,14 +1025,9 @@ mod tests {
     fn parses_serve_overload_flags() {
         match parse(
             "serve --data a.csv --m 400 --lanes predict:0,knn:0.5 \
-             --breaker 3:0.5:1:2 --only range --scrub-slice 8",
+             --breaker 3:0.5:1:2 --only range",
         ) {
-            Command::Serve {
-                overload,
-                only,
-                scrub_slice,
-                ..
-            } => {
+            Command::Serve { overload, only, .. } => {
                 let lanes = overload.lanes.unwrap();
                 assert_eq!(lanes.get(QueryClass::Predict), 0.0);
                 assert_eq!(lanes.get(QueryClass::Knn), 0.5);
@@ -1043,21 +1036,14 @@ mod tests {
                 assert_eq!(breaker.failure_threshold, 3);
                 assert_eq!(breaker.probes, 2);
                 assert_eq!(only, Some(QueryClass::Range));
-                assert_eq!(scrub_slice, Some(8));
             }
             other => panic!("wrong command: {other:?}"),
         }
         // Defaults: every knob off.
         match parse("serve --data a.csv --m 400") {
-            Command::Serve {
-                overload,
-                only,
-                scrub_slice,
-                ..
-            } => {
+            Command::Serve { overload, only, .. } => {
                 assert_eq!(overload, OverloadPolicy::none());
                 assert_eq!(only, None);
-                assert_eq!(scrub_slice, None);
             }
             other => panic!("wrong command: {other:?}"),
         }
@@ -1066,7 +1052,6 @@ mod tests {
             "serve --data a.csv --m 10 --breaker 0:0.5:1",
             "serve --data a.csv --m 10 --breaker 3:0.5",
             "serve --data a.csv --m 10 --only scan",
-            "serve --data a.csv --m 10 --scrub-slice 0",
             // Overload flags are serve-only.
             "measure --data a.csv --m 10 --breaker 3:0.5:1",
             "predict --data a.csv --m 10 --lanes range:1",
@@ -1115,7 +1100,11 @@ mod tests {
         let e = Cli::parse(&argv("serve --data a.csv --m 10 --rate 0")).unwrap_err();
         assert!(e.contains("option --rate"), "{e}");
         // Flags no serve knob reads are rejected, not silently ignored.
-        for (flag, value) in [("deadline", "0.5"), ("hedge-ms", "50")] {
+        for (flag, value) in [
+            ("deadline", "0.5"),
+            ("hedge-ms", "50"),
+            ("scrub-slice", "8"),
+        ] {
             let args = format!("serve --data a.csv --m 10 --{flag} {value}");
             let e = Cli::parse(&argv(&args)).unwrap_err();
             assert_eq!(e, format!("unknown option --{flag}"), "{args}");

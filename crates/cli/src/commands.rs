@@ -12,15 +12,12 @@ use hdidx_diskio::measure::{measure_on_disk, measure_on_disk_in};
 use hdidx_diskio::{DiskModel, DiskOptions, IoStats};
 use hdidx_faults::{FaultConfig, FaultPhase};
 use hdidx_model::{hupper, Prediction, QueryBall};
-use hdidx_serve::{
-    CleanSource, LoadGen, Maintenance, MixSpec, QueryClass, ServeConfig, Server, StoreScrubSource,
-};
+use hdidx_serve::{LoadGen, MixSpec, QueryClass, ServeConfig, Server};
 use hdidx_store::{scrub_store_in, Durability, FileStore, OsFs, ScrubReport, SnapshotSet};
 use hdidx_vamsplit::topology::{PageConfig, Topology};
 use hdidx_vamsplit::tree::RTree;
 use std::fmt::Write as _;
 use std::path::Path;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Executes a parsed invocation.
@@ -85,7 +82,6 @@ pub fn execute_with_status(cli: &Cli) -> Result<(String, i32), String> {
             batch,
             overload,
             only,
-            scrub_slice,
         } => {
             let load = LoadGen {
                 rate_per_s: *rate_per_s,
@@ -99,7 +95,7 @@ pub fn execute_with_status(cli: &Cli) -> Result<(String, i32), String> {
                 overload: *overload,
                 disk: DiskModel::paper_with_page_bytes(run.page_bytes),
             };
-            serve(run, store, &load, mix, &serving, *only, *scrub_slice)
+            serve(run, store, &load, mix, &serving, *only)
         }
     };
     report.map(|r| (r, 0))
@@ -141,7 +137,7 @@ fn persist_and_reopen(
     durability: Durability,
     tree: &RTree,
     disk: &DiskModel,
-) -> Result<(RTree, IoStats, ScrubReport, u64, String), String> {
+) -> Result<(RTree, IoStats, ScrubReport, String), String> {
     let set =
         SnapshotSet::open(&store_root.join("index"), durability).map_err(|e| e.to_string())?;
     let persist_clock = Instant::now();
@@ -180,7 +176,7 @@ fn persist_and_reopen(
         disk.cost_seconds(reopen_io),
         reopen_wall_s
     );
-    Ok((loaded, reopen_io, scrub_report, generation, report))
+    Ok((loaded, reopen_io, scrub_report, report))
 }
 
 /// The `scrub` exit status for a report: 0 clean, 2 corruption found but
@@ -429,7 +425,7 @@ fn measure(run: &RunArgs, store: &StoreSpec) -> Result<String, String> {
             let measured = measure_on_disk_in(&mut fs, &dataset, &topo, &centers, run.k, &cfg)
                 .map_err(|e| e.to_string())?;
             drop(fs);
-            let (_, _, _, _, report) = persist_and_reopen(dir, *durability, &measured.tree, &disk)?;
+            let (_, _, _, report) = persist_and_reopen(dir, *durability, &measured.tree, &disk)?;
             (measured, Some(report))
         }
     };
@@ -470,14 +466,12 @@ fn serve(
     mix: &MixSpec,
     serving: &ServeConfig,
     only: Option<QueryClass>,
-    scrub_slice: Option<u64>,
 ) -> Result<String, String> {
     let (dataset, topo, workload) = load_run(run)?;
-    let (server, backend_report, store_gen_dir) = match store {
+    let (server, backend_report) = match store {
         StoreSpec::Sim => (
             Server::build(&dataset, &topo, run.m, run.seed, run.faults)
                 .map_err(|e| e.to_string())?,
-            None,
             None,
         ),
         StoreSpec::File { dir, durability } => {
@@ -485,7 +479,7 @@ fn serve(
             let built = build_on_disk_in(&mut fs, &dataset, &topo, &external_config(run)?)
                 .map_err(|e| e.to_string())?;
             drop(fs);
-            let (loaded, reopen_io, scrub_report, generation, report) =
+            let (loaded, reopen_io, scrub_report, report) =
                 persist_and_reopen(dir, *durability, &built.tree, &serving.disk)?;
             let server = Server::from_tree(
                 &dataset,
@@ -498,8 +492,7 @@ fn serve(
                 Some(&scrub_report),
             )
             .map_err(|e| e.to_string())?;
-            let gen_dir = dir.join("index").join(format!("gen-{generation:08}"));
-            (server, Some(report), Some(gen_dir))
+            (server, Some(report))
         }
     };
     let mut requests = load
@@ -511,28 +504,8 @@ fn serve(
     if let Some(class) = only {
         requests.retain(|r| QueryClass::of(&r.query) == class);
     }
-    // --scrub-slice turns on idle-slot maintenance: the simulated backend
-    // scrubs an always-clean source sized like the index; the file backend
-    // scrubs the snapshot generation it is serving.
-    let mut maint = match scrub_slice {
-        None => None,
-        Some(slice_pages) => {
-            let source: Box<dyn hdidx_serve::ScrubSource> = match &store_gen_dir {
-                Some(dir) => Box::new(StoreScrubSource::new(Arc::new(OsFs), dir.clone())),
-                None => Box::new(CleanSource {
-                    pages: topo.total_pages(),
-                }),
-            };
-            Some(Maintenance::new(source, slice_pages).map_err(|e| e.to_string())?)
-        }
-    };
     let report = server
-        .run_with_maintenance(
-            &requests,
-            serving,
-            &hdidx_pool::Pool::current(),
-            maint.as_mut(),
-        )
+        .run(&requests, serving, &hdidx_pool::Pool::current())
         .map_err(|e| e.to_string())?;
     let mut out = String::new();
     let _ = writeln!(
@@ -589,14 +562,6 @@ fn serve(
             b.fast_fails,
             b.state.as_str(),
             b.digest
-        );
-    }
-    if let (Some(h), Some(m)) = (report.health, report.maintenance) {
-        let _ = writeln!(
-            out,
-            "health: {h} | maintenance: {} slices, {} pages, {} corrupt, {} repaired, \
-             {} quarantined, {:.3} s scrubbing",
-            m.slices, m.pages_scanned, m.corrupt, m.repaired, m.quarantined, m.scrub_s
         );
     }
     if let Some(report) = backend_report {
@@ -1131,12 +1096,12 @@ mod tests {
             csv.display()
         ))
         .unwrap();
-        // Full policy engaged: per-class rows, a breaker line, and a
-        // health line must all render.
+        // Full policy engaged: per-class rows and a breaker line must
+        // both render.
         let out = run(&format!(
             "serve --data {} --m 200 --smoke --seed 5 --arrivals bursty \
              --lanes range:inf,knn:0.5,predict:0.5 \
-             --breaker 4:0.5:1 --scrub-slice 8 --threads 2",
+             --breaker 4:0.5:1 --threads 2",
             csv.display()
         ))
         .unwrap();
@@ -1144,7 +1109,6 @@ mod tests {
         assert!(out.contains("class knn"), "{out}");
         assert!(out.contains("class predict"), "{out}");
         assert!(out.contains("breaker: trips="), "{out}");
-        assert!(out.contains("health: healthy"), "{out}");
 
         // Closed lanes for knn/predict admit exactly the range requests
         // with their original arrival ids, so the protected class's row —

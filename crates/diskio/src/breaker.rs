@@ -94,20 +94,22 @@ impl BreakerConfig {
                 format!("expected fails:window_s:open_s[:probes], got `{spec}`"),
             ));
         }
-        let field = |i: usize, name: &str| -> Result<f64> {
-            parts[i].parse().map_err(|_| {
+        // Counts parse as `u32` directly, so `4.7` or an overflowing count
+        // is a parse error rather than a silent truncation.
+        fn field<T: std::str::FromStr>(spec: &str, part: &str, name: &str) -> Result<T> {
+            part.parse().map_err(|_| {
                 Error::invalid(
                     "breaker",
-                    format!("cannot parse {name} `{}` in `{spec}`", parts[i]),
+                    format!("cannot parse {name} `{part}` in `{spec}`"),
                 )
             })
-        };
+        }
         let cfg = BreakerConfig {
-            failure_threshold: field(0, "failure threshold")? as u32,
-            window_s: field(1, "window")?,
-            open_s: field(2, "cooldown")?,
+            failure_threshold: field(spec, parts[0], "failure threshold")?,
+            window_s: field(spec, parts[1], "window")?,
+            open_s: field(spec, parts[2], "cooldown")?,
             probes: if parts.len() == 4 {
-                field(3, "probe count")? as u32
+                field(spec, parts[3], "probe count")?
             } else {
                 BreakerConfig::new().probes
             },
@@ -317,6 +319,12 @@ mod tests {
         assert!(BreakerConfig::parse("3:0.25").is_err());
         assert!(BreakerConfig::parse("lots:0.25:1").is_err());
         assert!(BreakerConfig::parse("0:0.25:1").is_err());
+        // Counts are integers: a fractional, overflowing or NaN count is a
+        // typed parse error, never truncated or saturated.
+        for spec in ["4.7:0.5:1", "99999999999:0.5:1", "4:0.5:1:2.9", "nan:0.5:1"] {
+            let e = BreakerConfig::parse(spec).unwrap_err().to_string();
+            assert!(e.contains("cannot parse"), "{spec}: {e}");
+        }
     }
 
     #[test]

@@ -30,10 +30,6 @@
 //!   ([`OverloadPolicy`]): lane budgets and circuit-breaker gating. Both
 //!   knobs default off; the identity policy reproduces the pre-overload
 //!   serve digests bit for bit.
-//! * [`maintain`] — idle-slot maintenance ([`Maintenance`]): incremental
-//!   scrub slices run in the slot algebra's idle gaps and drive the
-//!   Healthy → Degraded → ReadOnly health machine; ReadOnly refuses the
-//!   disk-backed classes.
 //!
 //! The crate inherits the workspace determinism contract: with a fixed
 //! data seed, load seed, and fault seed, a serving run produces
@@ -47,17 +43,12 @@ pub mod admission;
 pub mod knn;
 pub mod latency;
 pub mod loadgen;
-pub mod maintain;
 pub mod overload;
 pub mod request;
 pub mod server;
 
 pub use latency::{LatencyRecorder, LatencySummary};
 pub use loadgen::{ArrivalModel, LoadGen};
-pub use maintain::{
-    CleanSource, HealthState, Maintenance, MaintenanceReport, ScrubSource, SliceOutcome,
-    StoreScrubSource,
-};
 pub use overload::{LanePolicy, OverloadPolicy};
 pub use request::{MixSpec, Query, QueryClass, Request};
 pub use server::{BreakerSummary, ClassStats, ServeConfig, ServeReport, Server};

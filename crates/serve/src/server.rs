@@ -41,16 +41,10 @@
 //! * **Breaker**: a [`CircuitBreaker`] clocked by the monotone envelope
 //!   of slot times gates the disk-backed classes; while open they fail
 //!   fast (charging nothing), while predictions keep serving from memory.
-//!
-//! [`Maintenance`] rides in the same loop: idle gaps in the slot algebra
-//! run incremental scrub slices, whose findings drive the
-//! Healthy → Degraded → ReadOnly health machine; a read-only store refuses
-//! the disk-backed classes.
 
 use crate::admission::LaneState;
 use crate::knn::knn_radius_with;
 use crate::latency::{LatencyRecorder, LatencySummary};
-use crate::maintain::{HealthState, Maintenance, MaintenanceReport};
 use crate::overload::OverloadPolicy;
 use crate::request::{Query, QueryClass, Request};
 use hdidx_core::{simd, Dataset, Error, LeafSoup, Result};
@@ -151,7 +145,7 @@ pub struct ClassStats {
     pub class: QueryClass,
     /// Requests of this class admitted and executed.
     pub executed: u64,
-    /// Requests of this class shed (lanes or read-only health).
+    /// Requests of this class shed (lanes).
     pub shed: u64,
     /// Executed requests of this class that failed.
     pub failed: u64,
@@ -181,7 +175,7 @@ pub struct ServeReport {
     pub total: u64,
     /// Requests admitted and executed.
     pub executed: u64,
-    /// Requests shed (lanes or read-only health).
+    /// Requests shed (lanes).
     pub shed: u64,
     /// Executed requests that failed (retry exhaustion, worker panic, or
     /// breaker fast-fail).
@@ -204,10 +198,6 @@ pub struct ServeReport {
     pub by_class: [ClassStats; QueryClass::COUNT],
     /// Breaker observables (`None` when no breaker was configured).
     pub breaker: Option<BreakerSummary>,
-    /// Store health at the end of the run (`None` without maintenance).
-    pub health: Option<HealthState>,
-    /// Idle-slot maintenance accounting (`None` without maintenance).
-    pub maintenance: Option<MaintenanceReport>,
     /// Geometry-kernel ISA the run dispatched to
     /// ([`hdidx_core::simd::active`]). Observability only: every ISA
     /// produces byte-identical samples and digests.
@@ -452,28 +442,8 @@ impl<'a> Server<'a> {
     ///
     /// # Errors
     ///
-    /// Propagates [`ServeConfig::validate`].
+    /// Propagates [`ServeConfig::validate`] and lane/breaker construction.
     pub fn run(&self, requests: &[Request], cfg: &ServeConfig, pool: &Pool) -> Result<ServeReport> {
-        self.run_with_maintenance(requests, cfg, pool, None)
-    }
-
-    /// [`Server::run`] with an idle-slot [`Maintenance`] scheduler: idle
-    /// gaps in the slot algebra run scrub slices, and the resulting
-    /// [`HealthState`] is reported. A ReadOnly store refuses the
-    /// disk-backed classes while predictions keep serving from memory;
-    /// Degraded changes no decision.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ServeConfig::validate`], lane/breaker construction,
-    /// and maintenance I/O errors.
-    pub fn run_with_maintenance(
-        &self,
-        requests: &[Request],
-        cfg: &ServeConfig,
-        pool: &Pool,
-        mut maint: Option<&mut Maintenance>,
-    ) -> Result<ServeReport> {
         cfg.validate()?;
         let mut breaker = match cfg.overload.breaker {
             Some(bcfg) => Some(CircuitBreaker::new(bcfg)?),
@@ -481,9 +451,9 @@ impl<'a> Server<'a> {
         };
 
         // One execution pass over the offered stream. `execute` is pure,
-        // so a request's result never depends on whether the lanes, health
-        // or the breaker later refuse it; the shadow pass and the
-        // accounting loop below both read these results.
+        // so a request's result never depends on whether the lanes or the
+        // breaker later refuse it; the shadow pass and the accounting loop
+        // below both read these results.
         let results: Vec<ExecResult> = pool
             .par_map_isolated(requests, |r| self.execute(r))
             .into_iter()
@@ -533,27 +503,11 @@ impl<'a> Server<'a> {
             let slot = (0..free_at.len())
                 .min_by(|&a, &b| free_at[a].total_cmp(&free_at[b]))
                 .unwrap_or(0);
-            let dispatch = free_at[slot].max(ready);
-            // Idle gap on the slot: spend it on scrub slices. Maintenance
-            // consumes the gap, never delays the dispatch.
-            if let Some(m) = maint.as_deref_mut() {
-                let idle = dispatch - free_at[slot];
-                if idle > 0.0 {
-                    m.run_idle(idle, &cfg.disk)?;
-                }
-            }
-            let health = maint.as_deref().map(Maintenance::health);
-            let mut t = dispatch;
+            let mut t = free_at[slot].max(ready);
             for &i in batch {
                 let (req, res) = (&requests[i], &results[i]);
                 let class = QueryClass::of(&req.query);
                 let ci = class.index();
-                // A read-only store refuses the disk-backed classes;
-                // predictions keep serving from memory.
-                if health == Some(HealthState::ReadOnly) && class != QueryClass::Predict {
-                    class_shed[ci] += 1;
-                    continue;
-                }
                 // Breaker gate, clocked by the monotone time envelope.
                 clock_s = clock_s.max(t);
                 if let Some(b) = breaker.as_mut() {
@@ -625,8 +579,6 @@ impl<'a> Server<'a> {
                 state: b.state(),
                 digest: b.transitions_digest(),
             }),
-            health: maint.as_deref().map(Maintenance::health),
-            maintenance: maint.as_deref().map(Maintenance::report),
             isa: hdidx_core::simd::active().name(),
         })
     }
@@ -636,7 +588,6 @@ impl<'a> Server<'a> {
 mod tests {
     use super::*;
     use crate::loadgen::{ArrivalModel, LoadGen};
-    use crate::maintain::{CleanSource, ScrubSource, SliceOutcome};
     use crate::overload::LanePolicy;
     use crate::request::MixSpec;
     use hdidx_diskio::BreakerConfig;
@@ -689,8 +640,6 @@ mod tests {
         assert_eq!(report.backoff_s, 0.0);
         // The zero-policy run reports the overload observables as absent.
         assert_eq!(report.breaker, None);
-        assert_eq!(report.health, None);
-        assert_eq!(report.maintenance, None);
         // Per-class accounting partitions the run exactly.
         let exec: u64 = report.by_class.iter().map(|c| c.executed).sum();
         assert_eq!(exec, report.executed);
@@ -879,59 +828,5 @@ mod tests {
         // Predictions never route through the breaker.
         let p = QueryClass::Predict.index();
         assert_eq!(a.by_class[p].failed, 0);
-    }
-
-    #[test]
-    fn maintenance_scrubs_idle_gaps_and_read_only_refuses_disk_classes() {
-        let (data, topo) = fixture();
-        let server = Server::build(&data, &topo, 400, 7, None).unwrap();
-        let reqs = stream(&data, 7);
-        let pool = Pool::serial();
-        // A clean source: health stays healthy, slices accumulate.
-        let mut maint = Maintenance::new(Box::new(CleanSource { pages: 64 }), 4).unwrap();
-        let cfg = ServeConfig::new();
-        let report = server
-            .run_with_maintenance(&reqs, &cfg, &pool, Some(&mut maint))
-            .unwrap();
-        assert_eq!(report.health, Some(HealthState::Healthy));
-        let m = report.maintenance.unwrap();
-        assert!(m.slices > 0, "arrival gaps must leave idle time: {m:?}");
-        // The maintained run serves the exact same latency stream: scrub
-        // slices consume idle time without delaying any dispatch.
-        let plain = server.run(&reqs, &cfg, &pool).unwrap();
-        assert_eq!(report.digest, plain.digest);
-
-        // A source that quarantines on its first slice forces read-only:
-        // every disk-backed request after that point is refused.
-        struct Lossy;
-        impl ScrubSource for Lossy {
-            fn pages(&mut self) -> Result<u64> {
-                Ok(16)
-            }
-            fn scrub_slice(&mut self, first: u64, _n: u64) -> Result<SliceOutcome> {
-                Ok(if first == 0 {
-                    SliceOutcome {
-                        corrupt: 1,
-                        repaired: 0,
-                        quarantined: 1,
-                    }
-                } else {
-                    SliceOutcome::default()
-                })
-            }
-        }
-        let mut maint = Maintenance::new(Box::new(Lossy), 4).unwrap();
-        let ro = server
-            .run_with_maintenance(&reqs, &cfg, &pool, Some(&mut maint))
-            .unwrap();
-        assert_eq!(ro.health, Some(HealthState::ReadOnly));
-        assert!(ro.shed > 0, "read-only must refuse disk-backed requests");
-        assert_eq!(ro.executed + ro.shed, ro.total);
-        let p = QueryClass::Predict.index();
-        assert_eq!(
-            ro.by_class[p].shed, 0,
-            "predictions keep serving from memory"
-        );
-        assert!(ro.by_class[QueryClass::Range.index()].shed > 0);
     }
 }

@@ -34,7 +34,7 @@ pub mod wal;
 pub use filestore::FileStore;
 pub use inject::{InjectSpec, InjectedFs, OsFs, Vfs, VfsFile};
 pub use pagefile::{PageFile, HEADER_BYTES, PAGE_BYTES, PAYLOAD_BYTES};
-pub use scrub::{scrub_pages_in, scrub_store_in, store_pages_in, ScrubReport};
+pub use scrub::{scrub_store_in, ScrubReport};
 pub use snapshot::{load_index, persist_index, SnapshotSet};
 pub use wal::Wal;
 

@@ -91,35 +91,6 @@ impl fmt::Display for ScrubReport {
 ///
 /// OS errors; corruption itself never fails the pass.
 pub fn scrub_store_in(fs: &dyn Vfs, dir: &Path) -> Result<ScrubReport> {
-    scrub_pages_in(fs, dir, 0, u64::MAX)
-}
-
-/// Number of page slots the store directory at `dir` holds — the bound an
-/// incremental scrubber walks with [`scrub_pages_in`].
-///
-/// # Errors
-///
-/// OS errors opening the page file.
-pub fn store_pages_in(fs: &dyn Vfs, dir: &Path) -> Result<u64> {
-    Ok(PageFile::open_deferred_in(fs, &dir.join("pages.db"))?.pages())
-}
-
-/// Scrubs one bounded slice of the store directory at `dir`: pages
-/// `first_page .. first_page + n_pages`, clamped to the file. Per-page
-/// policy is identical to [`scrub_store_in`] (which is the full-range
-/// special case); the serve loop's maintenance scheduler calls this with
-/// small slices so scrubbing interleaves with query service instead of
-/// stalling it.
-///
-/// # Errors
-///
-/// OS errors; corruption itself never fails the pass.
-pub fn scrub_pages_in(
-    fs: &dyn Vfs,
-    dir: &Path,
-    first_page: u64,
-    n_pages: u64,
-) -> Result<ScrubReport> {
     let mut wal = Wal::open_in(fs, &dir.join("wal.log"))?;
     let batches = wal.recover()?;
     // The newest committed image of every WAL-covered page.
@@ -134,8 +105,7 @@ pub fn scrub_pages_in(
         wal_batches: batches.len() as u64,
         ..ScrubReport::default()
     };
-    let end = first_page.saturating_add(n_pages).min(pf.pages());
-    for page in first_page..end {
+    for page in 0..pf.pages() {
         report.pages_scanned += 1;
         if pf.check_page(page).is_ok() {
             continue;
@@ -276,29 +246,6 @@ mod tests {
         assert!(back.iter().all(|&b| b == 0), "quarantined page reads zero");
         st.read_pages(&f2, 1, 1, &mut back).unwrap();
         assert_eq!(back, payload(2), "untouched pages keep their bytes");
-    }
-
-    #[test]
-    fn slice_scrubs_compose_to_the_full_pass() {
-        let fs = InjectedFs::clean();
-        let dir = PathBuf::from("/store");
-        seeded_store(&fs, &dir);
-        corrupt_page(&fs, &dir, 1); // no WAL redo -> quarantine
-        assert_eq!(store_pages_in(&fs, &dir).unwrap(), 2);
-
-        // A slice that misses the bad page repairs nothing.
-        let r0 = scrub_pages_in(&fs, &dir, 0, 1).unwrap();
-        assert_eq!(r0.pages_scanned, 1);
-        assert!(r0.is_clean(), "{r0}");
-        // The slice covering it quarantines exactly like the full pass.
-        let r1 = scrub_pages_in(&fs, &dir, 1, 1).unwrap();
-        assert_eq!(r1.pages_scanned, 1);
-        assert_eq!(r1.pages_quarantined, 1, "{r1}");
-        // Out-of-range slices clamp instead of failing.
-        let r2 = scrub_pages_in(&fs, &dir, 2, 100).unwrap();
-        assert_eq!(r2.pages_scanned, 0);
-        let full = scrub_store_in(&fs, &dir).unwrap();
-        assert!(full.is_clean(), "slices already cleaned the store: {full}");
     }
 
     #[test]
