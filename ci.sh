@@ -34,8 +34,11 @@ cargo test -q --offline --workspace
 
 # Fault injection is configured by CLI flags only. The faulted CLI runs
 # (two point-fault seeds, one burst-heavy case with exponential retry)
-# are a table-driven test inside the two legs above.
-echo "==> fault_sweep --smoke (degradation-vs-accuracy experiment)"
+# are a table-driven test inside the two legs above. The sweep asserts
+# that retry pacing only charges time: per fault rate and predictor, the
+# exponential row matches the fixed row in coverage, degraded units,
+# retries and relative error, with at least as much backoff charged.
+echo "==> fault_sweep --smoke (degradation-vs-accuracy experiment, pacing gate)"
 cargo run -q --release -p hdidx-bench --bin fault_sweep --offline -- --smoke
 
 # Paper-experiment smoke legs: the two ablations that count measured leaf

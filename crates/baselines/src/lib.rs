@@ -27,7 +27,6 @@
 //! the CLI's `--predictor` flag — covering the paper's predictors and the
 //! baselines under one set of names.
 
-pub mod distdist;
 pub mod fractal;
 pub mod gamma;
 pub mod histogram;

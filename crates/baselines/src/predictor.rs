@@ -8,10 +8,8 @@
 //! (Figures 11–12) visualize: those models produce a horizontal line.
 //!
 //! I/O charged: the uniform model is parameter-free (no data access, zero
-//! I/O); the fractal and histogram models stream the dataset once; the
-//! distance-distribution model reads its sampled point pairs randomly.
+//! I/O); the fractal and histogram models stream the dataset once.
 
-use crate::distdist::{predict_ball_pages, DistanceDistribution};
 use crate::fractal::{estimate_fractal_dims, predict_fractal};
 use crate::histogram::GridHistogram;
 use crate::uniform::predict_uniform;
@@ -22,7 +20,6 @@ use hdidx_model::predictor::Predictor;
 use hdidx_model::{
     Basic, BasicParams, Cutoff, CutoffParams, Prediction, QueryBall, Resampled, ResampledParams,
 };
-use hdidx_vamsplit::sstree::SsLeafLayout;
 use hdidx_vamsplit::topology::Topology;
 
 fn scan_io(topo: &Topology) -> IoStats {
@@ -139,47 +136,6 @@ impl Predictor for Histogram {
     }
 }
 
-/// The distance-distribution model (M-tree style) as a [`Predictor`].
-///
-/// Builds the ball-page (SS-tree) layout the model is parametric in and
-/// sums `F(r_cov + r_q)` over its pages — per-query resolution, but only
-/// for sphere pages (the §2.3 restriction the paper cites).
-#[derive(Debug, Clone, Copy)]
-pub struct DistDist {
-    /// Number of sampled point pairs for the empirical distribution.
-    pub pairs: usize,
-    /// RNG seed for the pair sample.
-    pub seed: u64,
-}
-
-impl Predictor for DistDist {
-    fn name(&self) -> &str {
-        "distdist"
-    }
-
-    fn predict(
-        &self,
-        data: &Dataset,
-        topo: &Topology,
-        queries: &[QueryBall],
-    ) -> Result<Prediction> {
-        let dist = DistanceDistribution::estimate(data, self.pairs, self.seed)?;
-        let ids: Vec<u32> = (0..data.len() as u32).collect();
-        let layout = SsLeafLayout::build(data, ids, topo, data.len() as f64)?;
-        let per_query: Vec<u64> = queries
-            .iter()
-            .map(|q| predict_ball_pages(&dist, &layout.pages, q.radius).round() as u64)
-            .collect();
-        Ok(Prediction {
-            per_query,
-            // Sampled pairs are random point reads; page-granular bound.
-            io: IoStats::random(2 * self.pairs as u64),
-            predicted_leaf_pages: layout.pages.len(),
-            degraded: hdidx_model::DegradedReport::default(),
-        })
-    }
-}
-
 /// Shared knobs for constructing any named predictor via [`by_name`].
 #[derive(Debug, Clone, Copy)]
 pub struct PredictorConfig {
@@ -199,8 +155,6 @@ pub struct PredictorConfig {
     pub d_grid: usize,
     /// Bins per grid dimension (histogram model).
     pub bins_per_dim: usize,
-    /// Sampled point pairs (distance-distribution model).
-    pub pairs: usize,
     /// Fault-injection plan applied by the paper's predictors (basic,
     /// cutoff, resampled), each of which degrades gracefully when retries
     /// exhaust; `None` disables injection.
@@ -218,7 +172,6 @@ impl Default for PredictorConfig {
             fractal_levels: 6,
             d_grid: 2,
             bins_per_dim: 16,
-            pairs: 5_000,
             faults: None,
         }
     }
@@ -233,7 +186,6 @@ pub const PREDICTOR_NAMES: &[&str] = &[
     "uniform",
     "fractal",
     "histogram",
-    "distdist",
 ];
 
 /// Constructs the predictor registered under `name` (see
@@ -272,10 +224,6 @@ pub fn by_name(name: &str, cfg: &PredictorConfig) -> Option<Box<dyn Predictor>> 
         "histogram" => Some(Box::new(Histogram {
             d_grid: cfg.d_grid,
             bins_per_dim: cfg.bins_per_dim,
-        })),
-        "distdist" => Some(Box::new(DistDist {
-            pairs: cfg.pairs,
-            seed: cfg.seed,
         })),
         _ => None,
     }
@@ -346,21 +294,15 @@ mod tests {
     }
 
     #[test]
-    fn histogram_and_distdist_grow_with_radius() {
+    fn histogram_grows_with_radius() {
         let data = uniform_data(3_000, 4, 13);
         let topo = Topology::from_capacities(4, 3_000, 20, 8).unwrap();
         let queries = vec![
             QueryBall::new(data.point(1).to_vec(), 0.05),
             QueryBall::new(data.point(1).to_vec(), 0.8),
         ];
-        for name in ["histogram", "distdist"] {
-            let p = by_name(name, &PredictorConfig::default()).unwrap();
-            let out = p.predict(&data, &topo, &queries).unwrap();
-            assert!(
-                out.per_query[0] <= out.per_query[1],
-                "{name}: {:?}",
-                out.per_query
-            );
-        }
+        let p = by_name("histogram", &PredictorConfig::default()).unwrap();
+        let out = p.predict(&data, &topo, &queries).unwrap();
+        assert!(out.per_query[0] <= out.per_query[1], "{:?}", out.per_query);
     }
 }

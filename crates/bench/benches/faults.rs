@@ -37,7 +37,6 @@ fn main() {
     for (name, policy) in [
         ("fixed", RetryPolicy::Fixed),
         ("exponential", RetryPolicy::Exponential),
-        ("budgeted", RetryPolicy::Budgeted { budget_seeks: 64 }),
     ] {
         let cfg = FaultConfig::disabled(7)
             .with_rate_ppm(10_000)

@@ -15,6 +15,11 @@
 //! (per policy) where that happens — the point past which paying for
 //! resampling no longer buys accuracy.
 //!
+//! Retry pacing only charges time, so the sweep asserts that per rate and
+//! predictor the `exponential` row matches the `fixed` row in coverage,
+//! degraded units, retries and relative error, and charges at least as
+//! much backoff.
+//!
 //! `--smoke` shrinks the sweep for CI.
 
 use hdidx_bench::{ExpArgs, ExperimentContext};
@@ -65,6 +70,46 @@ fn backoff_seconds(io: IoStats, disk: &DiskModel) -> f64 {
     io.backoff as f64 * disk.t_seek_s
 }
 
+/// Panics unless every `exponential` row matches its `fixed` row in all
+/// but the charged backoff, which may only grow: pacing decides when a
+/// retry runs, never whether an access fails.
+fn assert_pacing_only_charges_time(rows: &[Row], disk: &DiskModel) {
+    for fixed in rows.iter().filter(|r| r.policy == RetryPolicy::Fixed) {
+        let exp = rows
+            .iter()
+            .find(|r| {
+                r.policy == RetryPolicy::Exponential
+                    && r.fault_ppm == fixed.fault_ppm
+                    && r.predictor == fixed.predictor
+            })
+            .expect("every cell runs under both policies");
+        let at = format!("{} at {} ppm", fixed.predictor, fixed.fault_ppm);
+        match (&fixed.outcome, &exp.outcome) {
+            (Ok((f, f_err)), Ok((x, x_err))) => {
+                let key = |p: &Prediction, rel_err: &f64| {
+                    (
+                        p.degraded.coverage_fraction,
+                        p.degraded.leaves_degraded,
+                        p.io.retries,
+                        *rel_err,
+                    )
+                };
+                assert_eq!(
+                    key(f, f_err),
+                    key(x, x_err),
+                    "{at}: pacing changed a result"
+                );
+                assert!(
+                    backoff_seconds(x.io, disk) >= backoff_seconds(f.io, disk),
+                    "{at}: exponential charged less backoff than fixed"
+                );
+            }
+            (Err(f), Err(x)) => assert_eq!(f, x, "{at}: pacing changed the failure"),
+            _ => panic!("{at}: one retry policy failed where the other did not"),
+        }
+    }
+}
+
 fn main() {
     let args = ExpArgs::parse(0.25, 200);
     args.banner("Fault sweep: degradation vs accuracy per retry policy (COLOR64)");
@@ -87,11 +132,7 @@ fn main() {
             ],
         )
     };
-    let policies = [
-        RetryPolicy::Fixed,
-        RetryPolicy::Exponential,
-        RetryPolicy::Budgeted { budget_seeks: 64 },
-    ];
+    let policies = [RetryPolicy::Fixed, RetryPolicy::Exponential];
     let ctx = ExperimentContext::prepare(NamedDataset::Color64, &args).expect("prepare");
     let disk = DiskModel::paper_with_page_bytes(NamedDataset::Color64.page_bytes());
     // Same memory budget as the all-datasets accuracy sweep: the paper's
@@ -172,6 +213,7 @@ fn main() {
     for row in &rows {
         println!("{}", row.json(&disk));
     }
+    assert_pacing_only_charges_time(&rows, &disk);
 
     // Crossover: first rate (per policy) where the resampled error leaves
     // the cutoff error behind — degradation has eaten the accuracy the

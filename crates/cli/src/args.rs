@@ -12,7 +12,7 @@
 use hdidx_baselines::PREDICTOR_NAMES;
 use hdidx_core::simd::Choice as SimdChoice;
 use hdidx_diskio::BreakerConfig;
-use hdidx_faults::{BurstConfig, FaultConfig, FaultPhase, RetryPolicy};
+use hdidx_faults::{BurstConfig, FaultConfig, FaultPhase, RetryPolicy, PPM_SCALE};
 use hdidx_serve::{ArrivalModel, LanePolicy, MixSpec, OverloadPolicy, QueryClass};
 use hdidx_store::Durability;
 use std::path::PathBuf;
@@ -151,7 +151,7 @@ hdidx — sampling-based index cost prediction (Lang & Singh, SIGMOD 2001)
 USAGE:
   hdidx info     --data <csv> [--page-bytes 8192]
   hdidx predict  --data <csv> --m <points> [run flags]
-                 [--predictor resampled|cutoff|basic|uniform|fractal|histogram|distdist]
+                 [--predictor resampled|cutoff|basic|uniform|fractal|histogram]
                  [--h-upper N] [--zeta F]
   hdidx compare  --data <csv> --m <points> [run flags]
   hdidx measure  --data <csv> --m <points> [run flags] [store flags]
@@ -169,7 +169,7 @@ Run flags (predict, compare, measure, serve):
   [--threads N] [--simd auto|scalar|sse2|avx2]
   [--fault-seed S] [--fault-ppm P] [--fault-burst-ppm P]
   [--fault-phase-scale SPEC]
-  [--retry-policy fixed|exponential|budgeted] [--retry-budget B]
+  [--retry-policy fixed|exponential]
 
 Store flags (measure, serve):
   [--backend sim|file] [--store <dir>] [--durability per-batch|every-N|none]
@@ -246,6 +246,7 @@ torn reads, latency spikes) into the simulated disk; `--fault-ppm P`
 scales the transient rate in parts per million (default 2000; torn and
 spikes run at half that). `--fault-burst-ppm P` adds correlated fault
 bursts over seeded bad page regions at the given per-attempt rate.
+Both rates are at most 1000000 (certainty).
 Without --fault-seed no faults are injected, and the other fault and
 retry flags are checked but have no effect. The same fault seed
 reproduces the identical fault trace, retry counts, and degraded output.
@@ -259,11 +260,9 @@ ground-truth measurement run nearly clean — the setting that makes
 degraded predictor rows observable in `compare` end to end.
 
 `--retry-policy` paces retries after failed attempts: `fixed` retries
-immediately (default), `exponential` charges 2^attempt (+ deterministic
-jitter) seek-equivalents of backoff into the I/O bill, and `budgeted`
-follows the exponential schedule but gives up once a per-access backoff
-budget (`--retry-budget`, default 64 seek-equivalents) would be
-overdrawn. `--retry-budget` alone implies the budgeted policy.
+immediately (default), and `exponential` charges 2^attempt (+
+deterministic jitter) seek-equivalents of backoff into the I/O bill.
+Pacing only charges time: both policies make the same attempts.
 ";
 
 /// The flags every run command accepts.
@@ -281,7 +280,6 @@ const RUN_FLAGS: &[&str] = &[
     "fault-burst-ppm",
     "fault-phase-scale",
     "retry-policy",
-    "retry-budget",
 ];
 
 /// The storage flags `measure` and `serve` add.
@@ -404,9 +402,11 @@ impl RunArgs {
 /// without a seed.
 fn parse_faults(opts: &Opts) -> Result<Option<FaultConfig>, String> {
     let seed: Option<u64> = opts.parse_opt("fault-seed")?;
-    let ppm: u32 = opts.parse_or("fault-ppm", DEFAULT_FAULT_PPM)?;
-    let burst_ppm: Option<u32> = opts.parse_opt("fault-burst-ppm")?;
-    let retry = parse_retry(opts)?;
+    let ppm = parse_ppm(opts, "fault-ppm")?.unwrap_or(DEFAULT_FAULT_PPM);
+    let burst_ppm = parse_ppm(opts, "fault-burst-ppm")?;
+    let retry = opts
+        .parse_with("retry-policy", RetryPolicy::parse)?
+        .unwrap_or_default();
     let phase_scale_pct = parse_phase_scale(opts)?;
     Ok(seed.map(|seed| FaultConfig {
         phase_scale_pct,
@@ -417,15 +417,16 @@ fn parse_faults(opts: &Opts) -> Result<Option<FaultConfig>, String> {
     }))
 }
 
-fn parse_retry(opts: &Opts) -> Result<RetryPolicy, String> {
-    let budget: Option<u32> = opts.parse_opt("retry-budget")?;
-    // A budget alone implies the budgeted policy.
-    let implied = budget.map_or(RetryPolicy::Fixed, |budget_seeks| RetryPolicy::Budgeted {
-        budget_seeks,
-    });
-    Ok(opts
-        .parse_with("retry-policy", |name| RetryPolicy::parse(name, budget))?
-        .unwrap_or(implied))
+/// A per-attempt fault rate in ppm: a rate above certainty is a mistake,
+/// not a request to saturate.
+fn parse_ppm(opts: &Opts, key: &str) -> Result<Option<u32>, String> {
+    let ppm: Option<u32> = opts.parse_opt(key)?;
+    match ppm {
+        Some(p) if p > PPM_SCALE => Err(format!(
+            "option --{key}: {p} exceeds {PPM_SCALE} (a rate of 100 %)"
+        )),
+        _ => Ok(ppm),
+    }
 }
 
 /// Per-phase fault-rate percentages in `FaultPhase::ALL` order (100 for
@@ -798,6 +799,33 @@ mod tests {
         // Without a seed nothing is injected, but every value is checked.
         let run = run_of("predict --data a.csv --m 10 --fault-ppm 5000 --fault-burst-ppm 9");
         assert_eq!(run.faults, None);
+        // A rate of 1,000,000 ppm is certainty and stays valid; above it
+        // the flag is named in the error instead of saturating or failing
+        // late with an I/O fault.
+        let f = faults_of(
+            "measure --data d.csv --m 100 --fault-seed 1 --fault-ppm 1000000 \
+             --fault-burst-ppm 1000000",
+        );
+        assert_eq!(f.transient_ppm, 1_000_000);
+        assert_eq!(f.burst, Some(BurstConfig::with_fault_ppm(1_000_000)));
+        for (args, flag) in [
+            (
+                "measure --data d.csv --m 100 --fault-seed 1 --fault-ppm 2000000",
+                "fault-ppm",
+            ),
+            (
+                "measure --data d.csv --m 100 --fault-seed 1 --fault-burst-ppm 5000000",
+                "fault-burst-ppm",
+            ),
+            (
+                "predict --data d.csv --m 100 --fault-ppm 1000001",
+                "fault-ppm",
+            ),
+        ] {
+            let e = Cli::parse(&argv(args)).unwrap_err();
+            assert!(e.starts_with(&format!("option --{flag}: ")), "{args}: {e}");
+            assert!(e.contains("exceeds 1000000"), "{args}: {e}");
+        }
         let bad = [
             "predict --data a.csv --m 10 --fault-seed x",
             "compare --data a.csv --m 10 --fault-ppm -1",
@@ -815,18 +843,9 @@ mod tests {
     fn parses_retry_flags() {
         let f = faults_of("measure --data d.csv --m 100 --fault-seed 1 --retry-policy exponential");
         assert_eq!(f.retry, RetryPolicy::Exponential);
-        // A budget alone implies the budgeted policy; alongside a policy
-        // name it configures that policy.
-        let f = faults_of("compare --data d.csv --m 100 --fault-seed 1 --retry-budget 9");
-        assert_eq!(f.retry, RetryPolicy::Budgeted { budget_seeks: 9 });
-        let f = faults_of(
-            "predict --data d.csv --m 100 --fault-seed 1 --retry-policy budgeted --retry-budget 17",
-        );
-        assert_eq!(f.retry, RetryPolicy::Budgeted { budget_seeks: 17 });
         let f = faults_of("predict --data d.csv --m 100 --fault-seed 1");
         assert_eq!(f.retry, RetryPolicy::Fixed);
         assert!(Cli::parse(&argv("predict --data d.csv --m 1 --retry-policy bogus")).is_err());
-        assert!(Cli::parse(&argv("predict --data d.csv --m 1 --retry-budget x")).is_err());
         // info/generate take no retry flags.
         assert!(Cli::parse(&argv("info --data d.csv --retry-policy fixed")).is_err());
     }
@@ -950,6 +969,25 @@ mod tests {
         // Predictor-only flags stay predictor-only.
         assert!(Cli::parse(&argv("compare --data a.csv --m 10 --zeta 0.5")).is_err());
         assert!(Cli::parse(&argv("measure --data a.csv --m 10 --h-upper 2")).is_err());
+        // Removed names fail loudly, with the message for each.
+        for (args, want) in [
+            (
+                "predict --data a.csv --m 10 --predictor distdist",
+                "unknown predictor `distdist` (expected one of \
+                 basic, cutoff, resampled, uniform, fractal, histogram)",
+            ),
+            (
+                "compare --data a.csv --m 10 --retry-policy budgeted",
+                "option --retry-policy: unknown retry policy 'budgeted' \
+                 (expected fixed or exponential)",
+            ),
+            (
+                "measure --data a.csv --m 10 --retry-budget 9",
+                "unknown option --retry-budget",
+            ),
+        ] {
+            assert_eq!(Cli::parse(&argv(args)).unwrap_err(), want, "{args}");
+        }
     }
 
     #[test]

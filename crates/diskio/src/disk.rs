@@ -169,11 +169,9 @@ impl Disk {
     ///
     /// Retries are paced by the plan's [`hdidx_faults::RetryPolicy`]: its per-retry
     /// backoff is charged into [`IoStats::backoff`] (seek-equivalents,
-    /// priced at one `t_seek` each by the cost model), and a budgeted
-    /// policy gives up early once the next backoff would overdraw its
-    /// per-access budget. On exhaustion the [`Error::IoFault`] reports the
-    /// attempts *actually made* — which a budget cut-off or a
-    /// `max_attempts = 1` plan makes smaller than the plan-wide maximum.
+    /// priced at one `t_seek` each by the cost model). Pacing never
+    /// changes which attempts are made. On exhaustion the
+    /// [`Error::IoFault`] reports the attempts made.
     fn access_under_plan(
         &mut self,
         plan: &mut FaultPlan,
@@ -183,11 +181,8 @@ impl Disk {
         let access = plan.next_access();
         let max_attempts = plan.max_attempts();
         let cfg = *plan.config();
-        let mut budget_left = cfg.retry.budget_seeks();
         let mut last_kind = "transient";
-        let mut attempts_made = 0u32;
         for attempt in 0..max_attempts {
-            attempts_made = attempt + 1;
             match plan.attempt(access, attempt, abs_first, n_pages) {
                 FaultOutcome::Success => {
                     self.charge_range(abs_first, n_pages);
@@ -217,16 +212,7 @@ impl Disk {
                     if attempt + 1 >= max_attempts {
                         break;
                     }
-                    let backoff = cfg.retry.backoff_seeks(cfg.seed, access, attempt);
-                    if let Some(left) = &mut budget_left {
-                        if backoff > *left {
-                            // Budget exhausted: give up with the attempts
-                            // actually made.
-                            break;
-                        }
-                        *left -= backoff;
-                    }
-                    self.stats.backoff += backoff;
+                    self.stats.backoff += cfg.retry.backoff_seeks(cfg.seed, access, attempt);
                     self.stats.retries += 1;
                 }
             }
@@ -234,7 +220,7 @@ impl Disk {
         Err(Error::IoFault {
             kind: last_kind,
             page: abs_first,
-            attempts: attempts_made,
+            attempts: max_attempts,
         })
     }
 
@@ -699,47 +685,6 @@ mod tests {
         let model = crate::DiskModel::PAPER;
         let delta = model.cost_seconds(s) - model.cost_seconds(quiet);
         assert!((delta - s.backoff as f64 * model.t_seek_s).abs() < 1e-12);
-    }
-
-    #[test]
-    fn budgeted_policy_stops_early_and_reports_attempts_made() {
-        // Budget 0: the first retry's backoff (≥ 1) already overdraws, so
-        // the access gives up after a single attempt even though the plan
-        // allows four.
-        let cfg = FaultConfig {
-            transient_ppm: hdidx_faults::PPM_SCALE,
-            max_attempts: 4,
-            retry: RetryPolicy::Budgeted { budget_seeks: 0 },
-            ..FaultConfig::disabled(1)
-        };
-        let mut d = Disk::with_options(&crate::DiskOptions::new().fault_plan(Some(cfg)));
-        let f = d.alloc(8).unwrap();
-        let err = d.access(&f, 0, 4).unwrap_err();
-        assert_eq!(
-            err,
-            hdidx_core::Error::IoFault {
-                kind: "transient",
-                page: 0,
-                attempts: 1,
-            }
-        );
-        let s = d.stats();
-        assert_eq!((s.retries, s.backoff), (0, 0), "no retry fit the budget");
-
-        // A generous budget behaves exactly like the exponential policy.
-        let roomy = FaultConfig {
-            retry: RetryPolicy::Budgeted { budget_seeks: 1000 },
-            ..cfg
-        };
-        let mut d = Disk::with_options(&crate::DiskOptions::new().fault_plan(Some(roomy)));
-        let f = d.alloc(8).unwrap();
-        let err = d.access(&f, 0, 4).unwrap_err();
-        assert!(matches!(
-            err,
-            hdidx_core::Error::IoFault { attempts: 4, .. }
-        ));
-        assert_eq!(d.stats().retries, 3);
-        assert!(d.stats().backoff >= 3);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! * every binary split of an oversized segment first scans it once to find
 //!   the maximum-variance dimension (read-only pass),
 //! * the rank partition runs Hoare's *find* externally: each narrowing pass
-//!   streams the active subsegment through memory in `io_buf_pages`-sized
+//!   streams the active subsegment through memory in [`IO_BUF_PAGES`]-sized
 //!   chunks, writing the classified output runs back through two buffered
 //!   cursors (each chunk: one read access, two displaced write accesses —
 //!   which is what makes a seek appear every few pages, reproducing the
@@ -31,15 +31,17 @@ use hdidx_vamsplit::split::partition_by_rank;
 use hdidx_vamsplit::topology::Topology;
 use hdidx_vamsplit::tree::{Node, NodeKind, RTree};
 
-/// Memory/buffering parameters of the external build.
+/// Pages per I/O buffer during external partitioning (chunked streaming;
+/// 8 pages reproduces the paper's ≈1:8 seek/transfer ratio during builds).
+/// The analytic on-disk build cost in `hdidx-model` charges the same
+/// buffer.
+pub const IO_BUF_PAGES: u64 = 8;
+
+/// Memory parameters of the external build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExternalConfig {
     /// Number of data points that fit in memory (the paper's `M`).
     pub mem_points: usize,
-    /// Pages per I/O buffer during external partitioning (chunked
-    /// streaming; 8 pages reproduces the paper's ≈1:8 seek/transfer ratio
-    /// during builds).
-    pub io_buf_pages: u64,
     /// Optional fault injection: when set, the build's simulated disk runs
     /// every access through a seeded
     /// [`FaultPlan`](hdidx_faults::FaultPlan) with bounded retry.
@@ -47,36 +49,21 @@ pub struct ExternalConfig {
 }
 
 impl ExternalConfig {
-    /// Validated constructor: both the memory budget and the I/O buffer
-    /// must be positive (`mem_points` is additionally checked against the
-    /// page capacity once a topology is known, in [`build_on_disk`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidParameter`] on a zero `mem_points` or
-    /// `io_buf_pages`.
-    pub fn new(mem_points: usize, io_buf_pages: u64) -> Result<Self> {
-        if mem_points == 0 {
-            return Err(Error::invalid("mem_points", "must be positive"));
-        }
-        if io_buf_pages == 0 {
-            return Err(Error::invalid("io_buf_pages", "must be positive"));
-        }
-        Ok(ExternalConfig {
-            mem_points,
-            io_buf_pages,
-            faults: None,
-        })
-    }
-
-    /// Standard configuration for a given `M` (8-page I/O buffers), going
-    /// through the same validation as [`ExternalConfig::new`].
+    /// Fault-free configuration for a given `M`. The budget must be
+    /// positive here and is checked against the page capacity once a
+    /// topology is known, in [`build_on_disk`].
     ///
     /// # Errors
     ///
     /// Returns [`Error::InvalidParameter`] on a zero `mem_points`.
     pub fn with_mem_points(mem_points: usize) -> Result<Self> {
-        ExternalConfig::new(mem_points, 8)
+        if mem_points == 0 {
+            return Err(Error::invalid("mem_points", "must be positive"));
+        }
+        Ok(ExternalConfig {
+            mem_points,
+            faults: None,
+        })
     }
 }
 
@@ -103,9 +90,9 @@ pub struct BuildOutput {
 ///
 /// # Errors
 ///
-/// Rejects memory budgets smaller than one data page, zero buffer sizes,
-/// and the usual shape mismatches; propagates [`Error::IoFault`] from an
-/// exhausted retry budget.
+/// Rejects memory budgets smaller than one data page and the usual shape
+/// mismatches; propagates [`Error::IoFault`] once an access exhausts its
+/// attempts.
 pub fn build_on_disk(data: &Dataset, topo: &Topology, cfg: &ExternalConfig) -> Result<BuildOutput> {
     let mut disk = Disk::with_options(
         &DiskOptions::new()
@@ -158,9 +145,6 @@ pub fn build_on_disk_in(
                 topo.cap_data()
             ),
         ));
-    }
-    if cfg.io_buf_pages == 0 {
-        return Err(Error::invalid("io_buf_pages", "must be positive"));
     }
     let n = data.len();
     let recs_per_page = topo.cap_data() as u64;
@@ -410,11 +394,11 @@ impl<'a> ExtBuilder<'a> {
     }
 
     /// One full external partition pass over records `[lo, lo+len)`: read
-    /// in `io_buf_pages` chunks, write the classified runs back through two
+    /// in [`IO_BUF_PAGES`] chunks, write the classified runs back through two
     /// displaced cursors (front run / back run). Three accesses per chunk —
     /// the displacement is what costs seeks.
     fn partition_pass_io(&mut self, lo: usize, len: usize) -> Result<()> {
-        let chunk_recs = (self.cfg.io_buf_pages * self.recs_per_page) as usize;
+        let chunk_recs = (IO_BUF_PAGES * self.recs_per_page) as usize;
         let mut read_pos = lo;
         let mut front = lo;
         let mut back = lo + len;
@@ -623,13 +607,12 @@ mod tests {
     fn config_validation() {
         let data = random_dataset(100, 4, 46);
         let topo = Topology::from_capacities(4, 100, 10, 5).unwrap();
-        // Zero budgets are rejected at construction.
-        assert!(ExternalConfig::new(0, 8).is_err());
-        assert!(ExternalConfig::new(100, 0).is_err());
+        // A zero budget is rejected at construction.
         assert!(ExternalConfig::with_mem_points(0).is_err());
         // A budget below one data page passes construction (no topology
         // yet) but is rejected by the build.
-        assert!(build_on_disk(&data, &topo, &ExternalConfig::new(5, 8).unwrap()).is_err());
+        let small = ExternalConfig::with_mem_points(5).unwrap();
+        assert!(build_on_disk(&data, &topo, &small).is_err());
         let other = random_dataset(50, 4, 47);
         assert!(build_on_disk(
             &other,

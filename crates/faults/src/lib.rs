@@ -55,10 +55,11 @@
 //!
 //! [`RetryPolicy`] decides how a consumer paces retries: `fixed` retries
 //! immediately (charging nothing), `exponential` charges `2^attempt` plus
-//! deterministic jitter in seek-equivalents per retry, and `budgeted`
-//! follows the exponential schedule but gives up once a per-access backoff
-//! budget is exhausted. The backoff is charged into `IoStats::backoff` by
-//! the simulated disk and priced at one `t_seek` each by the cost model.
+//! deterministic jitter in seek-equivalents per retry. Pacing only
+//! charges time: both policies make the same attempts, so the same
+//! accesses fail under either. The backoff is charged into
+//! `IoStats::backoff` by the simulated disk and priced at one `t_seek`
+//! each by the cost model.
 //!
 //! ## Phases
 //!
@@ -77,10 +78,6 @@ pub const PPM_SCALE: u32 = 1_000_000;
 
 /// Default bound on attempts per access (1 initial + 3 retries).
 pub const DEFAULT_MAX_ATTEMPTS: u32 = 4;
-
-/// Default per-access backoff budget (seek-equivalents) of
-/// [`RetryPolicy::Budgeted`] when no explicit budget is given.
-pub const DEFAULT_RETRY_BUDGET: u32 = 64;
 
 /// Derivation stream of the bad-region layout (distinct from every
 /// per-attempt stream so the layout is shared by all attempts).
@@ -142,32 +139,20 @@ pub enum RetryPolicy {
     /// attempt `a` charges `2^a + jitter` seek-equivalents with
     /// `jitter ∈ [0, 2^a)` derived from `(seed, access, attempt)`.
     Exponential,
-    /// The exponential schedule bounded by a per-access budget: once the
-    /// next backoff would overdraw the remaining budget, the access gives
-    /// up early and reports the attempts actually made.
-    Budgeted {
-        /// Per-access backoff budget in seek-equivalents.
-        budget_seeks: u32,
-    },
 }
 
 impl RetryPolicy {
-    /// Parses a policy by name (`fixed` | `exponential` | `budgeted`).
-    /// `budget` overrides the budgeted policy's default budget and is
-    /// ignored by the other policies.
+    /// Parses a policy by name (`fixed` | `exponential`).
     ///
     /// # Errors
     ///
     /// Returns a human-readable message for unknown names.
-    pub fn parse(name: &str, budget: Option<u32>) -> std::result::Result<RetryPolicy, String> {
+    pub fn parse(name: &str) -> std::result::Result<RetryPolicy, String> {
         match name {
             "fixed" => Ok(RetryPolicy::Fixed),
             "exponential" => Ok(RetryPolicy::Exponential),
-            "budgeted" => Ok(RetryPolicy::Budgeted {
-                budget_seeks: budget.unwrap_or(DEFAULT_RETRY_BUDGET),
-            }),
             other => Err(format!(
-                "unknown retry policy '{other}' (expected fixed, exponential or budgeted)"
+                "unknown retry policy '{other}' (expected fixed or exponential)"
             )),
         }
     }
@@ -179,20 +164,11 @@ impl RetryPolicy {
     pub fn backoff_seeks(&self, seed: u64, access: u64, attempt: u32) -> u64 {
         match self {
             RetryPolicy::Fixed => 0,
-            RetryPolicy::Exponential | RetryPolicy::Budgeted { .. } => {
+            RetryPolicy::Exponential => {
                 let base = 1u64 << attempt.min(16);
                 let h = derive_seed(derive_seed(seed, access), u64::from(attempt));
                 base + derive_seed(h, BACKOFF_STREAM) % base
             }
-        }
-    }
-
-    /// The per-access backoff budget, if this policy has one.
-    #[must_use]
-    pub fn budget_seeks(&self) -> Option<u64> {
-        match self {
-            RetryPolicy::Budgeted { budget_seeks } => Some(u64::from(*budget_seeks)),
-            _ => None,
         }
     }
 
@@ -202,7 +178,6 @@ impl RetryPolicy {
         match self {
             RetryPolicy::Fixed => "fixed",
             RetryPolicy::Exponential => "exponential",
-            RetryPolicy::Budgeted { .. } => "budgeted",
         }
     }
 }
@@ -914,27 +889,15 @@ mod tests {
 
     #[test]
     fn retry_policy_parse_backoff_and_names() {
-        assert_eq!(RetryPolicy::parse("fixed", None), Ok(RetryPolicy::Fixed));
+        assert_eq!(RetryPolicy::parse("fixed"), Ok(RetryPolicy::Fixed));
         assert_eq!(
-            RetryPolicy::parse("exponential", Some(9)),
+            RetryPolicy::parse("exponential"),
             Ok(RetryPolicy::Exponential)
         );
-        assert_eq!(
-            RetryPolicy::parse("budgeted", Some(9)),
-            Ok(RetryPolicy::Budgeted { budget_seeks: 9 })
-        );
-        assert_eq!(
-            RetryPolicy::parse("budgeted", None),
-            Ok(RetryPolicy::Budgeted {
-                budget_seeks: DEFAULT_RETRY_BUDGET
-            })
-        );
-        assert!(RetryPolicy::parse("eventually", None).is_err());
+        assert!(RetryPolicy::parse("eventually").is_err());
+        assert!(RetryPolicy::parse("budgeted").is_err());
         assert_eq!(RetryPolicy::Fixed.to_string(), "fixed");
-        assert_eq!(
-            RetryPolicy::Budgeted { budget_seeks: 1 }.as_str(),
-            "budgeted"
-        );
+        assert_eq!(RetryPolicy::Exponential.as_str(), "exponential");
 
         // Fixed charges nothing; the exponential schedule is deterministic
         // and stays within [2^a, 2^(a+1)).
@@ -945,18 +908,7 @@ mod tests {
             assert_eq!(b1, b2);
             let base = 1u64 << attempt;
             assert!((base..2 * base).contains(&b1), "attempt {attempt}: {b1}");
-            // Budgeted follows the same schedule; only the stopping rule
-            // differs.
-            assert_eq!(
-                RetryPolicy::Budgeted { budget_seeks: 5 }.backoff_seeks(42, 7, attempt),
-                b1
-            );
         }
-        assert_eq!(RetryPolicy::Fixed.budget_seeks(), None);
-        assert_eq!(
-            RetryPolicy::Budgeted { budget_seeks: 7 }.budget_seeks(),
-            Some(7)
-        );
     }
 
     #[test]

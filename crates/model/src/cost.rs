@@ -8,6 +8,7 @@
 
 use crate::hupper;
 use hdidx_core::Result;
+use hdidx_diskio::external::IO_BUF_PAGES;
 use hdidx_diskio::{DiskModel, IoStats};
 use hdidx_vamsplit::topology::Topology;
 
@@ -23,20 +24,16 @@ pub struct CostInputs {
     pub q: usize,
     /// Disk timing model (`t_seek`, `t_xfer`).
     pub disk: DiskModel,
-    /// Pages per I/O buffer assumed for the on-disk partitioner's seek
-    /// accounting (matches `ExternalConfig::io_buf_pages`).
-    pub io_buf_pages: u64,
 }
 
 impl CostInputs {
-    /// Convenience constructor with the paper's disk and an 8-page buffer.
+    /// Convenience constructor with the paper's disk.
     pub fn new(topo: Topology, m: usize, q: usize) -> Self {
         CostInputs {
             topo,
             m,
             q,
             disk: DiskModel::PAPER,
-            io_buf_pages: 8,
         }
     }
 
@@ -123,7 +120,7 @@ impl CostInputs {
     /// level whose subtrees exceed memory pays, per binary split level
     /// (`⌈log2(fanout)⌉` of them), one variance scan (read N/B) and one
     /// best-case selection pass (read + write N/B with a seek every
-    /// `io_buf_pages` chunk, matching the buffered-run pattern). Once
+    /// [`IO_BUF_PAGES`] chunk, matching the external partitioner). Once
     /// subtrees fit in memory, the remaining data is read once per subtree
     /// and the finished pages are written once.
     #[must_use]
@@ -140,7 +137,7 @@ impl CostInputs {
                 topo.cap_dir()
             };
             let split_levels = (fanout as f64).log2().ceil().max(1.0) as u64;
-            let chunked_seeks = 3 * n_pages.div_ceil(self.io_buf_pages);
+            let chunked_seeks = 3 * n_pages.div_ceil(IO_BUF_PAGES);
             for _ in 0..split_levels {
                 // Variance scan.
                 io += IoStats::run(n_pages);

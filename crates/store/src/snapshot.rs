@@ -375,6 +375,10 @@ fn decode_slot(slot: &[u8]) -> Option<(u64, u64)> {
     Some((word(2), word(3)))
 }
 
+/// How many generations (including the current one) GC retains: the
+/// newest plus one to fall back to when the newest corrupts.
+const KEEP_GENERATIONS: u64 = 2;
+
 /// A root directory of versioned index snapshots with a two-slot
 /// `CURRENT` commit file. See the module docs for the commit protocol.
 #[derive(Debug)]
@@ -382,8 +386,6 @@ pub struct SnapshotSet {
     fs: Arc<dyn Vfs>,
     root: PathBuf,
     durability: Durability,
-    /// How many generations (including the current one) GC retains.
-    keep: u64,
 }
 
 impl SnapshotSet {
@@ -409,15 +411,7 @@ impl SnapshotSet {
             fs,
             root: root.to_path_buf(),
             durability,
-            keep: 2,
         })
-    }
-
-    /// Sets how many generations GC retains (minimum 1, the current).
-    #[must_use]
-    pub fn with_keep(mut self, keep: u64) -> SnapshotSet {
-        self.keep = keep.max(1);
-        self
     }
 
     /// The set's root directory.
@@ -529,13 +523,13 @@ impl SnapshotSet {
     }
 
     /// Removes every generation directory outside the newest
-    /// [`keep`](SnapshotSet::with_keep) committed-or-older ones. Runs
+    /// [`KEEP_GENERATIONS`] committed-or-older ones. Runs
     /// only after a commit is durable; never touches the current
     /// generation.
     fn gc(&self, current: u64) -> Result<()> {
         let gens = self.generations()?;
         let keep_floor = {
-            // The `keep` newest generations ≤ current survive.
+            // The `KEEP_GENERATIONS` newest generations ≤ current survive.
             let mut kept = 0u64;
             let mut floor = current;
             for &g in gens.iter().rev() {
@@ -544,7 +538,7 @@ impl SnapshotSet {
                 }
                 kept += 1;
                 floor = g;
-                if kept == self.keep {
+                if kept == KEEP_GENERATIONS {
                     break;
                 }
             }
@@ -801,8 +795,7 @@ mod tests {
         let fs = InjectedFs::clean();
         let set =
             SnapshotSet::open_in(Arc::new(fs), &PathBuf::from("/snaps"), Durability::PerBatch)
-                .unwrap()
-                .with_keep(2);
+                .unwrap();
         assert_eq!(set.current().unwrap(), None);
         assert!(
             set.load(&DiskOptions::new()).is_err(),

@@ -2,7 +2,6 @@
 //! generate → topology → workload → on-disk measurement → prediction —
 //! with assertions on the qualitative results the paper reports.
 
-use hdidx_repro::baselines::distdist::{predict_ball_pages, DistanceDistribution};
 use hdidx_repro::datagen::clustered::{ClusteredSpec, Tail};
 use hdidx_repro::datagen::registry::NamedDataset;
 use hdidx_repro::datagen::workload::Workload;
@@ -12,7 +11,6 @@ use hdidx_repro::diskio::DiskModel;
 use hdidx_repro::model::{
     hupper, Basic, BasicParams, Cutoff, CutoffParams, QueryBall, Resampled, ResampledParams,
 };
-use hdidx_repro::vamsplit::sstree::SsLeafLayout;
 use hdidx_repro::vamsplit::topology::{PageConfig, Topology};
 
 struct Pipeline {
@@ -188,39 +186,4 @@ fn prediction_error_improves_from_h2_underestimate_towards_recommended() {
             "recommended h {h_rec} error {er:+.3} vs h=2 error {e2:+.3}"
         );
     }
-}
-
-#[test]
-fn distance_distribution_model_predicts_sstree_pages() {
-    // The Ciaccia-style §2.3 baseline on the sphere pages `distdist`
-    // predicts: predicted accesses within a factor ~3 of the measured
-    // SS-tree page accesses for data-distributed ball queries.
-    let data = ClusteredSpec {
-        n: 6_000,
-        dim: 10,
-        n_clusters: 10,
-        decay: 0.05,
-        spread: 0.5,
-        tail: Tail::Uniform,
-        seed: 43,
-    }
-    .generate()
-    .unwrap();
-    let topo = Topology::from_capacities(10, 6_000, 25, 10).unwrap();
-    let ids: Vec<u32> = (0..data.len() as u32).collect();
-    let layout = SsLeafLayout::build(&data, ids, &topo, data.len() as f64).unwrap();
-    let dist = DistanceDistribution::estimate(&data, 20_000, 44).unwrap();
-    let r_q = 0.3 * dist.median();
-    let q_count = 40;
-    let measured = (0..q_count)
-        .map(|i| layout.count_intersections(data.point(i * 97), r_q))
-        .sum::<u64>() as f64
-        / q_count as f64;
-    let predicted = predict_ball_pages(&dist, &layout.pages, r_q);
-    let ratio = predicted / measured.max(1.0);
-    assert!(
-        (0.3..3.0).contains(&ratio),
-        "predicted {predicted:.1}, measured {measured:.1} over {} pages",
-        layout.pages.len()
-    );
 }
