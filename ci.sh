@@ -201,7 +201,7 @@ for crash_seed in 11 20250809; do
 done
 
 # File-backend smoke leg: the full persistence path through the CLI —
-# build on the file-backed page store, publish + fsync a snapshot
+# build on the simulated disk, publish + fsync a snapshot
 # generation, reopen it and serve from the loaded tree. The store lives
 # in a scratch tempdir that is removed on exit however the script ends.
 echo "==> hdidx measure/serve --backend file (build -> fsync -> reopen -> serve)"
@@ -253,6 +253,27 @@ for flags in "" "${chaos_flags}"; do
     --backend file --store "${FILE_STORE_DIR}/identity" \
     | grep -vE "^(backend|persist|scrub|reopen):" > target/bench-smoke/serve_file.txt
   diff target/bench-smoke/serve_sim.txt target/bench-smoke/serve_file.txt
+done
+
+# Sim-vs-file measure identity: both backends build and measure on the
+# simulated disk that bills them, and the file backend then persists,
+# scrubs and reopens the tree, so the reports match byte for byte once
+# its provenance lines are dropped. Checked once clean and once with
+# build-phase faults on; the build bill must keep its read/write intent
+# counters.
+echo "==> hdidx measure: --backend sim == --backend file (build bill identity)"
+for flags in "" "--fault-seed 3 --fault-ppm 50000 --retry-policy exponential"; do
+  # shellcheck disable=SC2086
+  cargo run -q --release -p hdidx-cli --offline -- measure \
+    --data target/bench-smoke/t48.csv --m 200 --queries 10 --k 5 ${flags} \
+    --backend sim > target/bench-smoke/measure_sim.txt
+  # shellcheck disable=SC2086
+  cargo run -q --release -p hdidx-cli --offline -- measure \
+    --data target/bench-smoke/t48.csv --m 200 --queries 10 --k 5 ${flags} \
+    --backend file --store "${FILE_STORE_DIR}/measure-identity" \
+    | grep -vE "^(backend|persist|scrub|reopen):" > target/bench-smoke/measure_file.txt
+  diff target/bench-smoke/measure_sim.txt target/bench-smoke/measure_file.txt
+  grep -qE "^build I/O: .* [1-9][0-9]*r/[1-9][0-9]*w pages$" target/bench-smoke/measure_sim.txt
 done
 
 echo "==> persist_roundtrip --smoke (charged vs wall clock per durability mode)"

@@ -40,7 +40,10 @@ fn main() {
     ] {
         let cfg = FaultConfig::disabled(7)
             .with_rate_ppm(10_000)
-            .with_burst(Some(BurstConfig::with_fault_ppm(10_000)))
+            .expect("fault rate")
+            .with_burst(Some(
+                BurstConfig::with_fault_ppm(10_000).expect("fault rate"),
+            ))
             .with_retry(policy);
         suite.bench(&format!("faults/scan_4096/pressure_1pct_{name}"), || {
             scan(black_box(Some(cfg)))

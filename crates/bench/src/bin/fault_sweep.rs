@@ -158,7 +158,8 @@ fn main() {
         for &ppm in ppms {
             let fcfg = FaultConfig::disabled(args.seed)
                 .with_rate_ppm(ppm)
-                .with_burst(Some(BurstConfig::with_fault_ppm(ppm)))
+                .expect("fault rate")
+                .with_burst(Some(BurstConfig::with_fault_ppm(ppm).expect("fault rate")))
                 .with_retry(policy);
             let zeta = (m as f64 / ctx.data.len() as f64).min(1.0);
             let cell =

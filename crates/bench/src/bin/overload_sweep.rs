@@ -205,7 +205,10 @@ fn main() {
     let fault_ppm = 400_000;
     let fcfg = FaultConfig::disabled(args.seed)
         .with_rate_ppm(fault_ppm)
-        .with_burst(Some(BurstConfig::with_fault_ppm(150_000)))
+        .expect("fault rate")
+        .with_burst(Some(
+            BurstConfig::with_fault_ppm(150_000).expect("fault rate"),
+        ))
         .with_retry(RetryPolicy::Exponential)
         .with_phase_scale(FaultPhase::Build, 0);
     let faulted = Server::build(&ctx.data, &ctx.topo, m, args.seed, Some(fcfg)).expect("build");

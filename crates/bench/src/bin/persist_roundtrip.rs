@@ -1,10 +1,10 @@
-//! **Persistence round trip**: build the COLOR64 index on the file-backed
-//! page store, persist the tree to a checksummed snapshot, reopen it
+//! **Persistence round trip**: build the COLOR64 index on the simulated
+//! disk, persist the tree to a checksummed file-backed snapshot, reopen it
 //! after a simulated process death, and serve the same request stream
 //! from the loaded tree — once per WAL durability mode.
 //!
 //! Every row compares the **charged-model seconds** (the paper's disk
-//! bill, identical on every backend by construction) with the
+//! bill, charged by the model disk the file store embeds) with the
 //! **wall-clock seconds** the real files took, separating the analytical
 //! cost model from the fsync cadence actually paid: `per-batch` syncs the
 //! WAL on every commit, `every-8` amortizes it, `none` leaves durability
@@ -18,8 +18,8 @@
 
 use hdidx_bench::{ExpArgs, ExperimentContext};
 use hdidx_datagen::registry::NamedDataset;
-use hdidx_diskio::external::{build_on_disk_in, ExternalConfig};
-use hdidx_diskio::{DiskModel, DiskOptions, IoStats, PageStore};
+use hdidx_diskio::external::{build_on_disk, ExternalConfig};
+use hdidx_diskio::{DiskModel, DiskOptions};
 use hdidx_pool::Pool;
 use hdidx_serve::{ArrivalModel, LoadGen, MixSpec, ServeConfig, Server};
 use hdidx_store::{load_index, persist_index, Durability, FileStore, PAGE_BYTES};
@@ -63,10 +63,6 @@ impl Row {
             self.matches_sim,
         )
     }
-}
-
-fn charged(disk: &DiskModel, io: IoStats) -> f64 {
-    disk.cost_seconds(io)
 }
 
 fn main() {
@@ -121,18 +117,12 @@ fn main() {
 
     let mut rows = Vec::new();
     for durability in Durability::SWEEP {
-        let dir = root.join(format!("{durability}"));
-        let scratch = dir.join("scratch");
-        let index = dir.join("index");
+        let index = root.join(format!("{durability}")).join("index");
 
-        // Build on the file backend (pattern-only accounting: the model
-        // disk is charged, no payload bytes move yet).
+        // Build on the simulated disk that bills it.
         let clock = Instant::now();
-        let mut store =
-            FileStore::open(&scratch, durability, &DiskOptions::new()).expect("open scratch");
-        let built = build_on_disk_in(&mut store, &ctx.data, &ctx.topo, &cfg).expect("build");
+        let built = build_on_disk(&ctx.data, &ctx.topo, &cfg).expect("build");
         let build_wall_s = clock.elapsed().as_secs_f64();
-        drop(store);
 
         // Persist: every page rides a WAL batch under this mode's fsync
         // cadence, then the checkpoint fsyncs the page file.
@@ -173,11 +163,11 @@ fn main() {
             pages,
             snapshot_bytes,
             build_wall_s,
-            build_charged_s: charged(&disk, built.io),
+            build_charged_s: disk.cost_seconds(built.io),
             persist_wall_s,
-            persist_charged_s: charged(&disk, persist_io),
+            persist_charged_s: disk.cost_seconds(persist_io),
             reopen_wall_s,
-            reopen_charged_s: charged(&disk, reopen_io),
+            reopen_charged_s: disk.cost_seconds(reopen_io),
             digest: report.digest,
             matches_sim: report.digest == baseline.digest,
         });

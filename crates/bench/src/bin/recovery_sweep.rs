@@ -19,7 +19,7 @@
 //! the sweep for CI.
 
 use hdidx_bench::ExpArgs;
-use hdidx_diskio::{DiskOptions, PageStore};
+use hdidx_diskio::DiskOptions;
 use hdidx_rand::splitmix::derive_seed;
 use hdidx_store::{scrub_store_in, Durability, FileStore, OsFs, PAGE_BYTES, PAYLOAD_BYTES};
 use std::io::Write as _;

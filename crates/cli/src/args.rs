@@ -12,7 +12,7 @@
 use hdidx_baselines::PREDICTOR_NAMES;
 use hdidx_core::simd::Choice as SimdChoice;
 use hdidx_diskio::BreakerConfig;
-use hdidx_faults::{BurstConfig, FaultConfig, FaultPhase, RetryPolicy, PPM_SCALE};
+use hdidx_faults::{BurstConfig, FaultConfig, FaultPhase, RetryPolicy};
 use hdidx_serve::{ArrivalModel, LanePolicy, MixSpec, OverloadPolicy, QueryClass};
 use hdidx_store::Durability;
 use std::path::PathBuf;
@@ -48,14 +48,15 @@ pub struct RunArgs {
     pub faults: Option<FaultConfig>,
 }
 
-/// Storage backend shared by `measure` and `serve`: which page store
-/// runs the build.
+/// Storage backend shared by `measure` and `serve`: whether the built
+/// index is also persisted. Either way the build runs on the simulated
+/// disk.
 #[derive(Debug, Clone, PartialEq)]
 pub enum StoreSpec {
-    /// The simulated disk: access-pattern accounting only, no bytes.
+    /// The simulated disk only: access-pattern accounting, no bytes.
     Sim,
-    /// The file-backed page store: same charged accounting, plus real
-    /// pages, checksums, a WAL, and an index snapshot.
+    /// The simulated build, then an index snapshot on the file-backed
+    /// page store: real pages, checksums and a WAL.
     File {
         /// Store directory (`--store`).
         dir: PathBuf,
@@ -94,7 +95,7 @@ pub enum Command {
     Measure {
         /// Shared run configuration.
         run: RunArgs,
-        /// Storage backend the build runs against.
+        /// Whether the built index is also persisted.
         store: StoreSpec,
     },
     /// Serve an open-loop query stream against a built index and report
@@ -102,7 +103,7 @@ pub enum Command {
     Serve {
         /// Shared run configuration.
         run: RunArgs,
-        /// Storage backend the build runs against.
+        /// Whether the built index is also persisted.
         store: StoreSpec,
         /// Arrival rate in requests per second.
         rate_per_s: f64,
@@ -174,13 +175,13 @@ Run flags (predict, compare, measure, serve):
 Store flags (measure, serve):
   [--backend sim|file] [--store <dir>] [--durability per-batch|every-N|none]
 
-`--backend file` runs the build against the file-backed page store
-under `--store <dir>` (required): after the build, the index is
-persisted as a new checksummed snapshot generation (`<dir>/index/
-gen-XXXXXXXX`), committed by an atomic superblock swap, scrubbed,
-fsynced, reopened and verified, and `serve` then serves the loaded
-tree. Charged-model accounting is identical to the simulated backend;
-the report adds persist/reopen charged-model vs wall-clock seconds.
+`--backend file` builds on the simulated disk exactly as `sim` does,
+then persists the index under `--store <dir>` (required) as a new
+checksummed snapshot generation (`<dir>/index/gen-XXXXXXXX`),
+committed by an atomic superblock swap, scrubbed, fsynced, reopened
+and verified, and `serve` then serves the loaded tree. The build's
+charged bill is the simulated backend's; the report adds
+persist/reopen charged-model vs wall-clock seconds.
 `--durability` picks the write-ahead-log fsync cadence: `per-batch`
 (default, fsync every batch), `every-N` (e.g. `every-8`), or `none`
 (checkpoint only). Earlier generations under `--store` are retained
@@ -402,31 +403,22 @@ impl RunArgs {
 /// without a seed.
 fn parse_faults(opts: &Opts) -> Result<Option<FaultConfig>, String> {
     let seed: Option<u64> = opts.parse_opt("fault-seed")?;
-    let ppm = parse_ppm(opts, "fault-ppm")?.unwrap_or(DEFAULT_FAULT_PPM);
-    let burst_ppm = parse_ppm(opts, "fault-burst-ppm")?;
+    let rates = FaultConfig::disabled(seed.unwrap_or_default())
+        .with_rate_ppm(opts.parse_or("fault-ppm", DEFAULT_FAULT_PPM)?)
+        .map_err(|e| format!("option --fault-ppm: {e}"))?;
+    let burst = opts
+        .parse_opt("fault-burst-ppm")?
+        .map(BurstConfig::with_fault_ppm)
+        .transpose()
+        .map_err(|e| format!("option --fault-burst-ppm: {e}"))?;
     let retry = opts
         .parse_with("retry-policy", RetryPolicy::parse)?
         .unwrap_or_default();
     let phase_scale_pct = parse_phase_scale(opts)?;
-    Ok(seed.map(|seed| FaultConfig {
+    Ok(seed.map(|_| FaultConfig {
         phase_scale_pct,
-        ..FaultConfig::disabled(seed)
-            .with_rate_ppm(ppm)
-            .with_burst(burst_ppm.map(BurstConfig::with_fault_ppm))
-            .with_retry(retry)
+        ..rates.with_burst(burst).with_retry(retry)
     }))
-}
-
-/// A per-attempt fault rate in ppm: a rate above certainty is a mistake,
-/// not a request to saturate.
-fn parse_ppm(opts: &Opts, key: &str) -> Result<Option<u32>, String> {
-    let ppm: Option<u32> = opts.parse_opt(key)?;
-    match ppm {
-        Some(p) if p > PPM_SCALE => Err(format!(
-            "option --{key}: {p} exceeds {PPM_SCALE} (a rate of 100 %)"
-        )),
-        _ => Ok(ppm),
-    }
 }
 
 /// Per-phase fault-rate percentages in `FaultPhase::ALL` order (100 for
@@ -789,12 +781,12 @@ mod tests {
         // A bare seed injects at the default low-pressure rate.
         assert_eq!(
             faults_of("compare --data d.csv --m 100 --fault-seed 1"),
-            FaultConfig::disabled(1).with_rate_ppm(2_000)
+            FaultConfig::disabled(1).with_rate_ppm(2_000).unwrap()
         );
         let f = faults_of("measure --data d.csv --m 100 --fault-seed 7 --fault-ppm 20000");
-        assert_eq!(f, FaultConfig::disabled(7).with_rate_ppm(20_000));
+        assert_eq!(f, FaultConfig::disabled(7).with_rate_ppm(20_000).unwrap());
         let f = faults_of("serve --data d.csv --m 100 --fault-seed 7 --fault-burst-ppm 50000");
-        assert_eq!(f.burst, Some(BurstConfig::with_fault_ppm(50_000)));
+        assert_eq!(f.burst, Some(BurstConfig::with_fault_ppm(50_000).unwrap()));
         assert_eq!(f.transient_ppm, 2_000);
         // Without a seed nothing is injected, but every value is checked.
         let run = run_of("predict --data a.csv --m 10 --fault-ppm 5000 --fault-burst-ppm 9");
@@ -807,7 +799,10 @@ mod tests {
              --fault-burst-ppm 1000000",
         );
         assert_eq!(f.transient_ppm, 1_000_000);
-        assert_eq!(f.burst, Some(BurstConfig::with_fault_ppm(1_000_000)));
+        assert_eq!(
+            f.burst,
+            Some(BurstConfig::with_fault_ppm(1_000_000).unwrap())
+        );
         for (args, flag) in [
             (
                 "measure --data d.csv --m 100 --fault-seed 1 --fault-ppm 2000000",

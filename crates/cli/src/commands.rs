@@ -7,13 +7,12 @@ use hdidx_baselines::{by_name, PredictorConfig, PREDICTOR_NAMES};
 use hdidx_core::Dataset;
 use hdidx_datagen::registry::NamedDataset;
 use hdidx_datagen::workload::Workload;
-use hdidx_diskio::external::{build_on_disk_in, ExternalConfig};
-use hdidx_diskio::measure::{measure_on_disk, measure_on_disk_in};
+use hdidx_diskio::external::{build_on_disk, ExternalConfig};
+use hdidx_diskio::measure::measure_on_disk;
 use hdidx_diskio::{DiskModel, DiskOptions, IoStats};
-use hdidx_faults::{FaultConfig, FaultPhase};
 use hdidx_model::{hupper, Prediction, QueryBall};
 use hdidx_serve::{LoadGen, MixSpec, QueryClass, ServeConfig, Server};
-use hdidx_store::{scrub_store_in, Durability, FileStore, OsFs, ScrubReport, SnapshotSet};
+use hdidx_store::{scrub_store_in, Durability, OsFs, ScrubReport, SnapshotSet};
 use hdidx_vamsplit::topology::{PageConfig, Topology};
 use hdidx_vamsplit::tree::RTree;
 use std::fmt::Write as _;
@@ -99,28 +98,6 @@ pub fn execute_with_status(cli: &Cli) -> Result<(String, i32), String> {
         }
     };
     report.map(|r| (r, 0))
-}
-
-/// Opens a fresh file store under `<root>/scratch` (cleared first) for
-/// the build, injecting the run's faults into the build phase.
-fn scratch_store(
-    root: &Path,
-    durability: Durability,
-    faults: Option<FaultConfig>,
-) -> Result<FileStore, String> {
-    let scratch = root.join("scratch");
-    if scratch.exists() {
-        std::fs::remove_dir_all(&scratch)
-            .map_err(|e| format!("cannot clear {}: {e}", scratch.display()))?;
-    }
-    FileStore::open(
-        &scratch,
-        durability,
-        &DiskOptions::new()
-            .fault_plan(faults)
-            .phase(FaultPhase::Build),
-    )
-    .map_err(|e| e.to_string())
 }
 
 /// Publishes `tree` as a fresh snapshot generation under
@@ -415,18 +392,13 @@ fn measure(run: &RunArgs, store: &StoreSpec) -> Result<String, String> {
     let centers = centers(&workload);
     let cfg = external_config(run)?;
     let disk = DiskModel::paper_with_page_bytes(run.page_bytes);
-    let (measured, backend_report) = match store {
-        StoreSpec::Sim => (
-            measure_on_disk(&dataset, &topo, &centers, run.k, &cfg).map_err(|e| e.to_string())?,
-            None,
-        ),
+    let measured =
+        measure_on_disk(&dataset, &topo, &centers, run.k, &cfg).map_err(|e| e.to_string())?;
+    let backend_report = match store {
+        StoreSpec::Sim => None,
         StoreSpec::File { dir, durability } => {
-            let mut fs = scratch_store(dir, *durability, run.faults)?;
-            let measured = measure_on_disk_in(&mut fs, &dataset, &topo, &centers, run.k, &cfg)
-                .map_err(|e| e.to_string())?;
-            drop(fs);
             let (_, _, _, report) = persist_and_reopen(dir, *durability, &measured.tree, &disk)?;
-            (measured, Some(report))
+            Some(report)
         }
     };
     let mut out = String::new();
@@ -475,10 +447,8 @@ fn serve(
             None,
         ),
         StoreSpec::File { dir, durability } => {
-            let mut fs = scratch_store(dir, *durability, run.faults)?;
-            let built = build_on_disk_in(&mut fs, &dataset, &topo, &external_config(run)?)
+            let built = build_on_disk(&dataset, &topo, &external_config(run)?)
                 .map_err(|e| e.to_string())?;
-            drop(fs);
             let (loaded, reopen_io, scrub_report, report) =
                 persist_and_reopen(dir, *durability, &built.tree, &serving.disk)?;
             let server = Server::from_tree(
@@ -902,8 +872,8 @@ mod tests {
         let store = std::env::temp_dir().join(format!("hdidx_cli_store_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&store);
 
-        // The measurement body is byte-identical across backends (the file
-        // store charges through the same model disk); the file backend
+        // The measurement body is byte-identical across backends (both
+        // build and measure on the simulated disk); the file backend
         // appends its persist/reopen report after it.
         let sim = run(&format!(
             "measure --data {} --m 200 --queries 10 --k 5 --seed 2",
@@ -970,6 +940,9 @@ mod tests {
             .filter(|n| n.starts_with("gen-"))
             .collect();
         assert_eq!(gens.len(), 2, "GC keeps two generations: {gens:?}");
+        // The build bills on the simulated disk: nothing but the snapshot
+        // set lands under the store.
+        assert!(!store.join("scratch").exists());
 
         // The scrub subcommand reports the store clean and names the
         // serving generation.
@@ -1040,7 +1013,7 @@ mod tests {
 
     #[test]
     fn scrub_exit_codes_distinguish_clean_repaired_and_degraded() {
-        use hdidx_diskio::{DiskOptions, PageStore as _};
+        use hdidx_diskio::DiskOptions;
         use hdidx_store::{Durability, FileStore, PAGE_BYTES, PAYLOAD_BYTES};
         let dir =
             std::env::temp_dir().join(format!("hdidx_cli_scrub_codes_{}", std::process::id()));

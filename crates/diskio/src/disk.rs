@@ -91,11 +91,6 @@ impl Disk {
         d
     }
 
-    /// The installed fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.plan.as_ref()
-    }
-
     /// Every fault injected so far, in decision order (empty without a
     /// plan). The trace is part of the determinism contract: same seed,
     /// same access sequence ⇒ same trace, at any thread count.
@@ -252,43 +247,26 @@ impl Disk {
     }
 
     /// Reads `n_pages` pages of `file` starting at `first_page`
-    /// (file-relative) into `buf`. The simulated disk stores no bytes, so
-    /// `buf` is left untouched (it may be empty — the store API is
-    /// pattern-only on this backend); the charge is exactly that of
-    /// [`Disk::access`], plus `n_pages` on the [`IoStats::reads`] intent
-    /// counter when the access succeeds.
+    /// (file-relative): the charge of [`Disk::access`], plus `n_pages` on
+    /// the [`IoStats::reads`] intent counter when the access succeeds.
     ///
     /// # Errors
     ///
     /// Exactly those of [`Disk::access`].
-    pub fn read_pages(
-        &mut self,
-        file: &FileHandle,
-        first_page: u64,
-        n_pages: u64,
-        _buf: &mut [u8],
-    ) -> Result<()> {
+    pub fn read_pages(&mut self, file: &FileHandle, first_page: u64, n_pages: u64) -> Result<()> {
         self.access(file, first_page, n_pages)?;
         self.stats.reads += n_pages;
         Ok(())
     }
 
     /// Writes `n_pages` pages of `file` starting at `first_page`
-    /// (file-relative) from `data`. The mirror image of
-    /// [`Disk::read_pages`]: `data` is ignored (it may be empty) and the
-    /// charge is that of [`Disk::access`] plus the [`IoStats::writes`]
-    /// intent counter.
+    /// (file-relative): the mirror image of [`Disk::read_pages`], bumping
+    /// the [`IoStats::writes`] intent counter instead.
     ///
     /// # Errors
     ///
     /// Exactly those of [`Disk::access`].
-    pub fn write_pages(
-        &mut self,
-        file: &FileHandle,
-        first_page: u64,
-        n_pages: u64,
-        _data: &[u8],
-    ) -> Result<()> {
+    pub fn write_pages(&mut self, file: &FileHandle, first_page: u64, n_pages: u64) -> Result<()> {
         self.access(file, first_page, n_pages)?;
         self.stats.writes += n_pages;
         Ok(())
@@ -302,7 +280,8 @@ impl Disk {
     }
 
     /// Accesses the pages holding records `first_rec..first_rec + n_recs`
-    /// of a file storing `recs_per_page` records per page.
+    /// of a file storing `recs_per_page` records per page, counting no
+    /// direction (see [`Disk::read_records`]).
     ///
     /// # Errors
     ///
@@ -315,26 +294,69 @@ impl Disk {
         n_recs: u64,
         recs_per_page: u64,
     ) -> Result<()> {
+        self.access_record_pages(file, first_rec, n_recs, recs_per_page)
+            .map(drop)
+    }
+
+    /// Reads the pages holding records `first_rec..first_rec + n_recs`:
+    /// [`Disk::access_records`] plus the [`IoStats::reads`] intent counter.
+    ///
+    /// # Errors
+    ///
+    /// As [`Disk::access_records`].
+    pub fn read_records(
+        &mut self,
+        file: &FileHandle,
+        first_rec: u64,
+        n_recs: u64,
+        recs_per_page: u64,
+    ) -> Result<()> {
+        self.stats.reads += self.access_record_pages(file, first_rec, n_recs, recs_per_page)?;
+        Ok(())
+    }
+
+    /// Writes the pages holding records `first_rec..first_rec + n_recs`:
+    /// [`Disk::access_records`] plus the [`IoStats::writes`] intent
+    /// counter.
+    ///
+    /// # Errors
+    ///
+    /// As [`Disk::access_records`].
+    pub fn write_records(
+        &mut self,
+        file: &FileHandle,
+        first_rec: u64,
+        n_recs: u64,
+        recs_per_page: u64,
+    ) -> Result<()> {
+        self.stats.writes += self.access_record_pages(file, first_rec, n_recs, recs_per_page)?;
+        Ok(())
+    }
+
+    /// The record-granular access behind the three methods above;
+    /// returns the number of pages accessed.
+    fn access_record_pages(
+        &mut self,
+        file: &FileHandle,
+        first_rec: u64,
+        n_recs: u64,
+        recs_per_page: u64,
+    ) -> Result<u64> {
         if recs_per_page == 0 {
             return Err(Error::invalid("recs_per_page", "must be positive"));
         }
         if n_recs == 0 {
-            return Ok(());
+            return Ok(0);
         }
         let first_page = first_rec / recs_per_page;
-        let last_page = (first_rec + n_recs - 1) / recs_per_page;
-        self.access(file, first_page, last_page - first_page + 1)
+        let n_pages = (first_rec + n_recs - 1) / recs_per_page - first_page + 1;
+        self.access(file, first_page, n_pages)?;
+        Ok(n_pages)
     }
 
     /// Accumulated counters.
     pub fn stats(&self) -> IoStats {
         self.stats
-    }
-
-    /// Resets counters (head position is kept — a new measurement starts
-    /// wherever the head last was).
-    pub fn reset_stats(&mut self) {
-        self.stats = IoStats::default();
     }
 
     /// Adds externally counted I/O (e.g. the per-access random I/O of query
@@ -503,8 +525,8 @@ mod tests {
     fn read_write_intent_counters_ride_on_access_accounting() {
         let mut d = Disk::new();
         let f = d.alloc(100).unwrap();
-        d.read_pages(&f, 0, 10, &mut []).unwrap();
-        d.write_pages(&f, 10, 5, &[]).unwrap();
+        d.read_pages(&f, 0, 10).unwrap();
+        d.write_pages(&f, 10, 5).unwrap();
         let s = d.stats();
         // Same head charge as the equivalent `access` calls...
         assert_eq!((s.seeks, s.transfers), (1, 15));
@@ -516,12 +538,20 @@ mod tests {
         assert_eq!((s.reads, s.writes), (10, 5));
         assert_eq!(s.transfers, 18);
         // Failed accesses do not count pages as delivered.
-        assert!(d.read_pages(&f, 95, 20, &mut []).is_err());
+        assert!(d.read_pages(&f, 95, 20).is_err());
         assert_eq!(d.stats().reads, 10);
+        // The record-granular forms count the pages their records span
+        // (33 records/page: records 30..40 span pages 0..=1).
+        d.read_records(&f, 30, 10, 33).unwrap();
+        d.write_records(&f, 66, 1, 33).unwrap();
+        d.write_records(&f, 0, 0, 33).unwrap();
+        let s = d.stats();
+        assert_eq!((s.reads, s.writes), (12, 6));
+        assert!(d.read_records(&f, 0, 1, 0).is_err());
     }
 
     #[test]
-    fn charge_and_reset() {
+    fn charge_adds_and_invalidates_the_head() {
         let mut d = Disk::new();
         let f = d.alloc(4).unwrap();
         d.access(&f, 0, 4).unwrap();
@@ -534,11 +564,9 @@ mod tests {
                 ..IoStats::default()
             }
         );
-        d.reset_stats();
-        assert_eq!(d.stats(), IoStats::default());
         // Head was invalidated by charge: next access seeks.
         d.access(&f, 0, 1).unwrap();
-        assert_eq!(d.stats().seeks, 1);
+        assert_eq!(d.stats().seeks, 9);
     }
 
     use hdidx_faults::FaultConfig;
@@ -642,7 +670,7 @@ mod tests {
     fn retried_access_eventually_succeeds_under_moderate_rates() {
         // 10 % transient per attempt with 4 attempts: over 200 accesses the
         // chance of any exhaustion is ~2 %, and seed 7 is pinned green.
-        let cfg = FaultConfig::disabled(7).with_rate_ppm(100_000);
+        let cfg = FaultConfig::disabled(7).with_rate_ppm(100_000).unwrap();
         let mut d = Disk::with_options(&crate::DiskOptions::new().fault_plan(Some(cfg)));
         let f = d.alloc(200).unwrap();
         for p in 0..200 {
@@ -692,7 +720,7 @@ mod tests {
         use hdidx_faults::BurstConfig;
         // Find a seed/range pair whose range strictly straddles a bad
         // region, then pin that the access tears at the region edge.
-        let burst = BurstConfig::with_fault_ppm(hdidx_faults::PPM_SCALE);
+        let burst = BurstConfig::with_fault_ppm(hdidx_faults::PPM_SCALE).unwrap();
         let (seed, first_bad) = (0..20_000u64)
             .find_map(|seed| {
                 burst

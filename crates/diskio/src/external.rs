@@ -23,7 +23,7 @@
 
 use crate::disk::{Disk, FileHandle};
 use crate::model::IoStats;
-use crate::store::{DiskOptions, PageStore};
+use crate::store::DiskOptions;
 use hdidx_core::stats::max_variance_dim;
 use hdidx_core::{Dataset, Error, HyperRect, Result};
 use hdidx_faults::{FaultConfig, FaultEvent, FaultPhase};
@@ -94,33 +94,6 @@ pub struct BuildOutput {
 /// mismatches; propagates [`Error::IoFault`] once an access exhausts its
 /// attempts.
 pub fn build_on_disk(data: &Dataset, topo: &Topology, cfg: &ExternalConfig) -> Result<BuildOutput> {
-    let mut disk = Disk::with_options(
-        &DiskOptions::new()
-            .fault_plan(cfg.faults)
-            .phase(FaultPhase::Build),
-    );
-    build_on_disk_in(&mut disk, data, topo, cfg)
-}
-
-/// [`build_on_disk`] against a caller-supplied storage backend.
-///
-/// The store is used as-is: its fault plan (installed via
-/// [`DiskOptions`]) governs injection — `cfg.faults` is only consumed by
-/// the [`build_on_disk`] wrapper, which phase-specializes it for
-/// [`FaultPhase::Build`]. The reported [`BuildOutput::io`] and
-/// [`BuildOutput::fault_trace`] are the **deltas** this build added, so a
-/// store carrying earlier charges (e.g. a reopened file store) reports
-/// only the build's own bill.
-///
-/// # Errors
-///
-/// As [`build_on_disk`], plus any backend I/O error.
-pub fn build_on_disk_in(
-    store: &mut dyn PageStore,
-    data: &Dataset,
-    topo: &Topology,
-    cfg: &ExternalConfig,
-) -> Result<BuildOutput> {
     if data.dim() != topo.dim() {
         return Err(Error::DimensionMismatch {
             expected: topo.dim(),
@@ -146,20 +119,23 @@ pub fn build_on_disk_in(
             ),
         ));
     }
+    let mut disk = Disk::with_options(
+        &DiskOptions::new()
+            .fault_plan(cfg.faults)
+            .phase(FaultPhase::Build),
+    );
     let n = data.len();
     let recs_per_page = topo.cap_data() as u64;
     let data_pages = (n as u64).div_ceil(recs_per_page);
-    let io_at_entry = store.stats();
-    let trace_at_entry = store.fault_trace().len();
-    let file = store.alloc(data_pages)?;
+    let file = disk.alloc(data_pages)?;
     // Output region for finished index pages (generously sized; only the
     // access pattern matters).
-    let out = store.alloc(2 * topo.total_pages() + 64)?;
+    let out = disk.alloc(2 * topo.total_pages() + 64)?;
     let mut b = ExtBuilder {
         data,
         topo,
         cfg,
-        store,
+        disk,
         file,
         out,
         out_cursor: 0,
@@ -174,38 +150,25 @@ pub fn build_on_disk_in(
     let written_so_far = b.out_cursor;
     let remaining = (b.nodes.len() as u64).saturating_sub(written_so_far);
     if remaining > 0 {
-        b.store.write_pages(&b.out, b.out_cursor, remaining, &[])?;
+        b.disk.write_pages(&b.out, b.out_cursor, remaining)?;
         b.out_cursor += remaining;
     }
-    let io = stats_delta(b.store.stats(), io_at_entry);
-    let fault_trace = b.store.fault_trace()[trace_at_entry..].to_vec();
-    let ExtBuilder { nodes, ids, .. } = b;
+    let ExtBuilder {
+        disk, nodes, ids, ..
+    } = b;
     let tree = RTree::from_arenas(data.dim(), topo.height(), 1, nodes, ids)?;
     Ok(BuildOutput {
         tree,
-        io,
-        fault_trace,
+        io: disk.stats(),
+        fault_trace: disk.fault_trace().to_vec(),
     })
-}
-
-/// Field-wise `after - before`, for reporting a build's own I/O on a
-/// store that carried earlier charges.
-fn stats_delta(after: IoStats, before: IoStats) -> IoStats {
-    IoStats {
-        seeks: after.seeks - before.seeks,
-        transfers: after.transfers - before.transfers,
-        retries: after.retries - before.retries,
-        backoff: after.backoff - before.backoff,
-        reads: after.reads - before.reads,
-        writes: after.writes - before.writes,
-    }
 }
 
 struct ExtBuilder<'a> {
     data: &'a Dataset,
     topo: &'a Topology,
     cfg: &'a ExternalConfig,
-    store: &'a mut dyn PageStore,
+    disk: Disk,
     file: FileHandle,
     out: FileHandle,
     out_cursor: u64,
@@ -230,7 +193,7 @@ impl<'a> ExtBuilder<'a> {
         let mut newly_resident = false;
         if !resident && end - start <= self.cfg.mem_points {
             // Load the whole segment into memory: one sequential run.
-            self.store.read_records(
+            self.disk.read_records(
                 &self.file,
                 start as u64,
                 (end - start) as u64,
@@ -283,8 +246,8 @@ impl<'a> ExtBuilder<'a> {
             // region in one sequential run (its data pages + directory
             // pages were all produced in memory).
             let subtree_pages = self.nodes.len() as u64 - my_index as u64;
-            self.store
-                .write_pages(&self.out, self.out_cursor, subtree_pages, &[])?;
+            self.disk
+                .write_pages(&self.out, self.out_cursor, subtree_pages)?;
             self.out_cursor += subtree_pages;
         }
         Ok(Some(my_index))
@@ -318,12 +281,8 @@ impl<'a> ExtBuilder<'a> {
         if rank > 0 && rank < len {
             if !resident {
                 // Variance scan of the segment (read-only sequential pass).
-                self.store.read_records(
-                    &self.file,
-                    start as u64,
-                    len as u64,
-                    self.recs_per_page,
-                )?;
+                self.disk
+                    .read_records(&self.file, start as u64, len as u64, self.recs_per_page)?;
             }
             let dim = max_variance_dim(self.data, &self.ids[start..end])?;
             if !resident {
@@ -362,9 +321,9 @@ impl<'a> ExtBuilder<'a> {
             let len = hi - lo;
             if len <= self.cfg.mem_points {
                 // Read the survivor segment, finish in memory, write back.
-                self.store
+                self.disk
                     .read_records(&self.file, lo as u64, len as u64, self.recs_per_page)?;
-                self.store
+                self.disk
                     .write_records(&self.file, lo as u64, len as u64, self.recs_per_page)?;
                 return Ok(());
             }
@@ -405,18 +364,14 @@ impl<'a> ExtBuilder<'a> {
         let remaining_end = lo + len;
         while read_pos < remaining_end {
             let this = chunk_recs.min(remaining_end - read_pos);
-            self.store.read_records(
-                &self.file,
-                read_pos as u64,
-                this as u64,
-                self.recs_per_page,
-            )?;
+            self.disk
+                .read_records(&self.file, read_pos as u64, this as u64, self.recs_per_page)?;
             read_pos += this;
             // Write half the chunk to the front run, half to the back run
             // (the actual split depends on the data; half is the model).
             let half = this / 2;
             if half > 0 {
-                self.store.write_records(
+                self.disk.write_records(
                     &self.file,
                     front as u64,
                     half as u64,
@@ -427,7 +382,7 @@ impl<'a> ExtBuilder<'a> {
             let rest = this - half;
             if rest > 0 {
                 back -= rest;
-                self.store.write_records(
+                self.disk.write_records(
                     &self.file,
                     back as u64,
                     rest as u64,
@@ -643,7 +598,7 @@ mod tests {
         // Moderate fault pressure: build still succeeds (bounded retry),
         // costs strictly more, and is reproducible from the seed.
         let faulty_cfg = ExternalConfig {
-            faults: Some(FaultConfig::disabled(5).with_rate_ppm(20_000)),
+            faults: Some(FaultConfig::disabled(5).with_rate_ppm(20_000).unwrap()),
             ..base_cfg
         };
         let a = build_on_disk(&data, &topo, &faulty_cfg).unwrap();

@@ -21,12 +21,10 @@
 //! * [`measure`] — ground-truth measurement: runs a k-NN workload against
 //!   the on-disk index, counting random page accesses, and reports the
 //!   paper's "on-disk" row (build cost + query cost),
-//! * [`store`] — the [`store::PageStore`] trait every storage backend
-//!   implements (the simulated [`disk::Disk`] is the reference
-//!   implementor; the file-backed store with WAL durability lives in
-//!   `hdidx-store`) and the [`store::DiskOptions`] builder that
-//!   configures fault injection, retry policy and phase/stream
-//!   derivation for any backend,
+//! * [`store`] — the [`store::DiskOptions`] builder that configures fault
+//!   injection, retry policy and phase/stream derivation for a
+//!   [`disk::Disk`] (and for the model disk the file-backed store in
+//!   `hdidx-store` embeds, so snapshots bill like the simulation),
 //! * [`breaker`] — a deterministic circuit breaker over charged time:
 //!   the [`breaker::CircuitBreaker`] state machine the serving loop
 //!   clocks with simulated time and drives around its disk queries.
@@ -47,7 +45,7 @@ pub mod store;
 
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use disk::{Disk, FileHandle};
-pub use external::{build_on_disk, build_on_disk_in};
-pub use measure::{measure_on_disk, measure_on_disk_in, OnDiskMeasurement};
+pub use external::build_on_disk;
+pub use measure::{measure_on_disk, OnDiskMeasurement};
 pub use model::{DiskModel, IoStats};
-pub use store::{DiskOptions, PageStore};
+pub use store::DiskOptions;

@@ -4,9 +4,9 @@
 //! every predictor is scored against.
 
 use crate::disk::Disk;
-use crate::external::{build_on_disk_in, ExternalConfig};
+use crate::external::{build_on_disk, ExternalConfig};
 use crate::model::IoStats;
-use crate::store::{DiskOptions, PageStore};
+use crate::store::DiskOptions;
 use hdidx_core::{Dataset, Result};
 use hdidx_faults::{FaultEvent, FaultPhase};
 use hdidx_vamsplit::query::knn;
@@ -70,32 +70,7 @@ pub fn measure_on_disk(
     k: usize,
     cfg: &ExternalConfig,
 ) -> Result<OnDiskMeasurement> {
-    let mut disk = Disk::with_options(
-        &DiskOptions::new()
-            .fault_plan(cfg.faults)
-            .phase(FaultPhase::Build),
-    );
-    measure_on_disk_in(&mut disk, data, topo, centers, k, cfg)
-}
-
-/// [`measure_on_disk`] with the **build** running against a
-/// caller-supplied storage backend (the query phase models random page
-/// accesses on a scratch simulated disk either way — query execution
-/// itself is in-memory on every backend, so the modeled bill is
-/// backend-independent by construction).
-///
-/// # Errors
-///
-/// As [`measure_on_disk`], plus any backend I/O error from the build.
-pub fn measure_on_disk_in(
-    store: &mut dyn PageStore,
-    data: &Dataset,
-    topo: &Topology,
-    centers: &[Vec<f32>],
-    k: usize,
-    cfg: &ExternalConfig,
-) -> Result<OnDiskMeasurement> {
-    let built = build_on_disk_in(store, data, topo, cfg)?;
+    let built = build_on_disk(data, topo, cfg)?;
     let mut per_query = Vec::with_capacity(centers.len());
     let query_io;
     let mut fault_trace = built.fault_trace;
@@ -216,7 +191,7 @@ mod tests {
         assert_eq!(zero.query_io, plain.query_io);
         assert!(zero.fault_trace.is_empty());
         // Moderate faults: reproducible, same leaf counts, extra I/O.
-        let fcfg = FaultConfig::disabled(11).with_rate_ppm(20_000);
+        let fcfg = FaultConfig::disabled(11).with_rate_ppm(20_000).unwrap();
         let cfg = ExternalConfig {
             faults: Some(fcfg),
             ..base

@@ -23,17 +23,21 @@ pub struct IoStats {
     /// [`RetryPolicy`]: hdidx_faults::RetryPolicy
     pub backoff: u64,
     /// Pages moved through the intent-carrying read path
-    /// (`PageStore::read_pages`). Raw [`Disk::access`] calls — which do
-    /// not know their direction — leave this at zero, so closed-form
-    /// pins on seeks/transfers are unaffected.
+    /// ([`Disk::read_pages`], [`Disk::read_records`]). Raw
+    /// [`Disk::access`] calls — which do not know their direction — leave
+    /// this at zero, so closed-form pins on seeks/transfers are
+    /// unaffected.
     ///
     /// [`Disk::access`]: crate::Disk::access
-    /// [`PageStore::read_pages`]: crate::PageStore::read_pages
+    /// [`Disk::read_pages`]: crate::Disk::read_pages
+    /// [`Disk::read_records`]: crate::Disk::read_records
     pub reads: u64,
     /// Pages moved through the intent-carrying write path
-    /// (`PageStore::write_pages`); see [`IoStats::reads`].
+    /// ([`Disk::write_pages`], [`Disk::write_records`]); see
+    /// [`IoStats::reads`].
     ///
-    /// [`PageStore::write_pages`]: crate::PageStore::write_pages
+    /// [`Disk::write_pages`]: crate::Disk::write_pages
+    /// [`Disk::write_records`]: crate::Disk::write_records
     pub writes: u64,
 }
 

@@ -68,6 +68,7 @@ fn drive(seed: u64) -> (Vec<(u64, &'static str)>, u64, u64, u64, String) {
     // a 3-failure window repeatedly while most half-open probes succeed.
     let fcfg = FaultConfig::disabled(seed)
         .with_rate_ppm(400_000)
+        .unwrap()
         .with_retry(RetryPolicy::Exponential);
     let mut disk = Disk::with_options(&DiskOptions::new().fault_plan(Some(fcfg)));
     let cfg = BreakerConfig {
@@ -155,6 +156,7 @@ fn breaker_off_burns_backoff_that_fast_fail_avoids() {
     // attempt failure rate: every un-gated access burns the full ladder.
     let fcfg = FaultConfig::disabled(seed)
         .with_rate_ppm(900_000)
+        .unwrap()
         .with_retry(RetryPolicy::Exponential);
     // Bare disk: every access burns the full retry ladder.
     let mut bare = Disk::with_options(&DiskOptions::new().fault_plan(Some(fcfg)));

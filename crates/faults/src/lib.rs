@@ -76,6 +76,15 @@ use hdidx_rand::splitmix::derive_seed;
 /// per-attempt probability.
 pub const PPM_SCALE: u32 = 1_000_000;
 
+/// A per-attempt rate in ppm: a rate above certainty is a mistake, not a
+/// request to saturate.
+fn checked_ppm(ppm: u32) -> std::result::Result<u32, String> {
+    if ppm > PPM_SCALE {
+        return Err(format!("{ppm} exceeds {PPM_SCALE} (a rate of 100 %)"));
+    }
+    Ok(ppm)
+}
+
 /// Default bound on attempts per access (1 initial + 3 retries).
 pub const DEFAULT_MAX_ATTEMPTS: u32 = 4;
 
@@ -222,14 +231,17 @@ impl BurstConfig {
 
     /// The default geometry at the given per-attempt fault probability
     /// (what the CLI's `--fault-burst-ppm` installs).
-    #[must_use]
-    pub fn with_fault_ppm(fault_ppm: u32) -> BurstConfig {
-        BurstConfig {
+    ///
+    /// # Errors
+    ///
+    /// Rejects a probability above [`PPM_SCALE`] (certainty).
+    pub fn with_fault_ppm(fault_ppm: u32) -> std::result::Result<BurstConfig, String> {
+        Ok(BurstConfig {
             window_pages: Self::DEFAULT_WINDOW_PAGES,
             region_ppm: Self::DEFAULT_REGION_PPM,
             max_region_pages: Self::DEFAULT_MAX_REGION_PAGES,
-            fault_ppm: fault_ppm.min(PPM_SCALE),
-        }
+            fault_ppm: checked_ppm(fault_ppm)?,
+        })
     }
 
     /// Whether this model can ever fire.
@@ -364,13 +376,16 @@ impl FaultConfig {
 
     /// Scales the transient rate to `ppm` (torn and spikes at half that),
     /// keeping seed and retry bound.
-    #[must_use]
-    pub fn with_rate_ppm(mut self, ppm: u32) -> FaultConfig {
-        let ppm = ppm.min(PPM_SCALE);
+    ///
+    /// # Errors
+    ///
+    /// Rejects a rate above [`PPM_SCALE`] (certainty).
+    pub fn with_rate_ppm(mut self, ppm: u32) -> std::result::Result<FaultConfig, String> {
+        let ppm = checked_ppm(ppm)?;
         self.transient_ppm = ppm;
         self.torn_ppm = ppm / 2;
         self.spike_ppm = ppm / 2;
-        self
+        Ok(self)
     }
 
     /// Attaches (or clears) the correlated burst model.
@@ -681,7 +696,7 @@ mod tests {
 
     #[test]
     fn rates_are_roughly_honored() {
-        let cfg = FaultConfig::disabled(1).with_rate_ppm(100_000); // 10 %
+        let cfg = FaultConfig::disabled(1).with_rate_ppm(100_000).unwrap(); // 10 %
         let mut plan = FaultPlan::new(cfg);
         let mut failures = 0usize;
         let n = 20_000u64;
@@ -700,8 +715,8 @@ mod tests {
     fn fault_set_is_monotone_in_the_rate() {
         // Raising the rate may only add faults at (access, attempt) keys,
         // never clear one — the property the degradation sweep relies on.
-        let lo = FaultConfig::disabled(9).with_rate_ppm(20_000);
-        let hi = FaultConfig::disabled(9).with_rate_ppm(200_000);
+        let lo = FaultConfig::disabled(9).with_rate_ppm(20_000).unwrap();
+        let hi = FaultConfig::disabled(9).with_rate_ppm(200_000).unwrap();
         let mut plan_lo = FaultPlan::new(lo);
         let mut plan_hi = FaultPlan::new(hi);
         for a in 0..5_000u64 {
@@ -762,17 +777,27 @@ mod tests {
     fn config_presets() {
         assert!(FaultConfig::disabled(0).is_zero());
         assert!(!FaultConfig::chaos(0).is_zero());
-        let c = FaultConfig::disabled(1).with_rate_ppm(10_000);
+        let c = FaultConfig::disabled(1).with_rate_ppm(10_000).unwrap();
         assert_eq!(c.transient_ppm, 10_000);
         assert_eq!(c.torn_ppm, 5_000);
         assert_eq!(c.spike_ppm, 5_000);
-        // with_rate_ppm clamps to the scale.
+    }
+
+    #[test]
+    fn rates_above_certainty_are_rejected_not_clamped() {
+        // PPM_SCALE itself is certainty and stays valid.
+        let sure = FaultConfig::disabled(1).with_rate_ppm(PPM_SCALE).unwrap();
+        assert_eq!(sure.transient_ppm, PPM_SCALE);
         assert_eq!(
-            FaultConfig::disabled(1)
-                .with_rate_ppm(u32::MAX)
-                .transient_ppm,
+            BurstConfig::with_fault_ppm(PPM_SCALE).unwrap().fault_ppm,
             PPM_SCALE
         );
+        for ppm in [PPM_SCALE + 1, u32::MAX] {
+            let e = FaultConfig::disabled(1).with_rate_ppm(ppm).unwrap_err();
+            assert_eq!(e, format!("{ppm} exceeds 1000000 (a rate of 100 %)"));
+            let e = BurstConfig::with_fault_ppm(ppm).unwrap_err();
+            assert_eq!(e, format!("{ppm} exceeds 1000000 (a rate of 100 %)"));
+        }
     }
 
     #[test]
@@ -784,7 +809,7 @@ mod tests {
 
     #[test]
     fn burst_regions_are_deterministic_and_in_bounds() {
-        let b = BurstConfig::with_fault_ppm(500_000);
+        let b = BurstConfig::with_fault_ppm(500_000).unwrap();
         let mut hosted = 0usize;
         for window in 0..4_000u64 {
             let r1 = b.region_in_window(11, window);
@@ -810,7 +835,7 @@ mod tests {
         // Certain-fire burst rate, zero point rates: an access fails iff it
         // overlaps a bad region, and torn tears exactly at the first bad
         // page.
-        let burst = BurstConfig::with_fault_ppm(PPM_SCALE);
+        let burst = BurstConfig::with_fault_ppm(PPM_SCALE).unwrap();
         let cfg = FaultConfig::disabled(17).with_burst(Some(burst));
         let mut plan = FaultPlan::new(cfg);
         let mut fired = 0usize;
@@ -842,8 +867,10 @@ mod tests {
 
     #[test]
     fn burst_fault_set_is_monotone_in_the_rate() {
-        let lo = FaultConfig::disabled(9).with_burst(Some(BurstConfig::with_fault_ppm(100_000)));
-        let hi = FaultConfig::disabled(9).with_burst(Some(BurstConfig::with_fault_ppm(800_000)));
+        let lo = FaultConfig::disabled(9)
+            .with_burst(Some(BurstConfig::with_fault_ppm(100_000).unwrap()));
+        let hi = FaultConfig::disabled(9)
+            .with_burst(Some(BurstConfig::with_fault_ppm(800_000).unwrap()));
         let mut plan_lo = FaultPlan::new(lo);
         let mut plan_hi = FaultPlan::new(hi);
         for a in 0..5_000u64 {
@@ -859,7 +886,8 @@ mod tests {
     fn phase_override_scales_rates_and_decorrelates_seeds() {
         let cfg = FaultConfig::disabled(5)
             .with_rate_ppm(10_000)
-            .with_burst(Some(BurstConfig::with_fault_ppm(40_000)))
+            .unwrap()
+            .with_burst(Some(BurstConfig::with_fault_ppm(40_000).unwrap()))
             .with_phase_scale(FaultPhase::Build, 50)
             .with_phase_scale(FaultPhase::Query, 200)
             .with_phase_scale(FaultPhase::Predict, 0);
@@ -876,6 +904,7 @@ mod tests {
         // Scaling clamps at certainty.
         let hot = FaultConfig::disabled(1)
             .with_rate_ppm(900_000)
+            .unwrap()
             .with_phase_scale(FaultPhase::Build, 300)
             .for_phase(FaultPhase::Build);
         assert_eq!(hot.transient_ppm, PPM_SCALE);
@@ -914,14 +943,14 @@ mod tests {
     #[test]
     fn zero_burst_and_zero_scale_count_as_zero() {
         assert!(FaultConfig::disabled(0)
-            .with_burst(Some(BurstConfig::with_fault_ppm(0)))
+            .with_burst(Some(BurstConfig::with_fault_ppm(0).unwrap()))
             .is_zero());
         assert!(!FaultConfig::disabled(0)
-            .with_burst(Some(BurstConfig::with_fault_ppm(1)))
+            .with_burst(Some(BurstConfig::with_fault_ppm(1).unwrap()))
             .is_zero());
         let b = BurstConfig {
             region_ppm: 0,
-            ..BurstConfig::with_fault_ppm(1_000)
+            ..BurstConfig::with_fault_ppm(1_000).unwrap()
         };
         assert!(b.is_zero());
         assert_eq!(b.first_bad_page(1, 0, 1_000_000), None);

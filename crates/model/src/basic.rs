@@ -269,7 +269,7 @@ mod tests {
         // the prediction survives on the remaining sample and says so.
         let hurt = (0..200u64)
             .find_map(|s| {
-                let fcfg = FaultConfig::disabled(s).with_rate_ppm(560_000);
+                let fcfg = FaultConfig::disabled(s).with_rate_ppm(560_000).unwrap();
                 Basic::new(params)
                     .with_faults(Some(fcfg))
                     .run(&data, &topo, &balls)

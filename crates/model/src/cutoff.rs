@@ -14,7 +14,6 @@ use crate::scan::faulted_scan;
 use crate::upper::{build_upper_phase_from_sample, draw_upper_sample};
 use crate::{Prediction, QueryBall};
 use hdidx_core::{Dataset, HyperRect, LeafSoup, Result};
-use hdidx_diskio::IoStats;
 use hdidx_faults::FaultConfig;
 use hdidx_pool::Pool;
 use hdidx_vamsplit::topology::Topology;
@@ -137,11 +136,6 @@ impl Cutoff {
             k: up.k(),
         })
     }
-
-    fn analytic_io(&self, topo: &Topology, q: usize) -> IoStats {
-        let scan_pages = (topo.n() as u64).div_ceil(topo.cap_data() as u64);
-        IoStats::random(q as u64) + IoStats::run(scan_pages)
-    }
 }
 
 impl Predictor for Cutoff {
@@ -156,17 +150,6 @@ impl Predictor for Cutoff {
         queries: &[QueryBall],
     ) -> Result<Prediction> {
         Ok(self.run(data, topo, queries)?.prediction)
-    }
-
-    fn io_cost(&self, data: &Dataset, topo: &Topology, queries: &[QueryBall]) -> Result<IoStats> {
-        // Closed form (Eq. 3): the cutoff bill does not depend on the data
-        // — unless a live fault plan can add retries and backoff, in which
-        // case the bill comes from actually running the prediction.
-        if self.faults.is_none_or(|f| f.is_zero()) {
-            Ok(self.analytic_io(topo, queries.len()))
-        } else {
-            Ok(self.predict(data, topo, queries)?.io)
-        }
     }
 }
 
@@ -220,6 +203,7 @@ fn split_box(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hdidx_diskio::IoStats;
     use hdidx_rand::seeded;
     use hdidx_rand::Rng;
 
@@ -324,25 +308,19 @@ mod tests {
         assert_eq!(zero.sigma_upper, plain.sigma_upper);
         assert_eq!(zero.prediction.degraded, plain.prediction.degraded);
         // Under pressure the survivors carry the estimate at a reduced
-        // sampling rate, and the bill diverges from the closed form — so
-        // io_cost must agree with the executed prediction, not Eq. (3).
+        // sampling rate, and the bill carries the retries.
         let hurt = (0..200u64)
             .find_map(|s| {
-                let fcfg = FaultConfig::disabled(s).with_rate_ppm(560_000);
+                let fcfg = FaultConfig::disabled(s).with_rate_ppm(560_000).unwrap();
                 Cutoff::new(params)
                     .with_faults(Some(fcfg))
                     .run(&data, &topo, &queries)
                     .ok()
-                    .map(|p| (fcfg, p))
-                    .filter(|(_, p)| p.prediction.degraded.is_degraded())
+                    .filter(|p| p.prediction.degraded.is_degraded())
             })
             .expect("some seed degrades without destroying the sample");
-        let (fcfg, hurt) = hurt;
         assert!(hurt.sigma_upper < plain.sigma_upper);
         assert!(hurt.prediction.io.retries > 0);
-        let cut = Cutoff::new(params).with_faults(Some(fcfg));
-        let billed = cut.io_cost(&data, &topo, &queries).unwrap();
-        assert_eq!(billed, hurt.prediction.io);
     }
 
     #[test]

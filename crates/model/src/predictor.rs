@@ -14,7 +14,6 @@
 
 use crate::{Prediction, QueryBall};
 use hdidx_core::{Dataset, Result};
-use hdidx_diskio::IoStats;
 use hdidx_vamsplit::topology::Topology;
 
 /// A page-access predictor: given the dataset, the topology of the index
@@ -38,18 +37,6 @@ pub trait Predictor {
     /// between `data`, `topo` and the query centers, or invalid radii.
     fn predict(&self, data: &Dataset, topo: &Topology, queries: &[QueryBall])
         -> Result<Prediction>;
-
-    /// The I/O this predictor would charge for `queries`, without
-    /// necessarily producing the estimate. The default runs
-    /// [`Predictor::predict`] and reports its bill; implementations with a
-    /// closed-form cost (the paper's Eqs. 1–5) override it.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Predictor::predict`].
-    fn io_cost(&self, data: &Dataset, topo: &Topology, queries: &[QueryBall]) -> Result<IoStats> {
-        Ok(self.predict(data, topo, queries)?.io)
-    }
 }
 
 #[cfg(test)]
@@ -95,8 +82,6 @@ mod tests {
             let out = p.predict(&data, &topo, &queries).unwrap();
             assert_eq!(out.per_query.len(), 2);
             assert!(out.predicted_leaf_pages > 0);
-            // io_cost agrees with the bill predict reports.
-            assert_eq!(p.io_cost(&data, &topo, &queries).unwrap(), out.io);
         }
     }
 

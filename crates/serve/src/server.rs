@@ -688,6 +688,7 @@ mod tests {
         let (data, topo) = fixture();
         let fcfg = FaultConfig::disabled(3)
             .with_rate_ppm(300_000)
+            .unwrap()
             .with_retry(hdidx_faults::RetryPolicy::Exponential)
             .with_phase_scale(FaultPhase::Build, 0);
         let server = Server::build(&data, &topo, 400, 7, Some(fcfg)).unwrap();
@@ -785,6 +786,7 @@ mod tests {
         let (data, topo) = fixture();
         let fcfg = FaultConfig::disabled(3)
             .with_rate_ppm(900_000)
+            .unwrap()
             .with_retry(hdidx_faults::RetryPolicy::Exponential)
             .with_phase_scale(FaultPhase::Build, 0);
         let server = Server::build(&data, &topo, 400, 7, Some(fcfg)).unwrap();

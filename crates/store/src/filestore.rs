@@ -1,14 +1,14 @@
-//! [`FileStore`]: the file-backed [`PageStore`] backend.
+//! [`FileStore`]: the file-backed page store snapshots live on.
 //!
 //! ## Architecture
 //!
 //! A `FileStore` is three cooperating pieces under one directory:
 //!
 //! * an embedded **model [`Disk`]** (configured from the same
-//!   [`DiskOptions`] the simulated backend takes) that owns the page
+//!   [`DiskOptions`] a simulated disk takes) that owns the page
 //!   address space and is charged *first* on every access — so seeks,
-//!   transfers, retries and fault traces are identical to the simulated
-//!   backend's by construction,
+//!   transfers, intent counters and retries are identical to a simulated
+//!   [`Disk`]'s driven through the same pages, by construction,
 //! * the **page file** (`pages.db`) holding checkpointed page images with
 //!   checksummed headers,
 //! * the **write-ahead log** (`wal.log`) holding every page written since
@@ -16,10 +16,10 @@
 //!
 //! ## Write path (redo-only, no-steal)
 //!
-//! One [`PageStore::write_pages`] call forms one WAL batch: a frame per
+//! One [`FileStore::write_pages`] call forms one WAL batch: a frame per
 //! page plus a commit record, fsynced according to the [`Durability`]
 //! mode. Dirty payloads stay in an in-memory table until
-//! [`PageStore::sync`] checkpoints them: flush to the page file, fsync
+//! [`FileStore::sync`] checkpoints them: flush to the page file, fsync
 //! it, then truncate the WAL. The page file therefore only ever holds
 //! checkpointed state, and a crash at any moment loses exactly the WAL
 //! batches that were not yet durable — never a checkpointed page.
@@ -39,10 +39,9 @@ use crate::pagefile::{PageFile, PAYLOAD_BYTES};
 use crate::wal::Wal;
 use crate::Durability;
 use hdidx_core::{Error, Result};
-use hdidx_diskio::{Disk, DiskOptions, FileHandle, IoStats, PageStore};
-use hdidx_faults::FaultEvent;
+use hdidx_diskio::{Disk, DiskOptions, FileHandle, IoStats};
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 
 /// File-backed page store with WAL durability. See the module docs.
@@ -54,7 +53,6 @@ pub struct FileStore {
     /// Dirty payloads (absolute page → payload) since the last checkpoint.
     dirty: BTreeMap<u64, Vec<u8>>,
     durability: Durability,
-    dir: PathBuf,
     /// Commits since the WAL was last fsynced (drives [`Durability::EveryN`]).
     unsynced_commits: u32,
 }
@@ -121,21 +119,8 @@ impl FileStore {
             wal,
             dirty: BTreeMap::new(),
             durability,
-            dir: dir.to_path_buf(),
             unsynced_commits: 0,
         })
-    }
-
-    /// The store's durability mode.
-    #[must_use]
-    pub fn durability(&self) -> Durability {
-        self.durability
-    }
-
-    /// The store's directory.
-    #[must_use]
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// Current WAL length in bytes (un-checkpointed redo volume).
@@ -144,51 +129,51 @@ impl FileStore {
         self.wal.len()
     }
 
-    /// Validates a byte buffer against the empty-or-exact convention and
-    /// returns whether it carries bytes.
-    fn carries_bytes(n_pages: u64, len: usize) -> Result<bool> {
-        if len == 0 {
-            return Ok(false);
-        }
-        let want = n_pages as usize * PAYLOAD_BYTES;
-        if len != want {
+    /// Rejects a buffer that is not exactly `n_pages` payloads long.
+    fn check_len(n_pages: u64, len: usize) -> Result<()> {
+        let want = usize::try_from(n_pages)
+            .ok()
+            .and_then(|n| n.checked_mul(PAYLOAD_BYTES));
+        if want != Some(len) {
             return Err(Error::invalid(
                 "buf",
-                format!("buffer is {len} bytes; expected 0 or {want} ({n_pages} pages)"),
+                format!("buffer is {len} bytes; expected {n_pages} pages of {PAYLOAD_BYTES}"),
             ));
         }
-        Ok(true)
-    }
-}
-
-impl PageStore for FileStore {
-    fn backend(&self) -> &'static str {
-        "file"
+        Ok(())
     }
 
-    fn alloc(&mut self, pages: u64) -> Result<FileHandle> {
-        // The model owns the address space; real bytes materialize lazily
-        // on first write.
+    /// Allocates a file of `pages` contiguous pages. The model disk owns
+    /// the address space; real bytes materialize on first write.
+    ///
+    /// # Errors
+    ///
+    /// Rejects zero-page files.
+    pub fn alloc(&mut self, pages: u64) -> Result<FileHandle> {
         self.model.alloc(pages)
     }
 
-    fn read_pages(
+    /// Reads `n_pages` pages of `file` starting at `first_page`
+    /// (file-relative) into `buf`, which must hold exactly `n_pages`
+    /// payloads. The model disk is charged first, exactly as
+    /// [`Disk::read_pages`] charges the simulation.
+    ///
+    /// # Errors
+    ///
+    /// A mis-sized buffer (charging nothing), the model disk's range and
+    /// fault errors, and page-file corruption.
+    pub fn read_pages(
         &mut self,
         file: &FileHandle,
         first_page: u64,
         n_pages: u64,
         buf: &mut [u8],
     ) -> Result<()> {
-        let carries = Self::carries_bytes(n_pages, buf.len())?;
+        Self::check_len(n_pages, buf.len())?;
         // Model first: range validation, head charging, fault retries.
-        self.model.read_pages(file, first_page, n_pages, &mut [])?;
-        if !carries {
-            return Ok(());
-        }
+        self.model.read_pages(file, first_page, n_pages)?;
         let base = file.start_page() + first_page;
-        for i in 0..n_pages {
-            let page = base + i;
-            let out = &mut buf[i as usize * PAYLOAD_BYTES..(i as usize + 1) * PAYLOAD_BYTES];
+        for (page, out) in (base..).zip(buf.chunks_exact_mut(PAYLOAD_BYTES)) {
             if let Some(payload) = self.dirty.get(&page) {
                 out.fill(0);
                 out[..payload.len()].copy_from_slice(payload);
@@ -199,23 +184,27 @@ impl PageStore for FileStore {
         Ok(())
     }
 
-    fn write_pages(
+    /// Writes `n_pages` pages of `file` starting at `first_page`
+    /// (file-relative) from `data`, which must hold exactly `n_pages`
+    /// payloads. One call forms one WAL batch, fsynced according to the
+    /// store's [`Durability`]; the model disk is charged first, exactly as
+    /// [`Disk::write_pages`] charges the simulation.
+    ///
+    /// # Errors
+    ///
+    /// As [`FileStore::read_pages`], plus WAL write and fsync failures.
+    pub fn write_pages(
         &mut self,
         file: &FileHandle,
         first_page: u64,
         n_pages: u64,
         data: &[u8],
     ) -> Result<()> {
-        let carries = Self::carries_bytes(n_pages, data.len())?;
-        self.model.write_pages(file, first_page, n_pages, &[])?;
-        if !carries {
-            return Ok(());
-        }
-        // One write_pages call = one WAL batch.
+        Self::check_len(n_pages, data.len())?;
+        self.model.write_pages(file, first_page, n_pages)?;
         let base = file.start_page() + first_page;
-        for i in 0..n_pages {
-            let payload = &data[i as usize * PAYLOAD_BYTES..(i as usize + 1) * PAYLOAD_BYTES];
-            self.wal.append_frame(base + i, payload)?;
+        for (page, payload) in (base..).zip(data.chunks_exact(PAYLOAD_BYTES)) {
+            self.wal.append_frame(page, payload)?;
         }
         self.wal.commit()?;
         match self.durability {
@@ -229,15 +218,19 @@ impl PageStore for FileStore {
             }
             Durability::None => {}
         }
-        for i in 0..n_pages {
-            let payload = &data[i as usize * PAYLOAD_BYTES..(i as usize + 1) * PAYLOAD_BYTES];
-            self.dirty.insert(base + i, payload.to_vec());
+        for (page, payload) in (base..).zip(data.chunks_exact(PAYLOAD_BYTES)) {
+            self.dirty.insert(page, payload.to_vec());
         }
         Ok(())
     }
 
-    fn sync(&mut self) -> Result<()> {
-        // Checkpoint: dirty pages → page file, fsync it, drop the WAL.
+    /// Checkpoints every write issued so far: dirty pages go to the page
+    /// file, the page file is fsynced, and the WAL is truncated.
+    ///
+    /// # Errors
+    ///
+    /// Page-file write, fsync and WAL truncation failures.
+    pub fn sync(&mut self) -> Result<()> {
         for (&page, payload) in &self.dirty {
             self.pagefile.write_page(page, payload)?;
         }
@@ -248,30 +241,24 @@ impl PageStore for FileStore {
         Ok(())
     }
 
-    fn pages(&self) -> u64 {
+    /// Total pages allocated so far.
+    #[must_use]
+    pub fn pages(&self) -> u64 {
         self.model.allocated_pages()
     }
 
-    fn stats(&self) -> IoStats {
+    /// The model disk's accumulated counters: the bill every access so
+    /// far charged.
+    #[must_use]
+    pub fn stats(&self) -> IoStats {
         self.model.stats()
-    }
-
-    fn reset_stats(&mut self) {
-        self.model.reset_stats();
-    }
-
-    fn charge(&mut self, io: IoStats) {
-        self.model.charge(io);
-    }
-
-    fn fault_trace(&self) -> &[FaultEvent] {
-        self.model.fault_trace()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn tmpdir(name: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("hdidx_filestore_{name}_{}", std::process::id()));
@@ -296,11 +283,10 @@ mod tests {
         let mut back = vec![0u8; 3 * PAYLOAD_BYTES];
         st.read_pages(&f, 2, 3, &mut back).unwrap();
         assert_eq!(back, data);
-        PageStore::sync(&mut st).unwrap();
+        st.sync().unwrap();
         drop(st);
 
         let mut st = FileStore::open(&dir, Durability::PerBatch, &DiskOptions::new()).unwrap();
-        assert_eq!(st.backend(), "file");
         // The model was pre-allocated over the recovered pages; re-mint
         // the handle over the same range.
         let f = FileHandle::from_raw(f.start_page(), f.pages());
@@ -354,17 +340,39 @@ mod tests {
 
     #[test]
     fn charging_matches_the_simulated_backend_bitwise() {
+        // One page pattern under one fault plan, with full byte buffers
+        // through the file store and on a bare simulated disk: every
+        // counter, intent counters and retries included, must match.
         let dir = tmpdir("charge");
-        let drive = |store: &mut dyn PageStore| {
-            let f = store.alloc(64).unwrap();
-            store.read_pages(&f, 0, 8, &mut []).unwrap();
-            store.write_pages(&f, 32, 4, &[]).unwrap();
-            store.read_records(&f, 90, 30, 10).unwrap();
-            store.stats()
-        };
-        let mut sim = Disk::new();
-        let mut file = FileStore::open(&dir, Durability::PerBatch, &DiskOptions::new()).unwrap();
-        assert_eq!(drive(&mut sim), drive(&mut file));
+        let faults = hdidx_faults::FaultConfig::disabled(5)
+            .with_rate_ppm(60_000)
+            .unwrap();
+        let opts = DiskOptions::new().fault_plan(Some(faults));
+        let mut sim = Disk::with_options(&opts);
+        let mut file = FileStore::open(&dir, Durability::PerBatch, &opts).unwrap();
+        let f = sim.alloc(64).unwrap();
+        assert_eq!(file.alloc(64).unwrap(), f);
+        let pattern = [
+            (false, 0, 8),
+            (true, 32, 4),
+            (false, 9, 5),
+            (true, 36, 2),
+            (false, 32, 6),
+        ];
+        for (tag, (write, first, n)) in pattern.into_iter().enumerate() {
+            let mut buf = payload(tag as u8, n);
+            if write {
+                sim.write_pages(&f, first, n).unwrap();
+                file.write_pages(&f, first, n, &buf).unwrap();
+            } else {
+                sim.read_pages(&f, first, n).unwrap();
+                file.read_pages(&f, first, n, &mut buf).unwrap();
+            }
+        }
+        let s = sim.stats();
+        assert_eq!(file.stats(), s);
+        assert!(s.retries > 0, "the plan must retry: {s:?}");
+        assert_eq!((s.reads, s.writes), (19, 6));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -377,6 +385,8 @@ mod tests {
         assert!(st.write_pages(&f, 0, 2, &[0u8; 7]).is_err());
         let mut buf = [0u8; 7];
         assert!(st.read_pages(&f, 0, 2, &mut buf).is_err());
+        // An empty buffer is mis-sized too: no access is pattern-only.
+        assert!(st.write_pages(&f, 0, 2, &[]).is_err());
         assert_eq!(st.stats(), before, "rejected calls charge nothing");
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -1,10 +1,10 @@
 //! # hdidx-store
 //!
-//! File-backed page storage for the reproduction: the second implementor
-//! of [`hdidx_diskio::PageStore`] (the first is the simulated
-//! [`hdidx_diskio::Disk`]), turning the measurement pipeline into an
-//! actual storage engine whose charged-model seconds can be checked
-//! against wall-clock reality.
+//! File-backed page storage for index snapshots. The external build and
+//! the measurement bill their I/O on the simulated
+//! [`hdidx_diskio::Disk`]; a built tree is then persisted here, reopened
+//! after a crash, scrubbed and served, with the charged-model seconds of
+//! every write and read checked against wall-clock reality.
 //!
 //! * [`pagefile`] — fixed 8 KiB pages, each with a 32-byte checksummed
 //!   header (FNV-1a over the payload); checksums are verified on reopen,
@@ -12,11 +12,11 @@
 //! * [`wal`] — a write-ahead log of page-image frames grouped into
 //!   batches, each closed by a commit record; recovery replays complete
 //!   batches and truncates the torn tail,
-//! * [`filestore`] — [`FileStore`], the [`PageStore`] backend gluing the
-//!   two together under an explicit [`Durability`] mode, with an embedded
-//!   model [`Disk`](hdidx_diskio::Disk) so the *charged* bill (seeks,
-//!   transfers, faults, retries) is identical to the simulated backend's
-//!   by construction,
+//! * [`filestore`] — [`FileStore`], gluing the two together under an
+//!   explicit [`Durability`] mode, with an embedded model
+//!   [`Disk`](hdidx_diskio::Disk) so the *charged* bill (seeks,
+//!   transfers, faults, retries) is the one a simulated disk charges for
+//!   the same pages, by construction,
 //! * [`snapshot`] — index persistence: an index-deferred layout that
 //!   writes leaf-entry pages sequentially first, back-fills the directory
 //!   pages, and commits by writing the superblock (page 0) last.
@@ -43,9 +43,9 @@ use std::fmt;
 
 /// When the write-ahead log is fsynced.
 ///
-/// Every [`FileStore::write_pages`](hdidx_diskio::PageStore::write_pages)
-/// call forms one batch (frames + one commit record). The mode decides
-/// how many committed batches may be lost by a crash:
+/// Every [`FileStore::write_pages`] call forms one batch (frames + one
+/// commit record). The mode decides how many committed batches may be
+/// lost by a crash:
 ///
 /// * [`Durability::PerBatch`] — fsync after every commit record; a crash
 ///   loses at most the in-flight batch,

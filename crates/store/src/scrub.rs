@@ -133,7 +133,7 @@ mod tests {
     use super::*;
     use crate::inject::{InjectedFs, OsFs};
     use crate::{Durability, FileStore, PAGE_BYTES, PAYLOAD_BYTES};
-    use hdidx_diskio::{DiskOptions, PageStore};
+    use hdidx_diskio::DiskOptions;
     use std::path::PathBuf;
     use std::sync::Arc;
 
@@ -156,7 +156,7 @@ mod tests {
         let mut data = payload(1);
         data.extend_from_slice(&payload(2));
         st.write_pages(&f, 0, 2, &data).unwrap();
-        PageStore::sync(&mut st).unwrap();
+        st.sync().unwrap();
         f
     }
 
@@ -255,7 +255,7 @@ mod tests {
         let mut st = FileStore::open(&dir, Durability::PerBatch, &DiskOptions::new()).unwrap();
         let f = st.alloc(2).unwrap();
         st.write_pages(&f, 0, 1, &payload(4)).unwrap();
-        PageStore::sync(&mut st).unwrap();
+        st.sync().unwrap();
         drop(st);
         let report = scrub_store_in(&OsFs, &dir).unwrap();
         assert!(report.is_clean(), "{report}");

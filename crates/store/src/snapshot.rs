@@ -1,5 +1,5 @@
-//! Index persistence: serializing a bulk-loaded [`RTree`] into a page
-//! store and loading it back.
+//! Index persistence: serializing a bulk-loaded [`RTree`] into a
+//! [`FileStore`] and loading it back.
 //!
 //! ## Index-deferred layout
 //!
@@ -10,7 +10,7 @@
 //! 2. the **directory** (the serialized node arena) is back-filled after
 //!    the entries,
 //! 3. the **superblock** (page 0) is written **last** and then
-//!    [`PageStore::sync`]ed — it is the commit point: a reopen that finds
+//!    [`FileStore::sync`]ed — it is the commit point: a reopen that finds
 //!    no valid superblock finds no index.
 //!
 //! ## Superblock (page 0, little-endian u64 words)
@@ -34,10 +34,6 @@
 //! `level: u32 | lo: dim × f32 | hi: dim × f32 | tag: u8 |` then for a
 //! leaf `start: u32, end: u32` (entry-arena range) or for an inner node
 //! `count: u32, children: count × u32` (arena indices).
-//!
-//! Loading requires a byte-carrying backend (the file store); on the
-//! simulated backend reads return no bytes and the superblock check
-//! fails, by design.
 //!
 //! ## Versioned generations ([`SnapshotSet`])
 //!
@@ -64,7 +60,7 @@ use crate::pagefile::PAYLOAD_BYTES;
 use crate::scrub::{scrub_store_in, ScrubReport};
 use crate::{Durability, FileStore};
 use hdidx_core::{fnv1a, Error, HyperRect, Result, FNV_OFFSET};
-use hdidx_diskio::{DiskOptions, FileHandle, IoStats, PageStore};
+use hdidx_diskio::{DiskOptions, FileHandle, IoStats};
 use hdidx_vamsplit::tree::{Node, NodeKind, RTree};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -198,8 +194,8 @@ fn decode_nodes(bytes: &[u8], dim: usize, num_nodes: usize) -> Result<Vec<Node>>
 /// # Errors
 ///
 /// Rejects a non-empty store (the snapshot owns page 0); propagates
-/// backend errors.
-pub fn persist_index(store: &mut dyn PageStore, tree: &RTree) -> Result<FileHandle> {
+/// store I/O errors.
+pub fn persist_index(store: &mut FileStore, tree: &RTree) -> Result<FileHandle> {
     if store.pages() != 0 {
         return Err(Error::invalid(
             "store",
@@ -259,7 +255,7 @@ pub fn persist_index(store: &mut dyn PageStore, tree: &RTree) -> Result<FileHand
 ///
 /// A missing or malformed superblock, decode failures, or a tree that
 /// fails [`RTree::check_invariants`].
-pub fn load_index(store: &mut dyn PageStore) -> Result<(RTree, FileHandle)> {
+pub fn load_index(store: &mut FileStore) -> Result<(RTree, FileHandle)> {
     let sb_handle = FileHandle::from_raw(0, 1);
     let mut sb = vec![0u8; PAYLOAD_BYTES];
     store.read_pages(&sb_handle, 0, 1, &mut sb)?;
@@ -759,6 +755,51 @@ mod tests {
             assert!(
                 matches!(err, Error::StoreFailure { .. }),
                 "word {word} = {value:#x}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn crafted_node_arenas_fail_without_panicking() {
+        // Each case overwrites one u32 of the node arena (page 2) and
+        // rewrites the page through the store, so its checksum is valid
+        // and the bad bytes reach the decoder. Records of the 2-d sample
+        // tree: the root is level(4) lo(8) hi(8) tag(1) count(4) then
+        // three children (bytes 0..37); leaf 1 is level(4) lo(8) hi(8)
+        // tag(1) start(4) end(4) (bytes 37..66).
+        let edits: [&[(usize, u32)]; 4] = [
+            // The root's first child id: outside the 4-node arena.
+            &[(25, 0xFFFF)],
+            // Leaf 1's level: `child.level + 1` overflows.
+            &[(37, u32::MAX)],
+            // Leaf 1's range 0..3 -> 100..103: same coverage, outside the
+            // 9-entry arena.
+            &[(58, 100), (62, 103)],
+            // Leaf 1's range 0..3 -> 3..6: same coverage, overlapping leaf
+            // 2's 3..5.
+            &[(58, 3), (62, 6)],
+        ];
+        for edit in edits {
+            let fs = Arc::new(InjectedFs::clean());
+            let dir = PathBuf::from("/crafted_nodes");
+            let open = || {
+                FileStore::open_in(fs.clone(), &dir, Durability::PerBatch, &DiskOptions::new())
+                    .unwrap()
+            };
+            let mut st = open();
+            let f = persist_index(&mut st, &sample_tree()).unwrap();
+            let mut page = vec![0u8; PAYLOAD_BYTES];
+            st.read_pages(&f, 2, 1, &mut page).unwrap();
+            for &(at, value) in edit {
+                page[at..at + 4].copy_from_slice(&value.to_le_bytes());
+            }
+            st.write_pages(&f, 2, 1, &page).unwrap();
+            st.sync().unwrap();
+            drop(st);
+            let err = load_index(&mut open()).unwrap_err();
+            assert!(
+                matches!(err, Error::InfeasibleTopology(_)),
+                "{edit:?}: {err}"
             );
         }
     }

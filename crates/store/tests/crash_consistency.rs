@@ -12,7 +12,7 @@
 //! recovery is byte-identical across 1/2/8 worker threads.
 
 use hdidx_check::{check, prop_assert, Config, Verdict};
-use hdidx_diskio::{DiskOptions, FileHandle, PageStore};
+use hdidx_diskio::{DiskOptions, FileHandle};
 use hdidx_rand::splitmix::derive_seed;
 use hdidx_rand::Rng;
 use hdidx_store::{Durability, FileStore, PAYLOAD_BYTES};

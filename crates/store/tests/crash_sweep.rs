@@ -23,7 +23,7 @@
 //! pure passthrough.
 
 use hdidx_core::HyperRect;
-use hdidx_diskio::{DiskOptions, FileHandle, PageStore};
+use hdidx_diskio::{DiskOptions, FileHandle};
 use hdidx_rand::splitmix::derive_seed;
 use hdidx_store::{Durability, FileStore, InjectSpec, InjectedFs, SnapshotSet, Vfs, PAYLOAD_BYTES};
 use hdidx_vamsplit::tree::{Node, NodeKind, RTree};

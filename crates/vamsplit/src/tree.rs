@@ -180,10 +180,17 @@ impl RTree {
 
     /// Number of nodes at each level, index 0 = this tree's leaf level.
     /// Used to verify structural similarity between full and mini indexes.
+    /// A node outside `leaf_level..=root_level` (which
+    /// [`RTree::check_invariants`] rejects) is not counted.
     pub fn level_profile(&self) -> Vec<usize> {
         let mut profile = vec![0usize; self.height()];
         for n in &self.nodes {
-            profile[n.level as usize - self.leaf_level] += 1;
+            let slot = (n.level as usize)
+                .checked_sub(self.leaf_level)
+                .and_then(|i| profile.get_mut(i));
+            if let Some(count) = slot {
+                *count += 1;
+            }
         }
         profile
     }
@@ -193,60 +200,90 @@ impl RTree {
         self.nodes.iter().filter(move |n| n.level as usize == level)
     }
 
-    /// Consistency check used by tests: every child MBR is contained in its
-    /// parent's, every inner node has at least one child, levels decrease by
-    /// exactly one, every leaf sits at `leaf_level` and is non-empty, and
-    /// leaf entry ranges partition the entry arena.
+    /// Consistency check, run by the tests and on every loaded snapshot:
+    /// every node sits between `leaf_level` and `root_level`, every child
+    /// id names a node of the arena, every child MBR is contained in its
+    /// parent's, every inner node has at least one child, levels decrease
+    /// by exactly one, every leaf sits at `leaf_level` and is non-empty,
+    /// and leaf entry ranges are disjoint, inside the entry arena and
+    /// cover all of it. Crafted arenas get a typed error, never a panic.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::InfeasibleTopology`] naming the first violation.
     pub fn check_invariants(&self) -> Result<()> {
-        let mut covered = 0usize;
+        let bad = |detail: String| Err(Error::InfeasibleTopology(detail));
+        let mut leaf_ranges = Vec::new();
         for (idx, node) in self.nodes.iter().enumerate() {
+            let level = node.level as usize;
+            if level < self.leaf_level || level > self.root_level {
+                return bad(format!(
+                    "node {idx} at level {level} outside levels {}..={}",
+                    self.leaf_level, self.root_level
+                ));
+            }
             match &node.kind {
                 NodeKind::Inner { children } => {
                     if children.is_empty() {
-                        return Err(Error::InfeasibleTopology(format!(
-                            "inner node {idx} has no children"
-                        )));
+                        return bad(format!("inner node {idx} has no children"));
                     }
                     for &c in children {
-                        let child = &self.nodes[c as usize];
-                        if child.level + 1 != node.level {
-                            return Err(Error::InfeasibleTopology(format!(
+                        let Some(child) = self.nodes.get(c as usize) else {
+                            return bad(format!(
+                                "node {idx} names child {c} outside the {}-node arena",
+                                self.nodes.len()
+                            ));
+                        };
+                        if child.level.checked_add(1) != Some(node.level) {
+                            return bad(format!(
                                 "child {c} at level {} under node {idx} at level {}",
                                 child.level, node.level
-                            )));
+                            ));
                         }
                         for j in 0..self.dim {
                             if child.rect.lo()[j] < node.rect.lo()[j]
                                 || child.rect.hi()[j] > node.rect.hi()[j]
                             {
-                                return Err(Error::InfeasibleTopology(format!(
+                                return bad(format!(
                                     "child {c} MBR not contained in parent {idx} (dim {j})"
-                                )));
+                                ));
                             }
                         }
                     }
                 }
                 NodeKind::Leaf { entries } => {
-                    if node.level as usize != self.leaf_level {
-                        return Err(Error::InfeasibleTopology(format!(
-                            "leaf node {idx} at level {} (expected {})",
-                            node.level, self.leaf_level
-                        )));
+                    if level != self.leaf_level {
+                        return bad(format!(
+                            "leaf node {idx} at level {level} (expected {})",
+                            self.leaf_level
+                        ));
                     }
                     if entries.start >= entries.end {
-                        return Err(Error::InfeasibleTopology(format!(
-                            "leaf node {idx} is empty"
-                        )));
+                        return bad(format!("leaf node {idx} is empty"));
                     }
-                    covered += (entries.end - entries.start) as usize;
+                    if entries.end as usize > self.entries.len() {
+                        return bad(format!(
+                            "leaf node {idx} range {entries:?} outside the {}-entry arena",
+                            self.entries.len()
+                        ));
+                    }
+                    leaf_ranges.push(entries.clone());
                 }
             }
         }
+        leaf_ranges.sort_unstable_by_key(|r| r.start);
+        if let Some(pair) = leaf_ranges.windows(2).find(|w| w[1].start < w[0].end) {
+            return bad(format!(
+                "leaf ranges {:?} and {:?} overlap",
+                pair[0], pair[1]
+            ));
+        }
+        let covered: usize = leaf_ranges.iter().map(|r| r.len()).sum();
         if covered != self.entries.len() {
-            return Err(Error::InfeasibleTopology(format!(
+            return bad(format!(
                 "leaf ranges cover {covered} of {} entries",
                 self.entries.len()
-            )));
+            ));
         }
         Ok(())
     }

@@ -108,7 +108,7 @@ fn same_seed_reproduces_faults_for_any_thread_count() {
     let data = clustered_dataset(n, 6, 31);
     let topo = Topology::new(6, n, &PageConfig::DEFAULT).unwrap();
     let queries = workload(&data, 30);
-    let fcfg = FaultConfig::disabled(13).with_rate_ppm(150_000);
+    let fcfg = FaultConfig::disabled(13).with_rate_ppm(150_000).unwrap();
     let predictor = Resampled::new(ResampledParams {
         m: 1_200,
         h_upper: 2,
@@ -201,7 +201,7 @@ fn same_seed_reproduces_faults_for_any_thread_count() {
     // always absorbs.
     let centers: Vec<Vec<f32>> = (0..10).map(|i| data.point(i * 419).to_vec()).collect();
     let mut cfg = ExternalConfig::with_mem_points(1_200).unwrap();
-    cfg.faults = Some(fcfg.with_rate_ppm(30_000));
+    cfg.faults = Some(fcfg.with_rate_ppm(30_000).unwrap());
     let a = measure_on_disk(&data, &topo, &centers, 7, &cfg).unwrap();
     let b = measure_on_disk(&data, &topo, &centers, 7, &cfg).unwrap();
     assert_eq!(a.fault_trace, b.fault_trace);
@@ -236,7 +236,7 @@ fn degradation_is_monotone_and_graceful_in_the_fault_rate() {
         // The seed must keep the predictor's one load-bearing access (the
         // initial dataset scan, a hard failure by design) alive at every
         // swept rate; everything downstream degrades per area.
-        let fcfg = FaultConfig::disabled(22).with_rate_ppm(ppm);
+        let fcfg = FaultConfig::disabled(22).with_rate_ppm(ppm).unwrap();
         let run = Resampled::new(params)
             .with_faults(Some(fcfg))
             .run(&data, &topo, &queries)

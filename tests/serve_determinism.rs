@@ -104,6 +104,7 @@ fn faulted_serving_is_byte_identical_and_sheds() {
     let balls = candidates(&data, 20);
     let fcfg = FaultConfig::disabled(9)
         .with_rate_ppm(300_000)
+        .unwrap()
         .with_retry(RetryPolicy::Exponential)
         .with_phase_scale(FaultPhase::Build, 0);
     let server = Server::build(&data, &topo, 500, 7, Some(fcfg)).unwrap();
@@ -199,6 +200,7 @@ fn zero_overload_serving_reproduces_the_pre_overload_digests() {
     let fballs = candidates(&fdata, 20);
     let fcfg = FaultConfig::disabled(9)
         .with_rate_ppm(300_000)
+        .unwrap()
         .with_retry(RetryPolicy::Exponential)
         .with_phase_scale(FaultPhase::Build, 0);
     let fserver = Server::build(&fdata, &topo, 500, 7, Some(fcfg)).unwrap();
@@ -236,6 +238,7 @@ fn overload_policy_decisions_are_byte_identical_for_any_thread_count() {
     let balls = candidates(&data, 20);
     let fcfg = FaultConfig::disabled(9)
         .with_rate_ppm(500_000)
+        .unwrap()
         .with_retry(RetryPolicy::Exponential)
         .with_phase_scale(FaultPhase::Build, 0);
     let server = Server::build(&data, &topo, 500, 7, Some(fcfg)).unwrap();
