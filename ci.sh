@@ -22,8 +22,8 @@ cargo clippy -q --offline --manifest-path e2ebench/Cargo.toml -- -D warnings
 echo "==> cargo build --release --offline --workspace"
 cargo build --release --offline --workspace
 
-# Two call sites still run on threads (the k-NN radius set-up and serve's
-# execution pass), and their results must not depend on the thread
+# Two call sites still run on threads (the k-NN radius set-up's tree
+# searches and serve's execution pass), and their results must not depend on the thread
 # count, so the whole suite must pass both forced-serial and with the
 # default pool.
 echo "==> cargo test -q --offline --workspace (HDIDX_THREADS=1)"
@@ -41,9 +41,12 @@ cargo test -q --offline --workspace
 echo "==> fault_sweep --smoke (degradation-vs-accuracy experiment, pacing gate)"
 cargo run -q --release -p hdidx-bench --bin fault_sweep --offline -- --smoke
 
-# Paper-experiment smoke legs: the two ablations that count measured leaf
-# accesses with the predictors' SoA kernel, at a small scale.
-for exp in ablation_structures ablation_query_distribution; do
+# Paper-experiment smoke legs at a small scale: the two ablations that
+# count measured leaf accesses with the predictors' SoA kernel, Table 4
+# (it generates STOCK360 through the twiddle-table DFT) and Figure 13
+# (one dataset and workload, a topology per page size).
+for exp in ablation_structures ablation_query_distribution \
+  table4_model_comparison fig13_page_size; do
   echo "==> ${exp} --scale 0.05 --queries 50 (experiment smoke)"
   cargo run -q --release -p hdidx-bench --bin "${exp}" --offline -- \
     --scale 0.05 --queries 50

@@ -1,6 +1,7 @@
 //! Micro-benchmarks for the hot kernels underneath every experiment:
-//! MINDIST, quickselect partitioning, bulk loading, k-NN search,
-//! sphere/leaf intersection counting, the fractal estimator, and the
+//! MINDIST, quickselect partitioning, bulk loading, k-NN search, the
+//! workload radius set-up, STOCK360 generation, sphere/leaf intersection
+//! counting, the fractal estimator, and the
 //! layers of the resampled prediction (MBR growth, the memory sample, the
 //! max-variance split choice per ISA and the whole prediction).
 //!
@@ -12,9 +13,11 @@ use hdidx_check::bench::{black_box, BenchSuite};
 use hdidx_core::knn::{scan_knn_radius, scan_knn_radius_with, scan_knn_with};
 use hdidx_core::stats::{dim_stats_with, max_variance_dim_with};
 use hdidx_core::{simd, Dataset, LeafSoup};
+use hdidx_datagen::workload::knn_radii;
 use hdidx_datagen::{NamedDataset, Workload};
 use hdidx_model::hupper::recommended_h_upper;
 use hdidx_model::{Predictor, QueryBall, Resampled, ResampledParams};
+use hdidx_pool::Pool;
 use hdidx_rand::{sample_without_replacement, seeded, Rng};
 use hdidx_serve::knn::knn_radius_with;
 use hdidx_vamsplit::bulkload::bulk_load;
@@ -220,6 +223,50 @@ fn bench_knn(suite: &mut BenchSuite) {
             scan_knn_with(isa, black_box(&data), &q, 21).unwrap()
         });
     }
+}
+
+/// The workload radius set-up on one thread, two ways: the linear-scan
+/// oracle (one full scan per query id, the set-up before the tree) and
+/// `knn_radii` (one in-memory bulk load, then a best-first search per id).
+/// The shapes are the end-to-end `serve-mixed` set-up (a quarter of
+/// TEXTURE48, 500 ids) and the `serve-point` one (COLOR64, 100 ids); the
+/// two must return the same radius bits before either is timed.
+fn bench_radius_setup(suite: &mut BenchSuite) {
+    for (ds, scale, q) in [
+        (NamedDataset::Texture48, 0.25, 500),
+        (NamedDataset::Color64, 1.0, 100),
+    ] {
+        let data = ds.spec_scaled(scale).generate().unwrap();
+        let ids = sample_without_replacement(&mut seeded(1), data.len(), q);
+        let scan = |data: &Dataset| -> Vec<f64> {
+            ids.iter()
+                .map(|&id| scan_knn_radius(data, data.point(id as usize), 21).unwrap())
+                .collect()
+        };
+        let bits = |radii: Vec<f64>| radii.iter().map(|r| r.to_bits()).collect::<Vec<u64>>();
+        assert_eq!(
+            bits(scan(&data)),
+            bits(knn_radii(&data, &ids, 21, &Pool::serial()).unwrap()),
+            "tree radii must equal the scan's bit for bit"
+        );
+        let tag = format!("{}x{}/k21/{q}q", data.len(), data.dim());
+        suite.bench(&format!("radius_setup_scan/{tag}"), || {
+            scan(black_box(&data))
+        });
+        suite.bench(&format!("radius_setup_tree/{tag}"), || {
+            knn_radii(black_box(&data), &ids, 21, &Pool::serial()).unwrap()
+        });
+    }
+}
+
+/// STOCK360 at full scale: 6,500 random walks through the twiddle-table
+/// DFT.
+fn bench_stock_generation(suite: &mut BenchSuite) {
+    let spec = NamedDataset::Stock360.spec();
+    suite.bench(
+        &format!("stock360_generate/{}x{}", spec.n(), spec.dim()),
+        || black_box(&spec).generate().unwrap(),
+    );
 }
 
 fn bench_intersections(suite: &mut BenchSuite) {
@@ -454,6 +501,8 @@ fn main() {
     bench_bulk_load(&mut suite);
     bench_midsplit(&mut suite);
     bench_knn(&mut suite);
+    bench_radius_setup(&mut suite);
+    bench_stock_generation(&mut suite);
     bench_intersections(&mut suite);
     bench_soup(&mut suite);
     bench_fractal(&mut suite);

@@ -1,5 +1,6 @@
 //! Scaling suite for the two call sites that still use `hdidx-pool`:
-//! the k-NN radius set-up (`scan_knn_radii`) and serve's execution pass
+//! the k-NN radius set-up (`knn_radii`: one serial bulk load, then a tree
+//! search per query id) and serve's execution pass
 //! (`Server::run`), each timed at 1, 2 and 4 worker threads.
 //!
 //! Results go to `BENCH_parallel.json`; the speedup at `tN` is the `t1`
@@ -11,8 +12,8 @@
 //! answer.
 
 use hdidx_check::bench::{black_box, BenchSuite};
-use hdidx_core::knn::scan_knn_radii;
 use hdidx_core::Dataset;
+use hdidx_datagen::workload::knn_radii;
 use hdidx_model::QueryBall;
 use hdidx_pool::Pool;
 use hdidx_rand::{seeded, Rng};
@@ -29,15 +30,16 @@ fn random_dataset(n: usize, dim: usize, seed: u64) -> Dataset {
     Dataset::from_flat(dim, (0..n * dim).map(|_| rng.gen::<f32>()).collect()).unwrap()
 }
 
-/// The exact k-NN radius of every query id, one full scan per id.
+/// The exact k-NN radius of every query id: the whole set-up, bulk load
+/// included, as every workload runs it.
 fn bench_knn_radii(suite: &mut BenchSuite, data: &Dataset, ids: &[u32]) -> Vec<f64> {
-    let serial = scan_knn_radii(data, ids, K, &Pool::serial()).unwrap();
+    let serial = knn_radii(data, ids, K, &Pool::serial()).unwrap();
     let bits = |radii: &[f64]| radii.iter().map(|r| r.to_bits()).collect::<Vec<u64>>();
     for &t in THREAD_COUNTS {
         let pool = Pool::new(t);
         assert_eq!(
             bits(&serial),
-            bits(&scan_knn_radii(data, ids, K, &pool).unwrap()),
+            bits(&knn_radii(data, ids, K, &pool).unwrap()),
             "k-NN radii must be bit-identical at t={t}"
         );
         suite.bench(
@@ -47,7 +49,7 @@ fn bench_knn_radii(suite: &mut BenchSuite, data: &Dataset, ids: &[u32]) -> Vec<f
                 data.dim(),
                 ids.len()
             ),
-            || scan_knn_radii(black_box(data), ids, K, &pool).unwrap(),
+            || knn_radii(black_box(data), ids, K, &pool).unwrap(),
         );
     }
     serial

@@ -12,6 +12,7 @@ use hdidx_bench::{ExpArgs, ExperimentContext};
 use hdidx_datagen::registry::NamedDataset;
 use hdidx_diskio::DiskModel;
 use hdidx_model::{hupper, Basic, BasicParams, Resampled, ResampledParams};
+use hdidx_vamsplit::topology::{PageConfig, Topology};
 
 fn main() {
     let args = ExpArgs::parse(0.25, 500);
@@ -27,13 +28,16 @@ fn main() {
     ]);
     let mut best_measured = (0usize, f64::INFINITY);
     let mut best_predicted = (0usize, f64::INFINITY);
+    // Only the topology depends on the page size: the dataset and its
+    // workload are prepared once.
+    let mut ctx = ExperimentContext::prepare(NamedDataset::Texture60, &args).expect("prepare");
     for page_kb in [8usize, 16, 32, 64, 128, 256] {
-        let ctx = match ExperimentContext::prepare_with_pages(
-            NamedDataset::Texture60,
-            &args,
-            page_kb * 1024,
+        ctx.topo = match Topology::new(
+            ctx.data.dim(),
+            ctx.data.len(),
+            &PageConfig::with_page_bytes(page_kb * 1024),
         ) {
-            Ok(c) => c,
+            Ok(t) => t,
             Err(e) => {
                 println!("{page_kb} KB: skipped ({e})");
                 continue;

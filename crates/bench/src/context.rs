@@ -33,25 +33,11 @@ impl ExperimentContext {
     ///
     /// Propagates generation/topology/scan errors.
     pub fn prepare(ds: NamedDataset, args: &ExpArgs) -> Result<ExperimentContext> {
-        Self::prepare_with_pages(ds, args, ds.page_bytes())
-    }
-
-    /// Same as [`ExperimentContext::prepare`] with an explicit page size
-    /// (Figure 13 sweeps it).
-    ///
-    /// # Errors
-    ///
-    /// Propagates generation/topology/scan errors.
-    pub fn prepare_with_pages(
-        ds: NamedDataset,
-        args: &ExpArgs,
-        page_bytes: usize,
-    ) -> Result<ExperimentContext> {
         let data = ds.spec_scaled(args.scale).generate()?;
         let topo = Topology::new(
             data.dim(),
             data.len(),
-            &PageConfig::with_page_bytes(page_bytes),
+            &PageConfig::with_page_bytes(ds.page_bytes()),
         )?;
         let workload = Workload::density_biased(&data, args.queries, args.k, args.seed)?;
         let balls = balls_of(&workload);

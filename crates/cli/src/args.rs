@@ -228,9 +228,9 @@ digest can be compared against a stream that never offered the other
 classes).
 
 `--threads N` sets the worker threads of the two parallel steps: the
-query-radius set-up (one k-NN scan per query) and serve's execution
-pass. Everything else runs serially. `--threads 1` forces serial
-execution; omitting --threads uses the HDIDX_THREADS environment
+query-radius set-up (one k-NN tree search per query) and serve's
+execution pass. Everything else runs serially. `--threads 1` forces
+serial execution; omitting --threads uses the HDIDX_THREADS environment
 variable or the machine's available parallelism. Results are identical
 for any thread count.
 

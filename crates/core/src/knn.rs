@@ -1,16 +1,17 @@
 //! Exact k-nearest-neighbor search kernels over a [`Dataset`].
 //!
-//! Ground truth for query radii: the paper computes the k-NN sphere of each
-//! query point with a full scan of the dataset (§4.2) and feeds the radius
-//! to every predictor. Both that linear scan and the best-first index
-//! search in `hdidx-vamsplit` keep their k best candidates in one pruned
-//! accumulator, [`KBest`], so the two searches share a single heap, a
-//! single early-abandon distance chain and a single SIMD group path.
+//! The paper defines each query's k-NN sphere over the full dataset (§4.2)
+//! and feeds its radius to every predictor. The linear scan here
+//! ([`scan_knn_radius`]) is the oracle for those radii and serve's
+//! fallback; workloads take them from best-first search through an
+//! in-memory VAMSplit tree (`hdidx_datagen::workload::knn_radii`). Both
+//! searches keep their k best candidates in one pruned accumulator,
+//! [`KBest`], so they share a single heap, a single early-abandon distance
+//! chain and a single SIMD group path, and report the same distance bits.
 
 use crate::dataset::{dist2, Dataset};
 use crate::error::{Error, Result};
 use crate::simd::{self, Isa};
-use hdidx_pool::Pool;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -321,20 +322,6 @@ pub fn scan_knn_with(isa: Isa, data: &Dataset, q: &[f32], k: usize) -> Result<Ve
     Ok(best.into_sorted())
 }
 
-/// Exact k-NN radii for the dataset points at `ids`, fanned out over
-/// `pool` (order-preserving: `out[i]` belongs to `ids[i]`, identical for
-/// any thread count). This is the batch entry behind workload radius
-/// generation.
-///
-/// # Errors
-///
-/// Same conditions as [`scan_knn`]; the first failing id aborts the batch.
-pub fn scan_knn_radii(data: &Dataset, ids: &[u32], k: usize, pool: &Pool) -> Result<Vec<f64>> {
-    pool.par_map(ids, |&id| scan_knn_radius(data, data.point(id as usize), k))
-        .into_iter()
-        .collect()
-}
-
 /// Radius of the exact k-NN sphere of `q` (distance to the k-th neighbor).
 ///
 /// # Errors
@@ -499,83 +486,6 @@ mod tests {
             let gathered = best.into_sorted();
             assert_eq!(gathered.len(), 6, "{isa}");
             assert_eq!(gathered[5].0, f64::INFINITY, "{isa}");
-        }
-    }
-
-    #[test]
-    fn batch_radii_match_serial_at_any_thread_count() {
-        let mut rng = hdidx_rand::seeded(7);
-        use hdidx_rand::Rng;
-        let data = Dataset::from_flat(5, (0..300 * 5).map(|_| rng.gen::<f32>()).collect()).unwrap();
-        let ids: Vec<u32> = (0..40).map(|i| i * 7).collect();
-        let expect: Vec<f64> = ids
-            .iter()
-            .map(|&id| scan_knn_radius(&data, data.point(id as usize), 5).unwrap())
-            .collect();
-        for t in [1usize, 2, 8] {
-            let got = scan_knn_radii(&data, &ids, 5, &Pool::new(t)).unwrap();
-            assert_eq!(got, expect, "t={t}");
-        }
-        // Errors propagate.
-        assert!(scan_knn_radii(&data, &ids, 0, &Pool::serial()).is_err());
-    }
-
-    #[test]
-    fn batch_radii_empty_batch_is_ok() {
-        // An empty id batch is a valid (empty) request, not an error —
-        // even with a k that would fail on a non-empty batch, because no
-        // per-id scan ever runs.
-        let d = line_data();
-        for t in [1usize, 2, 8] {
-            assert_eq!(scan_knn_radii(&d, &[], 3, &Pool::new(t)).unwrap(), vec![]);
-            assert_eq!(scan_knn_radii(&d, &[], 0, &Pool::new(t)).unwrap(), vec![]);
-        }
-    }
-
-    #[test]
-    fn batch_radii_k_zero_fails_at_every_thread_count() {
-        let d = line_data();
-        let ids = [0u32, 3, 7];
-        for t in [1usize, 2, 8] {
-            let err = scan_knn_radii(&d, &ids, 0, &Pool::new(t)).unwrap_err();
-            assert!(err.to_string().contains('k'), "t={t}: {err}");
-        }
-    }
-
-    #[test]
-    fn batch_radii_k_beyond_n_saturates_at_farthest() {
-        // k > n: the per-id scan returns all n neighbors and the radius is
-        // the distance to the farthest point, pinned across thread counts.
-        let d = line_data();
-        let ids = [0u32, 9];
-        let mut expect = None;
-        for t in [1usize, 2, 8] {
-            let got = scan_knn_radii(&d, &ids, 25, &Pool::new(t)).unwrap();
-            // From x = 0 (and by symmetry x = 9) the farthest point is 9 away.
-            assert_eq!(got, vec![9.0, 9.0], "t={t}");
-            let prev = expect.get_or_insert_with(|| got.clone());
-            assert_eq!(&got, prev, "t={t}");
-        }
-    }
-
-    #[test]
-    fn batch_radii_duplicate_points_tie_break_is_thread_invariant() {
-        // Duplicated points create exact (distance, id) ties; the reported
-        // radius must be bitwise identical at 1, 2, and 8 threads.
-        let d = Dataset::from_flat(1, vec![1.0, 1.0, 1.0, 2.0]).unwrap();
-        let ids = [0u32, 1, 2, 3];
-        let reference = scan_knn_radii(&d, &ids, 2, &Pool::serial()).unwrap();
-        // From any of the three points at x = 1 the 2nd neighbor is another
-        // duplicate at distance 0; from x = 2 it is one of them at 1.
-        assert_eq!(reference, vec![0.0, 0.0, 0.0, 1.0]);
-        for t in [1usize, 2, 8] {
-            let got = scan_knn_radii(&d, &ids, 2, &Pool::new(t)).unwrap();
-            let bits: Vec<u64> = got.iter().map(|x| x.to_bits()).collect();
-            let ref_bits: Vec<u64> = reference.iter().map(|x| x.to_bits()).collect();
-            assert_eq!(bits, ref_bits, "t={t}");
-            // At k = 4 the radius from a duplicate reaches x = 2.
-            let wide = scan_knn_radii(&d, &ids, 4, &Pool::new(t)).unwrap();
-            assert_eq!(wide, vec![1.0, 1.0, 1.0, 1.0], "t={t}");
         }
     }
 }

@@ -212,7 +212,7 @@ mod tests {
     #[test]
     fn page_bytes_sizes() {
         // Topology validity for these sizes is checked in the integration
-        // tests (datagen does not depend on vamsplit).
+        // tests.
         assert_eq!(NamedDataset::Texture60.page_bytes(), 8192);
         assert_eq!(NamedDataset::Isolet617.page_bytes(), 32_768);
         assert_eq!(NamedDataset::Stock360.page_bytes(), 32_768);

@@ -40,6 +40,7 @@ impl StockSpec {
         }
         let mut rng = seeded(self.seed);
         let len = self.dim;
+        let dft = DftTable::new(len);
         let mut series = vec![0.0f64; len];
         let mut data = Vec::with_capacity(self.n * len);
         let mut coeffs = vec![0.0f64; len];
@@ -50,24 +51,68 @@ impl StockSpec {
                 level += self.volatility * standard_normal(&mut rng);
                 *s = level;
             }
-            real_dft(&series, &mut coeffs);
+            dft.transform(&series, &mut coeffs);
             data.extend(coeffs.iter().map(|&c| c as f32));
         }
         Dataset::from_flat(len, data)
     }
 }
 
-/// Real DFT packing: output[0] = DC, output[2m-1] / output[2m] = cos / sin
-/// coefficients of frequency m, normalized by 1/sqrt(len) so the transform
-/// is (close to) orthonormal and Euclidean distances are preserved.
+/// The real DFT of one series length, with every `(cos, sin)` twiddle
+/// computed once: row `m - 1` holds frequency `m`'s factors at
+/// `t = 0..len`, from the same `w * m * t` angles the direct transform
+/// evaluates per coefficient.
 ///
-/// O(len²); series lengths here are a few hundred, so this costs a few
-/// hundred kiloflops per point and keeps the dependency list clean.
-///
-/// # Panics
-///
-/// Debug-asserts `out.len() == series.len()`.
-pub fn real_dft(series: &[f64], out: &mut [f64]) {
+/// Output packing: `out[0]` is the DC term, `out[2m-1]` / `out[2m]` the
+/// cosine / sine coefficients of frequency `m`, normalized by
+/// `1/sqrt(len)` so the transform is (close to) orthonormal and Euclidean
+/// distances are preserved. Each coefficient is the same `f64` add chain
+/// over the same operands as the direct transform, so the output is
+/// bit-identical to it (pinned against the test-only `real_dft`).
+struct DftTable {
+    len: usize,
+    twiddles: Vec<(f64, f64)>,
+}
+
+impl DftTable {
+    fn new(len: usize) -> DftTable {
+        let w = std::f64::consts::TAU / len as f64;
+        let twiddles = (1..=len / 2)
+            .flat_map(|m| {
+                (0..len).map(move |t| {
+                    let ang = w * (m as f64) * (t as f64);
+                    (ang.cos(), ang.sin())
+                })
+            })
+            .collect();
+        DftTable { len, twiddles }
+    }
+
+    /// Transforms `series` into `out`, both of the table's length.
+    fn transform(&self, series: &[f64], out: &mut [f64]) {
+        debug_assert!(series.len() == self.len && out.len() == self.len);
+        let norm = 1.0 / (self.len as f64).sqrt();
+        out[0] = series.iter().sum::<f64>() * norm;
+        for (m, row) in self.twiddles.chunks_exact(self.len).enumerate() {
+            let mut re = 0.0f64;
+            let mut im = 0.0f64;
+            for (&x, &(cos, sin)) in series.iter().zip(row) {
+                re += x * cos;
+                im += x * sin;
+            }
+            let idx = 2 * m + 1;
+            out[idx] = re * norm * std::f64::consts::SQRT_2;
+            if idx + 1 < self.len {
+                out[idx + 1] = im * norm * std::f64::consts::SQRT_2;
+            }
+        }
+    }
+}
+
+/// The direct O(len²) real DFT, evaluating `cos`/`sin` per term: the
+/// oracle [`DftTable`] is pinned against, bit for bit.
+#[cfg(test)]
+fn real_dft(series: &[f64], out: &mut [f64]) {
     debug_assert_eq!(series.len(), out.len());
     let len = series.len();
     let norm = 1.0 / (len as f64).sqrt();
@@ -134,7 +179,7 @@ mod tests {
     fn dft_of_constant_is_dc_only() {
         let series = vec![2.0f64; 16];
         let mut out = vec![0.0f64; 16];
-        real_dft(&series, &mut out);
+        DftTable::new(16).transform(&series, &mut out);
         assert!((out[0] - 2.0 * 4.0).abs() < 1e-9); // 2 * sqrt(16)
         for &c in &out[1..] {
             assert!(c.abs() < 1e-9);
@@ -148,13 +193,39 @@ mod tests {
             .map(|t| (std::f64::consts::TAU * 3.0 * t as f64 / len as f64).cos())
             .collect();
         let mut out = vec![0.0f64; len];
-        real_dft(&series, &mut out);
+        DftTable::new(len).transform(&series, &mut out);
         // Frequency 3 cosine coefficient sits at index 2*3 - 1 = 5.
         let expect = (len as f64 / 2.0) / (len as f64).sqrt() * std::f64::consts::SQRT_2;
         assert!((out[5] - expect).abs() < 1e-9, "out[5] = {}", out[5]);
         for (i, &c) in out.iter().enumerate() {
             if i != 5 {
                 assert!(c.abs() < 1e-9, "bin {i} = {c}");
+            }
+        }
+    }
+
+    #[test]
+    fn table_transform_matches_direct_dft_bitwise_per_series() {
+        // Random walks like the generator's, at odd and even lengths
+        // (including STOCK360's 360): every coefficient of every series
+        // must carry the direct transform's exact bits.
+        let mut rng = seeded(11);
+        for len in [1usize, 2, 3, 16, 17, 36, 360] {
+            let dft = DftTable::new(len);
+            let mut table = vec![0.0f64; len];
+            let mut direct = vec![0.0f64; len];
+            for series_no in 0..20 {
+                let mut level = 10.0 + 5.0 * standard_normal(&mut rng);
+                let series: Vec<f64> = (0..len)
+                    .map(|_| {
+                        level += 0.7 * standard_normal(&mut rng);
+                        level
+                    })
+                    .collect();
+                dft.transform(&series, &mut table);
+                real_dft(&series, &mut direct);
+                let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<u64>>();
+                assert_eq!(bits(&table), bits(&direct), "len {len} series {series_no}");
             }
         }
     }

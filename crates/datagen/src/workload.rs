@@ -7,17 +7,29 @@
 //! `(center, radius)` pairs, so prediction error isolates the page-layout
 //! estimate, exactly as in the paper.
 //!
-//! Radius computation is an exact linear scan per query, running on the
-//! blocked early-exit kernel of `hdidx_core::knn`; queries are independent
-//! and fan out over the workspace [`Pool`] (order-preserving, so the
-//! workload is identical for any thread count, and `--threads` /
-//! `HDIDX_THREADS` steer it). This is one of the two places the workspace
-//! runs on threads; see DESIGN §5b.
+//! Radii come from [`knn_radii`]: one serial bulk load of an in-memory
+//! VAMSplit tree over the dataset, then an exact best-first search per
+//! query. Its distances carry the linear scan's `f64` add chain, so every
+//! radius equals `hdidx_core::knn::scan_knn_radius` bit for bit (the scan
+//! stays as the test oracle). The searches are independent and fan out
+//! over the workspace [`Pool`] (order-preserving, so the workload is
+//! identical for any thread count, and `--threads` / `HDIDX_THREADS` steer
+//! it). This is one of the two places the workspace runs on threads; see
+//! DESIGN §5b.
 
-use hdidx_core::knn::scan_knn_radii;
 use hdidx_core::{Dataset, Error, Result};
 use hdidx_pool::Pool;
 use hdidx_rand::{sample_without_replacement, seeded};
+use hdidx_vamsplit::query::knn;
+use hdidx_vamsplit::{bulk_load, Topology};
+
+/// Leaf capacity of the in-memory radius tree. A fixed in-memory shape,
+/// not a disk page size: an 8 KB directory page cannot hold ISOLET617's
+/// entries, and leaf capacities from 16 to 128 searched within noise.
+const RADIUS_TREE_CAP_DATA: usize = 64;
+
+/// Directory fanout of the in-memory radius tree.
+const RADIUS_TREE_CAP_DIR: usize = 16;
 
 /// One ball query: a center (a dataset point) and its exact k-NN radius.
 #[derive(Debug, Clone, PartialEq)]
@@ -44,7 +56,8 @@ impl Workload {
     ///
     /// # Errors
     ///
-    /// Rejects `q == 0`, `k == 0` and an empty dataset.
+    /// Rejects `q == 0`, `k == 0`, an empty dataset and a non-finite
+    /// coordinate.
     pub fn density_biased(data: &Dataset, q: usize, k: usize, seed: u64) -> Result<Workload> {
         if q == 0 {
             return Err(Error::invalid("q", "need at least one query"));
@@ -57,11 +70,17 @@ impl Workload {
         }
         let mut rng = seeded(seed);
         let ids = sample_without_replacement(&mut rng, data.len(), q);
-        let radii = parallel_radii(data, &ids, k)?;
+        Self::with_exact_radii(data, ids, k)
+    }
+
+    /// The queries centered on `ids`, each with its exact k-NN radius
+    /// over `data`.
+    fn with_exact_radii(data: &Dataset, ids: Vec<u32>, k: usize) -> Result<Workload> {
+        let radii = knn_radii(data, &ids, k, &Pool::current())?;
         let queries = ids
-            .iter()
+            .into_iter()
             .zip(radii)
-            .map(|(&id, radius)| Query {
+            .map(|(id, radius)| Query {
                 point_id: id,
                 center: data.point(id as usize).to_vec(),
                 radius,
@@ -107,20 +126,11 @@ impl Workload {
     ///
     /// # Errors
     ///
-    /// Propagates scan errors (dimension mismatch, empty data).
+    /// Same conditions as [`knn_radii`]: `k == 0` (a range workload),
+    /// empty data, a non-finite coordinate, or a query id beyond `data`.
     pub fn with_radii_from(&self, data: &Dataset) -> Result<Workload> {
-        let ids: Vec<u32> = self.queries.iter().map(|q| q.point_id).collect();
-        let radii = parallel_radii(data, &ids, self.k)?;
-        let queries = ids
-            .iter()
-            .zip(radii)
-            .map(|(&id, radius)| Query {
-                point_id: id,
-                center: data.point(id as usize).to_vec(),
-                radius,
-            })
-            .collect();
-        Ok(Workload { k: self.k, queries })
+        let ids = self.queries.iter().map(|q| q.point_id).collect();
+        Self::with_exact_radii(data, ids, self.k)
     }
 
     /// Number of queries.
@@ -142,10 +152,55 @@ impl Workload {
     }
 }
 
-/// Exact k-NN radii for the points at `ids`, fanned out over the ambient
-/// workspace pool via the batch kernel in `hdidx_core::knn`.
-fn parallel_radii(data: &Dataset, ids: &[u32], k: usize) -> Result<Vec<f64>> {
-    scan_knn_radii(data, ids, k, &Pool::current())
+/// Exact k-NN radii of the dataset points at `ids` (`out[i]` belongs to
+/// `ids[i]`): the distance from each point to its k-th nearest neighbor in
+/// `data`, itself included.
+///
+/// Bulk-loads one in-memory VAMSplit tree over `data` (serially), then
+/// runs a best-first search per id over `pool`. Each radius equals
+/// `hdidx_core::knn::scan_knn_radius` bit for bit, and the output is
+/// identical for any thread count. A `k` above `data.len()` saturates at
+/// the farthest point; an empty `ids` is an empty answer.
+///
+/// # Errors
+///
+/// Rejects `k == 0`, an empty dataset, a non-finite coordinate (the
+/// scan's order over NaN and infinite distances is not the index's) and
+/// an id beyond `data`.
+pub fn knn_radii(data: &Dataset, ids: &[u32], k: usize, pool: &Pool) -> Result<Vec<f64>> {
+    if ids.is_empty() {
+        return Ok(Vec::new());
+    }
+    if k == 0 {
+        return Err(Error::invalid("k", "k must be positive"));
+    }
+    if data.is_empty() {
+        return Err(Error::EmptyInput("dataset for workload radii"));
+    }
+    if let Some(&id) = ids.iter().find(|&&id| id as usize >= data.len()) {
+        return Err(Error::invalid(
+            "ids",
+            format!("query id {id} beyond a dataset of {} points", data.len()),
+        ));
+    }
+    if let Some(at) = data.as_flat().iter().position(|v| !v.is_finite()) {
+        return Err(Error::invalid(
+            "data",
+            format!("non-finite coordinate in point {}", at / data.dim()),
+        ));
+    }
+    let topo = Topology::from_capacities(
+        data.dim(),
+        data.len(),
+        RADIUS_TREE_CAP_DATA,
+        RADIUS_TREE_CAP_DIR,
+    )?;
+    let tree = bulk_load(data, &topo)?;
+    pool.par_map(ids, |&id| {
+        knn(&tree, data, data.point(id as usize), k).map(|res| res.radius())
+    })
+    .into_iter()
+    .collect()
 }
 
 #[cfg(test)]
@@ -185,6 +240,36 @@ mod tests {
             assert_eq!(q.radius, expect);
             assert_eq!(q.center, d.point(q.point_id as usize));
         }
+    }
+
+    #[test]
+    fn knn_radii_edge_cases() {
+        // Points at x = 0, 1, ..., 9.
+        let line = Dataset::from_flat(1, (0..10).map(|i| i as f32).collect()).unwrap();
+        for t in [1usize, 2, 8] {
+            let pool = Pool::new(t);
+            // An empty batch is an empty answer, whatever `k`.
+            assert_eq!(knn_radii(&line, &[], 0, &pool).unwrap(), vec![]);
+            assert!(knn_radii(&line, &[0, 3], 0, &pool).is_err());
+            assert!(knn_radii(&line, &[3, 10], 2, &pool).is_err());
+            // k beyond n saturates at the farthest point: 9 away from
+            // either end.
+            assert_eq!(
+                knn_radii(&line, &[0, 9], 25, &pool).unwrap(),
+                vec![9.0, 9.0]
+            );
+            // Duplicates: the 2nd neighbor of a point at x = 1 is another
+            // copy at distance 0; from x = 2 it is a copy at 1.
+            let dup = Dataset::from_flat(1, vec![1.0, 1.0, 1.0, 2.0]).unwrap();
+            let ids = [0u32, 1, 2, 3];
+            assert_eq!(
+                knn_radii(&dup, &ids, 2, &pool).unwrap(),
+                [0.0, 0.0, 0.0, 1.0]
+            );
+            assert_eq!(knn_radii(&dup, &ids, 4, &pool).unwrap(), [1.0; 4]);
+        }
+        let empty = Dataset::with_capacity(1, 0).unwrap();
+        assert!(knn_radii(&empty, &[0], 1, &Pool::serial()).is_err());
     }
 
     #[test]

@@ -62,8 +62,8 @@ pub use resampled::{Resampled, ResampledParams};
 
 use hdidx_diskio::IoStats;
 
-/// A ball query: the center and the exact k-NN radius the paper derives
-/// from a full scan. Every predictor consumes the same balls the on-disk
+/// A ball query: the center and the exact k-NN radius over the full
+/// dataset, as the paper derives it. Every predictor consumes the same balls the on-disk
 /// measurement implicitly uses, so errors isolate the page-layout estimate.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryBall {

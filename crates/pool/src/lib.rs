@@ -8,8 +8,8 @@
 //! Threads are kept only where a `BENCH_parallel.json` row shows they pay.
 //! Two call sites use the pool:
 //!
-//! * `hdidx_core::knn::scan_knn_radii` maps query ids to their k-NN radii
-//!   (the query-radius set-up of every workload);
+//! * `hdidx_datagen::workload::knn_radii` maps query ids to their k-NN
+//!   radii by tree search (the query-radius set-up of every workload);
 //! * `hdidx_serve::Server::run` executes the whole offered stream in one
 //!   [`Pool::par_map_isolated`] call per run, whose per-query panic
 //!   isolation serving depends on.

@@ -20,8 +20,8 @@
 //! similarity requirement of §3.1.
 //!
 //! Query support ([`query`]) provides optimal best-first k-NN search
-//! (Hjaltason–Samet), range counting, exact linear-scan k-NN (for
-//! ground-truth query radii), and the sphere/leaf intersection counting that
+//! (Hjaltason–Samet), range counting, exact linear-scan k-NN (the oracle
+//! for query radii), and the sphere/leaf intersection counting that
 //! the prediction model reduces page-access estimation to.
 //!
 //! Two additional bulk-loaded structures ([`kdtree`], [`sstree`]) exercise

@@ -206,10 +206,10 @@ pub fn range_accesses(tree: &RTree, center: &[f32], radius: f64) -> Result<Acces
     Ok(stats)
 }
 
-// Exact linear-scan k-NN (ground truth for query radii) lives in the kernel
+// Exact linear-scan k-NN (the oracle for query radii) lives in the kernel
 // crate; re-exported here because search tests and callers naturally look
 // for it next to the index-based `knn`.
-pub use hdidx_core::knn::{scan_knn, scan_knn_radii, scan_knn_radius};
+pub use hdidx_core::knn::{scan_knn, scan_knn_radius};
 
 /// Number of rectangles in `pages` intersected by the closed ball around
 /// `center`. This single function is the paper's page-access estimator: the

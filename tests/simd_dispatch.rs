@@ -12,9 +12,10 @@
 //! with each other or perturb auto-dispatching tests in this binary.
 
 use hdidx_rand::{seeded, Rng};
-use hdidx_repro::core::knn::{scan_knn_radii, scan_knn_with};
+use hdidx_repro::core::knn::scan_knn_with;
 use hdidx_repro::core::simd;
 use hdidx_repro::core::{Dataset, HyperRect, LeafSoup};
+use hdidx_repro::datagen::workload::knn_radii;
 use hdidx_repro::pool::Pool;
 
 /// The dimensions under test: below, at, and above the kernels' 8-wide
@@ -169,18 +170,18 @@ fn knn_radii_identical_across_thread_counts_and_isas() {
     let data = random_dataset(&mut rng, 200, 16);
     let ids: Vec<u32> = (0..200).step_by(7).collect();
     let k = 9;
-    let reference = scan_knn_radii(&data, &ids, k, &Pool::new(1)).unwrap();
+    let reference = knn_radii(&data, &ids, k, &Pool::new(1)).unwrap();
     for threads in [2usize, 8] {
-        let got = scan_knn_radii(&data, &ids, k, &Pool::new(threads)).unwrap();
+        let got = knn_radii(&data, &ids, k, &Pool::new(threads)).unwrap();
         let same = reference
             .iter()
             .zip(&got)
             .all(|(a, b)| a.to_bits() == b.to_bits());
         assert!(same, "radii differ at {threads} threads");
     }
-    // The batch radius equals the k-th scan distance bit for bit under
-    // every ISA (scan_knn_radii dispatches whatever is active; each
-    // pinned ISA must reproduce it).
+    // The tree-searched radius equals the k-th scan distance bit for bit
+    // under every ISA (knn_radii dispatches whatever is active; each
+    // pinned ISA's scan must reproduce it).
     for isa in simd::supported() {
         for (&id, &radius) in ids.iter().zip(&reference) {
             let nn = scan_knn_with(isa, &data, data.point(id as usize), k).unwrap();
