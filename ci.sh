@@ -193,36 +193,41 @@ for fault_seed in 5 11; do
     cargo test -q --offline --release -p hdidx-diskio --test breaker_chaos
 done
 
-# Crash-sweep chaos leg: a power cut between EVERY pair of I/O ops the
-# store issues (page-store histories and snapshot publishes), under all
-# three durability modes, re-run under two independent injection seeds
+# Crash-sweep chaos leg: a power cut between EVERY pair of I/O ops two
+# snapshot publishes issue, re-run under two independent injection seeds
 # so a pass never hinges on one survival-roll pattern.
 for crash_seed in 11 20250809; do
-  echo "==> crash sweep (HDIDX_CRASH_SEED=${crash_seed}, all durability modes)"
+  echo "==> crash sweep (HDIDX_CRASH_SEED=${crash_seed}, snapshot publishes)"
   HDIDX_CRASH_SEED="${crash_seed}" \
     cargo test -q --offline -p hdidx-store --test crash_sweep
 done
 
 # File-backend smoke leg: the full persistence path through the CLI —
 # build on the simulated disk, publish + fsync a snapshot
-# generation, reopen it and serve from the loaded tree. The store lives
-# in a scratch tempdir that is removed on exit however the script ends.
+# generation, reopen it and serve from the loaded tree. A generation is
+# its page file and nothing else, so no write-ahead log may appear. The
+# store lives in a scratch tempdir that is removed on exit however the
+# script ends.
 echo "==> hdidx measure/serve --backend file (build -> fsync -> reopen -> serve)"
 FILE_STORE_DIR="$(mktemp -d)"
 trap 'rm -rf "${FILE_STORE_DIR}"' EXIT
 cargo run -q --release -p hdidx-cli --offline -- measure \
   --data target/bench-smoke/t48.csv --m 200 --queries 10 --k 5 \
-  --backend file --store "${FILE_STORE_DIR}" --durability per-batch
+  --backend file --store "${FILE_STORE_DIR}"
 cargo run -q --release -p hdidx-cli --offline -- serve \
   --data target/bench-smoke/t48.csv --m 200 --smoke --seed 5 \
-  --backend file --store "${FILE_STORE_DIR}" --durability every-8
+  --backend file --store "${FILE_STORE_DIR}"
+if [ -n "$(find "${FILE_STORE_DIR}" -name wal.log)" ]; then
+  echo "a snapshot store must not write wal.log"
+  exit 1
+fi
 
 # Scrub smoke leg: the offline scrubber over the store the previous leg
 # left behind — once clean (exit 0), then after flipping a byte in the
 # newest generation's superblock (the scrub must fall back to the
 # retained previous generation, demote CURRENT, and exit 3 = degraded),
-# then clean again (exit 0). Exit 2 (repaired) is pinned by the CLI unit
-# tests; hard errors stay exit 1.
+# then clean again (exit 0). Hard errors (no committed generation loads)
+# stay exit 1, which the CLI unit tests pin.
 echo "==> hdidx scrub (exit codes: 0 clean, 3 degraded fallback, 0 clean)"
 cargo run -q --release -p hdidx-cli --offline -- scrub --store "${FILE_STORE_DIR}"
 printf '\xee' | dd of="${FILE_STORE_DIR}/index/gen-00000002/pages.db" \
@@ -279,11 +284,11 @@ for flags in "" "--fault-seed 3 --fault-ppm 50000 --retry-policy exponential"; d
   grep -qE "^build I/O: .* [1-9][0-9]*r/[1-9][0-9]*w pages$" target/bench-smoke/measure_sim.txt
 done
 
-echo "==> persist_roundtrip --smoke (charged vs wall clock per durability mode)"
+echo "==> persist_roundtrip --smoke (charged vs wall clock)"
 HDIDX_BENCH_OUT="$PWD/target/bench-smoke" \
   cargo run -q --release -p hdidx-bench --bin persist_roundtrip --offline -- --smoke
 
-echo "==> recovery_sweep --smoke (recovery + scrub throughput)"
+echo "==> recovery_sweep --smoke (scrub throughput)"
 HDIDX_BENCH_OUT="$PWD/target/bench-smoke" \
   cargo run -q --release -p hdidx-bench --bin recovery_sweep --offline -- --smoke
 

@@ -14,7 +14,6 @@ use hdidx_core::simd::Choice as SimdChoice;
 use hdidx_diskio::BreakerConfig;
 use hdidx_faults::{BurstConfig, FaultConfig, FaultPhase, RetryPolicy};
 use hdidx_serve::{ArrivalModel, LanePolicy, MixSpec, OverloadPolicy, QueryClass};
-use hdidx_store::Durability;
 use std::path::PathBuf;
 
 /// A parsed invocation.
@@ -56,12 +55,10 @@ pub enum StoreSpec {
     /// The simulated disk only: access-pattern accounting, no bytes.
     Sim,
     /// The simulated build, then an index snapshot on the file-backed
-    /// page store: real pages, checksums and a WAL.
+    /// page store: real pages and checksums.
     File {
         /// Store directory (`--store`).
         dir: PathBuf,
-        /// WAL durability mode.
-        durability: Durability,
     },
 }
 
@@ -128,8 +125,6 @@ pub enum Command {
         /// Store directory (the same path passed as `--store` when the
         /// snapshot was built).
         store_dir: String,
-        /// WAL durability mode used when reopening generations.
-        durability: Durability,
     },
     /// Generate a named dataset analog as CSV.
     Generate {
@@ -162,7 +157,7 @@ USAGE:
                  [--concurrency 4] [--batch 8] [--lanes SPEC]
                  [--breaker fails:window:cooldown[:probes]]
                  [--only range|knn|predict] [--smoke]
-  hdidx scrub    --store <dir> [--durability per-batch|every-N|none]
+  hdidx scrub    --store <dir>
   hdidx generate --dataset <name> [--scale 1.0] --out <csv>
 
 Run flags (predict, compare, measure, serve):
@@ -173,28 +168,26 @@ Run flags (predict, compare, measure, serve):
   [--retry-policy fixed|exponential]
 
 Store flags (measure, serve):
-  [--backend sim|file] [--store <dir>] [--durability per-batch|every-N|none]
+  [--backend sim|file] [--store <dir>]
 
 `--backend file` builds on the simulated disk exactly as `sim` does,
 then persists the index under `--store <dir>` (required) as a new
-checksummed snapshot generation (`<dir>/index/gen-XXXXXXXX`),
-committed by an atomic superblock swap, scrubbed, fsynced, reopened
-and verified, and `serve` then serves the loaded tree. The build's
-charged bill is the simulated backend's; the report adds
-persist/reopen charged-model vs wall-clock seconds.
-`--durability` picks the write-ahead-log fsync cadence: `per-batch`
-(default, fsync every batch), `every-N` (e.g. `every-8`), or `none`
-(checkpoint only). Earlier generations under `--store` are retained
-(two most recent) so a scrub can fall back if the newest corrupts;
-older ones are garbage-collected after each commit.
+checksummed snapshot generation (`<dir>/index/gen-XXXXXXXX`), written
+and fsynced once, committed by an atomic superblock swap, scrubbed,
+reopened and verified, and `serve` then serves the loaded tree. The
+build's charged bill is the simulated backend's; the report adds
+persist/reopen charged-model vs wall-clock seconds. The generation
+committed before the newest is retained so a scrub can fall back if
+the newest corrupts; every other generation is garbage-collected after
+each commit.
 
 `scrub` verifies every page checksum in the current snapshot
-generation under `--store <dir>`, repairs corrupt pages from the
-write-ahead log where possible, quarantines the rest, and falls back
-to the previous retained generation when the current one cannot be
-made loadable — demoting the commit pointer so later opens see the
-good generation. It prints a one-line report and exits non-zero if no
-generation could be loaded.
+generation under `--store <dir>`, quarantines corrupt pages, and falls
+back to the previously committed generation when the current one
+cannot be made loadable — demoting the commit pointer so later opens
+see the good generation. It prints a one-line report and exits 0 when
+every page is clean, 3 when pages were quarantined or the store fell
+back, and 1 if no generation could be loaded.
 
 `serve` builds the index, generates an open-loop request stream on
 simulated time (`--rate` requests/s for `--duration` s; `--arrivals
@@ -284,7 +277,7 @@ const RUN_FLAGS: &[&str] = &[
 ];
 
 /// The storage flags `measure` and `serve` add.
-const STORE_FLAGS: &[&str] = &["backend", "store", "durability"];
+const STORE_FLAGS: &[&str] = &["backend", "store"];
 
 /// Transient fault rate (ppm) a bare `--fault-seed` injects: low enough
 /// that bounded retry absorbs essentially every fault.
@@ -455,26 +448,16 @@ fn parse_phase_scale(opts: &Opts) -> Result<[u16; 3], String> {
     Ok(scale)
 }
 
-fn parse_durability(opts: &Opts) -> Result<Durability, String> {
-    Ok(opts
-        .parse_with("durability", Durability::parse)?
-        .unwrap_or(Durability::PerBatch))
-}
-
 impl StoreSpec {
-    /// Parses `--backend` / `--store` / `--durability` as a unit: the file
-    /// backend requires a store directory; the store and durability flags
-    /// are meaningless on the simulated backend and rejected there.
+    /// Parses `--backend` / `--store` as a unit: the file backend requires
+    /// a store directory; the store flag is meaningless on the simulated
+    /// backend and rejected there.
     fn parse(opts: &Opts) -> Result<StoreSpec, String> {
         match (opts.get("backend"), opts.get("store")) {
             (None | Some("sim"), Some(_)) => Err("option --store requires --backend file".into()),
-            (None | Some("sim"), None) if opts.get("durability").is_some() => {
-                Err("option --durability requires --backend file".into())
-            }
             (None | Some("sim"), None) => Ok(StoreSpec::Sim),
             (Some("file"), Some(dir)) => Ok(StoreSpec::File {
                 dir: PathBuf::from(dir),
-                durability: parse_durability(opts)?,
             }),
             (Some("file"), None) => Err("option --backend file requires --store <dir>".into()),
             (Some(other), _) => Err(format!(
@@ -619,10 +602,9 @@ impl Cli {
             }
             "serve" => parse_serve(&opts)?,
             "scrub" => {
-                opts.reject_unknown(&[&["store", "durability"]])?;
+                opts.reject_unknown(&[&["store"]])?;
                 Command::Scrub {
                     store_dir: opts.required("store")?,
-                    durability: parse_durability(&opts)?,
                 }
             }
             "generate" => {
@@ -878,39 +860,24 @@ mod tests {
         // Default: the simulated backend.
         assert_eq!(store_of("measure --data d.csv --m 100"), StoreSpec::Sim);
         assert_eq!(
-            store_of(
-                "measure --data d.csv --m 100 --backend file --store /tmp/st --durability every-8"
-            ),
+            store_of("measure --data d.csv --m 100 --backend file --store /tmp/st"),
             StoreSpec::File {
                 dir: "/tmp/st".into(),
-                durability: Durability::EveryN(8),
             }
         );
         assert_eq!(
-            store_of(
-                "serve --data d.csv --m 100 --smoke --backend file --store s --durability none"
-            ),
-            StoreSpec::File {
-                dir: "s".into(),
-                durability: Durability::None,
-            }
-        );
-        assert_eq!(
-            store_of("measure --data d.csv --m 100 --backend file --store s"),
-            StoreSpec::File {
-                dir: "s".into(),
-                durability: Durability::PerBatch,
-            }
+            store_of("serve --data d.csv --m 100 --smoke --backend file --store s"),
+            StoreSpec::File { dir: "s".into() }
         );
         let bad = [
-            // The file backend needs a store; sim rejects store/durability.
+            // The file backend needs a store; sim rejects a store.
             "measure --data d.csv --m 10 --backend file",
             "measure --data d.csv --m 10 --store /tmp/x",
-            "measure --data d.csv --m 10 --durability none",
             "measure --data d.csv --m 10 --backend ramdisk --store s",
             "serve --data d.csv --m 10 --backend file",
-            "measure --data d.csv --m 10 --backend file --store s --durability every-0",
-            "measure --data d.csv --m 10 --backend file --store s --durability fsync",
+            // A snapshot is fsynced once; there is no durability knob.
+            "measure --data d.csv --m 10 --backend file --store s --durability per-batch",
+            "serve --data d.csv --m 10 --smoke --backend file --store s --durability none",
             // predict/compare/info take no backend flags.
             "predict --data d.csv --m 10 --backend file --store s",
             "compare --data d.csv --m 10 --backend sim",
@@ -927,23 +894,14 @@ mod tests {
             parse("scrub --store /tmp/st"),
             Command::Scrub {
                 store_dir: "/tmp/st".into(),
-                durability: Durability::PerBatch,
-            }
-        );
-        assert_eq!(
-            parse("scrub --store s --durability every-4"),
-            Command::Scrub {
-                store_dir: "s".into(),
-                durability: Durability::EveryN(4),
             }
         );
         let bad = [
-            "scrub",                              // --store is required
-            "scrub --durability none",            // still required
-            "scrub --store s --durability fsync", // unknown mode
-            "scrub --store s --backend file",     // no backend flag here
-            "scrub --store s --data d.csv",       // no data flag either
-            "scrub --store s --threads 2",        // nor threads
+            "scrub",                                  // --store is required
+            "scrub --store s --durability per-batch", // no durability knob
+            "scrub --store s --backend file",         // no backend flag here
+            "scrub --store s --data d.csv",           // no data flag either
+            "scrub --store s --threads 2",            // nor threads
         ];
         for args in bad {
             assert!(Cli::parse(&argv(args)).is_err(), "should reject: {args}");

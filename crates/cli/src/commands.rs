@@ -12,7 +12,7 @@ use hdidx_diskio::measure::measure_on_disk;
 use hdidx_diskio::{DiskModel, DiskOptions, IoStats};
 use hdidx_model::{hupper, Prediction, QueryBall};
 use hdidx_serve::{LoadGen, MixSpec, QueryClass, ServeConfig, Server};
-use hdidx_store::{scrub_store_in, Durability, OsFs, ScrubReport, SnapshotSet};
+use hdidx_store::{Durability, ScrubReport, SnapshotSet};
 use hdidx_vamsplit::topology::{PageConfig, Topology};
 use hdidx_vamsplit::tree::RTree;
 use std::fmt::Write as _;
@@ -30,10 +30,9 @@ pub fn execute(cli: &Cli) -> Result<String, String> {
 
 /// [`execute`] plus the process exit status the command requests.
 /// Every command exits 0 on success except `scrub`, whose exit code
-/// distinguishes what the pass found: 0 all pages clean, 2 corruption
-/// found and fully repaired, 3 degraded (pages quarantined or the
-/// store fell back to an older generation). Hard errors stay on the
-/// `Err` path (exit 1).
+/// distinguishes what the pass found: 0 all pages clean, 3 degraded
+/// (pages quarantined or the store fell back to an older generation).
+/// Hard errors stay on the `Err` path (exit 1).
 ///
 /// `--threads` and `--simd` are applied first, for the whole process.
 /// Results are identical for any thread count and any ISA; both only
@@ -51,10 +50,7 @@ pub fn execute_with_status(cli: &Cli) -> Result<(String, i32), String> {
         hdidx_core::simd::force(choice).map_err(|e| format!("option --simd: {e}"))?;
     }
     let report = match &cli.command {
-        Command::Scrub {
-            store_dir,
-            durability,
-        } => return scrub(Path::new(store_dir), *durability),
+        Command::Scrub { store_dir } => return scrub(Path::new(store_dir)),
         Command::Help => Ok(crate::args::USAGE.to_string()),
         Command::Info { data, page_bytes } => info(Path::new(data), *page_bytes),
         Command::Generate {
@@ -103,20 +99,18 @@ pub fn execute_with_status(cli: &Cli) -> Result<(String, i32), String> {
 /// Publishes `tree` as a fresh snapshot generation under
 /// `<store_root>/index`, scrubs the committed generation, loads it back,
 /// and verifies the loaded arenas are bitwise identical to what went in.
-/// Earlier generations are retained (two, by default) and GC'd by the
-/// publish, so a crashed run always leaves the previous generation
-/// loadable. Returns the loaded tree, the I/O charged by the reopen (so
-/// callers can bill it as build I/O), the scrub report of the served
-/// generation, and the human-readable backend/persist/scrub/reopen report
-/// comparing charged-model seconds with wall-clock seconds.
+/// The generation committed before it is retained and older ones are
+/// GC'd by the publish, so a crashed run always leaves the previous
+/// generation loadable. Returns the loaded tree, the I/O charged by the
+/// reopen (so callers can bill it as build I/O), the scrub report of the
+/// served generation, and the human-readable backend/persist/scrub/reopen
+/// report comparing charged-model seconds with wall-clock seconds.
 fn persist_and_reopen(
     store_root: &Path,
-    durability: Durability,
     tree: &RTree,
     disk: &DiskModel,
 ) -> Result<(RTree, IoStats, ScrubReport, String), String> {
-    let set =
-        SnapshotSet::open(&store_root.join("index"), durability).map_err(|e| e.to_string())?;
+    let set = open_set(&store_root.join("index"))?;
     let persist_clock = Instant::now();
     let (generation, persist_io) = set
         .publish(tree, &DiskOptions::new())
@@ -142,7 +136,7 @@ fn persist_and_reopen(
     let mut report = format!("backend: file (store {})\n", store_root.display());
     let _ = writeln!(
         report,
-        "persist: generation {generation}, durability {durability}, charged {:.3} s, wall {:.3} s",
+        "persist: generation {generation}, charged {:.3} s, wall {:.3} s",
         disk.cost_seconds(persist_io),
         persist_wall_s
     );
@@ -156,47 +150,30 @@ fn persist_and_reopen(
     Ok((loaded, reopen_io, scrub_report, report))
 }
 
-/// The `scrub` exit status for a report: 0 clean, 2 corruption found but
-/// fully repaired, 3 degraded (quarantined pages or a generation
-/// fallback — data was lost or demoted).
-fn scrub_status(report: &ScrubReport) -> i32 {
-    if report.pages_quarantined > 0 || report.fell_back {
-        3
-    } else if report.pages_repaired > 0 {
-        2
-    } else {
-        0
-    }
+/// Opens the snapshot set at `root`; `Durability` has one value.
+fn open_set(root: &Path) -> Result<SnapshotSet, String> {
+    SnapshotSet::open(root, Durability::PerBatch).map_err(|e| e.to_string())
 }
 
 /// Offline scrub of a snapshot store: verifies every page checksum in
-/// the current generation, repairs from the WAL or quarantines, and
-/// falls back to (and re-commits) an older retained generation if the
-/// current one cannot be made loadable. Accepts either the `--store`
-/// root the index was built under (generations live in `<root>/index`),
-/// a snapshot-set directory itself, or a bare single-store directory
-/// containing `pages.db` directly.
-fn scrub(store_root: &Path, durability: Durability) -> Result<(String, i32), String> {
+/// the current generation, quarantines corrupt pages, and falls back to
+/// (and re-commits) the previously committed generation if the current
+/// one cannot be made loadable. Accepts either the `--store` root the
+/// index was built under (generations live in `<root>/index`) or a
+/// snapshot-set directory itself. Exits 0 clean, 3 degraded
+/// (quarantined pages or a generation fallback — data was lost or
+/// demoted).
+fn scrub(store_root: &Path) -> Result<(String, i32), String> {
     let index = store_root.join("index");
     let set_root = if index.exists() {
         index
     } else {
         store_root.to_path_buf()
     };
-    if set_root.join("pages.db").exists() {
-        // A bare FileStore directory, no generation structure: scrub the
-        // pages in place against its own WAL; there is nothing to fall
-        // back to.
-        let report = scrub_store_in(&OsFs, &set_root).map_err(|e| e.to_string())?;
-        return Ok((
-            format!("store: {} (bare)\nscrub: {report}\n", set_root.display()),
-            scrub_status(&report),
-        ));
-    }
     if !set_root.exists() {
         return Err(format!("no store at {}", store_root.display()));
     }
-    let set = SnapshotSet::open(&set_root, durability).map_err(|e| e.to_string())?;
+    let set = open_set(&set_root)?;
     let report = set.scrub(&DiskOptions::new()).map_err(|e| e.to_string())?;
     let mut out = String::new();
     let _ = writeln!(out, "store: {}", set_root.display());
@@ -204,7 +181,7 @@ fn scrub(store_root: &Path, durability: Durability) -> Result<(String, i32), Str
     if let Some(generation) = set.current().map_err(|e| e.to_string())? {
         let _ = writeln!(out, "serving generation {generation}");
     }
-    Ok((out, scrub_status(&report)))
+    Ok((out, if report.is_clean() { 0 } else { 3 }))
 }
 
 fn load(data: &Path, page_bytes: usize) -> Result<(Dataset, Topology), String> {
@@ -396,8 +373,8 @@ fn measure(run: &RunArgs, store: &StoreSpec) -> Result<String, String> {
         measure_on_disk(&dataset, &topo, &centers, run.k, &cfg).map_err(|e| e.to_string())?;
     let backend_report = match store {
         StoreSpec::Sim => None,
-        StoreSpec::File { dir, durability } => {
-            let (_, _, _, report) = persist_and_reopen(dir, *durability, &measured.tree, &disk)?;
+        StoreSpec::File { dir } => {
+            let (_, _, _, report) = persist_and_reopen(dir, &measured.tree, &disk)?;
             Some(report)
         }
     };
@@ -446,11 +423,11 @@ fn serve(
                 .map_err(|e| e.to_string())?,
             None,
         ),
-        StoreSpec::File { dir, durability } => {
+        StoreSpec::File { dir } => {
             let built = build_on_disk(&dataset, &topo, &external_config(run)?)
                 .map_err(|e| e.to_string())?;
             let (loaded, reopen_io, scrub_report, report) =
-                persist_and_reopen(dir, *durability, &built.tree, &serving.disk)?;
+                persist_and_reopen(dir, &built.tree, &serving.disk)?;
             let server = Server::from_tree(
                 &dataset,
                 &topo,
@@ -882,7 +859,7 @@ mod tests {
         .unwrap();
         let file = run(&format!(
             "measure --data {} --m 200 --queries 10 --k 5 --seed 2 \
-             --backend file --store {} --durability every-4",
+             --backend file --store {}",
             csv.display(),
             store.display()
         ))
@@ -890,7 +867,6 @@ mod tests {
         assert!(file.starts_with(&sim), "sim:\n{sim}\nfile:\n{file}");
         assert!(file.contains("backend: file"), "{file}");
         assert!(file.contains("persist:"), "{file}");
-        assert!(file.contains("durability every-4"), "{file}");
         assert!(file.contains("reopen: verified identical"), "{file}");
         // The snapshot outlives the run: a committed CURRENT pointer and
         // the generation it names.
@@ -925,12 +901,11 @@ mod tests {
         );
         let sim = run(&base).unwrap();
         let file = run(&format!(
-            "{base} --backend file --store {} --durability none",
+            "{base} --backend file --store {}",
             store.display()
         ))
         .unwrap();
         assert!(file.starts_with(&sim), "sim:\n{sim}\nfile:\n{file}");
-        assert!(file.contains("durability none"), "{file}");
 
         // Repeat builds publish fresh generations; only the newest two
         // survive GC.
@@ -976,89 +951,50 @@ mod tests {
             .unwrap();
         }
 
-        // Corrupt the committed generation's superblock beyond what the
-        // (checkpointed, empty) WAL can repair.
-        let pages = store.join("index").join("gen-00000002").join("pages.db");
-        let mut bytes = std::fs::read(&pages).unwrap();
-        bytes[40] ^= 0xEE;
-        std::fs::write(&pages, &bytes).unwrap();
+        let scrub = || run_with_status(&format!("scrub --store {}", store.display()));
+        let (out, code) = scrub().unwrap();
+        assert_eq!(code, 0, "a clean store must exit 0: {out}");
+
+        // Corrupt the committed generation's superblock: the scrub can
+        // only quarantine it.
+        let superblock = |generation: u32| {
+            let pages = store
+                .join("index")
+                .join(format!("gen-{generation:08}"))
+                .join("pages.db");
+            let mut bytes = std::fs::read(&pages).unwrap();
+            bytes[40] ^= 0xEE;
+            std::fs::write(&pages, &bytes).unwrap();
+        };
+        superblock(2);
 
         // The scrub quarantines the page, finds generation 2 unloadable,
-        // and demotes CURRENT to the retained generation 1.
-        let out = run(&format!("scrub --store {}", store.display())).unwrap();
+        // and demotes CURRENT to the retained generation 1: exit 3.
+        let (out, code) = scrub().unwrap();
+        assert_eq!(code, 3, "a fallback must exit 3: {out}");
         assert!(out.contains("fell back"), "{out}");
         assert!(out.contains("serving generation 1"), "{out}");
         // A second scrub is clean and stays on generation 1.
-        let out = run(&format!("scrub --store {}", store.display())).unwrap();
+        let (out, code) = scrub().unwrap();
+        assert_eq!(code, 0, "{out}");
         assert!(out.contains("0 corrupt"), "{out}");
         assert!(out.contains("serving generation 1"), "{out}");
 
-        // A bare store directory (pages.db directly, no generations)
-        // scrubs in place.
-        let out = run(&format!(
-            "scrub --store {}",
-            store.join("index").join("gen-00000001").display()
-        ))
-        .unwrap();
-        assert!(out.contains("(bare)"), "{out}");
-        assert!(out.contains("0 corrupt"), "{out}");
+        // With no committed generation left to load, the scrub is a hard
+        // error (exit 1).
+        superblock(1);
+        assert!(scrub().is_err());
 
         // A missing store is an error, not a panic.
         let gone = store.join("definitely_absent");
         assert!(run(&format!("scrub --store {}", gone.display())).is_err());
 
-        std::fs::remove_dir_all(&store).ok();
-        std::fs::remove_file(&csv).ok();
-    }
-
-    #[test]
-    fn scrub_exit_codes_distinguish_clean_repaired_and_degraded() {
-        use hdidx_diskio::DiskOptions;
-        use hdidx_store::{Durability, FileStore, PAGE_BYTES, PAYLOAD_BYTES};
-        let dir =
-            std::env::temp_dir().join(format!("hdidx_cli_scrub_codes_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let span = 8u64;
-        let mut st = FileStore::open(&dir, Durability::PerBatch, &DiskOptions::new()).unwrap();
-        let f = st.alloc(span).unwrap();
-        let payload = |tag: u8| vec![tag | 1; PAYLOAD_BYTES];
-        for p in 0..span {
-            st.write_pages(&f, p, 1, &payload(p as u8)).unwrap();
-        }
-        st.sync().unwrap(); // checkpoint: the WAL empties
-        st.write_pages(&f, 0, 1, &payload(0xF0)).unwrap(); // WAL covers page 0
-        drop(st); // crash: the rewrite lives only in the WAL
-
-        let header = PAGE_BYTES - PAYLOAD_BYTES;
-        let pages_db = dir.join("pages.db");
-        let corrupt = |p: u64| {
-            let mut bytes = std::fs::read(&pages_db).unwrap();
-            bytes[p as usize * PAGE_BYTES + header + 3] ^= 0xA5;
-            std::fs::write(&pages_db, &bytes).unwrap();
-        };
-        let scrub = || run_with_status(&format!("scrub --store {}", dir.display()));
-
-        let (out, code) = scrub().unwrap();
-        assert_eq!(code, 0, "clean store must exit 0: {out}");
-
-        corrupt(0); // WAL-covered: fully repairable
-        let (out, code) = scrub().unwrap();
-        assert_eq!(code, 2, "repaired store must exit 2: {out}");
-        assert!(out.contains("1 repaired"), "{out}");
-
-        corrupt(span - 1); // no redo source: quarantined
-        let (out, code) = scrub().unwrap();
-        assert_eq!(code, 3, "quarantine must exit 3: {out}");
-        assert!(out.contains("1 quarantined"), "{out}");
-
-        // After the quarantine the store scrubs clean again.
-        let (out, code) = scrub().unwrap();
-        assert_eq!(code, 0, "{out}");
-
         // Non-scrub commands report status 0 through the same path.
         let (_, code) = run_with_status("help").unwrap();
         assert_eq!(code, 0);
-        std::fs::remove_dir_all(&dir).ok();
+
+        std::fs::remove_dir_all(&store).ok();
+        std::fs::remove_file(&csv).ok();
     }
 
     #[test]

@@ -56,7 +56,7 @@ pub enum Error {
     /// mismatch from a torn write, a truncated superblock).
     StoreFailure {
         /// The operation or validation that failed (e.g. `"page checksum"`,
-        /// `"wal append"`).
+        /// `"pagefile write"`).
         op: &'static str,
         /// OS error string or validation detail.
         detail: String,

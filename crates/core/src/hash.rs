@@ -1,6 +1,7 @@
-//! FNV-1a, the workspace's one byte hash: page, WAL and superblock
-//! checksums in the store, and the latency and breaker digests that make
-//! byte-identity across runs checkable from output alone.
+//! FNV-1a, the workspace's one byte hash: page, `CURRENT`-slot and
+//! superblock checksums in the store, and the latency and breaker
+//! digests that make byte-identity across runs checkable from output
+//! alone.
 
 /// FNV-1a 64-bit offset basis: the seed of a fresh hash.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;

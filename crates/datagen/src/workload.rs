@@ -70,12 +70,6 @@ impl Workload {
         }
         let mut rng = seeded(seed);
         let ids = sample_without_replacement(&mut rng, data.len(), q);
-        Self::with_exact_radii(data, ids, k)
-    }
-
-    /// The queries centered on `ids`, each with its exact k-NN radius
-    /// over `data`.
-    fn with_exact_radii(data: &Dataset, ids: Vec<u32>, k: usize) -> Result<Workload> {
         let radii = knn_radii(data, &ids, k, &Pool::current())?;
         let queries = ids
             .into_iter()
@@ -119,18 +113,6 @@ impl Workload {
             })
             .collect();
         Ok(Workload { k: 0, queries })
-    }
-
-    /// Recomputes every radius against a different dataset (used by the
-    /// Figure-14 experiment, where queries live in a projected subspace).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`knn_radii`]: `k == 0` (a range workload),
-    /// empty data, a non-finite coordinate, or a query id beyond `data`.
-    pub fn with_radii_from(&self, data: &Dataset) -> Result<Workload> {
-        let ids = self.queries.iter().map(|q| q.point_id).collect();
-        Self::with_exact_radii(data, ids, self.k)
     }
 
     /// Number of queries.
@@ -281,21 +263,6 @@ mod tests {
             // and radius(k=3) is the distance to its 2nd real neighbor.
             assert!(q.radius > 0.0);
             assert!((q.point_id as usize) < d.len());
-        }
-    }
-
-    #[test]
-    fn recompute_radii_on_projection() {
-        let d = data();
-        let w = Workload::density_biased(&d, 10, 5, 5).unwrap();
-        let proj = d.project_prefix(3).unwrap();
-        let wp = w.with_radii_from(&proj).unwrap();
-        assert_eq!(wp.len(), w.len());
-        for (orig, p) in w.queries.iter().zip(&wp.queries) {
-            assert_eq!(orig.point_id, p.point_id);
-            assert_eq!(p.center.len(), 3);
-            // Projection can only shrink distances.
-            assert!(p.radius <= orig.radius + 1e-9);
         }
     }
 

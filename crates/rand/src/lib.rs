@@ -3,8 +3,8 @@
 //! Self-contained deterministic randomness for the `hdidx` workspace:
 //! a xoshiro256++ generator seeded through SplitMix64, a small [`Rng`]
 //! trait, and the statistical primitives the paper's pipeline needs
-//! (Box–Muller Gaussians, Bernoulli scan sampling, reservoir sampling,
-//! Floyd's sampling without replacement).
+//! (Box–Muller Gaussians, Bernoulli scan sampling, Floyd's sampling
+//! without replacement).
 //!
 //! The crate has **zero external dependencies** by design: the paper's
 //! contribution rests on *reproducible* sampling, so the workspace owns
@@ -26,10 +26,7 @@ pub mod traits;
 pub mod xoshiro;
 
 pub use splitmix::{derive_seed, SplitMix64};
-pub use stats::{
-    bernoulli_sample, reservoir_sample, reservoir_sample_iter, sample_without_replacement,
-    standard_normal,
-};
+pub use stats::{bernoulli_sample, sample_without_replacement, standard_normal};
 pub use traits::{Rng, Sample, SampleRange};
 pub use xoshiro::Xoshiro256pp;
 

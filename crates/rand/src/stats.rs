@@ -1,8 +1,7 @@
 //! Statistical sampling primitives used by the prediction pipeline:
 //! Gaussian variates, Bernoulli scan samples (the paper's ζ-sampling),
-//! Floyd's sampling without replacement (memory samples and
-//! density-biased query draws) and reservoir sampling (single-pass
-//! fixed-size samples for streaming inputs).
+//! and Floyd's sampling without replacement (memory samples and
+//! density-biased query draws).
 
 use crate::traits::Rng;
 
@@ -87,43 +86,6 @@ pub fn sample_without_replacement<R: Rng>(rng: &mut R, n: usize, k: usize) -> Ve
             word &= word - 1;
         }
     }
-    ids
-}
-
-/// Reservoir sample (Algorithm R) of `k` items from an iterator of
-/// unknown length, preserving first-seen order within the reservoir.
-///
-/// Every element of the stream ends up in the sample with probability
-/// `k / len` once the stream is longer than `k`; shorter streams are
-/// returned whole. This is the primitive for sampling from sources that
-/// cannot be indexed (external merge runs, page streams), where the
-/// Bernoulli scan's fixed ζ would give a size that drifts with `len`.
-pub fn reservoir_sample_iter<R: Rng, T, I>(rng: &mut R, iter: I, k: usize) -> Vec<T>
-where
-    I: IntoIterator<Item = T>,
-{
-    let mut reservoir: Vec<T> = Vec::with_capacity(k);
-    if k == 0 {
-        return reservoir;
-    }
-    for (i, item) in iter.into_iter().enumerate() {
-        if i < k {
-            reservoir.push(item);
-        } else {
-            let j = rng.gen_range(0..=i);
-            if j < k {
-                reservoir[j] = item;
-            }
-        }
-    }
-    reservoir
-}
-
-/// Reservoir sample of `k` ids from `0..n`, returned in ascending order
-/// (the id-domain convenience wrapper over [`reservoir_sample_iter`]).
-pub fn reservoir_sample<R: Rng>(rng: &mut R, n: usize, k: usize) -> Vec<u32> {
-    let mut ids = reservoir_sample_iter(rng, 0..n as u32, k);
-    ids.sort_unstable();
     ids
 }
 
@@ -241,26 +203,5 @@ mod tests {
             // The same draws were consumed, so the streams stay aligned.
             assert_eq!(a, b, "stream position, n = {n}, k = {k}, seed = {seed}");
         }
-    }
-
-    #[test]
-    fn reservoir_sample_size_and_uniformity() {
-        let mut rng = seeded(4);
-        let s = reservoir_sample(&mut rng, 10_000, 100);
-        assert_eq!(s.len(), 100);
-        assert!(s.windows(2).all(|w| w[0] < w[1]));
-        // Short streams come back whole.
-        assert_eq!(reservoir_sample(&mut rng, 3, 10), vec![0, 1, 2]);
-        assert!(reservoir_sample(&mut rng, 10, 0).is_empty());
-        // Inclusion probability ≈ k/n for an arbitrary id.
-        let mut hits = 0;
-        for trial in 0..2_000 {
-            let mut r = seeded(1_000 + trial);
-            if reservoir_sample_iter(&mut r, 0..200u32, 20).contains(&137) {
-                hits += 1;
-            }
-        }
-        let p = f64::from(hits) / 2_000.0;
-        assert!((p - 0.1).abs() < 0.03, "inclusion p {p}");
     }
 }

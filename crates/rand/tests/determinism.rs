@@ -7,8 +7,7 @@
 //! assertions, the refactor is wrong — not the test.
 
 use hdidx_rand::{
-    bernoulli_sample, reservoir_sample, sample_without_replacement, seeded, standard_normal, Rng,
-    SplitMix64,
+    bernoulli_sample, sample_without_replacement, seeded, standard_normal, Rng, SplitMix64,
 };
 
 #[test]
@@ -121,12 +120,6 @@ fn sampling_primitives_are_pinned_and_stream_positions_compose() {
     let mut v: Vec<u8> = (0..10).collect();
     r.fill_shuffle(&mut v);
     assert_eq!(v, [2, 7, 3, 8, 5, 1, 6, 4, 9, 0]);
-
-    let mut r = seeded(17);
-    assert_eq!(
-        reservoir_sample(&mut r, 100, 10),
-        [2, 10, 27, 28, 32, 37, 50, 68, 73, 89]
-    );
 }
 
 #[test]

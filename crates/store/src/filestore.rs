@@ -2,75 +2,61 @@
 //!
 //! ## Architecture
 //!
-//! A `FileStore` is three cooperating pieces under one directory:
+//! A `FileStore` is two cooperating pieces under one directory:
 //!
 //! * an embedded **model [`Disk`]** (configured from the same
 //!   [`DiskOptions`] a simulated disk takes) that owns the page
 //!   address space and is charged *first* on every access — so seeks,
 //!   transfers, intent counters and retries are identical to a simulated
 //!   [`Disk`]'s driven through the same pages, by construction,
-//! * the **page file** (`pages.db`) holding checkpointed page images with
-//!   checksummed headers,
-//! * the **write-ahead log** (`wal.log`) holding every page written since
-//!   the last checkpoint.
+//! * the **page file** (`pages.db`) holding the page images with
+//!   checksummed headers.
 //!
-//! ## Write path (redo-only, no-steal)
+//! ## Write path
 //!
-//! One [`FileStore::write_pages`] call forms one WAL batch: a frame per
-//! page plus a commit record, fsynced according to the [`Durability`]
-//! mode. Dirty payloads stay in an in-memory table until
-//! [`FileStore::sync`] checkpoints them: flush to the page file, fsync
-//! it, then truncate the WAL. The page file therefore only ever holds
-//! checkpointed state, and a crash at any moment loses exactly the WAL
-//! batches that were not yet durable — never a checkpointed page.
+//! [`FileStore::write_pages`] writes checksummed pages straight to the
+//! page file and [`FileStore::sync`] fsyncs it and its directory. A
+//! store is written once, by one snapshot publish, and nothing reads it
+//! until the [`SnapshotSet`](crate::SnapshotSet) `CURRENT` swap commits
+//! it, so a crash mid-write leaves only pages no committed generation
+//! names.
 //!
 //! ## Reopen
 //!
-//! [`FileStore::open`] recovers: it replays every complete WAL batch
-//! (truncating the torn tail), verifies the page-file checksums —
-//! skipping pages the replay is about to rewrite, since a crash during a
-//! checkpoint can tear exactly those — applies the replayed frames, and
-//! checkpoints. Dropping a `FileStore` deliberately does **nothing**
-//! (no flush, no fsync): a drop *is* the crash model the recovery tests
-//! rely on.
+//! [`FileStore::open`] verifies every page checksum and writes nothing:
+//! a torn or corrupt page fails the open, and
+//! [`scrub_store_in`](crate::scrub_store_in) is the repair. Dropping a
+//! `FileStore` deliberately does **nothing** (no flush, no fsync): a
+//! drop *is* the crash model the crash-sweep tests rely on.
 
 use crate::inject::{OsFs, Vfs};
 use crate::pagefile::{PageFile, PAYLOAD_BYTES};
-use crate::wal::Wal;
-use crate::Durability;
 use hdidx_core::{Error, Result};
 use hdidx_diskio::{Disk, DiskOptions, FileHandle, IoStats};
-use std::collections::BTreeMap;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// File-backed page store with WAL durability. See the module docs.
+/// File-backed page store: a checksummed page file billed on a model
+/// disk. See the module docs.
 #[derive(Debug)]
 pub struct FileStore {
     model: Disk,
     pagefile: PageFile,
-    wal: Wal,
-    /// Dirty payloads (absolute page → payload) since the last checkpoint.
-    dirty: BTreeMap<u64, Vec<u8>>,
-    durability: Durability,
-    /// Commits since the WAL was last fsynced (drives [`Durability::EveryN`]).
-    unsynced_commits: u32,
+    fs: Arc<dyn Vfs>,
+    dir: PathBuf,
 }
 
 impl FileStore {
-    /// Opens (creating if missing) the store under `dir`, running
-    /// recovery: complete WAL batches are replayed over the page file,
-    /// the torn tail is truncated, page checksums are verified
-    /// (torn-write detection), and the result is checkpointed. The
-    /// embedded model disk is configured from `opts` and pre-allocated
-    /// over the recovered pages so fresh allocations extend past them.
+    /// Opens (creating if missing) the store under `dir` and verifies
+    /// every page checksum (torn-write detection). The embedded model
+    /// disk is configured from `opts` and pre-allocated over the existing
+    /// pages so fresh allocations extend past them.
     ///
     /// # Errors
     ///
-    /// OS errors, or corruption that recovery cannot repair (a bad
-    /// checksum on a page no surviving WAL batch covers).
-    pub fn open(dir: &Path, durability: Durability, opts: &DiskOptions) -> Result<FileStore> {
-        FileStore::open_in(Arc::new(OsFs), dir, durability, opts)
+    /// OS errors, or any page failing verification.
+    pub fn open(dir: &Path, opts: &DiskOptions) -> Result<FileStore> {
+        FileStore::open_in(Arc::new(OsFs), dir, opts)
     }
 
     /// [`FileStore::open`] against a caller-supplied filesystem (e.g.
@@ -79,54 +65,21 @@ impl FileStore {
     /// # Errors
     ///
     /// As [`FileStore::open`].
-    pub fn open_in(
-        fs: Arc<dyn Vfs>,
-        dir: &Path,
-        durability: Durability,
-        opts: &DiskOptions,
-    ) -> Result<FileStore> {
+    pub fn open_in(fs: Arc<dyn Vfs>, dir: &Path, opts: &DiskOptions) -> Result<FileStore> {
         fs.create_dir_all(dir)
             .map_err(|e| crate::io_err("store mkdir", e))?;
-        let mut wal = Wal::open_in(&*fs, &dir.join("wal.log"))?;
-        let batches = wal.recover()?;
-        let covered: std::collections::BTreeSet<u64> = batches
-            .iter()
-            .flat_map(|b| b.frames.iter().map(|f| f.page_no))
-            .collect();
-        let mut pagefile = PageFile::open_deferred_in(&*fs, &dir.join("pages.db"))?;
-        pagefile.verify_skipping(|p| covered.contains(&p))?;
-        for batch in &batches {
-            for frame in &batch.frames {
-                pagefile.write_page(frame.page_no, &frame.payload)?;
-            }
-        }
-        pagefile.sync()?;
-        wal.truncate()?;
-        // The files' *directory entries* must be durable before any WAL
-        // fsync can promise anything: a fully fsynced wal.log still
-        // vanishes in a power cut if the directory was never synced.
-        fs.sync_dir(dir)
-            .map_err(|e| crate::io_err("store dir fsync", e))?;
-
+        let pagefile = PageFile::open_in(&*fs, &dir.join("pages.db"))?;
         let mut model = Disk::with_options(opts);
         if pagefile.pages() > 0 {
-            // Claim the recovered address space; charges nothing.
+            // Claim the existing address space; charges nothing.
             model.alloc(pagefile.pages())?;
         }
         Ok(FileStore {
             model,
             pagefile,
-            wal,
-            dirty: BTreeMap::new(),
-            durability,
-            unsynced_commits: 0,
+            fs,
+            dir: dir.to_path_buf(),
         })
-    }
-
-    /// Current WAL length in bytes (un-checkpointed redo volume).
-    #[must_use]
-    pub fn wal_len(&self) -> u64 {
-        self.wal.len()
     }
 
     /// Rejects a buffer that is not exactly `n_pages` payloads long.
@@ -174,25 +127,20 @@ impl FileStore {
         self.model.read_pages(file, first_page, n_pages)?;
         let base = file.start_page() + first_page;
         for (page, out) in (base..).zip(buf.chunks_exact_mut(PAYLOAD_BYTES)) {
-            if let Some(payload) = self.dirty.get(&page) {
-                out.fill(0);
-                out[..payload.len()].copy_from_slice(payload);
-            } else {
-                self.pagefile.read_page(page, out)?;
-            }
+            self.pagefile.read_page(page, out)?;
         }
         Ok(())
     }
 
     /// Writes `n_pages` pages of `file` starting at `first_page`
     /// (file-relative) from `data`, which must hold exactly `n_pages`
-    /// payloads. One call forms one WAL batch, fsynced according to the
-    /// store's [`Durability`]; the model disk is charged first, exactly as
-    /// [`Disk::write_pages`] charges the simulation.
+    /// payloads, straight to the page file. The model disk is charged
+    /// first, exactly as [`Disk::write_pages`] charges the simulation.
+    /// Nothing is durable until [`FileStore::sync`].
     ///
     /// # Errors
     ///
-    /// As [`FileStore::read_pages`], plus WAL write and fsync failures.
+    /// As [`FileStore::read_pages`], plus page-file write failures.
     pub fn write_pages(
         &mut self,
         file: &FileHandle,
@@ -204,41 +152,23 @@ impl FileStore {
         self.model.write_pages(file, first_page, n_pages)?;
         let base = file.start_page() + first_page;
         for (page, payload) in (base..).zip(data.chunks_exact(PAYLOAD_BYTES)) {
-            self.wal.append_frame(page, payload)?;
-        }
-        self.wal.commit()?;
-        match self.durability {
-            Durability::PerBatch => self.wal.sync()?,
-            Durability::EveryN(n) => {
-                self.unsynced_commits += 1;
-                if self.unsynced_commits >= n {
-                    self.wal.sync()?;
-                    self.unsynced_commits = 0;
-                }
-            }
-            Durability::None => {}
-        }
-        for (page, payload) in (base..).zip(data.chunks_exact(PAYLOAD_BYTES)) {
-            self.dirty.insert(page, payload.to_vec());
+            self.pagefile.write_page(page, payload)?;
         }
         Ok(())
     }
 
-    /// Checkpoints every write issued so far: dirty pages go to the page
-    /// file, the page file is fsynced, and the WAL is truncated.
+    /// Makes every write issued so far durable: fsyncs the page file,
+    /// then its directory, so a freshly created `pages.db` survives a
+    /// power cut too.
     ///
     /// # Errors
     ///
-    /// Page-file write, fsync and WAL truncation failures.
+    /// fsync failures.
     pub fn sync(&mut self) -> Result<()> {
-        for (&page, payload) in &self.dirty {
-            self.pagefile.write_page(page, payload)?;
-        }
         self.pagefile.sync()?;
-        self.wal.truncate()?;
-        self.dirty.clear();
-        self.unsynced_commits = 0;
-        Ok(())
+        self.fs
+            .sync_dir(&self.dir)
+            .map_err(|e| crate::io_err("store dir fsync", e))
     }
 
     /// Total pages allocated so far.
@@ -258,6 +188,7 @@ impl FileStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::inject::InjectedFs;
     use std::path::PathBuf;
 
     fn tmpdir(name: &str) -> PathBuf {
@@ -273,21 +204,21 @@ mod tests {
     }
 
     #[test]
-    fn bytes_round_trip_through_checkpoint_and_reopen() {
+    fn bytes_round_trip_through_sync_and_reopen() {
         let dir = tmpdir("roundtrip");
-        let mut st = FileStore::open(&dir, Durability::PerBatch, &DiskOptions::new()).unwrap();
+        let mut st = FileStore::open(&dir, &DiskOptions::new()).unwrap();
         let f = st.alloc(8).unwrap();
         let data = payload(1, 3);
         st.write_pages(&f, 2, 3, &data).unwrap();
-        // Visible before the checkpoint (served from the dirty table).
+        // Visible before the sync: the pages went straight to the file.
         let mut back = vec![0u8; 3 * PAYLOAD_BYTES];
         st.read_pages(&f, 2, 3, &mut back).unwrap();
         assert_eq!(back, data);
         st.sync().unwrap();
         drop(st);
 
-        let mut st = FileStore::open(&dir, Durability::PerBatch, &DiskOptions::new()).unwrap();
-        // The model was pre-allocated over the recovered pages; re-mint
+        let mut st = FileStore::open(&dir, &DiskOptions::new()).unwrap();
+        // The model was pre-allocated over the existing pages; re-mint
         // the handle over the same range.
         let f = FileHandle::from_raw(f.start_page(), f.pages());
         let mut back = vec![0u8; 3 * PAYLOAD_BYTES];
@@ -297,45 +228,23 @@ mod tests {
     }
 
     #[test]
-    fn crash_before_checkpoint_recovers_from_the_wal() {
-        let dir = tmpdir("crash");
-        let mut st = FileStore::open(&dir, Durability::PerBatch, &DiskOptions::new()).unwrap();
-        let f = st.alloc(4).unwrap();
-        let data = payload(7, 2);
-        st.write_pages(&f, 0, 2, &data).unwrap();
-        assert!(st.wal_len() > 0);
-        drop(st); // crash: no checkpoint
-
-        let mut st = FileStore::open(&dir, Durability::PerBatch, &DiskOptions::new()).unwrap();
-        assert_eq!(st.wal_len(), 0, "recovery checkpoints");
-        let f = FileHandle::from_raw(f.start_page(), f.pages());
-        let mut back = vec![0u8; 2 * PAYLOAD_BYTES];
-        st.read_pages(&f, 0, 2, &mut back).unwrap();
-        assert_eq!(back, data, "per-batch durability survives the crash");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn durability_none_loses_unsynced_batches_on_simulated_power_cut() {
-        let dir = tmpdir("powercut");
-        let mut st = FileStore::open(&dir, Durability::None, &DiskOptions::new()).unwrap();
-        let f = st.alloc(4).unwrap();
-        st.write_pages(&f, 0, 1, &payload(3, 1)).unwrap();
+    fn reopening_writes_nothing_and_a_torn_page_fails_the_open() {
+        let fs = InjectedFs::clean();
+        let dir = PathBuf::from("/store");
+        let open = || FileStore::open_in(Arc::new(fs.clone()), &dir, &DiskOptions::new());
+        let mut st = open().unwrap();
+        let f = st.alloc(2).unwrap();
+        st.write_pages(&f, 0, 2, &payload(5, 2)).unwrap();
+        st.sync().unwrap();
         drop(st);
-        // Model the power cut: the un-fsynced WAL bytes never hit disk.
-        std::fs::OpenOptions::new()
-            .write(true)
-            .open(dir.join("wal.log"))
-            .unwrap()
-            .set_len(0)
-            .unwrap();
+        let image = fs.file_bytes(&dir.join("pages.db")).unwrap();
+        drop(open().unwrap());
+        assert_eq!(fs.file_bytes(&dir.join("pages.db")).unwrap(), image);
+        assert_eq!(fs.list_dir(&dir).unwrap(), vec![dir.join("pages.db")]);
 
-        let mut st = FileStore::open(&dir, Durability::None, &DiskOptions::new()).unwrap();
-        let f = FileHandle::from_raw(f.start_page(), f.pages());
-        let mut back = vec![0u8; PAYLOAD_BYTES];
-        st.read_pages(&f, 0, 1, &mut back).unwrap();
-        assert!(back.iter().all(|&b| b == 0), "unsynced batch is gone");
-        let _ = std::fs::remove_dir_all(&dir);
+        let mut torn = fs.open(&dir.join("pages.db")).unwrap();
+        torn.write_all_at(&[0xEE], 40).unwrap();
+        assert!(open().is_err(), "a torn page must fail the open");
     }
 
     #[test]
@@ -349,7 +258,7 @@ mod tests {
             .unwrap();
         let opts = DiskOptions::new().fault_plan(Some(faults));
         let mut sim = Disk::with_options(&opts);
-        let mut file = FileStore::open(&dir, Durability::PerBatch, &opts).unwrap();
+        let mut file = FileStore::open(&dir, &opts).unwrap();
         let f = sim.alloc(64).unwrap();
         assert_eq!(file.alloc(64).unwrap(), f);
         let pattern = [
@@ -379,7 +288,7 @@ mod tests {
     #[test]
     fn mis_sized_buffers_are_rejected() {
         let dir = tmpdir("badbuf");
-        let mut st = FileStore::open(&dir, Durability::PerBatch, &DiskOptions::new()).unwrap();
+        let mut st = FileStore::open(&dir, &DiskOptions::new()).unwrap();
         let f = st.alloc(4).unwrap();
         let before = st.stats();
         assert!(st.write_pages(&f, 0, 2, &[0u8; 7]).is_err());

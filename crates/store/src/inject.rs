@@ -1,8 +1,8 @@
 //! Deterministic crash-fault injection beneath the file store.
 //!
-//! Every byte [`PageFile`](crate::PageFile) and [`Wal`](crate::Wal) move
-//! goes through the [`Vfs`]/[`VfsFile`] seam defined here. Production
-//! uses [`OsFs`], a zero-cost passthrough to `std::fs` +
+//! Every byte [`PageFile`](crate::PageFile) and the snapshot `CURRENT`
+//! file move goes through the [`Vfs`]/[`VfsFile`] seam defined here.
+//! Production uses [`OsFs`], a zero-cost passthrough to `std::fs` +
 //! `std::os::unix::fs::FileExt` — bitwise identical to the pre-seam
 //! store. Tests use [`InjectedFs`], an in-memory filesystem that models
 //! what a physical disk actually promises:

@@ -16,10 +16,10 @@
 //! Anything else must carry a valid header and checksum; a mismatch is a
 //! torn or corrupted write and surfaces as
 //! [`Error::StoreFailure`] with op `"page checksum"` — the reopen-time
-//! verification pass ([`PageFile::verify`]) is what turns a crash mid
+//! verification pass ([`PageFile::open_in`]) is what turns a crash mid
 //! `write(2)` into a detected error instead of silent corruption.
 
-use crate::inject::{OsFs, Vfs, VfsFile};
+use crate::inject::{Vfs, VfsFile};
 use crate::io_err;
 use hdidx_core::{fnv1a, Error, Result, FNV_OFFSET};
 use std::path::Path;
@@ -49,39 +49,32 @@ pub struct PageFile {
 }
 
 impl PageFile {
-    /// Opens (creating if missing) the page file at `path` and verifies
-    /// **every** existing page's header and checksum — torn-write
-    /// detection on reopen.
+    /// Opens (creating if missing) the page file at `path` on `fs` and
+    /// verifies **every** existing page's header and checksum —
+    /// torn-write detection on reopen.
     ///
     /// # Errors
     ///
     /// OS errors, a file length that is not a multiple of [`PAGE_BYTES`],
-    /// or any page failing verification.
-    pub fn open(path: &Path) -> Result<PageFile> {
-        let pf = PageFile::open_deferred(path)?;
-        pf.verify()?;
+    /// or [`Error::StoreFailure`] naming the first page that fails
+    /// verification.
+    pub fn open_in(fs: &dyn Vfs, path: &Path) -> Result<PageFile> {
+        let pf = PageFile::open_deferred_in(fs, path)?;
+        let mut buf = [0u8; PAGE_BYTES];
+        for p in 0..pf.pages {
+            pf.read_raw(p, &mut buf)?;
+            Self::decode(p, &buf)?;
+        }
         Ok(pf)
     }
 
-    /// Opens the page file **without** the verification pass. For callers
-    /// that must tolerate torn pages the write-ahead log is about to
-    /// repair — they run [`PageFile::verify_skipping`] over the
-    /// WAL-covered set instead.
+    /// Opens the page file **without** the verification pass, for the
+    /// scrub, which must tolerate the corrupt pages it is about to find.
     ///
     /// # Errors
     ///
     /// OS errors, or a file length that is not a multiple of
     /// [`PAGE_BYTES`].
-    pub fn open_deferred(path: &Path) -> Result<PageFile> {
-        PageFile::open_deferred_in(&OsFs, path)
-    }
-
-    /// [`PageFile::open_deferred`] against a caller-supplied filesystem
-    /// (e.g. the crash-injected [`InjectedFs`](crate::InjectedFs)).
-    ///
-    /// # Errors
-    ///
-    /// As [`PageFile::open_deferred`].
     pub fn open_deferred_in(fs: &dyn Vfs, path: &Path) -> Result<PageFile> {
         let file = fs.open(path).map_err(|e| io_err("pagefile open", e))?;
         let len = file.len().map_err(|e| io_err("pagefile stat", e))?;
@@ -103,35 +96,6 @@ impl PageFile {
         self.pages
     }
 
-    /// Verifies every page slot: all-zero (never written) or a valid
-    /// header + checksum.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::StoreFailure`] naming the first bad page.
-    pub fn verify(&self) -> Result<()> {
-        self.verify_skipping(|_| false)
-    }
-
-    /// Verifies every page slot except those for which `skip` returns
-    /// true — the WAL-covered pages a recovery replay is about to
-    /// rewrite, whose torn state is repairable rather than fatal.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::StoreFailure`] naming the first bad non-skipped page.
-    pub fn verify_skipping(&self, skip: impl Fn(u64) -> bool) -> Result<()> {
-        let mut buf = [0u8; PAGE_BYTES];
-        for p in 0..self.pages {
-            if skip(p) {
-                continue;
-            }
-            self.read_raw(p, &mut buf)?;
-            Self::decode(p, &buf)?;
-        }
-        Ok(())
-    }
-
     /// Verifies a single page slot (header + checksum, or all-zero).
     ///
     /// # Errors
@@ -147,7 +111,7 @@ impl PageFile {
     /// Quarantines page `page_no`: overwrites the whole slot with zeros,
     /// turning it back into an "unwritten" page that reads as an empty
     /// payload and passes verification. Used by the scrub pass for
-    /// corrupt pages no redo source can re-materialize.
+    /// corrupt pages.
     ///
     /// # Errors
     ///
@@ -269,6 +233,7 @@ impl PageFile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::inject::OsFs;
     use std::fs::OpenOptions;
     use std::io::{Seek, SeekFrom, Write};
 
@@ -283,14 +248,14 @@ mod tests {
     fn round_trips_and_survives_reopen() {
         let dir = tmpdir("roundtrip");
         let path = dir.join("pages.db");
-        let mut pf = PageFile::open(&path).unwrap();
+        let mut pf = PageFile::open_in(&OsFs, &path).unwrap();
         let payload: Vec<u8> = (0..PAYLOAD_BYTES).map(|i| (i % 251) as u8).collect();
         pf.write_page(3, &payload).unwrap();
         pf.write_page(0, b"hello").unwrap();
         pf.sync().unwrap();
         drop(pf);
 
-        let pf = PageFile::open(&path).unwrap();
+        let pf = PageFile::open_in(&OsFs, &path).unwrap();
         assert_eq!(pf.pages(), 4);
         let mut out = vec![0u8; PAYLOAD_BYTES];
         pf.read_page(3, &mut out).unwrap();
@@ -310,7 +275,7 @@ mod tests {
     fn torn_write_is_detected_on_reopen() {
         let dir = tmpdir("torn");
         let path = dir.join("pages.db");
-        let mut pf = PageFile::open(&path).unwrap();
+        let mut pf = PageFile::open_in(&OsFs, &path).unwrap();
         pf.write_page(1, &[7u8; 100]).unwrap();
         pf.sync().unwrap();
         drop(pf);
@@ -322,7 +287,7 @@ mod tests {
         .unwrap();
         f.write_all(&[0xEE]).unwrap();
         drop(f);
-        let err = PageFile::open(&path).unwrap_err();
+        let err = PageFile::open_in(&OsFs, &path).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -339,7 +304,7 @@ mod tests {
     #[test]
     fn oversized_payload_rejected() {
         let dir = tmpdir("oversize");
-        let mut pf = PageFile::open(&dir.join("pages.db")).unwrap();
+        let mut pf = PageFile::open_in(&OsFs, &dir.join("pages.db")).unwrap();
         assert!(pf.write_page(0, &vec![0u8; PAYLOAD_BYTES + 1]).is_err());
         let _ = std::fs::remove_dir_all(&dir);
     }

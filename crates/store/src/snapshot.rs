@@ -10,8 +10,8 @@
 //! 2. the **directory** (the serialized node arena) is back-filled after
 //!    the entries,
 //! 3. the **superblock** (page 0) is written **last** and then
-//!    [`FileStore::sync`]ed — it is the commit point: a reopen that finds
-//!    no valid superblock finds no index.
+//!    [`FileStore::sync`]ed; a reopen that finds no valid superblock
+//!    finds no index.
 //!
 //! ## Superblock (page 0, little-endian u64 words)
 //!
@@ -44,16 +44,21 @@
 //! `gen-<N>/` **beside** the old one and then commits by swapping the
 //! `CURRENT` superblock file. The swap is the sole commit point:
 //!
-//! 1. the new generation is written and checkpointed in its own
-//!    directory (the old generation is never touched),
-//! 2. the inactive slot of the two-slot `CURRENT` file is overwritten
-//!    with the new generation number, fsynced, and the *root directory*
-//!    is fsynced — LMDB-style ping-pong, so a torn `CURRENT` write can
-//!    only corrupt the slot that was not current,
-//! 3. only once the swap is durable are superseded generations GC'd.
+//! 1. the new generation's pages are written once and fsynced once, with
+//!    its directory, in its own directory (the old generation is never
+//!    touched),
+//! 2. the root directory is fsynced, so the new `gen-<N>` entry is
+//!    durable, then the inactive slot of the two-slot `CURRENT` file is
+//!    overwritten with the new generation number and fsynced —
+//!    LMDB-style ping-pong, so a torn `CURRENT` write can only corrupt
+//!    the slot that was not current,
+//! 3. only once the swap is durable are the generations no slot names
+//!    GC'd: the two slots keep the new generation and the one committed
+//!    before it, the scrub's fallback.
 //!
 //! A crash at any operation therefore leaves either the old or the new
-//! generation fully loadable.
+//! generation fully loadable, and a crashed publish's leftover directory
+//! is never counted as committed.
 
 use crate::inject::{OsFs, Vfs};
 use crate::pagefile::PAYLOAD_BYTES;
@@ -371,22 +376,17 @@ fn decode_slot(slot: &[u8]) -> Option<(u64, u64)> {
     Some((word(2), word(3)))
 }
 
-/// How many generations (including the current one) GC retains: the
-/// newest plus one to fall back to when the newest corrupts.
-const KEEP_GENERATIONS: u64 = 2;
-
 /// A root directory of versioned index snapshots with a two-slot
 /// `CURRENT` commit file. See the module docs for the commit protocol.
 #[derive(Debug)]
 pub struct SnapshotSet {
     fs: Arc<dyn Vfs>,
     root: PathBuf,
-    durability: Durability,
 }
 
 impl SnapshotSet {
     /// Opens (creating if missing) the snapshot set rooted at `root` on
-    /// the real filesystem.
+    /// the real filesystem. `Durability` has one value and is ignored.
     ///
     /// # Errors
     ///
@@ -400,13 +400,12 @@ impl SnapshotSet {
     /// # Errors
     ///
     /// OS errors.
-    pub fn open_in(fs: Arc<dyn Vfs>, root: &Path, durability: Durability) -> Result<SnapshotSet> {
+    pub fn open_in(fs: Arc<dyn Vfs>, root: &Path, _: Durability) -> Result<SnapshotSet> {
         fs.create_dir_all(root)
             .map_err(|e| crate::io_err("snapshot-set mkdir", e))?;
         Ok(SnapshotSet {
             fs,
             root: root.to_path_buf(),
-            durability,
         })
     }
 
@@ -424,11 +423,13 @@ impl SnapshotSet {
         self.root.join(format!("gen-{generation:08}"))
     }
 
-    /// Reads both `CURRENT` slots; returns `(seq, generation,
-    /// slot_index)` of the newest (highest-sequence) valid one.
-    fn read_slots(&self) -> Result<Option<(u64, u64, usize)>> {
+    /// Reads both `CURRENT` slots; returns the valid ones as `(seq,
+    /// generation, slot_index)`, newest (highest-sequence) first. These
+    /// are the committed generations: the current one and the one
+    /// committed before it.
+    fn read_slots(&self) -> Result<Vec<(u64, u64, usize)>> {
         if !self.fs.exists(&self.current_path()) {
-            return Ok(None);
+            return Ok(Vec::new());
         }
         let f = self
             .fs
@@ -442,15 +443,13 @@ impl SnapshotSet {
             f.read_exact_at(&mut bytes, 0)
                 .map_err(|e| crate::io_err("snapshot CURRENT read", e))?;
         }
-        let mut best: Option<(u64, u64, usize)> = None;
-        for (i, slot) in bytes.chunks(SLOT_BYTES).enumerate() {
-            if let Some((seq, g)) = decode_slot(slot) {
-                if best.is_none_or(|(bseq, _, _)| seq > bseq) {
-                    best = Some((seq, g, i));
-                }
-            }
-        }
-        Ok(best)
+        let mut slots: Vec<(u64, u64, usize)> = bytes
+            .chunks(SLOT_BYTES)
+            .enumerate()
+            .filter_map(|(i, slot)| decode_slot(slot).map(|(seq, g)| (seq, g, i)))
+            .collect();
+        slots.sort_unstable_by(|a, b| b.cmp(a));
+        Ok(slots)
     }
 
     /// The committed current generation, if any.
@@ -460,7 +459,7 @@ impl SnapshotSet {
     /// OS errors; a torn or missing `CURRENT` is `Ok(None)`, not an
     /// error.
     pub fn current(&self) -> Result<Option<u64>> {
-        Ok(self.read_slots()?.map(|(_, g, _)| g))
+        Ok(self.read_slots()?.first().map(|&(_, g, _)| g))
     }
 
     /// Every `gen-*` directory present under the root, sorted ascending
@@ -490,11 +489,12 @@ impl SnapshotSet {
         Ok(gens)
     }
 
-    /// Makes `generation` the committed current one: writes the
-    /// *inactive* `CURRENT` slot, fsyncs the file, fsyncs the root
-    /// directory. This is the sole commit point of a publish.
+    /// Makes `generation` the committed current one: fsyncs the root
+    /// directory (so the new `gen-*` directory and `CURRENT` itself are
+    /// durable entries), writes the *inactive* `CURRENT` slot and fsyncs
+    /// the file. This is the sole commit point of a publish.
     fn commit(&self, generation: u64) -> Result<()> {
-        let active = self.read_slots()?;
+        let active = self.read_slots()?.first().copied();
         // Ping-pong: never overwrite the slot readers would fall back to.
         let slot_index = match active {
             Some((_, _, 0)) => 1,
@@ -505,45 +505,27 @@ impl SnapshotSet {
             .fs
             .open(&self.current_path())
             .map_err(|e| crate::io_err("snapshot CURRENT open", e))?;
+        self.fs
+            .sync_dir(&self.root)
+            .map_err(|e| crate::io_err("snapshot-set dir fsync", e))?;
         f.write_all_at(
             &encode_slot(seq, generation),
             (slot_index * SLOT_BYTES) as u64,
         )
         .map_err(|e| crate::io_err("snapshot CURRENT write", e))?;
         f.sync_all()
-            .map_err(|e| crate::io_err("snapshot CURRENT fsync", e))?;
-        self.fs
-            .sync_dir(&self.root)
-            .map_err(|e| crate::io_err("snapshot-set dir fsync", e))?;
-        Ok(())
+            .map_err(|e| crate::io_err("snapshot CURRENT fsync", e))
     }
 
-    /// Removes every generation directory outside the newest
-    /// [`KEEP_GENERATIONS`] committed-or-older ones. Runs
-    /// only after a commit is durable; never touches the current
-    /// generation.
-    fn gc(&self, current: u64) -> Result<()> {
-        let gens = self.generations()?;
-        let keep_floor = {
-            // The `KEEP_GENERATIONS` newest generations ≤ current survive.
-            let mut kept = 0u64;
-            let mut floor = current;
-            for &g in gens.iter().rev() {
-                if g > current {
-                    continue;
-                }
-                kept += 1;
-                floor = g;
-                if kept == KEEP_GENERATIONS {
-                    break;
-                }
-            }
-            floor
-        };
-        for &g in &gens {
-            // Below the retention floor, or a stray newer than the
-            // commit we just made durable (a crashed publish's leftovers).
-            if g < keep_floor || g > current {
+    /// Removes every generation directory that no `CURRENT` slot names:
+    /// what survives is the current generation and the one committed
+    /// before it, the scrub's fallback. Runs only after a commit is
+    /// durable, so a crashed publish's leftovers go and never displace a
+    /// committed generation.
+    fn gc(&self) -> Result<()> {
+        let committed: Vec<u64> = self.read_slots()?.iter().map(|&(_, g, _)| g).collect();
+        for g in self.generations()? {
+            if !committed.contains(&g) {
                 self.fs
                     .remove_dir_all(&self.gen_dir(g))
                     .map_err(|e| crate::io_err("snapshot-set gc", e))?;
@@ -553,27 +535,28 @@ impl SnapshotSet {
     }
 
     /// Persists `tree` as a fresh generation and commits it. Returns the
-    /// new generation number and the I/O bill the write charged.
+    /// new generation number and the I/O bill the write charged. The
+    /// number is past every generation present or committed, so a
+    /// crashed publish's leftovers are never reused.
     ///
     /// # Errors
     ///
     /// OS errors; the previous current generation stays committed unless
     /// the `CURRENT` swap itself completed.
     pub fn publish(&self, tree: &RTree, opts: &DiskOptions) -> Result<(u64, IoStats)> {
-        let committed = self.current()?;
+        let committed = self.read_slots()?.iter().map(|&(_, g, _)| g).max();
         let next = self
             .generations()?
             .last()
             .copied()
             .max(committed)
             .map_or(1, |g| g + 1);
-        let dir = self.gen_dir(next);
-        let mut store = FileStore::open_in(Arc::clone(&self.fs), &dir, self.durability, opts)?;
+        let mut store = FileStore::open_in(Arc::clone(&self.fs), &self.gen_dir(next), opts)?;
         persist_index(&mut store, tree)?;
         let io = store.stats();
         drop(store);
         self.commit(next)?;
-        self.gc(next)?;
+        self.gc()?;
         Ok((next, io))
     }
 
@@ -590,50 +573,46 @@ impl SnapshotSet {
             op: "snapshot-set load",
             detail: "no committed generation (CURRENT missing or torn)".to_string(),
         })?;
-        let mut store = FileStore::open_in(
-            Arc::clone(&self.fs),
-            &self.gen_dir(generation),
-            self.durability,
-            opts,
-        )?;
+        let mut store = FileStore::open_in(Arc::clone(&self.fs), &self.gen_dir(generation), opts)?;
         let (tree, _) = load_index(&mut store)?;
         Ok((tree, generation, store.stats()))
     }
 
-    /// Scrubs the committed current generation
-    /// ([`scrub_store_in`] + a load check) and, if it still does not
-    /// load, falls back generation by generation to the newest older one
-    /// that does — demoting `CURRENT` to it, so subsequent
+    /// Scrubs the committed current generation ([`scrub_store_in`] + a
+    /// load check) and, if it still does not load, falls back to the
+    /// older generation the other `CURRENT` slot commits, if that one
+    /// loads — demoting `CURRENT` to it, so subsequent
     /// [`SnapshotSet::load`]s serve the fallback.
     ///
     /// # Errors
     ///
-    /// No committed generation, or no generation loads at all.
+    /// No committed generation, or no committed generation loads.
     pub fn scrub(&self, opts: &DiskOptions) -> Result<ScrubReport> {
-        let current = self.current()?.ok_or(Error::StoreFailure {
-            op: "snapshot-set scrub",
-            detail: "no committed generation (CURRENT missing or torn)".to_string(),
-        })?;
-        let mut candidates: Vec<u64> = self
-            .generations()?
-            .into_iter()
+        let slots = self.read_slots()?;
+        let current = slots
+            .first()
+            .map(|&(_, g, _)| g)
+            .ok_or(Error::StoreFailure {
+                op: "snapshot-set scrub",
+                detail: "no committed generation (CURRENT missing or torn)".to_string(),
+            })?;
+        let mut candidates: Vec<u64> = slots
+            .iter()
+            .map(|&(_, g, _)| g)
             .filter(|&g| g <= current)
             .collect();
         candidates.sort_unstable_by(|a, b| b.cmp(a)); // newest first
         let mut first_err: Option<Error> = None;
         for g in candidates {
-            let mut report = scrub_store_in(&*self.fs, &self.gen_dir(g))?;
-            report.generation = Some(g);
-            report.fell_back = g != current;
-            let loads = FileStore::open_in(
-                Arc::clone(&self.fs),
-                &self.gen_dir(g),
-                self.durability,
-                opts,
-            )
-            .and_then(|mut store| load_index(&mut store));
-            match loads {
-                Ok(_) => {
+            let dir = self.gen_dir(g);
+            let scrubbed = scrub_store_in(&*self.fs, &dir).and_then(|report| {
+                load_index(&mut FileStore::open_in(Arc::clone(&self.fs), &dir, opts)?)?;
+                Ok(report)
+            });
+            match scrubbed {
+                Ok(mut report) => {
+                    report.generation = Some(g);
+                    report.fell_back = g != current;
                     if report.fell_back {
                         self.commit(g)?;
                     }
@@ -644,7 +623,7 @@ impl SnapshotSet {
         }
         Err(first_err.unwrap_or(Error::StoreFailure {
             op: "snapshot-set scrub",
-            detail: format!("generation {current} committed but its directory is gone"),
+            detail: format!("generation {current} does not load"),
         }))
     }
 }
@@ -688,11 +667,11 @@ mod tests {
     fn persisted_tree_loads_back_structurally_identical() {
         let dir = tmpdir("roundtrip");
         let tree = sample_tree();
-        let mut st = FileStore::open(&dir, Durability::PerBatch, &DiskOptions::new()).unwrap();
+        let mut st = FileStore::open(&dir, &DiskOptions::new()).unwrap();
         let f = persist_index(&mut st, &tree).unwrap();
         drop(st); // crash-style close; persist_index synced
 
-        let mut st = FileStore::open(&dir, Durability::PerBatch, &DiskOptions::new()).unwrap();
+        let mut st = FileStore::open(&dir, &DiskOptions::new()).unwrap();
         let (loaded, f2) = load_index(&mut st).unwrap();
         assert_eq!(loaded, tree, "arenas must round-trip bitwise");
         assert_eq!(f2.pages(), f.pages());
@@ -702,7 +681,7 @@ mod tests {
     #[test]
     fn persist_requires_an_empty_store() {
         let dir = tmpdir("nonempty");
-        let mut st = FileStore::open(&dir, Durability::PerBatch, &DiskOptions::new()).unwrap();
+        let mut st = FileStore::open(&dir, &DiskOptions::new()).unwrap();
         st.alloc(1).unwrap();
         assert!(persist_index(&mut st, &sample_tree()).is_err());
         let _ = std::fs::remove_dir_all(&dir);
@@ -711,7 +690,7 @@ mod tests {
     #[test]
     fn loading_an_empty_store_reports_a_missing_superblock() {
         let dir = tmpdir("empty");
-        let mut st = FileStore::open(&dir, Durability::PerBatch, &DiskOptions::new()).unwrap();
+        let mut st = FileStore::open(&dir, &DiskOptions::new()).unwrap();
         let err = load_index(&mut st).unwrap_err();
         assert!(
             matches!(
@@ -739,10 +718,7 @@ mod tests {
         for (word, value) in cases {
             let fs = Arc::new(InjectedFs::clean());
             let dir = PathBuf::from("/crafted");
-            let open = || {
-                FileStore::open_in(fs.clone(), &dir, Durability::PerBatch, &DiskOptions::new())
-                    .unwrap()
-            };
+            let open = || FileStore::open_in(fs.clone(), &dir, &DiskOptions::new()).unwrap();
             let mut st = open();
             let f = persist_index(&mut st, &sample_tree()).unwrap();
             let mut sb = vec![0u8; PAYLOAD_BYTES];
@@ -782,10 +758,7 @@ mod tests {
         for edit in edits {
             let fs = Arc::new(InjectedFs::clean());
             let dir = PathBuf::from("/crafted_nodes");
-            let open = || {
-                FileStore::open_in(fs.clone(), &dir, Durability::PerBatch, &DiskOptions::new())
-                    .unwrap()
-            };
+            let open = || FileStore::open_in(fs.clone(), &dir, &DiskOptions::new()).unwrap();
             let mut st = open();
             let f = persist_index(&mut st, &sample_tree()).unwrap();
             let mut page = vec![0u8; PAYLOAD_BYTES];
@@ -810,7 +783,7 @@ mod tests {
         // directory after, superblock at page 0 written last.
         let dir = tmpdir("layout");
         let tree = sample_tree();
-        let mut st = FileStore::open(&dir, Durability::PerBatch, &DiskOptions::new()).unwrap();
+        let mut st = FileStore::open(&dir, &DiskOptions::new()).unwrap();
         let f = persist_index(&mut st, &tree).unwrap();
         assert_eq!(f.start_page(), 0);
         assert_eq!(f.pages(), 3, "superblock + 1 entry page + 1 node page");
@@ -871,7 +844,7 @@ mod tests {
         set.publish(&sample_tree(), &DiskOptions::new()).unwrap();
         set.publish(&other_tree(), &DiskOptions::new()).unwrap();
         // Generation 2 lives in the slot written second; corrupt it.
-        let (_, _, active) = set.read_slots().unwrap().unwrap();
+        let (_, _, active) = set.read_slots().unwrap()[0];
         let mut f = fs.open(&root.join("CURRENT")).unwrap();
         f.write_all_at(&[0xEE], (active * SLOT_BYTES + 20) as u64)
             .unwrap();
@@ -891,7 +864,7 @@ mod tests {
         let set = SnapshotSet::open_in(Arc::new(fs.clone()), &root, Durability::PerBatch).unwrap();
         set.publish(&sample_tree(), &DiskOptions::new()).unwrap();
         let (g2, _) = set.publish(&other_tree(), &DiskOptions::new()).unwrap();
-        // Destroy generation 2's superblock beyond repair (empty WAL).
+        // Destroy generation 2's superblock: the scrub can only quarantine it.
         let mut f = fs.open(&root.join("gen-00000002/pages.db")).unwrap();
         f.write_all_at(&[0xEE], 40).unwrap();
 

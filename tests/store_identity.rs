@@ -1,13 +1,12 @@
 //! Snapshot round trip, end to end: a tree built on the simulated disk
-//! persists to a file-backed snapshot store under every durability mode,
-//! reopens after a drop, and loads back bitwise identical (arena for
-//! arena) to what was built.
+//! persists to a file-backed snapshot store, reopens after a drop, and
+//! loads back bitwise identical (arena for arena) to what was built.
 
 use hdidx_rand::{seeded, Rng};
 use hdidx_repro::core::Dataset;
 use hdidx_repro::diskio::external::{build_on_disk, ExternalConfig};
 use hdidx_repro::diskio::DiskOptions;
-use hdidx_repro::store::{load_index, persist_index, Durability, FileStore};
+use hdidx_repro::store::{load_index, persist_index, FileStore};
 use hdidx_repro::vamsplit::topology::{PageConfig, Topology};
 use std::path::PathBuf;
 
@@ -36,16 +35,14 @@ fn a_file_built_tree_persists_reopens_and_loads_back_identical() {
     let cfg = ExternalConfig::with_mem_points(900).unwrap();
     let built = build_on_disk(&data, &topo, &cfg).unwrap();
 
-    for durability in Durability::SWEEP {
-        let snap = tmpdir("roundtrip_snap");
-        let mut store = FileStore::open(&snap, durability, &DiskOptions::new()).unwrap();
-        persist_index(&mut store, &built.tree).unwrap();
-        drop(store);
+    let snap = tmpdir("roundtrip_snap");
+    let mut store = FileStore::open(&snap, &DiskOptions::new()).unwrap();
+    persist_index(&mut store, &built.tree).unwrap();
+    drop(store);
 
-        let mut reopened = FileStore::open(&snap, durability, &DiskOptions::new()).unwrap();
-        let (loaded, _) = load_index(&mut reopened).unwrap();
-        assert_eq!(loaded, built.tree, "durability {durability}");
-        loaded.check_invariants().unwrap();
-        std::fs::remove_dir_all(&snap).ok();
-    }
+    let mut reopened = FileStore::open(&snap, &DiskOptions::new()).unwrap();
+    let (loaded, _) = load_index(&mut reopened).unwrap();
+    assert_eq!(loaded, built.tree);
+    loaded.check_invariants().unwrap();
+    std::fs::remove_dir_all(&snap).ok();
 }
