@@ -80,7 +80,9 @@ HDIDX_BENCH_SAMPLES=3 HDIDX_BENCH_WARMUP_MS=1 HDIDX_BENCH_TARGET_MS=0.05 \
 # supported lanes) — same assertions, different dispatch — and a serve
 # smoke run under each must produce byte-identical latency digests. A
 # digest that moves with the lane width would mean the SIMD kernels are
-# not bit-exact replays of the scalar arithmetic. The vamsplit k-NN tests
+# not bit-exact replays of the scalar arithmetic. The tree_soup suite
+# holds the served leaf count through the directory to the flat count at
+# every ISA. The vamsplit k-NN tests
 # run the best-first search on the dispatched ISA, so its gathered SIMD
 # path is checked bit for bit against the scan under both modes. The
 # stats tests pin the tiled max-variance moments kernel to the scalar
@@ -91,6 +93,7 @@ for simd_mode in scalar auto; do
     -- simd soup knn stats
   HDIDX_SIMD="${simd_mode}" cargo test -q --offline -p hdidx-vamsplit -- knn
   HDIDX_SIMD="${simd_mode}" cargo test -q --offline --test simd_dispatch
+  HDIDX_SIMD="${simd_mode}" cargo test -q --offline --test tree_soup
 done
 
 # Serving smoke legs: the open-loop serving subsystem end to end through
@@ -134,6 +137,25 @@ cargo run -q --release -p hdidx-cli --offline -- serve \
   --data target/bench-smoke/t48.csv --m 200 --smoke --seed 5 \
   --simd auto | grep "latency digest" > target/bench-smoke/simd_auto.txt
 diff target/bench-smoke/simd_scalar.txt target/bench-smoke/simd_auto.txt
+
+# The same digest identity through a deeper directory. The t48 CSV's
+# index prunes only one level below the root; COLOR64 at a tenth has a
+# height-4 index, so the served leaf count prunes at two directory levels.
+# Checked clean and under the chaos leg's fault flags.
+echo "==> hdidx serve on COLOR64: --simd scalar == --simd auto (clean + chaos)"
+cargo run -q --release -p hdidx-cli --offline -- generate \
+  --dataset color64 --scale 0.1 --out target/bench-smoke/c64.csv
+c64_chaos="--fault-seed 3 --fault-ppm 300000 --retry-policy exponential \
+--fault-phase-scale build:0 --lanes 2"
+for flags in "" "${c64_chaos}"; do
+  for simd_mode in scalar auto; do
+    # shellcheck disable=SC2086
+    cargo run -q --release -p hdidx-cli --offline -- serve \
+      --data target/bench-smoke/c64.csv --m 200 --smoke --seed 5 ${flags} \
+      --simd "${simd_mode}" | grep "digest" > "target/bench-smoke/c64_${simd_mode}.txt"
+  done
+  diff target/bench-smoke/c64_scalar.txt target/bench-smoke/c64_auto.txt
+done
 
 # The same identity one layer down: `predict` runs the resampled upper and
 # lower bulk loads and `measure` the external build, every split choosing

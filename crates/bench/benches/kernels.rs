@@ -1,9 +1,10 @@
 //! Micro-benchmarks for the hot kernels underneath every experiment:
 //! MINDIST, quickselect partitioning, bulk loading, k-NN search, the
 //! workload radius set-up, STOCK360 generation, sphere/leaf intersection
-//! counting, the fractal estimator, and the
-//! layers of the resampled prediction (MBR growth, the memory sample, the
-//! max-variance split choice per ISA and the whole prediction).
+//! counting (flat and through the served tree's directory), the fractal
+//! estimator, and the layers of the resampled prediction (MBR growth, the
+//! memory sample, the max-variance split choice per ISA and the whole
+//! prediction).
 //!
 //! Runs on the workspace's own `hdidx-check` bench runner; results are
 //! printed and written to `BENCH_kernels.json` (one JSON object per
@@ -15,6 +16,7 @@ use hdidx_core::stats::{dim_stats_with, max_variance_dim_with};
 use hdidx_core::{simd, Dataset, LeafSoup};
 use hdidx_datagen::workload::knn_radii;
 use hdidx_datagen::{NamedDataset, Workload};
+use hdidx_diskio::external::{build_on_disk, ExternalConfig};
 use hdidx_model::hupper::recommended_h_upper;
 use hdidx_model::{Predictor, QueryBall, Resampled, ResampledParams};
 use hdidx_pool::Pool;
@@ -22,7 +24,7 @@ use hdidx_rand::{sample_without_replacement, seeded, Rng};
 use hdidx_serve::knn::knn_radius_with;
 use hdidx_vamsplit::bulkload::bulk_load;
 use hdidx_vamsplit::kdtree::bulk_load_midsplit;
-use hdidx_vamsplit::query::{count_sphere_intersections, knn, knn_gated, knn_with};
+use hdidx_vamsplit::query::{count_sphere_intersections, knn, knn_gated, knn_with, TreeSoup};
 use hdidx_vamsplit::split::partition_by_rank;
 use hdidx_vamsplit::topology::{PageConfig, Topology};
 use hdidx_vamsplit::tree::RTree;
@@ -92,7 +94,7 @@ fn dist_bits(nn: &[(f64, u32)]) -> Vec<u64> {
 fn assert_knn_identity(
     data: &Dataset,
     tree: &RTree,
-    soup: &LeafSoup,
+    soup: &TreeSoup,
     centers: &[Vec<f32>],
     k: usize,
 ) {
@@ -113,27 +115,28 @@ fn assert_knn_identity(
     }
 }
 
-/// Median share of `soup`'s leaves that the served search's gate counts
+/// Median share of the leaves that the served search's gate counts
 /// at the first heap fill, over `centers` — where a shape sits against
 /// `hdidx_serve::knn::SCAN_FALLBACK_SHARE`.
 fn median_gate_share(
     data: &Dataset,
     tree: &RTree,
-    soup: &LeafSoup,
+    soup: &TreeSoup,
     centers: &[Vec<f32>],
     k: usize,
 ) -> f64 {
     let isa = simd::active();
+    let leaves = soup.num_leaves();
     let mut shares: Vec<f64> = centers
         .iter()
         .map(|q| {
-            let mut counted = soup.len() as u64;
+            let mut counted = leaves as u64;
             knn_gated(isa, tree, data, q, k, |bound| {
                 counted = soup.count_intersecting_with(isa, q, bound);
                 true
             })
             .unwrap();
-            counted as f64 / soup.len() as f64
+            counted as f64 / leaves as f64
         })
         .collect();
     shares.sort_by(f64::total_cmp);
@@ -148,7 +151,7 @@ fn bench_knn_sweep(suite: &mut BenchSuite, data: &Dataset, page_bytes: usize) {
     let (n, dim) = (data.len(), data.dim());
     let topo = Topology::new(dim, n, &PageConfig::with_page_bytes(page_bytes)).unwrap();
     let tree = bulk_load(data, &topo).unwrap();
-    let soup = LeafSoup::from_rects(dim, &tree.leaf_rects()).unwrap();
+    let soup = TreeSoup::new(&tree).unwrap();
     let centers: Vec<Vec<f32>> = Workload::density_biased(data, KNN_SWEEP_QUERIES, 21, 1)
         .unwrap()
         .queries
@@ -159,7 +162,7 @@ fn bench_knn_sweep(suite: &mut BenchSuite, data: &Dataset, page_bytes: usize) {
     let tag = format!("{n}x{dim}/k21/{KNN_SWEEP_QUERIES}q");
     eprintln!(
         "{tag}: {} leaves, median gate share {:.2}",
-        soup.len(),
+        soup.num_leaves(),
         median_gate_share(data, &tree, &soup, &centers, 21)
     );
     suite.bench(&format!("knn_tree/{tag}"), || {
@@ -208,7 +211,7 @@ fn bench_knn(suite: &mut BenchSuite) {
     let data = random_dataset(50_000, 16, 4);
     let topo = Topology::new(16, 50_000, &PageConfig::DEFAULT).unwrap();
     let tree = bulk_load(&data, &topo).unwrap();
-    let soup = LeafSoup::from_rects(16, &tree.leaf_rects()).unwrap();
+    let soup = TreeSoup::new(&tree).unwrap();
     let q: Vec<f32> = data.point(17).to_vec();
     assert_knn_identity(&data, &tree, &soup, std::slice::from_ref(&q), 21);
     suite.bench("knn_tree/50000x16/k21", || {
@@ -408,6 +411,76 @@ fn bench_soup(suite: &mut BenchSuite) {
     run_soup_shape(suite, "", 100_000, 64, 15, 64, true);
 }
 
+/// The served leaf count at the end-to-end `serve-point` shape: the
+/// COLOR64 index as `Server::build` builds it (external build, M = 2,000;
+/// 3,625 leaves under a `[3625, 242, 17, 2, 1]` directory) and its 100
+/// density-biased k = 21 balls (seed 1). Per ISA, the flat `LeafSoup`
+/// count over every leaf box (`soa_count`) against the count through the
+/// directory (`tree_count`); both must equal the AoS counts before either
+/// is timed.
+fn bench_served_count(suite: &mut BenchSuite) {
+    let ds = NamedDataset::Color64;
+    let data = ds.spec().generate().unwrap();
+    let (n, dim) = (data.len(), data.dim());
+    let topo = Topology::new(dim, n, &PageConfig::with_page_bytes(ds.page_bytes())).unwrap();
+    let tree = build_on_disk(
+        &data,
+        &topo,
+        &ExternalConfig::with_mem_points(2_000).unwrap(),
+    )
+    .unwrap()
+    .tree;
+    assert_eq!(tree.level_profile(), vec![3625, 242, 17, 2, 1]);
+    let balls: Vec<(Vec<f32>, f64)> = Workload::density_biased(&data, 100, 21, 1)
+        .unwrap()
+        .queries
+        .into_iter()
+        .map(|q| (q.center, q.radius))
+        .collect();
+    let pages = tree.leaf_rects();
+    let flat = LeafSoup::from_rects(dim, &pages).unwrap();
+    let soup = TreeSoup::new(&tree).unwrap();
+    let aos: Vec<u64> = balls
+        .iter()
+        .map(|(c, r)| count_sphere_intersections(&pages, c, *r))
+        .collect();
+    for isa in simd::supported() {
+        let counts = |count: &dyn Fn(&[f32], f64) -> u64| -> Vec<u64> {
+            balls.iter().map(|(c, r)| count(c, r * r)).collect()
+        };
+        let flat_counts = counts(&|c, r2| flat.count_intersecting_with(isa, c, r2));
+        assert_eq!(
+            flat_counts, aos,
+            "{isa} flat counts must equal the AoS counts"
+        );
+        let tree_counts = counts(&|c, r2| soup.count_intersecting_with(isa, c, r2));
+        assert_eq!(
+            tree_counts, aos,
+            "{isa} tree counts must equal the AoS counts"
+        );
+    }
+    eprintln!(
+        "color64_served: {} leaves, {:.1} leaves met per ball",
+        pages.len(),
+        aos.iter().sum::<u64>() as f64 / balls.len() as f64
+    );
+    let tag = format!("color64_served/{}x{dim}/{}q", pages.len(), balls.len());
+    for isa in simd::supported() {
+        suite.bench(&format!("soa_count/{tag}/{isa}"), || {
+            balls
+                .iter()
+                .map(|(c, r)| black_box(&flat).count_intersecting_with(isa, c, r * r))
+                .sum::<u64>()
+        });
+        suite.bench(&format!("tree_count/{tag}/{isa}"), || {
+            balls
+                .iter()
+                .map(|(c, r)| black_box(&soup).count_intersecting_with(isa, c, r * r))
+                .sum::<u64>()
+        });
+    }
+}
+
 /// Tiny CI leg (`cargo bench --bench kernels -- soup_smoke`): one small
 /// shape that exercises the full identity assertion (AoS == per-ISA SoA ==
 /// per-ISA batched SoA) before a single fast timing pass, so
@@ -505,6 +578,7 @@ fn main() {
     bench_stock_generation(&mut suite);
     bench_intersections(&mut suite);
     bench_soup(&mut suite);
+    bench_served_count(&mut suite);
     bench_fractal(&mut suite);
     bench_resampled(&mut suite);
     suite.finish();

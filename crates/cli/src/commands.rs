@@ -974,6 +974,12 @@ mod tests {
         assert_eq!(code, 3, "a fallback must exit 3: {out}");
         assert!(out.contains("fell back"), "{out}");
         assert!(out.contains("serving generation 1"), "{out}");
+        // The served generation scrubbed clean; the quarantined page sits
+        // in the abandoned one, and the report says so.
+        assert!(
+            out.contains("0 corrupt (0 quarantined) [generation 1, fell back; generation 2 abandoned: 1 corrupt (1 quarantined)]"),
+            "{out}"
+        );
         // A second scrub is clean and stays on generation 1.
         let (out, code) = scrub().unwrap();
         assert_eq!(code, 0, "{out}");

@@ -259,18 +259,24 @@ pub fn describe() -> String {
     }
 }
 
-/// Counts stripe lanes `i < valid` whose MINDIST² to `center` is at most
-/// `r2`. `lo`/`hi` are the padded column-major stripes of a
-/// [`crate::LeafSoup`] (`lo[j * stride + i]`), `stride` a multiple of
-/// [`crate::soup::LANE_PAD`]. Lanes `>= valid` (padding sentinels) never
-/// contribute to the count: the final group's movemask is masked down to
-/// the valid lanes, so even a non-finite `r2` cannot count a sentinel.
+/// Hands `sink` one lane mask per lane group of the stripes, in stripe
+/// order: `sink(base, mask)` with bit `l` of `mask` set when lane
+/// `base + l` has MINDIST² to `center` at most `r2`. `lo`/`hi` are the
+/// padded column-major stripes of a [`crate::LeafSoup`]
+/// (`lo[j * stride + i]`), `stride` a multiple of
+/// [`crate::soup::LANE_PAD`]. Lanes `>= valid` (padding sentinels) are
+/// never set: the final group's mask is masked down to the valid lanes,
+/// so even a non-finite `r2` cannot report a sentinel. Counting
+/// popcounts the masks; [`crate::LeafSoup::for_each_intersecting`]
+/// walks their bits.
 ///
 /// # Panics
 ///
 /// Panics when `isa` is scalar (the scalar path lives in
 /// [`crate::LeafSoup`]) or unsupported, or on stripe-geometry mismatch.
-pub(crate) fn soup_count_prefix(
+#[allow(clippy::too_many_arguments)]
+#[inline]
+pub(crate) fn soup_group_masks(
     isa: Isa,
     lo: &[f32],
     hi: &[f32],
@@ -278,7 +284,8 @@ pub(crate) fn soup_count_prefix(
     valid: usize,
     center: &[f32],
     r2: f64,
-) -> u64 {
+    sink: impl FnMut(usize, u32),
+) {
     check_soup_dispatch(isa, lo, hi, stride, valid, center.len());
     #[cfg(target_arch = "x86_64")]
     {
@@ -288,21 +295,22 @@ pub(crate) fn soup_count_prefix(
             // AVX2 runtime-detected) and the stripe geometry checks
             // guarantee every `j * stride + i .. + lanes` load is in
             // bounds because `stride % LANE_PAD == 0` and `valid <= stride`.
-            Isa::Sse2 => unsafe { x86::count_prefix_sse2(lo, hi, stride, valid, center, r2) },
-            Isa::Avx2 => unsafe { x86::count_prefix_avx2(lo, hi, stride, valid, center, r2) },
+            Isa::Sse2 => unsafe { x86::group_masks_sse2(lo, hi, stride, valid, center, r2, sink) },
+            Isa::Avx2 => unsafe { x86::group_masks_avx2(lo, hi, stride, valid, center, r2, sink) },
         }
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
+        let _ = (r2, sink);
         unreachable!("non-scalar ISA {isa} dispatched on a non-x86_64 build")
     }
 }
 
-/// Batched variant of [`soup_count_prefix`]: `counts[q] +=` the number of
-/// lanes `i < valid` intersecting query `q`'s ball. Queries are given as
-/// `(center, r²)` pairs; the group loop is leaf-major with queries inner,
-/// so one group's stripe bytes are reused by the whole query block while
-/// resident in L1.
+/// Batched counting over the same stripes as [`soup_group_masks`]:
+/// `counts[q] +=` the number of lanes `i < valid` intersecting query `q`'s
+/// ball. Queries are given as `(center, r²)` pairs; the group loop is
+/// leaf-major with queries inner, so one group's stripe bytes are reused
+/// by the whole query block while resident in L1.
 pub(crate) fn soup_count_chunk(
     isa: Isa,
     lo: &[f32],
@@ -319,7 +327,7 @@ pub(crate) fn soup_count_chunk(
     {
         match isa {
             Isa::Scalar => unreachable!("scalar dispatch handled by LeafSoup"),
-            // SAFETY: as in `soup_count_prefix`.
+            // SAFETY: as in `soup_group_masks`.
             Isa::Sse2 => unsafe { x86::count_chunk_sse2(lo, hi, stride, valid, queries, counts) },
             Isa::Avx2 => unsafe { x86::count_chunk_avx2(lo, hi, stride, valid, queries, counts) },
         }
@@ -455,7 +463,9 @@ mod x86 {
     /// One 16-leaf group against one ball: four 4-lane `f64` accumulator
     /// chains held in registers (interleaving four chains hides the
     /// `addpd` latency that would otherwise bound the kernel), dimensions
-    /// ascending, early exit via movemask every [`DIM_TILE`] dims.
+    /// ascending, early exit via movemask every [`DIM_TILE`] dims. Returns
+    /// the group's lane mask (bit `l`: leaf `base + l` has MINDIST² at
+    /// most `r2`), restricted to `lane_mask`; an early exit returns 0.
     ///
     /// # Safety
     ///
@@ -535,10 +545,11 @@ mod x86 {
         let m1 = _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_LE_OQ>(a1, r2v)) as u32;
         let m2 = _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_LE_OQ>(a2, r2v)) as u32;
         let m3 = _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_LE_OQ>(a3, r2v)) as u32;
-        ((m0 | (m1 << 4) | (m2 << 8) | (m3 << 12)) & lane_mask).count_ones()
+        (m0 | (m1 << 4) | (m2 << 8) | (m3 << 12)) & lane_mask
     }
 
-    /// One 8-leaf group against one ball on SSE2: four 2-lane chains.
+    /// One 8-leaf group against one ball on SSE2: four 2-lane chains,
+    /// returning the lane mask as [`group16_avx2`] does.
     ///
     /// # Safety
     ///
@@ -599,27 +610,30 @@ mod x86 {
         let m1 = _mm_movemask_pd(_mm_cmple_pd(a1, r2v)) as u32;
         let m2 = _mm_movemask_pd(_mm_cmple_pd(a2, r2v)) as u32;
         let m3 = _mm_movemask_pd(_mm_cmple_pd(a3, r2v)) as u32;
-        ((m0 | (m1 << 2) | (m2 << 4) | (m3 << 6)) & lane_mask).count_ones()
+        (m0 | (m1 << 2) | (m2 << 4) | (m3 << 6)) & lane_mask
     }
 
+    /// Every 16-lane group's mask, in stripe order.
+    ///
     /// # Safety
     ///
     /// AVX2 detected; stripe geometry as asserted by the dispatcher
     /// (`stride % 16 == 0`, arrays of `dim * stride`, `valid <= stride`).
     #[target_feature(enable = "avx2")]
-    pub unsafe fn count_prefix_avx2(
+    #[inline]
+    pub unsafe fn group_masks_avx2(
         lo: &[f32],
         hi: &[f32],
         stride: usize,
         valid: usize,
         center: &[f32],
         r2: f64,
-    ) -> u64 {
-        let mut total = 0u64;
+        mut sink: impl FnMut(usize, u32),
+    ) {
         let mut i = 0usize;
         while i < valid {
             let lanes = valid - i;
-            total += u64::from(group16_avx2(
+            let mask = group16_avx2(
                 lo.as_ptr(),
                 hi.as_ptr(),
                 stride,
@@ -627,30 +641,33 @@ mod x86 {
                 center,
                 r2,
                 mask16(lanes),
-            ));
+            );
+            sink(i, mask);
             i += 16;
         }
-        total
     }
 
+    /// Every 8-lane group's mask, in stripe order.
+    ///
     /// # Safety
     ///
     /// Stripe geometry as asserted by the dispatcher (`stride % 8 == 0`
     /// suffices for the 8-lane groups).
     #[target_feature(enable = "sse2")]
-    pub unsafe fn count_prefix_sse2(
+    #[inline]
+    pub unsafe fn group_masks_sse2(
         lo: &[f32],
         hi: &[f32],
         stride: usize,
         valid: usize,
         center: &[f32],
         r2: f64,
-    ) -> u64 {
-        let mut total = 0u64;
+        mut sink: impl FnMut(usize, u32),
+    ) {
         let mut i = 0usize;
         while i < valid {
             let lanes = valid - i;
-            total += u64::from(group8_sse2(
+            let mask = group8_sse2(
                 lo.as_ptr(),
                 hi.as_ptr(),
                 stride,
@@ -658,10 +675,10 @@ mod x86 {
                 center,
                 r2,
                 mask8(lanes),
-            ));
+            );
+            sink(i, mask);
             i += 8;
         }
-        total
     }
 
     /// Batched counting, leaf-group-major with queries inner so one
@@ -670,7 +687,7 @@ mod x86 {
     ///
     /// # Safety
     ///
-    /// As [`count_prefix_avx2`]; `counts.len() == queries.len()`.
+    /// As [`group_masks_avx2`]; `counts.len() == queries.len()`.
     #[target_feature(enable = "avx2")]
     pub unsafe fn count_chunk_avx2(
         lo: &[f32],
@@ -684,15 +701,10 @@ mod x86 {
         while i < valid {
             let mask = mask16(valid - i);
             for (slot, &(center, r2)) in counts.iter_mut().zip(queries) {
-                *slot += u64::from(group16_avx2(
-                    lo.as_ptr(),
-                    hi.as_ptr(),
-                    stride,
-                    i,
-                    center,
-                    r2,
-                    mask,
-                ));
+                *slot += u64::from(
+                    group16_avx2(lo.as_ptr(), hi.as_ptr(), stride, i, center, r2, mask)
+                        .count_ones(),
+                );
             }
             i += 16;
         }
@@ -700,7 +712,7 @@ mod x86 {
 
     /// # Safety
     ///
-    /// As [`count_prefix_sse2`]; `counts.len() == queries.len()`.
+    /// As [`group_masks_sse2`]; `counts.len() == queries.len()`.
     #[target_feature(enable = "sse2")]
     pub unsafe fn count_chunk_sse2(
         lo: &[f32],
@@ -714,15 +726,9 @@ mod x86 {
         while i < valid {
             let mask = mask8(valid - i);
             for (slot, &(center, r2)) in counts.iter_mut().zip(queries) {
-                *slot += u64::from(group8_sse2(
-                    lo.as_ptr(),
-                    hi.as_ptr(),
-                    stride,
-                    i,
-                    center,
-                    r2,
-                    mask,
-                ));
+                *slot += u64::from(
+                    group8_sse2(lo.as_ptr(), hi.as_ptr(), stride, i, center, r2, mask).count_ones(),
+                );
             }
             i += 8;
         }

@@ -186,8 +186,63 @@ impl LeafSoup {
         match isa {
             Isa::Scalar => self.count_scalar(center, r2),
             _ => {
-                simd::soup_count_prefix(isa, &self.lo, &self.hi, self.stride, self.len, center, r2)
+                let mut total = 0u64;
+                simd::soup_group_masks(
+                    isa,
+                    &self.lo,
+                    &self.hi,
+                    self.stride,
+                    self.len,
+                    center,
+                    r2,
+                    |_, mask| total += u64::from(mask.count_ones()),
+                );
+                total
             }
+        }
+    }
+
+    /// Calls `f(i)`, in ascending `i`, for every stored rectangle `i` whose
+    /// MINDIST² to `center` is at most `r2`: the same decisions
+    /// [`LeafSoup::count_intersecting_with`] counts, from the same kernel
+    /// (its lane masks are walked instead of popcounted).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `isa` is not supported by this CPU/build.
+    pub fn for_each_intersecting(
+        &self,
+        isa: Isa,
+        center: &[f32],
+        r2: f64,
+        mut f: impl FnMut(usize),
+    ) {
+        debug_assert_eq!(center.len(), self.dim);
+        let mut visit = |base: usize, mut mask: u64| {
+            while mask != 0 {
+                f(base + mask.trailing_zeros() as usize);
+                mask &= mask - 1;
+            }
+        };
+        match isa {
+            Isa::Scalar => {
+                let mut start = 0usize;
+                while start < self.len {
+                    let end = (start + LEAF_BLOCK).min(self.len);
+                    visit(start, self.block_mask(start, end, center, r2));
+                    start = end;
+                }
+            }
+            _ => simd::soup_group_masks(
+                isa,
+                &self.lo,
+                &self.hi,
+                self.stride,
+                self.len,
+                center,
+                r2,
+                |base, mask| visit(base, u64::from(mask)),
+            ),
         }
     }
 
@@ -285,7 +340,7 @@ impl LeafSoup {
         let mut start = 0usize;
         while start < self.len {
             let end = (start + LEAF_BLOCK).min(self.len);
-            total += self.count_block(start, end, center, r2);
+            total += u64::from(self.block_mask(start, end, center, r2).count_ones());
             start = end;
         }
         total
@@ -293,9 +348,10 @@ impl LeafSoup {
 
     /// The blocked scalar kernel: MINDIST² accumulation for leaves
     /// `[start, end)` against one sphere, sweeping dimension stripes with
-    /// an all-lanes early exit every [`DIM_TILE`] dimensions.
+    /// an all-lanes early exit every [`DIM_TILE`] dimensions. Returns the
+    /// block's mask: bit `l` is set when leaf `start + l` intersects.
     #[inline]
-    fn count_block(&self, start: usize, end: usize, center: &[f32], r2: f64) -> u64 {
+    fn block_mask(&self, start: usize, end: usize, center: &[f32], r2: f64) -> u64 {
         debug_assert_eq!(center.len(), self.dim);
         debug_assert!(end - start <= LEAF_BLOCK && start <= end && end <= self.len);
         let width = end - start;
@@ -322,7 +378,10 @@ impl LeafSoup {
                 break;
             }
         }
-        acc[..width].iter().filter(|&&a| a <= r2).count() as u64
+        acc[..width]
+            .iter()
+            .enumerate()
+            .fold(0u64, |mask, (l, &a)| mask | (u64::from(a <= r2) << l))
     }
 }
 
@@ -452,6 +511,28 @@ mod tests {
                     expect,
                     "{isa}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn for_each_visits_exactly_the_counted_rects_in_order() {
+        // Block and group boundaries: 64 scalar lanes, 16/8 SIMD lanes.
+        for n in [0usize, 1, 15, 17, 64, 65, 130] {
+            let rects = random_rects(n, 9, 300 + n as u64);
+            let soup = LeafSoup::from_rects(9, &rects).unwrap();
+            let mut rng = seeded(301);
+            for _ in 0..6 {
+                let c: Vec<f32> = (0..9).map(|_| rng.gen::<f32>() * 6.0 - 3.0).collect();
+                let r = rng.gen::<f64>() * 3.0;
+                let want: Vec<usize> = (0..n)
+                    .filter(|&i| rects[i].intersects_sphere(&c, r))
+                    .collect();
+                for isa in simd::supported() {
+                    let mut got = Vec::new();
+                    soup.for_each_intersecting(isa, &c, r * r, |i| got.push(i));
+                    assert_eq!(got, want, "{isa}, n {n}");
+                }
             }
         }
     }

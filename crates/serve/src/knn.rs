@@ -6,8 +6,8 @@
 //! ([`hdidx_vamsplit::query::knn_gated`]). Once its candidate heap first
 //! fills, the live bound is an upper bound on the final radius, so the
 //! leaves whose MINDIST² is at most that bound bound the leaves the search
-//! can still visit. That count comes from the server's [`LeafSoup`] in one
-//! blocked pass. When it exceeds [`SCAN_FALLBACK_SHARE`] of the leaves the
+//! can still visit. That count comes from the server's [`TreeSoup`], which
+//! tests only the leaves under the directory boxes the bound's ball meets. When it exceeds [`SCAN_FALLBACK_SHARE`] of the leaves the
 //! partial search is dropped and the linear scan answers instead: on data
 //! of high intrinsic dimension an index visits nearly every leaf (Pestov,
 //! "Lower Bounds on Performance of Metric Tree Indexing Schemes"), and
@@ -21,8 +21,8 @@
 
 use hdidx_core::knn::scan_knn_radius_with;
 use hdidx_core::simd::Isa;
-use hdidx_core::{Dataset, LeafSoup, Result};
-use hdidx_vamsplit::query::knn_gated;
+use hdidx_core::{Dataset, Result};
+use hdidx_vamsplit::query::{knn_gated, TreeSoup};
 use hdidx_vamsplit::tree::RTree;
 
 /// Share of the index's leaves above which a k-NN request abandons its
@@ -53,8 +53,8 @@ pub enum KnnRoute {
 }
 
 /// Radius of the exact k-NN sphere of `center` (distance to the k-th
-/// neighbor) over `data`, indexed by `tree` whose leaves `leaf_soup`
-/// flattens, with the route that answered. The radius is bit-identical to
+/// neighbor) over `data`, indexed by `tree` whose directory `leaves`
+/// flattens ([`TreeSoup::new`]), with the route that answered. The radius is bit-identical to
 /// [`hdidx_core::knn::scan_knn_radius`] on either route and at every ISA.
 ///
 /// # Errors
@@ -68,14 +68,13 @@ pub enum KnnRoute {
 pub fn knn_radius_with(
     isa: Isa,
     tree: &RTree,
-    leaf_soup: &LeafSoup,
+    leaves: &TreeSoup,
     data: &Dataset,
     center: &[f32],
     k: usize,
 ) -> Result<(f64, KnnRoute)> {
-    let max_leaves = SCAN_FALLBACK_SHARE * leaf_soup.len() as f64;
-    let gate =
-        |bound: f64| leaf_soup.count_intersecting_with(isa, center, bound) as f64 <= max_leaves;
+    let max_leaves = SCAN_FALLBACK_SHARE * leaves.num_leaves() as f64;
+    let gate = |bound: f64| leaves.count_intersecting_with(isa, center, bound) as f64 <= max_leaves;
     match knn_gated(isa, tree, data, center, k, gate)? {
         Some(res) => Ok((res.radius(), KnnRoute::Index)),
         None => Ok((scan_knn_radius_with(isa, data, center, k)?, KnnRoute::Scan)),

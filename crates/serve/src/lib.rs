@@ -8,11 +8,13 @@
 //! * [`loadgen`] — open-loop arrival generation on **simulated time** from
 //!   a seeded stream ([`LoadGen`], fixed-rate Poisson or bursty
 //!   hyperexponential interarrivals).
-//! * [`server`] — the [`Server`]: owns the bulk-loaded index (flattened
-//!   into the SoA counting soup) plus the grown upper tree, executes the
-//!   offered stream in one pass over the worker [`hdidx_pool::Pool`] with
-//!   per-query panic isolation, and composes latency from the disk cost
-//!   model — queueing delay included — rather than measuring wall clocks.
+//! * [`server`] — the [`Server`]: owns the bulk-loaded index (its
+//!   directory flattened into a [`hdidx_vamsplit::query::TreeSoup`], so a
+//!   request counts its leaves through the directory boxes) plus the
+//!   grown upper tree, executes the offered stream in one pass over the
+//!   worker [`hdidx_pool::Pool`] with per-query panic isolation, and
+//!   composes latency from the disk cost model — queueing delay
+//!   included — rather than measuring wall clocks.
 //! * [`knn`] — the k-NN request path: best-first search through the
 //!   index, falling back to the linear scan when the bound at the first
 //!   heap fill still reaches more than [`knn::SCAN_FALLBACK_SHARE`] of the

@@ -3,9 +3,10 @@
 //!
 //! # Request path
 //!
-//! A [`Server`] owns the bulk-loaded index (leaf boxes flattened into a
-//! [`LeafSoup`] for the blocked counting kernels) plus the grown upper
-//! tree of the paper's sampled cost predictor. A k-NN request finds its
+//! A [`Server`] owns the bulk-loaded index (its directory flattened into
+//! a [`TreeSoup`], one SoA soup per inner node, so a request counts the
+//! leaves its ball meets by descending the directory boxes) plus the
+//! grown upper tree of the paper's sampled cost predictor. A k-NN request finds its
 //! radius through that index, or through the linear scan when the index
 //! cannot prune ([`crate::knn`]). The whole offered stream executes in
 //! one pass over the [`Pool`] with per-query panic isolation
@@ -59,6 +60,7 @@ use hdidx_model::hupper::recommended_h_upper;
 use hdidx_model::upper::build_upper_phase;
 use hdidx_pool::Pool;
 use hdidx_store::ScrubReport;
+use hdidx_vamsplit::query::TreeSoup;
 use hdidx_vamsplit::topology::Topology;
 use hdidx_vamsplit::tree::RTree;
 
@@ -206,14 +208,14 @@ pub struct ServeReport {
 
 /// A query server over a built index.
 ///
-/// Holds the dataset by reference, the bulk-loaded tree, the SoA leaf soup
-/// the range/k-NN path counts against, and the grown upper-tree soup the
-/// predict path counts against.
+/// Holds the dataset by reference, the bulk-loaded tree, its directory
+/// soup the range/k-NN path counts leaves through, and the grown
+/// upper-tree soup the predict path counts against.
 #[derive(Debug, Clone)]
 pub struct Server<'a> {
     data: &'a Dataset,
     tree: RTree,
-    leaf_soup: LeafSoup,
+    leaves: TreeSoup,
     predict_soup: LeafSoup,
     build_io: IoStats,
     faults: Option<FaultConfig>,
@@ -222,7 +224,7 @@ pub struct Server<'a> {
 
 impl<'a> Server<'a> {
     /// Builds the on-disk index under the external-memory builder (with
-    /// `m` points of working memory), flattens its leaves, and builds the
+    /// `m` points of working memory), flattens its directory, and builds the
     /// grown upper tree at the recommended cut for the same budget. With
     /// `faults` set, the build itself runs under the plan's build phase
     /// and queries will replay through per-request query-phase plans.
@@ -261,8 +263,9 @@ impl<'a> Server<'a> {
     ///
     /// # Errors
     ///
-    /// Propagates soup and upper-phase errors (shape mismatches,
-    /// infeasible `m`); refuses a scrub report with quarantined pages.
+    /// Propagates soup and upper-phase errors (a tree failing
+    /// [`RTree::check_invariants`], shape mismatches, infeasible `m`);
+    /// refuses a scrub report with quarantined pages.
     #[allow(clippy::too_many_arguments)]
     pub fn from_tree(
         data: &'a Dataset,
@@ -285,7 +288,7 @@ impl<'a> Server<'a> {
                 });
             }
         }
-        let leaf_soup = LeafSoup::from_rects(topo.dim(), &tree.leaf_rects())?;
+        let leaves = TreeSoup::new(&tree)?;
         let h_upper = recommended_h_upper(topo, m)?;
         let up = build_upper_phase(data, topo, m, h_upper, seed)?;
         let predict_soup = up.grown_soup()?;
@@ -293,7 +296,7 @@ impl<'a> Server<'a> {
         Ok(Server {
             data,
             tree,
-            leaf_soup,
+            leaves,
             predict_soup,
             build_io,
             faults,
@@ -319,7 +322,7 @@ impl<'a> Server<'a> {
         knn_radius_with(
             simd::active(),
             &self.tree,
-            &self.leaf_soup,
+            &self.leaves,
             self.data,
             center,
             k,
@@ -386,12 +389,12 @@ impl<'a> Server<'a> {
     fn execute(&self, req: &Request) -> ExecResult {
         match &req.query {
             Query::Range { center, radius } => {
-                let leaves = self.leaf_soup.count_intersecting(center, radius * radius);
+                let leaves = self.leaves.count_intersecting(center, radius * radius);
                 self.run_disk_query(req, leaves)
             }
             Query::Knn { center, k } => match self.knn_radius(center, *k) {
                 Ok(r) => {
-                    let leaves = self.leaf_soup.count_intersecting(center, r * r);
+                    let leaves = self.leaves.count_intersecting(center, r * r);
                     self.run_disk_query(req, leaves)
                 }
                 Err(_) => ExecResult::failed(),

@@ -30,7 +30,7 @@ pub mod snapshot;
 pub use filestore::FileStore;
 pub use inject::{InjectSpec, InjectedFs, OsFs, Vfs, VfsFile};
 pub use pagefile::{PageFile, HEADER_BYTES, PAGE_BYTES, PAYLOAD_BYTES};
-pub use scrub::{scrub_store_in, ScrubReport};
+pub use scrub::{scrub_store_in, AbandonedGeneration, ScrubReport};
 pub use snapshot::{load_index, persist_index, SnapshotSet};
 
 use hdidx_core::Error;

@@ -25,7 +25,7 @@ use std::fmt;
 use std::path::Path;
 
 /// Outcome of one scrub pass, in pages.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ScrubReport {
     /// Page slots examined.
     pub pages_scanned: u64,
@@ -37,12 +37,29 @@ pub struct ScrubReport {
     /// scrubs only).
     pub generation: Option<u64>,
     /// Whether a snapshot-set scrub had to fall back to an older
-    /// generation; the page counts then describe the generation served.
+    /// generation; the page counts then describe the generation served,
+    /// and [`ScrubReport::abandoned`] the newer ones it gave up on.
     pub fell_back: bool,
+    /// The generations a snapshot-set scrub scrubbed but could not load,
+    /// newest first, with what their scrub found.
+    pub abandoned: Vec<AbandonedGeneration>,
+}
+
+/// A generation a snapshot-set scrub scrubbed and then abandoned because
+/// it still did not load.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AbandonedGeneration {
+    /// The generation number.
+    pub generation: u64,
+    /// Its slots that failed header/checksum verification.
+    pub pages_corrupt: u64,
+    /// Its corrupt slots zeroed back to "unwritten".
+    pub pages_quarantined: u64,
 }
 
 impl ScrubReport {
-    /// Whether every page verified clean (nothing quarantined or lost).
+    /// Whether every page of the served generation verified clean and no
+    /// fallback happened (nothing quarantined, lost or demoted).
     #[must_use]
     pub fn is_clean(&self) -> bool {
         self.pages_corrupt == 0 && !self.fell_back
@@ -59,9 +76,17 @@ impl fmt::Display for ScrubReport {
         if let Some(g) = self.generation {
             write!(
                 f,
-                " [generation {g}{}]",
+                " [generation {g}{}",
                 if self.fell_back { ", fell back" } else { "" }
             )?;
+            for a in &self.abandoned {
+                write!(
+                    f,
+                    "; generation {} abandoned: {} corrupt ({} quarantined)",
+                    a.generation, a.pages_corrupt, a.pages_quarantined
+                )?;
+            }
+            write!(f, "]")?;
         }
         Ok(())
     }

@@ -62,7 +62,7 @@
 
 use crate::inject::{OsFs, Vfs};
 use crate::pagefile::PAYLOAD_BYTES;
-use crate::scrub::{scrub_store_in, ScrubReport};
+use crate::scrub::{scrub_store_in, AbandonedGeneration, ScrubReport};
 use crate::{Durability, FileStore};
 use hdidx_core::{fnv1a, Error, HyperRect, Result, FNV_OFFSET};
 use hdidx_diskio::{DiskOptions, FileHandle, IoStats};
@@ -582,7 +582,9 @@ impl SnapshotSet {
     /// load check) and, if it still does not load, falls back to the
     /// older generation the other `CURRENT` slot commits, if that one
     /// loads — demoting `CURRENT` to it, so subsequent
-    /// [`SnapshotSet::load`]s serve the fallback.
+    /// [`SnapshotSet::load`]s serve the fallback. The report's page counts
+    /// describe the generation served; what the scrub found in each
+    /// generation it abandoned is in [`ScrubReport::abandoned`].
     ///
     /// # Errors
     ///
@@ -603,20 +605,31 @@ impl SnapshotSet {
             .collect();
         candidates.sort_unstable_by(|a, b| b.cmp(a)); // newest first
         let mut first_err: Option<Error> = None;
+        let mut abandoned = Vec::new();
         for g in candidates {
             let dir = self.gen_dir(g);
-            let scrubbed = scrub_store_in(&*self.fs, &dir).and_then(|report| {
-                load_index(&mut FileStore::open_in(Arc::clone(&self.fs), &dir, opts)?)?;
-                Ok(report)
+            let scrubbed = scrub_store_in(&*self.fs, &dir).map(|report| {
+                let loads = FileStore::open_in(Arc::clone(&self.fs), &dir, opts)
+                    .and_then(|mut store| load_index(&mut store));
+                (report, loads)
             });
             match scrubbed {
-                Ok(mut report) => {
+                Ok((mut report, Ok(_))) => {
                     report.generation = Some(g);
                     report.fell_back = g != current;
+                    report.abandoned = abandoned;
                     if report.fell_back {
                         self.commit(g)?;
                     }
                     return Ok(report);
+                }
+                Ok((report, Err(e))) => {
+                    abandoned.push(AbandonedGeneration {
+                        generation: g,
+                        pages_corrupt: report.pages_corrupt,
+                        pages_quarantined: report.pages_quarantined,
+                    });
+                    first_err = first_err.or(Some(e));
                 }
                 Err(e) => first_err = first_err.or(Some(e)),
             }
@@ -871,6 +884,22 @@ mod tests {
         let report = set.scrub(&DiskOptions::new()).unwrap();
         assert!(report.fell_back, "{report}");
         assert_eq!(report.generation, Some(1), "{report}");
+        assert_eq!(report.pages_corrupt, 0, "{report}");
+        assert_eq!(
+            report.abandoned,
+            vec![AbandonedGeneration {
+                generation: 2,
+                pages_corrupt: 1,
+                pages_quarantined: 1
+            }],
+            "{report}"
+        );
+        assert!(
+            report
+                .to_string()
+                .contains("generation 2 abandoned: 1 corrupt (1 quarantined)"),
+            "{report}"
+        );
         assert_eq!(set.current().unwrap(), Some(1), "CURRENT demoted");
         let (t, g, _) = set.load(&DiskOptions::new()).unwrap();
         assert_eq!((t, g), (sample_tree(), 1));

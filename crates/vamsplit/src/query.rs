@@ -1,11 +1,12 @@
 //! Query execution over [`RTree`]: optimal best-first k-NN search
-//! (Hjaltason–Samet), range counting, linear-scan ground truth, and the
-//! sphere/leaf intersection counting the prediction model is built on.
+//! (Hjaltason–Samet), range counting, linear-scan ground truth, the
+//! sphere/leaf intersection counting the prediction model is built on,
+//! and [`TreeSoup`], the served leaf count through the directory.
 
 use crate::tree::{NodeKind, RTree};
 use hdidx_core::knn::KBest;
 use hdidx_core::simd::{self, Isa};
-use hdidx_core::{Dataset, Error, HyperRect, Result};
+use hdidx_core::{Dataset, Error, HyperRect, LeafSoup, Result};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -204,6 +205,146 @@ pub fn range_accesses(tree: &RTree, center: &[f32], radius: f64) -> Result<Acces
         }
     }
     Ok(stats)
+}
+
+/// The leaf boxes of an [`RTree`] as a hierarchy of SoA soups: one
+/// [`LeafSoup`] per inner node, over that node's children's boxes in
+/// child order. Counting descends from the root, keeps only the children
+/// whose box the ball meets, and counts leaves with the blocked kernel at
+/// each parent of leaves, so a ball tests the leaves under the directory
+/// boxes it meets instead of every leaf box.
+///
+/// Every count equals [`LeafSoup::count_intersecting_with`] over
+/// [`RTree::leaf_rects`] at the same ISA, bit for bit. A parent box
+/// contains each child box, so each per-dimension MINDIST term of the
+/// parent is at most the child's; rounding is monotone and so are sums of
+/// non-negative `f64` terms, so a pruned subtree cannot hold a leaf whose
+/// ball test passes. That argument needs numeric bounds, which
+/// [`RTree::check_invariants`] (run by [`TreeSoup::new`]) guarantees.
+///
+/// # Examples
+///
+/// ```
+/// use hdidx_core::{simd, Dataset, LeafSoup};
+/// use hdidx_vamsplit::query::TreeSoup;
+/// use hdidx_vamsplit::{bulk_load, Topology};
+///
+/// let flat: Vec<f32> = (0..400).map(|i| ((i * 37) % 101) as f32).collect();
+/// let data = Dataset::from_flat(2, flat).unwrap();
+/// let topo = Topology::from_capacities(2, data.len(), 4, 3).unwrap();
+/// let tree = bulk_load(&data, &topo).unwrap();
+/// let soup = TreeSoup::new(&tree).unwrap();
+/// let leaves = LeafSoup::from_rects(2, &tree.leaf_rects()).unwrap();
+/// let isa = simd::active();
+/// let c = [50.0f32, 50.0];
+/// assert_eq!(
+///     soup.count_intersecting_with(isa, &c, 100.0),
+///     leaves.count_intersecting_with(isa, &c, 100.0)
+/// );
+/// assert_eq!(soup.num_leaves(), tree.num_leaves());
+/// ```
+#[derive(Debug, Clone)]
+pub struct TreeSoup {
+    /// Index 0 mirrors the root.
+    nodes: Vec<SoupNode>,
+    leaves: usize,
+}
+
+/// One inner node of a [`TreeSoup`].
+#[derive(Debug, Clone)]
+struct SoupNode {
+    /// The node's children's boxes, in child order.
+    soup: LeafSoup,
+    /// [`TreeSoup`] indices of the children, in child order; empty when
+    /// the children are leaves.
+    children: Vec<u32>,
+}
+
+impl TreeSoup {
+    /// Flattens `tree`'s directory, breadth first. A single-leaf tree
+    /// becomes one soup over the root's box.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::InfeasibleTopology`] when `tree` fails
+    /// [`RTree::check_invariants`] (a NaN bound among them).
+    pub fn new(tree: &RTree) -> Result<TreeSoup> {
+        tree.check_invariants()?;
+        let (dim, arena) = (tree.dim(), tree.nodes());
+        let rects = |ids: &[u32]| -> Vec<HyperRect> {
+            ids.iter()
+                .map(|&c| arena[c as usize].rect.clone())
+                .collect()
+        };
+        let NodeKind::Inner { children } = &tree.root().kind else {
+            return Ok(TreeSoup {
+                nodes: vec![SoupNode {
+                    soup: LeafSoup::from_rects(dim, &rects(&[0]))?,
+                    children: Vec::new(),
+                }],
+                leaves: 1,
+            });
+        };
+        // The inner nodes' child lists, breadth first: soup node `i`
+        // covers `order[i]`. `check_invariants` keeps every node's
+        // children on one level, so they are all leaves or all inner.
+        let mut order: Vec<&[u32]> = vec![children];
+        let mut nodes = Vec::new();
+        let mut leaves = 0usize;
+        while let Some(&children) = order.get(nodes.len()) {
+            let mut below = Vec::new();
+            if arena[children[0] as usize].is_leaf() {
+                leaves += children.len();
+            } else {
+                for &c in children {
+                    below.push(order.len() as u32);
+                    if let NodeKind::Inner { children } = &arena[c as usize].kind {
+                        order.push(children);
+                    }
+                }
+            }
+            nodes.push(SoupNode {
+                soup: LeafSoup::from_rects(dim, &rects(children))?,
+                children: below,
+            });
+        }
+        Ok(TreeSoup { nodes, leaves })
+    }
+
+    /// Number of leaves the soups hold.
+    #[must_use]
+    pub fn num_leaves(&self) -> usize {
+        self.leaves
+    }
+
+    /// Number of leaves whose MINDIST² to `center` is at most `r2`, on the
+    /// active ISA ([`simd::active`]).
+    #[must_use]
+    pub fn count_intersecting(&self, center: &[f32], r2: f64) -> u64 {
+        self.count_intersecting_with(simd::active(), center, r2)
+    }
+
+    /// [`TreeSoup::count_intersecting`] pinned to one ISA.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `isa` is not supported by this CPU/build.
+    #[must_use]
+    pub fn count_intersecting_with(&self, isa: Isa, center: &[f32], r2: f64) -> u64 {
+        self.count_below(isa, 0, center, r2)
+    }
+
+    fn count_below(&self, isa: Isa, node: usize, center: &[f32], r2: f64) -> u64 {
+        let n = &self.nodes[node];
+        if n.children.is_empty() {
+            return n.soup.count_intersecting_with(isa, center, r2);
+        }
+        let mut total = 0u64;
+        n.soup.for_each_intersecting(isa, center, r2, |i| {
+            total += self.count_below(isa, n.children[i] as usize, center, r2);
+        });
+        total
+    }
 }
 
 // Exact linear-scan k-NN (the oracle for query radii) lives in the kernel

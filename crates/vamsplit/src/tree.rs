@@ -11,6 +11,7 @@
 //! are directory-level cuts that still store the sampled points below them.
 
 use hdidx_core::{Error, HyperRect, Result};
+use std::cmp::Ordering;
 use std::ops::Range;
 
 /// What a node stores below itself.
@@ -200,13 +201,17 @@ impl RTree {
         self.nodes.iter().filter(move |n| n.level as usize == level)
     }
 
-    /// Consistency check, run by the tests and on every loaded snapshot:
-    /// every node sits between `leaf_level` and `root_level`, every child
-    /// id names a node of the arena, every child MBR is contained in its
-    /// parent's, every inner node has at least one child, levels decrease
-    /// by exactly one, every leaf sits at `leaf_level` and is non-empty,
-    /// and leaf entry ranges are disjoint, inside the entry arena and
-    /// cover all of it. Crafted arenas get a typed error, never a panic.
+    /// Consistency check, run by the tests, on every loaded snapshot and
+    /// before a [`crate::query::TreeSoup`] is built: every node sits
+    /// between `leaf_level` and `root_level`, every MBR has the tree's
+    /// dimensionality and bounds that are numbers with `lo <= hi`, every
+    /// child id names a node of the arena, every node but the root is the
+    /// child of exactly one node (the root of none), every child MBR is
+    /// contained in its parent's, every inner node has at least one child,
+    /// levels decrease by exactly one, every leaf sits at `leaf_level` and
+    /// is non-empty, and leaf entry ranges are disjoint, inside the entry
+    /// arena and cover all of it. Crafted arenas get a typed error, never
+    /// a panic.
     ///
     /// # Errors
     ///
@@ -214,12 +219,32 @@ impl RTree {
     pub fn check_invariants(&self) -> Result<()> {
         let bad = |detail: String| Err(Error::InfeasibleTopology(detail));
         let mut leaf_ranges = Vec::new();
+        let mut has_parent = vec![false; self.nodes.len()];
         for (idx, node) in self.nodes.iter().enumerate() {
             let level = node.level as usize;
             if level < self.leaf_level || level > self.root_level {
                 return bad(format!(
                     "node {idx} at level {level} outside levels {}..={}",
                     self.leaf_level, self.root_level
+                ));
+            }
+            if node.rect.dim() != self.dim {
+                return bad(format!(
+                    "node {idx} MBR has {} dimensions, the tree {}",
+                    node.rect.dim(),
+                    self.dim
+                ));
+            }
+            // A NaN bound compares as `None` and fails too: every
+            // containment test below, and every pruning decision made on
+            // these boxes, is only sound over ordered numbers.
+            let (lo, hi) = (node.rect.lo(), node.rect.hi());
+            if let Some(j) = (0..self.dim)
+                .find(|&j| matches!(lo[j].partial_cmp(&hi[j]), None | Some(Ordering::Greater)))
+            {
+                return bad(format!(
+                    "node {idx} bounds {} ..= {} in dim {j} are not ordered numbers",
+                    lo[j], hi[j]
                 ));
             }
             match &node.kind {
@@ -234,6 +259,10 @@ impl RTree {
                                 self.nodes.len()
                             ));
                         };
+                        if c == 0 || has_parent[c as usize] {
+                            return bad(format!("node {c} is the root or a second node's child"));
+                        }
+                        has_parent[c as usize] = true;
                         if child.level.checked_add(1) != Some(node.level) {
                             return bad(format!(
                                 "child {c} at level {} under node {idx} at level {}",
@@ -270,6 +299,9 @@ impl RTree {
                     leaf_ranges.push(entries.clone());
                 }
             }
+        }
+        if let Some(orphan) = (1..self.nodes.len()).find(|&i| !has_parent[i]) {
+            return bad(format!("node {orphan} is no node's child"));
         }
         leaf_ranges.sort_unstable_by_key(|r| r.start);
         if let Some(pair) = leaf_ranges.windows(2).find(|w| w[1].start < w[0].end) {
@@ -370,6 +402,32 @@ mod tests {
         let mut t = two_leaf_tree();
         t.nodes[0].rect = HyperRect::new(vec![0.0], vec![2.0]).unwrap();
         assert!(t.check_invariants().is_err());
+    }
+
+    #[test]
+    fn invariant_check_catches_nan_bounds_and_wrong_dims() {
+        // `<` containment tests alone let a NaN bound through.
+        let mut t = two_leaf_tree();
+        t.nodes[1].rect = HyperRect::point(&[f32::NAN]);
+        assert!(t.check_invariants().is_err());
+        let mut t = two_leaf_tree();
+        t.nodes[0].rect = HyperRect::point(&[f32::NAN]);
+        assert!(t.check_invariants().is_err());
+        let mut t = two_leaf_tree();
+        t.nodes[2].rect = HyperRect::point(&[2.0, 3.0]);
+        assert!(t.check_invariants().is_err(), "wrong dimensionality");
+    }
+
+    #[test]
+    fn invariant_check_catches_shared_and_orphaned_nodes() {
+        let mut t = two_leaf_tree();
+        t.nodes[0].kind = NodeKind::Inner {
+            children: vec![1, 1],
+        };
+        assert!(t.check_invariants().is_err(), "a leaf named twice");
+        let mut t = two_leaf_tree();
+        t.nodes[0].kind = NodeKind::Inner { children: vec![1] };
+        assert!(t.check_invariants().is_err(), "an unreachable leaf");
     }
 
     #[test]

@@ -12,12 +12,12 @@
 use hdidx_rand::{seeded, Rng};
 use hdidx_repro::core::knn::{scan_knn_radius, scan_knn_radius_with, scan_knn_with};
 use hdidx_repro::core::simd;
-use hdidx_repro::core::{Dataset, LeafSoup};
+use hdidx_repro::core::Dataset;
 use hdidx_repro::datagen::{NamedDataset, Workload};
 use hdidx_repro::serve::knn::{knn_radius_with, KnnRoute};
 use hdidx_repro::serve::Server;
 use hdidx_repro::vamsplit::bulkload::bulk_load;
-use hdidx_repro::vamsplit::query::{count_sphere_intersections, knn_with, AccessStats};
+use hdidx_repro::vamsplit::query::{count_sphere_intersections, knn_with, AccessStats, TreeSoup};
 use hdidx_repro::vamsplit::topology::{PageConfig, Topology};
 use hdidx_repro::vamsplit::tree::RTree;
 
@@ -162,7 +162,7 @@ fn served_routes(data: &Dataset, page_bytes: usize, centers: &[Vec<f32>]) -> Vec
     )
     .unwrap();
     let tree = bulk_load(data, &topo).unwrap();
-    let soup = LeafSoup::from_rects(data.dim(), &tree.leaf_rects()).unwrap();
+    let soup = TreeSoup::new(&tree).unwrap();
     let mut routes = Vec::new();
     for q in centers {
         let want = scan_knn_radius_with(simd::Isa::Scalar, data, q, 21).unwrap();
@@ -237,7 +237,7 @@ fn infinite_query_coordinate_keeps_k_neighbors_on_every_route() {
     // tree search reports k neighbors and both routes the scan's radius.
     let data = dataset_with_duplicates(300, 9, 12);
     let tree = small_tree(&data);
-    let soup = LeafSoup::from_rects(9, &tree.leaf_rects()).unwrap();
+    let soup = TreeSoup::new(&tree).unwrap();
     let mut q = data.point(5).to_vec();
     q[4] = f32::INFINITY;
     for isa in simd::supported() {
