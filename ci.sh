@@ -82,11 +82,13 @@ HDIDX_BENCH_SAMPLES=3 HDIDX_BENCH_WARMUP_MS=1 HDIDX_BENCH_TARGET_MS=0.05 \
 # digest that moves with the lane width would mean the SIMD kernels are
 # not bit-exact replays of the scalar arithmetic. The tree_soup suite
 # holds the served leaf count through the directory to the flat count at
-# every ISA. The vamsplit k-NN tests
-# run the best-first search on the dispatched ISA, so its gathered SIMD
-# path is checked bit for bit against the scan under both modes. The
-# stats tests pin the tiled max-variance moments kernel to the scalar
-# reference loops at every supported ISA.
+# every ISA. The vamsplit k-NN tests and the knn_tree suite run the
+# best-first search on the dispatched ISA, so its in-place SIMD leaf path
+# is checked bit for bit against the scan under both modes, and the
+# soup_search suite holds the search through the directory's soups to the
+# box-by-box search it replaced. The stats tests pin the tiled
+# max-variance moments kernel to the scalar reference loops at every
+# supported ISA.
 echo "==> simd dispatch identity (HDIDX_SIMD=scalar vs auto)"
 for simd_mode in scalar auto; do
   HDIDX_SIMD="${simd_mode}" cargo test -q --offline -p hdidx-core \
@@ -94,6 +96,8 @@ for simd_mode in scalar auto; do
   HDIDX_SIMD="${simd_mode}" cargo test -q --offline -p hdidx-vamsplit -- knn
   HDIDX_SIMD="${simd_mode}" cargo test -q --offline --test simd_dispatch
   HDIDX_SIMD="${simd_mode}" cargo test -q --offline --test tree_soup
+  HDIDX_SIMD="${simd_mode}" cargo test -q --offline --test knn_tree
+  HDIDX_SIMD="${simd_mode}" cargo test -q --offline --test soup_search
 done
 
 # Serving smoke legs: the open-loop serving subsystem end to end through

@@ -24,7 +24,7 @@ use hdidx_rand::{sample_without_replacement, seeded, Rng};
 use hdidx_serve::knn::knn_radius_with;
 use hdidx_vamsplit::bulkload::bulk_load;
 use hdidx_vamsplit::kdtree::bulk_load_midsplit;
-use hdidx_vamsplit::query::{count_sphere_intersections, knn, knn_gated, knn_with, TreeSoup};
+use hdidx_vamsplit::query::{count_sphere_intersections, knn_gated, knn_through, TreeSoup};
 use hdidx_vamsplit::split::partition_by_rank;
 use hdidx_vamsplit::topology::{PageConfig, Topology};
 use hdidx_vamsplit::tree::RTree;
@@ -107,7 +107,7 @@ fn assert_knn_identity(
                 scan, scalar,
                 "{isa} k-NN scan must be byte-identical to scalar"
             );
-            let tree_nn = knn_with(isa, tree, data, q, k).unwrap().neighbors;
+            let tree_nn = knn_through(isa, tree, soup, data, q, k).unwrap().neighbors;
             assert_eq!(dist_bits(&tree_nn), dist_bits(&scalar), "{isa} tree k-NN");
             let (served, _) = knn_radius_with(isa, tree, soup, data, q, k).unwrap();
             assert_eq!(served.to_bits(), radius.to_bits(), "{isa} served k-NN");
@@ -131,7 +131,7 @@ fn median_gate_share(
         .iter()
         .map(|q| {
             let mut counted = leaves as u64;
-            knn_gated(isa, tree, data, q, k, |bound| {
+            knn_gated(isa, tree, soup, data, q, k, |bound| {
                 counted = soup.count_intersecting_with(isa, q, bound);
                 true
             })
@@ -165,13 +165,17 @@ fn bench_knn_sweep(suite: &mut BenchSuite, data: &Dataset, page_bytes: usize) {
         soup.num_leaves(),
         median_gate_share(data, &tree, &soup, &centers, 21)
     );
+    let isa = simd::active();
     suite.bench(&format!("knn_tree/{tag}"), || {
         centers
             .iter()
-            .map(|q| knn(black_box(&tree), data, q, 21).unwrap().radius())
+            .map(|q| {
+                knn_through(isa, black_box(&tree), &soup, data, q, 21)
+                    .unwrap()
+                    .radius()
+            })
             .sum::<f64>()
     });
-    let isa = simd::active();
     suite.bench(&format!("knn_served/{tag}"), || {
         centers
             .iter()
@@ -214,10 +218,10 @@ fn bench_knn(suite: &mut BenchSuite) {
     let soup = TreeSoup::new(&tree).unwrap();
     let q: Vec<f32> = data.point(17).to_vec();
     assert_knn_identity(&data, &tree, &soup, std::slice::from_ref(&q), 21);
-    suite.bench("knn_tree/50000x16/k21", || {
-        knn(black_box(&tree), &data, &q, 21).unwrap()
-    });
     let isa = simd::active();
+    suite.bench("knn_tree/50000x16/k21", || {
+        knn_through(isa, black_box(&tree), &soup, &data, &q, 21).unwrap()
+    });
     suite.bench("knn_served/50000x16/k21", || {
         knn_radius_with(isa, black_box(&tree), &soup, &data, &q, 21).unwrap()
     });

@@ -98,18 +98,6 @@ impl Dataset {
         &self.data[i * self.dim..(i + 1) * self.dim]
     }
 
-    /// Borrow `count` consecutive points starting at `start` as one flat
-    /// row-major slice (`count * dim` coordinates) — the group accessor the
-    /// SIMD k-NN kernel scans lanes of adjacent points from.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `start + count > self.len()` (slice indexing).
-    #[inline]
-    pub fn rows(&self, start: usize, count: usize) -> &[f32] {
-        &self.data[start * self.dim..(start + count) * self.dim]
-    }
-
     /// The raw row-major coordinate buffer.
     #[inline]
     pub fn as_flat(&self) -> &[f32] {

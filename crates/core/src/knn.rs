@@ -81,18 +81,17 @@ fn dist2_below(p: &[f32], q: &[f32], bound: f64) -> Option<f64> {
 /// every insert/skip decision — and therefore every reported neighbor and
 /// distance bit — matches the scalar path for any ISA and any grouping.
 ///
-/// Two feeds share that logic: [`KBest::offer_rows`] reads every row
-/// straight from the dataset's row-major storage (the linear scan), and
-/// [`KBest::offer_ids`] copies each group of gathered rows into a scratch
-/// buffer first (an index leaf's entries).
+/// Two feeds share that logic: [`KBest::offer_rows`] offers every row of
+/// the dataset in id order (the linear scan), and [`KBest::offer_ids`] the
+/// rows of an id list (an index leaf's entries). Both hand the group
+/// kernel each lane's row in place, straight from the dataset's row-major
+/// storage, so neither copies a coordinate.
 #[derive(Debug)]
 pub struct KBest {
     isa: Isa,
     k: usize,
     heap: BinaryHeap<Candidate>,
     bound: f64,
-    /// Scratch rows for the gathered SIMD path (`isa.lanes() × dim`).
-    gather: Vec<f32>,
 }
 
 impl KBest {
@@ -114,7 +113,6 @@ impl KBest {
             k,
             heap: BinaryHeap::with_capacity(k),
             bound: f64::INFINITY,
-            gather: Vec::new(),
         }
     }
 
@@ -181,77 +179,58 @@ impl KBest {
         }
     }
 
-    /// Offers every dataset point in id order, read in place from the
-    /// row-major storage (no copy) — the linear scan's feed.
+    /// Offers candidates `0..count` of a feed, `id_of(i)` naming candidate
+    /// `i`'s dataset row: the first ones fill the heap, then groups of
+    /// `isa.lanes()` rows run through the SIMD group kernel, each lane
+    /// reading its row in place, and the scalar [`dist2_below`] chain
+    /// takes every row on the scalar path and the sub-group tail.
+    #[inline]
+    fn offer(&mut self, data: &Dataset, count: usize, id_of: impl Fn(usize) -> u32, q: &[f32]) {
+        let lanes = self.isa.lanes();
+        let row = |i: usize| data.point(id_of(i) as usize);
+        let mut i = self.fill(count, |i| (row(i), id_of(i)), q);
+        if lanes > 1 {
+            let mut rows: [&[f32]; simd::MAX_LANES] = [&[]; simd::MAX_LANES];
+            let mut d2s = [0.0f64; simd::MAX_LANES];
+            while i + lanes <= count {
+                for (lane, slot) in rows[..lanes].iter_mut().enumerate() {
+                    *slot = row(i + lane);
+                }
+                // The group predicate uses the bound at group entry; a lane
+                // the mask rejects has full d2 >= entry bound >= live
+                // bound, so the scalar path would skip it too.
+                let mask = simd::knn_group_below(self.isa, &rows[..lanes], q, self.bound, &mut d2s);
+                if mask != 0 {
+                    self.insert_group(mask, &d2s[..lanes], |lane| id_of(i + lane));
+                }
+                i += lanes;
+            }
+        }
+        for i in i..count {
+            if let Some(d2) = dist2_below(row(i), q, self.bound) {
+                self.insert(d2, id_of(i));
+            }
+        }
+    }
+
+    /// Offers every dataset point in id order — the linear scan's feed.
     ///
     /// # Panics
     ///
     /// Panics if `q.len() != data.dim()` on a SIMD path.
     pub fn offer_rows(&mut self, data: &Dataset, q: &[f32]) {
-        let lanes = self.isa.lanes();
-        let n = data.len();
-        let mut id = self.fill(n, |id| (data.point(id), id as u32), q);
-        if lanes > 1 {
-            let mut d2s = [0.0f64; simd::MAX_LANES];
-            while id + lanes <= n {
-                // The group predicate uses the bound at group entry; a lane
-                // the mask rejects has full d2 >= entry bound >= live
-                // bound, so the scalar path would skip it too.
-                let mask =
-                    simd::knn_group_below(self.isa, data.rows(id, lanes), q, self.bound, &mut d2s);
-                if mask != 0 {
-                    self.insert_group(mask, &d2s[..lanes], |lane| (id + lane) as u32);
-                }
-                id += lanes;
-            }
-        }
-        // Scalar path and the sub-group tail.
-        for id in id..n {
-            if let Some(d2) = dist2_below(data.point(id), q, self.bound) {
-                self.insert(d2, id as u32);
-            }
-        }
+        self.offer(data, data.len(), |i| i as u32, q);
     }
 
     /// Offers the dataset points `ids` (an index leaf's entries, in any
-    /// order). On a SIMD path each group of `isa.lanes()` rows is copied
-    /// into a reused scratch buffer and run through the same group kernel
-    /// as [`KBest::offer_rows`].
+    /// order), through the same group kernel as [`KBest::offer_rows`].
     ///
     /// # Panics
     ///
     /// Panics if an id is out of range or `q.len() != data.dim()` on a
     /// SIMD path.
     pub fn offer_ids(&mut self, data: &Dataset, ids: &[u32], q: &[f32]) {
-        let lanes = self.isa.lanes();
-        let filled = self.fill(ids.len(), |i| (data.point(ids[i] as usize), ids[i]), q);
-        let ids = &ids[filled..];
-        let mut tail = ids;
-        if lanes > 1 && ids.len() >= lanes {
-            let dim = data.dim();
-            // Taken out of `self` so the buffer can be read while the
-            // heap is updated; handed back below, so it is allocated once.
-            let mut rows = std::mem::take(&mut self.gather);
-            rows.resize(lanes * dim, 0.0);
-            let mut d2s = [0.0f64; simd::MAX_LANES];
-            let groups = ids.chunks_exact(lanes);
-            tail = groups.remainder();
-            for group in groups {
-                for (row, &id) in rows.chunks_exact_mut(dim).zip(group) {
-                    row.copy_from_slice(data.point(id as usize));
-                }
-                let mask = simd::knn_group_below(self.isa, &rows, q, self.bound, &mut d2s);
-                if mask != 0 {
-                    self.insert_group(mask, &d2s[..lanes], |lane| group[lane]);
-                }
-            }
-            self.gather = rows;
-        }
-        for &id in tail {
-            if let Some(d2) = dist2_below(data.point(id as usize), q, self.bound) {
-                self.insert(d2, id);
-            }
-        }
+        self.offer(data, ids.len(), |i| ids[i], q);
     }
 
     /// The kept candidates as `(distance, id)` pairs in ascending distance

@@ -174,21 +174,16 @@ impl HyperRect {
     /// point of the rectangle (0 if `q` lies inside). This is the classic
     /// R-tree lower bound used by best-first nearest-neighbor search and by
     /// the sphere-intersection counting of the prediction model.
+    ///
+    /// Each dimension adds [`mindist_term`]`²` in ascending order: the same
+    /// branch-free operands, in the same order, as every [`crate::LeafSoup`]
+    /// kernel lane, so a soup lane's MINDIST² equals this value bit for bit.
     #[inline]
     pub fn mindist2(&self, q: &[f32]) -> f64 {
         debug_assert_eq!(q.len(), self.dim());
         let mut acc = 0.0f64;
         for ((&lo, &hi), &x) in self.lo.iter().zip(&self.hi).zip(q) {
-            let x = f64::from(x);
-            let lo = f64::from(lo);
-            let hi = f64::from(hi);
-            let d = if x < lo {
-                lo - x
-            } else if x > hi {
-                x - hi
-            } else {
-                continue;
-            };
+            let d = mindist_term(lo, hi, x);
             acc += d * d;
         }
         acc
@@ -230,11 +225,14 @@ impl HyperRect {
     /// rectangle. A query whose final k-NN sphere intersects a leaf page must
     /// read that page (and an optimal NN algorithm reads exactly those
     /// pages), so this predicate *is* the page-access model of the paper.
-    /// Decided with the early-exit [`HyperRect::mindist2_exceeds`] — same
-    /// result as `mindist2(center) <= radius * radius`, bit for bit.
+    /// It decides `mindist2(center) <= radius * radius`, bit for bit, as
+    /// every [`crate::LeafSoup`] kernel does: a NaN radius meets no box.
+    /// The early-exit [`HyperRect::mindist2_exceeds`] decides every
+    /// numeric `r²`.
     #[inline]
     pub fn intersects_sphere(&self, center: &[f32], radius: f64) -> bool {
-        !self.mindist2_exceeds(center, radius * radius)
+        let r2 = radius * radius;
+        !r2.is_nan() && !self.mindist2_exceeds(center, r2)
     }
 
     /// Scales the rectangle about its center by `factor` independently in
@@ -290,6 +288,18 @@ fn grow_bounds(lo: &mut [f32], hi: &mut [f32], add_lo: &[f32], add_hi: &[f32]) {
     for (hi, &x) in hi.iter_mut().zip(add_hi) {
         *hi = if x > *hi { x } else { *hi };
     }
+}
+
+/// One dimension's MINDIST term, `max(lo − x, x − hi, 0)` in `f64`, in
+/// branch-free form: below the box it is `lo − x`, above it `x − hi`, and
+/// inside it `+0.0` or `-0.0`, which square to the `+0.0` that leaves a
+/// non-negative sum unchanged. A NaN operand loses to the other one in
+/// `f64::max`, so a NaN coordinate (or an `∞ − ∞`) yields a zero term, as
+/// the comparisons `x < lo` and `x > hi` both fail on it.
+#[inline]
+fn mindist_term(lo: f32, hi: f32, x: f32) -> f64 {
+    let x = f64::from(x);
+    (f64::from(lo) - x).max(x - f64::from(hi)).max(0.0)
 }
 
 #[cfg(test)]
@@ -410,6 +420,77 @@ mod tests {
         r.expand_to_point(&[f32::NAN, f32::NEG_INFINITY, 1.0]);
         assert_eq!(r.lo()[0].to_bits(), 0.0f32.to_bits());
         assert_eq!(r.lo()[1], f32::NEG_INFINITY);
+    }
+
+    /// The branchy MINDIST² that the branch-free form replaced: the oracle
+    /// [`HyperRect::mindist2`] is pinned against.
+    fn mindist2_branchy(r: &HyperRect, q: &[f32]) -> f64 {
+        let mut acc = 0.0f64;
+        for ((&lo, &hi), &x) in r.lo.iter().zip(&r.hi).zip(q) {
+            let (x, lo, hi) = (f64::from(x), f64::from(lo), f64::from(hi));
+            let d = if x < lo {
+                lo - x
+            } else if x > hi {
+                x - hi
+            } else {
+                continue;
+            };
+            acc += d * d;
+        }
+        acc
+    }
+
+    #[test]
+    fn branch_free_mindist2_matches_branchy_bitwise() {
+        // Boxes with `lo <= hi` wherever both bounds are numbers (every
+        // box `HyperRect::new` accepts, and degenerate ones), a NaN bound
+        // anywhere, and query coordinates on either face, inside, outside,
+        // NaN, ±∞ and ±0. Only an inverted numeric bound, which no box
+        // can have, would tell the two forms apart.
+        check(
+            "branch_free_mindist2_matches_branchy_bitwise",
+            &Config::with_cases(512),
+            |rng| {
+                let dim = rng.gen_range(1..20usize);
+                let rect: Vec<(f32, f32)> = (0..dim)
+                    .map(|_| {
+                        let (a, b) = (edgy_coord(rng), edgy_coord(rng));
+                        match rng.gen_range(0..4u32) {
+                            0 => (a, a),
+                            _ if a > b => (b, a),
+                            _ => (a, b),
+                        }
+                    })
+                    .collect();
+                let q: Vec<f32> = rect
+                    .iter()
+                    .map(|&(lo, hi)| match rng.gen_range(0..4u32) {
+                        0 => lo,
+                        1 => hi,
+                        _ => edgy_coord(rng),
+                    })
+                    .collect();
+                (rect, q)
+            },
+            |(rect, q)| {
+                prop_assume!(!rect.is_empty() && rect.len() == q.len());
+                let r = HyperRect {
+                    lo: rect.iter().map(|b| b.0).collect(),
+                    hi: rect.iter().map(|b| b.1).collect(),
+                };
+                prop_assert_eq!(r.mindist2(q).to_bits(), mindist2_branchy(&r, q).to_bits());
+                Verdict::Pass
+            },
+        );
+    }
+
+    #[test]
+    fn nan_radius_meets_no_box() {
+        let r = unit2();
+        for c in [[0.5f32, 0.5], [3.0, 3.0], [f32::NAN, 0.5]] {
+            assert!(!r.intersects_sphere(&c, f64::NAN), "{c:?}");
+            assert!(r.intersects_sphere(&c, f64::INFINITY), "{c:?}");
+        }
     }
 
     fn unit2() -> HyperRect {

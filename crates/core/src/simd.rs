@@ -260,15 +260,17 @@ pub fn describe() -> String {
 }
 
 /// Hands `sink` one lane mask per lane group of the stripes, in stripe
-/// order: `sink(base, mask)` with bit `l` of `mask` set when lane
-/// `base + l` has MINDIST² to `center` at most `r2`. `lo`/`hi` are the
-/// padded column-major stripes of a [`crate::LeafSoup`]
+/// order: `sink(base, mask, mindist2)` with bit `l` of `mask` set when
+/// lane `base + l` has MINDIST² to `center` at most `r2`, and
+/// `mindist2[l]` that lane's fully accumulated MINDIST² wherever bit `l`
+/// is set (a group the kernel abandoned early has no bit set). `lo`/`hi`
+/// are the padded column-major stripes of a [`crate::LeafSoup`]
 /// (`lo[j * stride + i]`), `stride` a multiple of
 /// [`crate::soup::LANE_PAD`]. Lanes `>= valid` (padding sentinels) are
 /// never set: the final group's mask is masked down to the valid lanes,
 /// so even a non-finite `r2` cannot report a sentinel. Counting
 /// popcounts the masks; [`crate::LeafSoup::for_each_intersecting`]
-/// walks their bits.
+/// walks their bits and hands on each lane's MINDIST².
 ///
 /// # Panics
 ///
@@ -284,7 +286,7 @@ pub(crate) fn soup_group_masks(
     valid: usize,
     center: &[f32],
     r2: f64,
-    sink: impl FnMut(usize, u32),
+    sink: impl FnMut(usize, u32, &[f64]),
 ) {
     check_soup_dispatch(isa, lo, hi, stride, valid, center.len());
     #[cfg(target_arch = "x86_64")]
@@ -339,11 +341,10 @@ pub(crate) fn soup_count_chunk(
 }
 
 /// Early-abandon batched point distance for [`crate::knn::KBest`]:
-/// `rows` holds `isa.lanes()` consecutive row-major points, lane `l`
-/// owning `rows[l * dim ..][..dim]`. Accumulates every lane's squared
-/// distance to `q` in ascending dimension order (the exact
-/// `dist2_below` chain) and abandons the whole group once every lane's
-/// partial sum satisfies `acc >= bound`.
+/// `rows` holds `isa.lanes()` points, lane `l` owning `rows[l]`, each read
+/// in place. Accumulates every lane's squared distance to `q` in
+/// ascending dimension order (the exact `dist2_below` chain) and abandons
+/// the whole group once every lane's partial sum satisfies `acc >= bound`.
 ///
 /// Returns a lane bitmask of candidates with `!(d2 >= bound)` — the
 /// scalar insertion predicate, including its NaN behavior — and writes
@@ -351,7 +352,7 @@ pub(crate) fn soup_count_chunk(
 /// mean "abandoned early", in which case `out` is not meaningful.
 pub(crate) fn knn_group_below(
     isa: Isa,
-    rows: &[f32],
+    rows: &[&[f32]],
     q: &[f32],
     bound: f64,
     out: &mut [f64; MAX_LANES],
@@ -360,17 +361,16 @@ pub(crate) fn knn_group_below(
         isa.is_supported(),
         "ISA {isa} dispatched but not supported by this CPU/build"
     );
-    assert_eq!(
-        rows.len(),
-        isa.lanes() * q.len(),
-        "rows must hold exactly isa.lanes() points"
+    assert!(
+        rows.len() == isa.lanes() && rows.iter().all(|r| r.len() == q.len()),
+        "rows must hold exactly isa.lanes() points of q's dimensionality"
     );
     #[cfg(target_arch = "x86_64")]
     {
         match isa {
             Isa::Scalar => unreachable!("scalar dispatch handled by KBest"),
-            // SAFETY: support asserted above; the length check bounds
-            // every `l * dim + j` load.
+            // SAFETY: support asserted above; the length checks bound
+            // every `rows[l][j]` load.
             Isa::Sse2 => unsafe { x86::knn2_below_sse2(rows, q, bound, out) },
             Isa::Avx2 => unsafe { x86::knn4_below_avx2(rows, q, bound, out) },
         }
@@ -466,11 +466,13 @@ mod x86 {
     /// ascending, early exit via movemask every [`DIM_TILE`] dims. Returns
     /// the group's lane mask (bit `l`: leaf `base + l` has MINDIST² at
     /// most `r2`), restricted to `lane_mask`; an early exit returns 0.
+    /// When the mask is not 0, `out[l]` holds lane `l`'s MINDIST².
     ///
     /// # Safety
     ///
     /// AVX2 must be available and `lo`/`hi` must be readable at
     /// `j * stride + base + 0..16` for every `j < center.len()`.
+    #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2")]
     #[inline]
     unsafe fn group16_avx2(
@@ -481,6 +483,7 @@ mod x86 {
         center: &[f32],
         r2: f64,
         lane_mask: u32,
+        out: &mut [f64; 16],
     ) -> u32 {
         let dim = center.len();
         let zero = _mm256_setzero_pd();
@@ -545,16 +548,25 @@ mod x86 {
         let m1 = _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_LE_OQ>(a1, r2v)) as u32;
         let m2 = _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_LE_OQ>(a2, r2v)) as u32;
         let m3 = _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_LE_OQ>(a3, r2v)) as u32;
-        (m0 | (m1 << 4) | (m2 << 8) | (m3 << 12)) & lane_mask
+        let mask = (m0 | (m1 << 4) | (m2 << 8) | (m3 << 12)) & lane_mask;
+        if mask != 0 {
+            let o = out.as_mut_ptr();
+            _mm256_storeu_pd(o, a0);
+            _mm256_storeu_pd(o.add(4), a1);
+            _mm256_storeu_pd(o.add(8), a2);
+            _mm256_storeu_pd(o.add(12), a3);
+        }
+        mask
     }
 
     /// One 8-leaf group against one ball on SSE2: four 2-lane chains,
-    /// returning the lane mask as [`group16_avx2`] does.
+    /// returning the lane mask and MINDIST²s as [`group16_avx2`] does.
     ///
     /// # Safety
     ///
     /// `lo`/`hi` must be readable at `j * stride + base + 0..8` for every
     /// `j < center.len()` (SSE2 itself is `x86_64` baseline).
+    #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "sse2")]
     #[inline]
     unsafe fn group8_sse2(
@@ -565,6 +577,7 @@ mod x86 {
         center: &[f32],
         r2: f64,
         lane_mask: u32,
+        out: &mut [f64; 8],
     ) -> u32 {
         #[inline(always)]
         unsafe fn load2(p: *const f32) -> __m128d {
@@ -610,10 +623,18 @@ mod x86 {
         let m1 = _mm_movemask_pd(_mm_cmple_pd(a1, r2v)) as u32;
         let m2 = _mm_movemask_pd(_mm_cmple_pd(a2, r2v)) as u32;
         let m3 = _mm_movemask_pd(_mm_cmple_pd(a3, r2v)) as u32;
-        (m0 | (m1 << 2) | (m2 << 4) | (m3 << 6)) & lane_mask
+        let mask = (m0 | (m1 << 2) | (m2 << 4) | (m3 << 6)) & lane_mask;
+        if mask != 0 {
+            let o = out.as_mut_ptr();
+            _mm_storeu_pd(o, a0);
+            _mm_storeu_pd(o.add(2), a1);
+            _mm_storeu_pd(o.add(4), a2);
+            _mm_storeu_pd(o.add(6), a3);
+        }
+        mask
     }
 
-    /// Every 16-lane group's mask, in stripe order.
+    /// Every 16-lane group's mask and MINDIST²s, in stripe order.
     ///
     /// # Safety
     ///
@@ -628,8 +649,9 @@ mod x86 {
         valid: usize,
         center: &[f32],
         r2: f64,
-        mut sink: impl FnMut(usize, u32),
+        mut sink: impl FnMut(usize, u32, &[f64]),
     ) {
+        let mut d2 = [0.0f64; 16];
         let mut i = 0usize;
         while i < valid {
             let lanes = valid - i;
@@ -641,13 +663,14 @@ mod x86 {
                 center,
                 r2,
                 mask16(lanes),
+                &mut d2,
             );
-            sink(i, mask);
+            sink(i, mask, &d2);
             i += 16;
         }
     }
 
-    /// Every 8-lane group's mask, in stripe order.
+    /// Every 8-lane group's mask and MINDIST²s, in stripe order.
     ///
     /// # Safety
     ///
@@ -662,8 +685,9 @@ mod x86 {
         valid: usize,
         center: &[f32],
         r2: f64,
-        mut sink: impl FnMut(usize, u32),
+        mut sink: impl FnMut(usize, u32, &[f64]),
     ) {
+        let mut d2 = [0.0f64; 8];
         let mut i = 0usize;
         while i < valid {
             let lanes = valid - i;
@@ -675,8 +699,9 @@ mod x86 {
                 center,
                 r2,
                 mask8(lanes),
+                &mut d2,
             );
-            sink(i, mask);
+            sink(i, mask, &d2);
             i += 8;
         }
     }
@@ -697,13 +722,23 @@ mod x86 {
         queries: &[(&[f32], f64)],
         counts: &mut [u64],
     ) {
+        let mut d2 = [0.0f64; 16];
         let mut i = 0usize;
         while i < valid {
             let mask = mask16(valid - i);
             for (slot, &(center, r2)) in counts.iter_mut().zip(queries) {
                 *slot += u64::from(
-                    group16_avx2(lo.as_ptr(), hi.as_ptr(), stride, i, center, r2, mask)
-                        .count_ones(),
+                    group16_avx2(
+                        lo.as_ptr(),
+                        hi.as_ptr(),
+                        stride,
+                        i,
+                        center,
+                        r2,
+                        mask,
+                        &mut d2,
+                    )
+                    .count_ones(),
                 );
             }
             i += 16;
@@ -722,12 +757,23 @@ mod x86 {
         queries: &[(&[f32], f64)],
         counts: &mut [u64],
     ) {
+        let mut d2 = [0.0f64; 8];
         let mut i = 0usize;
         while i < valid {
             let mask = mask8(valid - i);
             for (slot, &(center, r2)) in counts.iter_mut().zip(queries) {
                 *slot += u64::from(
-                    group8_sse2(lo.as_ptr(), hi.as_ptr(), stride, i, center, r2, mask).count_ones(),
+                    group8_sse2(
+                        lo.as_ptr(),
+                        hi.as_ptr(),
+                        stride,
+                        i,
+                        center,
+                        r2,
+                        mask,
+                        &mut d2,
+                    )
+                    .count_ones(),
                 );
             }
             i += 8;
@@ -754,31 +800,32 @@ mod x86 {
     ///
     /// # Safety
     ///
-    /// AVX2 detected; `rows.len() == 4 * q.len()`.
+    /// AVX2 detected; `rows.len() == 4` and every row is `q.len()` long.
     #[target_feature(enable = "avx2")]
     pub unsafe fn knn4_below_avx2(
-        rows: &[f32],
+        rows: &[&[f32]],
         q: &[f32],
         bound: f64,
         out: &mut [f64; MAX_LANES],
     ) -> u32 {
         let dim = q.len();
-        let r = rows.as_ptr();
+        let (r0, r1, r2, r3) = (
+            rows[0].as_ptr(),
+            rows[1].as_ptr(),
+            rows[2].as_ptr(),
+            rows[3].as_ptr(),
+        );
         let bv = _mm256_set1_pd(bound);
         let mut acc = _mm256_setzero_pd();
         let mut j = 0usize;
         while j < dim {
             let tile_end = (j + DIM_TILE).min(dim);
             while j < tile_end {
-                // Lane l owns point l: the strided f32 loads transpose on
-                // the fly; each lane's f64 chain is the scalar
-                // `dist2_below` chain verbatim.
-                let v = _mm256_cvtps_pd(_mm_setr_ps(
-                    *r.add(j),
-                    *r.add(dim + j),
-                    *r.add(2 * dim + j),
-                    *r.add(3 * dim + j),
-                ));
+                // Lane l owns point l, read in place: the four scalar
+                // loads transpose on the fly; each lane's f64 chain is the
+                // scalar `dist2_below` chain verbatim.
+                let v =
+                    _mm256_cvtps_pd(_mm_setr_ps(*r0.add(j), *r1.add(j), *r2.add(j), *r3.add(j)));
                 let qv = _mm256_set1_pd(f64::from(*q.get_unchecked(j)));
                 let d = _mm256_sub_pd(v, qv);
                 acc = _mm256_add_pd(acc, _mm256_mul_pd(d, d));
@@ -800,23 +847,23 @@ mod x86 {
     ///
     /// # Safety
     ///
-    /// `rows.len() == 2 * q.len()`.
+    /// `rows.len() == 2` and every row is `q.len()` long.
     #[target_feature(enable = "sse2")]
     pub unsafe fn knn2_below_sse2(
-        rows: &[f32],
+        rows: &[&[f32]],
         q: &[f32],
         bound: f64,
         out: &mut [f64; MAX_LANES],
     ) -> u32 {
         let dim = q.len();
-        let r = rows.as_ptr();
+        let (r0, r1) = (rows[0].as_ptr(), rows[1].as_ptr());
         let bv = _mm_set1_pd(bound);
         let mut acc = _mm_setzero_pd();
         let mut j = 0usize;
         while j < dim {
             let tile_end = (j + DIM_TILE).min(dim);
             while j < tile_end {
-                let v = _mm_setr_pd(f64::from(*r.add(j)), f64::from(*r.add(dim + j)));
+                let v = _mm_setr_pd(f64::from(*r0.add(j)), f64::from(*r1.add(j)));
                 let qv = _mm_set1_pd(f64::from(*q.get_unchecked(j)));
                 let d = _mm_sub_pd(v, qv);
                 acc = _mm_add_pd(acc, _mm_mul_pd(d, d));

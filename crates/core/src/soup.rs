@@ -41,15 +41,18 @@
 //! The kernels preserve the scalar path's per-leaf, per-dimension `f64`
 //! accumulation order exactly: for every leaf, the partial sum adds the
 //! squared per-dimension distances in ascending dimension order, computed
-//! with the same subtractions as [`HyperRect::mindist2`] (an in-interval
-//! dimension contributes `+0.0`, which leaves a non-negative `f64`
-//! accumulator bit-identical). Early exit is sound because the terms are
+//! with the same branch-free operands as [`HyperRect::mindist2`] (an
+//! in-interval dimension contributes `±0.0`, whose square leaves a
+//! non-negative `f64` accumulator bit-identical), so a lane's full sum
+//! *is* that rectangle's `mindist2`. Early exit is sound because the terms are
 //! non-negative and `f64` addition of non-negative terms is monotone: once
 //! a partial sum exceeds `r²` the final sum does too. The SIMD paths keep
 //! the same contract by vectorizing across the *leaf* axis only — lane
 //! `l` of a register owns leaf `i + l` and replays the identical chain
 //! (see [`crate::simd`]) — so counts from every ISA are **byte-identical**
-//! to counting `HyperRect::intersects_sphere` over the same rectangles. A
+//! to counting `HyperRect::intersects_sphere` over the same rectangles,
+//! and [`LeafSoup::for_each_intersecting`] hands on each passing lane's
+//! MINDIST² with the bits `HyperRect::mindist2` returns. A
 //! contract pinned by `tests/soup_kernels.rs` and `tests/simd_dispatch.rs`
 //! and asserted by the `kernels` bench suite before any timing.
 
@@ -195,17 +198,20 @@ impl LeafSoup {
                     self.len,
                     center,
                     r2,
-                    |_, mask| total += u64::from(mask.count_ones()),
+                    |_, mask, _| total += u64::from(mask.count_ones()),
                 );
                 total
             }
         }
     }
 
-    /// Calls `f(i)`, in ascending `i`, for every stored rectangle `i` whose
-    /// MINDIST² to `center` is at most `r2`: the same decisions
-    /// [`LeafSoup::count_intersecting_with`] counts, from the same kernel
-    /// (its lane masks are walked instead of popcounted).
+    /// Calls `f(i, mindist2)`, in ascending `i`, for every stored
+    /// rectangle `i` whose MINDIST² to `center` is at most `r2`: the same
+    /// decisions [`LeafSoup::count_intersecting_with`] counts, from the
+    /// same kernel (its lane masks are walked instead of popcounted).
+    /// `mindist2` is the lane's fully accumulated sum, bit for bit
+    /// [`HyperRect::mindist2`] of the stored rectangle: a group is only
+    /// abandoned early when none of its lanes passes.
     ///
     /// # Panics
     ///
@@ -215,21 +221,27 @@ impl LeafSoup {
         isa: Isa,
         center: &[f32],
         r2: f64,
-        mut f: impl FnMut(usize),
+        mut f: impl FnMut(usize, f64),
     ) {
         debug_assert_eq!(center.len(), self.dim);
-        let mut visit = |base: usize, mut mask: u64| {
+        let mut visit = |base: usize, mut mask: u64, d2: &[f64]| {
             while mask != 0 {
-                f(base + mask.trailing_zeros() as usize);
+                let lane = mask.trailing_zeros() as usize;
+                f(base + lane, d2[lane]);
                 mask &= mask - 1;
             }
         };
         match isa {
             Isa::Scalar => {
+                let mut acc = [0.0f64; LEAF_BLOCK];
                 let mut start = 0usize;
                 while start < self.len {
                     let end = (start + LEAF_BLOCK).min(self.len);
-                    visit(start, self.block_mask(start, end, center, r2));
+                    visit(
+                        start,
+                        self.block_mask(start, end, center, r2, &mut acc),
+                        &acc,
+                    );
                     start = end;
                 }
             }
@@ -241,7 +253,7 @@ impl LeafSoup {
                 self.len,
                 center,
                 r2,
-                |base, mask| visit(base, u64::from(mask)),
+                |base, mask, d2| visit(base, u64::from(mask), d2),
             ),
         }
     }
@@ -336,11 +348,15 @@ impl LeafSoup {
     /// out-of-line body makes the two paths the same machine code.
     #[inline(never)]
     fn count_scalar(&self, center: &[f32], r2: f64) -> u64 {
+        let mut acc = [0.0f64; LEAF_BLOCK];
         let mut total = 0u64;
         let mut start = 0usize;
         while start < self.len {
             let end = (start + LEAF_BLOCK).min(self.len);
-            total += u64::from(self.block_mask(start, end, center, r2).count_ones());
+            total += u64::from(
+                self.block_mask(start, end, center, r2, &mut acc)
+                    .count_ones(),
+            );
             start = end;
         }
         total
@@ -349,13 +365,21 @@ impl LeafSoup {
     /// The blocked scalar kernel: MINDIST² accumulation for leaves
     /// `[start, end)` against one sphere, sweeping dimension stripes with
     /// an all-lanes early exit every [`DIM_TILE`] dimensions. Returns the
-    /// block's mask: bit `l` is set when leaf `start + l` intersects.
+    /// block's mask: bit `l` is set when leaf `start + l` intersects, and
+    /// then `acc[l]` holds its MINDIST².
     #[inline]
-    fn block_mask(&self, start: usize, end: usize, center: &[f32], r2: f64) -> u64 {
+    fn block_mask(
+        &self,
+        start: usize,
+        end: usize,
+        center: &[f32],
+        r2: f64,
+        acc: &mut [f64; LEAF_BLOCK],
+    ) -> u64 {
         debug_assert_eq!(center.len(), self.dim);
         debug_assert!(end - start <= LEAF_BLOCK && start <= end && end <= self.len);
         let width = end - start;
-        let mut acc = [0.0f64; LEAF_BLOCK];
+        acc[..width].fill(0.0);
         let mut j = 0usize;
         while j < self.dim {
             let tile_end = (j + DIM_TILE).min(self.dim);
@@ -364,9 +388,9 @@ impl LeafSoup {
                 let lo = &self.lo[j * self.stride + start..j * self.stride + end];
                 let hi = &self.hi[j * self.stride + start..j * self.stride + end];
                 for ((a, &l), &h) in acc[..width].iter_mut().zip(lo).zip(hi) {
-                    // Same arithmetic as `HyperRect::mindist2`, branch-free:
-                    // below → lo - x, above → x - hi, inside → +0.0 (a no-op
-                    // on the non-negative accumulator).
+                    // Same operands as `HyperRect::mindist2`: below →
+                    // lo - x, above → x - hi, inside → ±0.0 (squared, a
+                    // no-op on the non-negative accumulator).
                     let d = (f64::from(l) - x).max(x - f64::from(h)).max(0.0);
                     *a += d * d;
                 }
@@ -530,7 +554,14 @@ mod tests {
                     .collect();
                 for isa in simd::supported() {
                     let mut got = Vec::new();
-                    soup.for_each_intersecting(isa, &c, r * r, |i| got.push(i));
+                    soup.for_each_intersecting(isa, &c, r * r, |i, d2| {
+                        assert_eq!(
+                            d2.to_bits(),
+                            rects[i].mindist2(&c).to_bits(),
+                            "{isa}, n {n}, rect {i}"
+                        );
+                        got.push(i);
+                    });
                     assert_eq!(got, want, "{isa}, n {n}");
                 }
             }

@@ -17,10 +17,11 @@
 //! it). This is one of the two places the workspace runs on threads; see
 //! DESIGN §5b.
 
+use hdidx_core::simd;
 use hdidx_core::{Dataset, Error, Result};
 use hdidx_pool::Pool;
 use hdidx_rand::{sample_without_replacement, seeded};
-use hdidx_vamsplit::query::knn;
+use hdidx_vamsplit::query::{knn_through, TreeSoup};
 use hdidx_vamsplit::{bulk_load, Topology};
 
 /// Leaf capacity of the in-memory radius tree. A fixed in-memory shape,
@@ -138,8 +139,9 @@ impl Workload {
 /// `ids[i]`): the distance from each point to its k-th nearest neighbor in
 /// `data`, itself included.
 ///
-/// Bulk-loads one in-memory VAMSplit tree over `data` (serially), then
-/// runs a best-first search per id over `pool`. Each radius equals
+/// Bulk-loads one in-memory VAMSplit tree over `data` and flattens its
+/// directory into one [`TreeSoup`] (serially), then runs a best-first
+/// search per id over `pool`. Each radius equals
 /// `hdidx_core::knn::scan_knn_radius` bit for bit, and the output is
 /// identical for any thread count. A `k` above `data.len()` saturates at
 /// the farthest point; an empty `ids` is an empty answer.
@@ -178,8 +180,10 @@ pub fn knn_radii(data: &Dataset, ids: &[u32], k: usize, pool: &Pool) -> Result<V
         RADIUS_TREE_CAP_DIR,
     )?;
     let tree = bulk_load(data, &topo)?;
+    let soup = TreeSoup::new(&tree)?;
+    let isa = simd::active();
     pool.par_map(ids, |&id| {
-        knn(&tree, data, data.point(id as usize), k).map(|res| res.radius())
+        knn_through(isa, &tree, &soup, data, data.point(id as usize), k).map(|res| res.radius())
     })
     .into_iter()
     .collect()

@@ -7,9 +7,9 @@ use crate::disk::Disk;
 use crate::external::{build_on_disk, ExternalConfig};
 use crate::model::IoStats;
 use crate::store::DiskOptions;
-use hdidx_core::{Dataset, Result};
+use hdidx_core::{simd, Dataset, Result};
 use hdidx_faults::{FaultEvent, FaultPhase};
-use hdidx_vamsplit::query::knn;
+use hdidx_vamsplit::query::{knn_through, TreeSoup};
 use hdidx_vamsplit::topology::Topology;
 use hdidx_vamsplit::tree::RTree;
 
@@ -71,6 +71,9 @@ pub fn measure_on_disk(
     cfg: &ExternalConfig,
 ) -> Result<OnDiskMeasurement> {
     let built = build_on_disk(data, topo, cfg)?;
+    let soup = TreeSoup::new(&built.tree)?;
+    let isa = simd::active();
+    let knn = |c: &[f32]| knn_through(isa, &built.tree, &soup, data, c, k);
     let mut per_query = Vec::with_capacity(centers.len());
     let query_io;
     let mut fault_trace = built.fault_trace;
@@ -78,7 +81,7 @@ pub fn measure_on_disk(
         None => {
             let mut io = IoStats::default();
             for c in centers {
-                let res = knn(&built.tree, data, c, k)?;
+                let res = knn(c)?;
                 per_query.push(res.stats.leaf_accesses);
                 io += IoStats::random(res.stats.total());
             }
@@ -99,7 +102,7 @@ pub fn measure_on_disk(
             let qfile = qdisk.alloc(4)?;
             let mut flip = 0u64;
             for c in centers {
-                let res = knn(&built.tree, data, c, k)?;
+                let res = knn(c)?;
                 per_query.push(res.stats.leaf_accesses);
                 for _ in 0..res.stats.total() {
                     qdisk.access(&qfile, flip, 1)?;

@@ -2,12 +2,14 @@
 //! with a linear-scan fallback when the index cannot prune.
 //!
 //! A k-NN request needs the radius of its exact k-NN sphere. The search
-//! first runs best-first over the server's own tree
+//! first runs best-first over the server's own tree, expanding each node
+//! through the server's [`TreeSoup`]
 //! ([`hdidx_vamsplit::query::knn_gated`]). Once its candidate heap first
 //! fills, the live bound is an upper bound on the final radius, so the
 //! leaves whose MINDIST² is at most that bound bound the leaves the search
-//! can still visit. That count comes from the server's [`TreeSoup`], which
-//! tests only the leaves under the directory boxes the bound's ball meets. When it exceeds [`SCAN_FALLBACK_SHARE`] of the leaves the
+//! can still visit. That count comes from the same [`TreeSoup`], which
+//! tests only the leaves under the directory boxes the bound's ball meets.
+//! When it exceeds [`SCAN_FALLBACK_SHARE`] of the leaves the
 //! partial search is dropped and the linear scan answers instead: on data
 //! of high intrinsic dimension an index visits nearly every leaf (Pestov,
 //! "Lower Bounds on Performance of Metric Tree Indexing Schemes"), and
@@ -54,8 +56,9 @@ pub enum KnnRoute {
 
 /// Radius of the exact k-NN sphere of `center` (distance to the k-th
 /// neighbor) over `data`, indexed by `tree` whose directory `leaves`
-/// flattens ([`TreeSoup::new`]), with the route that answered. The radius is bit-identical to
-/// [`hdidx_core::knn::scan_knn_radius`] on either route and at every ISA.
+/// flattens ([`TreeSoup::new`]), with the route that answered. The radius
+/// is bit-identical to [`hdidx_core::knn::scan_knn_radius`] on either
+/// route and at every ISA.
 ///
 /// # Errors
 ///
@@ -75,7 +78,7 @@ pub fn knn_radius_with(
 ) -> Result<(f64, KnnRoute)> {
     let max_leaves = SCAN_FALLBACK_SHARE * leaves.num_leaves() as f64;
     let gate = |bound: f64| leaves.count_intersecting_with(isa, center, bound) as f64 <= max_leaves;
-    match knn_gated(isa, tree, data, center, k, gate)? {
+    match knn_gated(isa, tree, leaves, data, center, k, gate)? {
         Some(res) => Ok((res.radius(), KnnRoute::Index)),
         None => Ok((scan_knn_radius_with(isa, data, center, k)?, KnnRoute::Scan)),
     }

@@ -16,7 +16,7 @@
 //!   composes latency from the disk cost model — queueing delay
 //!   included — rather than measuring wall clocks.
 //! * [`knn`] — the k-NN request path: best-first search through the
-//!   index, falling back to the linear scan when the bound at the first
+//!   index's `TreeSoup`, falling back to the linear scan when the bound at the first
 //!   heap fill still reaches more than [`knn::SCAN_FALLBACK_SHARE`] of the
 //!   leaves; either route returns the scan's radius bit for bit.
 //! * [`latency`] — exact-sample tail accounting ([`LatencyRecorder`]):

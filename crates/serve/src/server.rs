@@ -6,9 +6,9 @@
 //! A [`Server`] owns the bulk-loaded index (its directory flattened into
 //! a [`TreeSoup`], one SoA soup per inner node, so a request counts the
 //! leaves its ball meets by descending the directory boxes) plus the
-//! grown upper tree of the paper's sampled cost predictor. A k-NN request finds its
-//! radius through that index, or through the linear scan when the index
-//! cannot prune ([`crate::knn`]). The whole offered stream executes in
+//! grown upper tree of the paper's sampled cost predictor. A k-NN request
+//! finds its radius by a best-first search through the same soups, or
+//! through the linear scan when the index cannot prune ([`crate::knn`]). The whole offered stream executes in
 //! one pass over the [`Pool`] with per-query panic isolation
 //! ([`Pool::par_map_isolated`]); executing a request is pure, so the
 //! lanes' shadow pass and the single-threaded accounting pass (which

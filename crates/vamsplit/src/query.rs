@@ -1,7 +1,8 @@
-//! Query execution over [`RTree`]: optimal best-first k-NN search
-//! (Hjaltason–Samet), range counting, linear-scan ground truth, the
-//! sphere/leaf intersection counting the prediction model is built on,
-//! and [`TreeSoup`], the served leaf count through the directory.
+//! Query execution over [`RTree`]: [`TreeSoup`], the tree's directory as
+//! SoA soups, which counts the leaves a ball meets and drives the optimal
+//! best-first k-NN search (Hjaltason–Samet); range counting, linear-scan
+//! ground truth, and the sphere/leaf intersection counting the prediction
+//! model is built on.
 
 use crate::tree::{NodeKind, RTree};
 use hdidx_core::knn::KBest;
@@ -43,11 +44,19 @@ impl KnnResult {
     }
 }
 
-/// Min-heap entry (via reversed ordering) for the node frontier.
+/// [`Frontier::soup`] of a leaf.
+const LEAF: u32 = u32::MAX;
+
+/// Min-heap entry (via reversed ordering) for the node frontier, ordered
+/// by (MINDIST², tree node id).
 #[derive(Debug, PartialEq)]
 struct Frontier {
     mindist2: f64,
+    /// Tree node id.
     node: u32,
+    /// [`TreeSoup`] index of the node's soup; [`LEAF`] for a leaf. A
+    /// function of `node`, so it never decides an order.
+    soup: u32,
 }
 impl Eq for Frontier {}
 impl Ord for Frontier {
@@ -68,10 +77,14 @@ impl PartialOrd for Frontier {
 /// to the query is at most the final k-NN distance — the access pattern the
 /// paper's prediction model estimates.
 ///
+/// Flattens `tree` into a [`TreeSoup`] per call; a caller with many
+/// queries builds the soup once and calls [`knn_through`].
+///
 /// # Errors
 ///
-/// Returns [`Error::DimensionMismatch`] if `q` has the wrong length and
-/// [`Error::InvalidParameter`] if `k == 0`.
+/// Returns [`Error::DimensionMismatch`] if `q` has the wrong length,
+/// [`Error::InvalidParameter`] if `k == 0`, and the
+/// [`Error::InfeasibleTopology`] of [`TreeSoup::new`].
 pub fn knn(tree: &RTree, data: &Dataset, q: &[f32], k: usize) -> Result<KnnResult> {
     knn_with(simd::active(), tree, data, q, k)
 }
@@ -87,36 +100,67 @@ pub fn knn(tree: &RTree, data: &Dataset, q: &[f32], k: usize) -> Result<KnnResul
 ///
 /// Panics if `isa` is not supported by this CPU/build.
 pub fn knn_with(isa: Isa, tree: &RTree, data: &Dataset, q: &[f32], k: usize) -> Result<KnnResult> {
-    let res = knn_gated(isa, tree, data, q, k, |_| true)?;
-    Ok(res.expect("a gate that always continues never abandons"))
+    knn_through(isa, tree, &TreeSoup::new(tree)?, data, q, k)
 }
 
-/// Best-first k-NN with a one-shot gate. Once the candidate heap first
-/// fills — after the leaf that filled it — `gate` receives the live bound
-/// (the k-th best squared distance so far, an upper bound on the final
-/// one); returning `false` abandons the search with `Ok(None)`. A
-/// search over fewer than `k` points never consults the gate.
-///
-/// The candidates live in one [`KBest`], fed each visited leaf's entries
-/// through its gathered path. Until the heap fills every child is
-/// queued; after, a child is queued when its MINDIST² is at most the
-/// bound, and the search stops at the first queued node whose MINDIST²
-/// exceeds it. Every distance carries the linear scan's exact `f64` add
-/// chain, and MINDIST² is never above a contained point's distance²
-/// (rounding is monotone), so the reported distances equal
-/// [`scan_knn`]'s bit for bit; on exact distance ties the ids kept may
-/// differ.
+/// [`knn_with`] through a prebuilt `soup` of `tree` ([`TreeSoup::new`]).
 ///
 /// # Errors
 ///
-/// Same conditions as [`knn`].
+/// Returns [`Error::DimensionMismatch`] if `q` has the wrong length and
+/// [`Error::InvalidParameter`] if `k == 0`.
 ///
 /// # Panics
 ///
-/// Panics if `isa` is not supported by this CPU/build.
+/// Panics if `isa` is not supported by this CPU/build, and may panic or
+/// answer wrongly if `soup` was built from another tree.
+pub fn knn_through(
+    isa: Isa,
+    tree: &RTree,
+    soup: &TreeSoup,
+    data: &Dataset,
+    q: &[f32],
+    k: usize,
+) -> Result<KnnResult> {
+    let res = knn_gated(isa, tree, soup, data, q, k, |_| true)?;
+    Ok(res.expect("a gate that always continues never abandons"))
+}
+
+/// Best-first k-NN through `soup`, the [`TreeSoup`] of `tree`, with a
+/// one-shot gate. Once the candidate heap first fills — after the leaf
+/// that filled it — `gate` receives the live bound (the k-th best squared
+/// distance so far, an upper bound on the final one); returning `false`
+/// abandons the search with `Ok(None)`. A search over fewer than `k`
+/// points never consults the gate.
+///
+/// The frontier is a min-heap on (MINDIST², tree node id), seeded with
+/// the root at [`HyperRect::mindist2`]. Expanding an inner node is one
+/// pass of its soup's kernel at r² = the live bound (`+∞` until the heap
+/// fills), which queues each child whose MINDIST² is at most the bound,
+/// with the MINDIST² its lane accumulated. That value is bit for bit the
+/// child box's [`HyperRect::mindist2`] (same terms, same order), so the
+/// frontier, the pages read and the gate's bound are those of a search
+/// that prices every child box one at a time. The search stops at the
+/// first queued node whose MINDIST² exceeds the bound. A visited leaf's
+/// entries go to one [`KBest`], each group of rows read in place. Every
+/// distance carries the linear scan's exact `f64` add chain, and MINDIST²
+/// is never above a contained point's distance² (rounding is monotone),
+/// so the reported distances equal [`scan_knn`]'s bit for bit; on exact
+/// distance ties the ids kept may differ.
+///
+/// # Errors
+///
+/// Returns [`Error::DimensionMismatch`] if `q` has the wrong length and
+/// [`Error::InvalidParameter`] if `k == 0`.
+///
+/// # Panics
+///
+/// Panics if `isa` is not supported by this CPU/build, and may panic or
+/// answer wrongly if `soup` was built from another tree.
 pub fn knn_gated(
     isa: Isa,
     tree: &RTree,
+    soup: &TreeSoup,
     data: &Dataset,
     q: &[f32],
     k: usize,
@@ -138,36 +182,33 @@ pub fn knn_gated(
     frontier.push(Frontier {
         mindist2: tree.root().rect.mindist2(q),
         node: 0,
+        soup: if tree.root().is_leaf() { LEAF } else { 0 },
     });
-    while let Some(Frontier { mindist2, node }) = frontier.pop() {
-        if mindist2 > best.bound() {
+    while let Some(f) = frontier.pop() {
+        if f.mindist2 > best.bound() {
             break;
         }
-        let n = &tree.nodes()[node as usize];
-        match &n.kind {
-            NodeKind::Inner { children } => {
-                stats.dir_accesses += 1;
-                for &c in children {
-                    let md = tree.nodes()[c as usize].rect.mindist2(q);
-                    if !best.is_full() || md <= best.bound() {
-                        frontier.push(Frontier {
-                            mindist2: md,
-                            node: c,
-                        });
+        if f.soup == LEAF {
+            stats.leaf_accesses += 1;
+            best.offer_ids(data, tree.leaf_entries(&tree.nodes()[f.node as usize]), q);
+            if best.is_full() {
+                if let Some(gate) = gate.take() {
+                    if !gate(best.bound()) {
+                        return Ok(None);
                     }
                 }
             }
-            NodeKind::Leaf { .. } => {
-                stats.leaf_accesses += 1;
-                best.offer_ids(data, tree.leaf_entries(n), q);
-                if best.is_full() {
-                    if let Some(gate) = gate.take() {
-                        if !gate(best.bound()) {
-                            return Ok(None);
-                        }
-                    }
-                }
-            }
+        } else {
+            stats.dir_accesses += 1;
+            let n = &soup.nodes[f.soup as usize];
+            n.soup
+                .for_each_intersecting(isa, q, best.bound(), |i, mindist2| {
+                    frontier.push(Frontier {
+                        mindist2,
+                        node: n.ids[i],
+                        soup: n.children.get(i).copied().unwrap_or(LEAF),
+                    });
+                });
         }
     }
     Ok(Some(KnnResult {
@@ -207,12 +248,14 @@ pub fn range_accesses(tree: &RTree, center: &[f32], radius: f64) -> Result<Acces
     Ok(stats)
 }
 
-/// The leaf boxes of an [`RTree`] as a hierarchy of SoA soups: one
-/// [`LeafSoup`] per inner node, over that node's children's boxes in
-/// child order. Counting descends from the root, keeps only the children
-/// whose box the ball meets, and counts leaves with the blocked kernel at
-/// each parent of leaves, so a ball tests the leaves under the directory
-/// boxes it meets instead of every leaf box.
+/// The boxes of an [`RTree`] below its root as a hierarchy of SoA soups:
+/// one [`LeafSoup`] per inner node, over that node's children's boxes in
+/// child order, with each lane's tree node id. Counting descends from the
+/// root, keeps only the children whose box the ball meets, and counts
+/// leaves with the blocked kernel at each parent of leaves, so a ball
+/// tests the leaves under the directory boxes it meets instead of every
+/// leaf box. The best-first search ([`knn_gated`]) prices an expanded
+/// node's children with one pass over its soup.
 ///
 /// Every count equals [`LeafSoup::count_intersecting_with`] over
 /// [`RTree::leaf_rects`] at the same ISA, bit for bit. A parent box
@@ -255,6 +298,8 @@ pub struct TreeSoup {
 struct SoupNode {
     /// The node's children's boxes, in child order.
     soup: LeafSoup,
+    /// Tree node ids of the children, in child order.
+    ids: Vec<u32>,
     /// [`TreeSoup`] indices of the children, in child order; empty when
     /// the children are leaves.
     children: Vec<u32>,
@@ -280,6 +325,7 @@ impl TreeSoup {
             return Ok(TreeSoup {
                 nodes: vec![SoupNode {
                     soup: LeafSoup::from_rects(dim, &rects(&[0]))?,
+                    ids: vec![0],
                     children: Vec::new(),
                 }],
                 leaves: 1,
@@ -305,6 +351,7 @@ impl TreeSoup {
             }
             nodes.push(SoupNode {
                 soup: LeafSoup::from_rects(dim, &rects(children))?,
+                ids: children.to_vec(),
                 children: below,
             });
         }
@@ -340,7 +387,7 @@ impl TreeSoup {
             return n.soup.count_intersecting_with(isa, center, r2);
         }
         let mut total = 0u64;
-        n.soup.for_each_intersecting(isa, center, r2, |i| {
+        n.soup.for_each_intersecting(isa, center, r2, |i, _| {
             total += self.count_below(isa, n.children[i] as usize, center, r2);
         });
         total

@@ -119,10 +119,8 @@ fn balls(tree: &RTree, data: &Dataset, seed: u64) -> Vec<(Vec<f32>, f64)> {
 }
 
 /// The count identity on one tree: at every supported ISA the tree count
-/// equals the flat soup's, and (for a numeric radius) the AoS oracle's.
-/// The oracle decides `!(MINDIST² > r²)`, so a NaN radius meets every box
-/// there, while the kernels decide `MINDIST² <= r²` and count none; a NaN
-/// radius is held to the kernels' answer.
+/// equals the flat soup's and the AoS oracle's, for every radius. All
+/// three decide `MINDIST² <= r²`, so a NaN radius meets no box.
 fn counts_agree(tree: &RTree, balls: &[(Vec<f32>, f64)]) -> Verdict {
     let soup = TreeSoup::new(tree).unwrap();
     let rects = tree.leaf_rects();
@@ -137,12 +135,8 @@ fn counts_agree(tree: &RTree, balls: &[(Vec<f32>, f64)]) -> Verdict {
                 got == want,
                 "{isa}: tree {got} vs flat {want} at r {r}, center {c:?}"
             );
-            if r.is_nan() {
-                prop_assert_eq!(got, 0);
-            } else {
-                let aos = count_sphere_intersections(&rects, c, *r);
-                prop_assert!(got == aos, "{isa}: tree {got} vs oracle {aos} at r {r}");
-            }
+            let aos = count_sphere_intersections(&rects, c, *r);
+            prop_assert!(got == aos, "{isa}: tree {got} vs oracle {aos} at r {r}");
         }
     }
     Verdict::Pass
