@@ -314,6 +314,19 @@ echo "==> persist_roundtrip --smoke (charged vs wall clock)"
 HDIDX_BENCH_OUT="$PWD/target/bench-smoke" \
   cargo run -q --release -p hdidx-bench --bin persist_roundtrip --offline -- --smoke
 
+# The snapshot's shape and charged bill are a pure function of the build:
+# the smoke row's page count, file size and charged seconds must equal
+# the committed BENCH_persist.json row's. Only the wall columns may move.
+echo "==> persist_roundtrip: charged columns == committed BENCH_persist.json"
+for key in pages snapshot_bytes build_charged_s persist_charged_s reopen_charged_s; do
+  want="$(grep -oE "\"${key}\":[^,}]*" BENCH_persist.json)"
+  got="$(grep -oE "\"${key}\":[^,}]*" target/bench-smoke/BENCH_persist.json)"
+  if [ -z "${want}" ] || [ "${want}" != "${got}" ]; then
+    echo "persist_roundtrip ${key}: committed '${want}', smoke run '${got}'"
+    exit 1
+  fi
+done
+
 echo "==> recovery_sweep --smoke (scrub throughput)"
 HDIDX_BENCH_OUT="$PWD/target/bench-smoke" \
   cargo run -q --release -p hdidx-bench --bin recovery_sweep --offline -- --smoke

@@ -37,7 +37,7 @@ pub mod stats;
 
 pub use dataset::Dataset;
 pub use error::{Error, Result};
-pub use hash::{fnv1a, FNV_OFFSET};
+pub use hash::{fnv1a, fnv1a_lanes, FNV_LANES, FNV_OFFSET};
 pub use rect::HyperRect;
 pub use simd::Isa;
 pub use soup::LeafSoup;

@@ -15,19 +15,21 @@
 //! ## Write path
 //!
 //! [`FileStore::write_pages`] writes checksummed pages straight to the
-//! page file and [`FileStore::sync`] fsyncs it and its directory. A
-//! store is written once, by one snapshot publish, and nothing reads it
-//! until the [`SnapshotSet`](crate::SnapshotSet) `CURRENT` swap commits
-//! it, so a crash mid-write leaves only pages no committed generation
-//! names.
+//! page file, sealing four pages per checksum pass, and
+//! [`FileStore::sync`] fsyncs it and its directory. A store is written
+//! once, by one snapshot publish, and nothing reads it until the
+//! [`SnapshotSet`](crate::SnapshotSet) `CURRENT` swap commits it, so a
+//! crash mid-write leaves only pages no committed generation names.
 //!
 //! ## Reopen
 //!
-//! [`FileStore::open`] verifies every page checksum and writes nothing:
-//! a torn or corrupt page fails the open, and
-//! [`scrub_store_in`](crate::scrub_store_in) is the repair. Dropping a
-//! `FileStore` deliberately does **nothing** (no flush, no fsync): a
-//! drop *is* the crash model the crash-sweep tests rely on.
+//! [`FileStore::open`] reads the page file once, verifies every page
+//! checksum and writes nothing: a torn or corrupt page fails the open,
+//! and [`scrub_store_in`](crate::scrub_store_in) is the repair. Reads
+//! then copy from the verified pages, so a load reads and checksums each
+//! page once. Dropping a `FileStore` deliberately does **nothing** (no
+//! flush, no fsync): a drop *is* the crash model the crash-sweep tests
+//! rely on.
 
 use crate::inject::{OsFs, Vfs};
 use crate::pagefile::{PageFile, PAYLOAD_BYTES};
@@ -47,10 +49,10 @@ pub struct FileStore {
 }
 
 impl FileStore {
-    /// Opens (creating if missing) the store under `dir` and verifies
-    /// every page checksum (torn-write detection). The embedded model
-    /// disk is configured from `opts` and pre-allocated over the existing
-    /// pages so fresh allocations extend past them.
+    /// Opens (creating if missing) the store under `dir`, reads its page
+    /// file and verifies every page checksum (torn-write detection). The
+    /// embedded model disk is configured from `opts` and pre-allocated
+    /// over the existing pages so fresh allocations extend past them.
     ///
     /// # Errors
     ///
@@ -69,6 +71,21 @@ impl FileStore {
         fs.create_dir_all(dir)
             .map_err(|e| crate::io_err("store mkdir", e))?;
         let pagefile = PageFile::open_in(&*fs, &dir.join("pages.db"))?;
+        FileStore::with_page_file(fs, dir, pagefile, opts)
+    }
+
+    /// A store over the page file of `dir`, already opened and verified
+    /// (the snapshot scrub hands over the file it just repaired).
+    ///
+    /// # Errors
+    ///
+    /// The model disk's allocation errors.
+    pub(crate) fn with_page_file(
+        fs: Arc<dyn Vfs>,
+        dir: &Path,
+        pagefile: PageFile,
+        opts: &DiskOptions,
+    ) -> Result<FileStore> {
         let mut model = Disk::with_options(opts);
         if pagefile.pages() > 0 {
             // Claim the existing address space; charges nothing.
@@ -109,12 +126,13 @@ impl FileStore {
     /// Reads `n_pages` pages of `file` starting at `first_page`
     /// (file-relative) into `buf`, which must hold exactly `n_pages`
     /// payloads. The model disk is charged first, exactly as
-    /// [`Disk::read_pages`] charges the simulation.
+    /// [`Disk::read_pages`] charges the simulation; the payloads are
+    /// copied from the pages verified at open.
     ///
     /// # Errors
     ///
-    /// A mis-sized buffer (charging nothing), the model disk's range and
-    /// fault errors, and page-file corruption.
+    /// A mis-sized buffer (charging nothing), and the model disk's range
+    /// and fault errors.
     pub fn read_pages(
         &mut self,
         file: &FileHandle,
@@ -127,20 +145,22 @@ impl FileStore {
         self.model.read_pages(file, first_page, n_pages)?;
         let base = file.start_page() + first_page;
         for (page, out) in (base..).zip(buf.chunks_exact_mut(PAYLOAD_BYTES)) {
-            self.pagefile.read_page(page, out)?;
+            self.pagefile.read_page(page, out);
         }
         Ok(())
     }
 
     /// Writes `n_pages` pages of `file` starting at `first_page`
     /// (file-relative) from `data`, which must hold exactly `n_pages`
-    /// payloads, straight to the page file. The model disk is charged
-    /// first, exactly as [`Disk::write_pages`] charges the simulation.
-    /// Nothing is durable until [`FileStore::sync`].
+    /// payloads, straight to the page file: `write_runs` with one run.
+    /// The model disk is charged first, exactly as [`Disk::write_pages`]
+    /// charges the simulation. Nothing is durable until
+    /// [`FileStore::sync`].
     ///
     /// # Errors
     ///
-    /// As [`FileStore::read_pages`], plus page-file write failures.
+    /// A mis-sized buffer (charging nothing), the model disk's range and
+    /// fault errors, and page-file write failures.
     pub fn write_pages(
         &mut self,
         file: &FileHandle,
@@ -148,13 +168,38 @@ impl FileStore {
         n_pages: u64,
         data: &[u8],
     ) -> Result<()> {
-        Self::check_len(n_pages, data.len())?;
-        self.model.write_pages(file, first_page, n_pages)?;
-        let base = file.start_page() + first_page;
-        for (page, payload) in (base..).zip(data.chunks_exact(PAYLOAD_BYTES)) {
-            self.pagefile.write_page(page, payload)?;
+        self.write_runs(file, &[(first_page, n_pages, data)])
+    }
+
+    /// Writes runs of `file`'s pages, in order: each `(first_page,
+    /// n_pages, data)` run is a [`FileStore::write_pages`] call's
+    /// arguments. The model disk is charged first, one
+    /// [`Disk::write_pages`] per run in order, exactly as the simulation
+    /// is charged; then every page goes straight to the page file in run
+    /// order, the pages of all runs sealed together, [`FNV_LANES`] per
+    /// checksum pass. Nothing is durable until [`FileStore::sync`].
+    ///
+    /// # Errors
+    ///
+    /// A mis-sized buffer in any run (charging nothing), the model disk's
+    /// range and fault errors, and page-file write failures.
+    ///
+    /// [`FNV_LANES`]: hdidx_core::FNV_LANES
+    pub(crate) fn write_runs(
+        &mut self,
+        file: &FileHandle,
+        runs: &[(u64, u64, &[u8])],
+    ) -> Result<()> {
+        for &(_, n_pages, data) in runs {
+            Self::check_len(n_pages, data.len())?;
         }
-        Ok(())
+        let mut pages = Vec::new();
+        for &(first_page, n_pages, data) in runs {
+            self.model.write_pages(file, first_page, n_pages)?;
+            let base = file.start_page() + first_page;
+            pages.extend((base..).zip(data.chunks_exact(PAYLOAD_BYTES)));
+        }
+        self.pagefile.write_pages(&pages)
     }
 
     /// Makes every write issued so far durable: fsyncs the page file,

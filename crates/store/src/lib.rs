@@ -7,8 +7,9 @@
 //! every write and read checked against wall-clock reality.
 //!
 //! * [`pagefile`] — fixed 8 KiB pages, each with a 32-byte checksummed
-//!   header (FNV-1a over the payload); checksums are verified on reopen,
-//!   which is what detects torn writes,
+//!   header (FNV-1a over the payload); the file is read once on reopen
+//!   and every checksum verified, four pages per pass, which is what
+//!   detects torn writes,
 //! * [`filestore`] — [`FileStore`], a page file plus an embedded model
 //!   [`Disk`](hdidx_diskio::Disk), so the *charged* bill (seeks,
 //!   transfers, faults, retries) is the one a simulated disk charges for

@@ -4,7 +4,10 @@
 //! The pass is deliberately more forgiving than [`FileStore::open`]
 //! (which *fails* on a corrupt page): scrubbing is what an operator runs
 //! — or the serving reopen path consults — when a store comes back from
-//! a crash or from media decay. Per page:
+//! a crash or from media decay. The page file is read once; a read
+//! error fails the pass before any page is judged, so only a page whose
+//! bytes were read and failed verification is ever quarantined. Per
+//! page:
 //!
 //! 1. all-zero or valid header + checksum → clean, untouched;
 //! 2. corrupt → **quarantined**: the slot is zeroed back to "unwritten"
@@ -97,13 +100,21 @@ impl fmt::Display for ScrubReport {
 ///
 /// # Errors
 ///
-/// OS errors; corruption itself never fails the pass.
+/// OS errors, a read error included: the pass then fails before it
+/// judges or touches any page. Corruption itself never fails the pass.
 pub fn scrub_store_in(fs: &dyn Vfs, dir: &Path) -> Result<ScrubReport> {
+    scrub_page_file(fs, dir).map(|(report, _)| report)
+}
+
+/// [`scrub_store_in`], handing back the repaired page file, every page
+/// of which now verifies: the snapshot scrub's load check reads it
+/// without reading or verifying the pages again.
+pub(crate) fn scrub_page_file(fs: &dyn Vfs, dir: &Path) -> Result<(ScrubReport, PageFile)> {
     let mut pf = PageFile::open_deferred_in(fs, &dir.join("pages.db"))?;
     let mut report = ScrubReport::default();
-    for page in 0..pf.pages() {
+    for (page, verdict) in (0..).zip(pf.verify()) {
         report.pages_scanned += 1;
-        if pf.check_page(page).is_err() {
+        if verdict.is_err() {
             report.pages_corrupt += 1;
             pf.quarantine(page)?;
             report.pages_quarantined += 1;
@@ -112,13 +123,13 @@ pub fn scrub_store_in(fs: &dyn Vfs, dir: &Path) -> Result<ScrubReport> {
     if report.pages_corrupt > 0 {
         pf.sync()?;
     }
-    Ok(report)
+    Ok((report, pf))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inject::{InjectedFs, OsFs};
+    use crate::inject::{InjectSpec, InjectedFs, OsFs};
     use crate::{FileStore, PAGE_BYTES, PAYLOAD_BYTES};
     use hdidx_diskio::DiskOptions;
     use std::path::PathBuf;
@@ -179,6 +190,55 @@ mod tests {
         assert!(back.iter().all(|&b| b == 0), "quarantined page reads zero");
         st.read_pages(&f2, 1, 1, &mut back).unwrap();
         assert_eq!(back, payload(2), "untouched pages keep their bytes");
+    }
+
+    /// Scrubs a clean two-page store on a filesystem failing
+    /// `short_read_ppm` of its reads, `rounds` times: each pass either
+    /// fails with the read error or finds the store clean, and the page
+    /// file never changes.
+    fn read_errors_never_quarantine(seed: u64, short_read_ppm: u32, rounds: usize) -> usize {
+        let fs = InjectedFs::new(InjectSpec::clean(seed).with_short_read_ppm(short_read_ppm));
+        let dir = PathBuf::from("/store");
+        seeded_store(&fs, &dir);
+        let image = fs.file_bytes(&dir.join("pages.db")).unwrap();
+        let mut failed = 0;
+        for _ in 0..rounds {
+            match scrub_store_in(&fs, &dir) {
+                Ok(report) => assert!(
+                    report.is_clean() && report.pages_scanned == 2,
+                    "seed {seed}: {report}"
+                ),
+                Err(e) => {
+                    assert!(
+                        matches!(
+                            e,
+                            hdidx_core::Error::StoreFailure {
+                                op: "pagefile read",
+                                ..
+                            }
+                        ),
+                        "seed {seed}: {e}"
+                    );
+                    failed += 1;
+                }
+            }
+            assert_eq!(fs.file_bytes(&dir.join("pages.db")).unwrap(), image);
+        }
+        failed
+    }
+
+    #[test]
+    fn a_read_error_fails_the_scrub_and_touches_nothing() {
+        assert_eq!(read_errors_never_quarantine(1, 1_000_000, 3), 3);
+    }
+
+    #[test]
+    fn transient_read_errors_never_quarantine_a_valid_page() {
+        let failed: usize = (0..8)
+            .map(|seed| read_errors_never_quarantine(seed, 400_000, 6))
+            .sum();
+        // Both outcomes occur, so both arms were exercised.
+        assert!(failed > 0 && failed < 48, "{failed} of 48 passes failed");
     }
 
     #[test]

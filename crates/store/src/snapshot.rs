@@ -62,7 +62,7 @@
 
 use crate::inject::{OsFs, Vfs};
 use crate::pagefile::PAYLOAD_BYTES;
-use crate::scrub::{scrub_store_in, AbandonedGeneration, ScrubReport};
+use crate::scrub::{scrub_page_file, AbandonedGeneration, ScrubReport};
 use crate::{Durability, FileStore};
 use hdidx_core::{fnv1a, Error, HyperRect, Result, FNV_OFFSET};
 use hdidx_diskio::{DiskOptions, FileHandle, IoStats};
@@ -239,15 +239,15 @@ pub fn persist_index(store: &mut FileStore, tree: &RTree) -> Result<FileHandle> 
     }
 
     // Entries first, sequential from page 1; directory back-filled;
-    // superblock last as the commit point.
-    store.write_pages(&f, 1, entry_pages, &padded(entry_bytes, entry_pages))?;
-    store.write_pages(
+    // superblock last as the commit point. One call seals all three.
+    store.write_runs(
         &f,
-        1 + entry_pages,
-        node_pages,
-        &padded(node_bytes, node_pages),
+        &[
+            (1, entry_pages, &padded(entry_bytes, entry_pages)),
+            (1 + entry_pages, node_pages, &padded(node_bytes, node_pages)),
+            (0, 1, &padded(sb, 1)),
+        ],
     )?;
-    store.write_pages(&f, 0, 1, &padded(sb, 1))?;
     store.sync()?;
     Ok(f)
 }
@@ -584,11 +584,17 @@ impl SnapshotSet {
     /// loads — demoting `CURRENT` to it, so subsequent
     /// [`SnapshotSet::load`]s serve the fallback. The report's page counts
     /// describe the generation served; what the scrub found in each
-    /// generation it abandoned is in [`ScrubReport::abandoned`].
+    /// generation it abandoned is in [`ScrubReport::abandoned`]. The load
+    /// check decodes the pages the scrub pass just read and verified; it
+    /// reads and checksums none of them again.
     ///
     /// # Errors
     ///
-    /// No committed generation, or no committed generation loads.
+    /// No committed generation, no committed generation loads, or a read
+    /// error: a generation whose pages could not be read was not judged,
+    /// so nothing is abandoned or demoted for it.
+    ///
+    /// [`scrub_store_in`]: crate::scrub_store_in
     pub fn scrub(&self, opts: &DiskOptions) -> Result<ScrubReport> {
         let slots = self.read_slots()?;
         let current = slots
@@ -608,8 +614,8 @@ impl SnapshotSet {
         let mut abandoned = Vec::new();
         for g in candidates {
             let dir = self.gen_dir(g);
-            let scrubbed = scrub_store_in(&*self.fs, &dir).map(|report| {
-                let loads = FileStore::open_in(Arc::clone(&self.fs), &dir, opts)
+            let scrubbed = scrub_page_file(&*self.fs, &dir).map(|(report, pagefile)| {
+                let loads = FileStore::with_page_file(Arc::clone(&self.fs), &dir, pagefile, opts)
                     .and_then(|mut store| load_index(&mut store));
                 (report, loads)
             });
@@ -631,6 +637,12 @@ impl SnapshotSet {
                     });
                     first_err = first_err.or(Some(e));
                 }
+                Err(
+                    e @ Error::StoreFailure {
+                        op: "pagefile read",
+                        ..
+                    },
+                ) => return Err(e),
                 Err(e) => first_err = first_err.or(Some(e)),
             }
         }
@@ -644,9 +656,125 @@ impl SnapshotSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inject::InjectedFs;
+    use crate::inject::{InjectedFs, VfsFile};
+    use crate::pagefile::{oracle, HEADER_BYTES, PAGE_BYTES};
     use crate::{Durability, FileStore};
     use hdidx_diskio::DiskOptions;
+    use std::collections::BTreeMap;
+    use std::io;
+    use std::sync::Mutex;
+
+    /// An in-memory filesystem that tallies how often each page of every
+    /// `pages.db` is read, and fails every read of the file
+    /// `failing_reads` names.
+    #[derive(Debug, Clone)]
+    struct ProbeFs {
+        inner: InjectedFs,
+        page_reads: Arc<Mutex<BTreeMap<(PathBuf, u64), u64>>>,
+        failing_reads: Arc<Mutex<Option<PathBuf>>>,
+    }
+
+    impl ProbeFs {
+        fn new() -> ProbeFs {
+            ProbeFs {
+                inner: InjectedFs::clean(),
+                page_reads: Arc::default(),
+                failing_reads: Arc::default(),
+            }
+        }
+
+        /// The tallies so far, then cleared.
+        fn take_page_reads(&self) -> BTreeMap<(PathBuf, u64), u64> {
+            std::mem::take(&mut self.page_reads.lock().unwrap())
+        }
+    }
+
+    #[derive(Debug)]
+    struct ProbeFile {
+        file: Box<dyn VfsFile>,
+        path: PathBuf,
+        fs: ProbeFs,
+    }
+
+    impl VfsFile for ProbeFile {
+        fn len(&self) -> io::Result<u64> {
+            self.file.len()
+        }
+
+        fn read_exact_at(&self, buf: &mut [u8], offset: u64) -> io::Result<()> {
+            if !self.path.ends_with("pages.db") {
+                return self.file.read_exact_at(buf, offset);
+            }
+            if self.fs.failing_reads.lock().unwrap().as_ref() == Some(&self.path) {
+                return Err(io::Error::other("probe read error"));
+            }
+            self.file.read_exact_at(buf, offset)?;
+            let pages =
+                offset / PAGE_BYTES as u64..(offset + buf.len() as u64).div_ceil(PAGE_BYTES as u64);
+            let mut tally = self.fs.page_reads.lock().unwrap();
+            for p in pages {
+                *tally.entry((self.path.clone(), p)).or_default() += 1;
+            }
+            Ok(())
+        }
+
+        fn write_all_at(&mut self, data: &[u8], offset: u64) -> io::Result<()> {
+            self.file.write_all_at(data, offset)
+        }
+
+        fn set_len(&mut self, len: u64) -> io::Result<()> {
+            self.file.set_len(len)
+        }
+
+        fn sync_all(&mut self) -> io::Result<()> {
+            self.file.sync_all()
+        }
+    }
+
+    impl Vfs for ProbeFs {
+        fn open(&self, path: &Path) -> io::Result<Box<dyn VfsFile>> {
+            Ok(Box::new(ProbeFile {
+                file: self.inner.open(path)?,
+                path: path.to_path_buf(),
+                fs: self.clone(),
+            }))
+        }
+
+        fn sync_dir(&self, path: &Path) -> io::Result<()> {
+            self.inner.sync_dir(path)
+        }
+
+        fn create_dir_all(&self, path: &Path) -> io::Result<()> {
+            self.inner.create_dir_all(path)
+        }
+
+        fn remove_dir_all(&self, path: &Path) -> io::Result<()> {
+            self.inner.remove_dir_all(path)
+        }
+
+        fn remove_file(&self, path: &Path) -> io::Result<()> {
+            self.inner.remove_file(path)
+        }
+
+        fn exists(&self, path: &Path) -> bool {
+            self.inner.exists(path)
+        }
+
+        fn list_dir(&self, path: &Path) -> io::Result<Vec<PathBuf>> {
+            self.inner.list_dir(path)
+        }
+    }
+
+    /// A one-leaf tree with `n` entries: its entry arena spans
+    /// `ceil(4n / 8160)` pages.
+    fn wide_tree(n: u32) -> RTree {
+        let leaf = Node {
+            level: 1,
+            rect: HyperRect::new(vec![0.0, 0.0], vec![1.0, 1.0]).unwrap(),
+            kind: NodeKind::Leaf { entries: 0..n },
+        };
+        RTree::from_arenas(2, 1, 1, vec![leaf], (0..n).rev().collect()).unwrap()
+    }
 
     fn sample_tree() -> RTree {
         let leaf = |lo: f32, hi: f32, range: std::ops::Range<u32>| Node {
@@ -915,5 +1043,118 @@ mod tests {
         assert!(report.is_clean(), "{report}");
         assert_eq!(report.generation, Some(1));
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// Every page of `gen`'s `pages.db` in `probe`'s file, each counted
+    /// `times`.
+    fn each_page(
+        fs: &ProbeFs,
+        root: &Path,
+        generation: u64,
+        times: u64,
+    ) -> BTreeMap<(PathBuf, u64), u64> {
+        let path = root.join(format!("gen-{generation:08}/pages.db"));
+        let pages = fs.inner.file_bytes(&path).unwrap().len() / PAGE_BYTES;
+        (0..pages as u64)
+            .map(|p| ((path.clone(), p), times))
+            .collect()
+    }
+
+    #[test]
+    fn each_operation_reads_each_page_once() {
+        let fs = ProbeFs::new();
+        let root = PathBuf::from("/snaps");
+        let set = SnapshotSet::open_in(Arc::new(fs.clone()), &root, Durability::PerBatch).unwrap();
+        let opts = DiskOptions::new();
+        // Seven pages: a superblock, five entry pages and a node page, so
+        // the checksum passes run a full group of four and a partial one.
+        let (trees, generations) = ([sample_tree(), wide_tree(10_000)], [1, 2]);
+        for (tree, generation) in trees.iter().zip(generations) {
+            set.publish(tree, &opts).unwrap();
+            assert_eq!(
+                fs.take_page_reads(),
+                BTreeMap::new(),
+                "publish reads no page"
+            );
+            let report = set.scrub(&opts).unwrap();
+            assert!(report.is_clean(), "{report}");
+            assert_eq!(
+                fs.take_page_reads(),
+                each_page(&fs, &root, generation, 1),
+                "scrub"
+            );
+            let (loaded, g, _) = set.load(&opts).unwrap();
+            assert_eq!((&loaded, g), (tree, generation));
+            assert_eq!(
+                fs.take_page_reads(),
+                each_page(&fs, &root, generation, 1),
+                "load"
+            );
+        }
+        assert_eq!(each_page(&fs, &root, 2, 1).len(), 7);
+    }
+
+    #[test]
+    fn a_read_error_fails_the_scrub_without_demoting_current() {
+        let fs = ProbeFs::new();
+        let root = PathBuf::from("/snaps");
+        let set = SnapshotSet::open_in(Arc::new(fs.clone()), &root, Durability::PerBatch).unwrap();
+        let opts = DiskOptions::new();
+        set.publish(&sample_tree(), &opts).unwrap();
+        set.publish(&other_tree(), &opts).unwrap();
+        let images: Vec<Vec<u8>> = [1, 2]
+            .map(|g| {
+                fs.inner
+                    .file_bytes(&set.gen_dir(g).join("pages.db"))
+                    .unwrap()
+            })
+            .to_vec();
+
+        // Generation 1 still reads and loads: the scrub must not fall
+        // back to it.
+        *fs.failing_reads.lock().unwrap() = Some(set.gen_dir(2).join("pages.db"));
+        let err = set.scrub(&opts).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                Error::StoreFailure {
+                    op: "pagefile read",
+                    ..
+                }
+            ),
+            "{err}"
+        );
+        *fs.failing_reads.lock().unwrap() = None;
+        assert_eq!(set.current().unwrap(), Some(2), "CURRENT must not move");
+        for (g, image) in [1, 2].into_iter().zip(&images) {
+            let now = fs
+                .inner
+                .file_bytes(&set.gen_dir(g).join("pages.db"))
+                .unwrap();
+            assert_eq!(&now, image, "generation {g} must be untouched");
+        }
+        let report = set.scrub(&opts).unwrap();
+        assert!(
+            report.is_clean() && report.generation == Some(2),
+            "{report}"
+        );
+    }
+
+    #[test]
+    fn persisted_pages_are_the_one_page_oracle_bytes() {
+        for tree in [sample_tree(), wide_tree(10_000)] {
+            let fs = InjectedFs::clean();
+            let dir = PathBuf::from("/oracle");
+            let mut st =
+                FileStore::open_in(Arc::new(fs.clone()), &dir, &DiskOptions::new()).unwrap();
+            persist_index(&mut st, &tree).unwrap();
+            let image = fs.file_bytes(&dir.join("pages.db")).unwrap();
+            assert_eq!(image.len(), st.pages() as usize * PAGE_BYTES);
+            for (p, page) in (0..).zip(image.chunks_exact(PAGE_BYTES)) {
+                let len = u64::from_le_bytes(page[16..24].try_into().unwrap()) as usize;
+                let payload = &page[HEADER_BYTES..HEADER_BYTES + len];
+                assert_eq!(page, oracle::seal(p, payload), "page {p}");
+            }
+        }
     }
 }
