@@ -12,6 +12,9 @@ cargo fmt --all -- --check
 echo "==> cargo clippy -q --offline --workspace -- -D warnings"
 cargo clippy -q --offline --workspace -- -D warnings
 
+echo "==> cargo doc --no-deps --offline --workspace (rustdoc -D warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --offline --workspace
+
 # The end-to-end benchmark (e2ebench/) is a workspace of its own, so the
 # workspace legs above never reach it: format, lint and unit-test it here.
 # Its build output goes to e2ebench/target.

@@ -6,7 +6,7 @@
 //!   deterministic case generation, configurable case counts, failing-seed
 //!   reporting with `HDIDX_CHECK_REPLAY` replay, and greedy input
 //!   shrinking via [`shrink::Shrink`].
-//! * [`bench`] — a micro-benchmark runner (replaces `criterion`): warmup,
+//! * [`mod@bench`] — a micro-benchmark runner (replaces `criterion`): warmup,
 //!   adaptive batched sampling, median/p95/min/mean + throughput, and
 //!   JSON-lines output (`BENCH_<suite>.json`) for cross-PR trajectory
 //!   tracking.

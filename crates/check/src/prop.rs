@@ -11,7 +11,7 @@
 //!    `Discard` (the input misses a precondition — draw another) or
 //!    `Fail(message)`. Panics inside a property are caught and treated
 //!    as failures, so plain `assert!`/`unwrap` still work.
-//! 3. **Failing inputs shrink** via [`Shrink`](crate::shrink::Shrink):
+//! 3. **Failing inputs shrink** via [`Shrink`]:
 //!    greedy descent to a fixed point, bounded by
 //!    [`Config::max_shrink_iters`].
 //!

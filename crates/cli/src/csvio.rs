@@ -119,6 +119,8 @@ pub fn write_csv(path: &Path, data: &Dataset) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hdidx_check::{check, prop_assert, prop_assert_eq, Config, Verdict};
+    use hdidx_rand::{seeded, Rng, Xoshiro256pp};
 
     fn parse(s: &str) -> Result<Dataset> {
         parse_csv(std::io::Cursor::new(s.to_string()))
@@ -197,5 +199,100 @@ mod tests {
         let err = read_csv(Path::new("/nonexistent/nope.csv")).unwrap_err();
         assert!(err.to_string().contains("cannot open"), "{err}");
         assert!(matches!(err, Error::InvalidParameter { name: "csv", .. }));
+    }
+
+    /// Kinds of CSV input the parser property mixes.
+    const VALID: u8 = 0;
+    const ARBITRARY: u8 = 1;
+    const TRUNCATED: u8 = 2;
+    const FLIPPED: u8 = 3;
+    const CSV_KINDS: u8 = 5;
+
+    fn byte(rng: &mut Xoshiro256pp) -> u8 {
+        rng.gen_range(0..=255u32) as u8
+    }
+
+    /// A well-formed CSV text drawn from `rng` (optional header, comment
+    /// and blank lines around 1–6 rows of 1–5 fields) and its dataset.
+    fn valid_csv(rng: &mut Xoshiro256pp) -> (String, Dataset) {
+        let dim = rng.gen_range(1..=5usize);
+        let values: Vec<f32> = (0..dim * rng.gen_range(1..=6usize))
+            .map(|_| (rng.gen::<f32>() - 0.5) * [1.0, 1e3, 1e-3][rng.gen_range(0..3usize)])
+            .collect();
+        let mut text = String::new();
+        if rng.gen_bool(0.3) {
+            text.push_str("x,y\n");
+        }
+        for row in values.chunks(dim) {
+            if rng.gen_bool(0.2) {
+                text.push_str(["\n", "# note\n", "  \n"][rng.gen_range(0..3usize)]);
+            }
+            let fields: Vec<String> = row.iter().map(|x| format!("{x}")).collect();
+            text.push_str(&fields.join(","));
+            text.push('\n');
+        }
+        (text, Dataset::from_flat(dim, values).unwrap())
+    }
+
+    /// Input bytes of kind `kind % CSV_KINDS` drawn from `seed`: a valid
+    /// CSV text, arbitrary bytes, or a valid text cut short, with bits
+    /// flipped, or with bytes inserted or deleted. Also returns the
+    /// dataset a `VALID` text must parse to.
+    fn csv_of_kind(seed: u64, kind: u8) -> (Vec<u8>, Dataset) {
+        let mut rng = seeded(seed);
+        let (text, data) = valid_csv(&mut rng);
+        let mut bytes = text.into_bytes();
+        match kind % CSV_KINDS {
+            VALID => {}
+            ARBITRARY => {
+                let len = rng.gen_range(0..=64usize);
+                bytes = (0..len).map(|_| byte(&mut rng)).collect();
+            }
+            TRUNCATED => bytes.truncate(rng.gen_range(0..bytes.len())),
+            FLIPPED => {
+                for _ in 0..rng.gen_range(1..=4) {
+                    let at = rng.gen_range(0..bytes.len());
+                    bytes[at] ^= 1 << rng.gen_range(0..8u32);
+                }
+            }
+            _ => {
+                // Resized: bytes inserted or deleted.
+                let at = rng.gen_range(0..bytes.len());
+                let n = rng.gen_range(1..=8usize);
+                if rng.gen_bool(0.5) {
+                    bytes.drain(at..(at + n).min(bytes.len()));
+                } else {
+                    let ins: Vec<u8> = (0..n).map(|_| byte(&mut rng)).collect();
+                    bytes.splice(at..at, ins);
+                }
+            }
+        }
+        (bytes, data)
+    }
+
+    #[test]
+    fn parser_returns_a_dataset_or_a_csv_error_on_any_bytes() {
+        check(
+            "CSV parser",
+            &Config::with_cases(2048),
+            |rng| (rng.gen::<u64>(), rng.gen_range(0..CSV_KINDS)),
+            |&(seed, kind)| {
+                let (bytes, data) = csv_of_kind(seed, kind);
+                match parse_csv(std::io::Cursor::new(&bytes)) {
+                    Ok(d) if kind % CSV_KINDS == VALID => prop_assert_eq!(d, data),
+                    Ok(d) => prop_assert!(
+                        !d.is_empty() && d.as_flat().iter().all(|v| v.is_finite()),
+                        "{d:?}"
+                    ),
+                    Err(Error::InvalidParameter { name: "csv", .. }) => {
+                        prop_assert!(kind % CSV_KINDS != VALID, "valid text rejected");
+                    }
+                    Err(e) => {
+                        return Verdict::Fail(format!("error outside the csv contract: {e:?}"))
+                    }
+                }
+                Verdict::Pass
+            },
+        );
     }
 }

@@ -72,7 +72,7 @@ fn dist2_below(p: &[f32], q: &[f32], bound: f64) -> Option<f64> {
 /// full distances (`+∞` and NaN included). After that a candidate enters
 /// exactly when its fully accumulated `d2` satisfies `!(d2 >= bound)`,
 /// evicting the current worst. Distances are accumulated by the early-abandon
-/// [`dist2_below`] chain, or — at `isa.lanes() > 1` — by the SIMD group
+/// `dist2_below` chain, or — at `isa.lanes() > 1` — by the SIMD group
 /// kernel (`simd::knn_group_below`) over groups of `isa.lanes()` candidates: every
 /// lane accumulates its full-precision `f64` chain against the bound held
 /// at group entry, then the surviving lanes are re-validated in candidate
@@ -258,7 +258,7 @@ impl KBest {
 /// the dataset is smaller than `k`.
 ///
 /// The scan feeds every point through a [`KBest`]: once the heap fills,
-/// each candidate distance is accumulated in [`DIM_TILE`]-dimension tiles
+/// each candidate distance is accumulated in `DIM_TILE`-dimension tiles
 /// and abandoned as soon as the partial sum reaches the current k-th
 /// distance, which skips most of the per-point work in high dimensions
 /// without changing a single reported neighbor or distance bit.

@@ -175,7 +175,7 @@ impl HyperRect {
     /// R-tree lower bound used by best-first nearest-neighbor search and by
     /// the sphere-intersection counting of the prediction model.
     ///
-    /// Each dimension adds [`mindist_term`]`²` in ascending order: the same
+    /// Each dimension adds `mindist_term``²` in ascending order: the same
     /// branch-free operands, in the same order, as every [`crate::LeafSoup`]
     /// kernel lane, so a soup lane's MINDIST² equals this value bit for bit.
     #[inline]

@@ -2,9 +2,11 @@
 //!
 //! This is the baseline the paper charges all predictors against: "it is
 //! always possible to simply build an index on disk via bulk loading and
-//! then run some sample queries on it" (§4.1). The algorithm is the same
-//! top-down VAMSplit partitioning as `hdidx-vamsplit`, but segments larger
-//! than memory are partitioned **externally**:
+//! then run some sample queries on it" (§4.1). The recursion is the
+//! in-memory loader's own: [`build_on_disk`] runs
+//! [`bulk_load_observed`] under an observer that bills each of its steps
+//! on the simulated disk, as if segments larger than memory were
+//! partitioned **externally**:
 //!
 //! * every binary split of an oversized segment first scans it once to find
 //!   the maximum-variance dimension (read-only pass),
@@ -17,19 +19,17 @@
 //! * once a segment fits in memory it is read once, processed entirely in
 //!   memory, and its finished subtree pages are written out sequentially.
 //!
-//! The produced tree is **bit-identical in leaf membership** to the
-//! in-memory loader's (rank partitions determine membership, not ordering),
-//! which the tests verify; only the I/O bill differs.
+//! So the produced tree is the in-memory loader's, arena for arena; only
+//! the I/O bill is added.
 
 use crate::disk::{Disk, FileHandle};
 use crate::model::IoStats;
 use crate::store::DiskOptions;
-use hdidx_core::stats::max_variance_dim;
-use hdidx_core::{Dataset, Error, HyperRect, Result};
+use hdidx_core::{Dataset, Error, Result};
 use hdidx_faults::{FaultConfig, FaultEvent, FaultPhase};
-use hdidx_vamsplit::split::partition_by_rank;
+use hdidx_vamsplit::bulkload::{bulk_load_observed, BuildObserver};
 use hdidx_vamsplit::topology::Topology;
-use hdidx_vamsplit::tree::{Node, NodeKind, RTree};
+use hdidx_vamsplit::tree::RTree;
 
 /// Pages per I/O buffer during external partitioning (chunked streaming;
 /// 8 pages reproduces the paper's ≈1:8 seek/transfer ratio during builds).
@@ -124,74 +124,54 @@ pub fn build_on_disk(data: &Dataset, topo: &Topology, cfg: &ExternalConfig) -> R
             .fault_plan(cfg.faults)
             .phase(FaultPhase::Build),
     );
-    let n = data.len();
     let recs_per_page = topo.cap_data() as u64;
-    let data_pages = (n as u64).div_ceil(recs_per_page);
-    let file = disk.alloc(data_pages)?;
+    let file = disk.alloc((data.len() as u64).div_ceil(recs_per_page))?;
     // Output region for finished index pages (generously sized; only the
     // access pattern matters).
     let out = disk.alloc(2 * topo.total_pages() + 64)?;
-    let mut b = ExtBuilder {
+    let mut bill = DiskBill {
         data,
-        topo,
-        cfg,
+        mem_points: cfg.mem_points,
         disk,
         file,
         out,
         out_cursor: 0,
-        nodes: Vec::new(),
-        ids: (0..n as u32).collect(),
         recs_per_page,
+        resident: None,
     };
-    let root = b.build_node(0, n, topo.height(), n as f64, false)?;
-    debug_assert_eq!(root, Some(0));
+    let tree = bulk_load_observed(data, topo, &mut bill)?;
     // Directory pages of the external levels are written at the end in one
     // sequential run.
-    let written_so_far = b.out_cursor;
-    let remaining = (b.nodes.len() as u64).saturating_sub(written_so_far);
+    let remaining = (tree.nodes().len() as u64).saturating_sub(bill.out_cursor);
     if remaining > 0 {
-        b.disk.write_pages(&b.out, b.out_cursor, remaining)?;
-        b.out_cursor += remaining;
+        bill.disk
+            .write_pages(&bill.out, bill.out_cursor, remaining)?;
     }
-    let ExtBuilder {
-        disk, nodes, ids, ..
-    } = b;
-    let tree = RTree::from_arenas(data.dim(), topo.height(), 1, nodes, ids)?;
     Ok(BuildOutput {
         tree,
-        io: disk.stats(),
-        fault_trace: disk.fault_trace().to_vec(),
+        io: bill.disk.stats(),
+        fault_trace: bill.disk.fault_trace().to_vec(),
     })
 }
 
-struct ExtBuilder<'a> {
+/// The external build's [`BuildObserver`]: bills the disk accesses of each
+/// step of the in-memory loader's recursion.
+struct DiskBill<'a> {
     data: &'a Dataset,
-    topo: &'a Topology,
-    cfg: &'a ExternalConfig,
+    mem_points: usize,
     disk: Disk,
     file: FileHandle,
     out: FileHandle,
     out_cursor: u64,
-    nodes: Vec<Node>,
-    ids: Vec<u32>,
     recs_per_page: u64,
+    /// The node whose segment was read into memory, while its subtree is
+    /// being built.
+    resident: Option<u32>,
 }
 
-impl<'a> ExtBuilder<'a> {
-    fn build_node(
-        &mut self,
-        start: usize,
-        end: usize,
-        level: usize,
-        n_full: f64,
-        resident: bool,
-    ) -> Result<Option<u32>> {
-        if start == end {
-            return Ok(None);
-        }
-        let mut resident = resident;
-        let mut newly_resident = false;
-        if !resident && end - start <= self.cfg.mem_points {
+impl BuildObserver for DiskBill<'_> {
+    fn enter(&mut self, node: u32, start: usize, end: usize) -> Result<()> {
+        if self.resident.is_none() && end - start <= self.mem_points {
             // Load the whole segment into memory: one sequential run.
             self.disk.read_records(
                 &self.file,
@@ -199,149 +179,84 @@ impl<'a> ExtBuilder<'a> {
                 (end - start) as u64,
                 self.recs_per_page,
             )?;
-            resident = true;
-            newly_resident = true;
+            self.resident = Some(node);
         }
-        let my_index = self.nodes.len() as u32;
-        self.nodes.push(Node {
-            level: level as u32,
-            rect: HyperRect::point(self.data.point(self.ids[start] as usize)),
-            kind: NodeKind::Leaf {
-                entries: start as u32..end as u32,
-            },
-        });
-        if level == 1 {
-            debug_assert!(resident, "a data page must fit in memory");
-            // Invariant: `start < end` was established at function entry
-            // (the `start == end` case returned `None`), so the slice is
-            // non-empty and `mbr_of` cannot fail.
-            let rect = self.data.mbr_of(&self.ids[start..end]).expect("non-empty");
-            self.nodes[my_index as usize].rect = rect;
-        } else {
-            let fanout = self.topo.fanout_for(level, n_full);
-            let mut groups = Vec::with_capacity(fanout);
-            self.partition_groups(start, end, level, fanout, n_full, resident, &mut groups)?;
-            let mut children = Vec::with_capacity(groups.len());
-            let mut rect: Option<HyperRect> = None;
-            for (g_start, g_end, g_full) in groups {
-                if let Some(child) = self.build_node(g_start, g_end, level - 1, g_full, resident)? {
-                    let child_rect = self.nodes[child as usize].rect.clone();
-                    match rect.as_mut() {
-                        Some(r) => r.expand_to_rect(&child_rect),
-                        None => rect = Some(child_rect),
-                    }
-                    children.push(child);
-                }
-            }
-            debug_assert!(!children.is_empty());
-            let node = &mut self.nodes[my_index as usize];
-            // Invariant: the segment is non-empty and partition_groups
-            // covers it exactly, so at least one group is non-empty and
-            // produced a child whose rect initialized `rect`.
-            node.rect = rect.expect("at least one child");
-            node.kind = NodeKind::Inner { children };
+        Ok(())
+    }
+
+    fn split(&mut self, _: u32, start: usize, seg: &[u32], dim: usize, rank: usize) -> Result<()> {
+        if self.resident.is_none() {
+            // Variance scan of the segment (read-only sequential pass).
+            self.disk.read_records(
+                &self.file,
+                start as u64,
+                seg.len() as u64,
+                self.recs_per_page,
+            )?;
+            self.account_external_select(start, seg, dim, rank)?;
         }
-        if newly_resident {
+        Ok(())
+    }
+
+    fn finish(&mut self, node: u32, nodes: usize) -> Result<()> {
+        if self.resident == Some(node) {
             // The finished in-memory subtree is flushed to the output
             // region in one sequential run (its data pages + directory
             // pages were all produced in memory).
-            let subtree_pages = self.nodes.len() as u64 - my_index as u64;
+            self.resident = None;
             self.disk
-                .write_pages(&self.out, self.out_cursor, subtree_pages)?;
-            self.out_cursor += subtree_pages;
+                .write_pages(&self.out, self.out_cursor, nodes as u64)?;
+            self.out_cursor += nodes as u64;
         }
-        Ok(Some(my_index))
+        Ok(())
     }
+}
 
-    #[allow(clippy::too_many_arguments)]
-    fn partition_groups(
-        &mut self,
-        start: usize,
-        end: usize,
-        level: usize,
-        fanout: usize,
-        n_full: f64,
-        resident: bool,
-        out: &mut Vec<(usize, usize, f64)>,
-    ) -> Result<()> {
-        if fanout <= 1 {
-            out.push((start, end, n_full));
-            return Ok(());
-        }
-        let child_cap = self.topo.subtree_capacity(level - 1);
-        let f_left = fanout / 2;
-        let left_full = (f_left as f64) * child_cap;
-        let right_full = (n_full - left_full).max(1.0);
-        let len = end - start;
-        let rank = if len == 0 {
-            0
-        } else {
-            (((len as f64) * left_full / n_full).round() as usize).min(len)
-        };
-        if rank > 0 && rank < len {
-            if !resident {
-                // Variance scan of the segment (read-only sequential pass).
-                self.disk
-                    .read_records(&self.file, start as u64, len as u64, self.recs_per_page)?;
-            }
-            let dim = max_variance_dim(self.data, &self.ids[start..end])?;
-            if !resident {
-                self.account_external_select(start, end, dim, start + rank)?;
-            }
-            partition_by_rank(self.data, &mut self.ids[start..end], dim, rank);
-        }
-        self.partition_groups(start, start + rank, level, f_left, left_full, resident, out)?;
-        self.partition_groups(
-            start + rank,
-            end,
-            level,
-            fanout - f_left,
-            right_full,
-            resident,
-            out,
-        )
-    }
-
-    /// Simulates the I/O of Hoare's *find* run externally: narrowing passes
-    /// around real pivots until the active subsegment fits in memory. Pivot
-    /// statistics are computed from the actual data, so skew and duplicates
-    /// cost what they would really cost (this is where the paper's "five to
-    /// ten times higher than best case on real data" shows up).
+impl DiskBill<'_> {
+    /// Simulates the I/O of Hoare's *find* run externally over `seg`
+    /// (records `start..start + seg.len()`) for the `rank` split along
+    /// `dim`: narrowing passes around real pivots until the active
+    /// subsegment fits in memory. Pivot statistics are computed from the
+    /// actual data, so skew and duplicates cost what they would really
+    /// cost (this is where the paper's "five to ten times higher than best
+    /// case on real data" shows up).
     fn account_external_select(
         &mut self,
-        seg_start: usize,
-        seg_end: usize,
+        start: usize,
+        seg: &[u32],
         dim: usize,
-        rank_abs: usize,
+        rank: usize,
     ) -> Result<()> {
-        let key = |b: &Self, i: usize| b.data.point(b.ids[i] as usize)[dim];
-        let mut lo = seg_start;
-        let mut hi = seg_end;
+        let data = self.data;
+        let key = |i: usize| data.point(seg[i] as usize)[dim];
+        let mut lo = 0;
+        let mut hi = seg.len();
         loop {
             let len = hi - lo;
-            if len <= self.cfg.mem_points {
+            if len <= self.mem_points {
                 // Read the survivor segment, finish in memory, write back.
+                let at = (start + lo) as u64;
                 self.disk
-                    .read_records(&self.file, lo as u64, len as u64, self.recs_per_page)?;
+                    .read_records(&self.file, at, len as u64, self.recs_per_page)?;
                 self.disk
-                    .write_records(&self.file, lo as u64, len as u64, self.recs_per_page)?;
+                    .write_records(&self.file, at, len as u64, self.recs_per_page)?;
                 return Ok(());
             }
-            self.partition_pass_io(lo, len)?;
-            let pivot = median3(key(self, lo), key(self, lo + len / 2), key(self, hi - 1));
+            self.partition_pass_io(start + lo, len)?;
+            let pivot = median3(key(lo), key(lo + len / 2), key(hi - 1));
             let mut n_less = 0usize;
             let mut n_eq = 0usize;
             for i in lo..hi {
-                let k = key(self, i);
+                let k = key(i);
                 if k < pivot {
                     n_less += 1;
                 } else if k == pivot {
                     n_eq += 1;
                 }
             }
-            if rank_abs < lo + n_less {
+            if rank < lo + n_less {
                 hi = lo + n_less;
-            } else if rank_abs < lo + n_less + n_eq {
+            } else if rank < lo + n_less + n_eq {
                 return Ok(());
             } else {
                 lo += n_less + n_eq;
@@ -425,28 +340,90 @@ mod tests {
         Dataset::from_flat(dim, (0..n * dim).map(|_| rng.gen::<f32>()).collect()).unwrap()
     }
 
+    /// Arena identity: node levels, rect bits, child lists and leaf
+    /// ranges in arena order, and the entry-id order.
+    fn assert_same_arenas(a: &RTree, b: &RTree) {
+        let bits = |r: &hdidx_core::HyperRect| -> Vec<u32> {
+            r.lo().iter().chain(r.hi()).map(|x| x.to_bits()).collect()
+        };
+        assert_eq!(a.nodes().len(), b.nodes().len());
+        for (x, y) in a.nodes().iter().zip(b.nodes()) {
+            assert_eq!(x.level, y.level);
+            assert_eq!(bits(&x.rect), bits(&y.rect));
+            assert_eq!(x.kind, y.kind);
+        }
+        assert_eq!(a.entries(), b.entries());
+    }
+
     #[test]
     fn external_tree_matches_in_memory_tree() {
         let data = random_dataset(5000, 8, 41);
         let topo = Topology::from_capacities(8, 5000, 20, 8).unwrap();
         let mem = bulk_load(&data, &topo).unwrap();
-        let ext =
-            build_on_disk(&data, &topo, &ExternalConfig::with_mem_points(300).unwrap()).unwrap();
-        ext.tree.check_invariants().unwrap();
-        assert_eq!(ext.tree.height(), mem.height());
-        assert_eq!(ext.tree.num_leaves(), mem.num_leaves());
-        // Leaf membership identical: compare sorted id sets per leaf, in
-        // construction (pre-)order.
-        let leaves_of = |t: &RTree| -> Vec<Vec<u32>> {
-            t.leaves()
-                .map(|l| {
-                    let mut v = t.leaf_entries(l).to_vec();
-                    v.sort_unstable();
-                    v
-                })
-                .collect()
-        };
-        assert_eq!(leaves_of(&ext.tree), leaves_of(&mem));
+        for m in [40, 300, 5000] {
+            let ext =
+                build_on_disk(&data, &topo, &ExternalConfig::with_mem_points(m).unwrap()).unwrap();
+            ext.tree.check_invariants().unwrap();
+            assert_same_arenas(&ext.tree, &mem);
+        }
+    }
+
+    /// The exact bill of one dataset at three budgets, clean and under 2 %
+    /// point faults: `(seeks, transfers, retries, backoff, reads, writes)`
+    /// and the fault-trace length. The budgets make the root segment
+    /// resident (5000), the level-3 segments of at most 1280 points first
+    /// fit (1300), and only the data pages of at most 20 points fit (40).
+    #[test]
+    fn external_bill_is_pinned() {
+        let data = random_dataset(5000, 8, 41);
+        let topo = Topology::from_capacities(8, 5000, 20, 8).unwrap();
+        assert_eq!(topo.height(), 4);
+        type Bill = ((u64, u64, u64, u64, u64, u64), usize);
+        let cases: [(usize, Bill, Bill); 3] = [
+            (
+                5000,
+                ((1, 537, 0, 0, 250, 287), 0),
+                ((1, 537, 0, 0, 250, 287), 0),
+            ),
+            (
+                1300,
+                ((418, 3661, 0, 0, 2040, 1626), 0),
+                ((443, 3725, 11, 0, 2040, 1626), 16),
+            ),
+            (
+                40,
+                ((2940, 13367, 0, 0, 7596, 6040), 0),
+                ((3183, 13430, 107, 0, 7596, 6040), 152),
+            ),
+        ];
+        for (m, clean, faulted) in cases {
+            for (faults, want) in [
+                (None, clean),
+                (
+                    Some(FaultConfig::disabled(7).with_rate_ppm(20_000).unwrap()),
+                    faulted,
+                ),
+            ] {
+                let cfg = ExternalConfig {
+                    faults,
+                    ..ExternalConfig::with_mem_points(m).unwrap()
+                };
+                let out = build_on_disk(&data, &topo, &cfg).unwrap();
+                let io = out.io;
+                let got = (
+                    (
+                        io.seeks,
+                        io.transfers,
+                        io.retries,
+                        io.backoff,
+                        io.reads,
+                        io.writes,
+                    ),
+                    out.fault_trace.len(),
+                );
+                assert_eq!(got, want, "m = {m}, faults = {faults:?}");
+            }
+        }
     }
 
     #[test]

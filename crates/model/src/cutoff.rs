@@ -16,6 +16,7 @@ use crate::{Prediction, QueryBall};
 use hdidx_core::{Dataset, HyperRect, LeafSoup, Result};
 use hdidx_faults::FaultConfig;
 use hdidx_pool::Pool;
+use hdidx_vamsplit::bulkload::split_plan;
 use hdidx_vamsplit::topology::Topology;
 
 /// Parameters of the cutoff predictor.
@@ -187,10 +188,7 @@ fn split_box(
         synthesize_pages(rect, level - 1, n_full, topo, out);
         return;
     }
-    let child_cap = topo.subtree_capacity(level - 1);
-    let f_left = fanout / 2;
-    let left_full = (f_left as f64) * child_cap;
-    let right_full = (n_full - left_full).max(1.0);
+    let (f_left, left_full, right_full) = split_plan(topo, level, fanout, n_full);
     // Under in-page uniformity the max-variance dimension is the longest
     // one, and the rank boundary sits at the proportional position.
     let dim = rect.longest_dim();

@@ -659,7 +659,9 @@ mod tests {
     use crate::inject::{InjectedFs, VfsFile};
     use crate::pagefile::{oracle, HEADER_BYTES, PAGE_BYTES};
     use crate::{Durability, FileStore};
+    use hdidx_check::{check, prop_assert_eq, Config, Verdict};
     use hdidx_diskio::DiskOptions;
+    use hdidx_rand::{seeded, Rng};
     use std::collections::BTreeMap;
     use std::io;
     use std::sync::Mutex;
@@ -1156,5 +1158,83 @@ mod tests {
                 assert_eq!(page, oracle::seal(p, payload), "page {p}");
             }
         }
+    }
+
+    /// Kinds of `CURRENT` slot image the decoder property mixes.
+    const ARBITRARY: u8 = 0;
+    const TRUNCATED: u8 = 1;
+    const FLIPPED: u8 = 2;
+    const RESEALED: u8 = 3;
+    const SLOT_KINDS: u8 = 5;
+
+    /// A slot image of kind `kind % SLOT_KINDS` drawn from `seed`, and
+    /// whether its checksum was recomputed after the mutation: arbitrary
+    /// bytes, a valid slot cut short or with one bit flipped (stale
+    /// checksum), or bit flips in the checksummed words, or bytes inserted
+    /// or deleted, then re-checksummed so the mutation reaches the field
+    /// checks.
+    fn slot_of_kind(seed: u64, kind: u8) -> (Vec<u8>, bool) {
+        let mut rng = seeded(seed);
+        let mut slot = encode_slot(rng.gen(), rng.gen()).to_vec();
+        let byte = |rng: &mut hdidx_rand::Xoshiro256pp| rng.gen_range(0..=255u32) as u8;
+        match kind % SLOT_KINDS {
+            ARBITRARY => {
+                let len = rng.gen_range(0..=2 * SLOT_BYTES);
+                return ((0..len).map(|_| byte(&mut rng)).collect(), false);
+            }
+            TRUNCATED => {
+                slot.truncate(rng.gen_range(0..SLOT_BYTES));
+                return (slot, false);
+            }
+            FLIPPED => {
+                slot[rng.gen_range(0..SLOT_BYTES)] ^= 1 << rng.gen_range(0..8u32);
+                return (slot, false);
+            }
+            RESEALED => {
+                // Mostly in `seq`/`generation`, sometimes in magic/version.
+                let from: usize = if rng.gen_bool(0.75) { 16 } else { 0 };
+                for _ in 0..rng.gen_range(1..=4) {
+                    slot[rng.gen_range(from..32)] ^= 1 << rng.gen_range(0..8u32);
+                }
+            }
+            _ => {
+                // Resized: bytes inserted or deleted.
+                let at = if rng.gen_bool(0.75) {
+                    rng.gen_range(16..=SLOT_BYTES)
+                } else {
+                    rng.gen_range(0..16usize)
+                };
+                let n = rng.gen_range(1..=8usize);
+                if at < SLOT_BYTES && rng.gen_bool(0.5) {
+                    slot.drain(at..(at + n).min(SLOT_BYTES));
+                } else {
+                    let ins: Vec<u8> = (0..n).map(|_| byte(&mut rng)).collect();
+                    slot.splice(at..at, ins);
+                }
+            }
+        }
+        if slot.len() >= SLOT_BYTES {
+            let sum = fnv1a(FNV_OFFSET, &slot[0..32]);
+            slot[32..40].copy_from_slice(&sum.to_le_bytes());
+        }
+        (slot, true)
+    }
+
+    #[test]
+    fn slot_decoder_rejects_or_reads_back_every_mutation() {
+        check(
+            "CURRENT slot decoder",
+            &Config::with_cases(2048),
+            |rng| (rng.gen::<u64>(), rng.gen_range(0..SLOT_KINDS)),
+            |&(seed, kind)| {
+                let (slot, resealed) = slot_of_kind(seed, kind);
+                let word =
+                    |i: usize| u64::from_le_bytes(slot[i * 8..i * 8 + 8].try_into().unwrap());
+                let kept = slot.len() >= SLOT_BYTES && word(0) == CUR_MAGIC && word(1) == VERSION;
+                let want = (resealed && kept).then(|| (word(2), word(3)));
+                prop_assert_eq!(decode_slot(&slot), want);
+                Verdict::Pass
+            },
+        );
     }
 }

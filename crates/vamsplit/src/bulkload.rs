@@ -25,12 +25,18 @@
 //!
 //! Construction is serial. The split decisions are pure functions of the
 //! point set, so no PRNG is consumed while building.
+//!
+//! [`bulk_load_observed`] runs the same recursion under a [`BuildObserver`]
+//! that sees every node entered, every binary split chosen and every
+//! subtree finished; the on-disk build (`hdidx-diskio`) bills its I/O
+//! through one, so in-memory and external loads share every split.
 
 use crate::split::partition_by_rank;
 use crate::topology::Topology;
 use crate::tree::{Node, NodeKind, RTree};
 use hdidx_core::stats::max_variance_dim;
 use hdidx_core::{Dataset, Error, HyperRect, Result};
+use std::ops::Range;
 
 /// Builds the full index over all points of `data`.
 ///
@@ -55,8 +61,64 @@ use hdidx_core::{Dataset, Error, HyperRect, Result};
 /// Propagates topology/shape errors; rejects a dataset whose cardinality or
 /// dimensionality disagrees with `topo`.
 pub fn bulk_load(data: &Dataset, topo: &Topology) -> Result<RTree> {
+    bulk_load_observed(data, topo, &mut ())
+}
+
+/// [`bulk_load`] with every step of the recursion reported to `obs`.
+///
+/// # Errors
+///
+/// As [`bulk_load`], plus the first error `obs` returns.
+pub fn bulk_load_observed<O: BuildObserver>(
+    data: &Dataset,
+    topo: &Topology,
+    obs: &mut O,
+) -> Result<RTree> {
     let ids: Vec<u32> = (0..data.len() as u32).collect();
-    build_tree(data, ids, topo, topo.n() as f64, topo.height(), 1)
+    build_tree(data, ids, topo, topo.n() as f64, topo.height(), 1, obs)
+}
+
+/// Watches one bulk load. Every call names the node by its arena index
+/// (pre-order: the root is 0); an error aborts the build.
+pub trait BuildObserver {
+    /// Node `node` was entered over the non-empty `ids[start..end]`.
+    fn enter(&mut self, _node: u32, _start: usize, _end: usize) -> Result<()> {
+        Ok(())
+    }
+
+    /// Node `node` splits `seg` (`ids[start..start + seg.len()]`, still
+    /// in pre-partition order) so that its `rank` smallest points along
+    /// `dim` go left.
+    fn split(
+        &mut self,
+        _node: u32,
+        _start: usize,
+        _seg: &[u32],
+        _dim: usize,
+        _rank: usize,
+    ) -> Result<()> {
+        Ok(())
+    }
+
+    /// Node `node`'s subtree is complete: it added `nodes` arena nodes,
+    /// `node` itself included.
+    fn finish(&mut self, _node: u32, _nodes: usize) -> Result<()> {
+        Ok(())
+    }
+}
+
+/// The in-memory loads observe nothing.
+impl BuildObserver for () {}
+
+/// The split plan of one binary split at a `level` node holding `n_full`
+/// full-scale points that still owes `fanout` children: the left side
+/// takes `f_left = fanout / 2` of them and exactly fills their subtrees
+/// with `left_full` points, and the right side keeps `right_full`.
+/// Returns `(f_left, left_full, right_full)`.
+pub fn split_plan(topo: &Topology, level: usize, fanout: usize, n_full: f64) -> (usize, f64, f64) {
+    let f_left = fanout / 2;
+    let left_full = (f_left as f64) * topo.subtree_capacity(level - 1);
+    (f_left, left_full, (n_full - left_full).max(1.0))
 }
 
 /// Builds a §3 mini-index on `sample_ids`, replicating the topology of the
@@ -71,7 +133,7 @@ pub fn bulk_load_scaled(
     topo: &Topology,
     n_full: f64,
 ) -> Result<RTree> {
-    build_tree(data, sample_ids, topo, n_full, topo.height(), 1)
+    build_tree(data, sample_ids, topo, n_full, topo.height(), 1, &mut ())
 }
 
 /// Builds the §4.2 upper tree of height `h_upper` on `sample_ids`. Its
@@ -94,7 +156,8 @@ pub fn bulk_load_upper(
         ));
     }
     let stop = topo.upper_leaf_level(h_upper);
-    build_tree(data, sample_ids, topo, topo.n() as f64, topo.height(), stop)
+    let n_full = topo.n() as f64;
+    build_tree(data, sample_ids, topo, n_full, topo.height(), stop, &mut ())
 }
 
 /// Builds a §4.4 lower tree: root at full-tree level `root_level`, leaves at
@@ -117,24 +180,26 @@ pub fn bulk_load_subtree(
             format!("must lie in 1..={}, got {root_level}", topo.height()),
         ));
     }
-    build_tree(data, sample_ids, topo, n_full, root_level, 1)
+    build_tree(data, sample_ids, topo, n_full, root_level, 1, &mut ())
 }
 
-struct Builder<'a> {
+struct Builder<'a, O> {
     data: &'a Dataset,
     topo: &'a Topology,
     stop_level: usize,
     nodes: Vec<Node>,
     ids: Vec<u32>,
+    obs: &'a mut O,
 }
 
-fn build_tree(
+fn build_tree<O: BuildObserver>(
     data: &Dataset,
     ids: Vec<u32>,
     topo: &Topology,
     n_full: f64,
     root_level: usize,
     stop_level: usize,
+    obs: &mut O,
 ) -> Result<RTree> {
     if ids.is_empty() {
         return Err(Error::EmptyInput("bulk load over zero points"));
@@ -160,21 +225,29 @@ fn build_tree(
         stop_level,
         nodes: Vec::new(),
         ids,
+        obs,
     };
-    let root = b.build_node(0, n, root_level, n_full);
+    let root = b.build_node(0, n, root_level, n_full)?;
     debug_assert_eq!(root, Some(0));
     RTree::from_arenas(data.dim(), root_level, stop_level, b.nodes, b.ids)
 }
 
-impl<'a> Builder<'a> {
+impl<O: BuildObserver> Builder<'_, O> {
     /// Builds the subtree over `self.ids[start..end]` rooted at `level`,
     /// returning its arena index, or `None` if the segment is empty (a
     /// sample so sparse that this subtree received no points).
-    fn build_node(&mut self, start: usize, end: usize, level: usize, n_full: f64) -> Option<u32> {
+    fn build_node(
+        &mut self,
+        start: usize,
+        end: usize,
+        level: usize,
+        n_full: f64,
+    ) -> Result<Option<u32>> {
         if start == end {
-            return None;
+            return Ok(None);
         }
         let my_index = self.nodes.len() as u32;
+        self.obs.enter(my_index, start, end)?;
         // Reserve the slot so the root lands at index 0 (pre-order).
         self.nodes.push(Node {
             level: level as u32,
@@ -191,53 +264,54 @@ impl<'a> Builder<'a> {
                 .mbr_of(&self.ids[start..end])
                 .expect("non-empty leaf");
             self.nodes[my_index as usize].rect = rect;
-            return Some(my_index);
-        }
-        let fanout = self.topo.fanout_for(level, n_full);
-        let mut groups = Vec::with_capacity(fanout);
-        self.partition_groups(start, end, level, fanout, n_full, &mut groups);
-        let mut children = Vec::with_capacity(groups.len());
-        let mut rect: Option<HyperRect> = None;
-        for (g_start, g_end, g_full) in groups {
-            if let Some(child) = self.build_node(g_start, g_end, level - 1, g_full) {
-                let child_rect = self.nodes[child as usize].rect.clone();
-                match rect.as_mut() {
-                    Some(r) => r.expand_to_rect(&child_rect),
-                    None => rect = Some(child_rect),
+        } else {
+            let fanout = self.topo.fanout_for(level, n_full);
+            let mut groups = Vec::with_capacity(fanout);
+            self.partition_groups(my_index, start..end, level, fanout, n_full, &mut groups)?;
+            let mut children = Vec::with_capacity(groups.len());
+            let mut rect: Option<HyperRect> = None;
+            for (g_start, g_end, g_full) in groups {
+                if let Some(child) = self.build_node(g_start, g_end, level - 1, g_full)? {
+                    let child_rect = self.nodes[child as usize].rect.clone();
+                    match rect.as_mut() {
+                        Some(r) => r.expand_to_rect(&child_rect),
+                        None => rect = Some(child_rect),
+                    }
+                    children.push(child);
                 }
-                children.push(child);
             }
+            // Invariant: the groups partition `start..end` (non-empty
+            // here), so at least one recursive call received points and
+            // returned a child.
+            debug_assert!(!children.is_empty(), "non-empty segment yields a child");
+            let node = &mut self.nodes[my_index as usize];
+            node.rect = rect.expect("at least one child");
+            node.kind = NodeKind::Inner { children };
         }
-        // Invariant: the groups partition `start..end` (non-empty here), so
-        // at least one recursive call received points and returned a child.
-        debug_assert!(!children.is_empty(), "non-empty segment yields a child");
-        let node = &mut self.nodes[my_index as usize];
-        node.rect = rect.expect("at least one child");
-        node.kind = NodeKind::Inner { children };
-        Some(my_index)
+        self.obs
+            .finish(my_index, self.nodes.len() - my_index as usize)?;
+        Ok(Some(my_index))
     }
 
-    /// Splits `self.ids[start..end]` into `fanout` groups by recursive
-    /// binary maximum-variance splits, appending `(start, end, n_full)`
-    /// triples (possibly empty ranges) to `out`.
+    /// Splits `self.ids[seg]` of node `node` into `fanout` groups by
+    /// recursive binary maximum-variance splits, appending `(start, end,
+    /// n_full)` triples (possibly empty ranges) to `out`.
     fn partition_groups(
         &mut self,
-        start: usize,
-        end: usize,
+        node: u32,
+        seg: Range<usize>,
         level: usize,
         fanout: usize,
         n_full: f64,
         out: &mut Vec<(usize, usize, f64)>,
-    ) {
+    ) -> Result<()> {
+        let (start, end) = (seg.start, seg.end);
         if fanout <= 1 {
             out.push((start, end, n_full));
-            return;
+            return Ok(());
         }
-        let child_cap = self.topo.subtree_capacity(level - 1);
-        let f_left = fanout / 2;
-        let left_full = (f_left as f64) * child_cap;
+        let (f_left, left_full, right_full) = split_plan(self.topo, level, fanout, n_full);
         debug_assert!(left_full < n_full || end - start == 0);
-        let right_full = (n_full - left_full).max(1.0);
         let len = end - start;
         let rank = if len == 0 {
             0
@@ -252,10 +326,12 @@ impl<'a> Builder<'a> {
             // so a maximum-variance dimension exists.
             let ids = &mut self.ids[start..end];
             let dim = max_variance_dim(self.data, ids).expect("non-empty");
+            self.obs.split(node, start, ids, dim, rank)?;
             partition_by_rank(self.data, ids, dim, rank);
         }
-        self.partition_groups(start, start + rank, level, f_left, left_full, out);
-        self.partition_groups(start + rank, end, level, fanout - f_left, right_full, out);
+        let mid = start + rank;
+        self.partition_groups(node, start..mid, level, f_left, left_full, out)?;
+        self.partition_groups(node, mid..end, level, fanout - f_left, right_full, out)
     }
 }
 

@@ -76,17 +76,6 @@ impl<'a> MidSplitBuilder<'a> {
             return Some(my_index);
         }
         let fanout = self.topo.fanout_for(level, n_here as f64);
-        if fanout <= 1 {
-            // Collapse: hang a single child chain down to the leaf level.
-            let child = self.build(start, end, level - 1, bounds)?;
-            let rect = self.nodes[child as usize].rect.clone();
-            let node = &mut self.nodes[my_index as usize];
-            node.rect = rect;
-            node.kind = NodeKind::Inner {
-                children: vec![child],
-            };
-            return Some(my_index);
-        }
         let mut groups = Vec::with_capacity(fanout);
         self.split_space(start, end, fanout, bounds, &mut groups);
         let mut children = Vec::new();
