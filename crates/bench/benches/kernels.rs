@@ -1,5 +1,6 @@
 //! Micro-benchmarks for the hot kernels underneath every experiment:
-//! MINDIST, quickselect partitioning, bulk loading, k-NN search, the
+//! MINDIST, quickselect partitioning, bulk loading (and its split kernels
+//! and external build at COLOR64 scale), k-NN search, the
 //! workload radius set-up, STOCK360 generation, sphere/leaf intersection
 //! counting (flat and through the served tree's directory), the fractal
 //! estimator, and the layers of the resampled prediction (MBR growth, the
@@ -523,29 +524,10 @@ fn bench_resampled(suite: &mut BenchSuite) {
         sample_without_replacement(&mut seeded(black_box(7)), n, m)
     });
     // The max-variance split choice of every bulk-load split, over the
-    // memory sample and over the whole dataset, once per ISA; each ISA
-    // must return the scalar moment bits and dimension before it is timed.
+    // memory sample and over the whole dataset.
     let all: Vec<u32> = (0..n as u32).collect();
     for subset in [&ids[..], &all[..]] {
-        let stats_bits = |isa| {
-            let s = dim_stats_with(isa, &data, subset).unwrap();
-            let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            (bits(&s.mean), bits(&s.variance))
-        };
-        let want = stats_bits(simd::Isa::Scalar);
-        let want_dim = max_variance_dim_with(simd::Isa::Scalar, &data, subset).unwrap();
-        for isa in simd::supported() {
-            assert_eq!(stats_bits(isa), want, "{isa} moments must be bit-identical");
-            assert_eq!(
-                max_variance_dim_with(isa, &data, subset).unwrap(),
-                want_dim,
-                "{isa} max-variance dimension"
-            );
-            suite.bench(
-                &format!("max_variance_dim/{}x{dim}/{isa}", subset.len()),
-                || max_variance_dim_with(isa, black_box(&data), subset).unwrap(),
-            );
-        }
+        bench_max_variance_dim(suite, &data, subset);
     }
     let balls: Vec<QueryBall> = Workload::density_biased(&data, 500, 21, 1)
         .unwrap()
@@ -565,6 +547,75 @@ fn bench_resampled(suite: &mut BenchSuite) {
     });
 }
 
+/// `max_variance_dim` over the points at `subset`, once per ISA; each ISA
+/// must return the scalar moment bits and dimension before it is timed.
+fn bench_max_variance_dim(suite: &mut BenchSuite, data: &Dataset, subset: &[u32]) {
+    let stats_bits = |isa| {
+        let s = dim_stats_with(isa, data, subset).unwrap();
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        (bits(&s.mean), bits(&s.variance))
+    };
+    let want = stats_bits(simd::Isa::Scalar);
+    let want_dim = max_variance_dim_with(simd::Isa::Scalar, data, subset).unwrap();
+    for isa in simd::supported() {
+        assert_eq!(stats_bits(isa), want, "{isa} moments must be bit-identical");
+        assert_eq!(
+            max_variance_dim_with(isa, data, subset).unwrap(),
+            want_dim,
+            "{isa} max-variance dimension"
+        );
+        suite.bench(
+            &format!("max_variance_dim/{}x{}/{isa}", subset.len(), data.dim()),
+            || max_variance_dim_with(isa, black_box(data), subset).unwrap(),
+        );
+    }
+}
+
+/// The split kernels at the end-to-end `serve-point` shape, all of
+/// COLOR64 (112,361 x 64, 28 MB, far past L2): the max-variance choice
+/// over a shuffled id order per ISA, the in-memory bulk load and the
+/// external build at M = 2,000. Before they are timed, the bulk load and
+/// the external build at the active ISA must reproduce the tree and the
+/// bill built with the scalar moments, and the external tree must be the
+/// in-memory one.
+fn bench_color64_splits(suite: &mut BenchSuite) {
+    let ds = NamedDataset::Color64;
+    let data = ds.spec().generate().unwrap();
+    let (n, dim) = (data.len(), data.dim());
+    let topo = Topology::new(dim, n, &PageConfig::with_page_bytes(ds.page_bytes())).unwrap();
+    let mut ids: Vec<u32> = (0..n as u32).collect();
+    let mut rng = seeded(3);
+    for i in (1..n).rev() {
+        ids.swap(i, rng.gen_range(0..=i));
+    }
+    bench_max_variance_dim(suite, &data, &ids);
+
+    let cfg = ExternalConfig::with_mem_points(2_000).unwrap();
+    let build = || {
+        let tree = bulk_load(&data, &topo).unwrap();
+        let ext = build_on_disk(&data, &topo, &cfg).unwrap();
+        assert!(
+            ext.tree == tree,
+            "the external build must be the in-memory tree"
+        );
+        (tree, ext.io)
+    };
+    let active = simd::active();
+    simd::force(simd::Choice::Fixed(simd::Isa::Scalar)).unwrap();
+    let want = build();
+    simd::force(simd::Choice::Fixed(active)).unwrap();
+    assert!(
+        build() == want,
+        "{active} tree and bill must be the scalar ones"
+    );
+    suite.bench(&format!("bulk_load/{n}x{dim}"), || {
+        bulk_load(black_box(&data), &topo).unwrap()
+    });
+    suite.bench(&format!("build_on_disk/{n}x{dim}/m2000"), || {
+        build_on_disk(black_box(&data), &topo, &cfg).unwrap()
+    });
+}
+
 fn main() {
     let mut suite = BenchSuite::new("kernels");
     suite.set_isa(&simd::describe());
@@ -576,6 +627,7 @@ fn main() {
     bench_mindist(&mut suite);
     bench_partition(&mut suite);
     bench_bulk_load(&mut suite);
+    bench_color64_splits(&mut suite);
     bench_midsplit(&mut suite);
     bench_knn(&mut suite);
     bench_radius_setup(&mut suite);

@@ -36,10 +36,14 @@
 //! exact, `mean /= n` and `dev * dev` are separate correctly rounded ops
 //! (Rust never contracts to FMA) — and no sum ever crosses lanes. What
 //! would break it is splitting one dimension's chain across points, which
-//! is why this kernel never does that. Its tile routine is plain safe
-//! Rust, compiled once at the SSE2 baseline and once inside an AVX2
-//! `#[target_feature]` wrapper, where a 16-dimension tile's accumulators
-//! fit in four `ymm` registers. Rust leaves the sign and payload of a
+//! is why this kernel never does that. The points are walked in blocks of
+//! 16 rows, and every tile runs over a block before the next is read: a
+//! chain is only paused at a block edge (its sum parked in memory) and
+//! resumed with the next point in `ids` order, so the blocking changes
+//! which rows are in cache, never the order of any chain's adds. The
+//! routine is plain safe Rust, compiled once at the SSE2 baseline and
+//! once inside an AVX2 `#[target_feature]` wrapper, where a 16-dimension
+//! tile's accumulators fit in four `ymm` registers. Rust leaves the sign and payload of a
 //! NaN result unspecified, so both paths return NaN moments as
 //! [`f64::NAN`]; every moment is then bit-identical across ISAs.
 //!
@@ -51,7 +55,7 @@
 //! `is_x86_feature_detected!`, else SSE2 on `x86_64` — it is baseline —
 //! else scalar). All `unsafe` is confined to `#[target_feature]` lane
 //! primitives in the private `x86` module; the blocked drivers in
-//! [`crate::soup`] and [`crate::knn`] and the moments tile routine in
+//! [`crate::soup`] and [`crate::knn`] and the moments kernel in
 //! [`crate::stats`] are safe and shared by all ISAs.
 //! Every kernel also has a `*_with(isa, ..)` variant so tests and benches
 //! can pin an ISA without touching the process-global state.
@@ -383,10 +387,10 @@ pub(crate) fn knn_group_below(
 }
 
 /// Per-dimension moments of the rows `ids` of the row-major `flat` buffer
-/// of `dim`-wide points: the register-tiled kernel behind
-/// [`crate::stats::dim_stats_with`], handing each dimension tile's means
-/// and variances to `sink` in ascending dimension order. SSE2 runs the
-/// baseline copy of the tile routine, AVX2 its `#[target_feature]` copy.
+/// of `dim`-wide points: the row-blocked, register-tiled kernel behind
+/// [`crate::stats::dim_stats_with`], handing each panel of dimensions'
+/// means and variances to `sink` in ascending dimension order. SSE2 runs the
+/// baseline copy of the kernel, AVX2 its `#[target_feature]` copy.
 ///
 /// # Panics
 ///
@@ -406,7 +410,7 @@ pub(crate) fn moments(
     match isa {
         Isa::Scalar => unreachable!("scalar dispatch handled by stats"),
         Isa::Sse2 => crate::stats::moments_tiled(flat, dim, ids, sink),
-        // SAFETY: AVX2 support was asserted above; the tile routine
+        // SAFETY: AVX2 support was asserted above; the kernel
         // itself is safe, bounds-checked code.
         #[cfg(target_arch = "x86_64")]
         Isa::Avx2 => unsafe { x86::moments_avx2(flat, dim, ids, sink) },
@@ -780,8 +784,8 @@ mod x86 {
         }
     }
 
-    /// The moments tile routine compiled for AVX2: a 16-dimension tile's
-    /// accumulators live in four `ymm` registers.
+    /// The moments kernel compiled for AVX2: a 16-dimension tile's
+    /// accumulators live in four `ymm` registers across a row block.
     ///
     /// # Safety
     ///

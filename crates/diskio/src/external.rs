@@ -28,6 +28,7 @@ use crate::store::DiskOptions;
 use hdidx_core::{Dataset, Error, Result};
 use hdidx_faults::{FaultConfig, FaultEvent, FaultPhase};
 use hdidx_vamsplit::bulkload::{bulk_load_observed, BuildObserver};
+use hdidx_vamsplit::split::median_of_three;
 use hdidx_vamsplit::topology::Topology;
 use hdidx_vamsplit::tree::RTree;
 
@@ -90,26 +91,11 @@ pub struct BuildOutput {
 ///
 /// # Errors
 ///
-/// Rejects memory budgets smaller than one data page and the usual shape
-/// mismatches; propagates [`Error::IoFault`] once an access exhausts its
-/// attempts.
+/// Rejects memory budgets smaller than one data page and, as
+/// [`bulk_load_observed`] does, a dataset whose cardinality or
+/// dimensionality disagrees with `topo`; propagates [`Error::IoFault`]
+/// once an access exhausts its attempts.
 pub fn build_on_disk(data: &Dataset, topo: &Topology, cfg: &ExternalConfig) -> Result<BuildOutput> {
-    if data.dim() != topo.dim() {
-        return Err(Error::DimensionMismatch {
-            expected: topo.dim(),
-            actual: data.dim(),
-        });
-    }
-    if data.len() != topo.n() {
-        return Err(Error::invalid(
-            "data",
-            format!(
-                "topology is for {} points, data has {}",
-                topo.n(),
-                data.len()
-            ),
-        ));
-    }
     if cfg.mem_points < topo.cap_data() {
         return Err(Error::invalid(
             "mem_points",
@@ -125,12 +111,11 @@ pub fn build_on_disk(data: &Dataset, topo: &Topology, cfg: &ExternalConfig) -> R
             .phase(FaultPhase::Build),
     );
     let recs_per_page = topo.cap_data() as u64;
-    let file = disk.alloc((data.len() as u64).div_ceil(recs_per_page))?;
+    let file = disk.alloc((topo.n() as u64).div_ceil(recs_per_page))?;
     // Output region for finished index pages (generously sized; only the
     // access pattern matters).
     let out = disk.alloc(2 * topo.total_pages() + 64)?;
     let mut bill = DiskBill {
-        data,
         mem_points: cfg.mem_points,
         disk,
         file,
@@ -156,8 +141,7 @@ pub fn build_on_disk(data: &Dataset, topo: &Topology, cfg: &ExternalConfig) -> R
 
 /// The external build's [`BuildObserver`]: bills the disk accesses of each
 /// step of the in-memory loader's recursion.
-struct DiskBill<'a> {
-    data: &'a Dataset,
+struct DiskBill {
     mem_points: usize,
     disk: Disk,
     file: FileHandle,
@@ -169,7 +153,7 @@ struct DiskBill<'a> {
     resident: Option<u32>,
 }
 
-impl BuildObserver for DiskBill<'_> {
+impl BuildObserver for DiskBill {
     fn enter(&mut self, node: u32, start: usize, end: usize) -> Result<()> {
         if self.resident.is_none() && end - start <= self.mem_points {
             // Load the whole segment into memory: one sequential run.
@@ -184,16 +168,24 @@ impl BuildObserver for DiskBill<'_> {
         Ok(())
     }
 
-    fn split(&mut self, _: u32, start: usize, seg: &[u32], dim: usize, rank: usize) -> Result<()> {
+    fn split(
+        &mut self,
+        _: u32,
+        start: usize,
+        _: &[u32],
+        keys: &[f32],
+        _: usize,
+        rank: usize,
+    ) -> Result<()> {
         if self.resident.is_none() {
             // Variance scan of the segment (read-only sequential pass).
             self.disk.read_records(
                 &self.file,
                 start as u64,
-                seg.len() as u64,
+                keys.len() as u64,
                 self.recs_per_page,
             )?;
-            self.account_external_select(start, seg, dim, rank)?;
+            self.account_external_select(start, keys, rank)?;
         }
         Ok(())
     }
@@ -212,25 +204,18 @@ impl BuildObserver for DiskBill<'_> {
     }
 }
 
-impl DiskBill<'_> {
-    /// Simulates the I/O of Hoare's *find* run externally over `seg`
-    /// (records `start..start + seg.len()`) for the `rank` split along
-    /// `dim`: narrowing passes around real pivots until the active
-    /// subsegment fits in memory. Pivot statistics are computed from the
-    /// actual data, so skew and duplicates cost what they would really
-    /// cost (this is where the paper's "five to ten times higher than best
-    /// case on real data" shows up).
-    fn account_external_select(
-        &mut self,
-        start: usize,
-        seg: &[u32],
-        dim: usize,
-        rank: usize,
-    ) -> Result<()> {
-        let data = self.data;
-        let key = |i: usize| data.point(seg[i] as usize)[dim];
+impl DiskBill {
+    /// Simulates the I/O of Hoare's *find* run externally over the
+    /// segment whose split keys are `keys` (records `start..start +
+    /// keys.len()`, in pre-partition order) for the `rank` split:
+    /// narrowing passes around real pivots until the active subsegment
+    /// fits in memory. Pivot statistics are computed from the actual data,
+    /// so skew and duplicates cost what they would really cost (this is
+    /// where the paper's "five to ten times higher than best case on real
+    /// data" shows up).
+    fn account_external_select(&mut self, start: usize, keys: &[f32], rank: usize) -> Result<()> {
         let mut lo = 0;
-        let mut hi = seg.len();
+        let mut hi = keys.len();
         loop {
             let len = hi - lo;
             if len <= self.mem_points {
@@ -243,11 +228,10 @@ impl DiskBill<'_> {
                 return Ok(());
             }
             self.partition_pass_io(start + lo, len)?;
-            let pivot = median3(key(lo), key(lo + len / 2), key(hi - 1));
+            let pivot = median_of_three(keys[lo], keys[lo + len / 2], keys[hi - 1]);
             let mut n_less = 0usize;
             let mut n_eq = 0usize;
-            for i in lo..hi {
-                let k = key(i);
+            for &k in &keys[lo..hi] {
                 if k < pivot {
                     n_less += 1;
                 } else if k == pivot {
@@ -306,25 +290,6 @@ impl DiskBill<'_> {
             }
         }
         Ok(())
-    }
-}
-
-#[inline]
-fn median3(a: f32, b: f32, c: f32) -> f32 {
-    if a <= b {
-        if b <= c {
-            b
-        } else if a <= c {
-            c
-        } else {
-            a
-        }
-    } else if a <= c {
-        a
-    } else if b <= c {
-        c
-    } else {
-        b
     }
 }
 
@@ -545,13 +510,21 @@ mod tests {
         // yet) but is rejected by the build.
         let small = ExternalConfig::with_mem_points(5).unwrap();
         assert!(build_on_disk(&data, &topo, &small).is_err());
+        // The loader's own shape checks reject a dataset the topology was
+        // not made for.
+        let cfg = ExternalConfig::with_mem_points(100).unwrap();
         let other = random_dataset(50, 4, 47);
-        assert!(build_on_disk(
-            &other,
-            &topo,
-            &ExternalConfig::with_mem_points(100).unwrap()
-        )
-        .is_err());
+        let err = build_on_disk(&other, &topo, &cfg).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("topology is for 100 points, data has 50"),
+            "{err}"
+        );
+        let other_dim = random_dataset(100, 3, 47);
+        assert!(matches!(
+            build_on_disk(&other_dim, &topo, &cfg),
+            Err(Error::DimensionMismatch { .. })
+        ));
     }
 
     #[test]

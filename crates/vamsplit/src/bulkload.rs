@@ -31,7 +31,7 @@
 //! subtree finished; the on-disk build (`hdidx-diskio`) bills its I/O
 //! through one, so in-memory and external loads share every split.
 
-use crate::split::partition_by_rank;
+use crate::split::{gather_keys, partition_keyed};
 use crate::topology::Topology;
 use crate::tree::{Node, NodeKind, RTree};
 use hdidx_core::stats::max_variance_dim;
@@ -59,7 +59,8 @@ use std::ops::Range;
 /// # Errors
 ///
 /// Propagates topology/shape errors; rejects a dataset whose cardinality or
-/// dimensionality disagrees with `topo`.
+/// dimensionality disagrees with `topo` ([`Error::InvalidParameter`] on
+/// `data`, [`Error::DimensionMismatch`]).
 pub fn bulk_load(data: &Dataset, topo: &Topology) -> Result<RTree> {
     bulk_load_observed(data, topo, &mut ())
 }
@@ -74,6 +75,16 @@ pub fn bulk_load_observed<O: BuildObserver>(
     topo: &Topology,
     obs: &mut O,
 ) -> Result<RTree> {
+    if data.len() != topo.n() {
+        return Err(Error::invalid(
+            "data",
+            format!(
+                "topology is for {} points, data has {}",
+                topo.n(),
+                data.len()
+            ),
+        ));
+    }
     let ids: Vec<u32> = (0..data.len() as u32).collect();
     build_tree(data, ids, topo, topo.n() as f64, topo.height(), 1, obs)
 }
@@ -88,12 +99,13 @@ pub trait BuildObserver {
 
     /// Node `node` splits `seg` (`ids[start..start + seg.len()]`, still
     /// in pre-partition order) so that its `rank` smallest points along
-    /// `dim` go left.
+    /// `dim` go left. `keys[i]` is the `dim` coordinate of `seg[i]`.
     fn split(
         &mut self,
         _node: u32,
         _start: usize,
         _seg: &[u32],
+        _keys: &[f32],
         _dim: usize,
         _rank: usize,
     ) -> Result<()> {
@@ -189,6 +201,9 @@ struct Builder<'a, O> {
     stop_level: usize,
     nodes: Vec<Node>,
     ids: Vec<u32>,
+    /// The split dimension's key column of the segment being split,
+    /// reused by every split of the load.
+    keys: Vec<f32>,
     obs: &'a mut O,
 }
 
@@ -225,6 +240,7 @@ fn build_tree<O: BuildObserver>(
         stop_level,
         nodes: Vec::new(),
         ids,
+        keys: Vec::new(),
         obs,
     };
     let root = b.build_node(0, n, root_level, n_full)?;
@@ -326,8 +342,9 @@ impl<O: BuildObserver> Builder<'_, O> {
             // so a maximum-variance dimension exists.
             let ids = &mut self.ids[start..end];
             let dim = max_variance_dim(self.data, ids).expect("non-empty");
-            self.obs.split(node, start, ids, dim, rank)?;
-            partition_by_rank(self.data, ids, dim, rank);
+            gather_keys(self.data, ids, dim, &mut self.keys);
+            self.obs.split(node, start, ids, &self.keys, dim, rank)?;
+            partition_keyed(self.data, &mut self.keys, ids, dim, rank);
         }
         let mid = start + rank;
         self.partition_groups(node, start..mid, level, f_left, left_full, out)?;
@@ -458,6 +475,30 @@ mod tests {
         let t = bulk_load_scaled(&data, vec![3], &topo, 10.0).unwrap();
         t.check_invariants().unwrap();
         assert_eq!(t.num_entries(), 1);
+    }
+
+    #[test]
+    fn full_load_rejects_a_cardinality_other_than_the_topology_s() {
+        // 500 points under a 1,000-point topology would otherwise build a
+        // 200-leaf tree sized for 1,000 points.
+        let topo = Topology::from_capacities(1, 1000, 5, 4).unwrap();
+        for n in [500, 1001] {
+            let data = random_dataset(n, 1, 10);
+            let err = bulk_load(&data, &topo).unwrap_err();
+            assert!(
+                matches!(err, Error::InvalidParameter { .. }),
+                "n = {n}: {err}"
+            );
+            assert!(
+                err.to_string().contains("topology is for 1000 points"),
+                "{err}"
+            );
+        }
+        let other_dim = random_dataset(1000, 2, 11);
+        assert!(matches!(
+            bulk_load(&other_dim, &topo),
+            Err(Error::DimensionMismatch { .. })
+        ));
     }
 
     #[test]
