@@ -53,11 +53,13 @@ fn bench_partition(suite: &mut BenchSuite) {
     for &n in &[1_000usize, 10_000, 100_000] {
         let data = random_dataset(n, 16, 1);
         let ids: Vec<u32> = (0..n as u32).collect();
+        // One key buffer across samples, as a build reuses one across splits.
+        let mut keys = Vec::with_capacity(n);
         suite.bench_with_setup(
             &format!("partition_by_rank/{n}"),
             || ids.clone(),
             |mut ids| {
-                partition_by_rank(&data, black_box(&mut ids), 3, n / 2);
+                partition_by_rank(&data, black_box(&mut ids), 3, n / 2, &mut keys);
                 ids
             },
         );
@@ -470,6 +472,42 @@ fn bench_served_count(suite: &mut BenchSuite) {
         aos.iter().sum::<u64>() as f64 / balls.len() as f64
     );
     let tag = format!("color64_served/{}x{dim}/{}q", pages.len(), balls.len());
+    // The `f32` filter's worst case: each ball's r² is the exact MINDIST²
+    // of the leaf whose MINDIST² lies nearest its own r², so at least one
+    // lane per ball sits inside the band and its group runs both stages.
+    let tangent: Vec<(Vec<f32>, f64)> = balls
+        .iter()
+        .map(|(c, r)| {
+            let m = pages
+                .iter()
+                .map(|p| p.mindist2(c))
+                .min_by(|a, b| (a - r * r).abs().total_cmp(&(b - r * r).abs()))
+                .unwrap();
+            (c.clone(), m)
+        })
+        .collect();
+    let reference: Vec<u64> = tangent
+        .iter()
+        .map(|(c, r2)| pages.iter().filter(|p| !p.mindist2_exceeds(c, *r2)).count() as u64)
+        .collect();
+    assert!(
+        reference.iter().all(|&n| n > 0),
+        "each tangent ball meets its leaf"
+    );
+    for isa in simd::supported() {
+        for ((c, r2), &want) in tangent.iter().zip(&reference) {
+            assert_eq!(
+                flat.count_intersecting_with(isa, c, *r2),
+                want,
+                "{isa} tangent flat"
+            );
+            assert_eq!(
+                soup.count_intersecting_with(isa, c, *r2),
+                want,
+                "{isa} tangent tree"
+            );
+        }
+    }
     for isa in simd::supported() {
         suite.bench(&format!("soa_count/{tag}/{isa}"), || {
             balls
@@ -481,6 +519,12 @@ fn bench_served_count(suite: &mut BenchSuite) {
             balls
                 .iter()
                 .map(|(c, r)| black_box(&soup).count_intersecting_with(isa, c, r * r))
+                .sum::<u64>()
+        });
+        suite.bench(&format!("tree_count/{tag}/tangent/{isa}"), || {
+            tangent
+                .iter()
+                .map(|(c, r2)| black_box(&soup).count_intersecting_with(isa, c, *r2))
                 .sum::<u64>()
         });
     }

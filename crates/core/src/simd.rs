@@ -24,6 +24,10 @@
 //! scalar block exit is: accumulation of non-negative terms is monotone.
 //! Reducing across dimensions inside a register would re-associate the
 //! sum and break this contract, which is why no kernel here ever does it.
+//! The counting kernels put a cheaper `f32` tier in front of this one
+//! (below): it settles only the lanes whose `f64` decision it can prove
+//! and hands every other group to this chain, so each count is still the
+//! scalar count, lane for lane.
 //!
 //! ## The moments kernel (lanes across dims, never across points)
 //!
@@ -47,6 +51,58 @@
 //! NaN result unspecified, so both paths return NaN moments as
 //! [`f64::NAN`]; every moment is then bit-identical across ISAs.
 //!
+//! ## The `f32` filter (decide in `f32` inside a proven margin)
+//!
+//! Counting needs only each lane's decision `MINDIST² <= r²`, not the sum,
+//! so the SSE2/AVX2 counting kernels first run the same chain in `f32`:
+//! per dimension `max(max(lo − x, x − hi), 0)`, squared, added in
+//! ascending dimension order, 8 lanes per `ymm` and 4 per `xmm`, with no
+//! widening. [`filter_band`] turns `r²` and `dim` into two `f32`
+//! thresholds, `hit ≤ r²(1 − ε) − 2⁻¹⁰⁰` (rounded down) and
+//! `miss ≥ r²(1 + ε) + 2⁻¹⁰⁰` (rounded up), with
+//! `ε(dim) = (dim + 8)·2⁻²²`. A lane whose `f32` sum is at most `hit` is
+//! counted, a lane whose sum exceeds `miss` is not, and the per-tile early
+//! exit uses `miss`. A group with any valid lane between the two runs the
+//! exact `f64` group kernel above instead, and so does every `r²` outside
+//! `[0, 2¹⁰⁰]` (NaN and ∞ included) and every `dim` above
+//! [`FILTER_MAX_DIM`].
+//!
+//! Why a decided lane is decided as the `f64` chain decides it:
+//!
+//! - **Same classes.** Boxes are finite (the `+∞` padding sentinels
+//!   aside), so `lo − x` is NaN in `f32` exactly when it is in `f64` (a
+//!   NaN centre or an `∞ − ∞` with a sentinel); an `f32` overflow gives
+//!   `±∞`, never NaN. The `max` operand order is `group16_avx2`'s, so a
+//!   NaN difference picks the same operand, and a NaN term becomes 0 in
+//!   both. Otherwise each precision's term is its own rounding of the same
+//!   real `max(max(lo − x, x − hi), 0)`, and rounding is monotone, so the
+//!   terms are zero, positive or infinite together. No accumulator is
+//!   ever NaN.
+//! - **Same real sum.** Both chains approximate one real sum `T` of
+//!   squared terms: each term is rounded once, squared and rounded, then
+//!   added with at most `dim − 1` more roundings, so the relative error is
+//!   at most `(dim + 2)·2⁻²⁴` in `f32` and `(dim + 2)·2⁻⁵³` in `f64`.
+//!   `ε` is about four times the `f32` bound, which also covers the `f64`
+//!   one. A nonzero `f64` term is at least `2⁻¹⁴⁹` (differences of `f32`
+//!   values are multiples of it), so its square is a normal `f64`: the
+//!   `f64` chain never underflows. The `f32` squares may underflow, by at
+//!   most `2⁻¹⁵⁰` each, which the `2⁻¹⁰⁰` slack covers for any `dim` up to
+//!   [`FILTER_MAX_DIM`].
+//! - **Overflow.** An `f32` overflow (a difference, a square or a partial
+//!   sum reaching `2¹²⁸`) means `T` is far above `2¹⁰⁰ ≥ r²`, so the
+//!   lane is a miss in `f64` too, which is what an `∞` sum above `miss`
+//!   says. `∞` sums from sentinels or infinite centres are misses in both.
+//!
+//! So `f32 sum ≤ hit` implies `T < r²(1 − ε)/(1 − 2⁻²⁴)^(dim+2)` and then
+//! `f64 sum ≤ r²`; `f32 sum > miss` implies the `f64` sum exceeds `r²`.
+//! Partial sums obey the same bounds, so the early exit is sound as well.
+//! Each threshold is computed in `f64` (two roundings), rounded to the
+//! nearest `f32` and then stepped one `f32` step outward, which more than
+//! covers the three roundings. Counts therefore stay byte-identical to the
+//! scalar path; only the k-NN expansion
+//! ([`crate::LeafSoup::for_each_intersecting`]), which needs every passing
+//! lane's MINDIST², runs the `f64` kernel on every group.
+//!
 //! ## Dispatch
 //!
 //! The active ISA is resolved once and cached, with precedence
@@ -66,6 +122,51 @@ use std::sync::OnceLock;
 
 /// Maximum `f64` lanes any supported ISA processes per group (AVX2).
 pub const MAX_LANES: usize = 4;
+
+/// Largest dimensionality the `f32` filter serves; `ε` stays at most 1/4.
+pub const FILTER_MAX_DIM: usize = 1 << 20;
+
+/// Largest `r²` the `f32` filter serves (`2¹⁰⁰`).
+const FILTER_R2_MAX: f64 = f64::from_bits(0x4630_0000_0000_0000);
+
+/// Absolute slack on both thresholds (`2⁻¹⁰⁰`): covers the `f32` squares'
+/// underflow.
+const FILTER_SLACK: f64 = f64::from_bits(0x39B0_0000_0000_0000);
+
+/// The `f32` filter's thresholds for one ball (see the module doc): a lane
+/// whose `f32` sum is at most `hit` intersects the ball, a lane whose sum
+/// exceeds `miss` does not, and a lane in between is decided in `f64`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FilterBand {
+    /// At most `r²(1 − ε) − 2⁻¹⁰⁰`.
+    pub hit: f32,
+    /// At least `r²(1 + ε) + 2⁻¹⁰⁰`.
+    pub miss: f32,
+}
+
+/// The filter's relative margin `ε(dim) = (dim + 8)·2⁻²²`, exact in `f64`.
+#[must_use]
+pub fn filter_eps(dim: usize) -> f64 {
+    (dim + 8) as f64 / f64::from(1u32 << 22)
+}
+
+/// The [`FilterBand`] of squared radius `r2` in `dim` dimensions, or `None`
+/// when the filter cannot decide any lane (every `r2` outside
+/// `[0, 2¹⁰⁰]`, NaN and ∞ included, and `dim > FILTER_MAX_DIM`), so that
+/// every lane goes to the exact `f64` kernel.
+#[must_use]
+pub fn filter_band(r2: f64, dim: usize) -> Option<FilterBand> {
+    if !(0.0..=FILTER_R2_MAX).contains(&r2) || dim > FILTER_MAX_DIM {
+        return None;
+    }
+    let eps = filter_eps(dim);
+    let hit = r2 * (1.0 - eps) - FILTER_SLACK;
+    let miss = r2 * (1.0 + eps) + FILTER_SLACK;
+    Some(FilterBand {
+        hit: (hit as f32).next_down(),
+        miss: (miss as f32).next_up(),
+    })
+}
 
 /// Instruction set implementing the geometry kernels. Ordered by
 /// preference: detection picks the last supported variant.
@@ -312,11 +413,55 @@ pub(crate) fn soup_group_masks(
     }
 }
 
+/// The counting twin of [`soup_group_masks`]: `sink(base, mask)` per lane
+/// group with the same masks, decided by the `f32` filter where it can
+/// prove the decision and by the exact `f64` group kernel elsewhere, and
+/// without the MINDIST²s.
+///
+/// # Panics
+///
+/// As [`soup_group_masks`].
+#[allow(clippy::too_many_arguments)]
+#[inline]
+pub(crate) fn soup_hit_masks(
+    isa: Isa,
+    lo: &[f32],
+    hi: &[f32],
+    stride: usize,
+    valid: usize,
+    center: &[f32],
+    r2: f64,
+    sink: impl FnMut(usize, u32),
+) {
+    check_soup_dispatch(isa, lo, hi, stride, valid, center.len());
+    #[cfg(target_arch = "x86_64")]
+    {
+        let band = filter_band(r2, center.len());
+        match isa {
+            Isa::Scalar => unreachable!("scalar dispatch handled by LeafSoup"),
+            // SAFETY: as in `soup_group_masks`.
+            Isa::Sse2 => unsafe {
+                x86::hit_masks_sse2(lo, hi, stride, valid, center, r2, band, sink)
+            },
+            Isa::Avx2 => unsafe {
+                x86::hit_masks_avx2(lo, hi, stride, valid, center, r2, band, sink)
+            },
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = (r2, sink);
+        unreachable!("non-scalar ISA {isa} dispatched on a non-x86_64 build")
+    }
+}
+
 /// Batched counting over the same stripes as [`soup_group_masks`]:
 /// `counts[q] +=` the number of lanes `i < valid` intersecting query `q`'s
 /// ball. Queries are given as `(center, r²)` pairs; the group loop is
 /// leaf-major with queries inner, so one group's stripe bytes are reused
-/// by the whole query block while resident in L1.
+/// by the whole query block while resident in L1. Each query's
+/// [`FilterBand`] is derived once per call, next to its `r²`, and its
+/// lanes are decided as in [`soup_hit_masks`].
 pub(crate) fn soup_count_chunk(
     isa: Isa,
     lo: &[f32],
@@ -331,11 +476,19 @@ pub(crate) fn soup_count_chunk(
     assert_eq!(queries.len(), counts.len(), "one count slot per query");
     #[cfg(target_arch = "x86_64")]
     {
+        let bands: Vec<Option<FilterBand>> = queries
+            .iter()
+            .map(|&(center, r2)| filter_band(r2, center.len()))
+            .collect();
         match isa {
             Isa::Scalar => unreachable!("scalar dispatch handled by LeafSoup"),
             // SAFETY: as in `soup_group_masks`.
-            Isa::Sse2 => unsafe { x86::count_chunk_sse2(lo, hi, stride, valid, queries, counts) },
-            Isa::Avx2 => unsafe { x86::count_chunk_avx2(lo, hi, stride, valid, queries, counts) },
+            Isa::Sse2 => unsafe {
+                x86::count_chunk_sse2(lo, hi, stride, valid, queries, &bands, counts)
+            },
+            Isa::Avx2 => unsafe {
+                x86::count_chunk_avx2(lo, hi, stride, valid, queries, &bands, counts)
+            },
         }
     }
     #[cfg(not(target_arch = "x86_64"))]
@@ -440,7 +593,7 @@ fn check_soup_dispatch(isa: Isa, lo: &[f32], hi: &[f32], stride: usize, valid: u
 /// stripe/row geometry asserted by the dispatchers above.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::MAX_LANES;
+    use super::{FilterBand, MAX_LANES};
     use crate::soup::DIM_TILE;
     use core::arch::x86_64::*;
 
@@ -638,6 +791,233 @@ mod x86 {
         mask
     }
 
+    /// The `f32` filter pass of one 16-leaf group (module doc, "the `f32`
+    /// filter"): two 8-lane `f32` chains over `group16_avx2`'s operands,
+    /// the early exit after each [`DIM_TILE`] on `band.miss`. Returns the
+    /// group's hit mask restricted to `lane_mask`, or `None` when a lane of
+    /// `lane_mask` ends between `band.hit` and `band.miss`.
+    ///
+    /// # Safety
+    ///
+    /// As [`group16_avx2`].
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn filter16_avx2(
+        lo: *const f32,
+        hi: *const f32,
+        stride: usize,
+        base: usize,
+        center: &[f32],
+        band: FilterBand,
+        lane_mask: u32,
+    ) -> Option<u32> {
+        let dim = center.len();
+        let zero = _mm256_setzero_ps();
+        let missv = _mm256_set1_ps(band.miss);
+        let (mut a0, mut a1) = (zero, zero);
+        let mut j = 0usize;
+        while j < dim {
+            let tile_end = (j + DIM_TILE).min(dim);
+            while j < tile_end {
+                let x = _mm256_set1_ps(*center.get_unchecked(j));
+                let p = j * stride + base;
+                let l0 = _mm256_loadu_ps(lo.add(p));
+                let l1 = _mm256_loadu_ps(lo.add(p + 8));
+                let h0 = _mm256_loadu_ps(hi.add(p));
+                let h1 = _mm256_loadu_ps(hi.add(p + 8));
+                let d0 = _mm256_max_ps(
+                    _mm256_max_ps(_mm256_sub_ps(l0, x), _mm256_sub_ps(x, h0)),
+                    zero,
+                );
+                let d1 = _mm256_max_ps(
+                    _mm256_max_ps(_mm256_sub_ps(l1, x), _mm256_sub_ps(x, h1)),
+                    zero,
+                );
+                a0 = _mm256_add_ps(a0, _mm256_mul_ps(d0, d0));
+                a1 = _mm256_add_ps(a1, _mm256_mul_ps(d1, d1));
+                j += 1;
+            }
+            let g = _mm256_and_ps(
+                _mm256_cmp_ps::<_CMP_GT_OQ>(a0, missv),
+                _mm256_cmp_ps::<_CMP_GT_OQ>(a1, missv),
+            );
+            if _mm256_movemask_ps(g) == 0xFF {
+                return Some(0);
+            }
+        }
+        let hitv = _mm256_set1_ps(band.hit);
+        let hit = _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_LE_OQ>(a0, hitv)) as u32
+            | (_mm256_movemask_ps(_mm256_cmp_ps::<_CMP_LE_OQ>(a1, hitv)) as u32) << 8;
+        let miss = _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_GT_OQ>(a0, missv)) as u32
+            | (_mm256_movemask_ps(_mm256_cmp_ps::<_CMP_GT_OQ>(a1, missv)) as u32) << 8;
+        (lane_mask & !(hit | miss) == 0).then_some(hit & lane_mask)
+    }
+
+    /// The `f32` filter pass of one 8-leaf group on SSE2: two 4-lane `f32`
+    /// chains, returning as [`filter16_avx2`] does.
+    ///
+    /// # Safety
+    ///
+    /// As [`group8_sse2`].
+    #[target_feature(enable = "sse2")]
+    #[inline]
+    unsafe fn filter8_sse2(
+        lo: *const f32,
+        hi: *const f32,
+        stride: usize,
+        base: usize,
+        center: &[f32],
+        band: FilterBand,
+        lane_mask: u32,
+    ) -> Option<u32> {
+        let dim = center.len();
+        let zero = _mm_setzero_ps();
+        let missv = _mm_set1_ps(band.miss);
+        let (mut a0, mut a1) = (zero, zero);
+        let mut j = 0usize;
+        while j < dim {
+            let tile_end = (j + DIM_TILE).min(dim);
+            while j < tile_end {
+                let x = _mm_set1_ps(*center.get_unchecked(j));
+                let p = j * stride + base;
+                let l0 = _mm_loadu_ps(lo.add(p));
+                let l1 = _mm_loadu_ps(lo.add(p + 4));
+                let h0 = _mm_loadu_ps(hi.add(p));
+                let h1 = _mm_loadu_ps(hi.add(p + 4));
+                let d0 = _mm_max_ps(_mm_max_ps(_mm_sub_ps(l0, x), _mm_sub_ps(x, h0)), zero);
+                let d1 = _mm_max_ps(_mm_max_ps(_mm_sub_ps(l1, x), _mm_sub_ps(x, h1)), zero);
+                a0 = _mm_add_ps(a0, _mm_mul_ps(d0, d0));
+                a1 = _mm_add_ps(a1, _mm_mul_ps(d1, d1));
+                j += 1;
+            }
+            let g = _mm_and_ps(_mm_cmpgt_ps(a0, missv), _mm_cmpgt_ps(a1, missv));
+            if _mm_movemask_ps(g) == 0xF {
+                return Some(0);
+            }
+        }
+        let hitv = _mm_set1_ps(band.hit);
+        let hit = _mm_movemask_ps(_mm_cmple_ps(a0, hitv)) as u32
+            | (_mm_movemask_ps(_mm_cmple_ps(a1, hitv)) as u32) << 4;
+        let miss = _mm_movemask_ps(_mm_cmpgt_ps(a0, missv)) as u32
+            | (_mm_movemask_ps(_mm_cmpgt_ps(a1, missv)) as u32) << 4;
+        (lane_mask & !(hit | miss) == 0).then_some(hit & lane_mask)
+    }
+
+    /// One 16-leaf group's hit mask: the `f32` filter where `band` lets it
+    /// decide every lane, the exact [`group16_avx2`] otherwise.
+    ///
+    /// # Safety
+    ///
+    /// As [`group16_avx2`].
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn hits16_avx2(
+        lo: *const f32,
+        hi: *const f32,
+        stride: usize,
+        base: usize,
+        center: &[f32],
+        r2: f64,
+        band: Option<FilterBand>,
+        lane_mask: u32,
+    ) -> u32 {
+        if let Some(band) = band {
+            if let Some(mask) = filter16_avx2(lo, hi, stride, base, center, band, lane_mask) {
+                return mask;
+            }
+        }
+        let mut d2 = [0.0f64; 16];
+        group16_avx2(lo, hi, stride, base, center, r2, lane_mask, &mut d2)
+    }
+
+    /// One 8-leaf group's hit mask on SSE2, as [`hits16_avx2`].
+    ///
+    /// # Safety
+    ///
+    /// As [`group8_sse2`].
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "sse2")]
+    #[inline]
+    unsafe fn hits8_sse2(
+        lo: *const f32,
+        hi: *const f32,
+        stride: usize,
+        base: usize,
+        center: &[f32],
+        r2: f64,
+        band: Option<FilterBand>,
+        lane_mask: u32,
+    ) -> u32 {
+        if let Some(band) = band {
+            if let Some(mask) = filter8_sse2(lo, hi, stride, base, center, band, lane_mask) {
+                return mask;
+            }
+        }
+        let mut d2 = [0.0f64; 8];
+        group8_sse2(lo, hi, stride, base, center, r2, lane_mask, &mut d2)
+    }
+
+    /// Every 16-lane group's hit mask, in stripe order, through
+    /// [`hits16_avx2`].
+    ///
+    /// # Safety
+    ///
+    /// As [`group_masks_avx2`].
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    pub unsafe fn hit_masks_avx2(
+        lo: &[f32],
+        hi: &[f32],
+        stride: usize,
+        valid: usize,
+        center: &[f32],
+        r2: f64,
+        band: Option<FilterBand>,
+        mut sink: impl FnMut(usize, u32),
+    ) {
+        let mut i = 0usize;
+        while i < valid {
+            let mask = mask16(valid - i);
+            sink(
+                i,
+                hits16_avx2(lo.as_ptr(), hi.as_ptr(), stride, i, center, r2, band, mask),
+            );
+            i += 16;
+        }
+    }
+
+    /// Every 8-lane group's hit mask, in stripe order, through
+    /// [`hits8_sse2`].
+    ///
+    /// # Safety
+    ///
+    /// As [`group_masks_sse2`].
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "sse2")]
+    #[inline]
+    pub unsafe fn hit_masks_sse2(
+        lo: &[f32],
+        hi: &[f32],
+        stride: usize,
+        valid: usize,
+        center: &[f32],
+        r2: f64,
+        band: Option<FilterBand>,
+        mut sink: impl FnMut(usize, u32),
+    ) {
+        let mut i = 0usize;
+        while i < valid {
+            let mask = mask8(valid - i);
+            sink(
+                i,
+                hits8_sse2(lo.as_ptr(), hi.as_ptr(), stride, i, center, r2, band, mask),
+            );
+            i += 8;
+        }
+    }
+
     /// Every 16-lane group's mask and MINDIST²s, in stripe order.
     ///
     /// # Safety
@@ -716,7 +1096,8 @@ mod x86 {
     ///
     /// # Safety
     ///
-    /// As [`group_masks_avx2`]; `counts.len() == queries.len()`.
+    /// As [`group_masks_avx2`]; `counts` and `bands` are as long as
+    /// `queries`.
     #[target_feature(enable = "avx2")]
     pub unsafe fn count_chunk_avx2(
         lo: &[f32],
@@ -724,26 +1105,15 @@ mod x86 {
         stride: usize,
         valid: usize,
         queries: &[(&[f32], f64)],
+        bands: &[Option<FilterBand>],
         counts: &mut [u64],
     ) {
-        let mut d2 = [0.0f64; 16];
         let mut i = 0usize;
         while i < valid {
             let mask = mask16(valid - i);
-            for (slot, &(center, r2)) in counts.iter_mut().zip(queries) {
-                *slot += u64::from(
-                    group16_avx2(
-                        lo.as_ptr(),
-                        hi.as_ptr(),
-                        stride,
-                        i,
-                        center,
-                        r2,
-                        mask,
-                        &mut d2,
-                    )
-                    .count_ones(),
-                );
+            for ((slot, &(center, r2)), &band) in counts.iter_mut().zip(queries).zip(bands) {
+                let hits = hits16_avx2(lo.as_ptr(), hi.as_ptr(), stride, i, center, r2, band, mask);
+                *slot += u64::from(hits.count_ones());
             }
             i += 16;
         }
@@ -751,7 +1121,8 @@ mod x86 {
 
     /// # Safety
     ///
-    /// As [`group_masks_sse2`]; `counts.len() == queries.len()`.
+    /// As [`group_masks_sse2`]; `counts` and `bands` are as long as
+    /// `queries`.
     #[target_feature(enable = "sse2")]
     pub unsafe fn count_chunk_sse2(
         lo: &[f32],
@@ -759,26 +1130,15 @@ mod x86 {
         stride: usize,
         valid: usize,
         queries: &[(&[f32], f64)],
+        bands: &[Option<FilterBand>],
         counts: &mut [u64],
     ) {
-        let mut d2 = [0.0f64; 8];
         let mut i = 0usize;
         while i < valid {
             let mask = mask8(valid - i);
-            for (slot, &(center, r2)) in counts.iter_mut().zip(queries) {
-                *slot += u64::from(
-                    group8_sse2(
-                        lo.as_ptr(),
-                        hi.as_ptr(),
-                        stride,
-                        i,
-                        center,
-                        r2,
-                        mask,
-                        &mut d2,
-                    )
-                    .count_ones(),
-                );
+            for ((slot, &(center, r2)), &band) in counts.iter_mut().zip(queries).zip(bands) {
+                let hits = hits8_sse2(lo.as_ptr(), hi.as_ptr(), stride, i, center, r2, band, mask);
+                *slot += u64::from(hits.count_ones());
             }
             i += 8;
         }

@@ -52,7 +52,12 @@
 //! (see [`crate::simd`]) — so counts from every ISA are **byte-identical**
 //! to counting `HyperRect::intersects_sphere` over the same rectangles,
 //! and [`LeafSoup::for_each_intersecting`] hands on each passing lane's
-//! MINDIST² with the bits `HyperRect::mindist2` returns. A
+//! MINDIST² with the bits `HyperRect::mindist2` returns. The SIMD
+//! counting paths ([`LeafSoup::count_intersecting_with`],
+//! [`LeafSoup::count_batch_with`], [`LeafSoup::for_each_hit`]) first
+//! decide lanes in `f32`, only where the `f64` decision is proven to
+//! agree, and run the exact chain for every other group (see
+//! [`crate::simd`], "the `f32` filter"). A
 //! contract pinned by `tests/soup_kernels.rs` and `tests/simd_dispatch.rs`
 //! and asserted by the `kernels` bench suite before any timing.
 
@@ -190,7 +195,7 @@ impl LeafSoup {
             Isa::Scalar => self.count_scalar(center, r2),
             _ => {
                 let mut total = 0u64;
-                simd::soup_group_masks(
+                simd::soup_hit_masks(
                     isa,
                     &self.lo,
                     &self.hi,
@@ -198,10 +203,40 @@ impl LeafSoup {
                     self.len,
                     center,
                     r2,
-                    |_, mask, _| total += u64::from(mask.count_ones()),
+                    |_, mask| total += u64::from(mask.count_ones()),
                 );
                 total
             }
+        }
+    }
+
+    /// Calls `f(i)`, in ascending `i`, for every stored rectangle `i` that
+    /// [`LeafSoup::count_intersecting_with`] counts: the same decisions
+    /// from the same masks, walked instead of popcounted. Without the
+    /// MINDIST²s of [`LeafSoup::for_each_intersecting`], the SIMD paths
+    /// decide lanes in the `f32` filter (see [`crate::simd`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `isa` is not supported by this CPU/build.
+    pub fn for_each_hit(&self, isa: Isa, center: &[f32], r2: f64, mut f: impl FnMut(usize)) {
+        match isa {
+            Isa::Scalar => self.for_each_intersecting(isa, center, r2, |i, _| f(i)),
+            _ => simd::soup_hit_masks(
+                isa,
+                &self.lo,
+                &self.hi,
+                self.stride,
+                self.len,
+                center,
+                r2,
+                |base, mut mask| {
+                    while mask != 0 {
+                        f(base + mask.trailing_zeros() as usize);
+                        mask &= mask - 1;
+                    }
+                },
+            ),
         }
     }
 

@@ -849,78 +849,6 @@ mod tests {
     }
 
     #[test]
-    fn crafted_superblocks_fail_without_panicking_or_allocating() {
-        // Each case overwrites one word of a valid superblock with a value
-        // that once overflowed an offset or sized an allocation.
-        let cases: [(usize, u64); 4] = [
-            (6, u64::MAX),      // num_entries: the entry-length product
-            (7, (1 << 62) - 1), // entry_pages: the region byte size
-            (5, (1 << 63) - 1), // num_nodes: the node-arena capacity
-            (2, 1 << 40),       // dim: the corner vectors
-        ];
-        for (word, value) in cases {
-            let fs = Arc::new(InjectedFs::clean());
-            let dir = PathBuf::from("/crafted");
-            let open = || FileStore::open_in(fs.clone(), &dir, &DiskOptions::new()).unwrap();
-            let mut st = open();
-            let f = persist_index(&mut st, &sample_tree()).unwrap();
-            let mut sb = vec![0u8; PAYLOAD_BYTES];
-            st.read_pages(&f, 0, 1, &mut sb).unwrap();
-            sb[word * 8..word * 8 + 8].copy_from_slice(&value.to_le_bytes());
-            st.write_pages(&f, 0, 1, &sb).unwrap();
-            st.sync().unwrap();
-            drop(st);
-            let err = load_index(&mut open()).unwrap_err();
-            assert!(
-                matches!(err, Error::StoreFailure { .. }),
-                "word {word} = {value:#x}: {err}"
-            );
-        }
-    }
-
-    #[test]
-    fn crafted_node_arenas_fail_without_panicking() {
-        // Each case overwrites one u32 of the node arena (page 2) and
-        // rewrites the page through the store, so its checksum is valid
-        // and the bad bytes reach the decoder. Records of the 2-d sample
-        // tree: the root is level(4) lo(8) hi(8) tag(1) count(4) then
-        // three children (bytes 0..37); leaf 1 is level(4) lo(8) hi(8)
-        // tag(1) start(4) end(4) (bytes 37..66).
-        let edits: [&[(usize, u32)]; 4] = [
-            // The root's first child id: outside the 4-node arena.
-            &[(25, 0xFFFF)],
-            // Leaf 1's level: `child.level + 1` overflows.
-            &[(37, u32::MAX)],
-            // Leaf 1's range 0..3 -> 100..103: same coverage, outside the
-            // 9-entry arena.
-            &[(58, 100), (62, 103)],
-            // Leaf 1's range 0..3 -> 3..6: same coverage, overlapping leaf
-            // 2's 3..5.
-            &[(58, 3), (62, 6)],
-        ];
-        for edit in edits {
-            let fs = Arc::new(InjectedFs::clean());
-            let dir = PathBuf::from("/crafted_nodes");
-            let open = || FileStore::open_in(fs.clone(), &dir, &DiskOptions::new()).unwrap();
-            let mut st = open();
-            let f = persist_index(&mut st, &sample_tree()).unwrap();
-            let mut page = vec![0u8; PAYLOAD_BYTES];
-            st.read_pages(&f, 2, 1, &mut page).unwrap();
-            for &(at, value) in edit {
-                page[at..at + 4].copy_from_slice(&value.to_le_bytes());
-            }
-            st.write_pages(&f, 2, 1, &page).unwrap();
-            st.sync().unwrap();
-            drop(st);
-            let err = load_index(&mut open()).unwrap_err();
-            assert!(
-                matches!(err, Error::InfeasibleTopology(_)),
-                "{edit:?}: {err}"
-            );
-        }
-    }
-
-    #[test]
     fn entries_precede_the_directory_on_disk() {
         // The index-deferred layout: sequential entry pages from page 1,
         // directory after, superblock at page 0 written last.

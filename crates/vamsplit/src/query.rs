@@ -387,7 +387,7 @@ impl TreeSoup {
             return n.soup.count_intersecting_with(isa, center, r2);
         }
         let mut total = 0u64;
-        n.soup.for_each_intersecting(isa, center, r2, |i, _| {
+        n.soup.for_each_hit(isa, center, r2, |i| {
             total += self.count_below(isa, n.children[i] as usize, center, r2);
         });
         total

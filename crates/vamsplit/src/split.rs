@@ -14,10 +14,10 @@
 //! (`partition_keyed`). Each narrowing pass then streams 8 bytes a
 //! point instead of fetching one coordinate from a scattered row, which
 //! is what the bulk loader's big splits pay for (a 28 MB dataset does not
-//! fit in cache). The bulk loader keeps one key buffer for the whole load
-//! and hands the same column to its observer, so the external build's
-//! bill reads it too. [`partition_by_rank`] is the gathering wrapper for
-//! callers without a buffer of their own.
+//! fit in cache). Every caller owns the key buffer and reuses it across
+//! its splits: the bulk loader keeps one for the whole load and hands the
+//! same column to its observer, so the external build's bill reads it too;
+//! [`partition_by_rank`] gathers into the buffer it is given.
 
 use hdidx_core::Dataset;
 
@@ -27,19 +27,25 @@ use hdidx_core::Dataset;
 /// but the rank property always holds exactly.
 ///
 /// `rank` is clamped to `0..=ids.len()`; the boundary values are no-ops.
-/// Gathers the key column and runs the keyed select the bulk loader
-/// runs over its reused buffer.
+/// Gathers the key column into the caller's `keys` (its old contents are
+/// dropped, its allocation reused) and runs the keyed select the bulk
+/// loader runs.
 ///
 /// # Panics
 ///
 /// Panics if `dim >= data.dim()` or an id is out of range.
-pub fn partition_by_rank(data: &Dataset, ids: &mut [u32], dim: usize, rank: usize) {
+pub fn partition_by_rank(
+    data: &Dataset,
+    ids: &mut [u32],
+    dim: usize,
+    rank: usize,
+    keys: &mut Vec<f32>,
+) {
     if rank == 0 || rank >= ids.len() {
         return;
     }
-    let mut keys = Vec::with_capacity(ids.len());
-    gather_keys(data, ids, dim, &mut keys);
-    partition_keyed(data, &mut keys, ids, dim, rank);
+    gather_keys(data, ids, dim, keys);
+    partition_keyed(data, keys, ids, dim, rank);
 }
 
 /// Replaces `keys` with the `dim` coordinates of the points at `ids`, in
@@ -281,17 +287,15 @@ mod tests {
                 }
                 let data = Dataset::from_flat(dim, coords[..n * dim].to_vec()).unwrap();
                 let rank = (*rank).min(ids.len());
+                // One buffer across the dimensions: a stale column from the
+                // previous select must not leak into the next.
+                let mut keys = Vec::new();
                 for d in 0..dim {
                     let mut want = ids.clone();
                     partition_by_rank_oracle(&data, &mut want, d, rank);
                     let mut got = ids.clone();
-                    partition_by_rank(&data, &mut got, d, rank);
+                    partition_by_rank(&data, &mut got, d, rank, &mut keys);
                     prop_assert_eq!(&got, &want);
-                    let mut keys = Vec::new();
-                    let mut keyed = ids.clone();
-                    gather_keys(&data, &keyed, d, &mut keys);
-                    partition_keyed(&data, &mut keys, &mut keyed, d, rank);
-                    prop_assert_eq!(&keyed, &want);
                 }
                 Verdict::Pass
             },
@@ -322,7 +326,7 @@ mod tests {
     fn partitions_simple_sequences() {
         let d = dataset_from_column(&[5.0, 1.0, 4.0, 2.0, 3.0]);
         let mut ids: Vec<u32> = (0..5).collect();
-        partition_by_rank(&d, &mut ids, 0, 2);
+        partition_by_rank(&d, &mut ids, 0, 2, &mut Vec::new());
         assert!(rank_property_holds(&d, &ids, 0, 2));
         let mut left: Vec<f32> = ids[..2].iter().map(|&i| d.point(i as usize)[0]).collect();
         left.sort_by(f32::total_cmp);
@@ -333,11 +337,11 @@ mod tests {
     fn boundary_ranks_are_noops() {
         let d = dataset_from_column(&[3.0, 1.0, 2.0]);
         let mut ids: Vec<u32> = vec![0, 1, 2];
-        partition_by_rank(&d, &mut ids, 0, 0);
+        partition_by_rank(&d, &mut ids, 0, 0, &mut Vec::new());
         assert_eq!(ids, vec![0, 1, 2]);
-        partition_by_rank(&d, &mut ids, 0, 3);
+        partition_by_rank(&d, &mut ids, 0, 3, &mut Vec::new());
         assert_eq!(ids, vec![0, 1, 2]);
-        partition_by_rank(&d, &mut ids, 0, 99); // clamped
+        partition_by_rank(&d, &mut ids, 0, 99, &mut Vec::new()); // clamped
         assert_eq!(ids, vec![0, 1, 2]);
     }
 
@@ -345,7 +349,7 @@ mod tests {
     fn handles_all_equal_keys() {
         let d = dataset_from_column(&[7.0; 100]);
         let mut ids: Vec<u32> = (0..100).collect();
-        partition_by_rank(&d, &mut ids, 0, 37);
+        partition_by_rank(&d, &mut ids, 0, 37, &mut Vec::new());
         assert!(rank_property_holds(&d, &ids, 0, 37));
         // Must remain a permutation.
         let mut sorted = ids.clone();
@@ -364,7 +368,7 @@ mod tests {
             let d = dataset_from_column(&vals);
             let mut ids: Vec<u32> = (0..n as u32).collect();
             let rank = rng.gen_range(0..=n);
-            partition_by_rank(&d, &mut ids, 0, rank);
+            partition_by_rank(&d, &mut ids, 0, rank, &mut Vec::new());
             assert!(
                 rank_property_holds(&d, &ids, 0, rank),
                 "trial {trial}: rank {rank} of {n}"
@@ -381,7 +385,7 @@ mod tests {
         let d =
             Dataset::from_flat(2, vec![0.0, 9.0, 0.0, 8.0, 0.0, 7.0, 0.0, 6.0, 0.0, 5.0]).unwrap();
         let mut ids: Vec<u32> = (0..5).collect();
-        partition_by_rank(&d, &mut ids, 1, 3);
+        partition_by_rank(&d, &mut ids, 1, 3, &mut Vec::new());
         assert!(rank_property_holds(&d, &ids, 1, 3));
     }
 }

@@ -108,7 +108,8 @@ impl SsLeafLayout {
         }
         let n = ids.len();
         let mut pages = Vec::new();
-        split_to_pages(data, &mut ids, 0, n, n_full, topo, &mut pages)?;
+        let mut keys = Vec::with_capacity(n);
+        split_to_pages(data, &mut ids, 0, n, n_full, topo, &mut keys, &mut pages)?;
         Ok(SsLeafLayout { pages })
     }
 
@@ -123,7 +124,9 @@ impl SsLeafLayout {
 
 /// Recursively halves the id range (binary max-variance splits, ranks
 /// proportional to full-scale page counts) until each piece corresponds to
-/// one full-scale data page, then emits its bounding sphere.
+/// one full-scale data page, then emits its bounding sphere. `keys` is the
+/// build's one split-key buffer.
+#[allow(clippy::too_many_arguments)]
 fn split_to_pages(
     data: &Dataset,
     ids: &mut [u32],
@@ -131,6 +134,7 @@ fn split_to_pages(
     end: usize,
     n_full: f64,
     topo: &Topology,
+    keys: &mut Vec<f32>,
     out: &mut Vec<Sphere>,
 ) -> Result<()> {
     if start == end {
@@ -147,10 +151,19 @@ fn split_to_pages(
     let rank = (((len as f64) * left_full / n_full).round() as usize).min(len);
     if rank > 0 && rank < len {
         let dim = max_variance_dim(data, &ids[start..end])?;
-        partition_by_rank(data, &mut ids[start..end], dim, rank);
+        partition_by_rank(data, &mut ids[start..end], dim, rank, keys);
     }
-    split_to_pages(data, ids, start, start + rank, left_full, topo, out)?;
-    split_to_pages(data, ids, start + rank, end, n_full - left_full, topo, out)
+    split_to_pages(data, ids, start, start + rank, left_full, topo, keys, out)?;
+    split_to_pages(
+        data,
+        ids,
+        start + rank,
+        end,
+        n_full - left_full,
+        topo,
+        keys,
+        out,
+    )
 }
 
 #[cfg(test)]

@@ -46,7 +46,7 @@ fn partition_preserves_permutation_and_rank() {
             let data = mixed_dataset(n, dim, seed);
             let rank = ((n as f64) * rank_frac) as usize;
             let mut ids: Vec<u32> = (0..n as u32).collect();
-            partition_by_rank(&data, &mut ids, dim - 1, rank);
+            partition_by_rank(&data, &mut ids, dim - 1, rank, &mut Vec::new());
             prop_assert!(rank_property_holds(&data, &ids, dim - 1, rank));
             let mut sorted = ids.clone();
             sorted.sort_unstable();
