@@ -44,16 +44,29 @@ cargo test -q --offline --workspace
 echo "==> fault_sweep --smoke (degradation-vs-accuracy experiment, pacing gate)"
 cargo run -q --release -p hdidx-bench --bin fault_sweep --offline -- --smoke
 
-# Paper-experiment smoke legs at a small scale: the two ablations that
-# count measured leaf accesses with the predictors' SoA kernel, Table 4
-# (it generates STOCK360 through the twiddle-table DFT) and Figure 13
-# (one dataset and workload, a topology per page size).
-for exp in ablation_structures ablation_query_distribution \
-  table4_model_comparison fig13_page_size; do
-  echo "==> ${exp} --scale 0.05 --queries 50 (experiment smoke)"
-  cargo run -q --release -p hdidx-bench --bin "${exp}" --offline -- \
-    --scale 0.05 --queries 50
+# Paper-experiment legs. The whole suite runs in one process at a small
+# scale, and each experiment run alone by name must print exactly its
+# section of that run (the two-line completion trailer aside). Then the
+# suite at the default quarter scale must print the committed
+# experiments_output.txt byte for byte, so every number it quotes is
+# regression-gated.
+mkdir -p target/bench-smoke
+echo "==> all_experiments --scale 0.05 --queries 50 (every paper experiment, smoke)"
+cargo run -q --release -p hdidx-bench --bin all_experiments --offline -- \
+  --scale 0.05 --queries 50 > target/bench-smoke/suite.txt
+[ "$(grep -c '^################ ' target/bench-smoke/suite.txt)" -eq 15 ]
+echo "==> all_experiments <name> --scale 0.05 --queries 50 == its section of the suite"
+: > target/bench-smoke/suite_by_name.txt
+for exp in $(grep -oE '^################ [a-z0-9_]+ ' target/bench-smoke/suite.txt | cut -d' ' -f2); do
+  cargo run -q --release -p hdidx-bench --bin all_experiments --offline -- \
+    "${exp}" --scale 0.05 --queries 50 | head -n -2 >> target/bench-smoke/suite_by_name.txt
 done
+head -n -2 target/bench-smoke/suite.txt | diff - target/bench-smoke/suite_by_name.txt
+
+echo "==> all_experiments --scale 0.25 --queries 200 == experiments_output.txt"
+cargo run -q --release -p hdidx-bench --bin all_experiments --offline -- \
+  --scale 0.25 --queries 200 > target/bench-smoke/experiments_output.txt
+diff experiments_output.txt target/bench-smoke/experiments_output.txt
 
 echo "==> cargo bench --no-run --offline (bench targets must compile)"
 cargo bench --no-run --offline

@@ -1,41 +1,25 @@
 //! One benchmark group per paper table/figure: each benchmark times a
 //! scaled-down end-to-end run of the corresponding experiment pipeline, so
 //! `cargo bench` exercises every reproduction path. The full-size
-//! experiments (with the printed tables) live in the `src/bin` binaries.
+//! experiments (with the printed tables) live in the library's
+//! `experiments` module, run by the `all_experiments` binary.
 //! Results land in `BENCH_experiments.json`.
 
 use hdidx_baselines::fractal::estimate_fractal_dims;
 use hdidx_baselines::uniform::predict_uniform;
+use hdidx_bench::{Cli, ExpArgs, ExperimentContext};
 use hdidx_check::bench::{black_box, BenchSuite};
 use hdidx_datagen::registry::NamedDataset;
-use hdidx_datagen::workload::Workload;
 use hdidx_diskio::external::{build_on_disk, ExternalConfig};
 use hdidx_model::{
     Basic, BasicParams, CostInputs, Cutoff, CutoffParams, QueryBall, Resampled, ResampledParams,
 };
 use hdidx_vamsplit::topology::{PageConfig, Topology};
 
-struct Ctx {
-    data: hdidx_core::Dataset,
-    topo: Topology,
-    balls: Vec<QueryBall>,
-}
-
-fn ctx(ds: NamedDataset, scale: f64, q: usize) -> Ctx {
-    let data = ds.spec_scaled(scale).generate().unwrap();
-    let topo = Topology::new(
-        data.dim(),
-        data.len(),
-        &PageConfig::with_page_bytes(ds.page_bytes()),
-    )
-    .unwrap();
-    let w = Workload::density_biased(&data, q, 21, 42).unwrap();
-    let balls = w
-        .queries
-        .iter()
-        .map(|x| QueryBall::new(x.center.clone(), x.radius))
-        .collect();
-    Ctx { data, topo, balls }
+/// The experiments' prepared context for `q` 21-NN queries, seed 42.
+fn ctx(ds: NamedDataset, scale: f64, q: usize) -> ExperimentContext {
+    let args = Cli::default().args(scale, q);
+    ExperimentContext::prepare(ds, &ExpArgs { seed: 42, ..args }).unwrap()
 }
 
 fn fig02_basic_model(suite: &mut BenchSuite) {

@@ -1,76 +1,33 @@
-//! Runs the whole experiment suite (every table and figure of the paper)
-//! by spawning the sibling binaries with shared arguments. Intended entry
-//! point for regenerating `EXPERIMENTS.md` numbers:
+//! Runs the paper's experiments (every table and figure) in one process,
+//! so experiments that share a dataset share its preparation. Intended
+//! entry point for regenerating `EXPERIMENTS.md` numbers:
 //!
 //! ```text
-//! cargo run --release -p hdidx-bench --bin all_experiments            # default scales
-//! cargo run --release -p hdidx-bench --bin all_experiments -- --full  # paper scale
+//! cargo run --release -p hdidx-bench --bin all_experiments                   # default scales
+//! cargo run --release -p hdidx-bench --bin all_experiments -- --full         # paper scale
+//! cargo run --release -p hdidx-bench --bin all_experiments -- table3_texture60
 //! ```
+//!
+//! Positional arguments name the experiments to run (all of them by
+//! default); each prints exactly its section of a full run. A failing
+//! experiment is reported on stderr, the rest still run, and the exit
+//! code is 1.
 
-use std::process::Command;
-
-const BINARIES: &[&str] = &[
-    "fig02_sample_size",
-    "fig09_cost_vs_memory",
-    "fig10_cost_vs_dim",
-    "table3_texture60",
-    "fig11_12_correlation",
-    "uniform8d_sanity",
-    "table4_model_comparison",
-    "fig13_page_size",
-    "fig14_dimensionality",
-    "range_queries",
-    "ablation_compensation",
-    "ablation_structures",
-    "ablation_query_distribution",
-    "vafile_contrast",
-    "resampled_all_datasets",
-];
-
-/// Binaries whose dataset size must not be scaled down: the §5.2 uniform
-/// check needs the paper's 100,000 points (its error bound is an absolute
-/// claim), and the analytic figures take no data at all.
-const UNSCALED: &[&str] = &[
-    "uniform8d_sanity",
-    "fig09_cost_vs_memory",
-    "fig10_cost_vs_dim",
-];
+use hdidx_bench::experiments::select;
+use hdidx_bench::{Cli, Suite};
 
 fn main() {
-    let forwarded: Vec<String> = std::env::args().skip(1).collect();
-    let self_path = std::env::current_exe().expect("current_exe");
-    let dir = self_path.parent().expect("binary directory");
+    let usage = |e: String| -> ! {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    };
+    let cli = Cli::parse(std::env::args().skip(1)).unwrap_or_else(|e| usage(e));
+    let suite = Suite::default();
     let mut failures = Vec::new();
-    for bin in BINARIES {
-        println!("\n################ {bin} ################\n");
-        let args: Vec<String> = if UNSCALED.contains(bin) {
-            let mut out = Vec::new();
-            let mut skip_next = false;
-            for a in &forwarded {
-                if skip_next {
-                    skip_next = false;
-                    continue;
-                }
-                if a == "--scale" {
-                    skip_next = true;
-                    continue;
-                }
-                if a == "--full" {
-                    continue;
-                }
-                out.push(a.clone());
-            }
-            out
-        } else {
-            forwarded.clone()
-        };
-        let status = Command::new(dir.join(bin))
-            .args(&args)
-            .status()
-            .unwrap_or_else(|e| panic!("failed to spawn {bin}: {e}"));
-        if !status.success() {
-            eprintln!("{bin} exited with {status}");
-            failures.push(*bin);
+    for exp in select(&cli.names).unwrap_or_else(|e| usage(e)) {
+        if let Err(e) = exp.run_section(&suite, &cli) {
+            eprintln!("{} failed: {e}", exp.name);
+            failures.push(exp.name);
         }
     }
     if failures.is_empty() {

@@ -1,4 +1,5 @@
-//! Prepared experiment state: dataset + topology + workload + ground truth.
+//! Prepared experiment state: dataset + topology + workload + ground truth,
+//! and the [`Suite`] that prepares each of them once per process.
 
 use crate::args::ExpArgs;
 use hdidx_core::{Dataset, Result};
@@ -8,6 +9,9 @@ use hdidx_diskio::external::ExternalConfig;
 use hdidx_diskio::measure::{measure_on_disk, OnDiskMeasurement};
 use hdidx_model::QueryBall;
 use hdidx_vamsplit::topology::{PageConfig, Topology};
+use std::cell::RefCell;
+use std::collections::HashMap;
+use std::rc::Rc;
 
 /// A fully prepared experiment: the generated dataset, the index topology,
 /// the density-biased workload with exact radii, and the query balls every
@@ -57,6 +61,16 @@ impl ExperimentContext {
     ///
     /// Propagates build/query errors.
     pub fn measure(&self, m: usize) -> Result<OnDiskMeasurement> {
+        self.measure_with(&self.topo, m)
+    }
+
+    /// As [`ExperimentContext::measure`], on another topology of the same
+    /// data (another page size).
+    ///
+    /// # Errors
+    ///
+    /// Propagates build/query errors.
+    pub fn measure_with(&self, topo: &Topology, m: usize) -> Result<OnDiskMeasurement> {
         let centers: Vec<Vec<f32>> = self
             .workload
             .queries
@@ -65,10 +79,10 @@ impl ExperimentContext {
             .collect();
         measure_on_disk(
             &self.data,
-            &self.topo,
+            topo,
             &centers,
             self.workload.k,
-            &ExternalConfig::with_mem_points(m).unwrap(),
+            &ExternalConfig::with_mem_points(m)?,
         )
     }
 }
@@ -79,4 +93,39 @@ pub fn balls_of(w: &Workload) -> Vec<QueryBall> {
         .iter()
         .map(|q| QueryBall::new(q.center.clone(), q.radius))
         .collect()
+}
+
+/// What a context is a pure function of.
+type Key = (NamedDataset, u64, usize, usize, u64);
+
+/// The contexts of one run of experiments, each prepared on first use
+/// and then shared read-only: experiments that ask for the same dataset,
+/// scale, query count, `k` and seed get the same context.
+#[derive(Default)]
+pub struct Suite {
+    contexts: RefCell<HashMap<Key, Rc<ExperimentContext>>>,
+}
+
+impl Suite {
+    /// The context for `ds` under `args`, prepared if no earlier call
+    /// asked for it.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`ExperimentContext::prepare`]'s errors; a failed
+    /// preparation is not kept.
+    pub fn context(&self, ds: NamedDataset, args: &ExpArgs) -> Result<Rc<ExperimentContext>> {
+        let key = (ds, args.scale.to_bits(), args.queries, args.k, args.seed);
+        if let Some(ctx) = self.contexts.borrow().get(&key) {
+            return Ok(Rc::clone(ctx));
+        }
+        let ctx = Rc::new(ExperimentContext::prepare(ds, args)?);
+        self.contexts.borrow_mut().insert(key, Rc::clone(&ctx));
+        Ok(ctx)
+    }
+
+    /// How many contexts have been prepared.
+    pub fn prepared(&self) -> usize {
+        self.contexts.borrow().len()
+    }
 }

@@ -59,9 +59,9 @@ impl Table {
         out
     }
 
-    /// Prints the rendered table to stdout.
+    /// Prints the rendered table.
     pub fn print(&self) {
-        print!("{}", self.render());
+        crate::report::print(format_args!("{}", self.render()));
     }
 }
 

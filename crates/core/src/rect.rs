@@ -197,7 +197,9 @@ impl HyperRect {
     /// exactly `self.mindist2(q) > r2`, at a fraction of the work for far
     /// rectangles in high dimensions. [`HyperRect::mindist2`] itself stays
     /// exact (best-first search needs the full value for its frontier
-    /// ordering).
+    /// ordering). A negative `r²` is exceeded even by a rectangle that
+    /// holds `q`, as in every [`crate::LeafSoup`] kernel; `-0.0` only by
+    /// one that does not, and NaN by none.
     #[inline]
     pub fn mindist2_exceeds(&self, q: &[f32], r2: f64) -> bool {
         debug_assert_eq!(q.len(), self.dim());
@@ -218,7 +220,7 @@ impl HyperRect {
                 return true;
             }
         }
-        false
+        acc > r2
     }
 
     /// Whether the closed ball `{x : |x - center| <= radius}` intersects the
@@ -580,6 +582,20 @@ mod tests {
         let unit = unit2();
         assert!(!unit.mindist2_exceeds(&[2.0, 1.0], 1.0));
         assert!(unit.mindist2_exceeds(&[2.0, 1.0], 0.999));
+    }
+
+    #[test]
+    fn negative_r2_is_exceeded_even_by_a_box_holding_the_centre() {
+        let unit = unit2();
+        let inside: &[f32] = &[0.5, 0.5];
+        for r2 in [-f64::from_bits(1), -1.0] {
+            assert!(unit.mindist2_exceeds(inside, r2), "r2 = {r2:e}");
+            assert!(unit.mindist2_exceeds(&[2.0, 1.0], r2), "r2 = {r2:e}");
+        }
+        // -0.0 is no negative number: the centre's box meets it.
+        assert!(!unit.mindist2_exceeds(inside, -0.0));
+        assert!(unit.mindist2_exceeds(&[2.0, 1.0], -0.0));
+        assert!(!unit.mindist2_exceeds(inside, f64::NAN));
     }
 
     #[test]

@@ -159,6 +159,29 @@ fn min_node_bytes(dim: u64) -> Option<u64> {
     dim.checked_mul(8)?.checked_add(9)
 }
 
+/// Decodes the entry arena of `n` point ids, which must be a permutation
+/// of `0..n`: every persisted tree is a bulk load, whose leaves hold each
+/// of its points once. One pass decodes each id and marks it seen; an id
+/// past the set, or one already marked, fails.
+fn decode_entries(bytes: &[u8], n: usize) -> Result<Vec<u32>> {
+    let words = Cursor { bytes, at: 0 }.take(n.saturating_mul(4))?;
+    let mut seen = vec![false; n];
+    let mut ids = Vec::with_capacity(n);
+    for (at, c) in words.chunks_exact(4).enumerate() {
+        let id = u32::from_le_bytes(c.try_into().unwrap());
+        match seen.get_mut(id as usize) {
+            Some(seen) if !*seen => *seen = true,
+            _ => {
+                return Err(Error::InfeasibleTopology(format!(
+                    "entry {at}: point id {id} is out of 0..{n} or repeated"
+                )))
+            }
+        }
+        ids.push(id);
+    }
+    Ok(ids)
+}
+
 /// Decodes `num_nodes` node records; the caller has checked that that
 /// many records of `dim` dimensions fit in `bytes`.
 fn decode_nodes(bytes: &[u8], dim: usize, num_nodes: usize) -> Result<Vec<Node>> {
@@ -258,8 +281,10 @@ pub fn persist_index(store: &mut FileStore, tree: &RTree) -> Result<FileHandle> 
 ///
 /// # Errors
 ///
-/// A missing or malformed superblock, decode failures, or a tree that
-/// fails [`RTree::check_invariants`].
+/// A missing or malformed superblock, decode failures, an entry arena
+/// that is not a permutation of `0..num_entries`
+/// ([`Error::InfeasibleTopology`]), or a tree that fails
+/// [`RTree::check_invariants`].
 pub fn load_index(store: &mut FileStore) -> Result<(RTree, FileHandle)> {
     let sb_handle = FileHandle::from_raw(0, 1);
     let mut sb = vec![0u8; PAYLOAD_BYTES];
@@ -328,7 +353,7 @@ pub fn load_index(store: &mut FileStore) -> Result<(RTree, FileHandle)> {
 
     let mut buf = vec![0u8; entry_bytes];
     store.read_pages(&f, 1, entry_pages, &mut buf)?;
-    let entries = Cursor { bytes: &buf, at: 0 }.words(num_entries as usize, u32::from_le_bytes)?;
+    let entries = decode_entries(&buf, num_entries as usize)?;
 
     let mut buf = vec![0u8; node_bytes];
     store.read_pages(&f, 1 + entry_pages, node_pages, &mut buf)?;

@@ -1,14 +1,16 @@
-//! Decoder property: a persisted snapshot whose superblock or node arena
-//! was edited must load back as the tree it holds or fail with a typed
-//! [`Error`], never panic and never size an allocation from an unchecked
-//! word.
+//! Decoder property: a persisted snapshot whose superblock, entry arena or
+//! node arena was edited must load back as the tree it holds or fail with
+//! a typed [`Error`], never panic and never size an allocation from an
+//! unchecked word.
 //!
 //! Each case bulk-loads a small random tree, persists it into an
 //! in-memory store and edits the snapshot: one superblock word set to a
 //! boundary or random value, random superblock bytes flipped, one node
 //! arena `u32` (at any byte offset) set likewise, random node arena bytes
-//! flipped, a count or length word made smaller, or one child id or leaf
-//! range end set one past the end of its arena. The edited pages are
+//! flipped, a count or length word made smaller, one child id or leaf
+//! range end set one past the end of its arena, or one entry (point id)
+//! set to the entry count, to `u32::MAX` or to its neighbour's id. The
+//! edited pages are
 //! rewritten through the store, so their checksums are valid and the edit
 //! reaches [`load_index`]. Then:
 //!
@@ -20,15 +22,17 @@
 //!   the page checksum is what guards the values);
 //! - any other edit must load the original tree or fail with a decode
 //!   error (`StoreFailure`, `InfeasibleTopology`, `InvalidParameter`),
-//!   and a child id or leaf range end one past its arena must fail with
-//!   `InfeasibleTopology`;
+//!   and a child id or leaf range end one past its arena, or an entry
+//!   arena that is no longer a permutation of the point ids, must fail
+//!   with `InfeasibleTopology`;
 //! - during the load, no single allocation may exceed 8 times the
 //!   snapshot's payload bytes and all allocations together 64 times it.
 //!
 //! The hand-picked edits that once overflowed an offset or sized an
 //! allocation from a corrupt word run first, through the same checker,
 //! and must fail with their own error kind: `StoreFailure` from the
-//! superblock check, `InfeasibleTopology` from the node arena check.
+//! superblock check, `InfeasibleTopology` from the node and entry arena
+//! checks.
 
 use hdidx_check::{check, prop_assert, Config, Verdict};
 use hdidx_core::{Dataset, Error};
@@ -241,7 +245,8 @@ fn u32_value(pick: u64, orig: u32, tree: &RTree, rng: &mut impl Rng) -> u32 {
 
 /// Applies edit `kind` to a copy of the snapshot's payload. Returns the
 /// edited payload and whether the edit must make the load fail (a child
-/// id or leaf range end set one past its arena).
+/// id or leaf range end set one past its arena, or an entry set out of
+/// range or to a repeat).
 fn edit(snap: &Snapshot, tree: &RTree, kind: u64, seed: u64) -> (Vec<u8>, bool) {
     let mut rng = seeded(seed);
     let mut out = snap.payload.clone();
@@ -249,7 +254,7 @@ fn edit(snap: &Snapshot, tree: &RTree, kind: u64, seed: u64) -> (Vec<u8>, bool) 
     let set_word =
         |p: &mut [u8], i: usize, v: u64| p[i * 8..i * 8 + 8].copy_from_slice(&v.to_le_bytes());
     let nodes = snap.nodes_at..snap.nodes_at + snap.node_len;
-    match kind % 5 {
+    match kind % 6 {
         // One superblock word (or the first padding word).
         0 => {
             let i = rng.gen_range(0..=SB_WORDS);
@@ -280,7 +285,7 @@ fn edit(snap: &Snapshot, tree: &RTree, kind: u64, seed: u64) -> (Vec<u8>, bool) 
         }
         // Truncations: a count or length word made smaller, or a child id
         // or leaf range end made one past the end of its arena.
-        _ => {
+        4 => {
             if rng.gen_bool(0.5) {
                 let i = rng.gen_range(5..SB_WORDS);
                 let orig = word(&out, i);
@@ -303,8 +308,26 @@ fn edit(snap: &Snapshot, tree: &RTree, kind: u64, seed: u64) -> (Vec<u8>, bool) 
                 return (out, true);
             }
         }
+        // One entry set out of range or to its neighbour's id.
+        _ => {
+            let entries = tree.entries();
+            let i = rng.gen_range(0..entries.len());
+            let v = match rng.gen_range(0..3) {
+                0 if entries.len() > 1 => entries[if i == 0 { 1 } else { i - 1 }],
+                1 => u32::MAX,
+                _ => entries.len() as u32,
+            };
+            set_entry(&mut out, i, v);
+            return (out, true);
+        }
     }
     (out, false)
+}
+
+/// Overwrites entry `i` of the arena, which starts at page 1.
+fn set_entry(payload: &mut [u8], i: usize, id: u32) {
+    let at = PAYLOAD_BYTES + 4 * i;
+    payload[at..at + 4].copy_from_slice(&id.to_le_bytes());
 }
 
 /// The same tree up to box bounds.
@@ -429,6 +452,18 @@ fn crafted_edits_fail_typed_without_allocating() {
             "{edit:?}: {err}"
         );
     }
+    // Entry arena edits: the first point id (8) set to the entry count,
+    // to `u32::MAX`, and to its neighbour's id (7).
+    for value in [9, u32::MAX, 7] {
+        let mut edited = snap.payload.clone();
+        set_entry(&mut edited, 0, value);
+        assert_eq!(loads_or_fails_typed(&snap, &tree, &edited), Verdict::Pass);
+        let err = snap.load_edited(&edited).0.unwrap_err();
+        assert!(
+            matches!(err, Error::InfeasibleTopology(_)),
+            "entry 0 = {value:#x}: {err}"
+        );
+    }
 }
 
 #[test]
@@ -473,7 +508,7 @@ fn edited_snapshots_load_the_tree_or_fail_typed() {
     check(
         "edited_snapshots_load_the_tree_or_fail_typed",
         &Config::with_cases(400),
-        |rng| (rng.next_u64(), rng.gen_range(0..5u64), rng.next_u64()),
+        |rng| (rng.next_u64(), rng.gen_range(0..6u64), rng.next_u64()),
         |&(tree_seed, kind, edit_seed)| {
             let tree = random_tree(tree_seed);
             let snap = Snapshot::persist(&tree);
@@ -485,7 +520,7 @@ fn edited_snapshots_load_the_tree_or_fail_typed() {
             let loaded = snap.load_edited(&edited).0;
             prop_assert!(
                 matches!(loaded, Err(Error::InfeasibleTopology(_))),
-                "an id one past its arena loaded as {loaded:?}"
+                "an id past its arena or a repeated entry loaded as {loaded:?}"
             );
             Verdict::Pass
         },

@@ -17,13 +17,13 @@
 //!
 //! Single-query, batched and `TreeSoup` counts, and the mask walk
 //! `LeafSoup::for_each_hit`, must equal the scalar `intersects_sphere`
-//! decisions at every supported ISA; for a negative `r²` they must equal
-//! the scalar soup path. ISAs are pinned through the `*_with`
-//! entry points, so the suite runs the same under any `HDIDX_SIMD`.
+//! decisions at every supported ISA, negative `r²` included. ISAs are
+//! pinned through the `*_with` entry points, so the suite runs the same
+//! under any `HDIDX_SIMD`.
 
 use hdidx_check::{check, prop_assert, Config, Verdict};
 use hdidx_rand::{seeded, Rng};
-use hdidx_repro::core::simd::{self, filter_band, filter_eps, Isa};
+use hdidx_repro::core::simd::{self, filter_band, filter_eps};
 use hdidx_repro::core::{Dataset, HyperRect, LeafSoup};
 use hdidx_repro::vamsplit::bulkload::bulk_load;
 use hdidx_repro::vamsplit::query::TreeSoup;
@@ -126,16 +126,6 @@ fn reference(rects: &[HyperRect], center: &[f32], r2: f64) -> Vec<usize> {
         .collect()
 }
 
-/// The scalar soup walk's decisions at `r2`. For a negative `r2` (no
-/// squared radius, e.g. `next_down` of a zero MINDIST²) the soup kernels
-/// and `mindist2_exceeds` disagree on a box holding `center`, so there
-/// the SIMD paths answer to the scalar soup path instead.
-fn scalar_walk(soup: &LeafSoup, center: &[f32], r2: f64) -> Vec<usize> {
-    let mut out = Vec::new();
-    soup.for_each_hit(Isa::Scalar, center, r2, |i| out.push(i));
-    out
-}
-
 fn filter_agrees(dim: usize, n: usize, scale: usize, seed: u64) -> Verdict {
     let mut rng = seeded(seed);
     let data = dataset(&mut rng, n, dim, scale);
@@ -148,13 +138,7 @@ fn filter_agrees(dim: usize, n: usize, scale: usize, seed: u64) -> Verdict {
         let r2s = radii2(&mut rng, &rects, &center);
         let wants: Vec<Vec<usize>> = r2s
             .iter()
-            .map(|&r2| {
-                if r2 < 0.0 {
-                    scalar_walk(&flat, &center, r2)
-                } else {
-                    reference(&rects, &center, r2)
-                }
-            })
+            .map(|&r2| reference(&rects, &center, r2))
             .collect();
         // The batch squares each radius itself; its reference is
         // `intersects_sphere` at that radius.
