@@ -92,14 +92,12 @@ HDIDX_BENCH_SAMPLES=3 HDIDX_BENCH_WARMUP_MS=1 HDIDX_BENCH_TARGET_MS=0.05 \
   cargo bench -q --offline -p hdidx-bench --bench parallel
 
 # SIMD dispatch-identity leg: the kernel tests must pass with the ISA
-# pinned to the portable scalar path, to SSE2 and with auto-detection (the
-# widest supported lanes) — same assertions, different dispatch. SSE2 is
-# pinned on its own because on an AVX2 host `auto` never reaches the SSE2
-# kernels, its `f32` filter among them. Serve smoke runs under scalar
-# and auto (below) must produce byte-identical latency digests. A digest
-# that moves with the lane width would mean the SIMD kernels are not
-# bit-exact replays of the scalar arithmetic. The tree_soup suite
-# holds the served leaf count through the directory to the flat count at
+# pinned to the portable scalar path and with auto-detection (AVX2 where
+# the CPU has it) — same assertions, different dispatch. Serve smoke
+# runs under scalar and auto (below) must produce byte-identical latency
+# digests. A digest that moves with the lane width would mean the SIMD
+# kernels are not bit-exact replays of the scalar arithmetic. The
+# tree_soup suite holds the served leaf count through the directory to the flat count at
 # every ISA. The vamsplit k-NN tests and the knn_tree suite run the
 # best-first search on the dispatched ISA, so its in-place SIMD leaf path
 # is checked bit for bit against the scan under both modes, and the
@@ -110,8 +108,8 @@ HDIDX_BENCH_SAMPLES=3 HDIDX_BENCH_WARMUP_MS=1 HDIDX_BENCH_TARGET_MS=0.05 \
 # filter at its error band (radii at a box's exact MINDIST² and its
 # neighbours, underflowing and overflowing squares, NaN and infinite
 # centres) and holds every count to the scalar decisions.
-echo "==> simd dispatch identity (HDIDX_SIMD=scalar, sse2, auto)"
-for simd_mode in scalar sse2 auto; do
+echo "==> simd dispatch identity (HDIDX_SIMD=scalar, auto)"
+for simd_mode in scalar auto; do
   HDIDX_SIMD="${simd_mode}" cargo test -q --offline -p hdidx-core \
     -- simd soup knn stats
   HDIDX_SIMD="${simd_mode}" cargo test -q --offline -p hdidx-vamsplit -- knn
@@ -167,21 +165,19 @@ diff target/bench-smoke/simd_scalar.txt target/bench-smoke/simd_auto.txt
 # The same digest identity through a deeper directory. The t48 CSV's
 # index prunes only one level below the root; COLOR64 at a tenth has a
 # height-4 index, so the served leaf count prunes at two directory levels.
-# Checked clean and under the chaos leg's fault flags, with SSE2 pinned
-# too (`auto` is AVX2 on an AVX2 host).
-echo "==> hdidx serve on COLOR64: --simd scalar == sse2 == auto (clean + chaos)"
+# Checked clean and under the chaos leg's fault flags.
+echo "==> hdidx serve on COLOR64: --simd scalar == auto (clean + chaos)"
 cargo run -q --release -p hdidx-cli --offline -- generate \
   --dataset color64 --scale 0.1 --out target/bench-smoke/c64.csv
 c64_chaos="--fault-seed 3 --fault-ppm 300000 --retry-policy exponential \
 --fault-phase-scale build:0 --lanes 2"
 for flags in "" "${c64_chaos}"; do
-  for simd_mode in scalar sse2 auto; do
+  for simd_mode in scalar auto; do
     # shellcheck disable=SC2086
     cargo run -q --release -p hdidx-cli --offline -- serve \
       --data target/bench-smoke/c64.csv --m 200 --smoke --seed 5 ${flags} \
       --simd "${simd_mode}" | grep "digest" > "target/bench-smoke/c64_${simd_mode}.txt"
   done
-  diff target/bench-smoke/c64_scalar.txt target/bench-smoke/c64_sse2.txt
   diff target/bench-smoke/c64_scalar.txt target/bench-smoke/c64_auto.txt
 done
 
@@ -204,6 +200,31 @@ for csv in t48 c64; do
     diff "target/bench-smoke/${csv}_${cmd}_scalar.txt" \
       "target/bench-smoke/${csv}_${cmd}_auto.txt"
   done
+done
+
+# A kernel ISA that is not `auto`, `scalar` or `avx2` is a startup error
+# (exit 1 with a message naming where it came from), whether it comes from
+# the flag or from HDIDX_SIMD; before any kernel runs, so never a panic
+# (exit 101).
+echo "==> hdidx predict: a bad --simd / HDIDX_SIMD exits 1 with a message"
+for how in flag env; do
+  simd_code=0
+  if [ "${how}" = flag ]; then
+    cargo run -q --release -p hdidx-cli --offline -- predict \
+      --data target/bench-smoke/t48.csv --m 200 --simd sse2 \
+      2> target/bench-smoke/bad_simd.txt || simd_code=$?
+    want="--simd"
+  else
+    HDIDX_SIMD=sse2 cargo run -q --release -p hdidx-cli --offline -- predict \
+      --data target/bench-smoke/t48.csv --m 200 \
+      2> target/bench-smoke/bad_simd.txt || simd_code=$?
+    want="HDIDX_SIMD"
+  fi
+  if [ "${simd_code}" -ne 1 ] || ! grep -q -- "^error: .*${want}" target/bench-smoke/bad_simd.txt; then
+    echo "bad ${how} ISA must exit 1 naming ${want}, got ${simd_code}:"
+    cat target/bench-smoke/bad_simd.txt
+    exit 1
+  fi
 done
 
 echo "==> hdidx serve: closed lanes == filtered stream (class digest identity)"

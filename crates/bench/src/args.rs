@@ -21,13 +21,13 @@ pub struct ExpArgs {
 
 impl ExpArgs {
     /// Parses the process arguments (see [`Cli::parse`]) over the given
-    /// defaults. Positional arguments are ignored with a warning.
-    ///
-    /// # Panics
-    ///
-    /// On a flag without a numeric value or a scale outside `(0, 1]`.
+    /// defaults. Positional arguments are ignored with a warning. A bad
+    /// flag value prints `error: ...` and exits with status 2.
     pub fn parse(default_scale: f64, default_queries: usize) -> ExpArgs {
-        let cli = Cli::parse(std::env::args().skip(1)).unwrap_or_else(|e| panic!("{e}"));
+        let cli = Cli::parse(std::env::args().skip(1)).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2)
+        });
         for other in &cli.names {
             eprintln!("warning: ignoring unknown argument `{other}`");
         }
@@ -67,22 +67,19 @@ impl Cli {
     ///
     /// # Errors
     ///
-    /// A flag without a numeric value, or a scale outside `(0, 1]`.
+    /// A flag without a value, a `--scale` that is not a number in
+    /// `(0, 1]`, or a `--queries`, `--k` or `--seed` that is not a
+    /// non-negative integer; the message names the flag.
     pub fn parse(argv: impl IntoIterator<Item = String>) -> Result<Cli, String> {
         let mut out = Cli::default();
         let mut argv = argv.into_iter();
         while let Some(arg) = argv.next() {
-            let mut number = |flag: &str| {
-                argv.next()
-                    .and_then(|s| s.parse::<f64>().ok())
-                    .ok_or_else(|| format!("{flag} requires a numeric argument"))
-            };
             match arg.as_str() {
                 "--full" => out.scale = Some(1.0),
-                "--scale" => out.scale = Some(number("--scale")?),
-                "--queries" => out.queries = Some(number("--queries")? as usize),
-                "--k" => out.k = Some(number("--k")? as usize),
-                "--seed" => out.seed = Some(number("--seed")? as u64),
+                "--scale" => out.scale = Some(value(&arg, argv.next(), "a number")?),
+                "--queries" => out.queries = Some(value(&arg, argv.next(), INTEGER)?),
+                "--k" => out.k = Some(value(&arg, argv.next(), INTEGER)?),
+                "--seed" => out.seed = Some(value(&arg, argv.next(), INTEGER)?),
                 "--smoke" => out.smoke = true,
                 _ => out.names.push(arg),
             }
@@ -102,6 +99,19 @@ impl Cli {
             seed: self.seed.unwrap_or(SEED),
             smoke: self.smoke,
         }
+    }
+}
+
+const INTEGER: &str = "a non-negative integer";
+
+/// Parses `flag`'s value `raw` as a `T`, which the error message names as
+/// `what`.
+fn value<T: std::str::FromStr>(flag: &str, raw: Option<String>, what: &str) -> Result<T, String> {
+    match raw {
+        None => Err(format!("{flag} requires {what}")),
+        Some(raw) => raw
+            .parse()
+            .map_err(|_| format!("{flag} requires {what}, got {raw:?}")),
     }
 }
 
@@ -150,5 +160,16 @@ mod tests {
         assert!(cli(&["--scale", "1.5"]).is_err());
         assert!(cli(&["--queries"]).is_err());
         assert!(cli(&["--seed", "x"]).is_err());
+        // Integer flags take integers: no silent truncation or wrapping.
+        for (flag, bad) in [
+            ("--queries", "2.5"),
+            ("--seed", "-7"),
+            ("--k", "-3"),
+            ("--seed", "1e30"),
+        ] {
+            let err = cli(&[flag, bad]).unwrap_err();
+            assert!(err.contains(flag) && err.contains(bad), "{err}");
+        }
+        assert!(cli(&["--scale", "x"]).unwrap_err().contains("--scale"));
     }
 }

@@ -26,7 +26,7 @@ use hdidx_vamsplit::kdtree::bulk_load_midsplit;
 
 pub fn run(suite: &Suite, args: &ExpArgs) -> Result<()> {
     args.banner("§4.7 ablation: sampling prediction across index structures (TEXTURE48)");
-    let scale = args.scale * 4.0;
+    let scale = (args.scale * 4.0).min(1.0);
     let ctx = suite.context(NamedDataset::Texture48, &ExpArgs { scale, ..*args })?;
     let (data, topo, balls) = (&ctx.data, &ctx.topo, &ctx.balls);
     let params = BasicParams {

@@ -162,7 +162,7 @@ USAGE:
 
 Run flags (predict, compare, measure, serve):
   [--queries 500] [--k 21] [--page-bytes 8192] [--seed 42]
-  [--threads N] [--simd auto|scalar|sse2|avx2]
+  [--threads N] [--simd auto|scalar|avx2]
   [--fault-seed S] [--fault-ppm P] [--fault-burst-ppm P]
   [--fault-phase-scale SPEC]
   [--retry-policy fixed|exponential]
@@ -227,13 +227,14 @@ serial execution; omitting --threads uses the HDIDX_THREADS environment
 variable or the machine's available parallelism. Results are identical
 for any thread count.
 
-`--simd` pins the geometry-kernel ISA: `scalar`, `sse2`, `avx2`, or
-`auto` (detect the best supported, rejecting nothing). The flag
+`--simd` pins the geometry-kernel ISA: `scalar`, `avx2`, or `auto`
+(AVX2 when the CPU has it, else scalar; rejecting nothing). The flag
 overrides the HDIDX_SIMD environment variable; omitting both
 auto-detects. Every ISA is byte-identical — counts, distances, and
 digests never change with the lane width — so the flag exists for
 perf comparison and for forcing the portable path, not for results.
-A fixed ISA the CPU does not support is rejected at startup.
+A fixed ISA the CPU does not support, or an HDIDX_SIMD value that is
+not one of these, is rejected at startup.
 
 `--fault-seed S` injects deterministic I/O faults (transient failures,
 torn reads, latency spikes) into the simulated disk; `--fault-ppm P`

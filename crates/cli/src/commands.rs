@@ -34,10 +34,11 @@ pub fn execute(cli: &Cli) -> Result<String, String> {
 /// (pages quarantined or the store fell back to an older generation).
 /// Hard errors stay on the `Err` path (exit 1).
 ///
-/// `--threads` and `--simd` are applied first, for the whole process.
-/// Results are identical for any thread count and any ISA; both only
-/// change wall-clock time. A fixed ISA the CPU does not support is a
-/// startup error.
+/// `--threads` and `--simd` are applied first, for the whole process;
+/// without `--simd`, `HDIDX_SIMD` is resolved then. Results are
+/// identical for any thread count and any ISA; both only change
+/// wall-clock time. A fixed ISA the CPU does not support, or an
+/// `HDIDX_SIMD` value that does not parse, is a startup error.
 ///
 /// # Errors
 ///
@@ -46,8 +47,11 @@ pub fn execute_with_status(cli: &Cli) -> Result<(String, i32), String> {
     if let Some(t) = cli.threads {
         hdidx_pool::set_threads(t);
     }
-    if let Some(choice) = cli.simd {
-        hdidx_core::simd::force(choice).map_err(|e| format!("option --simd: {e}"))?;
+    match cli.simd {
+        Some(choice) => {
+            hdidx_core::simd::force(choice).map_err(|e| format!("option --simd: {e}"))?;
+        }
+        None => hdidx_core::simd::check_env()?,
     }
     let report = match &cli.command {
         Command::Scrub { store_dir } => return scrub(Path::new(store_dir)),

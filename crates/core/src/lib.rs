@@ -15,7 +15,7 @@
 //! * [`LeafSoup`] — a flat SoA snapshot of a leaf-page set with blocked,
 //!   batch-oriented sphere-counting kernels (the hot loop of every
 //!   predictor), byte-identical to the scalar `HyperRect` path,
-//! * [`simd`] — runtime-dispatched SSE2/AVX2 lanes for the counting and
+//! * [`simd`] — runtime-dispatched AVX2 lanes for the counting and
 //!   k-NN kernels (scalar fallback elsewhere), byte-identical to the
 //!   scalar path by construction,
 //! * per-dimension statistics ([`stats`]) used by the maximum-variance split,

@@ -5,8 +5,19 @@
 //! early-abandon point-distance kernel behind [`crate::knn::KBest`], and
 //! the per-dimension moments behind every bulk-load split's choice of
 //! the maximum-variance dimension ([`crate::stats`]). This module gives
-//! them SSE2 and AVX2 paths on `x86_64` (detected at runtime; a portable
-//! scalar fallback everywhere else) with **zero external dependencies**.
+//! them one vector tier, AVX2 on `x86_64` (detected at runtime), with
+//! **zero external dependencies**. The portable scalar path is both the
+//! reference every AVX2 result is held to and the fallback on every other
+//! CPU.
+//!
+//! That fallback is a measured trade-off. An `x86_64` CPU without AVX2
+//! counts on the scalar path. An earlier tier at the `x86_64` baseline
+//! (2 × `f64` lanes per `xmm`) ran flat `soa_count` on served COLOR64 in
+//! 3.84 ms per 100 balls against the scalar path's 7.52 ms, and in
+//! 1.27 ms against 5.81 ms once it had the `f32` filter (AVX2: 1.00 ms).
+//! Such a CPU therefore counts two to five times slower than it could.
+//! No benchmark workload and no CI host runs without AVX2, so that tier's
+//! seven `unsafe` kernels were deleted rather than kept unmeasured.
 //!
 //! ## The identity argument (lanes across leaves, never across dims)
 //!
@@ -45,20 +56,20 @@
 //! chain is only paused at a block edge (its sum parked in memory) and
 //! resumed with the next point in `ids` order, so the blocking changes
 //! which rows are in cache, never the order of any chain's adds. The
-//! routine is plain safe Rust, compiled once at the SSE2 baseline and
-//! once inside an AVX2 `#[target_feature]` wrapper, where a 16-dimension
-//! tile's accumulators fit in four `ymm` registers. Rust leaves the sign and payload of a
-//! NaN result unspecified, so both paths return NaN moments as
-//! [`f64::NAN`]; every moment is then bit-identical across ISAs.
+//! routine is plain safe Rust, compiled inside an AVX2 `#[target_feature]`
+//! wrapper, where a 16-dimension tile's accumulators fit in four `ymm`
+//! registers. Rust leaves the sign and payload of a NaN result
+//! unspecified, so both paths return NaN moments as [`f64::NAN`]; every
+//! moment is then bit-identical across ISAs.
 //!
 //! ## The `f32` filter (decide in `f32` inside a proven margin)
 //!
 //! Counting needs only each lane's decision `MINDIST² <= r²`, not the sum,
-//! so the SSE2/AVX2 counting kernels first run the same chain in `f32`:
+//! so the AVX2 counting kernels first run the same chain in `f32`:
 //! per dimension `max(max(lo − x, x − hi), 0)`, squared, added in
-//! ascending dimension order, 8 lanes per `ymm` and 4 per `xmm`, with no
-//! widening. [`filter_band`] turns `r²` and `dim` into two `f32`
-//! thresholds, `hit ≤ r²(1 − ε) − 2⁻¹⁰⁰` (rounded down) and
+//! ascending dimension order, 8 lanes per `ymm`, with no widening.
+//! [`filter_band`] turns `r²` and `dim` into two `f32` thresholds,
+//! `hit ≤ r²(1 − ε) − 2⁻¹⁰⁰` (rounded down) and
 //! `miss ≥ r²(1 + ε) + 2⁻¹⁰⁰` (rounded up), with
 //! `ε(dim) = (dim + 8)·2⁻²²`. A lane whose `f32` sum is at most `hit` is
 //! counted, a lane whose sum exceeds `miss` is not, and the per-tile early
@@ -107,12 +118,13 @@
 //!
 //! The active ISA is resolved once and cached, with precedence
 //! **explicit force (the CLI's `--simd`) > `HDIDX_SIMD` env
-//! (`auto|scalar|sse2|avx2`) > runtime detection** (AVX2 if
-//! `is_x86_feature_detected!`, else SSE2 on `x86_64` — it is baseline —
-//! else scalar). All `unsafe` is confined to `#[target_feature]` lane
-//! primitives in the private `x86` module; the blocked drivers in
-//! [`crate::soup`] and [`crate::knn`] and the moments kernel in
-//! [`crate::stats`] are safe and shared by all ISAs.
+//! (`auto|scalar|avx2`) > runtime detection** (AVX2 if
+//! `is_x86_feature_detected!`, else scalar). A bad `HDIDX_SIMD` value
+//! panics at the first kernel call; [`check_env`] reports it as an error
+//! up front, which is how the CLI rejects it. All `unsafe` is confined
+//! to `#[target_feature]` lane primitives in the private `x86` module;
+//! the blocked drivers in [`crate::soup`] and [`crate::knn`] and the
+//! moments kernel in [`crate::stats`] are safe and shared by all ISAs.
 //! Every kernel also has a `*_with(isa, ..)` variant so tests and benches
 //! can pin an ISA without touching the process-global state.
 
@@ -175,22 +187,19 @@ pub fn filter_band(r2: f64, dim: usize) -> Option<FilterBand> {
 pub enum Isa {
     /// Portable scalar kernels — the committed reference path.
     Scalar = 0,
-    /// 2 × `f64` lanes (`x86_64` baseline, no detection needed).
-    Sse2 = 1,
     /// 4 × `f64` lanes, runtime-detected.
-    Avx2 = 2,
+    Avx2 = 1,
 }
 
 impl Isa {
     /// Every ISA, scalar first.
-    pub const ALL: [Isa; 3] = [Isa::Scalar, Isa::Sse2, Isa::Avx2];
+    pub const ALL: [Isa; 2] = [Isa::Scalar, Isa::Avx2];
 
     /// Lower-case name, matching the `HDIDX_SIMD` / `--simd` spelling.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
             Isa::Scalar => "scalar",
-            Isa::Sse2 => "sse2",
             Isa::Avx2 => "avx2",
         }
     }
@@ -200,19 +209,17 @@ impl Isa {
     pub fn lanes(self) -> usize {
         match self {
             Isa::Scalar => 1,
-            Isa::Sse2 => 2,
             Isa::Avx2 => 4,
         }
     }
 
     /// Whether this build/CPU can run the ISA's kernels. Scalar is always
-    /// supported; SSE2 is part of the `x86_64` baseline; AVX2 is detected
-    /// at runtime (the result is cached by `std`).
+    /// supported; AVX2 is detected at runtime (the result is cached by
+    /// `std`).
     #[must_use]
     pub fn is_supported(self) -> bool {
         match self {
             Isa::Scalar => true,
-            Isa::Sse2 => cfg!(target_arch = "x86_64"),
             Isa::Avx2 => {
                 #[cfg(target_arch = "x86_64")]
                 {
@@ -229,8 +236,7 @@ impl Isa {
     fn from_tag(tag: u8) -> Isa {
         match tag {
             0 => Isa::Scalar,
-            1 => Isa::Sse2,
-            2 => Isa::Avx2,
+            1 => Isa::Avx2,
             other => unreachable!("invalid Isa tag {other}"),
         }
     }
@@ -253,7 +259,7 @@ pub enum Choice {
 }
 
 impl Choice {
-    /// Parses `auto|scalar|sse2|avx2`.
+    /// Parses `auto|scalar|avx2`.
     ///
     /// # Errors
     ///
@@ -262,10 +268,9 @@ impl Choice {
         match s {
             "auto" => Ok(Choice::Auto),
             "scalar" => Ok(Choice::Fixed(Isa::Scalar)),
-            "sse2" => Ok(Choice::Fixed(Isa::Sse2)),
             "avx2" => Ok(Choice::Fixed(Isa::Avx2)),
             other => Err(format!(
-                "unknown SIMD ISA {other:?} (expected auto, scalar, sse2 or avx2)"
+                "unknown SIMD ISA {other:?} (expected auto, scalar or avx2)"
             )),
         }
     }
@@ -276,8 +281,6 @@ impl Choice {
 pub fn detect() -> Isa {
     if Isa::Avx2.is_supported() {
         Isa::Avx2
-    } else if Isa::Sse2.is_supported() {
-        Isa::Sse2
     } else {
         Isa::Scalar
     }
@@ -296,32 +299,57 @@ pub fn supported() -> Vec<Isa> {
 
 /// `FORCED` holds `isa as u8 + 1`, 0 meaning "not forced".
 static FORCED: AtomicU8 = AtomicU8::new(0);
-/// Cached env/detection resolution with its provenance label.
-static RESOLVED: OnceLock<(Isa, &'static str)> = OnceLock::new();
+/// Cached env/detection resolution with its provenance label, or the
+/// message rejecting the `HDIDX_SIMD` value.
+static RESOLVED: OnceLock<Result<(Isa, &'static str), String>> = OnceLock::new();
 
-fn resolve_env() -> (Isa, &'static str) {
-    match std::env::var("HDIDX_SIMD") {
-        Err(_) => (detect(), "detected"),
-        Ok(raw) => match Choice::parse(raw.trim()) {
-            Ok(Choice::Auto) => (detect(), "env"),
-            Ok(Choice::Fixed(isa)) => {
-                assert!(
-                    isa.is_supported(),
-                    "HDIDX_SIMD={raw} requested but this CPU/build does not support {isa}"
-                );
-                (isa, "env")
-            }
-            Err(e) => panic!("HDIDX_SIMD: {e}"),
-        },
+fn resolve_env() -> Result<(Isa, &'static str), String> {
+    let Ok(raw) = std::env::var("HDIDX_SIMD") else {
+        return Ok((detect(), "detected"));
+    };
+    match Choice::parse(raw.trim()).map_err(|e| format!("HDIDX_SIMD: {e}"))? {
+        Choice::Auto => Ok((detect(), "env")),
+        Choice::Fixed(isa) if isa.is_supported() => Ok((isa, "env")),
+        Choice::Fixed(isa) => Err(format!(
+            "HDIDX_SIMD={raw} requested but this CPU/build does not support {isa}"
+        )),
+    }
+}
+
+/// The cached resolution; panics with the rejection message on a bad
+/// `HDIDX_SIMD` (see [`check_env`] for the non-panicking check).
+fn resolved() -> (Isa, &'static str) {
+    match RESOLVED.get_or_init(resolve_env) {
+        Ok(resolution) => *resolution,
+        Err(e) => panic!("{e}"),
+    }
+}
+
+/// Resolves `HDIDX_SIMD` now rather than at the first kernel call, so a
+/// binary can reject a bad value at startup. The resolution is cached
+/// exactly as [`active`] caches it, provenance included.
+///
+/// # Errors
+///
+/// A message naming `HDIDX_SIMD` when its value is not
+/// `auto|scalar|avx2`, or names an ISA this CPU/build does not support.
+pub fn check_env() -> Result<(), String> {
+    match RESOLVED.get_or_init(resolve_env) {
+        Ok(_) => Ok(()),
+        Err(e) => Err(e.clone()),
     }
 }
 
 /// The ISA every dispatching kernel entry point uses. Precedence:
 /// [`force`] > `HDIDX_SIMD` > [`detect`], resolved once and cached.
+///
+/// # Panics
+///
+/// On a bad `HDIDX_SIMD` value when no ISA was forced (see [`check_env`]).
 #[must_use]
 pub fn active() -> Isa {
     match FORCED.load(Ordering::Relaxed) {
-        0 => RESOLVED.get_or_init(resolve_env).0,
+        0 => resolved().0,
         tag => Isa::from_tag(tag - 1),
     }
 }
@@ -352,14 +380,14 @@ pub fn force(choice: Choice) -> Result<(), String> {
 }
 
 /// Human-readable active ISA with provenance, e.g. `avx2 (detected)`,
-/// `scalar (env)` or `sse2 (forced)` — the line `serve`/`measure` reports
+/// `scalar (env)` or `avx2 (forced)` — the line `serve`/`measure` reports
 /// print so perf artifacts are comparable across machines.
 #[must_use]
 pub fn describe() -> String {
     if FORCED.load(Ordering::Relaxed) != 0 {
         format!("{} (forced)", active())
     } else {
-        let &(isa, source) = RESOLVED.get_or_init(resolve_env);
+        let (isa, source) = resolved();
         format!("{isa} ({source})")
     }
 }
@@ -398,11 +426,10 @@ pub(crate) fn soup_group_masks(
     {
         match isa {
             Isa::Scalar => unreachable!("scalar dispatch handled by LeafSoup"),
-            // SAFETY: `is_supported` was asserted above (SSE2 is baseline,
-            // AVX2 runtime-detected) and the stripe geometry checks
+            // SAFETY: `is_supported` was asserted above (AVX2 is
+            // runtime-detected) and the stripe geometry checks
             // guarantee every `j * stride + i .. + lanes` load is in
             // bounds because `stride % LANE_PAD == 0` and `valid <= stride`.
-            Isa::Sse2 => unsafe { x86::group_masks_sse2(lo, hi, stride, valid, center, r2, sink) },
             Isa::Avx2 => unsafe { x86::group_masks_avx2(lo, hi, stride, valid, center, r2, sink) },
         }
     }
@@ -440,9 +467,6 @@ pub(crate) fn soup_hit_masks(
         match isa {
             Isa::Scalar => unreachable!("scalar dispatch handled by LeafSoup"),
             // SAFETY: as in `soup_group_masks`.
-            Isa::Sse2 => unsafe {
-                x86::hit_masks_sse2(lo, hi, stride, valid, center, r2, band, sink)
-            },
             Isa::Avx2 => unsafe {
                 x86::hit_masks_avx2(lo, hi, stride, valid, center, r2, band, sink)
             },
@@ -483,9 +507,6 @@ pub(crate) fn soup_count_chunk(
         match isa {
             Isa::Scalar => unreachable!("scalar dispatch handled by LeafSoup"),
             // SAFETY: as in `soup_group_masks`.
-            Isa::Sse2 => unsafe {
-                x86::count_chunk_sse2(lo, hi, stride, valid, queries, &bands, counts)
-            },
             Isa::Avx2 => unsafe {
                 x86::count_chunk_avx2(lo, hi, stride, valid, queries, &bands, counts)
             },
@@ -528,7 +549,6 @@ pub(crate) fn knn_group_below(
             Isa::Scalar => unreachable!("scalar dispatch handled by KBest"),
             // SAFETY: support asserted above; the length checks bound
             // every `rows[l][j]` load.
-            Isa::Sse2 => unsafe { x86::knn2_below_sse2(rows, q, bound, out) },
             Isa::Avx2 => unsafe { x86::knn4_below_avx2(rows, q, bound, out) },
         }
     }
@@ -542,8 +562,8 @@ pub(crate) fn knn_group_below(
 /// Per-dimension moments of the rows `ids` of the row-major `flat` buffer
 /// of `dim`-wide points: the row-blocked, register-tiled kernel behind
 /// [`crate::stats::dim_stats_with`], handing each panel of dimensions'
-/// means and variances to `sink` in ascending dimension order. SSE2 runs the
-/// baseline copy of the kernel, AVX2 its `#[target_feature]` copy.
+/// means and variances to `sink` in ascending dimension order, run inside
+/// its AVX2 `#[target_feature]` copy.
 ///
 /// # Panics
 ///
@@ -562,7 +582,6 @@ pub(crate) fn moments(
     );
     match isa {
         Isa::Scalar => unreachable!("scalar dispatch handled by stats"),
-        Isa::Sse2 => crate::stats::moments_tiled(flat, dim, ids, sink),
         // SAFETY: AVX2 support was asserted above; the kernel
         // itself is safe, bounds-checked code.
         #[cfg(target_arch = "x86_64")]
@@ -602,16 +621,6 @@ mod x86 {
     fn mask16(lanes: usize) -> u32 {
         if lanes >= 16 {
             0xFFFF
-        } else {
-            (1u32 << lanes) - 1
-        }
-    }
-
-    /// Bitmask of the low `lanes` of an 8-lane group.
-    #[inline]
-    fn mask8(lanes: usize) -> u32 {
-        if lanes >= 8 {
-            0xFF
         } else {
             (1u32 << lanes) - 1
         }
@@ -716,81 +725,6 @@ mod x86 {
         mask
     }
 
-    /// One 8-leaf group against one ball on SSE2: four 2-lane chains,
-    /// returning the lane mask and MINDIST²s as [`group16_avx2`] does.
-    ///
-    /// # Safety
-    ///
-    /// `lo`/`hi` must be readable at `j * stride + base + 0..8` for every
-    /// `j < center.len()` (SSE2 itself is `x86_64` baseline).
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "sse2")]
-    #[inline]
-    unsafe fn group8_sse2(
-        lo: *const f32,
-        hi: *const f32,
-        stride: usize,
-        base: usize,
-        center: &[f32],
-        r2: f64,
-        lane_mask: u32,
-        out: &mut [f64; 8],
-    ) -> u32 {
-        #[inline(always)]
-        unsafe fn load2(p: *const f32) -> __m128d {
-            _mm_cvtps_pd(_mm_castsi128_ps(_mm_loadl_epi64(p as *const __m128i)))
-        }
-        let dim = center.len();
-        let zero = _mm_setzero_pd();
-        let r2v = _mm_set1_pd(r2);
-        let (mut a0, mut a1, mut a2, mut a3) = (zero, zero, zero, zero);
-        let mut j = 0usize;
-        while j < dim {
-            let tile_end = (j + DIM_TILE).min(dim);
-            while j < tile_end {
-                let x = _mm_set1_pd(f64::from(*center.get_unchecked(j)));
-                let p = j * stride + base;
-                let l0 = load2(lo.add(p));
-                let l1 = load2(lo.add(p + 2));
-                let l2 = load2(lo.add(p + 4));
-                let l3 = load2(lo.add(p + 6));
-                let h0 = load2(hi.add(p));
-                let h1 = load2(hi.add(p + 2));
-                let h2 = load2(hi.add(p + 4));
-                let h3 = load2(hi.add(p + 6));
-                let d0 = _mm_max_pd(_mm_max_pd(_mm_sub_pd(l0, x), _mm_sub_pd(x, h0)), zero);
-                let d1 = _mm_max_pd(_mm_max_pd(_mm_sub_pd(l1, x), _mm_sub_pd(x, h1)), zero);
-                let d2 = _mm_max_pd(_mm_max_pd(_mm_sub_pd(l2, x), _mm_sub_pd(x, h2)), zero);
-                let d3 = _mm_max_pd(_mm_max_pd(_mm_sub_pd(l3, x), _mm_sub_pd(x, h3)), zero);
-                a0 = _mm_add_pd(a0, _mm_mul_pd(d0, d0));
-                a1 = _mm_add_pd(a1, _mm_mul_pd(d1, d1));
-                a2 = _mm_add_pd(a2, _mm_mul_pd(d2, d2));
-                a3 = _mm_add_pd(a3, _mm_mul_pd(d3, d3));
-                j += 1;
-            }
-            let g = _mm_and_pd(
-                _mm_and_pd(_mm_cmpgt_pd(a0, r2v), _mm_cmpgt_pd(a1, r2v)),
-                _mm_and_pd(_mm_cmpgt_pd(a2, r2v), _mm_cmpgt_pd(a3, r2v)),
-            );
-            if _mm_movemask_pd(g) == 0b11 {
-                return 0;
-            }
-        }
-        let m0 = _mm_movemask_pd(_mm_cmple_pd(a0, r2v)) as u32;
-        let m1 = _mm_movemask_pd(_mm_cmple_pd(a1, r2v)) as u32;
-        let m2 = _mm_movemask_pd(_mm_cmple_pd(a2, r2v)) as u32;
-        let m3 = _mm_movemask_pd(_mm_cmple_pd(a3, r2v)) as u32;
-        let mask = (m0 | (m1 << 2) | (m2 << 4) | (m3 << 6)) & lane_mask;
-        if mask != 0 {
-            let o = out.as_mut_ptr();
-            _mm_storeu_pd(o, a0);
-            _mm_storeu_pd(o.add(2), a1);
-            _mm_storeu_pd(o.add(4), a2);
-            _mm_storeu_pd(o.add(6), a3);
-        }
-        mask
-    }
-
     /// The `f32` filter pass of one 16-leaf group (module doc, "the `f32`
     /// filter"): two 8-lane `f32` chains over `group16_avx2`'s operands,
     /// the early exit after each [`DIM_TILE`] on `band.miss`. Returns the
@@ -853,56 +787,6 @@ mod x86 {
         (lane_mask & !(hit | miss) == 0).then_some(hit & lane_mask)
     }
 
-    /// The `f32` filter pass of one 8-leaf group on SSE2: two 4-lane `f32`
-    /// chains, returning as [`filter16_avx2`] does.
-    ///
-    /// # Safety
-    ///
-    /// As [`group8_sse2`].
-    #[target_feature(enable = "sse2")]
-    #[inline]
-    unsafe fn filter8_sse2(
-        lo: *const f32,
-        hi: *const f32,
-        stride: usize,
-        base: usize,
-        center: &[f32],
-        band: FilterBand,
-        lane_mask: u32,
-    ) -> Option<u32> {
-        let dim = center.len();
-        let zero = _mm_setzero_ps();
-        let missv = _mm_set1_ps(band.miss);
-        let (mut a0, mut a1) = (zero, zero);
-        let mut j = 0usize;
-        while j < dim {
-            let tile_end = (j + DIM_TILE).min(dim);
-            while j < tile_end {
-                let x = _mm_set1_ps(*center.get_unchecked(j));
-                let p = j * stride + base;
-                let l0 = _mm_loadu_ps(lo.add(p));
-                let l1 = _mm_loadu_ps(lo.add(p + 4));
-                let h0 = _mm_loadu_ps(hi.add(p));
-                let h1 = _mm_loadu_ps(hi.add(p + 4));
-                let d0 = _mm_max_ps(_mm_max_ps(_mm_sub_ps(l0, x), _mm_sub_ps(x, h0)), zero);
-                let d1 = _mm_max_ps(_mm_max_ps(_mm_sub_ps(l1, x), _mm_sub_ps(x, h1)), zero);
-                a0 = _mm_add_ps(a0, _mm_mul_ps(d0, d0));
-                a1 = _mm_add_ps(a1, _mm_mul_ps(d1, d1));
-                j += 1;
-            }
-            let g = _mm_and_ps(_mm_cmpgt_ps(a0, missv), _mm_cmpgt_ps(a1, missv));
-            if _mm_movemask_ps(g) == 0xF {
-                return Some(0);
-            }
-        }
-        let hitv = _mm_set1_ps(band.hit);
-        let hit = _mm_movemask_ps(_mm_cmple_ps(a0, hitv)) as u32
-            | (_mm_movemask_ps(_mm_cmple_ps(a1, hitv)) as u32) << 4;
-        let miss = _mm_movemask_ps(_mm_cmpgt_ps(a0, missv)) as u32
-            | (_mm_movemask_ps(_mm_cmpgt_ps(a1, missv)) as u32) << 4;
-        (lane_mask & !(hit | miss) == 0).then_some(hit & lane_mask)
-    }
-
     /// One 16-leaf group's hit mask: the `f32` filter where `band` lets it
     /// decide every lane, the exact [`group16_avx2`] otherwise.
     ///
@@ -929,33 +813,6 @@ mod x86 {
         }
         let mut d2 = [0.0f64; 16];
         group16_avx2(lo, hi, stride, base, center, r2, lane_mask, &mut d2)
-    }
-
-    /// One 8-leaf group's hit mask on SSE2, as [`hits16_avx2`].
-    ///
-    /// # Safety
-    ///
-    /// As [`group8_sse2`].
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "sse2")]
-    #[inline]
-    unsafe fn hits8_sse2(
-        lo: *const f32,
-        hi: *const f32,
-        stride: usize,
-        base: usize,
-        center: &[f32],
-        r2: f64,
-        band: Option<FilterBand>,
-        lane_mask: u32,
-    ) -> u32 {
-        if let Some(band) = band {
-            if let Some(mask) = filter8_sse2(lo, hi, stride, base, center, band, lane_mask) {
-                return mask;
-            }
-        }
-        let mut d2 = [0.0f64; 8];
-        group8_sse2(lo, hi, stride, base, center, r2, lane_mask, &mut d2)
     }
 
     /// Every 16-lane group's hit mask, in stripe order, through
@@ -985,36 +842,6 @@ mod x86 {
                 hits16_avx2(lo.as_ptr(), hi.as_ptr(), stride, i, center, r2, band, mask),
             );
             i += 16;
-        }
-    }
-
-    /// Every 8-lane group's hit mask, in stripe order, through
-    /// [`hits8_sse2`].
-    ///
-    /// # Safety
-    ///
-    /// As [`group_masks_sse2`].
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "sse2")]
-    #[inline]
-    pub unsafe fn hit_masks_sse2(
-        lo: &[f32],
-        hi: &[f32],
-        stride: usize,
-        valid: usize,
-        center: &[f32],
-        r2: f64,
-        band: Option<FilterBand>,
-        mut sink: impl FnMut(usize, u32),
-    ) {
-        let mut i = 0usize;
-        while i < valid {
-            let mask = mask8(valid - i);
-            sink(
-                i,
-                hits8_sse2(lo.as_ptr(), hi.as_ptr(), stride, i, center, r2, band, mask),
-            );
-            i += 8;
         }
     }
 
@@ -1054,42 +881,6 @@ mod x86 {
         }
     }
 
-    /// Every 8-lane group's mask and MINDIST²s, in stripe order.
-    ///
-    /// # Safety
-    ///
-    /// Stripe geometry as asserted by the dispatcher (`stride % 8 == 0`
-    /// suffices for the 8-lane groups).
-    #[target_feature(enable = "sse2")]
-    #[inline]
-    pub unsafe fn group_masks_sse2(
-        lo: &[f32],
-        hi: &[f32],
-        stride: usize,
-        valid: usize,
-        center: &[f32],
-        r2: f64,
-        mut sink: impl FnMut(usize, u32, &[f64]),
-    ) {
-        let mut d2 = [0.0f64; 8];
-        let mut i = 0usize;
-        while i < valid {
-            let lanes = valid - i;
-            let mask = group8_sse2(
-                lo.as_ptr(),
-                hi.as_ptr(),
-                stride,
-                i,
-                center,
-                r2,
-                mask8(lanes),
-                &mut d2,
-            );
-            sink(i, mask, &d2);
-            i += 8;
-        }
-    }
-
     /// Batched counting, leaf-group-major with queries inner so one
     /// group's stripe bytes (2 · dim cache lines) serve the whole query
     /// block from L1 — the large-leaf-count tiling fix.
@@ -1116,31 +907,6 @@ mod x86 {
                 *slot += u64::from(hits.count_ones());
             }
             i += 16;
-        }
-    }
-
-    /// # Safety
-    ///
-    /// As [`group_masks_sse2`]; `counts` and `bands` are as long as
-    /// `queries`.
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn count_chunk_sse2(
-        lo: &[f32],
-        hi: &[f32],
-        stride: usize,
-        valid: usize,
-        queries: &[(&[f32], f64)],
-        bands: &[Option<FilterBand>],
-        counts: &mut [u64],
-    ) {
-        let mut i = 0usize;
-        while i < valid {
-            let mask = mask8(valid - i);
-            for ((slot, &(center, r2)), &band) in counts.iter_mut().zip(queries).zip(bands) {
-                let hits = hits8_sse2(lo.as_ptr(), hi.as_ptr(), stride, i, center, r2, band, mask);
-                *slot += u64::from(hits.count_ones());
-            }
-            i += 8;
         }
     }
 
@@ -1206,43 +972,6 @@ mod x86 {
         // `!(d2 >= bound)`, NaN lanes included.
         _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_NGE_UQ>(acc, bv)) as u32
     }
-
-    /// Two candidate points against one query with early abandon.
-    ///
-    /// # Safety
-    ///
-    /// `rows.len() == 2` and every row is `q.len()` long.
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn knn2_below_sse2(
-        rows: &[&[f32]],
-        q: &[f32],
-        bound: f64,
-        out: &mut [f64; MAX_LANES],
-    ) -> u32 {
-        let dim = q.len();
-        let (r0, r1) = (rows[0].as_ptr(), rows[1].as_ptr());
-        let bv = _mm_set1_pd(bound);
-        let mut acc = _mm_setzero_pd();
-        let mut j = 0usize;
-        while j < dim {
-            let tile_end = (j + DIM_TILE).min(dim);
-            while j < tile_end {
-                let v = _mm_setr_pd(f64::from(*r0.add(j)), f64::from(*r1.add(j)));
-                let qv = _mm_set1_pd(f64::from(*q.get_unchecked(j)));
-                let d = _mm_sub_pd(v, qv);
-                acc = _mm_add_pd(acc, _mm_mul_pd(d, d));
-                j += 1;
-            }
-            if _mm_movemask_pd(_mm_cmpge_pd(acc, bv)) == 0b11 {
-                return 0;
-            }
-        }
-        let mut vals = [0.0f64; 2];
-        _mm_storeu_pd(vals.as_mut_ptr(), acc);
-        out[0] = vals[0];
-        out[1] = vals[1];
-        _mm_movemask_pd(_mm_cmpnge_pd(acc, bv)) as u32
-    }
 }
 
 #[cfg(test)]
@@ -1253,7 +982,6 @@ mod tests {
     fn choice_parses_every_spelling_and_rejects_junk() {
         assert_eq!(Choice::parse("auto"), Ok(Choice::Auto));
         assert_eq!(Choice::parse("scalar"), Ok(Choice::Fixed(Isa::Scalar)));
-        assert_eq!(Choice::parse("sse2"), Ok(Choice::Fixed(Isa::Sse2)));
         assert_eq!(Choice::parse("avx2"), Ok(Choice::Fixed(Isa::Avx2)));
         let err = Choice::parse("neon").unwrap_err();
         assert!(err.contains("neon") && err.contains("avx2"), "{err}");
@@ -1270,13 +998,8 @@ mod tests {
         assert!(det.is_supported());
         assert_eq!(sup.last().copied(), Some(det));
         // Lane widths are what the kernels assume.
-        assert_eq!(
-            (Isa::Scalar.lanes(), Isa::Sse2.lanes(), Isa::Avx2.lanes()),
-            (1, 2, 4)
-        );
+        assert_eq!((Isa::Scalar.lanes(), Isa::Avx2.lanes()), (1, 4));
         assert!(Isa::ALL.iter().all(|i| i.lanes() <= MAX_LANES));
-        #[cfg(target_arch = "x86_64")]
-        assert!(Isa::Sse2.is_supported(), "SSE2 is x86_64 baseline");
     }
 
     #[test]

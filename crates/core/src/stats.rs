@@ -6,8 +6,8 @@
 //! subset.
 //!
 //! [`Isa::Scalar`] runs the reference loops: a mean pass over every
-//! dimension of every point, then a variance pass. The SSE2 and AVX2 paths
-//! run one row-blocked, register-tiled kernel instead, dispatched through
+//! dimension of every point, then a variance pass. The AVX2 path runs a
+//! row-blocked, register-tiled kernel instead, dispatched through
 //! [`simd::active`] like the counting and k-NN kernels. Its mean pass
 //! walks `ids` in blocks of 16 rows and runs every dimension tile (16,
 //! then 8, 4 and 1 for the tail) over a block before it reads the next,
@@ -179,8 +179,9 @@ const PANEL: usize = 128;
 /// hand-off point of [`simd::moments`]: `sink(j, means, variances)`
 /// receives the moments of dimensions `j..j + means.len()` panel by
 /// panel, in ascending `j`. `flat` is the row-major buffer of `dim`-wide
-/// points and `ids` is non-empty. Inlined into each ISA's copy so the
-/// tile accumulators get that ISA's registers.
+/// points and `ids` is non-empty. Inlined into the AVX2 copy so the tile
+/// accumulators get `ymm` registers.
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
 #[inline(always)]
 pub(crate) fn moments_tiled(
     flat: &[f32],
